@@ -19,13 +19,10 @@ import (
 	"mvml/internal/core"
 	"mvml/internal/drivesim"
 	"mvml/internal/experiments"
-	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/perception"
 	"mvml/internal/petri"
 	"mvml/internal/reliability"
-	"mvml/internal/signs"
-	"mvml/internal/tensor"
 	"mvml/internal/xrand"
 )
 
@@ -274,55 +271,3 @@ func benchTelemetryPipeline(b *testing.B, instrument bool) {
 
 func BenchmarkTelemetryDisabled(b *testing.B) { benchTelemetryPipeline(b, false) }
 func BenchmarkTelemetryEnabled(b *testing.B)  { benchTelemetryPipeline(b, true) }
-
-// benchInference measures the three classifier versions over one serving
-// micro-batch of sign images, per-sample vs. the batched fast path — the
-// comparison that justifies mvserve's micro-batching scheduler.
-func benchInference(b *testing.B, batched bool) {
-	b.Helper()
-	const batchSize = 16
-	cfg := signs.DefaultConfig()
-	cfg.TrainPerClass = 1
-	cfg.TestPerClass = 1
-	ds, err := signs.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	images := make([]*tensor.Tensor, batchSize)
-	for i := range images {
-		images[i] = ds.Test[i%len(ds.Test)].X
-	}
-	stacked, err := nn.Stack(images)
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := xrand.New(7)
-	var nets []*nn.Network
-	for _, name := range nn.AllModels() {
-		net, err := nn.NewModel(name, signs.NumClasses, root.Split("bench", uint64(name)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		nets = append(nets, net)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, net := range nets {
-			if batched {
-				if _, err := net.PredictBatch(stacked); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				for _, x := range images {
-					if _, err := net.Predict(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkInferencePerSample(b *testing.B) { benchInference(b, false) }
-func BenchmarkInferenceBatched(b *testing.B)   { benchInference(b, true) }

@@ -30,8 +30,6 @@ func main() {
 	nversion := flag.Bool("nversion", false, "run the N-version/voting-scheme extension study")
 	diversity := flag.Bool("diversity", false, "run the diversity-source extension study (trains 9 models)")
 	campaign := flag.Bool("campaign", false, "run the per-layer fault-sensitivity campaign (trains 1 model)")
-	inferbench := flag.Bool("inferbench", false, "measure the fused/packed batched-GEMM inference paths against the per-sample loop")
-	int8bench := flag.Bool("int8", false, "with -inferbench: also measure the int8 quantized path and its float-agreement rate")
 	all := flag.Bool("all", false, "run every reliability-side experiment")
 	quick := flag.Bool("quick", false, "reduced dataset/training budget for Table II")
 	workers := flag.Int("workers", 0, "concurrent replications for fan-out experiments (0 = GOMAXPROCS; results are worker-count-invariant)")
@@ -50,7 +48,7 @@ func main() {
 		os.Exit(1)
 	}
 	hcli.Attach(rt)
-	runErr := run(*table, *fig, *nversion, *diversity, *campaign, *inferbench, *int8bench, *all, *quick, *workers, *seed, *horizon, rt)
+	runErr := run(*table, *fig, *nversion, *diversity, *campaign, *all, *quick, *workers, *seed, *horizon, rt)
 	if err := hcli.Finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "mvmlbench:", err)
 	}
@@ -65,7 +63,7 @@ func main() {
 	}
 }
 
-func run(table int, fig string, nversion, diversity, campaign, inferbench, int8bench, all, quick bool, workers int, seed uint64, horizon float64, rt *obs.Runtime) error {
+func run(table int, fig string, nversion, diversity, campaign, all, quick bool, workers int, seed uint64, horizon float64, rt *obs.Runtime) error {
 	rng := xrand.New(seed)
 	params := reliability.DefaultParams()
 	simCfg := reliability.DefaultSimConfig()
@@ -161,23 +159,8 @@ func run(table int, fig string, nversion, diversity, campaign, inferbench, int8b
 		}
 		fmt.Println(res.Render())
 	}
-	if inferbench {
-		ran = true
-		cfg := experiments.DefaultInferBenchConfig()
-		cfg.GemmWorkers = workers
-		cfg.Int8 = int8bench
-		cfg.Seed = seed
-		if quick {
-			cfg.Iters = 5
-		}
-		res, err := experiments.RunInferBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	}
 	if !ran {
-		return fmt.Errorf("nothing to do: pass -table 2..5, -fig a..f, -nversion, -diversity, -campaign, -inferbench, or -all")
+		return fmt.Errorf("nothing to do: pass -table 2..5, -fig a..f, -nversion, -diversity, -campaign, or -all")
 	}
 	return nil
 }

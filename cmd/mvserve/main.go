@@ -80,7 +80,6 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	epochs := fs.Int("train-epochs", 0, "train the ensemble this many epochs before serving (0 = untrained)")
 	perClass := fs.Int("train-per-class", def.Dataset.TrainPerClass, "training images per class (with -train-epochs)")
 	injects := fs.Int("inject-count", def.InjectCount, "weights perturbed per compromise event")
-	gemmWorkers := fs.Int("gemm-workers", def.GemmWorkers, "row-tile fan-out of each worker's fused conv GEMMs (<=1 sequential)")
 	int8Versions := fs.String("int8-versions", "", "comma-separated version indices served through the int8 quantized path (e.g. 1 or 0,2)")
 	profileLayers := fs.Bool("profile-layers", false, "time every layer dispatch and count GEMM volumes into the metrics registry")
 	proactive := fs.Duration("proactive", 0, "proactive rejuvenation interval (0 = disabled)")
@@ -99,7 +98,6 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 		cfg.TrainEpochs = *epochs
 		cfg.Dataset.TrainPerClass = *perClass
 		cfg.InjectCount = *injects
-		cfg.GemmWorkers = *gemmWorkers
 		cfg.ProfileLayers = *profileLayers
 		cfg.ProactiveInterval = *proactive
 		cfg.DivergenceWindow = *window

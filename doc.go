@@ -10,4 +10,10 @@
 // regenerate every table and figure of the paper's evaluation, examples/
 // shows the public API in use, and bench_test.go ties each experiment to a
 // testing.B benchmark.
+//
+// Inference has two forwards per layer and no more: the per-sample Forward
+// on the scalar MatMul kernels (training, and the executable spec) and the
+// batched ForwardBatchArena on the packed float / int8 kernels (serving),
+// bitwise identical to it. cmd/mvbench is the repo's one benchmark; it
+// measures that path end to end and layer by layer.
 package mvml

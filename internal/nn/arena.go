@@ -17,22 +17,10 @@ import (
 // returned by arena-backed calls are owned by the arena and remain valid
 // only until the next call that uses the same arena.
 type InferenceArena struct {
-	// GemmWorkers bounds the row-tile fan-out of the convolution GEMMs;
-	// <= 1 runs sequentially. Outputs are bitwise identical for every
-	// worker count (see tensor.GemmParallel), so this only trades CPU for
-	// latency on large batches.
-	GemmWorkers int
-
 	// Profiler, when non-nil, receives per-layer timings and GEMM shapes
 	// from every dispatch through this arena (see ForwardProfiler). The
 	// default nil costs one branch per layer.
 	Profiler ForwardProfiler
-
-	// DisablePacking forces Conv2D and Dense back onto the unpacked fused
-	// kernels (tensor.GemmParallel / GemmTransB). Answers are bitwise
-	// identical either way — this knob exists so benchmarks can measure the
-	// packed kernels against the baseline on the same code path.
-	DisablePacking bool
 
 	// Quant, when non-nil, switches every layer with a calibrated activation
 	// scale onto the int8 quantized kernels (see CalibrateInt8). Layers
@@ -121,31 +109,11 @@ func (a *InferenceArena) header(owner Layer, purpose arenaPurpose, shape []int) 
 	return t
 }
 
-// ArenaBatchLayer is the zero-allocation batched fast path: like BatchLayer,
-// but writing into buffers borrowed from the arena instead of allocating.
-// Implementations must never mutate their input tensor (residual blocks read
-// it again for the skip path) and must return either the input itself or an
-// arena-owned buffer.
-type ArenaBatchLayer interface {
-	ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error)
-}
-
-// Compile-time checks: every built-in layer provides the arena fast path.
-var (
-	_ ArenaBatchLayer = (*Center)(nil)
-	_ ArenaBatchLayer = (*Dense)(nil)
-	_ ArenaBatchLayer = (*Conv2D)(nil)
-	_ ArenaBatchLayer = (*ReLU)(nil)
-	_ ArenaBatchLayer = (*MaxPool2D)(nil)
-	_ ArenaBatchLayer = (*GlobalAvgPool)(nil)
-	_ ArenaBatchLayer = (*Flatten)(nil)
-	_ ArenaBatchLayer = (*Dropout)(nil)
-	_ ArenaBatchLayer = (*Residual)(nil)
-)
-
-// ForwardBatchArena runs batched inference through the arena-backed fused
-// path where layers support it, falling back to BatchLayer and then to the
-// per-sample loop. With a reused arena the steady state allocates nothing.
+// ForwardBatchArena runs inference over a batch tensor with a leading batch
+// dimension, e.g. (B, C, H, W) for the convolutional classifiers: one
+// dispatch per layer instead of one per sample, bitwise identical to a
+// per-sample Forward loop. With a reused arena the steady state allocates
+// nothing; a nil arena is an error.
 func (n *Network) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	return forwardBatchLayers(n.Layers, x, ar)
 }
@@ -183,7 +151,7 @@ func argmaxRows(out *tensor.Tensor, preds []int) []int {
 	return preds
 }
 
-// ForwardBatchArena implements ArenaBatchLayer (elementwise shift).
+// ForwardBatchArena implements Layer (elementwise shift).
 func (l *Center) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	y := ar.tensor(l, arenaOut, x.Shape...)
 	off := l.Offset
@@ -193,11 +161,11 @@ func (l *Center) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 	return y, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer with one (B, in) × (out, in)ᵀ
-// GEMM into the arena, bitwise identical to the per-sample dot products. By
-// default the input is packed into register-block panels and multiplied
-// against the cached packed Wᵀ (repacked only after InvalidateWeights); with
-// a calibrated activation scale on ar.Quant the whole product runs in int8.
+// ForwardBatchArena implements Layer with one (B, in) × (out, in)ᵀ GEMM into
+// the arena, bitwise identical to the per-sample dot products. The input is
+// packed into register-block panels and multiplied against the cached packed
+// Wᵀ (repacked only after InvalidateWeights); with a calibrated activation
+// scale on ar.Quant the whole product runs in int8.
 func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	out, in := d.W.Shape[0], d.W.Shape[1]
 	if len(x.Shape) != 2 || x.Shape[1] != in {
@@ -212,21 +180,15 @@ func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor
 		return y, nil
 	}
 	y := ar.tensor(d, arenaOut, b, out)
-	if ar.DisablePacking {
-		if err := tensor.GemmTransB(y, x, d.W); err != nil {
-			return nil, fmt.Errorf("dense %s: %w", d.name, err)
-		}
-	} else {
-		p, err := ar.denseWeightsPacked(d)
-		if err != nil {
-			return nil, fmt.Errorf("dense %s: %w", d.name, err)
-		}
-		if err := p.actA.Pack(x); err != nil {
-			return nil, fmt.Errorf("dense %s: %w", d.name, err)
-		}
-		if err := tensor.GemmPackedParallel(y, &p.actA, &p.wB, ar.GemmWorkers); err != nil {
-			return nil, fmt.Errorf("dense %s: %w", d.name, err)
-		}
+	p, err := ar.denseWeightsPacked(d)
+	if err != nil {
+		return nil, fmt.Errorf("dense %s: %w", d.name, err)
+	}
+	if err := p.actA.Pack(x); err != nil {
+		return nil, fmt.Errorf("dense %s: %w", d.name, err)
+	}
+	if err := tensor.GemmPacked(y, &p.actA, &p.wB); err != nil {
+		return nil, fmt.Errorf("dense %s: %w", d.name, err)
 	}
 	ar.noteGemm(b, out, in)
 	for i := 0; i < b; i++ {
@@ -238,10 +200,9 @@ func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor
 	return y, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer: the whole batch is unrolled
-// into one column matrix and convolved with a single GEMM — one kernel
-// dispatch per layer instead of one per sample, with zero steady-state
-// allocations.
+// ForwardBatchArena implements Layer: the whole batch is unrolled into one
+// column matrix and convolved with a single GEMM — one kernel dispatch per
+// layer instead of one per sample, with zero steady-state allocations.
 func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("conv %s: want (B,C,H,W) input, got %v", c.name, x.Shape)
@@ -270,21 +231,15 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 		return out, nil
 	}
 	y := ar.tensor(c, arenaGemm, outC, b*spatial)
-	if ar.DisablePacking {
-		if err := tensor.GemmParallel(y, c.kernelMatrix(), cols, ar.GemmWorkers); err != nil {
-			return nil, fmt.Errorf("conv %s: %w", c.name, err)
-		}
-	} else {
-		p, err := ar.convWeightsPacked(c)
-		if err != nil {
-			return nil, fmt.Errorf("conv %s: %w", c.name, err)
-		}
-		if err := p.actB.Pack(cols); err != nil {
-			return nil, fmt.Errorf("conv %s: %w", c.name, err)
-		}
-		if err := tensor.GemmPackedParallel(y, &p.wA, &p.actB, ar.GemmWorkers); err != nil {
-			return nil, fmt.Errorf("conv %s: %w", c.name, err)
-		}
+	p, err := ar.convWeightsPacked(c)
+	if err != nil {
+		return nil, fmt.Errorf("conv %s: %w", c.name, err)
+	}
+	if err := p.actB.Pack(cols); err != nil {
+		return nil, fmt.Errorf("conv %s: %w", c.name, err)
+	}
+	if err := tensor.GemmPacked(y, &p.wA, &p.actB); err != nil {
+		return nil, fmt.Errorf("conv %s: %w", c.name, err)
 	}
 	ar.noteGemm(outC, b*spatial, inC*kh*kw)
 	// Reorder (outC, B·oh·ow) → (B, outC, oh, ow), adding the bias on the
@@ -304,8 +259,8 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 	return out, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer. NaN activations propagate
-// (v <= 0 is false for NaN), matching Forward and ForwardBatch.
+// ForwardBatchArena implements Layer. NaN activations propagate
+// (v <= 0 is false for NaN), matching Forward.
 func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	y := ar.tensor(l, arenaOut, x.Shape...)
 	for i, v := range x.Data {
@@ -318,7 +273,7 @@ func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.
 	return y, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer for (B, C, H, W) inputs.
+// ForwardBatchArena implements Layer for (B, C, H, W) inputs.
 func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("maxpool %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
@@ -354,7 +309,7 @@ func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*te
 	return y, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer, reducing (B,C,H,W) to (B,C).
+// ForwardBatchArena implements Layer, reducing (B,C,H,W) to (B,C).
 func (l *GlobalAvgPool) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("gap %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
@@ -375,20 +330,20 @@ func (l *GlobalAvgPool) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) 
 	return y, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer with a cached header aliasing
+// ForwardBatchArena implements Layer with a cached header aliasing
 // the input — a Reshape without the allocation.
 func (l *Flatten) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	b := x.Shape[0]
 	return ar.view(l, arenaView, x.Data, b, x.Len()/b), nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer: dropout is the identity at
+// ForwardBatchArena implements Layer: dropout is the identity at
 // inference.
 func (l *Dropout) ForwardBatchArena(x *tensor.Tensor, _ *InferenceArena) (*tensor.Tensor, error) {
 	return x, nil
 }
 
-// ForwardBatchArena implements ArenaBatchLayer. Body layers write into their
+// ForwardBatchArena implements Layer. Body layers write into their
 // own arena buffers and never mutate x, so the skip path reads x unchanged
 // after the body has run.
 func (l *Residual) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {

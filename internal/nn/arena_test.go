@@ -8,10 +8,10 @@ import (
 	"mvml/internal/xrand"
 )
 
-// TestForwardBatchArenaMatchesPerSample: the arena-backed fused-GEMM path
+// TestForwardBatchArenaMatchesPerSample: the arena-backed packed-GEMM path
 // must reproduce the per-sample Forward logits bit for bit on all three
-// architectures, including with parallel GEMM tiles and across arena reuse
-// (dirty buffers must be fully overwritten).
+// architectures, including across arena reuse (dirty buffers must be fully
+// overwritten).
 func TestForwardBatchArenaMatchesPerSample(t *testing.T) {
 	for _, name := range AllModels() {
 		t.Run(name.String(), func(t *testing.T) {
@@ -32,21 +32,18 @@ func TestForwardBatchArenaMatchesPerSample(t *testing.T) {
 				}
 				want[i] = single.Data
 			}
-			for _, workers := range []int{0, 4} {
-				ar := NewInferenceArena()
-				ar.GemmWorkers = workers
-				for round := 0; round < 2; round++ { // round 1 reuses dirty buffers
-					out, err := net.ForwardBatchArena(batch, ar)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range xs {
-						row := out.Data[i*7 : (i+1)*7]
-						for j, v := range want[i] {
-							if math.Float32bits(row[j]) != math.Float32bits(v) {
-								t.Fatalf("workers=%d round=%d sample %d logit %d: arena %v, per-sample %v",
-									workers, round, i, j, row[j], v)
-							}
+			ar := NewInferenceArena()
+			for round := 0; round < 2; round++ { // round 1 reuses dirty buffers
+				out, err := net.ForwardBatchArena(batch, ar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range xs {
+					row := out.Data[i*7 : (i+1)*7]
+					for j, v := range want[i] {
+						if math.Float32bits(row[j]) != math.Float32bits(v) {
+							t.Fatalf("round=%d sample %d logit %d: arena %v, per-sample %v",
+								round, i, j, row[j], v)
 						}
 					}
 				}
@@ -87,36 +84,30 @@ func TestPredictBatchArenaZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPredictBatchArenaMatchesPredictBatch: same classes, reused preds slice.
-func TestPredictBatchArenaMatchesPredictBatch(t *testing.T) {
+// TestForwardBatchArenaRejectsNilArena: there is no arena-less batched path
+// to fall back to, so a nil arena is reported rather than dereferenced.
+func TestForwardBatchArenaRejectsNilArena(t *testing.T) {
 	net, err := NewModel(ModelLeNet, 7, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Stack(randomBatch(6, xrand.New(2)))
+	batch, err := Stack(randomBatch(2, xrand.New(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := net.PredictBatch(batch)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := net.ForwardBatchArena(batch, nil); err == nil {
+		t.Fatal("ForwardBatchArena accepted a nil arena")
 	}
-	got, err := net.PredictBatchArena(batch, NewInferenceArena(), make([]int, 0, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("sample %d: arena class %d, PredictBatch class %d", i, got[i], w)
-		}
+	if _, err := net.PredictBatchArena(batch, nil, nil); err == nil {
+		t.Fatal("PredictBatchArena accepted a nil arena")
 	}
 }
 
 // TestMaxPoolNaNConsistency is the regression for the -Inf/-1 seeding bug:
 // on an all-NaN window Forward used to return -Inf with argmax -1 (Backward
-// then panicked on dx.Data[-1]) while ForwardBatch returned NaN. Both paths
-// now seed with the window's first element, so NaN propagates identically
-// and Backward routes the gradient to a real index.
+// then panicked on dx.Data[-1]) while the batched path returned NaN. Both
+// paths now seed with the window's first element, so NaN propagates
+// identically and Backward routes the gradient to a real index.
 func TestMaxPoolNaNConsistency(t *testing.T) {
 	nan := float32(math.NaN())
 	pool := NewMaxPool2D("pool", 2)
@@ -142,12 +133,12 @@ func TestMaxPoolNaNConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			yb, err := pool.ForwardBatch(xb)
+			yb, err := pool.ForwardBatchArena(xb, NewInferenceArena())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float32bits(y.Data[0]) != math.Float32bits(yb.Data[0]) {
-				t.Fatalf("Forward %v, ForwardBatch %v", y.Data[0], yb.Data[0])
+				t.Fatalf("Forward %v, ForwardBatchArena %v", y.Data[0], yb.Data[0])
 			}
 			grad := tensor.New(1, 1, 1)
 			grad.Fill(1)
@@ -159,7 +150,7 @@ func TestMaxPoolNaNConsistency(t *testing.T) {
 }
 
 // TestReLUNaNConsistency: Forward used to zero NaN activations (v > 0 false)
-// while ForwardBatch kept them; both must now propagate NaN.
+// while the batched path kept them; both must now propagate NaN.
 func TestReLUNaNConsistency(t *testing.T) {
 	nan := float32(math.NaN())
 	relu := NewReLU("relu")
@@ -171,7 +162,7 @@ func TestReLUNaNConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yb, err := relu.ForwardBatch(x)
+	yb, err := relu.ForwardBatchArena(x, NewInferenceArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +171,7 @@ func TestReLUNaNConsistency(t *testing.T) {
 	}
 	for i := range y.Data {
 		if math.Float32bits(y.Data[i]) != math.Float32bits(yb.Data[i]) {
-			t.Fatalf("element %d: Forward %v, ForwardBatch %v", i, y.Data[i], yb.Data[i])
+			t.Fatalf("element %d: Forward %v, ForwardBatchArena %v", i, y.Data[i], yb.Data[i])
 		}
 	}
 }

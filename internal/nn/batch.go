@@ -7,31 +7,6 @@ import (
 	"mvml/internal/tensor"
 )
 
-// BatchLayer is the optional batched-inference fast path a layer can
-// implement: ForwardBatch consumes a tensor with a leading batch dimension
-// (B, ...sample shape) and returns (B, ...output shape). Implementations
-// must be side-effect free — unlike Forward they record no backward state —
-// so batched inference never perturbs an interleaved training pass. Layers
-// without this method fall back to a per-sample Forward loop inside
-// Network.ForwardBatch.
-type BatchLayer interface {
-	ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// Compile-time checks: every built-in layer provides the batched fast path
-// (the per-sample fallback still exists for third-party layers).
-var (
-	_ BatchLayer = (*Center)(nil)
-	_ BatchLayer = (*Dense)(nil)
-	_ BatchLayer = (*Conv2D)(nil)
-	_ BatchLayer = (*ReLU)(nil)
-	_ BatchLayer = (*MaxPool2D)(nil)
-	_ BatchLayer = (*GlobalAvgPool)(nil)
-	_ BatchLayer = (*Flatten)(nil)
-	_ BatchLayer = (*Dropout)(nil)
-	_ BatchLayer = (*Residual)(nil)
-)
-
 // Stack copies per-sample tensors of identical shape into one batch tensor
 // with a leading batch dimension.
 func Stack(samples []*tensor.Tensor) (*tensor.Tensor, error) {
@@ -50,16 +25,13 @@ func Stack(samples []*tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// sampleView returns a zero-copy view of row i of a batch tensor.
-func sampleView(x *tensor.Tensor, i, stride int) *tensor.Tensor {
-	return &tensor.Tensor{Shape: x.Shape[1:], Data: x.Data[i*stride : (i+1)*stride]}
-}
-
-// forwardBatchLayers pushes a batch tensor through a layer stack. With a
-// non-nil arena it takes the zero-allocation ArenaBatchLayer path, then the
-// allocating BatchLayer path, then a per-sample Forward loop — all three are
-// bitwise identical (same per-element accumulation order everywhere).
+// forwardBatchLayers pushes a batch tensor through a layer stack on the arena
+// path — the one batched inference path, bitwise identical to a per-sample
+// Forward loop (same per-element accumulation order everywhere).
 func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+	if ar == nil {
+		return nil, errors.New("nn: batched inference needs an InferenceArena, got nil")
+	}
 	if len(x.Shape) < 2 {
 		return nil, fmt.Errorf("nn: batched input wants a leading batch dimension, got shape %v", x.Shape)
 	}
@@ -73,206 +45,14 @@ func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*
 	return x, nil
 }
 
-// forwardOneBatch dispatches a single layer on the best available batched
-// path (see forwardBatchLayers).
+// forwardOneBatch dispatches a single layer through the arena, feeding the
+// calibration observer and the profiler when they are attached.
 func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
-	if ar != nil {
-		if ar.observer != nil {
-			ar.observer(l, x)
-		}
-		if al, ok := l.(ArenaBatchLayer); ok {
-			if ar.Profiler != nil {
-				return profiledForward(al, l, x, ar)
-			}
-			return al.ForwardBatchArena(x, ar)
-		}
+	if ar.observer != nil {
+		ar.observer(l, x)
 	}
-	if bl, ok := l.(BatchLayer); ok {
-		return bl.ForwardBatch(x)
+	if ar.Profiler != nil {
+		return profiledForward(l, x, ar)
 	}
-	return forwardPerSample(l, x)
-}
-
-// forwardPerSample is the fallback for layers without a batched kernel: it
-// slices the batch into per-sample views, runs the layer's single-sample
-// Forward (inference mode) on each, and restacks the outputs.
-func forwardPerSample(l Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
-	b := x.Shape[0]
-	stride := x.Len() / b
-	var out *tensor.Tensor
-	outStride := 0
-	for i := 0; i < b; i++ {
-		y, err := l.Forward(sampleView(x, i, stride), false)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			outStride = y.Len()
-			out = tensor.New(append([]int{b}, y.Shape...)...)
-		} else if y.Len() != outStride {
-			return nil, fmt.Errorf("nn: layer %s produced %d elements for sample %d, want %d",
-				l.Name(), y.Len(), i, outStride)
-		}
-		copy(out.Data[i*outStride:(i+1)*outStride], y.Data)
-	}
-	return out, nil
-}
-
-// ForwardBatch runs inference over a batch tensor with a leading batch
-// dimension, e.g. (B, C, H, W) for the convolutional classifiers. It is the
-// serving hot path: one dispatch per layer instead of one per sample, with
-// batched kernels (a single matrix multiply for dense layers) where the
-// layer supports them.
-func (n *Network) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardBatchLayers(n.Layers, x, nil)
-}
-
-// PredictBatch returns the argmax class per batch row.
-func (n *Network) PredictBatch(x *tensor.Tensor) ([]int, error) {
-	out, err := n.ForwardBatch(x)
-	if err != nil {
-		return nil, err
-	}
-	return argmaxRows(out, nil), nil
-}
-
-// ForwardBatch implements BatchLayer (the centering shift is elementwise and
-// shape-agnostic).
-func (l *Center) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y := x.Clone()
-	for i := range y.Data {
-		y.Data[i] -= l.Offset
-	}
-	return y, nil
-}
-
-// ForwardBatch implements BatchLayer with one (B, in) × (out, in)ᵀ matrix
-// multiply — the batched counterpart of the per-sample dot products.
-func (d *Dense) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, in := d.W.Shape[0], d.W.Shape[1]
-	if len(x.Shape) != 2 || x.Shape[1] != in {
-		return nil, fmt.Errorf("dense %s: batched input shape %v, want (B, %d)", d.name, x.Shape, in)
-	}
-	y, err := tensor.MatMulTransB(x, d.W)
-	if err != nil {
-		return nil, fmt.Errorf("dense %s: %w", d.name, err)
-	}
-	b := x.Shape[0]
-	for i := 0; i < b; i++ {
-		row := y.Data[i*out : (i+1)*out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
-	return y, nil
-}
-
-// ForwardBatch implements BatchLayer by delegating to the fused batched-GEMM
-// path with a throwaway arena: the whole batch becomes one column matrix and
-// one GEMM, bitwise identical to the former per-sample im2col loop (same
-// per-element accumulation order — see tensor.Im2ColBatch and tensor.Gemm).
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.ForwardBatchArena(x, NewInferenceArena())
-}
-
-// ForwardBatch implements BatchLayer (elementwise, no mask bookkeeping).
-func (l *ReLU) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y := x.Clone()
-	for i, v := range y.Data {
-		if v <= 0 {
-			y.Data[i] = 0
-		}
-	}
-	return y, nil
-}
-
-// ForwardBatch implements BatchLayer for (B, C, H, W) inputs.
-func (l *MaxPool2D) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(x.Shape) != 4 {
-		return nil, fmt.Errorf("maxpool %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
-	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	s := l.Size
-	oh, ow := h/s, w/s
-	if oh == 0 || ow == 0 {
-		return nil, fmt.Errorf("maxpool %s: input %v smaller than window %d", l.name, x.Shape, s)
-	}
-	y := tensor.New(b, c, oh, ow)
-	oi := 0
-	for i := 0; i < b; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := x.Data[base+(oy*s)*w+ox*s]
-					for dy := 0; dy < s; dy++ {
-						rowBase := base + (oy*s+dy)*w + ox*s
-						for dx := 0; dx < s; dx++ {
-							if v := x.Data[rowBase+dx]; v > best {
-								best = v
-							}
-						}
-					}
-					y.Data[oi] = best
-					oi++
-				}
-			}
-		}
-	}
-	return y, nil
-}
-
-// ForwardBatch implements BatchLayer, reducing (B, C, H, W) to (B, C).
-func (l *GlobalAvgPool) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(x.Shape) != 4 {
-		return nil, fmt.Errorf("gap %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
-	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	y := tensor.New(b, c)
-	inv := float32(1 / float64(h*w))
-	for i := 0; i < b; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * h * w
-			var sum float32
-			for _, v := range x.Data[base : base+h*w] {
-				sum += v
-			}
-			y.Data[i*c+ch] = sum * inv
-		}
-	}
-	return y, nil
-}
-
-// ForwardBatch implements BatchLayer by flattening everything after the
-// batch dimension.
-func (l *Flatten) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	b := x.Shape[0]
-	return x.Reshape(b, x.Len()/b)
-}
-
-// ForwardBatch implements BatchLayer: dropout is the identity at inference
-// (inverted dropout rescales survivors during training instead).
-func (l *Dropout) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return x, nil
-}
-
-// ForwardBatch implements BatchLayer by running body and projection through
-// the same batched dispatch as Network.ForwardBatch.
-func (l *Residual) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y, err := forwardBatchLayers(l.Body, x, nil)
-	if err != nil {
-		return nil, fmt.Errorf("residual %s body: %w", l.name, err)
-	}
-	skip := x
-	if l.Proj != nil {
-		skip, err = forwardOneBatch(l.Proj, x, nil)
-		if err != nil {
-			return nil, fmt.Errorf("residual %s proj: %w", l.name, err)
-		}
-	}
-	out := y.Clone()
-	if err := out.AddInPlace(skip); err != nil {
-		return nil, fmt.Errorf("residual %s: body and skip shapes incompatible: %w", l.name, err)
-	}
-	return out, nil
+	return l.ForwardBatchArena(x, ar)
 }

@@ -51,7 +51,8 @@ func TestStack(t *testing.T) {
 
 // TestForwardBatchMatchesPerSample is the core equivalence property: for all
 // three classifier architectures, the batched path must produce exactly the
-// logits (and therefore predictions) of the per-sample path.
+// logits (and therefore predictions, written into a reused slice) of the
+// per-sample path.
 func TestForwardBatchMatchesPerSample(t *testing.T) {
 	for _, name := range AllModels() {
 		t.Run(name.String(), func(t *testing.T) {
@@ -64,16 +65,21 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := net.ForwardBatch(batch)
+			ar := NewInferenceArena()
+			reused := make([]int, 5)
+			preds, err := net.PredictBatchArena(batch, ar, reused[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &preds[0] != &reused[0] {
+				t.Fatal("PredictBatchArena reallocated a prediction slice with enough capacity")
+			}
+			out, err := net.ForwardBatchArena(batch, ar)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if out.Shape[0] != 5 || out.Shape[1] != 7 {
 				t.Fatalf("batched output shape %v, want (5, 7)", out.Shape)
-			}
-			preds, err := net.PredictBatch(batch)
-			if err != nil {
-				t.Fatal(err)
 			}
 			for i, x := range xs {
 				single, err := net.Forward(x, false)
@@ -91,47 +97,6 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// opaqueLayer hides a Center layer's batched path, forcing the per-sample
-// fallback inside ForwardBatch.
-type opaqueLayer struct{ inner *Center }
-
-func (l *opaqueLayer) Name() string { return "opaque" }
-func (l *opaqueLayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	return l.inner.Forward(x, train)
-}
-func (l *opaqueLayer) Backward(g *tensor.Tensor) (*tensor.Tensor, error) { return g, nil }
-func (l *opaqueLayer) Params() []*tensor.Tensor                          { return nil }
-func (l *opaqueLayer) Grads() []*tensor.Tensor                           { return nil }
-
-func TestForwardBatchFallbackForUnbatchableLayer(t *testing.T) {
-	r := xrand.New(3)
-	net := &Network{Name: "probe", Layers: []Layer{
-		&opaqueLayer{inner: NewCenter("center", 0.5)},
-		NewFlatten("flat"),
-		NewDense("fc", InputChannels*InputSize*InputSize, 4, r),
-	}}
-	xs := randomBatch(3, xrand.New(4))
-	batch, err := Stack(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := net.ForwardBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		single, err := net.Forward(x, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range single.Data {
-			if out.Data[i*4+j] != v {
-				t.Fatalf("fallback diverges at sample %d logit %d", i, j)
-			}
-		}
 	}
 }
 
@@ -170,7 +135,7 @@ func TestForwardBatchLeavesTrainingStateAlone(t *testing.T) {
 	}
 	batch := tensor.New(4, 2, 3)
 	batch.RandomizeUniform(xrand.New(7), -1, 1)
-	if _, err := net.ForwardBatch(batch); err != nil {
+	if _, err := net.ForwardBatchArena(batch, NewInferenceArena()); err != nil {
 		t.Fatal(err)
 	}
 	_, grad2, err := SoftmaxCrossEntropy(out2, 1)
@@ -193,7 +158,7 @@ func TestForwardBatchRejectsScalarShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.ForwardBatch(tensor.New(5)); err == nil {
+	if _, err := net.ForwardBatchArena(tensor.New(5), NewInferenceArena()); err == nil {
 		t.Fatal("expected error for input without a batch dimension")
 	}
 }
@@ -218,11 +183,13 @@ func benchForward(b *testing.B, batched bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ar := NewInferenceArena()
+			var preds []int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if batched {
-					if _, err := net.PredictBatch(batch); err != nil {
+					if preds, err = net.PredictBatchArena(batch, ar, preds); err != nil {
 						b.Fatal(err)
 					}
 				} else {

@@ -260,7 +260,7 @@ func (l *ReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		l.mask = make([]bool, y.Len())
 	}
 	l.mask = l.mask[:y.Len()]
-	// NaN propagates (v <= 0 is false for NaN), matching ForwardBatch —
+	// NaN propagates (v <= 0 is false for NaN), matching ForwardBatchArena —
 	// zeroing it would hide fault-injected corruption from the voter.
 	for i, v := range y.Data {
 		l.mask[i] = v > 0
@@ -325,7 +325,7 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		base := ch * h * w
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				// Seed with the window's first element, like ForwardBatch:
+				// Seed with the window's first element, like ForwardBatchArena:
 				// a -Inf/-1 seed never updates on an all-NaN window (every
 				// compare is false) and Backward then indexes dx.Data[-1].
 				start := base + (oy*s)*w + ox*s

@@ -19,6 +19,10 @@ import (
 // whatever it needs for the next Backward call; layers are therefore
 // stateful and not safe for concurrent use. Inference-only callers pass
 // train=false, which skips regularisation noise such as dropout.
+//
+// Every layer has exactly two forwards: the per-sample Forward (training and
+// the executable spec) and the batched ForwardBatchArena (serving), which
+// must agree bit for bit.
 type Layer interface {
 	// Name identifies the layer for diagnostics and fault targeting.
 	Name() string
@@ -32,6 +36,13 @@ type Layer interface {
 	Params() []*tensor.Tensor
 	// Grads returns gradient accumulators aligned with Params.
 	Grads() []*tensor.Tensor
+	// ForwardBatchArena computes the inference output for a batch tensor
+	// with a leading batch dimension (B, ...sample shape), writing into
+	// buffers borrowed from the arena instead of allocating. It records no
+	// backward state, must never mutate its input (residual blocks read it
+	// again for the skip path) and must return either the input itself or
+	// an arena-owned buffer.
+	ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error)
 }
 
 // Network is an ordered stack of layers with a human-readable name

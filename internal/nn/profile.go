@@ -27,11 +27,11 @@ type ForwardProfiler interface {
 // arena so nested GEMM observations attribute to this layer. The label is
 // saved and restored around the call because residual blocks dispatch their
 // body layers recursively through the same arena.
-func profiledForward(al ArenaBatchLayer, l Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+func profiledForward(l Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	prev := ar.profLayer
 	ar.profLayer = l.Name()
 	start := time.Now()
-	y, err := al.ForwardBatchArena(x, ar)
+	y, err := l.ForwardBatchArena(x, ar)
 	ar.Profiler.ObserveLayer(ar.profLayer, time.Since(start).Seconds(), x.Shape[0])
 	ar.profLayer = prev
 	return y, err

@@ -221,7 +221,7 @@ func (c *Conv2D) forwardArenaInt8(cols *tensor.Tensor, xs tensor.Int8Scale,
 		return nil, err
 	}
 	p.acc = growInt32(p.acc, outC*b*spatial)
-	if err := tensor.GemmInt8PackedParallel(p.acc, &p.qwA, &p.qactB, ar.GemmWorkers); err != nil {
+	if err := tensor.GemmInt8Packed(p.acc, &p.qwA, &p.qactB); err != nil {
 		return nil, err
 	}
 	ar.noteGemm(outC, b*spatial, cols.Shape[0])
@@ -256,7 +256,7 @@ func (d *Dense) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
 		return nil, err
 	}
 	p.acc = growInt32(p.acc, b*out)
-	if err := tensor.GemmInt8PackedParallel(p.acc, &p.qactA, &p.qwB, ar.GemmWorkers); err != nil {
+	if err := tensor.GemmInt8Packed(p.acc, &p.qactA, &p.qwB); err != nil {
 		return nil, err
 	}
 	ar.noteGemm(b, out, in)

@@ -230,44 +230,6 @@ func TestCalibrateInt8Deterministic(t *testing.T) {
 	}
 }
 
-// TestInt8WorkerInvariance: int32 accumulation is exact, so quantized logits
-// are bitwise identical for every GEMM worker count.
-func TestInt8WorkerInvariance(t *testing.T) {
-	samples := goldenDataset(t)[:16]
-	net := goldenNet(t, nn.AllModels()[0])
-	q, err := nn.CalibrateInt8(net, samples, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]*tensor.Tensor, len(samples))
-	for i := range xs {
-		xs[i] = samples[i].X
-	}
-	batch, err := nn.Stack(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref *tensor.Tensor
-	for _, workers := range []int{1, 2, 5} {
-		ar := nn.NewInferenceArena()
-		ar.Quant = q
-		ar.GemmWorkers = workers
-		out, err := net.ForwardBatchArena(batch, ar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = out.Clone()
-			continue
-		}
-		for i := range out.Data {
-			if math.Float32bits(out.Data[i]) != math.Float32bits(ref.Data[i]) {
-				t.Fatalf("workers=%d: logit %d differs: %v vs %v", workers, i, out.Data[i], ref.Data[i])
-			}
-		}
-	}
-}
-
 // mutateWeights perturbs the first Conv2D kernel and the first Dense weight
 // matrix of a network, returning an undo function.
 func mutateWeights(t *testing.T, net *nn.Network) func() {
@@ -386,39 +348,6 @@ func TestArenaInvalidateWeights(t *testing.T) {
 				t.Fatal("weight mutation did not change the output; test is vacuous")
 			}
 		})
-	}
-}
-
-// TestDisablePackingBitwiseIdentical: the packing knob must never change an
-// answer — it only selects which bitwise-identical kernel runs.
-func TestDisablePackingBitwiseIdentical(t *testing.T) {
-	samples := goldenDataset(t)[:8]
-	xs := make([]*tensor.Tensor, len(samples))
-	for i := range xs {
-		xs[i] = samples[i].X
-	}
-	batch, err := nn.Stack(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range nn.AllModels() {
-		net := goldenNet(t, name)
-		packed := nn.NewInferenceArena()
-		fused := nn.NewInferenceArena()
-		fused.DisablePacking = true
-		a, err := net.ForwardBatchArena(batch, packed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := net.ForwardBatchArena(batch, fused)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Data {
-			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-				t.Fatalf("%s element %d: packed %v, fused %v", name, i, a.Data[i], b.Data[i])
-			}
-		}
 	}
 }
 

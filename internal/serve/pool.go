@@ -73,10 +73,9 @@ type pool struct {
 	name  string
 	m     *metrics
 
-	jobs        chan batchJob
-	workers     []*worker
-	gemmWorkers int
-	wg          sync.WaitGroup
+	jobs    chan batchJob
+	workers []*worker
+	wg      sync.WaitGroup
 
 	// factory builds one more replica (used by resize) together with its
 	// int8 calibration (nil for float pools); nextReplica numbers replicas so
@@ -119,7 +118,6 @@ func newPool(index int, name string, cfg Config, m *metrics) *pool {
 		name:          name,
 		m:             m,
 		jobs:          make(chan batchJob, cfg.WorkersPerVersion),
-		gemmWorkers:   cfg.GemmWorkers,
 		window:        make([]bool, cfg.DivergenceWindow),
 		threshold:     cfg.DivergenceThreshold,
 		divergedTotal: m.divergence(name),
@@ -150,7 +148,6 @@ func (p *pool) start() {
 func (p *pool) run(w *worker) {
 	defer p.wg.Done()
 	ar := nn.NewInferenceArena()
-	ar.GemmWorkers = p.gemmWorkers
 	ar.Profiler = p.m.layerProfiler(p.name)
 	ar.Quant = w.quant
 	sink := p.m.spans

@@ -93,11 +93,6 @@ type Config struct {
 	// a mixed ensemble pits both numeric regimes against each other in the
 	// vote. Empty serves everything in float32.
 	Int8Versions []int
-	// GemmWorkers fans the fused convolution GEMMs of each inference worker
-	// out over row tiles (see tensor.GemmParallel); results are bitwise
-	// identical for every value. <= 1 keeps each worker single-threaded,
-	// which is usually right when WorkersPerVersion already saturates cores.
-	GemmWorkers int
 	// ProfileLayers enables the per-layer inference profiler: every layer
 	// dispatch is timed and every GEMM's shape and byte volume is counted
 	// into the obs registry (mvserve_layer_seconds, mvserve_gemm_*). Off by
@@ -170,9 +165,6 @@ func (c Config) Validate() error {
 	}
 	if c.InjectCount < 1 {
 		return fmt.Errorf("serve: inject count %d", c.InjectCount)
-	}
-	if c.GemmWorkers < 0 {
-		return fmt.Errorf("serve: gemm workers %d", c.GemmWorkers)
 	}
 	for _, v := range c.Int8Versions {
 		if v < 0 || v >= c.Versions {

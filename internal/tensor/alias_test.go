@@ -5,41 +5,45 @@ import (
 	"testing"
 )
 
-// The in-place kernels zero/overwrite C before reading A and B, so an output
-// aliasing an input silently corrupts the multiply. These regression tests
-// pin the checkGemm overlap rejection: on the pre-fix kernels every one of
-// them fails, because the calls returned nil and produced garbage.
+// The packed kernel overwrites C while it reads the A and B panels, so an
+// output aliasing an operand silently corrupts the multiply. These regression
+// tests pin GemmPacked's overlap rejection.
 
-// aliasedPair returns a 4×4 operand and a 4×4 output whose backing arrays
-// overlap by one element (the classic off-by-one suballocation bug).
-func aliasedPair() (op, out *Tensor) {
-	base := make([]float32, 2*16)
-	for i := range base {
-		base[i] = float32(i)
+// packedInto packs a 4×4 ramp into panels whose storage is the given window
+// (arena-style suballocation: Pack reuses a buffer with enough capacity).
+func packedInto(t *testing.T, bufA, bufB []float32) (*PackedA, *PackedB, *Tensor, *Tensor) {
+	t.Helper()
+	a, b := New(4, 4), New(4, 4)
+	for i := 0; i < 16; i++ {
+		a.Data[i] = float32(i%5) - 2
+		b.Data[i] = float32(i%3) - 1
 	}
-	op = &Tensor{Shape: []int{4, 4}, Data: base[:16]}
-	out = &Tensor{Shape: []int{4, 4}, Data: base[15 : 15+16]}
-	return op, out
+	pa, pb := &PackedA{data: bufA}, &PackedB{data: bufB}
+	if err := pa.Pack(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Pack(b); err != nil {
+		t.Fatal(err)
+	}
+	return pa, pb, a, b
 }
 
+// TestGemmRejectsAliasedOutput: an output overlapping either packed operand
+// by a single element (the classic off-by-one suballocation bug) is refused.
 func TestGemmRejectsAliasedOutput(t *testing.T) {
-	other := New(4, 4)
 	for _, tc := range []struct {
 		name string
-		call func(c, op *Tensor) error
+		off  int // start of the 16-element output window
 	}{
-		{"Gemm/left", func(c, op *Tensor) error { return Gemm(c, op, other) }},
-		{"Gemm/right", func(c, op *Tensor) error { return Gemm(c, other, op) }},
-		{"GemmParallel", func(c, op *Tensor) error { return GemmParallel(c, op, other, 4) }},
-		{"GemmTransA/left", func(c, op *Tensor) error { return GemmTransA(c, op, other) }},
-		{"GemmTransA/right", func(c, op *Tensor) error { return GemmTransA(c, other, op) }},
-		{"GemmTransB/left", func(c, op *Tensor) error { return GemmTransB(c, op, other) }},
-		{"GemmTransB/right", func(c, op *Tensor) error { return GemmTransB(c, other, op) }},
+		{"left", 15},       // last element of the A panels at [0, 16)
+		{"right", 48 + 31}, // last element of the B panel at [48, 80)
 	} {
-		op, out := aliasedPair()
-		err := tc.call(out, op)
+		base := make([]float32, 128)
+		pa, pb, _, _ := packedInto(t, base[0:16:16], base[48:80:80])
+		c := &Tensor{Shape: []int{4, 4}, Data: base[tc.off : tc.off+16]}
+		err := GemmPacked(c, pa, pb)
 		if err == nil {
-			t.Fatalf("%s: accepted an output aliasing an input", tc.name)
+			t.Fatalf("%s: accepted an output aliasing an operand", tc.name)
 		}
 		if !strings.Contains(err.Error(), "aliases") {
 			t.Fatalf("%s: unexpected error %v", tc.name, err)
@@ -47,14 +51,13 @@ func TestGemmRejectsAliasedOutput(t *testing.T) {
 	}
 }
 
-// TestGemmFullAliasRejected: c == a (identical slice) is the most direct
-// in-place misuse and must also be rejected.
+// TestGemmFullAliasRejected: an output that IS the left operand's panel
+// buffer is the most direct in-place misuse and must also be rejected.
 func TestGemmFullAliasRejected(t *testing.T) {
-	a := New(3, 3)
-	b := New(3, 3)
-	c := &Tensor{Shape: []int{3, 3}, Data: a.Data}
-	if err := Gemm(c, a, b); err == nil {
-		t.Fatal("Gemm accepted c sharing a's backing array")
+	pa, pb, _, _ := packedInto(t, nil, nil)
+	c := &Tensor{Shape: []int{4, 4}, Data: pa.data}
+	if err := GemmPacked(c, pa, pb); err == nil {
+		t.Fatal("GemmPacked accepted c sharing the packed A buffer")
 	}
 }
 
@@ -62,16 +65,11 @@ func TestGemmFullAliasRejected(t *testing.T) {
 // disjoint windows of one backing array — that is not aliasing and must keep
 // working bit for bit.
 func TestGemmDisjointSubslicesAllowed(t *testing.T) {
-	base := make([]float32, 3*16)
-	a := &Tensor{Shape: []int{4, 4}, Data: base[0:16]}
-	b := &Tensor{Shape: []int{4, 4}, Data: base[16:32]}
-	c := &Tensor{Shape: []int{4, 4}, Data: base[32:48]}
-	for i := 0; i < 16; i++ {
-		a.Data[i] = float32(i%5) - 2
-		b.Data[i] = float32(i%3) - 1
-	}
-	if err := Gemm(c, a, b); err != nil {
-		t.Fatalf("Gemm rejected disjoint sub-slices: %v", err)
+	base := make([]float32, 16+32+16)
+	pa, pb, a, b := packedInto(t, base[0:16:16], base[16:48:48])
+	c := &Tensor{Shape: []int{4, 4}, Data: base[48:64]}
+	if err := GemmPacked(c, pa, pb); err != nil {
+		t.Fatalf("GemmPacked rejected disjoint sub-slices: %v", err)
 	}
 	want, err := MatMul(a, b)
 	if err != nil {

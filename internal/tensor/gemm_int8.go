@@ -4,11 +4,11 @@
 //
 // Determinism contract — stronger than the float path's: integer
 // accumulation is associative, so the quantized result is identical for
-// every kernel (assembly or portable), every worker count, and every
-// platform; there is no rounding order to preserve. The only float steps are
-// quantization (v·inv, round half away from zero, clamp to ±127 — one
-// float32 multiply with a fixed rule) and the final dequantize
-// (float32(acc)·scale), both elementwise and order-free.
+// every kernel (assembly or portable) and every platform; there is no
+// rounding order to preserve. The only float steps are quantization (v·inv,
+// round half away from zero, clamp to ±127 — one float32 multiply with a
+// fixed rule) and the final dequantize (float32(acc)·scale), both
+// elementwise and order-free.
 //
 // Overflow safety: |q| ≤ 127, so one k-pair contributes ≤ 2·127² = 32258 and
 // an int32 accumulator holds K up to ~66k k-pairs without overflow — three
@@ -25,9 +25,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"mvml/internal/parallel"
-	"mvml/internal/xrand"
 )
 
 // Int8Scale carries one symmetric quantization scale: q = round(v·Inv)
@@ -225,15 +222,9 @@ func (p *PackedBInt8) packRows(k, n int, inv float32, row func(kk int) []float32
 }
 
 // GemmInt8Packed computes the exact int32 product C = Aq·Bq of the quantized
-// operands into c (row-major M×N). Results are identical on every platform,
-// kernel and worker count — integer accumulation has no rounding order.
+// operands into c (row-major M×N). Results are identical on every platform
+// and kernel — integer accumulation has no rounding order.
 func GemmInt8Packed(c []int32, pa *PackedAInt8, pb *PackedBInt8) error {
-	return GemmInt8PackedParallel(c, pa, pb, 1)
-}
-
-// GemmInt8PackedParallel is GemmInt8Packed with the same column-tile fan-out
-// as GemmPackedParallel.
-func GemmInt8PackedParallel(c []int32, pa *PackedAInt8, pb *PackedBInt8, workers int) error {
 	if pa.data == nil || pb.data == nil {
 		return fmt.Errorf("tensor: GemmInt8Packed on unpacked operands")
 	}
@@ -243,30 +234,11 @@ func GemmInt8PackedParallel(c []int32, pa *PackedAInt8, pb *PackedBInt8, workers
 	if len(c) != pa.M*pb.N {
 		return fmt.Errorf("tensor: GemmInt8Packed output length %d, want %d", len(c), pa.M*pb.N)
 	}
-	panels := (pb.N + gemmNR - 1) / gemmNR
-	tiles := (panels + gemmColTile - 1) / gemmColTile
-	if workers <= 1 || tiles < 2 {
-		gemmInt8Panels(c, pa, pb, 0, panels)
-		return nil
-	}
-	_, err := parallel.Run(xrand.New(0), "gemm-int8", tiles, parallel.Options{Workers: workers},
-		func(tile int, _ *xrand.Rand) (struct{}, error) {
-			jp0 := tile * gemmColTile
-			jp1 := jp0 + gemmColTile
-			if jp1 > panels {
-				jp1 = panels
-			}
-			gemmInt8Panels(c, pa, pb, jp0, jp1)
-			return struct{}{}, nil
-		})
-	return err
-}
-
-func gemmInt8Panels(c []int32, pa *PackedAInt8, pb *PackedBInt8, jp0, jp1 int) {
 	m, n := pa.M, pb.N
 	kp := kpairs(pa.K)
 	mPanels := (m + gemmMR - 1) / gemmMR
-	for jp := jp0; jp < jp1; jp++ {
+	nPanels := (n + gemmNR - 1) / gemmNR
+	for jp := 0; jp < nPanels; jp++ {
 		bp := pb.data[jp*kp*2*gemmNR : (jp+1)*kp*2*gemmNR]
 		j0 := jp * gemmNR
 		nr := n - j0
@@ -298,6 +270,7 @@ func gemmInt8Panels(c []int32, pa *PackedAInt8, pb *PackedBInt8, jp0, jp1 int) {
 			gemmInt8MicroGo(c, n, i0, j0, mr, nr, kp, ap, bp)
 		}
 	}
+	return nil
 }
 
 // gemmInt8MicroGo is the portable micro-kernel and executable spec for the

@@ -106,35 +106,6 @@ func TestGemmInt8TransposedMatchesNaive(t *testing.T) {
 	int32Equal(t, "GemmInt8Packed/PackTransposed", got, want)
 }
 
-// TestGemmInt8WorkerInvariance: integer accumulation is exact, so every
-// worker count must produce the identical int32 output.
-func TestGemmInt8WorkerInvariance(t *testing.T) {
-	r := xrand.New(33)
-	m, k, n := 13, 96, 1339
-	a, b := randomMat(r, m, k), randomMat(r, k, n)
-	sa := Int8ScaleFor(MaxAbs(a.Data))
-	sb := Int8ScaleFor(MaxAbs(b.Data))
-	var pa PackedAInt8
-	var pb PackedBInt8
-	if err := pa.Pack(a, sa.Inv); err != nil {
-		t.Fatal(err)
-	}
-	if err := pb.Pack(b, sb.Inv); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int32, m*n)
-	if err := GemmInt8Packed(want, &pa, &pb); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5, 16} {
-		got := make([]int32, m*n)
-		if err := GemmInt8PackedParallel(got, &pa, &pb, workers); err != nil {
-			t.Fatal(err)
-		}
-		int32Equal(t, "GemmInt8PackedParallel", got, want)
-	}
-}
-
 // TestGemmInt8MicroAsmMatchesGo: the SIMD kernel must equal its executable
 // spec exactly on full tiles.
 func TestGemmInt8MicroAsmMatchesGo(t *testing.T) {

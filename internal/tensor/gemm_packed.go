@@ -4,34 +4,25 @@
 // weights are packed once per weight epoch and cached (see nn.InferenceArena),
 // the B panels of the activations once per call.
 //
-// Determinism contract (same as gemm.go): every output element accumulates
+// Determinism contract: every output element accumulates
 // its K partial products in ascending k order inside a register-resident
 // accumulator, exactly like MatMul's scalar loop, so GemmPacked results are
-// bitwise identical to MatMul and to Gemm. On amd64 the micro-kernel is SSE2
+// bitwise identical to MatMul. On amd64 the micro-kernel is SSE2
 // assembly — MULPS/ADDPS round each lane exactly like MULSS/ADDSS (one IEEE
 // single rounding per op, no FMA contraction), so vectorising across *output
 // elements* while keeping each element's k order preserves bitwise identity;
 // the pure-Go kernel is the portable fallback and the executable spec.
 // Packing pads partial edge panels with zeros; padded lanes have their own
 // accumulator lanes which are simply never stored, so even a 0·Inf = NaN
-// computed in a dead lane cannot leak into the output. GemmPackedParallel
-// fans column tiles (disjoint output columns, no reduction across a tile
-// boundary) over the deterministic runner, so results are bitwise identical
-// for every worker count.
+// computed in a dead lane cannot leak into the output.
 //
 // Cache shape: the micro-kernel holds the full K extent of one MR×NR tile in
 // registers (the K values seen here — im2col rows of C·kh·kw ≤ a few hundred —
-// keep both panels L1-resident), the A panel of the current row block stays
-// hot while the B panels stream exactly once per row block, and tiling over N
-// bounds each worker's streamed span.
+// keep both panels L1-resident), and the A panel of the current row block
+// stays hot while the B panels stream exactly once per row block.
 package tensor
 
-import (
-	"fmt"
-
-	"mvml/internal/parallel"
-	"mvml/internal/xrand"
-)
+import "fmt"
 
 const (
 	// gemmMR × gemmNR is the register block: one micro-kernel call keeps
@@ -39,11 +30,6 @@ const (
 	// eight 4-lane XMM registers (4 rows × 8 columns).
 	gemmMR = 4
 	gemmNR = 8
-	// gemmColTile is the number of B panels (NR columns each) in one
-	// parallel column tile. Tiles own disjoint output columns, so the
-	// fan-out needs no reduction and is worker-count-invariant by
-	// construction.
-	gemmColTile = 64
 )
 
 // PackedA is the left operand packed into gemmMR-row panels: panel ip holds
@@ -187,41 +173,10 @@ func (p *PackedB) packRows(k, n int, row func(kk int) []float32) {
 
 // GemmPacked computes C = A·B from pre-packed operands into the
 // caller-provided C (M×N), overwriting its previous contents. Bitwise
-// identical to MatMul(a, b).
+// identical to MatMul(a, b). The B panel of the current column block streams
+// once while every A panel is revisited — A is the smaller, cache-resident
+// operand on the inference shapes (a layer's packed weights).
 func GemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
-	return GemmPackedParallel(c, pa, pb, 1)
-}
-
-// GemmPackedParallel is GemmPacked with column-tile parallelism: groups of
-// gemmColTile B panels are fanned out over the deterministic runner. Tiles
-// write disjoint output columns, so the result is bitwise identical for every
-// worker count. workers <= 1 (or too few panels to tile) runs sequentially.
-func GemmPackedParallel(c *Tensor, pa *PackedA, pb *PackedB, workers int) error {
-	if err := checkGemmPacked(c, pa, pb); err != nil {
-		return err
-	}
-	panels := (pb.N + gemmNR - 1) / gemmNR
-	tiles := (panels + gemmColTile - 1) / gemmColTile
-	if workers <= 1 || tiles < 2 {
-		gemmPackedPanels(c, pa, pb, 0, panels)
-		return nil
-	}
-	// The runner wants an RNG root; the tile body is deterministic and never
-	// draws from it, so a fixed seed keeps the call site pure.
-	_, err := parallel.Run(xrand.New(0), "gemm-packed", tiles, parallel.Options{Workers: workers},
-		func(tile int, _ *xrand.Rand) (struct{}, error) {
-			jp0 := tile * gemmColTile
-			jp1 := jp0 + gemmColTile
-			if jp1 > panels {
-				jp1 = panels
-			}
-			gemmPackedPanels(c, pa, pb, jp0, jp1)
-			return struct{}{}, nil
-		})
-	return err
-}
-
-func checkGemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 	if pa.data == nil || pb.data == nil {
 		return fmt.Errorf("tensor: GemmPacked on unpacked operands")
 	}
@@ -234,17 +189,10 @@ func checkGemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 	if overlaps(c.Data, pa.data) || overlaps(c.Data, pb.data) {
 		return fmt.Errorf("tensor: GemmPacked output aliases a packed operand")
 	}
-	return nil
-}
-
-// gemmPackedPanels computes the output columns of B panels [jp0, jp1). The B
-// panel of the current column block streams once while every A panel is
-// revisited — A is the smaller, cache-resident operand on the inference
-// shapes (a layer's packed weights).
-func gemmPackedPanels(c *Tensor, pa *PackedA, pb *PackedB, jp0, jp1 int) {
 	m, k, n := pa.M, pa.K, pb.N
 	mPanels := (m + gemmMR - 1) / gemmMR
-	for jp := jp0; jp < jp1; jp++ {
+	nPanels := (n + gemmNR - 1) / gemmNR
+	for jp := 0; jp < nPanels; jp++ {
 		bp := pb.data[jp*k*gemmNR : (jp+1)*k*gemmNR]
 		j0 := jp * gemmNR
 		nr := n - j0
@@ -279,6 +227,7 @@ func gemmPackedPanels(c *Tensor, pa *PackedA, pb *PackedB, jp0, jp1 int) {
 			gemmMicroGo(c.Data, n, i0, j0, mr, nr, k, ap, bp)
 		}
 	}
+	return nil
 }
 
 // gemmMicroGo is the portable micro-kernel and the executable spec for the

@@ -71,34 +71,6 @@ func TestGemmPackedTransposedMatchesMatMulTransB(t *testing.T) {
 	}
 }
 
-// TestGemmPackedParallelWorkerInvariance: column tiles own disjoint output
-// columns, so every worker count must produce bitwise-identical output.
-func TestGemmPackedParallelWorkerInvariance(t *testing.T) {
-	r := xrand.New(13)
-	m, k, n := 17, 96, 1339 // > 5 column tiles, ragged everywhere
-	a, b := randomMat(r, m, k), randomMat(r, k, n)
-	var pa PackedA
-	var pb PackedB
-	if err := pa.Pack(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := pb.Pack(b); err != nil {
-		t.Fatal(err)
-	}
-	want := New(m, n)
-	if err := GemmPacked(want, &pa, &pb); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 7, 16} {
-		c := New(m, n)
-		c.Fill(-1)
-		if err := GemmPackedParallel(c, &pa, &pb, workers); err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "GemmPackedParallel", c.Data, want.Data)
-	}
-}
-
 // TestGemmPackedNaNInfPropagation: special values must flow through the
 // packed kernel exactly as through MatMul — in particular the zero padding of
 // edge panels must never leak a 0·Inf = NaN into a live output lane.
@@ -233,8 +205,7 @@ func TestGemmPackedShapeErrors(t *testing.T) {
 }
 
 // FuzzGemmPackedBitwise: for fuzzer-chosen ragged shapes and a value stream
-// that includes specials, packed GEMM must match MatMul bit for bit at every
-// worker count tried.
+// that includes specials, packed GEMM must match MatMul bit for bit.
 func FuzzGemmPackedBitwise(f *testing.F) {
 	f.Add(uint16(3), uint16(5), uint16(4), uint64(1))
 	f.Add(uint16(4), uint16(4), uint16(4), uint64(2))
@@ -264,61 +235,47 @@ func FuzzGemmPackedBitwise(f *testing.F) {
 		if err := pb.Pack(b); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3} {
-			c := New(m, n)
-			c.Fill(7)
-			if err := GemmPackedParallel(c, &pa, &pb, workers); err != nil {
-				t.Fatal(err)
+		c := New(m, n)
+		c.Fill(7)
+		if err := GemmPacked(c, &pa, &pb); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			gb, wb := math.Float32bits(c.Data[i]), math.Float32bits(want.Data[i])
+			if gb == wb {
+				continue
 			}
-			for i := range want.Data {
-				gb, wb := math.Float32bits(c.Data[i]), math.Float32bits(want.Data[i])
-				if gb == wb {
-					continue
-				}
-				// Two distinct NaN payloads colliding in one add resolve by
-				// operand position (codegen-defined on x86), so NaN==NaN is
-				// the strongest portable contract for fuzzer-built inputs;
-				// all other values must match bit for bit.
-				if isNaN32(c.Data[i]) && isNaN32(want.Data[i]) {
-					continue
-				}
-				t.Fatalf("workers=%d element %d: got bits %#x want %#x", workers, i, gb, wb)
+			// Two distinct NaN payloads colliding in one add resolve by
+			// operand position (codegen-defined on x86), so NaN==NaN is
+			// the strongest portable contract for fuzzer-built inputs;
+			// all other values must match bit for bit.
+			if isNaN32(c.Data[i]) && isNaN32(want.Data[i]) {
+				continue
 			}
+			t.Fatalf("element %d: got bits %#x want %#x", i, gb, wb)
 		}
 	})
 }
 
-// Kernel-level comparison on the alexnet conv3 shape at batch=32 — the
-// multiply where BENCH_gemm.json showed the blocked kernel stalling.
-func benchGemmShape(b *testing.B, packed bool) {
+// BenchmarkGemmPackedAlexConv3 times the alexnet conv3 multiply at batch=32:
+// weights packed once (cached in the arena), activations repacked per call.
+func BenchmarkGemmPackedAlexConv3(b *testing.B) {
 	r := xrand.New(9)
-	m, k, n := 32, 288, 4608 // alexnet conv3 at batch=32
+	m, k, n := 32, 288, 4608
 	x, y := randomMat(r, m, k), randomMat(r, k, n)
 	c := New(m, n)
-	if packed {
-		var pa PackedA
-		var pb PackedB
-		if err := pa.Pack(x); err != nil { // weights: packed once, cached
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := pb.Pack(y); err != nil { // activations: repacked per call
-				b.Fatal(err)
-			}
-			if err := GemmPacked(c, &pa, &pb); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return
+	var pa PackedA
+	var pb PackedB
+	if err := pa.Pack(x); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Gemm(c, x, y); err != nil {
+		if err := pb.Pack(y); err != nil {
+			b.Fatal(err)
+		}
+		if err := GemmPacked(c, &pa, &pb); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkGemmAlexConv3(b *testing.B)       { benchGemmShape(b, false) }
-func BenchmarkGemmPackedAlexConv3(b *testing.B) { benchGemmShape(b, true) }

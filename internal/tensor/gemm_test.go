@@ -28,99 +28,6 @@ func randomMat(r *xrand.Rand, m, n int) *Tensor {
 	return t
 }
 
-// TestGemmBitwiseMatchesMatMul: the blocked in-place kernel must reproduce
-// the allocating kernel bit for bit, including at sizes that exercise
-// partial row and inner-dimension blocks.
-func TestGemmBitwiseMatchesMatMul(t *testing.T) {
-	r := xrand.New(1)
-	for _, dims := range [][3]int{
-		{1, 1, 1}, {3, 5, 4}, {16, 300, 7}, {130, 257, 9}, {65, 64, 33},
-	} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a, b := randomMat(r, m, k), randomMat(r, k, n)
-		want, err := MatMul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := New(m, n)
-		c.Fill(42) // dirty buffer: Gemm must overwrite, not accumulate
-		if err := Gemm(c, a, b); err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "Gemm", c.Data, want.Data)
-	}
-}
-
-func TestGemmTransABitwiseMatchesMatMulTransA(t *testing.T) {
-	r := xrand.New(2)
-	a, b := randomMat(r, 9, 6), randomMat(r, 9, 5)
-	want, err := MatMulTransA(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(6, 5)
-	c.Fill(-1)
-	if err := GemmTransA(c, a, b); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "GemmTransA", c.Data, want.Data)
-}
-
-func TestGemmTransBBitwiseMatchesMatMulTransB(t *testing.T) {
-	r := xrand.New(3)
-	a, b := randomMat(r, 7, 6), randomMat(r, 4, 6)
-	want, err := MatMulTransB(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(7, 4)
-	c.Fill(-1)
-	if err := GemmTransB(c, a, b); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "GemmTransB", c.Data, want.Data)
-}
-
-// TestGemmParallelWorkerInvariance: the row-tiled fan-out must be bitwise
-// identical to the sequential kernel for every worker count — the contract
-// that makes the parallel path safe in the differential-voting ensemble.
-func TestGemmParallelWorkerInvariance(t *testing.T) {
-	r := xrand.New(4)
-	m, k, n := 3*gemmRowTile+17, 129, 31
-	a, b := randomMat(r, m, k), randomMat(r, k, n)
-	want := New(m, n)
-	if err := Gemm(want, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		c := New(m, n)
-		c.Fill(7)
-		if err := GemmParallel(c, a, b, workers); err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "GemmParallel", c.Data, want.Data)
-	}
-}
-
-func TestGemmShapeErrors(t *testing.T) {
-	a, b := New(2, 3), New(3, 4)
-	if err := Gemm(New(2, 4), New(6), b); err == nil {
-		t.Fatal("expected rank error")
-	}
-	if err := Gemm(New(2, 4), a, New(2, 4)); err == nil {
-		t.Fatal("expected inner-dimension error")
-	}
-	if err := Gemm(New(3, 4), a, b); err == nil {
-		t.Fatal("expected output-shape error")
-	}
-	if err := GemmTransA(New(2, 4), a, b); err == nil {
-		t.Fatal("expected GemmTransA inner-dimension error")
-	}
-	if err := GemmTransB(New(2, 3), a, New(4, 2)); err == nil {
-		t.Fatal("expected GemmTransB inner-dimension error")
-	}
-}
-
 // TestMatMulNaNInfPropagation is the regression for the removed zero-skip
 // shortcut: a fault-injected Inf weight multiplied by an im2col padding zero
 // must poison the output with NaN instead of being silently dropped.
@@ -145,17 +52,6 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 		t.Fatalf("MatMulTransA suppressed 0*Inf: got %v, want NaN", ct.Data[0])
 	}
 
-	// The in-place kernels must agree bit for bit, NaN payloads included.
-	g := New(1, 1)
-	if err := Gemm(g, a, b); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "Gemm NaN", g.Data, c.Data)
-	gt := New(1, 1)
-	if err := GemmTransA(gt, at, b); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "GemmTransA NaN", gt.Data, ct.Data)
 }
 
 // TestIm2ColBatchMatchesPerSample: column block b of the batched unroll must
@@ -214,19 +110,5 @@ func TestReshapeRejectsNonPositiveDims(t *testing.T) {
 	}
 	if _, err := a.Reshape(6); err != nil {
 		t.Fatalf("valid reshape rejected: %v", err)
-	}
-}
-
-func BenchmarkGemm64(b *testing.B) {
-	r := xrand.New(1)
-	a := randomMat(r, 64, 64)
-	m := randomMat(r, 64, 64)
-	c := New(64, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Gemm(c, a, m); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

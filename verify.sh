@@ -5,7 +5,7 @@ set -eu
 cd "$(dirname "$0")"
 
 echo "==> gofmt"
-unformatted=$(gofmt -l cmd internal examples bench_test.go bench_parallel_test.go bench_gemm_test.go)
+unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
