@@ -2,12 +2,13 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"mvml/internal/tensor"
 )
 
 // InferenceArena owns the reusable scratch buffers of the fused batched-GEMM
-// inference path: im2col column matrices, GEMM outputs and per-layer
+// inference path: packed GEMM operands, GEMM outputs and per-layer
 // activations, keyed by layer so every layer of a network keeps a stable
 // buffer across requests. After the first request at a given batch size the
 // steady-state serving hot path performs zero heap allocations.
@@ -47,8 +48,7 @@ type InferenceArena struct {
 type arenaPurpose uint8
 
 const (
-	arenaCols arenaPurpose = iota // im2col column matrix
-	arenaGemm                     // raw GEMM output before bias/reorder
+	arenaGemm arenaPurpose = iota // raw GEMM output before bias/reorder
 	arenaOut                      // layer activation output
 	arenaView                     // zero-copy reshaped view header
 )
@@ -200,9 +200,10 @@ func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor
 	return y, nil
 }
 
-// ForwardBatchArena implements Layer: the whole batch is unrolled into one
-// column matrix and convolved with a single GEMM — one kernel dispatch per
-// layer instead of one per sample, with zero steady-state allocations.
+// ForwardBatchArena implements Layer: row-streamed im2col → panels → GEMM →
+// bias/reorder. The whole batch is convolved with a single GEMM — one kernel
+// dispatch per layer instead of one per sample, with zero steady-state
+// allocations — and its column matrix exists only as packed panels.
 func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("conv %s: want (B,C,H,W) input, got %v", c.name, x.Shape)
@@ -219,12 +220,8 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 	}
 	spatial := oh * ow
 
-	cols := ar.tensor(c, arenaCols, inC*kh*kw, b*spatial)
-	if err := tensor.Im2ColBatch(x, kh, kw, c.Stride, c.Pad, cols); err != nil {
-		return nil, fmt.Errorf("conv %s: %w", c.name, err)
-	}
 	if xs, ok := ar.Quant.Scale(c); ok {
-		out, err := c.forwardArenaInt8(cols, xs, b, outC, oh, ow, ar)
+		out, err := c.forwardArenaInt8(x, xs, oh, ow, ar)
 		if err != nil {
 			return nil, fmt.Errorf("conv %s: %w", c.name, err)
 		}
@@ -235,7 +232,7 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 	if err != nil {
 		return nil, fmt.Errorf("conv %s: %w", c.name, err)
 	}
-	if err := p.actB.Pack(cols); err != nil {
+	if err := p.actB.PackIm2Col(x, kh, kw, c.Stride, c.Pad); err != nil {
 		return nil, fmt.Errorf("conv %s: %w", c.name, err)
 	}
 	if err := tensor.GemmPacked(y, &p.wA, &p.actB); err != nil {
@@ -263,17 +260,35 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 // (v <= 0 is false for NaN), matching Forward.
 func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	y := ar.tensor(l, arenaOut, x.Shape...)
-	for i, v := range x.Data {
-		if v <= 0 {
-			y.Data[i] = 0
-		} else {
-			y.Data[i] = v
-		}
-	}
+	reluInto(y.Data, x.Data)
 	return y, nil
 }
 
-// ForwardBatchArena implements Layer for (B, C, H, W) inputs.
+// reluInto writes Forward's rule — 0 where v <= 0, else v — on the bit
+// patterns, so the loop has no data-dependent branch to mispredict on the
+// coin-flip signs of real activations (the two ifs compile to conditional
+// moves). v <= 0 holds exactly for +0 (bits 0) and for [0x80000000,
+// 0xff800000] (−0, the negative finites, −Inf); NaNs of either sign lie
+// outside. bits−1 wraps +0 above everything else, so one unsigned compare
+// splits off the positives and +NaNs, and a second restores the −NaNs.
+func reluInto(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := math.Float32bits(v)
+		out := b
+		if b-1 >= 0x7fffffff { // v <= 0, or a −NaN
+			out = 0
+		}
+		if b > 0xff800000 { // −NaN: put it back
+			out = b
+		}
+		dst[i] = math.Float32frombits(out)
+	}
+}
+
+// ForwardBatchArena implements Layer for (B, C, H, W) inputs. The window
+// loop is Forward's, and the spec; size-2 windows — the only size the three
+// models use — take the SIMD kernel where there is one.
 func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("maxpool %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
@@ -285,6 +300,16 @@ func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*te
 		return nil, fmt.Errorf("maxpool %s: input %v smaller than window %d", l.name, x.Shape, s)
 	}
 	y := ar.tensor(l, arenaOut, b, c, oh, ow)
+	if havePoolAsm && s == 2 {
+		for p := 0; p < b*c; p++ {
+			for oy := 0; oy < oh; oy++ {
+				rows := x.Data[(p*h+2*oy)*w:][:2*w] // the window's two source rows
+				out := y.Data[(p*oh+oy)*ow:][:ow]
+				maxPool2x2RowAsm(&out[0], &rows[0], &rows[w], ow)
+			}
+		}
+		return y, nil
+	}
 	oi := 0
 	for i := 0; i < b; i++ {
 		for ch := 0; ch < c; ch++ {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mvml/internal/tensor"
@@ -100,6 +101,109 @@ func TestForwardBatchArenaRejectsNilArena(t *testing.T) {
 	}
 	if _, err := net.PredictBatchArena(batch, nil, nil); err == nil {
 		t.Fatal("PredictBatchArena accepted a nil arena")
+	}
+}
+
+// TestForwardBatchArenaRejectsEmptyBatch: a (0, C, H, W) batch used to reach
+// the GEMM and fail as "GemmPacked on unpacked operands"; past that, argmaxRows
+// would divide by the batch size. It is refused at the door instead.
+func TestForwardBatchArenaRejectsEmptyBatch(t *testing.T) {
+	net := NewLeNetSmall(5, xrand.New(3))
+	empty := &tensor.Tensor{Shape: []int{0, InputChannels, InputSize, InputSize}}
+	ar := NewInferenceArena()
+	if _, err := net.ForwardBatchArena(empty, ar); err == nil || !strings.Contains(err.Error(), "empty batch") {
+		t.Fatalf("ForwardBatchArena on an empty batch: err = %v, want an empty-batch error", err)
+	}
+	if _, err := net.PredictBatchArena(empty, ar, nil); err == nil {
+		t.Fatal("PredictBatchArena accepted an empty batch")
+	}
+}
+
+// TestMaxPool2x2AllSpecialWindows drives every 2×2 window over {NaN, −NaN, −0,
+// +0, −1, 1, +Inf} — 7⁴ of them — through the batched pool at widths that put
+// each window in every SIMD lane, in the scalar tail and beside a dropped odd
+// column, and requires the bits of the per-sample Forward: which NaN or which
+// zero wins depends on the fold order, not just on the values.
+func TestMaxPool2x2AllSpecialWindows(t *testing.T) {
+	vals := []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002),
+		math.Float32frombits(0x80000000), 0, -1, 1, float32(math.Inf(1)),
+	}
+	nv := len(vals)
+	windows := nv * nv * nv * nv
+	pool := NewMaxPool2D("pool", 2)
+	ar := NewInferenceArena()
+	for _, w := range []int{2, 3, 8, 9, 10, 11, 14, 15, 24, 25} {
+		ow := w / 2
+		oh := (windows + ow - 1) / ow
+		h := 2*oh + w%2 // odd widths also get a dropped last row
+		batch := tensor.New(2, 1, h, w)
+		batch.Fill(float32(math.NaN())) // odd column, last row, unused windows
+		for s := 0; s < 2; s++ {
+			plane := batch.Data[s*h*w : (s+1)*h*w]
+			for i := 0; i < windows; i++ {
+				j := i
+				if s == 1 {
+					j = windows - 1 - i // the second sample shifts every window's lane
+				}
+				oy, ox := i/ow, i%ow
+				plane[(2*oy)*w+2*ox] = vals[j%nv]
+				plane[(2*oy)*w+2*ox+1] = vals[j/nv%nv]
+				plane[(2*oy+1)*w+2*ox] = vals[j/nv/nv%nv]
+				plane[(2*oy+1)*w+2*ox+1] = vals[j/nv/nv/nv]
+			}
+		}
+		got, err := pool.ForwardBatchArena(batch, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 2; s++ {
+			x, err := tensor.FromSlice(batch.Data[s*h*w:(s+1)*h*w], 1, h, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pool.Forward(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, wv := range want.Data {
+				if gv := got.Data[s*oh*ow+i]; math.Float32bits(gv) != math.Float32bits(wv) {
+					t.Fatalf("w=%d sample %d window (%d,%d): batched bits %#x, Forward bits %#x",
+						w, s, i/ow, i%ow, math.Float32bits(gv), math.Float32bits(wv))
+				}
+			}
+		}
+	}
+}
+
+// TestReLUSpecialValues checks the branch-free ReLU against Forward's rule on
+// every class of bit pattern, class boundaries included.
+func TestReLUSpecialValues(t *testing.T) {
+	bits := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x007fffff, 0x80000001, 0x807fffff, // ±denormal
+		0x00800000, 0x3f800000, 0x7f7fffff, 0x80800000, 0xbf800000, 0xff7fffff, // ±finite
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0x7fc12345, 0x7fffffff, 0xffc00000, 0xffc12345, 0xffffffff, // quiet NaN, sign clear and set
+		0x7f800001, 0x7fa00000, 0x7fbfffff, 0xff800001, 0xffa00000, 0xffbfffff, // signalling NaN, sign clear and set
+	}
+	x := tensor.New(len(bits), 1)
+	for i, b := range bits {
+		x.Data[i] = math.Float32frombits(b)
+	}
+	relu := NewReLU("relu")
+	want, err := relu.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := relu.ForwardBatchArena(x, NewInferenceArena())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bits {
+		if g, w := math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]); g != w {
+			t.Errorf("relu(%#08x): batched bits %#08x, Forward bits %#08x", b, g, w)
+		}
 	}
 }
 

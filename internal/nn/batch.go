@@ -35,6 +35,9 @@ func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*
 	if len(x.Shape) < 2 {
 		return nil, fmt.Errorf("nn: batched input wants a leading batch dimension, got shape %v", x.Shape)
 	}
+	if x.Shape[0] == 0 {
+		return nil, fmt.Errorf("nn: batched input is an empty batch, shape %v", x.Shape)
+	}
 	var err error
 	for _, l := range layers {
 		x, err = forwardOneBatch(l, x, ar)

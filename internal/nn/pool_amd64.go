@@ -1,0 +1,15 @@
+//go:build amd64 && !noasm
+
+package nn
+
+// havePoolAsm gates the SSE2 2×2 max-pool kernel; SSE2 is part of the amd64
+// baseline, so no runtime feature detection is needed.
+const havePoolAsm = true
+
+// maxPool2x2RowAsm writes n outputs of a 2×2, stride-2 max-pool: dst[i] folds
+// the window r0[2i], r0[2i+1], r1[2i], r1[2i+1] in that order under the
+// scalar rule "best = v if v > best", so NaNs and ±0 ties resolve exactly as
+// in MaxPool2D.Forward. Reads 2n floats from each row.
+//
+//go:noescape
+func maxPool2x2RowAsm(dst, r0, r1 *float32, n int)

@@ -206,25 +206,28 @@ func (a *InferenceArena) denseWeightsQuantized(d *Dense) (*packedLayer, error) {
 }
 
 // forwardArenaInt8 is the quantized convolution kernel dispatch: the column
-// matrix is quantized with the calibrated activation scale, multiplied
-// against the int8 weight panels in exact int32 arithmetic, and dequantized
-// while the bias/reorder pass writes the output. Shape checks and the column
-// matrix itself are shared with the float path in ForwardBatchArena.
-func (c *Conv2D) forwardArenaInt8(cols *tensor.Tensor, xs tensor.Int8Scale,
-	b, outC, oh, ow int, ar *InferenceArena) (*tensor.Tensor, error) {
+// matrix is unrolled row by row and quantized with the calibrated activation
+// scale straight into int8 panels, multiplied against the int8 weight panels
+// in exact int32 arithmetic, and dequantized while the bias/reorder pass
+// writes the output. The shape checks are ForwardBatchArena's, which also
+// computed (oh, ow).
+func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
+	oh, ow int, ar *InferenceArena) (*tensor.Tensor, error) {
+	b, outC := x.Shape[0], c.Kernel.Shape[0]
+	kh, kw := c.Kernel.Shape[2], c.Kernel.Shape[3]
 	spatial := oh * ow
 	p, err := ar.convWeightsQuantized(c)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.qactB.Pack(cols, xs.Inv); err != nil {
+	if err := p.qactB.PackIm2Col(x, kh, kw, c.Stride, c.Pad, xs.Inv); err != nil {
 		return nil, err
 	}
 	p.acc = growInt32(p.acc, outC*b*spatial)
 	if err := tensor.GemmInt8Packed(p.acc, &p.qwA, &p.qactB); err != nil {
 		return nil, err
 	}
-	ar.noteGemm(outC, b*spatial, cols.Shape[0])
+	ar.noteGemm(outC, b*spatial, p.qactB.K)
 	// Dequantize fused into the (outC, B·oh·ow) → (B, outC, oh, ow) reorder:
 	// one multiply per element on top of the float path's bias add.
 	scale := p.wScale.Scale * xs.Scale

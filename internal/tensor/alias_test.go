@@ -88,6 +88,31 @@ func TestIm2ColBatchRejectsAliasedOutput(t *testing.T) {
 	}
 }
 
+// TestPackIm2ColRejectsAliasedInput: the fused packers rewrite their panels
+// and row scratch while still gathering from the input, so an input sharing
+// either buffer must be refused like Im2ColBatch refuses an aliased output.
+func TestPackIm2ColRejectsAliasedInput(t *testing.T) {
+	fresh := New(2, 2, 4, 4)
+	var pb PackedB
+	var qb PackedBInt8
+	if err := pb.PackIm2Col(fresh, 3, 3, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := qb.PackIm2Col(fresh, 3, 3, 1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string][]float32{"panels": pb.data, "row scratch": pb.row} {
+		in := &Tensor{Shape: []int{1, 1, 4, 4}, Data: buf[:16]}
+		if err := pb.PackIm2Col(in, 3, 3, 1, 1); err == nil {
+			t.Fatalf("PackedB.PackIm2Col accepted an input aliasing its %s", name)
+		}
+	}
+	in := &Tensor{Shape: []int{1, 1, 4, 4}, Data: qb.rows[:16]}
+	if err := qb.PackIm2Col(in, 3, 3, 1, 1, 1); err == nil {
+		t.Fatal("PackedBInt8.PackIm2Col accepted an input aliasing its row scratch")
+	}
+}
+
 func TestGemmPackedRejectsAliasedOutput(t *testing.T) {
 	a := New(4, 4)
 	b := New(4, 8)

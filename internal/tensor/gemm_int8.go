@@ -89,6 +89,7 @@ type PackedAInt8 struct {
 type PackedBInt8 struct {
 	K, N int
 	data []int16
+	rows []float32 // PackIm2Col's k-pair unroll scratch
 }
 
 func growInt16(buf []int16, n int) []int16 {

@@ -1,3 +1,5 @@
+//go:build amd64 && !noasm
+
 // SSE2 micro-kernel for GemmPacked: one 4×8 output tile held in eight XMM
 // accumulators (row r lives in X(2r) cols 0–3 and X(2r+1) cols 4–7) across
 // the full K loop. MULPS/ADDPS perform one IEEE single rounding per lane per

@@ -1,8 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package tensor
 
-// haveGemmAsm is false off amd64: GemmPacked always runs the portable
+// haveGemmAsm is false off amd64 and under the noasm tag (which lets an amd64
+// host test the fallbacks): GemmPacked always runs the portable
 // gemmMicroGo kernel, which is bitwise identical by construction.
 const haveGemmAsm = false
 

@@ -47,6 +47,7 @@ type PackedA struct {
 type PackedB struct {
 	K, N int
 	data []float32
+	row  []float32 // PackIm2Col's one-row unroll scratch
 }
 
 // grow resizes buf to n elements, reusing capacity when possible.

@@ -6,9 +6,10 @@ import (
 	"mvml/internal/xrand"
 )
 
-// TestIm2ColBatchDirtyReuseAcrossShapes: the arena reuses one column buffer
-// across layers and batch sizes, re-sliced to each call's geometry. When the
-// output shrinks (smaller batch, bigger stride, less padding) the buffer
+// TestIm2ColBatchDirtyReuseAcrossShapes: a caller may reuse one column buffer
+// across layers and batch sizes, re-sliced to each call's geometry (the arena
+// does the same with its packed panels — see
+// TestPackIm2ColDirtyReuseAcrossShapes). When the output shrinks (smaller batch, bigger stride, less padding) the buffer
 // still holds stale columns from the previous call past the new extent —
 // every in-extent element must therefore be written, padding positions as
 // explicit zeros. This pins the audit of that contract: poison the buffer
@@ -36,7 +37,7 @@ func TestIm2ColBatchDirtyReuseAcrossShapes(t *testing.T) {
 		in.RandomizeUniform(r, -1, 1)
 		oh, ow := Conv2DShape(g.h, g.w, g.kh, g.kw, g.stride, g.pad)
 		rows, cols := g.c*g.kh*g.kw, g.b*oh*ow
-		// Re-slice the shared buffer the way the arena does, poisoning the
+		// Re-slice the shared buffer the way a reusing caller does, poisoning the
 		// whole capacity so any unwritten element is visible.
 		if cap(shared.Data) < rows*cols {
 			shared.Data = make([]float32, rows*cols)

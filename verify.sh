@@ -28,6 +28,13 @@ go test -race -short ./...
 echo "==> go test ./..."
 go test ./...
 
+# Portable-kernel pass: the noasm tag forces the Go fallbacks of the GEMM
+# micro-kernels, the int8 packer and the 2x2 max-pool on an amd64 host, so
+# the bitwise, differential and int8-golden suites run against the code every
+# other architecture executes.
+echo "==> go test -tags noasm ./internal/tensor ./internal/nn"
+go test -tags noasm ./internal/tensor ./internal/nn
+
 # Shuffle pass: test order must not matter. -short keeps the pass cheap;
 # any inter-test state dependence fails here with the seed printed for
 # reproduction.
@@ -51,6 +58,7 @@ go test ./internal/xrand -run '^$' -fuzz '^FuzzXrandSplit$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5s
+go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRoundTrip$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRun$' -fuzztime 5s
 
