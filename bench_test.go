@@ -249,7 +249,7 @@ func benchTelemetryPipeline(b *testing.B, instrument bool) {
 		b.Fatal(err)
 	}
 	if instrument {
-		pipe.Instrument(obs.NewRegistry(), obs.NewTracer(obs.DefaultTraceCapacity))
+		pipe.InstrumentObs(obs.NewRuntime(0))
 	}
 	sc := drivesim.Scene{
 		Ego: drivesim.VehicleState{},

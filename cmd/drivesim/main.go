@@ -11,7 +11,7 @@
 //
 // Telemetry (shared by all four binaries): -metrics-addr serves live
 // Prometheus exposition, -telemetry-out writes the end-of-run JSON summary,
-// -trace-out dumps the JSONL event trace. Attaching telemetry never changes
+// -spans-out streams the JSONL span trace. Attaching telemetry never changes
 // a run's decisions.
 package main
 
@@ -21,8 +21,8 @@ import (
 	"os"
 
 	"mvml/internal/experiments"
-	"mvml/internal/health"
 	"mvml/internal/obs"
+	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
 )
 
@@ -34,10 +34,8 @@ func main() {
 	runs := flag.Int("runs", 5, "runs per route")
 	workers := flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS; results are worker-count-invariant)")
 	seed := flag.Uint64("seed", 2025, "root random seed")
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(flag.CommandLine)
-	var hcli health.CLI
-	hcli.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
@@ -46,11 +44,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drivesim:", err)
 		os.Exit(1)
 	}
-	hcli.Attach(rt)
+	tele.AttachEngine()
 	runErr := run(*table, *mapPath, *ablation, *all, *runs, *workers, *seed, rt)
-	if err := hcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "drivesim:", err)
-	}
 	if err := tele.Finish(map[string]any{
 		"command": "drivesim", "seed": *seed, "runs": *runs,
 	}); err != nil {

@@ -17,9 +17,9 @@ import (
 	"os"
 	"sort"
 
-	"mvml/internal/health"
 	"mvml/internal/obs"
 	"mvml/internal/reliability"
+	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
 )
 
@@ -31,10 +31,8 @@ func main() {
 	horizon := flag.Float64("horizon", 0, "simulation horizon (0 = default)")
 	workers := flag.Int("workers", 0, "concurrent transient replications (0 = GOMAXPROCS; results are worker-count-invariant)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(flag.CommandLine)
-	var hcli health.CLI
-	hcli.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
@@ -43,11 +41,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dspn:", err)
 		os.Exit(1)
 	}
-	hcli.Attach(rt)
+	tele.AttachEngine()
 	runErr := run(*n, *interval, *erlang, *transient, *horizon, *workers, *seed, rt)
-	if err := hcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "dspn:", err)
-	}
 	if err := tele.Finish(map[string]any{
 		"command": "dspn", "versions": *n, "seed": *seed,
 	}); err != nil {
@@ -86,7 +81,7 @@ func run(n int, interval float64, erlang int, transient bool, horizon float64, w
 		simCfg.Warmup = horizon / 100
 	}
 	simCfg.Metrics = rt.Metrics()
-	simCfg.Tracer = rt.Tracer()
+	simCfg.Spans = rt.Spans()
 	rng := xrand.New(seed)
 
 	without, err := reliability.NewModel(n, params, false)

@@ -32,9 +32,9 @@ import (
 	"mvml/internal/health"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
-	"mvml/internal/obs/tsdb"
 	"mvml/internal/serve"
 	"mvml/internal/signs"
+	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
 )
 
@@ -191,8 +191,8 @@ func (gf *gwFlags) buildFleet(rt *obs.Runtime, healthOpts *health.Options, p99 f
 
 // demoHealthOptions force-enables per-shard health engines: health-aware
 // failover is the point of the gateway, so the demo does not make it opt-in.
-func demoHealthOptions(hcli *health.CLI) *health.Options {
-	if opts := hcli.Options(); opts != nil {
+func demoHealthOptions(tele *telemetry.Flags) *health.Options {
+	if opts := tele.Options(); opts != nil {
 		return opts
 	}
 	d := health.DefaultOptions()
@@ -203,12 +203,8 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("mvgateway serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "HTTP listen address")
 	gf := registerGwFlags(fs)
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	var hcli health.CLI
-	hcli.RegisterFlags(fs)
-	var tcli tsdb.CLI
-	tcli.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -222,17 +218,13 @@ func cmdServe(args []string) error {
 		// gateway always runs a local runtime even with telemetry flags off.
 		rt = obs.NewRuntime(0)
 	}
-	tcli.Attach(rt, *demoHealthOptions(&hcli))
 	defer func() {
-		if err := tcli.Finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "mvgateway:", err)
-		}
 		if err := tele.Finish(map[string]any{"command": "gateway-serve"}); err != nil {
 			fmt.Fprintln(os.Stderr, "mvgateway:", err)
 		}
 	}()
 
-	gw, shards, _, err := gf.buildFleet(rt, demoHealthOptions(&hcli), tcli.P99Source())
+	gw, shards, _, err := gf.buildFleet(rt, demoHealthOptions(&tele), tele.P99Source())
 	if err != nil {
 		return err
 	}
@@ -311,12 +303,8 @@ func cmdDemo(args []string) error {
 	baseline := fs.Float64("baseline-rps", 100,
 		"single-shard reference throughput for the scale ratio (the mvserve demo's default workload)")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	var hcli health.CLI
-	hcli.RegisterFlags(fs)
-	var tcli tsdb.CLI
-	tcli.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -328,9 +316,7 @@ func cmdDemo(args []string) error {
 	if rt == nil {
 		rt = obs.NewRuntime(0)
 	}
-	tcli.Attach(rt, *demoHealthOptions(&hcli))
-
-	gw, shards, _, err := gf.buildFleet(rt, demoHealthOptions(&hcli), tcli.P99Source())
+	gw, shards, _, err := gf.buildFleet(rt, demoHealthOptions(&tele), tele.P99Source())
 	if err != nil {
 		return err
 	}
@@ -341,8 +327,7 @@ func cmdDemo(args []string) error {
 		}
 	}()
 	if len(shards) > 0 {
-		hcli.Observe(shards[0].Server().Health())
-		tcli.Observe(shards[0].Server().Health())
+		tele.Observe(shards[0].Server().Health())
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -415,12 +400,6 @@ func cmdDemo(args []string) error {
 			rep.Throughput, rep.Throughput / *baseline, *baseline)
 	}
 
-	if err := hcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "mvgateway:", err)
-	}
-	if err := tcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "mvgateway:", err)
-	}
 	if err := tele.Finish(map[string]any{"command": "gateway-demo", "report": rep}); err != nil {
 		fmt.Fprintln(os.Stderr, "mvgateway:", err)
 	}

@@ -17,10 +17,10 @@ import (
 	"os"
 
 	"mvml/internal/experiments"
-	"mvml/internal/health"
 	"mvml/internal/obs"
 	"mvml/internal/petri"
 	"mvml/internal/reliability"
+	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
 )
 
@@ -35,10 +35,8 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent replications for fan-out experiments (0 = GOMAXPROCS; results are worker-count-invariant)")
 	seed := flag.Uint64("seed", 1, "random seed for simulations")
 	horizon := flag.Float64("horizon", 0, "DSPN simulation horizon in model seconds (0 = default)")
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(flag.CommandLine)
-	var hcli health.CLI
-	hcli.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
@@ -47,11 +45,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mvmlbench:", err)
 		os.Exit(1)
 	}
-	hcli.Attach(rt)
+	tele.AttachEngine()
 	runErr := run(*table, *fig, *nversion, *diversity, *campaign, *all, *quick, *workers, *seed, *horizon, rt)
-	if err := hcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "mvmlbench:", err)
-	}
 	if err := tele.Finish(map[string]any{
 		"command": "mvmlbench", "seed": *seed,
 	}); err != nil {
@@ -71,7 +66,7 @@ func run(table int, fig string, nversion, diversity, campaign, all, quick bool, 
 		simCfg = petri.SimConfig{Horizon: horizon, Warmup: horizon / 100}
 	}
 	simCfg.Metrics = rt.Metrics()
-	simCfg.Tracer = rt.Tracer()
+	simCfg.Spans = rt.Spans()
 
 	ran := false
 	if table == 2 || all {

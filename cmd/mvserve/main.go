@@ -10,8 +10,8 @@
 //	                                       # + forced compromise + rejuvenation
 //
 // Telemetry (shared by all binaries): -metrics-addr serves live Prometheus
-// exposition, -telemetry-out writes the end-of-run JSON summary, -trace-out
-// dumps the JSONL event trace. Attaching telemetry never changes responses.
+// exposition, -telemetry-out writes the end-of-run JSON summary, -spans-out
+// streams the JSONL span trace. Attaching telemetry never changes responses.
 package main
 
 import (
@@ -28,10 +28,8 @@ import (
 	"syscall"
 	"time"
 
-	"mvml/internal/health"
-	"mvml/internal/obs"
-	"mvml/internal/obs/tsdb"
 	"mvml/internal/serve"
+	"mvml/internal/telemetry"
 )
 
 func main() {
@@ -129,34 +127,19 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("mvserve serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
 	loadCfg := serveFlags(fs)
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	var hcli health.CLI
-	hcli.RegisterFlags(fs)
-	var tcli tsdb.CLI
-	tcli.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := loadCfg()
-	cfg.Health = hcli.Options()
+	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))
 	rt, err := tele.Start()
 	if err != nil {
 		return err
 	}
-	hopts := health.DefaultOptions()
-	if cfg.Health != nil {
-		hopts = *cfg.Health
-	}
-	tcli.Attach(rt, hopts)
 	defer func() {
-		if err := hcli.Finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "mvserve:", err)
-		}
-		if err := tcli.Finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "mvserve:", err)
-		}
 		if err := tele.Finish(map[string]any{"command": "serve"}); err != nil {
 			fmt.Fprintln(os.Stderr, "mvserve:", err)
 		}
@@ -169,8 +152,7 @@ func cmdServe(args []string) error {
 	defer s.Close()
 	// The server owns the engine (verdicts drive rejuvenation); adopt it so
 	// the deferred Finish reports on it. Rule alerts feed the same engine.
-	hcli.Observe(s.Health())
-	tcli.Observe(s.Health())
+	tele.Observe(s.Health())
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -235,27 +217,18 @@ func cmdDemo(args []string) error {
 	rate := fs.Float64("rate", def.Rate, "open-loop request rate (req/s)")
 	duration := fs.Duration("duration", def.Duration, "load duration")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	var hcli health.CLI
-	hcli.RegisterFlags(fs)
-	var tcli tsdb.CLI
-	tcli.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := loadCfg()
-	cfg.Health = hcli.Options()
+	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))
 	rt, err := tele.Start()
 	if err != nil {
 		return err
 	}
-	hopts := health.DefaultOptions()
-	if cfg.Health != nil {
-		hopts = *cfg.Health
-	}
-	tcli.Attach(rt, hopts)
 
 	// The demo leans on the reactive trigger: make it responsive enough to
 	// fire within the run unless the operator tuned it explicitly.
@@ -264,8 +237,7 @@ func cmdDemo(args []string) error {
 		return err
 	}
 	defer s.Close()
-	hcli.Observe(s.Health())
-	tcli.Observe(s.Health())
+	tele.Observe(s.Health())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -302,12 +274,6 @@ func cmdDemo(args []string) error {
 		degraded := rt.Metrics().Counter("mvserve_degraded_total")
 		fmt.Printf("rejuvenations: %d reactive, %d proactive; degraded answers: %d\n",
 			reactive.Value(), proactive.Value(), degraded.Value())
-	}
-	if err := hcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "mvserve:", err)
-	}
-	if err := tcli.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "mvserve:", err)
 	}
 	if err := tele.Finish(map[string]any{"command": "demo", "report": rep}); err != nil {
 		fmt.Fprintln(os.Stderr, "mvserve:", err)

@@ -1,43 +1,32 @@
-// Command mvdash renders the observability pipeline as a terminal dashboard
-// or a machine-readable JSON report: request-rate sparklines, the top-K
-// slowest stages with exemplar trace ids (jump straight into `mvtrace
-// waterfall -trace N`), the health/incident timeline, and the recording-rule
-// and alert state evaluated over the same store the server runs.
-//
-// Two sources, one renderer:
-//
-//	mvdash -in spans.jsonl                      # offline: replay an export
-//	mvdash -metrics-addr localhost:9090         # live: poll /metrics
-//
-// Offline mode replays the span JSONL through the identical tsdb ingester
-// and rule set the live server runs, so the dashboard shows exactly what the
-// server's own rules saw — the live == replay contract extended to the
-// whole telemetry pipeline.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"mvml/internal/health"
-	"mvml/internal/obs"
 	"mvml/internal/obs/tsdb"
 	"mvml/internal/stats"
 )
 
-func main() {
-	fs := flag.NewFlagSet("mvdash", flag.ExitOnError)
-	in := fs.String("in", "", "span JSONL export to replay (offline mode)")
+// cmdDash renders the observability pipeline as a terminal dashboard or a
+// machine-readable JSON report: request-rate sparklines, the top-K slowest
+// stages with exemplar trace ids (jump straight into `mvtrace waterfall
+// -trace N`), the health/incident timeline, and the recording-rule and alert
+// state evaluated over the same store the server runs.
+//
+// Two sources, one renderer: -in replays a span export offline through the
+// identical tsdb ingester and rule set the live server runs; -metrics-addr
+// polls a running server's /metrics instead.
+func cmdDash(args []string, w, stderr io.Writer) error {
+	fs, in := newFlagSet("dash", "", stderr)
 	addr := fs.String("metrics-addr", "", "host:port of a /metrics endpoint to poll (live mode)")
-	format := fs.String("format", "text", "output format: text or json")
+	format := formatFlag(fs)
 	topK := fs.Int("top", 8, "how many slow stages to list")
 	width := fs.Int("width", 40, "sparkline width in characters")
 	bucket := fs.Duration("bucket", time.Second, "time-series bucket width")
@@ -45,16 +34,11 @@ func main() {
 	duration := fs.Duration("duration", 10*time.Second, "live mode: how long to observe before rendering")
 	requireExemplars := fs.Bool("require-exemplars", false,
 		"exit non-zero unless slow stages carry exemplar trace ids covering every incident window (CI gate)")
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(2)
+	if err := parse(fs, args, format); err != nil {
+		return err
 	}
 	if (*in == "") == (*addr == "") {
-		fmt.Fprintln(os.Stderr, "mvdash: exactly one of -in (offline) or -metrics-addr (live) is required")
-		os.Exit(2)
-	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "mvdash: unknown -format %q (want text or json)\n", *format)
-		os.Exit(2)
+		return usageError{"dash: exactly one of -in (offline) or -metrics-addr (live) is required"}
 	}
 
 	var (
@@ -64,30 +48,24 @@ func main() {
 	if *in != "" {
 		dash, err = offline(*in, *bucket, *topK, *width)
 	} else {
-		dash, err = live(*addr, *bucket, *poll, *duration, *topK, *width)
+		dash, err = live(*addr, *bucket, *poll, *duration, *topK, *width, stderr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvdash:", err)
-		os.Exit(1)
+		return err
 	}
-
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(dash); err != nil {
-			fmt.Fprintln(os.Stderr, "mvdash:", err)
-			os.Exit(1)
+		if err := writeJSON(w, dash); err != nil {
+			return err
 		}
 	} else {
-		render(os.Stdout, dash, *width)
+		render(w, dash, *width)
 	}
-
 	if *requireExemplars {
 		if err := checkExemplars(dash); err != nil {
-			fmt.Fprintln(os.Stderr, "mvdash: exemplar gate:", err)
-			os.Exit(1)
+			return fmt.Errorf("exemplar gate: %w", err)
 		}
 	}
+	return nil
 }
 
 // StageRow is one slow stage: its latency digest plus the exemplar trace
@@ -116,7 +94,7 @@ type TimelineEvent struct {
 	Detail string  `json:"detail"`
 }
 
-// Dashboard is everything mvdash knows, in both render paths.
+// Dashboard is everything `mvtrace dash` knows, in both render paths.
 type Dashboard struct {
 	Source    string                  `json:"source"`
 	Mode      string                  `json:"mode"` // offline | live
@@ -136,17 +114,9 @@ type Dashboard struct {
 // offline replays a span export through the same store + rules the server
 // runs and derives the dashboard from the result.
 func offline(path string, bucket time.Duration, topK, width int) (*Dashboard, error) {
-	f, err := os.Open(path)
+	recs, err := load(path)
 	if err != nil {
 		return nil, err
-	}
-	recs, err := obs.ReadSpans(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%s holds no spans", path)
 	}
 
 	horizon := 0.0
@@ -185,7 +155,7 @@ func offline(path string, bucket time.Duration, topK, width int) (*Dashboard, er
 // live polls a /metrics endpoint into a store for `duration`, then renders
 // what accumulated. No spans are involved, so no exemplars — the sparkline
 // and rate view of a running server.
-func live(addr string, bucket, poll, duration time.Duration, topK, width int) (*Dashboard, error) {
+func live(addr string, bucket, poll, duration time.Duration, topK, width int, stderr io.Writer) (*Dashboard, error) {
 	bs := bucket.Seconds()
 	store := tsdb.New(tsdb.Config{
 		BucketSeconds: bs,
@@ -202,7 +172,7 @@ func live(addr string, bucket, poll, duration time.Duration, topK, width int) (*
 			if scrapes == 0 {
 				return nil, err
 			}
-			fmt.Fprintln(os.Stderr, "mvdash: scrape:", err)
+			fmt.Fprintln(stderr, "mvtrace: scrape:", err)
 		} else {
 			scrapes++
 		}
@@ -500,18 +470,9 @@ func spark(vals []float64, max float64) string {
 	return b.String()
 }
 
-func dur(s float64) string {
-	switch {
-	case s >= 1:
-		return fmt.Sprintf("%.3fs", s)
-	case s >= 1e-3:
-		return fmt.Sprintf("%.2fms", s*1e3)
-	default:
-		return fmt.Sprintf("%.1fµs", s*1e6)
-	}
-}
-
 func render(w io.Writer, d *Dashboard, width int) {
+	// The banner says "mvdash": dash stdout is pinned byte-for-byte (goldens,
+	// CI diffs against earlier exports), so the title did not move with the code.
 	fmt.Fprintf(w, "mvdash · %s · %s · horizon %s\n", d.Mode, d.Source, dur(d.Horizon))
 	if d.Spans > 0 {
 		fmt.Fprintf(w, "%d spans · %d traces · ", d.Spans, d.Traces)

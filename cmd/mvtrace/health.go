@@ -1,66 +1,14 @@
-// Command mvhealth replays a span export (the -spans-out JSONL stream of the
-// instrumented binaries) through the streaming health engine offline and
-// renders the resulting health report: the verdict timeline, incident
-// windows, SLO budget consumption, detected change-points, the online α
-// trajectory, and a reliability projection that substitutes the measured α
-// into the paper's three-version failure model.
-//
-// Because the engine advances only on span timestamps, the replayed report
-// reproduces exactly what a live engine attached to the same stream decided.
-//
-// Usage:
-//
-//	mvhealth report -in spans.jsonl                    # text report
-//	mvhealth report -in spans.jsonl -format json       # full report as JSON
-//	mvhealth report -in spans.jsonl -require-incident  # CI gate (see below)
-//
-// With -require-incident, mvhealth exits non-zero unless the stream shows a
-// full detected-incident arc: at least one non-healthy incident window, at
-// least one rejuvenation, some version going critical and later returning to
-// healthy, and a finite online α — the CI smoke test's assertion that
-// compromise → detection → rejuvenation → recovery actually happened and
-// was measured.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
 	"mvml/internal/health"
-	"mvml/internal/obs"
 	"mvml/internal/reliability"
 )
-
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "report":
-		err = cmdReport(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvhealth:", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  mvhealth report -in spans.jsonl [-format text|json] [-require-incident]
-run "mvhealth report -h" for all flags`)
-}
 
 // projection compares the paper's offline α against the stream's measured α
 // inside the three-version failure model (Eq. 1), holding p at the Table IV
@@ -85,10 +33,23 @@ func project(alpha float64) projection {
 	}
 }
 
-func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("mvhealth report", flag.ExitOnError)
-	in := fs.String("in", "spans.jsonl", "span JSONL export to replay")
-	format := fs.String("format", "text", "output format: text or json")
+// cmdHealth replays the export through the streaming health engine and
+// renders the resulting report: the verdict timeline, incident windows, SLO
+// budget consumption, detected change-points, the online α trajectory, and a
+// reliability projection that substitutes the measured α into the paper's
+// three-version failure model. Because the engine advances only on span
+// timestamps, the replayed report reproduces exactly what a live engine
+// attached to the same stream decided.
+//
+// With -require-incident it fails unless the stream shows a full
+// detected-incident arc: at least one non-healthy incident window, at least
+// one rejuvenation, some version going critical and later returning to
+// healthy, and a finite online α — the CI smoke test's assertion that
+// compromise → detection → rejuvenation → recovery actually happened and was
+// measured.
+func cmdHealth(args []string, w, stderr io.Writer) error {
+	fs, in := newFlagSet("health", "spans.jsonl", stderr)
+	format := formatFlag(fs)
 	requireIncident := fs.Bool("require-incident", false,
 		"exit non-zero unless the stream shows an incident window, a rejuvenation, and a final healthy verdict")
 	latencySLO := fs.Duration("latency-slo", 250*time.Millisecond,
@@ -99,24 +60,12 @@ func cmdReport(args []string) error {
 		"per-version disagreement window in rounds (0 = engine default)")
 	divergenceThreshold := fs.Float64("divergence-threshold", 0,
 		"windowed disagreement rate marking a version critical (0 = engine default)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, format); err != nil {
 		return err
 	}
-	if *format != "text" && *format != "json" {
-		return fmt.Errorf("unknown -format %q (want text or json)", *format)
-	}
-
-	f, err := os.Open(*in)
+	recs, err := load(*in)
 	if err != nil {
 		return err
-	}
-	recs, err := obs.ReadSpans(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s holds no spans", *in)
 	}
 
 	opts := health.DefaultOptions()
@@ -138,9 +87,7 @@ func cmdReport(args []string) error {
 	}
 
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+		if err := writeJSON(w, struct {
 			Input       string         `json:"input"`
 			Report      *health.Report `json:"report"`
 			Reliability *projection    `json:"reliability_projection,omitempty"`
@@ -148,7 +95,7 @@ func cmdReport(args []string) error {
 			return err
 		}
 	} else {
-		renderText(*in, rep, proj)
+		renderHealth(w, *in, rep, proj)
 	}
 
 	if *requireIncident {
@@ -186,89 +133,77 @@ func checkIncidentArc(rep *health.Report) error {
 	return fmt.Errorf("require-incident: no version went critical and recovered to healthy")
 }
 
-func renderText(in string, rep *health.Report, proj *projection) {
-	fmt.Printf("%s · %d spans over %s · verdict %s\n\n",
+func renderHealth(w io.Writer, in string, rep *health.Report, proj *projection) {
+	fmt.Fprintf(w, "%s · %d spans over %s · verdict %s\n\n",
 		in, rep.Spans, dur(rep.Horizon), rep.Final.Overall)
 
-	fmt.Printf("voting: %d rounds decided, %d skipped\n", rep.RoundsDecided, rep.RoundsSkipped)
+	fmt.Fprintf(w, "voting: %d rounds decided, %d skipped\n", rep.RoundsDecided, rep.RoundsSkipped)
 	if rep.AlphaKnown {
-		fmt.Printf("online alpha: %.4f over %d pair(s)\n", rep.AlphaFinal, len(rep.AlphaPairs))
+		fmt.Fprintf(w, "online alpha: %.4f over %d pair(s)\n", rep.AlphaFinal, len(rep.AlphaPairs))
 		for _, p := range rep.AlphaPairs {
-			fmt.Printf("  %s ~ %s: %.4f (%d simultaneous / %d max)\n", p.A, p.B, p.Alpha, p.Both, p.MaxN)
+			fmt.Fprintf(w, "  %s ~ %s: %.4f (%d simultaneous / %d max)\n", p.A, p.B, p.Alpha, p.Both, p.MaxN)
 		}
 	} else {
-		fmt.Println("online alpha: unmeasured (no disagreements in stream)")
+		fmt.Fprintln(w, "online alpha: unmeasured (no disagreements in stream)")
 	}
 
-	fmt.Println("\nSLO error budgets:")
+	fmt.Fprintln(w, "\nSLO error budgets:")
 	for _, s := range rep.Final.SLOs {
 		state := "ok"
 		if s.Alerting {
 			state = "ALERTING"
 		}
-		fmt.Printf("  %-13s target %.3f · %d good / %d bad · budget %+.2f · burn %.2f/%.2f (short/long) · %d alert(s) · %s\n",
+		fmt.Fprintf(w, "  %-13s target %.3f · %d good / %d bad · budget %+.2f · burn %.2f/%.2f (short/long) · %d alert(s) · %s\n",
 			s.Objective.Name, s.Objective.Target, s.Good, s.Bad,
 			s.BudgetRemaining, s.BurnShort, s.BurnLong, s.Alerts, state)
 	}
 
 	if len(rep.Incidents) > 0 {
-		fmt.Println("\nincident windows:")
-		for _, w := range rep.Incidents {
+		fmt.Fprintln(w, "\nincident windows:")
+		for _, iw := range rep.Incidents {
 			state := "unresolved at end of stream"
-			if w.Resolved {
+			if iw.Resolved {
 				state = "resolved"
 			}
-			fmt.Printf("  %s → %s · peak %s · %s\n", dur(w.Start), dur(w.End), w.Peak, state)
+			fmt.Fprintf(w, "  %s → %s · peak %s · %s\n", dur(iw.Start), dur(iw.End), iw.Peak, state)
 		}
 	} else {
-		fmt.Println("\nincident windows: none")
+		fmt.Fprintln(w, "\nincident windows: none")
 	}
 
 	if len(rep.ChangePoints) > 0 {
-		fmt.Println("\nchange-points:")
+		fmt.Fprintln(w, "\nchange-points:")
 		for _, cp := range rep.ChangePoints {
-			fmt.Printf("  %s · %s · CUSUM %.1f\n", dur(cp.T), cp.Stream, cp.Stat)
+			fmt.Fprintf(w, "  %s · %s · CUSUM %.1f\n", dur(cp.T), cp.Stream, cp.Stat)
 		}
 	}
 	if len(rep.Rejuvenations) > 0 {
-		fmt.Println("\nrejuvenations:")
+		fmt.Fprintln(w, "\nrejuvenations:")
 		for _, r := range rep.Rejuvenations {
-			fmt.Printf("  %s · %s (%s)\n", dur(r.T), r.Version, r.Kind)
+			fmt.Fprintf(w, "  %s · %s (%s)\n", dur(r.T), r.Version, r.Kind)
 		}
 	}
 
 	if len(rep.Timeline) > 0 {
-		fmt.Println("\nverdict timeline:")
+		fmt.Fprintln(w, "\nverdict timeline:")
 		for _, tr := range rep.Timeline {
-			fmt.Printf("  %s · %-16s %s → %s · %s\n", dur(tr.T), tr.Component, tr.From, tr.To, tr.Reason)
+			fmt.Fprintf(w, "  %s · %-16s %s → %s · %s\n", dur(tr.T), tr.Component, tr.From, tr.To, tr.Reason)
 		}
 		if rep.TimelineTrunc > 0 {
-			fmt.Printf("  … %d transitions truncated\n", rep.TimelineTrunc)
+			fmt.Fprintf(w, "  … %d transitions truncated\n", rep.TimelineTrunc)
 		}
 	}
 
 	if len(rep.AlphaTraj) > 0 {
-		fmt.Println("\nalpha trajectory:")
+		fmt.Fprintln(w, "\nalpha trajectory:")
 		for _, pt := range rep.AlphaTraj {
-			fmt.Printf("  %s · round %d · alpha %.4f\n", dur(pt.T), pt.Rounds, pt.Alpha)
+			fmt.Fprintf(w, "  %s · round %d · alpha %.4f\n", dur(pt.T), pt.Rounds, pt.Alpha)
 		}
 	}
 
 	if proj != nil {
-		fmt.Printf("\nreliability projection (Eq. 1, p = %.4f):\n", proj.P)
-		fmt.Printf("  offline  alpha %.4f → failure probability %.6f\n", proj.AlphaOffline, proj.FailOffline)
-		fmt.Printf("  measured alpha %.4f → failure probability %.6f\n", proj.AlphaMeasured, proj.FailMeasured)
-	}
-}
-
-// dur renders seconds on the span clock with a unit fitting its magnitude.
-func dur(s float64) string {
-	switch {
-	case s >= 1:
-		return fmt.Sprintf("%.3fs", s)
-	case s >= 1e-3:
-		return fmt.Sprintf("%.2fms", s*1e3)
-	default:
-		return fmt.Sprintf("%.1fµs", s*1e6)
+		fmt.Fprintf(w, "\nreliability projection (Eq. 1, p = %.4f):\n", proj.P)
+		fmt.Fprintf(w, "  offline  alpha %.4f → failure probability %.6f\n", proj.AlphaOffline, proj.FailOffline)
+		fmt.Fprintf(w, "  measured alpha %.4f → failure probability %.6f\n", proj.AlphaMeasured, proj.FailMeasured)
 	}
 }

@@ -1,20 +1,29 @@
-// Command mvtrace analyses span traces exported by the instrumented binaries
-// (the -spans-out JSONL stream): per-stage latency quantiles across every
-// trace, and a text waterfall reconstructing one request's path through
-// admission → queue → batch → per-version forwards → vote → reply.
-//
-// Usage:
+// Command mvtrace is the one offline tool over a span export (the -spans-out
+// JSONL stream of the instrumented binaries). Every subcommand reads the same
+// file through the same loader:
 //
 //	mvtrace summary   -in spans.jsonl            # p50/p95/p99 per span kind
 //	mvtrace top       -in spans.jsonl -n 10      # slowest retained traces
 //	mvtrace waterfall -in spans.jsonl            # richest trace, as a tree
 //	mvtrace waterfall -in spans.jsonl -trace 42  # a specific trace id
+//	mvtrace health    -in spans.jsonl            # replay through the health engine
+//	mvtrace dash      -in spans.jsonl            # replay through the tsdb + rules
+//	mvtrace dash      -metrics-addr host:9090    # live: poll /metrics instead
+//
+// summary, top and waterfall reconstruct a request's path through admission →
+// queue → batch → per-version forwards → vote → reply; health and dash replay
+// the export through the identical engine, ingester and rule set the live
+// server runs, so they show exactly what the server itself decided (the
+// live == replay contract). health -require-incident and dash
+// -require-exemplars are the CI gates.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -23,37 +32,90 @@ import (
 	"mvml/internal/stats"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "summary":
-		err = cmdSummary(os.Args[2:])
-	case "top":
-		err = cmdTop(os.Args[2:])
-	case "waterfall":
-		err = cmdWaterfall(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvtrace:", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usageText = `usage:
   mvtrace summary   -in spans.jsonl             per-stage latency quantiles
   mvtrace top       -in spans.jsonl [-n K]      K slowest retained traces
   mvtrace waterfall -in spans.jsonl [-trace N]  text waterfall for one trace
-run "mvtrace <subcommand> -h" for flags`)
+  mvtrace health    -in spans.jsonl [-require-incident]
+                                                health-engine replay: verdict timeline, SLO budgets, online alpha
+  mvtrace dash      -in spans.jsonl [-require-exemplars]   (or -metrics-addr host:port, live)
+                                                tsdb + rules dashboard: rates, slow stages with exemplar traces, alerts
+all but waterfall take -format text|json; run "mvtrace <subcommand> -h" for flags
+`
+
+// usageError marks a bad invocation: run prints it with the usage text and
+// exits 2 (a failed analysis or CI gate exits 1).
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// errFlagParse marks a flag-parse failure the flag package already reported.
+var errFlagParse = errors.New("flag parse error")
+
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"summary":   cmdSummary,
+	"top":       cmdTop,
+	"waterfall": cmdWaterfall,
+	"health":    cmdHealth,
+	"dash":      cmdDash,
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches one invocation and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usageText)
+		return 2
+	}
+	switch args[0] {
+	case "-h", "-help", "--help", "help":
+		fmt.Fprint(stderr, usageText)
+		return 0
+	}
+	err := error(usageError{fmt.Sprintf("unknown subcommand %q", args[0])})
+	if cmd, ok := commands[args[0]]; ok {
+		err = cmd(args[1:], stdout, stderr)
+	}
+	var bad usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlagParse):
+		return 2
+	case errors.As(err, &bad):
+		fmt.Fprintln(stderr, "mvtrace:", err)
+		fmt.Fprint(stderr, usageText)
+		return 2
+	}
+	fmt.Fprintln(stderr, "mvtrace:", err)
+	return 1
+}
+
+// newFlagSet starts a subcommand's flag set with the shared -in flag.
+func newFlagSet(name, inDefault string, stderr io.Writer) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("mvtrace "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs, fs.String("in", inDefault, "span JSONL export to analyse")
+}
+
+// formatFlag registers the shared -format flag.
+func formatFlag(fs *flag.FlagSet) *string {
+	return fs.String("format", "text", "output format: text or json")
+}
+
+// parse parses args and validates -format (nil for text-only subcommands).
+func parse(fs *flag.FlagSet, args []string, format *string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errFlagParse
+	}
+	if format != nil && *format != "text" && *format != "json" {
+		return usageError{fmt.Sprintf("unknown -format %q (want text or json)", *format)}
+	}
+	return nil
 }
 
 // load reads a -spans-out JSONL export.
@@ -73,9 +135,27 @@ func load(path string) ([]obs.SpanRecord, error) {
 	return recs, nil
 }
 
+// writeJSON renders v as indented JSON, the -format json encoding.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// dur renders seconds on the span clock with a unit fitting its magnitude.
+func dur(s float64) string {
+	switch {
+	case s >= 1:
+		return fmt.Sprintf("%.3fs", s)
+	case s >= 1e-3:
+		return fmt.Sprintf("%.2fms", s*1e3)
+	default:
+		return fmt.Sprintf("%.1fµs", s*1e6)
+	}
+}
+
 // kindSummary is one span kind's latency digest, the JSON unit of
-// `mvtrace summary -format json` (consumed by CI and mvhealth without text
-// parsing).
+// `mvtrace summary -format json` (consumed by CI without text parsing).
 type kindSummary struct {
 	Kind string `json:"kind"`
 	// Shard is set when the export carries multi-shard (gateway) spans:
@@ -89,15 +169,11 @@ type kindSummary struct {
 	Max   float64 `json:"max_seconds"`
 }
 
-func cmdSummary(args []string) error {
-	fs := flag.NewFlagSet("mvtrace summary", flag.ExitOnError)
-	in := fs.String("in", "spans.jsonl", "span JSONL export to analyse")
-	format := fs.String("format", "text", "output format: text or json")
-	if err := fs.Parse(args); err != nil {
+func cmdSummary(args []string, w, stderr io.Writer) error {
+	fs, in := newFlagSet("summary", "spans.jsonl", stderr)
+	format := formatFlag(fs)
+	if err := parse(fs, args, format); err != nil {
 		return err
-	}
-	if *format != "text" && *format != "json" {
-		return fmt.Errorf("unknown -format %q (want text or json)", *format)
 	}
 	recs, err := load(*in)
 	if err != nil {
@@ -161,9 +237,7 @@ func cmdSummary(args []string) error {
 	}
 
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
+		return writeJSON(w, struct {
 			Spans    int           `json:"spans"`
 			Traces   int           `json:"traces"`
 			Coverage float64       `json:"coverage"`
@@ -172,22 +246,19 @@ func cmdSummary(args []string) error {
 		}{len(recs), len(traces), cov, *in, rows})
 	}
 
-	fmt.Printf("%d spans · %d traces · %s\n", len(recs), len(traces), *in)
+	fmt.Fprintf(w, "%d spans · %d traces · %s\n", len(recs), len(traces), *in)
 	if cov < 0.999 {
-		fmt.Printf("coverage ~%.0f%% of emitted spans retained (tail sampling and/or ring drops)\n", cov*100)
+		fmt.Fprintf(w, "coverage ~%.0f%% of emitted spans retained (tail sampling and/or ring drops)\n", cov*100)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	// The shard column appears only for multi-shard exports.
+	shardCol := func(string) string { return "" }
 	if byShard {
-		fmt.Printf("%-14s %-10s %8s %12s %12s %12s %12s\n", "kind", "shard", "count", "p50", "p95", "p99", "max")
-		for _, row := range rows {
-			fmt.Printf("%-14s %-10s %8d %12s %12s %12s %12s\n", row.Kind, row.Shard, row.Count,
-				dur(row.P50), dur(row.P95), dur(row.P99), dur(row.Max))
-		}
-		return nil
+		shardCol = func(shard string) string { return fmt.Sprintf(" %-10s", shard) }
 	}
-	fmt.Printf("%-14s %8s %12s %12s %12s %12s\n", "kind", "count", "p50", "p95", "p99", "max")
+	fmt.Fprintf(w, "%-14s%s %8s %12s %12s %12s %12s\n", "kind", shardCol("shard"), "count", "p50", "p95", "p99", "max")
 	for _, row := range rows {
-		fmt.Printf("%-14s %8d %12s %12s %12s %12s\n", row.Kind, row.Count,
+		fmt.Fprintf(w, "%-14s%s %8d %12s %12s %12s %12s\n", row.Kind, shardCol(row.Shard), row.Count,
 			dur(row.P50), dur(row.P95), dur(row.P99), dur(row.Max))
 	}
 	return nil
@@ -234,16 +305,12 @@ type traceTop struct {
 	Shard       string  `json:"shard,omitempty"`
 }
 
-func cmdTop(args []string) error {
-	fs := flag.NewFlagSet("mvtrace top", flag.ExitOnError)
-	in := fs.String("in", "spans.jsonl", "span JSONL export to analyse")
+func cmdTop(args []string, w, stderr io.Writer) error {
+	fs, in := newFlagSet("top", "spans.jsonl", stderr)
 	n := fs.Int("n", 10, "how many traces to list")
-	format := fs.String("format", "text", "output format: text or json")
-	if err := fs.Parse(args); err != nil {
+	format := formatFlag(fs)
+	if err := parse(fs, args, format); err != nil {
 		return err
-	}
-	if *format != "text" && *format != "json" {
-		return fmt.Errorf("unknown -format %q (want text or json)", *format)
 	}
 	recs, err := load(*in)
 	if err != nil {
@@ -291,17 +358,15 @@ func cmdTop(args []string) error {
 	}
 
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
+		return writeJSON(w, struct {
 			Traces int        `json:"traces"`
 			Input  string     `json:"input"`
 			Top    []traceTop `json:"top"`
 		}{len(byTrace), *in, rows})
 	}
 
-	fmt.Printf("top %d of %d traces · %s\n\n", len(rows), len(byTrace), *in)
-	fmt.Printf("%10s %-14s %12s %6s %-22s %s\n", "trace", "kind", "duration", "spans", "slowest stage", "error")
+	fmt.Fprintf(w, "top %d of %d traces · %s\n\n", len(rows), len(byTrace), *in)
+	fmt.Fprintf(w, "%10s %-14s %12s %6s %-22s %s\n", "trace", "kind", "duration", "spans", "slowest stage", "error")
 	for _, row := range rows {
 		slow := "-"
 		if row.Slowest != "" {
@@ -311,7 +376,7 @@ func cmdTop(args []string) error {
 		if row.Shard != "" {
 			kind += "@" + row.Shard
 		}
-		fmt.Printf("%10d %-14s %12s %6d %-22s %s\n",
+		fmt.Fprintf(w, "%10d %-14s %12s %6d %-22s %s\n",
 			row.Trace, kind, dur(row.Seconds), row.Spans, slow, row.Error)
 	}
 	return nil
@@ -326,24 +391,11 @@ func quantile(d []float64, q float64) float64 {
 	return stats.NearestRank(d, q)
 }
 
-// dur renders seconds with a unit fitting its magnitude.
-func dur(s float64) string {
-	switch {
-	case s >= 1:
-		return fmt.Sprintf("%.3fs", s)
-	case s >= 1e-3:
-		return fmt.Sprintf("%.2fms", s*1e3)
-	default:
-		return fmt.Sprintf("%.1fµs", s*1e6)
-	}
-}
-
-func cmdWaterfall(args []string) error {
-	fs := flag.NewFlagSet("mvtrace waterfall", flag.ExitOnError)
-	in := fs.String("in", "spans.jsonl", "span JSONL export to analyse")
+func cmdWaterfall(args []string, w, stderr io.Writer) error {
+	fs, in := newFlagSet("waterfall", "spans.jsonl", stderr)
 	traceID := fs.Uint64("trace", 0, "trace id to render (default: the trace with the most spans)")
 	width := fs.Int("width", 48, "bar width in characters")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, nil); err != nil {
 		return err
 	}
 	recs, err := load(*in)
@@ -415,7 +467,7 @@ func cmdWaterfall(args []string) error {
 		total = 1
 	}
 
-	fmt.Printf("trace %d · %d spans · %s\n\n", *traceID, len(spans), dur(t1-t0))
+	fmt.Fprintf(w, "trace %d · %d spans · %s\n\n", *traceID, len(spans), dur(t1-t0))
 	var render func(r obs.SpanRecord, depth int)
 	render = func(r obs.SpanRecord, depth int) {
 		label := strings.Repeat("  ", depth) + r.Kind
@@ -433,7 +485,7 @@ func cmdWaterfall(args []string) error {
 				bar = 1
 			}
 		}
-		fmt.Printf("%-26s %s%s%s %s\n", label,
+		fmt.Fprintf(w, "%-26s %s%s%s %s\n", label,
 			strings.Repeat(" ", off), strings.Repeat("█", bar),
 			strings.Repeat(" ", *width-off-bar), dur(r.Duration()))
 		for _, c := range children[r.ID] {

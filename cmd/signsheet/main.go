@@ -18,6 +18,7 @@ import (
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/signs"
+	"mvml/internal/telemetry"
 	"mvml/internal/tensor"
 	"mvml/internal/xrand"
 )
@@ -29,7 +30,7 @@ func main() {
 	lastClass := flag.Int("last", signs.NumClasses-1, "last class to render")
 	noise := flag.Float64("noise", -1, "override pixel-noise sigma (-1 = dataset default)")
 	seed := flag.Uint64("seed", 38, "render seed")
-	var tele obs.CLI
+	var tele telemetry.Flags
 	tele.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -32,14 +32,13 @@ const (
 	MetricRejuvenationTriggers = "mvml_rejuvenation_triggers_total"
 )
 
-// telemetry holds the pre-resolved metric handles and tracer for one System.
-// All methods are nil-safe, so an uninstrumented System (tel == nil) pays a
-// single pointer comparison on the hot path and performs no allocation —
-// and, because telemetry only observes, it never consumes xrand draws:
-// instrumented and uninstrumented runs are decision-identical.
+// telemetry holds the pre-resolved metric handles and span sink for one
+// System. All methods are nil-safe, so an uninstrumented System (tel == nil)
+// pays a single pointer comparison on the hot path and performs no
+// allocation — and, because telemetry only observes, it never consumes xrand
+// draws: instrumented and uninstrumented runs are decision-identical.
 type telemetry struct {
 	reg    *obs.Registry
-	tracer *obs.Tracer
 	spans  *obs.SpanSink
 	flight *obs.FlightRecorder
 
@@ -70,12 +69,13 @@ type telemetry struct {
 // stateLabel is the exposition value for a module state.
 func stateLabel(s ModuleState) string { return s.String() }
 
-// newTelemetry resolves every handle the system needs. Every handle may be
-// nil independently (tracing without metrics and vice versa).
-func newTelemetry(reg *obs.Registry, tracer *obs.Tracer, spans *obs.SpanSink, flight *obs.FlightRecorder, moduleNames []string) *telemetry {
+// newTelemetry resolves every handle the system needs from rt (whose flight
+// recorder may be nil: a no-op handle).
+func newTelemetry(rt *obs.Runtime, moduleNames []string) *telemetry {
+	reg := rt.Metrics()
 	t := &telemetry{
-		reg: reg, tracer: tracer, spans: spans, flight: flight,
-		trace:       spans.NewTraceID(),
+		reg: reg, spans: rt.Spans(), flight: rt.Flight(),
+		trace:       rt.Spans().NewTraceID(),
 		stateSince:  make([]float64, len(moduleNames)),
 		rejuvStart:  make([]float64, len(moduleNames)),
 		moduleNames: moduleNames,
@@ -108,8 +108,9 @@ func newTelemetry(reg *obs.Registry, tracer *obs.Tracer, spans *obs.SpanSink, fl
 }
 
 // transition records one module state change: a labelled counter increment,
-// the per-module state gauge, and a trace event. kind annotates rejuvenation
-// starts ("reactive"/"proactive"); policy names the proactive victim policy.
+// the per-module state gauge, and the module_state span closing the interval
+// spent in the previous state. kind annotates rejuvenation starts
+// ("reactive"/"proactive"); policy names the proactive victim policy.
 func (t *telemetry) transition(now float64, idx int, from, to ModuleState, kind, policy string) {
 	if t == nil {
 		return
@@ -125,35 +126,24 @@ func (t *telemetry) transition(now float64, idx int, from, to ModuleState, kind,
 			t.reg.Counter(MetricRejuvenations, "kind", kind, "module", name).Inc()
 		}
 	}
-	if t.tracer != nil {
-		attrs := map[string]any{
-			"module": name,
-			"from":   stateLabel(from),
-			"to":     stateLabel(to),
+	// Close the interval the module spent in its previous state; the
+	// transition that ended it rides on the same span. Span times are
+	// simulated seconds on the System's shared trace.
+	attrs := map[string]any{"module": name, "state": stateLabel(from), "to": stateLabel(to)}
+	if kind != "" {
+		attrs["kind"] = kind
+		if policy != "" {
+			attrs["policy"] = policy
 		}
-		typ := "state_transition"
-		if kind != "" {
-			typ = "rejuvenation_start"
-			attrs["kind"] = kind
-			if policy != "" {
-				attrs["policy"] = policy
-			}
-		}
-		t.tracer.Emit(now, typ, attrs)
 	}
-	if t.spans != nil {
-		// Close the interval the module spent in its previous state. Span
-		// times are simulated seconds on the System's shared trace.
-		t.spans.Emit(t.trace, 0, "module_state", t.stateSince[idx], now,
-			map[string]any{"module": name, "state": stateLabel(from)})
-		t.stateSince[idx] = now
-		if to == Rejuvenating {
-			t.rejuvStart[idx] = now
-		} else if from == Rejuvenating && t.rejuvStart[idx] >= 0 {
-			t.spans.Emit(t.trace, 0, "rejuvenation", t.rejuvStart[idx], now,
-				map[string]any{"module": name})
-			t.rejuvStart[idx] = -1
-		}
+	t.spans.Emit(t.trace, 0, "module_state", t.stateSince[idx], now, attrs)
+	t.stateSince[idx] = now
+	if to == Rejuvenating {
+		t.rejuvStart[idx] = now
+	} else if from == Rejuvenating && t.rejuvStart[idx] >= 0 {
+		t.spans.Emit(t.trace, 0, "rejuvenation", t.rejuvStart[idx], now,
+			map[string]any{"module": name})
+		t.rejuvStart[idx] = -1
 	}
 	switch {
 	case kind != "":
@@ -169,9 +159,7 @@ func (t *telemetry) trigger(now float64) {
 		return
 	}
 	t.triggers.Inc()
-	if t.tracer != nil {
-		t.tracer.Emit(now, "rejuvenation_trigger", nil)
-	}
+	t.spans.Emit(t.trace, 0, "rejuvenation_trigger", now, now, nil)
 }
 
 // syncPopulation refreshes the per-state population gauges.
@@ -197,26 +185,23 @@ func (t *telemetry) voterOutcome(now float64, d *decisionOutcome) {
 	default:
 		t.skipDiverge.Inc()
 	}
-	if t.tracer != nil && d.skipped {
-		t.tracer.Emit(now, "voter_skip", map[string]any{
-			"reason":    d.reason,
-			"proposals": d.proposals,
-		})
-	}
-	// A skip with live proposals is a divergence: a zero-length span marks
-	// the voter round in simulated time, and the flight recorder snapshots
-	// the window around it.
-	if d.skipped && d.proposals > 0 {
-		if t.spans != nil {
-			t.spans.Emit(t.trace, 0, "divergence", now, now,
-				map[string]any{"reason": d.reason, "proposals": d.proposals})
+	// A skip with live proposals is a divergence (the health engine counts
+	// these), one with none a plain voter_skip: a zero-length span marks the
+	// voter round in simulated time either way, and the flight recorder
+	// snapshots the window around a divergence.
+	if d.skipped {
+		attrs := map[string]any{"reason": d.reason, "proposals": d.proposals}
+		if d.proposals > 0 {
+			t.spans.Emit(t.trace, 0, "divergence", now, now, attrs)
+			t.flight.Trigger("divergence", map[string]any{"reason": d.reason})
+		} else {
+			t.spans.Emit(t.trace, 0, "voter_skip", now, now, attrs)
 		}
-		t.flight.Trigger("divergence", map[string]any{"reason": d.reason})
 	}
 	// A decided round with dissent is a minority disagreement — not a skip,
 	// so it gets its own span kind. The health engine's online α estimator
 	// counts these per-module error events and their pairwise overlaps.
-	if !d.skipped && len(d.dissenting) > 0 && t.spans != nil {
+	if !d.skipped && len(d.dissenting) > 0 {
 		t.spans.Emit(t.trace, 0, "disagreement", now, now,
 			map[string]any{"diverged": d.dissenting, "proposals": d.proposals})
 	}
@@ -231,26 +216,16 @@ type decisionOutcome struct {
 	dissenting []string
 }
 
-// Instrument attaches a metrics registry and/or event tracer to the system.
-// Either argument may be nil; passing both nil detaches telemetry. The
-// instrumentation is purely observational — it draws nothing from the
-// system's random stream — so it never changes the decision sequence.
-// Instrument is not safe to call concurrently with Infer/Advance.
-func (s *System[I, O]) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
-	s.instrument(reg, tracer, nil, nil)
-}
-
-// InstrumentObs is Instrument taking a full obs.Runtime: in addition to
-// metrics and events the system emits module_state / rejuvenation /
-// divergence spans (in simulated seconds) and fires the runtime's flight
-// recorder around compromises, divergences and rejuvenations. A nil Runtime
-// detaches telemetry.
+// InstrumentObs attaches an obs.Runtime to the system: metrics, the
+// module_state / rejuvenation / divergence / disagreement spans and the
+// voter_skip / rejuvenation_trigger instants (all in simulated seconds), and
+// the runtime's flight recorder fired around compromises, divergences and
+// rejuvenations. A nil Runtime detaches telemetry. The instrumentation is
+// purely observational — it draws nothing from the system's random stream —
+// so it never changes the decision sequence. InstrumentObs is not safe to
+// call concurrently with Infer/Advance.
 func (s *System[I, O]) InstrumentObs(rt *obs.Runtime) {
-	s.instrument(rt.Metrics(), rt.Tracer(), rt.Spans(), rt.Flight())
-}
-
-func (s *System[I, O]) instrument(reg *obs.Registry, tracer *obs.Tracer, spans *obs.SpanSink, flight *obs.FlightRecorder) {
-	if reg == nil && tracer == nil && spans == nil && flight == nil {
+	if rt == nil {
 		s.tel = nil
 		return
 	}
@@ -258,7 +233,7 @@ func (s *System[I, O]) instrument(reg *obs.Registry, tracer *obs.Tracer, spans *
 	for i, m := range s.modules {
 		names[i] = m.Name()
 	}
-	s.tel = newTelemetry(reg, tracer, spans, flight, names)
+	s.tel = newTelemetry(rt, names)
 	for i, m := range s.modules {
 		s.tel.stateGauge[i].Set(float64(m.state))
 	}

@@ -50,8 +50,8 @@ func driveSystem(t *testing.T, sys *System[int, int], steps int) []stepRecord {
 }
 
 // TestInstrumentDoesNotAlterDecisions is the determinism regression test:
-// a run instrumented with the full observability stack (metrics, events,
-// spans and an attached flight recorder) must produce exactly the decision
+// a run instrumented with the full observability stack (metrics, spans and
+// an attached flight recorder) must produce exactly the decision
 // sequence, stats, and final module states of the uninstrumented run with
 // the same seed.
 func TestInstrumentDoesNotAlterDecisions(t *testing.T) {
@@ -69,7 +69,7 @@ func TestInstrumentDoesNotAlterDecisions(t *testing.T) {
 	plain := build()
 	instrumented := build()
 	rt := obs.NewRuntime(1024)
-	fr, err := obs.NewFlightRecorder(t.TempDir(), 0, 0, rt.Spans(), rt.Tracer())
+	fr, err := obs.NewFlightRecorder(t.TempDir(), 0, 0, rt.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,9 @@ func TestInstrumentDoesNotAlterDecisions(t *testing.T) {
 
 // TestSystemSpanEmission drives a fault-injected run with spans and a
 // flight recorder attached and checks the simulated-clock span stream:
-// module_state intervals on every transition, rejuvenation intervals with
-// drain durations, zero-length divergence markers, and incident files
+// module_state intervals on every transition (carrying the transition that
+// closed them), rejuvenation intervals with drain durations, zero-length
+// divergence / voter_skip / rejuvenation_trigger markers, and incident files
 // around compromises / divergences / rejuvenations. Two diverging versions
 // make every single compromise a 1v1 split, so the run reliably produces
 // divergences.
@@ -111,7 +112,7 @@ func TestSystemSpanEmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := obs.NewRuntime(4096)
-	fr, err := obs.NewFlightRecorder(t.TempDir(), 0, 0, rt.Spans(), rt.Tracer())
+	fr, err := obs.NewFlightRecorder(t.TempDir(), 0, 0, rt.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,11 @@ func TestSystemSpanEmission(t *testing.T) {
 		}
 		switch r.Kind {
 		case "module_state":
-			if r.Attrs["module"] == nil || r.Attrs["state"] == nil {
+			if r.Attrs["module"] == nil || r.Attrs["state"] == nil || r.Attrs["to"] == nil {
 				t.Fatalf("module_state span missing attrs: %+v", r)
+			}
+			if (r.AttrString("to") == "R") != (r.AttrString("kind") != "") {
+				t.Fatalf("rejuvenation kind must ride exactly the spans closed by a rejuvenation start: %+v", r)
 			}
 			if r.End < r.Start {
 				t.Fatalf("module_state interval inverted: %+v", r)
@@ -144,9 +148,9 @@ func TestSystemSpanEmission(t *testing.T) {
 			if r.End <= r.Start {
 				t.Fatalf("rejuvenation span has no drain duration: %+v", r)
 			}
-		case "divergence":
+		case "divergence", "voter_skip", "rejuvenation_trigger":
 			if r.End != r.Start {
-				t.Fatalf("divergence marker not zero-length: %+v", r)
+				t.Fatalf("%s marker not zero-length: %+v", r.Kind, r)
 			}
 		default:
 			t.Fatalf("unexpected span kind %q", r.Kind)
@@ -157,8 +161,14 @@ func TestSystemSpanEmission(t *testing.T) {
 			t.Fatalf("no %s spans emitted (kinds: %v)", kind, kinds)
 		}
 	}
+	// Every skipped round is exactly one span: a divergence when proposals
+	// were live, a voter_skip when none were.
 	if kinds["divergence"] != st.Divergences {
 		t.Fatalf("%d divergence spans, stats counted %d", kinds["divergence"], st.Divergences)
+	}
+	if kinds["voter_skip"] != st.Skips-st.Divergences {
+		t.Fatalf("%d voter_skip spans, stats counted %d skips with no proposals",
+			kinds["voter_skip"], st.Skips-st.Divergences)
 	}
 
 	if err := fr.Close(); err != nil {
@@ -199,9 +209,9 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(64)
-	sys.Instrument(reg, tr)
+	rt := obs.NewRuntime(64)
+	reg := rt.Metrics()
+	sys.InstrumentObs(rt)
 	driveSystem(t, sys, 3000)
 	st := sys.Stats()
 	if st.Decisions == 0 || st.Compromises == 0 {
@@ -252,9 +262,40 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 		t.Errorf("module inference count %d outside (0, 3x%d]", moduleCount, st.Inferences)
 	}
 
-	// The trace saw the same lifecycle the stats did.
-	if tr.Emitted() == 0 {
-		t.Error("no trace events emitted")
+	// The span stream saw the same lifecycle the stats did.
+	if rt.Spans().Published() == 0 {
+		t.Error("no spans published")
+	}
+}
+
+// TestSkippedRoundPublishesOneDivergenceSpan pins the events-as-spans
+// mapping for voter skips: a skipped round with live proposals is the
+// divergence span and nothing else (the health engine counts divergence
+// spans, so a second marker would double-count the round).
+func TestSkippedRoundPublishesOneDivergenceSpan(t *testing.T) {
+	versions := []Version[int, int]{
+		&divergingVersion{name: "a", id: 0},
+		&divergingVersion{name: "b", id: 1, compromised: true},
+	}
+	sys, err := NewSystem[int, int](versions, NewEqualityVoter[int](), noFaultConfig(), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := obs.NewRuntime(16)
+	sys.InstrumentObs(rt)
+	d, _, err := sys.Infer(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Skipped {
+		t.Fatalf("a 1v1 split must skip: %+v", d)
+	}
+	spans := rt.Spans().Spans()
+	if len(spans) != 1 || spans[0].Kind != "divergence" || spans[0].Start != 1 || spans[0].End != 1 {
+		t.Fatalf("skipped round with live proposals published %+v, want exactly one zero-length divergence span", spans)
+	}
+	if got, _ := spans[0].AttrFloat("proposals"); got != 2 {
+		t.Fatalf("divergence span proposals = %v, want 2", got)
 	}
 }
 
@@ -263,8 +304,9 @@ func TestInstrumentDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	sys.Instrument(reg, nil)
+	rt := obs.NewRuntime(0)
+	reg := rt.Metrics()
+	sys.InstrumentObs(rt)
 	if _, _, err := sys.Infer(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +314,7 @@ func TestInstrumentDetach(t *testing.T) {
 	if before != 1 {
 		t.Fatalf("decision counter %d, want 1", before)
 	}
-	sys.Instrument(nil, nil) // detach
+	sys.InstrumentObs(nil) // detach
 	if _, _, err := sys.Infer(2, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +358,7 @@ func BenchmarkInferUninstrumented(b *testing.B) {
 
 func BenchmarkInferInstrumented(b *testing.B) {
 	sys := benchSystem(b)
-	sys.Instrument(obs.NewRegistry(), nil)
+	sys.InstrumentObs(obs.NewRuntime(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -39,9 +39,10 @@ type Config struct {
 	// it consumes no draws from the run's rng, so instrumented and
 	// uninstrumented runs are decision-identical.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives hazard events (collisions, perception
-	// skips, run completion) stamped with simulated time.
-	Tracer *obs.Tracer
+	// Spans, when non-nil, receives hazard events (collisions, perception
+	// skips, run completion) as zero-duration spans stamped with simulated
+	// time, one trace per run.
+	Spans *obs.SpanSink
 }
 
 // Drivesim metric names.
@@ -272,6 +273,7 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 	skipCtr := cfg.Metrics.Counter(MetricSkippedFrames, "route", routeLabel)
 	tickHist := cfg.Metrics.Histogram(MetricTickLatency, obs.LatencyBuckets())
 	speedGauge := cfg.Metrics.Gauge(MetricEgoSpeed)
+	trace := cfg.Spans.NewTraceID()
 	wasColliding := false
 
 	// The planner holds the last commanded target speed across skipped
@@ -308,11 +310,9 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 		if out.Skipped {
 			res.SkippedFrames++
 			skipCtr.Inc()
-			if cfg.Tracer != nil {
-				cfg.Tracer.Emit(t, "perception_skip", map[string]any{
-					"route": cfg.RouteNumber, "frame": frame,
-				})
-			}
+			cfg.Spans.Emit(trace, 0, "perception_skip", t, t, map[string]any{
+				"route": cfg.RouteNumber, "frame": frame,
+			})
 			// Hold the previous command.
 		} else {
 			targetSpeed = planSpeed(cfg, route, ego, out.Objects)
@@ -353,8 +353,8 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 				res.Collided = true
 				res.FirstCollisionFrame = frame
 			}
-			if !wasColliding && cfg.Tracer != nil {
-				cfg.Tracer.Emit(t, "collision", map[string]any{
+			if !wasColliding {
+				cfg.Spans.Emit(trace, 0, "collision", t, t, map[string]any{
 					"route": cfg.RouteNumber, "frame": frame,
 					"speed": ego.Speed,
 				})
@@ -376,15 +376,14 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 	res.AvgFPS = account.fps()
 	res.AvgCPUUtil = account.cpuPct()
 	res.AvgGPUUtil = account.gpuPct()
-	if cfg.Tracer != nil {
-		cfg.Tracer.Emit(float64(res.TotalFrames)*cfg.DT, "run_end", map[string]any{
-			"route":     cfg.RouteNumber,
-			"frames":    res.TotalFrames,
-			"collided":  res.Collided,
-			"skipped":   res.SkippedFrames,
-			"completed": res.Completed,
-		})
-	}
+	end := float64(res.TotalFrames) * cfg.DT
+	cfg.Spans.Emit(trace, 0, "run_end", end, end, map[string]any{
+		"route":     cfg.RouteNumber,
+		"frames":    res.TotalFrames,
+		"collided":  res.Collided,
+		"skipped":   res.SkippedFrames,
+		"completed": res.Completed,
+	})
 	return res, nil
 }
 

@@ -72,7 +72,7 @@ func driveArm(cfg CaseStudyConfig, makePipe func(seed uint64, rng *xrand.Rand) (
 				p.InstrumentObs(cfg.Obs)
 			}
 			return drivesim.Run(drivesim.Config{RouteNumber: route, CruiseSpeed: cfg.CruiseSpeed,
-				Metrics: cfg.Obs.Metrics(), Tracer: cfg.Obs.Tracer()},
+				Metrics: cfg.Obs.Metrics(), Spans: cfg.Obs.Spans()},
 				pipe, root.Split("sim", seed))
 		})
 	if err != nil {

@@ -113,7 +113,7 @@ func runRoute(cfg CaseStudyConfig, route int, rejuvenate bool, root *xrand.Rand)
 			RouteNumber: route,
 			CruiseSpeed: cfg.CruiseSpeed,
 			Metrics:     cfg.Obs.Metrics(),
-			Tracer:      cfg.Obs.Tracer(),
+			Spans:       cfg.Obs.Spans(),
 		}, pipe, root.Split("sim", seed))
 	})
 	if err != nil {
@@ -342,7 +342,7 @@ func RunTableVIII(cfg CaseStudyConfig, runs int) (*TableVIIIResult, error) {
 			}
 			pipe.InstrumentObs(cfg.Obs)
 			r, err := drivesim.Run(drivesim.Config{RouteNumber: 1, CruiseSpeed: cfg.CruiseSpeed,
-				Metrics: cfg.Obs.Metrics(), Tracer: cfg.Obs.Tracer()},
+				Metrics: cfg.Obs.Metrics(), Spans: cfg.Obs.Spans()},
 				pipe, root.Split("sim", seed))
 			if err != nil {
 				return overhead{}, err

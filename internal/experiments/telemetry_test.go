@@ -24,12 +24,12 @@ func TestCaseStudyTelemetryDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe.Instrument(rt.Metrics(), rt.Tracer())
+		pipe.InstrumentObs(rt)
 		res, err := drivesim.Run(drivesim.Config{
 			RouteNumber: route,
 			CruiseSpeed: cfg.CruiseSpeed,
 			Metrics:     rt.Metrics(),
-			Tracer:      rt.Tracer(),
+			Spans:       rt.Spans(),
 		}, pipe, root.Split("sim", seed))
 		if err != nil {
 			t.Fatal(err)
@@ -63,7 +63,18 @@ func TestCaseStudyTelemetryDeterminism(t *testing.T) {
 	if voteCount != uint64(st.Inferences) {
 		t.Errorf("vote histogram count %d, stats %d", voteCount, st.Inferences)
 	}
-	if rt.Tracer().Emitted() == 0 {
-		t.Error("no trace events from an instrumented case-study run")
+	// The drive's own events are zero-duration spans on one trace of their
+	// own, closed by exactly one run_end.
+	runEnds := 0
+	for _, r := range rt.Spans().Spans() {
+		if r.Kind == "run_end" {
+			runEnds++
+			if r.Start != r.End || r.AttrBool("collided") != instRes.Collided {
+				t.Errorf("run_end span %+v disagrees with result %+v", r, *instRes)
+			}
+		}
+	}
+	if runEnds != 1 {
+		t.Errorf("%d run_end spans from one instrumented case-study run, want 1", runEnds)
 	}
 }

@@ -8,7 +8,7 @@
 // Every detector is deterministic: state advances only on observed span
 // records (never on wall-clock reads), so replaying the same spans.jsonl
 // yields bit-identical verdicts to the live run that produced it. That is
-// the property cmd/mvhealth relies on, and it mirrors the repo-wide rule
+// the property `mvtrace health` relies on, and it mirrors the repo-wide rule
 // that telemetry must never change behaviour — the engine reads the
 // firehose, it does not touch the serving path.
 package health
@@ -135,24 +135,28 @@ func (c *CUSUM) Baseline() float64 { return c.mu }
 // flag changes, so its silence is not evidence of health.
 func (c *CUSUM) Learning() bool { return c.n < c.Warmup }
 
-// divergenceRing is the engine's windowed disagreement-rate tracker for one
-// version — the span-stream twin of the serving pool's reactive-trigger
-// ring, so health verdicts and the legacy trigger agree on what "diverging"
-// means.
-type divergenceRing struct {
+// DivergenceRing is a windowed disagreement-rate tracker for one version:
+// the outcome of the last n decided rounds it took part in (true = it
+// disagreed with the voted output). The engine keeps one per version and so
+// does the serving pool's reactive trigger, so health verdicts and the
+// trigger agree on what "diverging" means. Not safe for concurrent use; the
+// owner's lock guards it.
+type DivergenceRing struct {
 	window    []bool
 	pos, fill int
 	disagreed int
 }
 
-func newDivergenceRing(n int) *divergenceRing {
+// NewDivergenceRing returns a ring over the last n rounds (minimum 1).
+func NewDivergenceRing(n int) *DivergenceRing {
 	if n < 1 {
 		n = 1
 	}
-	return &divergenceRing{window: make([]bool, n)}
+	return &DivergenceRing{window: make([]bool, n)}
 }
 
-func (r *divergenceRing) observe(disagreed bool) {
+// Observe records one decided round.
+func (r *DivergenceRing) Observe(disagreed bool) {
 	if r.fill == len(r.window) {
 		if r.window[r.pos] {
 			r.disagreed--
@@ -167,16 +171,18 @@ func (r *divergenceRing) observe(disagreed bool) {
 	r.pos = (r.pos + 1) % len(r.window)
 }
 
-func (r *divergenceRing) reset() {
+// Reset clears the window (after rejuvenation, so stale disagreements cannot
+// immediately re-trigger).
+func (r *DivergenceRing) Reset() {
 	for i := range r.window {
 		r.window[i] = false
 	}
 	r.pos, r.fill, r.disagreed = 0, 0, 0
 }
 
-// rate returns the windowed disagreement fraction and whether the window
+// Rate returns the windowed disagreement fraction and whether the window
 // has filled (rates over a part-filled window are not trigger-worthy).
-func (r *divergenceRing) rate() (float64, bool) {
+func (r *DivergenceRing) Rate() (float64, bool) {
 	if r.fill == 0 {
 		return 0, false
 	}

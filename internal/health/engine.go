@@ -217,7 +217,7 @@ type Engine struct {
 
 	slos  []*sloTracker
 	alpha *AlphaEstimator
-	rings map[string]*divergenceRing // version name → disagreement window
+	rings map[string]*DivergenceRing // version name → disagreement window
 	cool  map[string]float64         // version name → cooldown deadline
 
 	timeline      []Transition
@@ -252,7 +252,7 @@ func NewEngine(opts Options, reg *obs.Registry) *Engine {
 		stages:  map[string]*EWMA{},
 		queue:   &CUSUM{K: opts.CUSUMK, H: opts.CUSUMH, Warmup: opts.Warmup},
 		alpha:   NewAlphaEstimator(),
-		rings:   map[string]*divergenceRing{},
+		rings:   map[string]*DivergenceRing{},
 		cool:    map[string]float64{},
 		reg:     reg,
 	}
@@ -416,7 +416,7 @@ func (e *Engine) ObserveSpans(recs []obs.SpanRecord, _ float64) {
 	}
 	e.mu.Lock()
 	for i := range recs {
-		if e.opts.ShardFilter != "" && attrString(recs[i].Attrs["shard"]) != e.opts.ShardFilter {
+		if e.opts.ShardFilter != "" && recs[i].AttrString("shard") != e.opts.ShardFilter {
 			continue
 		}
 		e.observeOne(&recs[i])
@@ -461,7 +461,7 @@ func (e *Engine) observeOne(rec *obs.SpanRecord) {
 			e.observeVote(rec, t)
 		}
 		if rec.Kind == "batch" {
-			if depth, ok := attrFloat(rec.Attrs["queue_depth"]); ok {
+			if depth, ok := rec.AttrFloat("queue_depth"); ok {
 				e.observeQueueDepth(depth, t)
 			}
 		}
@@ -473,14 +473,14 @@ func (e *Engine) observeOne(rec *obs.SpanRecord) {
 	case "disagreement":
 		// A decided round with minority dissent (core telemetry): a
 		// per-module error observation for the α estimator.
-		e.alpha.ObserveRound(attrStrings(rec.Attrs["diverged"]))
+		e.alpha.ObserveRound(rec.AttrStrings("diverged"))
 	}
 }
 
 func (e *Engine) observeRequest(rec *obs.SpanRecord, t float64) {
 	d := rec.Duration()
 	errAttr := rec.Attrs["error"] != nil
-	degraded := attrBool(rec.Attrs["degraded"])
+	degraded := rec.AttrBool("degraded")
 	for _, tr := range e.slos {
 		var bad bool
 		switch tr.obj.Name {
@@ -547,7 +547,7 @@ func (e *Engine) observeQueueDepth(depth, t float64) {
 // observeVote consumes one voting round: the diverged attribute lists the
 // versions that disagreed with the voted output (absent for clean rounds).
 func (e *Engine) observeVote(rec *obs.SpanRecord, t float64) {
-	if attrBool(rec.Attrs["skipped"]) {
+	if rec.AttrBool("skipped") {
 		e.roundsSkipped++
 		e.bump("voter", Degraded, t, "voter skipped: no majority")
 		// A skipped round is a coincident failure: every participating
@@ -555,12 +555,12 @@ func (e *Engine) observeVote(rec *obs.SpanRecord, t float64) {
 		// event Eq. 8's intersection counts (under majority voting a decided
 		// round can have at most one dissenter, so only skips produce
 		// simultaneous disagreements).
-		e.alpha.ObserveRound(attrStrings(rec.Attrs["voters"]))
+		e.alpha.ObserveRound(rec.AttrStrings("voters"))
 		return
 	}
 	e.roundsDecided++
 	e.clean("voter", t)
-	diverged := attrStrings(rec.Attrs["diverged"])
+	diverged := rec.AttrStrings("diverged")
 	e.alpha.ObserveRound(diverged)
 	if e.alphaEvery > 0 && e.roundsDecided%e.alphaEvery == 0 {
 		if a, ok := e.alpha.Alpha(); ok {
@@ -571,15 +571,15 @@ func (e *Engine) observeVote(rec *obs.SpanRecord, t float64) {
 	for _, name := range diverged {
 		divergedSet[name] = true
 	}
-	for _, name := range attrStrings(rec.Attrs["voters"]) {
+	for _, name := range rec.AttrStrings("voters") {
 		ring := e.rings[name]
 		if ring == nil {
-			ring = newDivergenceRing(e.opts.DivergenceWindow)
+			ring = NewDivergenceRing(e.opts.DivergenceWindow)
 			e.rings[name] = ring
 		}
-		ring.observe(divergedSet[name])
+		ring.Observe(divergedSet[name])
 		comp := "version:" + name
-		rate, full := ring.rate()
+		rate, full := ring.Rate()
 		switch {
 		case full && rate >= e.opts.DivergenceThreshold:
 			e.bump(comp, Critical, t, fmt.Sprintf("divergence rate %.2f over window", rate))
@@ -593,8 +593,8 @@ func (e *Engine) observeVote(rec *obs.SpanRecord, t float64) {
 }
 
 func (e *Engine) observeRejuvenation(rec *obs.SpanRecord, t float64) {
-	version := attrString(rec.Attrs["version"])
-	kind := attrString(rec.Attrs["kind"])
+	version := rec.AttrString("version")
+	kind := rec.AttrString("kind")
 	e.rejuvenations = append(e.rejuvenations, RejuvenationEvent{T: t, Version: version, Kind: kind})
 	if version == "" {
 		return
@@ -603,7 +603,7 @@ func (e *Engine) observeRejuvenation(rec *obs.SpanRecord, t float64) {
 	// restarts (mirroring the serving pool's reset) and repeat advice is
 	// suppressed for the cooldown.
 	if ring := e.rings[version]; ring != nil {
-		ring.reset()
+		ring.Reset()
 	}
 	e.cool[version] = t + e.opts.CooldownSeconds
 	if _, ok := e.comps["version:"+version]; ok {
@@ -723,49 +723,4 @@ func (e *Engine) snapshotLocked() *Verdict {
 		v.SLOs = append(v.SLOs, t.status())
 	}
 	return v
-}
-
-// attr accessors tolerant of both live values and JSONL round-trips (JSON
-// decodes numbers as float64 and string slices as []any).
-
-func attrBool(v any) bool {
-	b, _ := v.(bool)
-	return b
-}
-
-func attrString(v any) string {
-	s, _ := v.(string)
-	return s
-}
-
-func attrFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case float32:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	}
-	return 0, false
-}
-
-func attrStrings(v any) []string {
-	switch xs := v.(type) {
-	case []string:
-		return xs
-	case []any:
-		out := make([]string, 0, len(xs))
-		for _, x := range xs {
-			if s, ok := x.(string); ok {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	return nil
 }

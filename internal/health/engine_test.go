@@ -115,7 +115,7 @@ func TestReplayDeterministic(t *testing.T) {
 
 // TestLiveMatchesReplay: an engine fed live (record-at-a-time, and in odd
 // batch sizes) produces the exact report of the offline replay — the
-// determinism contract cmd/mvhealth relies on.
+// determinism contract `mvtrace health` relies on.
 func TestLiveMatchesReplay(t *testing.T) {
 	recs := incidentStream()
 	opts := testEngineOptions()
@@ -347,5 +347,44 @@ func TestEngineGauges(t *testing.T) {
 	}
 	if got := reg.Gauge("mv_health_budget_remaining", "slo", "availability").Value(); got != 1 {
 		t.Fatalf("availability budget gauge = %v, want 1 (no failures)", got)
+	}
+}
+
+// eventKinds are the zero-duration instants the stack emits as spans of their
+// own kind (core: voter_skip, rejuvenation_trigger; serve: compromise;
+// drivesim: perception_skip, collision, run_end; petri: petri_run_end).
+var eventKinds = []string{"voter_skip", "rejuvenation_trigger", "compromise",
+	"perception_skip", "collision", "run_end", "petri_run_end"}
+
+// TestEventSpansDoNotMoveTheVerdict pins "no kind collision": interleaving
+// every event kind through the recorded incident leaves the replayed report
+// byte-identical — the engine counts the extra spans and judges none of them.
+func TestEventSpansDoNotMoveTheVerdict(t *testing.T) {
+	recs := incidentStream()
+	opts := testEngineOptions()
+	want := reportJSON(t, Replay(recs, opts))
+
+	var mixed []obs.SpanRecord
+	events := 0
+	for i, rec := range recs {
+		mixed = append(mixed, rec)
+		if i%25 == 0 {
+			kind := eventKinds[events%len(eventKinds)]
+			events++
+			mixed = append(mixed, obs.SpanRecord{Trace: uint64(1e6 + i), ID: uint64(1e6 + i), Kind: kind,
+				Start: rec.End, End: rec.End, Attrs: map[string]any{"version": "a", "reason": "x", "proposals": 0}})
+		}
+	}
+	if events < 2*len(eventKinds) {
+		t.Fatalf("only %d events interleaved", events)
+	}
+	rep := Replay(mixed, opts)
+	if rep.Spans != uint64(len(mixed)) {
+		t.Fatalf("engine saw %d spans, stream holds %d", rep.Spans, len(mixed))
+	}
+	rep.Spans -= uint64(events)
+	rep.Final.Spans -= uint64(events)
+	if got := reportJSON(t, rep); got != want {
+		t.Fatalf("event spans moved the report:\n%s\nvs\n%s", got, want)
 	}
 }

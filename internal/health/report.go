@@ -25,7 +25,7 @@ type AlphaPoint struct {
 }
 
 // Report is the engine's accumulated judgment over a span stream — what
-// cmd/mvhealth renders, and what the live /healthz endpoint summarises.
+// `mvtrace health` renders, and what the live /healthz endpoint summarises.
 type Report struct {
 	Spans         uint64              `json:"spans"`
 	RoundsDecided uint64              `json:"rounds_decided"`

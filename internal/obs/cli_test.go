@@ -1,4 +1,7 @@
-package obs
+// The runtime's end-to-end tests: flags → Runtime → endpoint and artifacts,
+// driven through the flag struct every binary uses (internal/telemetry, which
+// imports this package — hence the external test package).
+package obs_test
 
 import (
 	"context"
@@ -10,10 +13,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mvml/internal/obs"
+	"mvml/internal/telemetry"
 )
 
 func TestCLIDisabledIsNoOp(t *testing.T) {
-	var c CLI
+	var c telemetry.Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.RegisterFlags(fs)
 	if err := fs.Parse(nil); err != nil {
@@ -33,13 +39,13 @@ func TestCLIDisabledIsNoOp(t *testing.T) {
 
 func TestCLIStartFinishArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	var c CLI
+	var c telemetry.Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.RegisterFlags(fs)
 	args := []string{
 		"-metrics-addr", "127.0.0.1:0",
 		"-telemetry-out", filepath.Join(dir, "summary.json"),
-		"-trace-out", filepath.Join(dir, "trace.jsonl"),
+		"-spans-out", filepath.Join(dir, "spans.jsonl"),
 		"-trace-capacity", "4",
 	}
 	if err := fs.Parse(args); err != nil {
@@ -49,11 +55,11 @@ func TestCLIStartFinishArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt == nil || rt.Metrics() == nil || rt.Tracer() == nil {
+	if rt == nil || rt.Metrics() == nil || rt.Spans() == nil {
 		t.Fatal("enabled Start must return a live runtime")
 	}
 	rt.Metrics().Counter("mvml_clitest_total").Inc()
-	rt.Tracer().Emit(1, "clitest", nil)
+	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "clitest", 1, 1, nil)
 
 	// The live endpoint serves the counter while the run is in flight.
 	addr := c.ListenAddr()
@@ -77,12 +83,12 @@ func TestCLIStartFinishArtifacts(t *testing.T) {
 	if !strings.Contains(string(sum), `"mvml_clitest_total"`) || !strings.Contains(string(sum), `"clitest"`) {
 		t.Fatalf("summary content:\n%s", sum)
 	}
-	trace, err := os.ReadFile(filepath.Join(dir, "trace.jsonl"))
+	trace, err := os.ReadFile(filepath.Join(dir, "spans.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(trace), `"type":"clitest"`) {
-		t.Fatalf("trace content:\n%s", trace)
+	if !strings.Contains(string(trace), `"kind":"clitest"`) {
+		t.Fatalf("span export content:\n%s", trace)
 	}
 	// The endpoint is torn down after Finish.
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
@@ -93,7 +99,7 @@ func TestCLIStartFinishArtifacts(t *testing.T) {
 // TestFinishReleasesMetricsPort proves the graceful shutdown gives the port
 // back: after Finish, binding the exact same address must succeed.
 func TestFinishReleasesMetricsPort(t *testing.T) {
-	var c CLI
+	var c telemetry.Flags
 	c.MetricsAddr = "127.0.0.1:0"
 	c.SummaryPath = filepath.Join(t.TempDir(), "s.json")
 	if _, err := c.Start(); err != nil {
@@ -106,6 +112,13 @@ func TestFinishReleasesMetricsPort(t *testing.T) {
 	if err := c.Finish(nil); err != nil {
 		t.Fatal(err)
 	}
+	requirePortReleased(t, &c, addr)
+}
+
+// requirePortReleased asserts the metrics endpoint is gone and binding the
+// exact same address succeeds again.
+func requirePortReleased(t *testing.T, c *telemetry.Flags, addr string) {
+	t.Helper()
 	if got := c.ListenAddr(); got != "" {
 		t.Fatalf("ListenAddr after Finish = %q, want empty", got)
 	}
@@ -116,10 +129,41 @@ func TestFinishReleasesMetricsPort(t *testing.T) {
 	ln.Close()
 }
 
+// TestFinishAttemptsEveryArtifact: an unwritable artifact must not abandon
+// the rest of Finish — the other artifacts are still written, the endpoint is
+// still shut down (port released), and the first error is what comes back.
+func TestFinishAttemptsEveryArtifact(t *testing.T) {
+	dir := t.TempDir()
+	c := telemetry.Flags{
+		MetricsAddr:  "127.0.0.1:0",
+		HealthReport: filepath.Join(dir, "no-such-dir", "health.json"),
+		SummaryPath:  filepath.Join(dir, "no-such-dir", "s.json"),
+		SpansPath:    filepath.Join(dir, "spans.jsonl"),
+		TsdbReport:   filepath.Join(dir, "tsdb.json"),
+	}
+	rt, err := c.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AttachEngine()
+	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "clitest", 1, 1, nil)
+	addr := c.ListenAddr()
+	err = c.Finish(nil)
+	if err == nil || !strings.Contains(err.Error(), "health report") {
+		t.Fatalf("Finish = %v, want the first failure (the health report)", err)
+	}
+	requirePortReleased(t, &c, addr)
+	for _, name := range []string{"spans.jsonl", "tsdb.json"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written after an earlier artifact failed: %v", name, err)
+		}
+	}
+}
+
 // TestShutdownIdempotent: Shutdown on a CLI that never started an endpoint,
 // and a second Shutdown after a successful one, are both no-ops.
 func TestShutdownIdempotent(t *testing.T) {
-	var c CLI
+	var c telemetry.Flags
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown without endpoint: %v", err)
 	}
@@ -140,7 +184,7 @@ func TestShutdownIdempotent(t *testing.T) {
 }
 
 func TestCLISummaryPathDefaults(t *testing.T) {
-	var c CLI
+	var c telemetry.Flags
 	c.MetricsAddr = "127.0.0.1:0"
 	rt, err := c.Start()
 	if err != nil {
@@ -149,8 +193,8 @@ func TestCLISummaryPathDefaults(t *testing.T) {
 	if rt == nil {
 		t.Fatal("nil runtime")
 	}
-	if c.SummaryPath != DefaultSummaryPath {
-		t.Fatalf("summary path %q, want default %q", c.SummaryPath, DefaultSummaryPath)
+	if c.SummaryPath != telemetry.DefaultSummaryPath {
+		t.Fatalf("summary path %q, want default %q", c.SummaryPath, telemetry.DefaultSummaryPath)
 	}
 	// Redirect the default into a temp dir before Finish writes it.
 	c.SummaryPath = filepath.Join(t.TempDir(), "s.json")
@@ -164,7 +208,7 @@ func TestCLISummaryPathDefaults(t *testing.T) {
 
 func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	dir := t.TempDir()
-	c := &CLI{
+	c := &telemetry.Flags{
 		MetricsAddr: "127.0.0.1:0",
 		SummaryPath: filepath.Join(dir, "s.json"),
 		SpansPath:   filepath.Join(dir, "spans.jsonl"),
@@ -217,7 +261,7 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := ReadSpans(f)
+	recs, err := obs.ReadSpans(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +275,7 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 }
 
 func TestCLIPprofOffByDefault(t *testing.T) {
-	c := &CLI{MetricsAddr: "127.0.0.1:0", SummaryPath: filepath.Join(t.TempDir(), "s.json")}
+	c := &telemetry.Flags{MetricsAddr: "127.0.0.1:0", SummaryPath: filepath.Join(t.TempDir(), "s.json")}
 	if _, err := c.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -110,17 +110,9 @@ type MetricSnapshot struct {
 	Histogram *HistogramSnapshot `json:"histogram,omitempty"`
 }
 
-// TraceSummary reports the tracer's ring state in a Summary.
-type TraceSummary struct {
-	Emitted  uint64 `json:"emitted"`
-	Retained int    `json:"retained"`
-	Dropped  uint64 `json:"dropped"`
-}
-
 // Summary is the machine-readable end-of-run telemetry artifact.
 type Summary struct {
 	Metrics []MetricSnapshot `json:"metrics"`
-	Trace   *TraceSummary    `json:"trace,omitempty"`
 	Extra   map[string]any   `json:"extra,omitempty"`
 }
 
@@ -166,23 +158,6 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		}
 	}
 	return out
-}
-
-// BuildSummary assembles the JSON run summary from a registry, an optional
-// tracer and optional run metadata. Both reg and tr may be nil.
-func BuildSummary(reg *Registry, tr *Tracer, extra map[string]any) *Summary {
-	s := &Summary{Metrics: reg.Snapshot(), Extra: extra}
-	if tr != nil {
-		s.Trace = &TraceSummary{Emitted: tr.Emitted(), Retained: tr.Len(), Dropped: tr.Dropped()}
-	}
-	return s
-}
-
-// WriteJSON writes the summary as indented JSON.
-func (s *Summary) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // MarshalJSON renders the +Inf upper bound as the string "+Inf" (JSON has no

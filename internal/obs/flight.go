@@ -10,9 +10,9 @@ import (
 )
 
 // Incident is the flight recorder's self-contained snapshot of the window
-// around one trigger: every span and trace event retained at trigger time
-// (the pre-window, bounded by the ring capacities) plus every span that
-// finished within PostWindow seconds afterwards.
+// around one trigger: every span retained at trigger time (the pre-window,
+// bounded by the ring capacity) plus every span that finished within
+// PostWindow seconds afterwards.
 type Incident struct {
 	ID     int            `json:"id"`
 	Reason string         `json:"reason"`
@@ -24,7 +24,6 @@ type Incident struct {
 	// its post-window was still open.
 	FollowUps int          `json:"follow_ups,omitempty"`
 	Spans     []SpanRecord `json:"spans,omitempty"`
-	Events    []Event      `json:"events,omitempty"`
 
 	// seen tracks captured span ids so the pre-trigger snapshot and the
 	// publish stream never record the same span twice (a publish can race
@@ -58,9 +57,9 @@ const DefaultPostWindow = 2 * time.Second
 const DefaultMaxIncidents = 32
 
 // FlightRecorder reconstructs the seconds surrounding compromise,
-// divergence and rejuvenation events. It rides on the bounded rings the
-// span sink and event tracer already maintain: Trigger snapshots both
-// (the pre-window), then the recorder keeps appending spans as the sink
+// divergence and rejuvenation events. It rides on the bounded ring the
+// span sink already maintains: Trigger snapshots it (the pre-window),
+// then the recorder keeps appending spans as the sink
 // publishes them until the post-window closes, and finally writes one
 // self-contained JSON incident file into its directory.
 //
@@ -75,7 +74,6 @@ type FlightRecorder struct {
 	post         float64
 	maxIncidents int
 	sink         *SpanSink
-	tracer       *Tracer
 
 	mu      sync.Mutex
 	seq     int
@@ -86,10 +84,10 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder builds a recorder writing incident files into dir
-// (created if missing). sink and tracer provide the pre-trigger window and
-// may each be nil independently. post <= 0 selects DefaultPostWindow;
-// maxIncidents <= 0 selects DefaultMaxIncidents.
-func NewFlightRecorder(dir string, post time.Duration, maxIncidents int, sink *SpanSink, tracer *Tracer) (*FlightRecorder, error) {
+// (created if missing). sink provides the pre-trigger window and may be nil.
+// post <= 0 selects DefaultPostWindow; maxIncidents <= 0 selects
+// DefaultMaxIncidents.
+func NewFlightRecorder(dir string, post time.Duration, maxIncidents int, sink *SpanSink) (*FlightRecorder, error) {
 	if post <= 0 {
 		post = DefaultPostWindow
 	}
@@ -104,7 +102,6 @@ func NewFlightRecorder(dir string, post time.Duration, maxIncidents int, sink *S
 		post:         post.Seconds(),
 		maxIncidents: maxIncidents,
 		sink:         sink,
-		tracer:       tracer,
 	}, nil
 }
 
@@ -116,8 +113,8 @@ func (f *FlightRecorder) Dir() string {
 	return f.dir
 }
 
-// Trigger opens an incident for the given reason: it snapshots the span and
-// event rings now and keeps capturing spans until the post-window closes.
+// Trigger opens an incident for the given reason: it snapshots the span
+// ring now and keeps capturing spans until the post-window closes.
 // attrs is stored as given and must not be mutated afterwards. Triggers
 // beyond the incident cap, and same-reason triggers landing inside an open
 // incident's post-window, only bump counters.
@@ -135,7 +132,6 @@ func (f *FlightRecorder) Trigger(reason string, attrs map[string]any) {
 	// inside f.mu cannot deadlock — the sink never holds its own lock while
 	// notifying observers, so no path acquires sink.mu → f.mu.
 	spans := f.sink.Spans()
-	events := f.tracer.Events()
 	now := f.sink.Now()
 	f.finalizeLocked(now)
 	for i, inc := range f.open {
@@ -154,7 +150,6 @@ func (f *FlightRecorder) Trigger(reason string, attrs map[string]any) {
 		Attrs:      attrs,
 		PostWindow: f.post,
 		Spans:      spans,
-		Events:     events,
 	}
 	f.seq++
 	f.open = append(f.open, inc)
@@ -198,22 +193,30 @@ func (f *FlightRecorder) finalizeLocked(now float64) {
 // writeLocked persists one incident file. Caller holds f.mu.
 func (f *FlightRecorder) writeLocked(inc *Incident) {
 	path := filepath.Join(f.dir, fmt.Sprintf("incident-%03d-%s.json", inc.ID, sanitizeReason(inc.Reason)))
-	file, err := os.Create(path)
-	if err == nil {
-		enc := json.NewEncoder(file)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(inc)
-		if cerr := file.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := WriteJSONFile(path, inc); err != nil {
 		if f.err == nil {
 			f.err = fmt.Errorf("obs: incident %d: %w", inc.ID, err)
 		}
 		return
 	}
 	f.written = append(f.written, path)
+}
+
+// WriteJSONFile creates path and writes v into it as indented JSON — the one
+// writer behind every telemetry artifact (incident files, the run summary,
+// the health and tsdb reports).
+func WriteJSONFile(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(v)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // sanitizeReason maps a trigger reason to a filename-safe slug.

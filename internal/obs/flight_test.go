@@ -10,16 +10,15 @@ import (
 	"time"
 )
 
-func newTestRecorder(t *testing.T, post time.Duration, maxIncidents int) (*FlightRecorder, *SpanSink, *Tracer) {
+func newTestRecorder(t *testing.T, post time.Duration, maxIncidents int) (*FlightRecorder, *SpanSink) {
 	t.Helper()
 	sink := NewSpanSink(32)
-	tracer := NewTracer(32)
-	fr, err := NewFlightRecorder(t.TempDir(), post, maxIncidents, sink, tracer)
+	fr, err := NewFlightRecorder(t.TempDir(), post, maxIncidents, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.AttachFlightRecorder(fr)
-	return fr, sink, tracer
+	sink.Attach(fr)
+	return fr, sink
 }
 
 func readIncident(t *testing.T, path string) Incident {
@@ -36,10 +35,10 @@ func readIncident(t *testing.T, path string) Incident {
 }
 
 func TestFlightRecorderCapturesPreAndPostWindow(t *testing.T) {
-	fr, sink, tracer := newTestRecorder(t, 50*time.Millisecond, 0)
+	fr, sink := newTestRecorder(t, 50*time.Millisecond, 0)
 
 	sink.Emit(1, 0, "before", 0, 1, nil)
-	tracer.Emit(0.5, "compromise", nil)
+	sink.Emit(2, 0, "compromise", 0.5, 0.5, nil) // an instant: zero-duration span
 	fr.Trigger("compromise", map[string]any{"version": "a"})
 	sink.Emit(1, 0, "during", 1, 2, nil) // inside the post-window
 
@@ -59,14 +58,11 @@ func TestFlightRecorderCapturesPreAndPostWindow(t *testing.T) {
 	for _, r := range inc.Spans {
 		kinds[r.Kind] = true
 	}
-	if !kinds["before"] || !kinds["during"] {
+	if !kinds["before"] || !kinds["compromise"] || !kinds["during"] {
 		t.Fatalf("incident spans missing pre/post capture: %v", kinds)
 	}
 	if kinds["after"] {
 		t.Fatal("incident captured a span past its post-window")
-	}
-	if len(inc.Events) != 1 || inc.Events[0].Type != "compromise" {
-		t.Fatalf("incident events: %+v", inc.Events)
 	}
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)
@@ -74,7 +70,7 @@ func TestFlightRecorderCapturesPreAndPostWindow(t *testing.T) {
 }
 
 func TestFlightRecorderFoldsSameReason(t *testing.T) {
-	fr, _, _ := newTestRecorder(t, time.Minute, 0)
+	fr, _ := newTestRecorder(t, time.Minute, 0)
 	fr.Trigger("divergence", nil)
 	fr.Trigger("divergence", nil)
 	fr.Trigger("divergence", nil)
@@ -93,7 +89,7 @@ func TestFlightRecorderFoldsSameReason(t *testing.T) {
 }
 
 func TestFlightRecorderMaxIncidents(t *testing.T) {
-	fr, _, _ := newTestRecorder(t, time.Nanosecond, 2)
+	fr, _ := newTestRecorder(t, time.Nanosecond, 2)
 	time.Sleep(time.Millisecond) // every post-window expires immediately
 	fr.Trigger("a", nil)
 	time.Sleep(time.Millisecond)
@@ -109,7 +105,7 @@ func TestFlightRecorderMaxIncidents(t *testing.T) {
 }
 
 func TestFlightRecorderFilenames(t *testing.T) {
-	fr, _, _ := newTestRecorder(t, time.Minute, 0)
+	fr, _ := newTestRecorder(t, time.Minute, 0)
 	fr.Trigger("rejuvenation_reactive", nil)
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +133,7 @@ func TestFlightRecorderConcurrentTriggers(t *testing.T) {
 	)
 	// A long post-window keeps every incident open for the whole test, so
 	// same-reason folding applies to all triggers after the first.
-	fr, sink, _ := newTestRecorder(t, time.Minute, maxIncidents)
+	fr, sink := newTestRecorder(t, time.Minute, maxIncidents)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -191,11 +187,11 @@ func TestFlightRecorderConcurrentTriggers(t *testing.T) {
 func TestFlightRecorderExactlyOnceCapture(t *testing.T) {
 	const spans = 400
 	sink := NewSpanSink(spans + 16)
-	fr, err := NewFlightRecorder(t.TempDir(), time.Minute, 0, sink, nil)
+	fr, err := NewFlightRecorder(t.TempDir(), time.Minute, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.AttachFlightRecorder(fr)
+	sink.Attach(fr)
 
 	done := make(chan struct{})
 	go func() {
@@ -237,8 +233,8 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A recorder with neither sink nor tracer still writes incidents.
-	fr2, err := NewFlightRecorder(t.TempDir(), time.Minute, 0, nil, nil)
+	// A recorder with no sink still writes incidents.
+	fr2, err := NewFlightRecorder(t.TempDir(), time.Minute, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,16 +154,18 @@ func TestNilHandlesNoOp(t *testing.T) {
 		h.Bounds() != nil || h.BucketCounts() != nil {
 		t.Fatal("nil histogram must be inert")
 	}
-	var tr *Tracer
-	tr.Emit(0, "x", nil)
-	if tr.Events() != nil || tr.Len() != 0 || tr.Emitted() != 0 || tr.Dropped() != 0 {
-		t.Fatal("nil tracer must be inert")
+	var sink *SpanSink
+	if sink.Emit(sink.NewTraceID(), 0, "x", 0, 0, nil) != 0 {
+		t.Fatal("nil sink must hand out zero ids")
 	}
-	if err := tr.WriteJSONL(nil); err != nil {
-		t.Fatal("nil tracer WriteJSONL should be a no-op")
+	if sink.Spans() != nil || sink.Published() != 0 || sink.Retained() != 0 || sink.Dropped() != 0 {
+		t.Fatal("nil sink must be inert")
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal("nil sink Flush should be a no-op")
 	}
 	var rt *Runtime
-	if rt.Metrics() != nil || rt.Tracer() != nil {
+	if rt.Metrics() != nil || rt.Spans() != nil || rt.Flight() != nil {
 		t.Fatal("nil runtime must expose nil handles")
 	}
 }

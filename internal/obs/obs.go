@@ -1,14 +1,15 @@
 // Package obs is the repository's observability substrate: a
 // concurrency-safe metrics registry (atomic counters, gauges and streaming
-// histograms with quantile estimation), a structured event tracer backed by
-// a bounded ring buffer with a JSONL sink, and two exposition paths —
-// Prometheus text format over net/http and an end-of-run JSON summary.
+// histograms with quantile estimation), a span sink backed by a bounded ring
+// buffer with a JSONL exporter — spans are the one event primitive: an
+// instant is a zero-duration span — and two exposition paths: Prometheus
+// text format over net/http and an end-of-run JSON summary.
 //
 // The package is pure stdlib and designed around two guarantees the
 // simulation stack depends on:
 //
 //   - Nil no-op: every handle (*Registry, *Counter, *Gauge, *Histogram,
-//     *Tracer, *Runtime) treats a nil receiver as "telemetry disabled" and
+//     *SpanSink, *Runtime) treats a nil receiver as "telemetry disabled" and
 //     does nothing, allocating nothing. Instrumented code paths therefore
 //     need no feature flags — an uninstrumented run passes nil handles and
 //     pays only a predictable nil check.
@@ -20,13 +21,12 @@
 //     flow.)
 package obs
 
-// Runtime bundles a metrics registry, an event tracer and a span sink — the
-// trio every instrumented component accepts. A nil *Runtime is valid and
-// yields nil (no-op) handles, so callers can thread
-// cfg.Obs.Metrics()/cfg.Obs.Tracer()/cfg.Obs.Spans() unconditionally.
+// Runtime bundles a metrics registry and a span sink — the pair every
+// instrumented component accepts. A nil *Runtime is valid and yields nil
+// (no-op) handles, so callers can thread cfg.Obs.Metrics()/cfg.Obs.Spans()
+// unconditionally.
 type Runtime struct {
 	reg    *Registry
-	tracer *Tracer
 	spans  *SpanSink
 	flight *FlightRecorder
 }
@@ -39,28 +39,23 @@ const DefaultTraceCapacity = 8192
 // Runtime registers: silent telemetry loss is itself a telemetry signal.
 const (
 	MetricDroppedSpans  = "mv_obs_dropped_spans_total"
-	MetricDroppedEvents = "mv_obs_dropped_events_total"
 	MetricSampledTraces = "mv_obs_sampled_traces_total"
 )
 
-// NewRuntime returns a Runtime with a fresh registry, a tracer and a span
-// sink each holding up to traceCapacity records (DefaultTraceCapacity
-// when <= 0). Ring-buffer evictions in the tracer and span sink are mirrored
-// into mv_obs_dropped_events_total / mv_obs_dropped_spans_total so data loss
-// is never silent.
+// NewRuntime returns a Runtime with a fresh registry and a span sink holding
+// up to traceCapacity records (DefaultTraceCapacity when <= 0). Ring-buffer
+// evictions are mirrored into mv_obs_dropped_spans_total so data loss is
+// never silent.
 func NewRuntime(traceCapacity int) *Runtime {
 	if traceCapacity <= 0 {
 		traceCapacity = DefaultTraceCapacity
 	}
 	r := &Runtime{
-		reg:    NewRegistry(),
-		tracer: NewTracer(traceCapacity),
-		spans:  NewSpanSink(traceCapacity),
+		reg:   NewRegistry(),
+		spans: NewSpanSink(traceCapacity),
 	}
 	r.reg.Help(MetricDroppedSpans, "Spans evicted from the span ring buffer before being read.")
-	r.reg.Help(MetricDroppedEvents, "Events evicted from the trace ring buffer before being read.")
 	r.spans.SetDropCounter(r.reg.Counter(MetricDroppedSpans))
-	r.tracer.SetDropCounter(r.reg.Counter(MetricDroppedEvents))
 	return r
 }
 
@@ -89,14 +84,6 @@ func (r *Runtime) Metrics() *Registry {
 	return r.reg
 }
 
-// Tracer returns the event tracer, or nil for a nil Runtime.
-func (r *Runtime) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
-}
-
 // Spans returns the span sink, or nil for a nil Runtime.
 func (r *Runtime) Spans() *SpanSink {
 	if r == nil {
@@ -117,9 +104,9 @@ func (r *Runtime) Flight() *FlightRecorder {
 // AttachFlightRecorder wires fr into the runtime: accessible via Flight and
 // fed by the span sink.
 func (r *Runtime) AttachFlightRecorder(fr *FlightRecorder) {
-	if r == nil {
+	if r == nil || fr == nil {
 		return
 	}
 	r.flight = fr
-	r.spans.AttachFlightRecorder(fr)
+	r.spans.Attach(fr)
 }

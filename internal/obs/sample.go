@@ -18,22 +18,17 @@ type SampleConfig struct {
 	// how many goroutines publish spans — the decision is a pure function of
 	// (seed, trace id), never of scheduling.
 	Seed uint64
-	// SlowSeconds is the root-span duration at or above which a request
-	// trace is always retained (the tail of the latency distribution is the
-	// interesting part). <= 0 selects DefaultSlowSeconds.
-	SlowSeconds float64
-	// DecisionCache bounds the trace-id → decision memory that routes
-	// late-published child spans the same way as their root batch.
-	// <= 0 selects DefaultDecisionCache.
-	DecisionCache int
 }
 
-// DefaultSlowSeconds is the always-retain latency threshold, matched to the
-// health engine's default per-request latency objective.
+// DefaultSlowSeconds is the root-span duration at or above which a request
+// trace is always retained (the tail of the latency distribution is the
+// interesting part), matched to the health engine's default per-request
+// latency objective.
 const DefaultSlowSeconds = 0.25
 
-// DefaultDecisionCache bounds the sampler's decision memory.
-const DefaultDecisionCache = 8192
+// decisionCache bounds the trace-id → decision memory that routes
+// late-published child spans the same way as their root batch.
+const decisionCache = 8192
 
 // Sampler makes tail-based retention decisions over whole traces: a span
 // batch is judged once its root is visible (SpanSink publishes a complete
@@ -62,16 +57,10 @@ type Sampler struct {
 
 // NewSampler builds a sampler from cfg.
 func NewSampler(cfg SampleConfig) *Sampler {
-	if cfg.SlowSeconds <= 0 {
-		cfg.SlowSeconds = DefaultSlowSeconds
-	}
-	if cfg.DecisionCache <= 0 {
-		cfg.DecisionCache = DefaultDecisionCache
-	}
 	s := &Sampler{
 		cfg:       cfg,
 		decisions: make(map[uint64]bool),
-		order:     make([]uint64, cfg.DecisionCache),
+		order:     make([]uint64, decisionCache),
 	}
 	switch {
 	case cfg.Rate >= 1:
@@ -157,7 +146,7 @@ func (s *Sampler) judge(trace uint64, recs []SpanRecord) bool {
 		if root.Kind != "request" && root.Kind != "route" {
 			return true
 		}
-		if root.Duration() >= s.cfg.SlowSeconds {
+		if root.Duration() >= DefaultSlowSeconds {
 			return true
 		}
 	}

@@ -155,14 +155,15 @@ type captureObserver struct{ count int }
 
 func (c *captureObserver) ObserveSpans(recs []SpanRecord, _ float64) { c.count += len(recs) }
 
-// TestRingOverflowDropCounters overflows both ring buffers and asserts the
-// silent-loss bugfix: evictions must show up on the metrics path.
+// TestRingOverflowDropCounters overflows the span ring with intervals and
+// instants alike and asserts the silent-loss bugfix: evictions must show up
+// on the metrics path.
 func TestRingOverflowDropCounters(t *testing.T) {
 	rt := NewRuntime(4)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 5; i++ {
 		sp := rt.Spans().StartTrace("request")
 		sp.End()
-		rt.Tracer().Emit(float64(i), "tick", nil)
+		rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "tick", float64(i), float64(i), nil)
 	}
 	if got := rt.Spans().Dropped(); got != 6 {
 		t.Fatalf("sink dropped %d, want 6", got)
@@ -170,11 +171,36 @@ func TestRingOverflowDropCounters(t *testing.T) {
 	if got := rt.Metrics().Counter(MetricDroppedSpans).Value(); got != 6 {
 		t.Fatalf("%s = %d, want 6", MetricDroppedSpans, got)
 	}
-	if got := rt.Tracer().Dropped(); got != 6 {
-		t.Fatalf("tracer dropped %d, want 6", got)
+}
+
+// TestSamplerRetainsEveryEventSpan: instants are zero-duration root spans of
+// their own kind, and at a 10% rate for normal traffic every one of them must
+// survive tail sampling — an event stream with holes would be useless to an
+// incident timeline.
+func TestSamplerRetainsEveryEventSpan(t *testing.T) {
+	sink := NewSpanSink(4096)
+	sink.SetSampler(NewSampler(SampleConfig{Rate: 0.1, Seed: 7}))
+	events := []string{"voter_skip", "rejuvenation_trigger", "compromise",
+		"perception_skip", "collision", "run_end", "petri_run_end"}
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		at := float64(i)
+		for _, kind := range events {
+			sink.Emit(sink.NewTraceID(), 0, kind, at, at, nil)
+		}
+		sink.Emit(sink.NewTraceID(), 0, "request", at, at+0.001, nil)
 	}
-	if got := rt.Metrics().Counter(MetricDroppedEvents).Value(); got != 6 {
-		t.Fatalf("%s = %d, want 6", MetricDroppedEvents, got)
+	kinds := map[string]int{}
+	for _, r := range sink.Spans() {
+		kinds[r.Kind]++
+	}
+	for _, kind := range events {
+		if kinds[kind] != rounds {
+			t.Errorf("%d of %d %s spans retained at rate 0.1", kinds[kind], rounds, kind)
+		}
+	}
+	if kinds["request"] == 0 || kinds["request"] > rounds/2 {
+		t.Errorf("%d of %d request traces retained at rate 0.1", kinds["request"], rounds)
 	}
 }
 

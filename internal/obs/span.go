@@ -37,6 +37,56 @@ type SpanRecord struct {
 // Duration returns End - Start in seconds.
 func (r SpanRecord) Duration() float64 { return r.End - r.Start }
 
+// The Attr accessors read one attribute tolerant of both live values and
+// JSONL round-trips (JSON decodes numbers as float64 and string slices as
+// []any); a missing or differently-typed attribute yields the zero value.
+
+// AttrString returns the string attribute key.
+func (r SpanRecord) AttrString(key string) string {
+	s, _ := r.Attrs[key].(string)
+	return s
+}
+
+// AttrBool returns the bool attribute key.
+func (r SpanRecord) AttrBool(key string) bool {
+	b, _ := r.Attrs[key].(bool)
+	return b
+}
+
+// AttrFloat returns the numeric attribute key and whether it was present.
+func (r SpanRecord) AttrFloat(key string) (float64, bool) {
+	switch x := r.Attrs[key].(type) {
+	case float64:
+		return x, true
+	case float32:
+		return float64(x), true
+	case int:
+		return float64(x), true
+	case int64:
+		return float64(x), true
+	case uint64:
+		return float64(x), true
+	}
+	return 0, false
+}
+
+// AttrStrings returns the string-list attribute key.
+func (r SpanRecord) AttrStrings(key string) []string {
+	switch xs := r.Attrs[key].(type) {
+	case []string:
+		return xs
+	case []any:
+		out := make([]string, 0, len(xs))
+		for _, x := range xs {
+			if s, ok := x.(string); ok {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	return nil
+}
+
 // SpanObserver receives every batch of spans a sink publishes, after the
 // sink's own lock is released. Observers must take their own locks; the sink
 // guarantees the lock order sink → observer (it never calls an observer with
@@ -174,14 +224,6 @@ func (s *SpanSink) SetDropCounter(c *Counter) {
 	s.mu.Lock()
 	s.dropC = c
 	s.mu.Unlock()
-}
-
-// AttachFlightRecorder wires fr to observe every published span.
-func (s *SpanSink) AttachFlightRecorder(fr *FlightRecorder) {
-	if fr == nil {
-		return
-	}
-	s.Attach(fr)
 }
 
 // Spans returns the retained records, oldest first.

@@ -165,3 +165,60 @@ func TestSpanIDsUnique(t *testing.T) {
 		sp.End()
 	}
 }
+
+// TestTraceJSONLRoundTrip: an event trace — instants as zero-duration spans —
+// survives the JSONL export with its attributes readable through the Attr
+// accessors on both sides (JSON decodes numbers as float64 and string lists
+// as []any).
+func TestTraceJSONLRoundTrip(t *testing.T) {
+	s := NewSpanSink(16)
+	var buf bytes.Buffer
+	s.SetWriter(&buf)
+	trace := s.NewTraceID()
+	s.Emit(trace, 0, "module_state", 0, 0.5, map[string]any{"module": "v1", "state": "H", "to": "C"})
+	s.Emit(trace, 0, "collision", 1.25, 1.25, nil)
+	s.Emit(trace, 0, "disagreement", 1.5, 1.5, map[string]any{"diverged": []string{"v1", "v3"}})
+	s.Emit(trace, 0, "run_end", 2, 2, map[string]any{"frames": 120, "completed": true})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "\n"); got != 4 {
+		t.Fatalf("%d lines, want 4:\n%s", got, buf.String())
+	}
+
+	back, err := ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Spans()
+	if len(back) != len(want) {
+		t.Fatalf("round-trip %d spans, want %d", len(back), len(want))
+	}
+	for i := range want {
+		if back[i].ID != want[i].ID || back[i].Start != want[i].Start || back[i].End != want[i].End || back[i].Kind != want[i].Kind {
+			t.Fatalf("span %d mismatch: %+v vs %+v", i, back[i], want[i])
+		}
+	}
+	for _, recs := range [][]SpanRecord{want, back} {
+		if recs[0].AttrString("to") != "C" || recs[1].AttrString("to") != "" || !recs[3].AttrBool("completed") {
+			t.Fatalf("attrs lost: %+v", recs)
+		}
+		if frames, ok := recs[3].AttrFloat("frames"); !ok || frames != 120 {
+			t.Fatalf("frames = %v, %v", frames, ok)
+		}
+		if d := recs[2].AttrStrings("diverged"); len(d) != 2 || d[1] != "v3" {
+			t.Fatalf("diverged = %v", d)
+		}
+	}
+	// Blank lines and surrounding whitespace are tolerated.
+	recs, err := ReadSpans(strings.NewReader("\n{\"trace\":1,\"id\":9,\"kind\":\"x\",\"start\":1,\"end\":1}\n\n"))
+	if err != nil || len(recs) != 1 || recs[0].ID != 9 {
+		t.Fatalf("blank-line parse: %v %+v", err, recs)
+	}
+}
+
+func TestReadJSONLBadInput(t *testing.T) {
+	if _, err := ReadSpans(strings.NewReader("{not json")); err == nil {
+		t.Fatal("expected decode error")
+	}
+}

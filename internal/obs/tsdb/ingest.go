@@ -67,7 +67,7 @@ func (in *Ingester) ObserveSpans(recs []obs.SpanRecord, _ float64) {
 	// shard-less members of the same trace — including late children in a
 	// later batch — are attributed correctly.
 	for i := range recs {
-		if sh := attrString(recs[i].Attrs["shard"]); sh != "" {
+		if sh := recs[i].AttrString("shard"); sh != "" {
 			in.remember(recs[i].Trace, sh)
 		}
 	}
@@ -98,7 +98,7 @@ func (in *Ingester) ingest(rec *obs.SpanRecord) {
 		in.maxT = rec.End
 	}
 	t := rec.End
-	shard := attrString(rec.Attrs["shard"])
+	shard := rec.AttrString("shard")
 	if shard == "" {
 		shard = in.shardOf[rec.Trace]
 	}
@@ -109,7 +109,7 @@ func (in *Ingester) ingest(rec *obs.SpanRecord) {
 		in.store.Add(SeriesRequests, t, 1, "kind", rec.Kind, "shard", shard)
 		in.store.ObserveEx(SeriesStage, t, rec.Duration(), rec.Trace,
 			"kind", rec.Kind, "shard", shard)
-		if attrBool(rec.Attrs["degraded"]) {
+		if rec.AttrBool("degraded") {
 			in.store.Add(SeriesDegraded, t, 1, "shard", shard)
 		}
 	case isRoot:
@@ -123,7 +123,7 @@ func (in *Ingester) ingest(rec *obs.SpanRecord) {
 		// Pipeline stage inside a trace. The version label (forwards carry
 		// it) splits per-model-version latency without exploding the rest.
 		kv := []string{"kind", rec.Kind, "shard", shard}
-		if v := attrString(rec.Attrs["version"]); v != "" {
+		if v := rec.AttrString("version"); v != "" {
 			kv = append(kv, "version", v)
 		}
 		in.store.ObserveEx(SeriesStage, t, rec.Duration(), rec.Trace, kv...)
@@ -134,10 +134,10 @@ func (in *Ingester) ingest(rec *obs.SpanRecord) {
 			in.store.Add(SeriesErrors, t, 1, "kind", rec.Kind, "shard", shard)
 		}
 		if rec.Kind == "batch" {
-			if d, ok := attrFloat(rec.Attrs["queue_depth"]); ok {
+			if d, ok := rec.AttrFloat("queue_depth"); ok {
 				in.store.Set(SeriesQueue, t, d, "shard", shard)
 			}
-			if b, ok := attrFloat(rec.Attrs["batch_size"]); ok {
+			if b, ok := rec.AttrFloat("batch_size"); ok {
 				in.store.Observe(SeriesBatch, t, b, "shard", shard)
 			}
 		}
@@ -170,33 +170,4 @@ func Replay(recs []obs.SpanRecord, in *Ingester) {
 		in.ObserveSpans(recs[i:j], recs[j-1].End)
 		i = j
 	}
-}
-
-// attrString mirrors the health engine's attribute coercion: JSON replay
-// yields strings as-is.
-func attrString(v any) string {
-	s, _ := v.(string)
-	return s
-}
-
-// attrBool coerces a span attribute to bool.
-func attrBool(v any) bool {
-	b, _ := v.(bool)
-	return b
-}
-
-// attrFloat coerces a span attribute to float64: live maps hold ints,
-// JSON-replayed maps hold float64.
-func attrFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	}
-	return 0, false
 }

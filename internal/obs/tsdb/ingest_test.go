@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mvml/internal/health"
@@ -195,5 +196,56 @@ func TestRulesAlertLifecycleFeedsHealthEngine(t *testing.T) {
 	// The p99 recording rule has a value (autoscaler signal path).
 	if v, ok := s.LastValue(RuleP99Latency); !ok || v <= 0 {
 		t.Fatalf("p99 recording rule = %v,%v", v, ok)
+	}
+}
+
+// TestEventSpansOnlyAddTheirOwnSeries pins "no kind collision" for the store:
+// interleaving the zero-duration event kinds (each its own root trace, as
+// emitted) through the recorded stream adds lifecycle/stage series labelled
+// with those kinds and changes nothing else — every other series, every
+// recording rule and every alert replays byte-identically.
+func TestEventSpansOnlyAddTheirOwnSeries(t *testing.T) {
+	eventKinds := []string{"voter_skip", "rejuvenation_trigger", "compromise",
+		"perception_skip", "collision", "run_end", "petri_run_end"}
+	replay := func(recs []obs.SpanRecord) *Report {
+		store := New(Config{BucketSeconds: 1, Buckets: 120})
+		rules := NewRules(store, 1, DefaultServingRules(healthDefaults()))
+		Replay(recs, NewIngester(store, rules))
+		return BuildReport(store, rules)
+	}
+	var mixed []obs.SpanRecord
+	for i := 0; i < 120; i++ {
+		tr := buildTrace(i)
+		mixed = append(mixed, tr...)
+		if i%5 == 0 {
+			at := tr[len(tr)-1].End
+			mixed = append(mixed, obs.SpanRecord{Trace: uint64(5000 + i), ID: uint64(50000 + i),
+				Kind: eventKinds[(i/5)%len(eventKinds)], Start: at, End: at,
+				Attrs: map[string]any{"version": "v0"}})
+		}
+	}
+	want := replay(demoSpans())
+	got := replay(mixed)
+	kept := got.Series[:0]
+	added := 0
+	for _, sv := range got.Series {
+		isEvent := false
+		for _, kind := range eventKinds {
+			isEvent = isEvent || strings.Contains(sv.Labels, `kind="`+kind+`"`)
+		}
+		if isEvent {
+			added++
+			continue
+		}
+		kept = append(kept, sv)
+	}
+	got.Series = kept
+	if added != 2*len(eventKinds) {
+		t.Errorf("%d event-kind series, want a lifecycle count and a stage histogram per kind (%d)", added, 2*len(eventKinds))
+	}
+	ja, _ := json.Marshal(want)
+	jb, _ := json.Marshal(got)
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("event spans moved existing series, rules or alerts:\n%s\nvs\n%s", jb, ja)
 	}
 }

@@ -327,3 +327,19 @@ func DefaultServingRules(opts health.Options) []Rule {
 		},
 	}
 }
+
+// Report is the end-of-run JSON artifact: the full store snapshot plus the
+// alert states (`mvtrace dash` renders the same structure).
+type Report struct {
+	BucketSeconds float64       `json:"bucket_seconds"`
+	Series        []SeriesView  `json:"series"`
+	Alerts        []AlertStatus `json:"alerts,omitempty"`
+}
+
+// BuildReport snapshots the store and rule engine.
+func BuildReport(s *Store, r *Rules) *Report {
+	if s == nil {
+		return nil
+	}
+	return &Report{BucketSeconds: s.BucketSeconds(), Series: s.Snapshot(), Alerts: r.Alerts()}
+}

@@ -29,7 +29,7 @@ type Scrape struct {
 }
 
 // ParseText parses Prometheus text exposition format 0.0.4 (the registry's
-// own output and what `mvdash -live` polls from a /metrics endpoint).
+// own output and what `mvtrace dash -metrics-addr` polls from a /metrics endpoint).
 // Unparseable lines are an error — the inputs are machine-generated.
 func ParseText(r io.Reader) (*Scrape, error) {
 	out := &Scrape{Types: make(map[string]string)}

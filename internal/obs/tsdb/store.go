@@ -3,7 +3,7 @@
 // filled from two sources — streaming aggregation of the span firehose
 // (Ingester) and periodic scrapes of the metrics registry (Scraper) — and
 // queried by recording/alert rules (Rules), the gateway autoscaler and the
-// mvdash dashboard.
+// `mvtrace dash` dashboard.
 //
 // Like the rest of the obs stack the store is passive and deterministic:
 // nothing here consumes randomness or feeds back into serving decisions,
@@ -458,21 +458,6 @@ func (s *Store) QuantileOver(name string, t0, t1, q float64, kv ...string) (floa
 	return stats.BucketQuantile(s.cfg.HistBounds, m.counts, q), true
 }
 
-// CountOver returns a histogram series' observation count and sum over
-// [t0, t1].
-func (s *Store) CountOver(name string, t0, t1 float64, kv ...string) (uint64, float64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.mergeHist(s.lookup(name, kv), t0, t1)
-	if m == nil {
-		return 0, 0
-	}
-	return m.count, m.sum
-}
-
 // FracBelow returns the fraction of a histogram series' observations at or
 // below bound over [t0, t1] (the empirical CDF at bound, resolved to value
 // buckets), reporting whether the window held any observations.
@@ -764,21 +749,6 @@ func (s *Store) Snapshot() []SeriesView {
 		out = append(out, sv)
 	}
 	return out
-}
-
-// splitCanon turns a canonical label string back into kv pairs (labels were
-// canonicalised on the way in, so this is parse-free splitting).
-func splitCanon(labels string) []string {
-	if labels == "" {
-		return nil
-	}
-	var kv []string
-	for _, part := range splitTopLevel(labels) {
-		eq := strings.IndexByte(part, '=')
-		v := part[eq+1:]
-		kv = append(kv, part[:eq], v[1:len(v)-1]) // strip quotes; values are %q-escaped but round-trip through canonKV identically
-	}
-	return kv
 }
 
 // splitTopLevel splits a canonical label string on commas outside quotes.

@@ -451,29 +451,22 @@ const (
 	MetricPerceiveSkips = "mvml_perception_skips_total"
 )
 
-// Instrument attaches telemetry to the pipeline and its underlying
+// InstrumentObs attaches an obs.Runtime to the pipeline and its underlying
 // multi-version system: per-version inference latency histograms, voter and
-// rejuvenation counters (via core.System.Instrument), and pipeline-level
-// perceive latency/skip series. Either argument may be nil; telemetry never
-// consumes xrand draws, so instrumented runs stay decision-identical.
-func (p *Pipeline) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
-	p.sys.Instrument(reg, tracer)
+// rejuvenation counters, module_state / rejuvenation / divergence spans in
+// simulated seconds and the runtime's flight recorder (see
+// core.System.InstrumentObs), plus pipeline-level perceive latency/skip
+// series. A nil Runtime detaches telemetry; telemetry never consumes xrand
+// draws, so instrumented runs stay decision-identical.
+func (p *Pipeline) InstrumentObs(rt *obs.Runtime) {
+	p.sys.InstrumentObs(rt)
+	reg := rt.Metrics()
 	reg.Help(MetricPerceiveLatency, "End-to-end perception latency: all versions plus the voter.")
 	reg.Help(MetricPerceiveRounds, "Perception rounds executed.")
 	reg.Help(MetricPerceiveSkips, "Perception rounds that ended in a safe skip.")
 	p.perceiveLatency = reg.Histogram(MetricPerceiveLatency, obs.LatencyBuckets())
 	p.perceiveRounds = reg.Counter(MetricPerceiveRounds)
 	p.perceiveSkips = reg.Counter(MetricPerceiveSkips)
-}
-
-// InstrumentObs is Instrument taking a full obs.Runtime: beyond metrics and
-// events, the underlying system also emits module_state / rejuvenation /
-// divergence spans in simulated seconds and fires the runtime's flight
-// recorder around compromises, divergences and rejuvenations
-// (see core.System.InstrumentObs). A nil Runtime detaches telemetry.
-func (p *Pipeline) InstrumentObs(rt *obs.Runtime) {
-	p.Instrument(rt.Metrics(), rt.Tracer())
-	p.sys.InstrumentObs(rt)
 }
 
 var _ drivesim.PerceptionSystem = (*Pipeline)(nil)

@@ -13,8 +13,9 @@ func TestPipelineInstrumentRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	pipe.Instrument(reg, nil)
+	rt := obs.NewRuntime(0)
+	reg := rt.Metrics()
+	pipe.InstrumentObs(rt)
 	sc := scene(0, 0, obj(1, 12, 0))
 	for i := 0; i < 5; i++ {
 		if _, err := pipe.Perceive(float64(i)*0.05, sc); err != nil {
@@ -41,7 +42,7 @@ func benchPerceive(b *testing.B, instrument bool) {
 		b.Fatal(err)
 	}
 	if instrument {
-		pipe.Instrument(obs.NewRegistry(), nil)
+		pipe.InstrumentObs(obs.NewRuntime(0))
 	}
 	sc := scene(0, 0, obj(1, 12, 0), obj(2, 30, 1))
 	b.ReportAllocs()

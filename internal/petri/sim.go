@@ -27,9 +27,9 @@ type SimConfig struct {
 	// observational: no rng draws are consumed, so instrumented runs fire
 	// the same transition sequence.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives one end-of-run event summarising the
-	// simulation.
-	Tracer *obs.Tracer
+	// Spans, when non-nil, receives one zero-duration end-of-run span
+	// summarising the simulation.
+	Spans *obs.SpanSink
 }
 
 // Petri metric names.
@@ -333,13 +333,11 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 			}
 		}
 	}
-	if cfg.Tracer != nil {
-		cfg.Tracer.Emit(now, "petri_run_end", map[string]any{
-			"net":      net.Name(),
-			"events":   res.Events,
-			"observed": res.Observed,
-			"markings": len(res.Occupancy),
-		})
-	}
+	cfg.Spans.Emit(cfg.Spans.NewTraceID(), 0, "petri_run_end", now, now, map[string]any{
+		"net":      net.Name(),
+		"events":   res.Events,
+		"observed": res.Observed,
+		"markings": len(res.Occupancy),
+	})
 	return res, nil
 }

@@ -7,8 +7,8 @@ import (
 	"mvml/internal/xrand"
 )
 
-// TestSimulateTelemetry checks that attaching a registry counts every
-// firing without perturbing the simulation's random stream.
+// TestSimulateTelemetry checks that attaching a registry and a span sink
+// counts every firing without perturbing the simulation's random stream.
 func TestSimulateTelemetry(t *testing.T) {
 	cfg := SimConfig{Horizon: 2000, Warmup: 10}
 
@@ -19,9 +19,9 @@ func TestSimulateTelemetry(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(8)
+	sink := obs.NewSpanSink(8)
 	cfg.Metrics = reg
-	cfg.Tracer = tr
+	cfg.Spans = sink
 	n2, _ := buildCycle(1, 2, 3)
 	inst, err := Simulate(n2, cfg, nil, xrand.New(42))
 	if err != nil {
@@ -59,12 +59,12 @@ func TestSimulateTelemetry(t *testing.T) {
 		t.Fatalf("sim-time gauge %v outside (0, %v]", gauge, cfg.Warmup+cfg.Horizon)
 	}
 
-	// One end-of-run trace event.
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Type != "petri_run_end" {
-		t.Fatalf("trace %+v", evs)
+	// One zero-duration end-of-run span on the simulation clock.
+	evs := sink.Spans()
+	if len(evs) != 1 || evs[0].Kind != "petri_run_end" || evs[0].Start != evs[0].End || evs[0].End <= 0 {
+		t.Fatalf("spans %+v", evs)
 	}
 	if evs[0].Attrs["net"] != "cycle" || evs[0].Attrs["events"] != inst.Events {
-		t.Fatalf("trace attrs %+v", evs[0].Attrs)
+		t.Fatalf("span attrs %+v", evs[0].Attrs)
 	}
 }

@@ -51,7 +51,7 @@ func DefaultParams() Params {
 // WithAlpha returns a copy of the parameters with the dependency degree
 // replaced — how the health engine's *measured* online α is substituted for
 // the offline fault-injection estimate when projecting reliability
-// (cmd/mvhealth's projection and the ROADMAP's canary lifecycle both use
+// (`mvtrace health`'s projection and the ROADMAP's canary lifecycle both use
 // this). Values outside [0,1] are clamped.
 func (pr Params) WithAlpha(alpha float64) Params {
 	if alpha < 0 {

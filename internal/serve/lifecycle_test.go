@@ -115,9 +115,19 @@ func TestShardLabelOnSpans(t *testing.T) {
 		if _, err := s.Classify(testImage(1)); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Compromise(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rejuvenate(0, RejuvManual); err != nil {
+			t.Fatal(err)
+		}
 		recs := rt.Spans().Spans()
-		if len(recs) == 0 {
-			t.Fatal("no spans published")
+		kinds := map[string]bool{}
+		for _, r := range recs {
+			kinds[r.Kind] = true
+		}
+		if !kinds["request"] || !kinds["compromise"] || !kinds["rejuvenation"] {
+			t.Fatalf("span kinds %v, want request, compromise and rejuvenation among them", kinds)
 		}
 		for _, r := range recs {
 			got, ok := r.Attrs["shard"]
@@ -128,5 +138,33 @@ func TestShardLabelOnSpans(t *testing.T) {
 				t.Fatalf("%s span missing shard label: attrs=%v", r.Kind, r.Attrs)
 			}
 		}
+	}
+}
+
+// TestCompromiseIsOneEventSpan pins the serving side of events-as-spans: a
+// compromise — the one lifecycle op with no interval of its own — publishes
+// exactly one zero-duration root span naming the version, and tail sampling
+// (here dropping all normal traffic) never drops it.
+func TestCompromiseIsOneEventSpan(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	rt.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.1, Seed: 1}))
+	s := newTestServer(t, testConfig(), rt)
+	before := rt.Spans().Published()
+	if err := s.Compromise(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Spans().Published() - before; got != 1 {
+		t.Fatalf("Compromise published %d spans, want 1", got)
+	}
+	versions, _ := s.Status()
+	var found []obs.SpanRecord
+	for _, r := range rt.Spans().Spans() {
+		if r.Kind == "compromise" {
+			found = append(found, r)
+		}
+	}
+	if len(found) != 1 || found[0].Parent != 0 || found[0].Start != found[0].End ||
+		found[0].AttrString("version") != versions[1].Name {
+		t.Fatalf("retained compromise spans %+v, want one zero-duration root naming version 1", found)
 	}
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"time"
-
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 )
@@ -21,11 +19,9 @@ type metrics struct {
 	batches    *obs.Counter
 
 	reg     *obs.Registry
-	tracer  *obs.Tracer
 	spans   *obs.SpanSink
 	flight  *obs.FlightRecorder
 	profile bool
-	started time.Time
 
 	// shard is the server's shard label ("" standalone); shardAttrs is a
 	// shared read-only attrs map carrying just that label, reused for stages
@@ -36,13 +32,12 @@ type metrics struct {
 }
 
 func newMetrics(rt *obs.Runtime, profile bool, shard string) *metrics {
-	m := &metrics{started: time.Now(), shard: shard}
+	m := &metrics{shard: shard}
 	if shard != "" {
 		m.shardAttrs = map[string]any{"shard": shard}
 	}
 	if rt != nil {
 		m.reg = rt.Metrics()
-		m.tracer = rt.Tracer()
 		m.spans = rt.Spans()
 		m.flight = rt.Flight()
 		m.profile = profile
@@ -83,11 +78,6 @@ func (m *metrics) rejuvenations(kind string) *obs.Counter {
 // divergence resolves the per-version divergence counter.
 func (m *metrics) divergence(version string) *obs.Counter {
 	return m.reg.Counter("mvserve_divergence_total", "version", version)
-}
-
-// trace emits a lifecycle event stamped with seconds since server start.
-func (m *metrics) trace(typ string, attrs map[string]any) {
-	m.tracer.Emit(time.Since(m.started).Seconds(), typ, attrs)
 }
 
 // incident fires the flight recorder (a no-op when none is attached): the

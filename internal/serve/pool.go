@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"mvml/internal/core"
+	"mvml/internal/health"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/tensor"
@@ -101,13 +102,10 @@ type pool struct {
 	state   poolState
 	pending int // jobs accepted but not yet finished
 
-	// Divergence ring: outcome of the last windowSize decided requests this
-	// version participated in (true = disagreed with the voted output).
-	window     []bool
-	windowPos  int
-	windowFill int
-	disagreed  int
-	threshold  float64
+	// ring holds the outcome of the last DivergenceWindow decided requests
+	// this version participated in — the reactive-trigger window.
+	ring      *health.DivergenceRing
+	threshold float64
 
 	divergedTotal *obs.Counter
 }
@@ -118,7 +116,7 @@ func newPool(index int, name string, cfg Config, m *metrics) *pool {
 		name:          name,
 		m:             m,
 		jobs:          make(chan batchJob, cfg.WorkersPerVersion),
-		window:        make([]bool, cfg.DivergenceWindow),
+		ring:          health.NewDivergenceRing(cfg.DivergenceWindow),
 		threshold:     cfg.DivergenceThreshold,
 		divergedTotal: m.divergence(name),
 	}
@@ -333,18 +331,7 @@ func (p *pool) halt() {
 // decided request, maintaining the reactive-trigger ring.
 func (p *pool) observe(disagreed bool) {
 	p.mu.Lock()
-	if p.windowFill == len(p.window) {
-		if p.window[p.windowPos] {
-			p.disagreed--
-		}
-	} else {
-		p.windowFill++
-	}
-	p.window[p.windowPos] = disagreed
-	if disagreed {
-		p.disagreed++
-	}
-	p.windowPos = (p.windowPos + 1) % len(p.window)
+	p.ring.Observe(disagreed)
 	p.mu.Unlock()
 	if disagreed {
 		p.divergedTotal.Inc()
@@ -356,10 +343,8 @@ func (p *pool) observe(disagreed bool) {
 func (p *pool) shouldRejuvenate() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.state != poolServing || p.windowFill < len(p.window) {
-		return false
-	}
-	return float64(p.disagreed)/float64(len(p.window)) >= p.threshold
+	rate, full := p.ring.Rate()
+	return p.state == poolServing && full && rate >= p.threshold
 }
 
 // resetDivergence clears the window after rejuvenation so stale
@@ -367,35 +352,28 @@ func (p *pool) shouldRejuvenate() bool {
 func (p *pool) resetDivergence() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.window {
-		p.window[i] = false
-	}
-	p.windowPos, p.windowFill, p.disagreed = 0, 0, 0
+	p.ring.Reset()
 }
 
 // divergenceRate is the current windowed disagreement fraction.
 func (p *pool) divergenceRate() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.windowFill == 0 {
-		return 0
-	}
-	return float64(p.disagreed) / float64(p.windowFill)
+	rate, _ := p.ring.Rate()
+	return rate
 }
 
 func (p *pool) status() VersionStatus {
 	p.mu.Lock()
-	st := VersionStatus{
-		Index:     p.index,
-		Name:      p.name,
-		State:     p.state.String(),
-		InFlight:  p.pending,
-		Workers:   len(p.workers),
-		Quantized: p.quantized,
+	defer p.mu.Unlock()
+	rate, _ := p.ring.Rate()
+	return VersionStatus{
+		Index:      p.index,
+		Name:       p.name,
+		State:      p.state.String(),
+		InFlight:   p.pending,
+		Workers:    len(p.workers),
+		Quantized:  p.quantized,
+		Divergence: rate,
 	}
-	if p.windowFill > 0 {
-		st.Divergence = float64(p.disagreed) / float64(p.windowFill)
-	}
-	p.mu.Unlock()
-	return st
 }

@@ -497,17 +497,10 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 		"version": p.name, "kind": kind,
 		"drain_ms": float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if s.cfg.ShardLabel != "" {
-		attrs["shard"] = s.cfg.ShardLabel
-	}
-	if sink := s.m.spans; sink != nil {
-		// Rejuvenation is its own single-span trace covering drain → restore
-		// → reinstate; request traces proceed concurrently on the other
-		// versions.
-		sink.Emit(sink.NewTraceID(), 0, "rejuvenation", t0, sink.Now(), attrs)
-	}
+	// The span covers drain → restore → reinstate; request traces proceed
+	// concurrently on the other versions.
+	s.lifecycle("rejuvenation", t0, s.m.spans.Now(), attrs)
 	s.m.rejuvenations(kind).Inc()
-	s.m.trace("rejuvenation", attrs)
 	s.m.incident("rejuvenation_"+kind, attrs)
 	return nil
 }
@@ -541,9 +534,20 @@ func (s *Server) Compromise(v int) error {
 	if err != nil {
 		return fmt.Errorf("serve: compromising %s: %w", p.name, err)
 	}
-	s.m.trace("compromise", map[string]any{"version": p.name})
+	now := s.m.spans.Now()
+	s.lifecycle("compromise", now, now, map[string]any{"version": p.name})
 	s.m.incident("compromise", map[string]any{"version": p.name})
 	return nil
+}
+
+// lifecycle publishes one lifecycle operation as its own single-span trace
+// (an instant when start == end), labelled with the shard.
+func (s *Server) lifecycle(kind string, start, end float64, attrs map[string]any) {
+	if s.cfg.ShardLabel != "" {
+		attrs["shard"] = s.cfg.ShardLabel
+	}
+	sink := s.m.spans
+	sink.Emit(sink.NewTraceID(), 0, kind, start, end, attrs)
 }
 
 func (s *Server) pool(v int) (*pool, error) {
@@ -603,15 +607,8 @@ func (s *Server) SetDraining(v bool) {
 	if s.draining.Swap(v) == v {
 		return
 	}
-	attrs := map[string]any{"draining": v}
-	if s.cfg.ShardLabel != "" {
-		attrs["shard"] = s.cfg.ShardLabel
-	}
-	if sink := s.m.spans; sink != nil {
-		now := sink.Now()
-		sink.Emit(sink.NewTraceID(), 0, "drain", now, now, attrs)
-	}
-	s.m.trace("drain", attrs)
+	now := s.m.spans.Now()
+	s.lifecycle("drain", now, now, map[string]any{"draining": v})
 }
 
 // Draining reports the shard-lifecycle drain flag.
@@ -639,14 +636,7 @@ func (s *Server) ResizeWorkers(perVersion int) error {
 			first = fmt.Errorf("serve: resizing %s: %w", p.name, err)
 		}
 	}
-	attrs := map[string]any{"from": from, "to": perVersion}
-	if s.cfg.ShardLabel != "" {
-		attrs["shard"] = s.cfg.ShardLabel
-	}
-	if sink := s.m.spans; sink != nil {
-		sink.Emit(sink.NewTraceID(), 0, "resize", t0, sink.Now(), attrs)
-	}
-	s.m.trace("resize", attrs)
+	s.lifecycle("resize", t0, s.m.spans.Now(), map[string]any{"from": from, "to": perVersion})
 	return first
 }
 

@@ -1,0 +1,462 @@
+// Package telemetry is the command-line wiring of the whole telemetry
+// stack — the obs runtime, the streaming health engine and the time-series
+// store — behind one flag struct. It is the one package that imports all
+// three, and it holds nothing else.
+package telemetry
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/pprof"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"time"
+
+	"mvml/internal/health"
+	"mvml/internal/obs"
+	"mvml/internal/obs/tsdb"
+)
+
+// Flags is the shared telemetry command line: every instrumented cmd/ binary
+// registers the same flag set, calls Start before its run and Finish after.
+// Telemetry is opt-in — with no artifact or endpoint flag set, Start returns
+// a nil Runtime and the whole stack runs uninstrumented (nil no-op handles);
+// -health and -tsdb ride that runtime and do nothing without it.
+type Flags struct {
+	// MetricsAddr serves Prometheus text exposition on this address
+	// ("host:port") for the lifetime of the process when non-empty.
+	MetricsAddr string
+	// SummaryPath receives the end-of-run JSON summary. Defaults to
+	// DefaultSummaryPath when telemetry is enabled by another flag.
+	SummaryPath string
+	// SpansPath streams every retained span as JSONL for the lifetime of the
+	// run (the input of cmd/mvtrace).
+	SpansPath string
+	// IncidentDir enables the flight recorder: the window around every
+	// divergence, compromise and rejuvenation is written there as a
+	// self-contained JSON incident file.
+	IncidentDir string
+	// IncidentPost is the flight recorder's post-trigger capture horizon.
+	IncidentPost time.Duration
+	// TraceCapacity bounds the span ring buffer.
+	TraceCapacity int
+	// Pprof mounts net/http/pprof under /debug/pprof/ on the metrics
+	// endpoint (requires MetricsAddr).
+	Pprof bool
+	// Hold keeps the metrics endpoint up for this long after Finish, so
+	// short runs can still be scraped.
+	Hold time.Duration
+	// SampleRate < 1 enables tail-based trace sampling: error/slow/lifecycle
+	// traces are always retained, plus this fraction of normal traffic.
+	SampleRate float64
+	// SampleSeed seeds the deterministic retain/drop hash.
+	SampleSeed uint64
+
+	// Health turns the streaming health engine on.
+	Health bool
+	// LatencySLO is the per-request latency objective.
+	LatencySLO time.Duration
+	// Availability is the availability SLO target (fraction of requests
+	// answered at all).
+	Availability float64
+	// Window is the SLO error-budget window.
+	Window time.Duration
+	// HealthReport, when non-empty, receives the end-of-run health report as
+	// JSON (implies Health).
+	HealthReport string
+
+	// Tsdb turns the in-process time-series store on.
+	Tsdb bool
+	// TsdbReport, when non-empty, receives the end-of-run store snapshot as
+	// JSON (implies Tsdb).
+	TsdbReport string
+
+	infoKV    []string
+	rt        *obs.Runtime
+	srv       *http.Server
+	ln        net.Listener
+	spansFile *os.File
+	engine    *health.Engine
+	store     *tsdb.Store
+	rules     *tsdb.Rules
+	scraper   *tsdb.Scraper
+	stop      chan struct{}
+	wg        sync.WaitGroup
+}
+
+// DefaultSummaryPath is where the JSON run summary lands when telemetry is
+// enabled without an explicit -telemetry-out.
+const DefaultSummaryPath = "mvml-telemetry.json"
+
+// MetricBuildInfo is the constant-1 gauge identifying the emitting binary:
+// go version, binary name, and whatever extra labels the binary added via
+// InfoLabel (e.g. its workers configuration).
+const MetricBuildInfo = "mv_build_info"
+
+// The time-series store's shape. No caller, test, CI step or document ever
+// ran it at another value, so these are not flags.
+const (
+	tsdbBucketSeconds = 1   // bucket width, also the rule evaluation interval (span clock)
+	tsdbBuckets       = 600 // 10 minutes of per-series retention
+	tsdbScrape        = 2 * time.Second
+)
+
+// shutdownGrace bounds how long Finish waits for in-flight scrapes before
+// forcing the metrics endpoint closed.
+const shutdownGrace = 5 * time.Second
+
+// RegisterFlags installs the telemetry flags on fs.
+func (f *Flags) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&f.MetricsAddr, "metrics-addr", "",
+		"serve Prometheus metrics on this address (e.g. :9090) and enable telemetry")
+	fs.StringVar(&f.SummaryPath, "telemetry-out", "",
+		fmt.Sprintf("write the JSON telemetry summary here and enable telemetry (default %s when another telemetry flag is set)", DefaultSummaryPath))
+	fs.StringVar(&f.SpansPath, "spans-out", "",
+		"stream the JSONL span trace here and enable telemetry (analyse with mvtrace)")
+	fs.StringVar(&f.IncidentDir, "incident-dir", "",
+		"write flight-recorder incident files into this directory and enable telemetry")
+	fs.DurationVar(&f.IncidentPost, "incident-post", obs.DefaultPostWindow,
+		"flight-recorder post-trigger capture window")
+	fs.IntVar(&f.TraceCapacity, "trace-capacity", obs.DefaultTraceCapacity,
+		"span ring buffer capacity")
+	fs.BoolVar(&f.Pprof, "pprof", false,
+		"mount net/http/pprof under /debug/pprof/ on the metrics endpoint")
+	fs.DurationVar(&f.Hold, "metrics-hold", 0,
+		"keep the metrics endpoint up this long after the run finishes")
+	fs.Float64Var(&f.SampleRate, "sample-rate", 1,
+		"tail-sampling retention rate for normal traces in [0,1); 1 records everything (error/slow/lifecycle traces are always retained)")
+	fs.Uint64Var(&f.SampleSeed, "sample-seed", 0,
+		"seed for the deterministic tail-sampling hash")
+
+	fs.BoolVar(&f.Health, "health", false,
+		"attach the streaming health engine (SLO budgets, anomaly detection, online alpha) to the span stream")
+	fs.DurationVar(&f.LatencySLO, "health-latency-slo", 250*time.Millisecond,
+		"per-request latency objective feeding the latency SLO")
+	fs.Float64Var(&f.Availability, "health-availability", 0.99,
+		"availability SLO target in (0,1)")
+	fs.DurationVar(&f.Window, "health-window", 2*time.Minute,
+		"SLO error-budget window")
+	fs.StringVar(&f.HealthReport, "health-report", "",
+		"write the end-of-run health report here as JSON (implies -health)")
+
+	fs.BoolVar(&f.Tsdb, "tsdb", false,
+		"collect windowed time-series (spans + registry scrapes) into the in-process store")
+	fs.StringVar(&f.TsdbReport, "tsdb-report", "",
+		"write the end-of-run store snapshot (series, exemplars, alerts) here as JSON (implies -tsdb)")
+}
+
+// InfoLabel adds one label pair to the mv_build_info gauge; call before
+// Start (binaries use it to expose run configuration such as worker counts).
+func (f *Flags) InfoLabel(key, value string) {
+	f.infoKV = append(f.infoKV, key, value)
+}
+
+// Enabled reports whether any flag turns collection on.
+func (f *Flags) Enabled() bool {
+	return f.MetricsAddr != "" || f.SummaryPath != "" || f.SpansPath != "" || f.IncidentDir != ""
+}
+
+// Options materialises the health engine options from the flags, or nil when
+// the engine is disabled. Serving binaries hand them to serve.Config (the
+// server owns its engine so verdicts can drive rejuvenation) and Observe the
+// result; the others call AttachEngine.
+func (f *Flags) Options() *health.Options {
+	if !f.Health && f.HealthReport == "" {
+		return nil
+	}
+	opts := health.DefaultOptions()
+	opts.LatencyObjective = f.LatencySLO.Seconds()
+	for i := range opts.Objectives {
+		opts.Objectives[i].Window = f.Window.Seconds()
+		if opts.Objectives[i].Name == "availability" {
+			opts.Objectives[i].Target = f.Availability
+		}
+	}
+	return &opts
+}
+
+// Start builds the Runtime and, when requested, brings up the metrics
+// endpoint, the span exporter, the flight recorder and the time-series
+// store. It returns (nil, nil) when telemetry is disabled.
+func (f *Flags) Start() (*obs.Runtime, error) {
+	if !f.Enabled() {
+		return nil, nil
+	}
+	if f.SummaryPath == "" {
+		f.SummaryPath = DefaultSummaryPath
+	}
+	f.rt = obs.NewRuntime(f.TraceCapacity)
+	reg := f.rt.Metrics()
+	reg.Help(MetricBuildInfo, "Constant 1; labels identify the emitting binary and its configuration.")
+	reg.Gauge(MetricBuildInfo, append([]string{
+		"binary", filepath.Base(os.Args[0]),
+		"go_version", runtime.Version(),
+	}, f.infoKV...)...).Set(1)
+	// 0 (the zero value: Flags built without RegisterFlags) and >= 1 both
+	// mean record everything; sampling engages only for an explicit fraction.
+	if f.SampleRate > 0 && f.SampleRate < 1 {
+		f.rt.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: f.SampleRate, Seed: f.SampleSeed}))
+	}
+	if f.SpansPath != "" {
+		file, err := os.Create(f.SpansPath)
+		if err != nil {
+			return nil, fmt.Errorf("obs: span export: %w", err)
+		}
+		f.spansFile = file
+		f.rt.Spans().SetWriter(file)
+	}
+	if f.IncidentDir != "" {
+		fr, err := obs.NewFlightRecorder(f.IncidentDir, f.IncidentPost, 0, f.rt.Spans())
+		if err != nil {
+			return nil, err
+		}
+		f.rt.AttachFlightRecorder(fr)
+	}
+	if f.Tsdb || f.TsdbReport != "" {
+		f.startStore()
+	}
+	if f.MetricsAddr != "" {
+		ln, err := net.Listen("tcp", f.MetricsAddr)
+		if err != nil {
+			return nil, fmt.Errorf("obs: metrics listener: %w", err)
+		}
+		f.ln = ln
+		f.srv = &http.Server{Handler: f.debugMux()}
+		srv := f.srv
+		go func() { _ = srv.Serve(ln) }()
+		fmt.Fprintf(os.Stderr, "obs: serving metrics on http://%s/metrics\n", ln.Addr())
+		if f.Pprof {
+			fmt.Fprintf(os.Stderr, "obs: serving pprof on http://%s/debug/pprof/\n", ln.Addr())
+		}
+	}
+	return f.rt, nil
+}
+
+// startStore builds the store, rule engine (alert thresholds derived from
+// the health options) and span ingester on the runtime, and starts the
+// registry scrape loop that runs on the wall clock until Finish.
+func (f *Flags) startStore() {
+	hopts := health.DefaultOptions()
+	if o := f.Options(); o != nil {
+		hopts = *o
+	}
+	reg := f.rt.Metrics()
+	f.store = tsdb.New(tsdb.Config{BucketSeconds: tsdbBucketSeconds, Buckets: tsdbBuckets})
+	f.store.Register(reg)
+	f.rules = tsdb.NewRules(f.store, tsdbBucketSeconds, tsdb.DefaultServingRules(hopts))
+	f.rules.Register(reg)
+	// Post-sampling attachment: the store aggregates exactly the spans the
+	// JSONL export retains, so an offline replay reproduces it.
+	f.rt.Spans().AttachSampled(tsdb.NewIngester(f.store, f.rules))
+	f.scraper = tsdb.NewScraper(f.store)
+	f.stop = make(chan struct{})
+	stop, scraper, sink := f.stop, f.scraper, f.rt.Spans()
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		t := time.NewTicker(tsdbScrape)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				_ = scraper.ScrapeRegistry(reg, sink.Now())
+			}
+		}
+	}()
+}
+
+// debugMux routes the metrics endpoint: /metrics for exposition, a plain
+// index at /, and (behind -pprof) the net/http/pprof handlers under /debug/.
+func (f *Flags) debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", f.rt.Metrics().Handler())
+	pprofOn := f.Pprof
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" && r.URL.Path != "/debug" && r.URL.Path != "/debug/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "mvml debug index")
+		fmt.Fprintln(w, "  /metrics       Prometheus text exposition")
+		if pprofOn {
+			fmt.Fprintln(w, "  /debug/pprof/  runtime profiles (heap, goroutine, profile, trace, ...)")
+		}
+	})
+	if f.Pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return mux
+}
+
+// AttachEngine builds the health engine and subscribes it to the runtime's
+// span sink and metric registry — the path for binaries whose span stream is
+// not the serving subsystem (drivesim, dspn, mvmlbench). A no-op when the
+// engine or telemetry is disabled.
+func (f *Flags) AttachEngine() {
+	if opts := f.Options(); opts != nil && f.rt != nil {
+		e := health.NewEngine(*opts, f.rt.Metrics())
+		f.rt.Spans().Attach(e)
+		f.Observe(e)
+	}
+}
+
+// Observe adopts an engine created elsewhere (a server owns its own): Finish
+// reports on it, and the store's alert transitions feed it — a firing alert
+// bumps the engine's matching component, a resolving one lets it recover.
+func (f *Flags) Observe(e *health.Engine) {
+	if e != nil {
+		f.engine = e
+		f.rules.AddSink(e)
+	}
+}
+
+// P99Source returns a closure reading the p99 recording rule — the gateway
+// autoscaler's latency signal. Returns nil when the store is disabled, and
+// the closure returns 0 until the rule has a value (callers fall back to
+// their own measurement).
+func (f *Flags) P99Source() func() time.Duration {
+	if f.store == nil {
+		return nil
+	}
+	store := f.store
+	return func() time.Duration {
+		v, ok := store.LastValue(tsdb.RuleP99Latency)
+		if !ok || v <= 0 {
+			return 0
+		}
+		return time.Duration(v * float64(time.Second))
+	}
+}
+
+// writeArtifact writes one JSON artifact and reports where it went.
+func writeArtifact(pkg, what, path string, v any) error {
+	if err := obs.WriteJSONFile(path, v); err != nil {
+		return fmt.Errorf("%s: %s: %w", pkg, what, err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: wrote %s to %s\n", pkg, what, path)
+	return nil
+}
+
+// Finish prints the final health verdict, stops the scrape loop (after one
+// final scrape, so short runs still land in the store), writes every
+// requested artifact, closes the span exporter and flight recorder, honours
+// -metrics-hold and shuts the endpoint down. Every step is attempted even
+// when an earlier one failed; the first error is returned. extra is embedded
+// verbatim in the summary's "extra" field. Safe to call when telemetry is
+// disabled.
+func (f *Flags) Finish(extra map[string]any) error {
+	var firstErr error
+	fail := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if f.engine != nil {
+		rep := f.engine.Report()
+		v := rep.Final
+		fmt.Fprintf(os.Stderr, "health: final verdict %s (%d components, %d incidents, alpha=%.4f over %d rounds)\n",
+			v.Overall, len(v.Components), len(rep.Incidents), rep.AlphaFinal, rep.RoundsDecided)
+		if f.HealthReport != "" {
+			fail(writeArtifact("health", "health report", f.HealthReport, rep))
+		}
+	}
+	if f.rt == nil {
+		return firstErr
+	}
+	if f.store != nil {
+		close(f.stop)
+		f.wg.Wait()
+		_ = f.scraper.ScrapeRegistry(f.rt.Metrics(), f.rt.Spans().Now())
+		if f.TsdbReport != "" {
+			fail(writeArtifact("tsdb", "store snapshot", f.TsdbReport, tsdb.BuildReport(f.store, f.rules)))
+		}
+		f.store = nil
+	}
+	if fr := f.rt.Flight(); fr != nil {
+		fail(fr.Close())
+		if n := len(fr.Incidents()); n > 0 {
+			fmt.Fprintf(os.Stderr, "obs: wrote %d incident file(s) to %s\n", n, fr.Dir())
+		}
+	}
+	if f.spansFile != nil {
+		sink := f.rt.Spans()
+		err := sink.Flush()
+		if cerr := f.spansFile.Close(); err == nil {
+			err = cerr
+		}
+		f.spansFile = nil
+		if err != nil {
+			fail(fmt.Errorf("obs: span export: %w", err))
+		} else if sm := sink.Sampler(); sm != nil {
+			kept, out := sm.Stats()
+			fmt.Fprintf(os.Stderr, "obs: wrote %d of %d spans to %s (tail sampling: %d traces kept, %d sampled out)\n",
+				sink.Retained(), sink.Published(), f.SpansPath, kept, out)
+		} else {
+			fmt.Fprintf(os.Stderr, "obs: wrote %d spans to %s\n", sink.Published(), f.SpansPath)
+		}
+	}
+	fail(writeArtifact("obs", "telemetry summary", f.SummaryPath,
+		obs.Summary{Metrics: f.rt.Metrics().Snapshot(), Extra: extra}))
+	if f.srv != nil {
+		if f.Hold > 0 {
+			fmt.Fprintf(os.Stderr, "obs: holding metrics endpoint for %s\n", f.Hold)
+			time.Sleep(f.Hold)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		if err := f.Shutdown(ctx); err != nil {
+			fail(fmt.Errorf("obs: metrics shutdown: %w", err))
+		}
+	}
+	return firstErr
+}
+
+// ListenAddr returns the metrics endpoint's bound address (useful when
+// MetricsAddr requested an ephemeral port), or "" when no endpoint is up.
+func (f *Flags) ListenAddr() string {
+	if f.ln == nil {
+		return ""
+	}
+	return f.ln.Addr().String()
+}
+
+// Shutdown gracefully stops the metrics HTTP server: the listener closes
+// immediately (so the port is released for reuse) and in-flight scrapes get
+// until ctx's deadline to complete, after which the server is forced closed.
+// Safe to call when no endpoint is running, and idempotent.
+func (f *Flags) Shutdown(ctx context.Context) error {
+	if f.srv == nil {
+		return nil
+	}
+	// Close the listener directly: Serve may not have registered it with the
+	// server yet (it runs on its own goroutine), and the port must be free
+	// the moment Shutdown returns.
+	_ = f.ln.Close()
+	err := f.srv.Shutdown(ctx)
+	if errors.Is(err, net.ErrClosed) {
+		// Serve had registered the listener, so Shutdown closed it a second
+		// time; that is the close above, not a failed shutdown.
+		err = nil
+	}
+	if err != nil {
+		// The deadline expired with responses still in flight; Close tears
+		// the connections down so the process can exit.
+		_ = f.srv.Close()
+	}
+	f.srv = nil
+	f.ln = nil
+	return err
+}

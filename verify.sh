@@ -20,7 +20,8 @@ go build ./...
 
 # Race pass: -short skips the NN-training marathons, which run 10-40x
 # slower under the race detector and hold no concurrency of their own;
-# everything concurrent (obs registry/tracer, exposition) stays covered.
+# everything concurrent (obs registry, span sink, exposition, serving)
+# stays covered.
 echo "==> go test -race -short ./..."
 go test -race -short ./...
 
@@ -61,5 +62,14 @@ go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5
 go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRoundTrip$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRun$' -fuzztime 5s
+
+# Size: non-test Go lines per package, the number every CHANGES.md entry
+# quotes (cmd/mvbench is the benchmark, counted apart from what it measures).
+echo "==> non-test Go lines per package"
+for dir in $(find . -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do
+    printf '%6d  %s\n' "$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$dir"
+done
+printf '%6d  total without ./cmd/mvbench\n' \
+    "$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/mvbench/*' | xargs cat | wc -l)"
 
 echo "OK"
