@@ -1,9 +1,13 @@
 package faultinject
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"mvml/internal/nn"
 	"mvml/internal/xrand"
 )
 
@@ -117,5 +121,78 @@ func TestKindString(t *testing.T) {
 	if KindWeightValue.String() != "weight-value" || KindBitFlip.String() != "bit-flip" ||
 		KindStuckAtZero.String() != "stuck-at-zero" {
 		t.Fatal("Kind.String broken")
+	}
+}
+
+// specCampaign is what RunCampaign must return, computed the slow way: the
+// same per-trial streams (Seed split by layer and trial), every accuracy from
+// a per-sample Predict loop instead of Network.Accuracy.
+func specCampaign(t *testing.T, net *nn.Network, eval []nn.Sample, cfg CampaignConfig) *CampaignResult {
+	t.Helper()
+	accuracy := func() float64 {
+		correct := 0
+		for _, s := range eval {
+			pred, err := net.Predict(s.X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pred == s.Label {
+				correct++
+			}
+		}
+		return float64(correct) / float64(len(eval))
+	}
+	res := &CampaignResult{Kind: cfg.Kind, Baseline: accuracy()}
+	root := xrand.New(cfg.Seed)
+	for _, pl := range net.ParamLayers() {
+		impact := LayerImpact{Layer: pl.Index, Name: pl.Name, Baseline: res.Baseline, MinAccuracy: 1}
+		var sum float64
+		critical := 0
+		for trial := 0; trial < cfg.TrialsPerLayer; trial++ {
+			r := root.Split(fmt.Sprintf("campaign/%d", pl.Index), uint64(trial))
+			inj, err := RandomWeightInj(net, pl.Index, cfg.MinVal, cfg.MaxVal, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := accuracy()
+			inj.Revert()
+			sum += acc
+			impact.MinAccuracy = math.Min(impact.MinAccuracy, acc)
+			if acc < cfg.CriticalAccuracy {
+				critical++
+			}
+			impact.Trials++
+		}
+		impact.MeanAccuracy = sum / float64(impact.Trials)
+		impact.CriticalFraction = float64(critical) / float64(impact.Trials)
+		res.Layers = append(res.Layers, impact)
+	}
+	return res
+}
+
+// Campaign trials evaluate on each replica's private arena; the result must
+// be the per-sample evaluator's at every worker count (run under -race: the
+// replicas must share nothing).
+func TestCampaignMatchesPerSampleEvaluator(t *testing.T) {
+	eval := syntheticEval(37, xrand.New(3)) // one full evaluation chunk and a ragged one
+	cfg := campaignConfig()
+	cfg.Replicate = func() (*nn.Network, error) { return testNet(t), nil }
+	want := specCampaign(t, testNet(t), eval, cfg)
+	moved := false
+	for _, l := range want.Layers {
+		moved = moved || l.MinAccuracy != want.Baseline
+	}
+	if !moved {
+		t.Fatal("no trial moved the accuracy: the comparison below would be vacuous")
+	}
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		got, err := RunCampaign(testNet(t), eval, cfg, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers %d: campaign\n%+v\nwant the per-sample evaluator's\n%+v", workers, got, want)
+		}
 	}
 }

@@ -51,6 +51,15 @@ const (
 	arenaGemm arenaPurpose = iota // raw GEMM output before bias/reorder
 	arenaOut                      // layer activation output
 	arenaView                     // zero-copy reshaped view header
+
+	// Training-step buffers (train.go).
+	arenaGrad    // gradient w.r.t. the layer input
+	arenaMask    // dropout keep mask
+	arenaCols    // one sample's im2col matrix
+	arenaDK      // one sample's kernel gradient
+	arenaDCols   // one sample's column-matrix gradient
+	arenaSampleX // view of one sample of the layer input
+	arenaSampleG // view of the output gradient as a matrix
 )
 
 type arenaKey struct {

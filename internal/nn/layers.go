@@ -113,9 +113,8 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	for o := 0; o < out; o++ {
 		g := grad.Data[o]
 		d.dB.Data[o] += g
-		if g == 0 {
-			continue
-		}
+		// No g == 0 shortcut: it would suppress IEEE 0·Inf = NaN and hide a
+		// corrupted activation or weight from the gradients.
 		wRow := d.W.Data[o*in : (o+1)*in]
 		dwRow := d.dW.Data[o*in : (o+1)*in]
 		for i := 0; i < in; i++ {
@@ -443,7 +442,10 @@ type Dropout struct {
 	mask []float32
 }
 
-// NewDropout returns a dropout layer with drop probability p.
+// NewDropout returns a dropout layer with drop probability p. Give every
+// Dropout layer its own stream (r.Split): TrainBatch draws a whole batch's
+// masks layer by layer and the per-sample spec sample by sample, which are
+// the same draws only when no two layers share a stream.
 func NewDropout(name string, p float64, r *xrand.Rand) *Dropout {
 	return &Dropout{P: p, name: name, rng: r}
 }

@@ -2,15 +2,21 @@
 // standing in for PyTorch in this reproduction. It provides the layers needed
 // by the three classifier architectures the paper trains (LeNet, AlexNet,
 // ResNet50 — reproduced here as size-reduced variants with the same
-// structural diversity), per-sample backpropagation with mini-batch gradient
+// structural diversity), backpropagation with mini-batch gradient
 // accumulation, SGD with momentum, and weight snapshots for serialisation
 // and fault injection.
+//
+// The per-sample Forward and Backward methods are the executable spec.
+// Serving (ForwardBatchArena), evaluation (Accuracy, ErrorSet) and training
+// (TrainBatch) all run batched on the packed GEMM kernels over reused arena
+// buffers, and are held to the spec bit for bit.
 package nn
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mvml/internal/tensor"
 )
@@ -20,9 +26,9 @@ import (
 // stateful and not safe for concurrent use. Inference-only callers pass
 // train=false, which skips regularisation noise such as dropout.
 //
-// Every layer has exactly two forwards: the per-sample Forward (training and
-// the executable spec) and the batched ForwardBatchArena (serving), which
-// must agree bit for bit.
+// Every layer has the per-sample Forward/Backward pair (the executable spec)
+// and the batched ForwardBatchArena/backwardBatch pair that serving,
+// evaluation and training run, which must agree with the spec bit for bit.
 type Layer interface {
 	// Name identifies the layer for diagnostics and fault targeting.
 	Name() string
@@ -43,6 +49,12 @@ type Layer interface {
 	// again for the skip path) and must return either the input itself or
 	// an arena-owned buffer.
 	ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error)
+	// backwardBatch is Backward for a whole mini-batch inside a training
+	// step (train.go): given the batch-first input x the layer saw and the
+	// gradient g w.r.t. its output, it adds the parameter gradients and
+	// returns the gradient w.r.t. x in an arena buffer (or g itself). It
+	// must not mutate g — a residual block hands the same g to both paths.
+	backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error)
 }
 
 // Network is an ordered stack of layers with a human-readable name
@@ -50,6 +62,10 @@ type Layer interface {
 type Network struct {
 	Name   string
 	Layers []Layer
+
+	// sc is the private scratch of Accuracy, ErrorSet and TrainBatch,
+	// created on first use — a serving replica never allocates it.
+	sc *scratch
 }
 
 // Forward runs a single sample through every layer.
@@ -243,26 +259,38 @@ func (n *Network) TrainBatch(batch []Sample, opt *SGD) (float64, error) {
 	if len(batch) == 0 {
 		return 0, errors.New("nn: empty batch")
 	}
-	n.ZeroGrads()
-	var totalLoss float64
-	for _, s := range batch {
-		out, err := n.Forward(s.X, true)
+	return n.trainStep(len(batch), func(i int) *tensor.Tensor { return batch[i].X },
+		func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error) {
+			return SoftmaxCrossEntropy(out, batch[i].Label)
+		}, opt)
+}
+
+// evalChunk is how many samples Accuracy and ErrorSet push through the arena
+// at once: the serving batch ceiling, past which the packed GEMM gains nothing.
+const evalChunk = 32
+
+// predictAll returns the argmax class of every sample, in a buffer valid
+// until the next call. Training, fault injection and RestoreWeights all
+// mutate weights in place without telling the network, so the packed weight
+// panels are invalidated on entry and repacked once per call: a prediction
+// can never come from stale panels.
+func (n *Network) predictAll(samples []Sample) ([]int, error) {
+	sc := n.scratch()
+	sc.ar.InvalidateWeights()
+	sc.preds = slices.Grow(sc.preds[:0], len(samples))[:len(samples)]
+	for lo := 0; lo < len(samples); lo += evalChunk {
+		chunk := samples[lo:min(lo+evalChunk, len(samples))]
+		x, err := sc.stack(len(chunk), func(i int) *tensor.Tensor { return chunk[i].X })
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		loss, grad, err := SoftmaxCrossEntropy(out, s.Label)
-		if err != nil {
-			return 0, err
-		}
-		totalLoss += loss
-		if err := n.Backward(grad); err != nil {
-			return 0, err
+		// An empty slice with the capacity for the chunk makes
+		// PredictBatchArena write in place, at sc.preds[lo:].
+		if _, err := n.PredictBatchArena(x, sc.ar, sc.preds[lo:lo]); err != nil {
+			return nil, err
 		}
 	}
-	if err := opt.Step(n.Params(), n.Grads(), len(batch)); err != nil {
-		return 0, err
-	}
-	return totalLoss / float64(len(batch)), nil
+	return sc.preds, nil
 }
 
 // Accuracy evaluates top-1 accuracy over a sample set.
@@ -270,13 +298,13 @@ func (n *Network) Accuracy(samples []Sample) (float64, error) {
 	if len(samples) == 0 {
 		return 0, errors.New("nn: empty evaluation set")
 	}
+	preds, err := n.predictAll(samples)
+	if err != nil {
+		return 0, err
+	}
 	correct := 0
-	for _, s := range samples {
-		pred, err := n.Predict(s.X)
-		if err != nil {
-			return 0, err
-		}
-		if pred == s.Label {
+	for i, s := range samples {
+		if preds[i] == s.Label {
 			correct++
 		}
 	}
@@ -287,13 +315,13 @@ func (n *Network) Accuracy(samples []Sample) (float64, error) {
 // reliability package intersects these sets to estimate the error-dependency
 // factor α (Eq. 8 of the paper).
 func (n *Network) ErrorSet(samples []Sample) (map[int]bool, error) {
+	preds, err := n.predictAll(samples)
+	if err != nil {
+		return nil, err
+	}
 	errs := make(map[int]bool)
 	for i, s := range samples {
-		pred, err := n.Predict(s.X)
-		if err != nil {
-			return nil, err
-		}
-		if pred != s.Label {
+		if preds[i] != s.Label {
 			errs[i] = true
 		}
 	}

@@ -129,6 +129,14 @@ type packedLayer struct {
 	qactA   tensor.PackedAInt8 // dense input panels (per call)
 	qactB   tensor.PackedBInt8 // conv column panels (per call)
 	acc     []int32            // int32 GEMM output (per call)
+
+	// Training step: the weight operand of the input-gradient GEMM, packed
+	// once per step (conv Kᵀ on the left, dense W on the right), and the
+	// gradient-side operand panels.
+	kT tensor.PackedA
+	wT tensor.PackedB
+	gA tensor.PackedA
+	gB tensor.PackedB
 }
 
 // packedFor returns l's packed-operand cache, creating it on first use.

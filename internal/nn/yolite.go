@@ -141,30 +141,14 @@ type YOLiteSample struct {
 	Target *tensor.Tensor
 }
 
-// TrainYOLiteBatch accumulates detection-loss gradients over a batch and
-// applies one optimiser step, returning the mean loss.
+// TrainYOLiteBatch is TrainBatch with the detection loss: one optimiser step
+// over the batch, returning the mean loss.
 func TrainYOLiteBatch(net *Network, batch []YOLiteSample, opt *SGD) (float64, error) {
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("nn: empty YOLite batch")
 	}
-	net.ZeroGrads()
-	var total float64
-	for _, s := range batch {
-		out, err := net.Forward(s.Raster, true)
-		if err != nil {
-			return 0, err
-		}
-		loss, grad, err := YOLiteLoss(out, s.Target)
-		if err != nil {
-			return 0, err
-		}
-		total += loss
-		if err := net.Backward(grad); err != nil {
-			return 0, err
-		}
-	}
-	if err := opt.Step(net.Params(), net.Grads(), len(batch)); err != nil {
-		return 0, err
-	}
-	return total / float64(len(batch)), nil
+	return net.trainStep(len(batch), func(i int) *tensor.Tensor { return batch[i].Raster },
+		func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error) {
+			return YOLiteLoss(out, batch[i].Target)
+		}, opt)
 }

@@ -98,6 +98,31 @@ func (p *PackedA) Pack(a *Tensor) error {
 	return nil
 }
 
+// PackTransposed packs aᵀ for a (K×M) — the backward-pass case where the left
+// operand is the transpose of a stored matrix (Kᵀ for a convolution's input
+// gradient, Gᵀ for a dense layer's weight gradient). Equivalent to Pack on a
+// materialised transpose; the k-major panel layout makes every panel row a
+// contiguous run of a source row.
+func (p *PackedA) PackTransposed(a *Tensor) error {
+	if len(a.Shape) != 2 {
+		return fmt.Errorf("tensor: PackedA.PackTransposed requires a 2-D operand, got %v", a.Shape)
+	}
+	k, m := a.Shape[0], a.Shape[1]
+	panels := (m + gemmMR - 1) / gemmMR
+	p.data = grow(p.data, panels*k*gemmMR)
+	p.M, p.K = m, k
+	for ip := 0; ip < panels; ip++ {
+		i0 := ip * gemmMR
+		live := min(gemmMR, m-i0)
+		dst := p.data[ip*k*gemmMR : (ip+1)*k*gemmMR]
+		for kk := 0; kk < k; kk++ {
+			d := dst[kk*gemmMR : (kk+1)*gemmMR]
+			clear(d[copy(d, a.Data[kk*m+i0:kk*m+i0+live]):])
+		}
+	}
+	return nil
+}
+
 // Pack packs b (K×N) into NR-column panels, reusing the buffer. The source is
 // read row-by-row (sequentially) and scattered into the panel slots.
 func (p *PackedB) Pack(b *Tensor) error {
@@ -123,6 +148,29 @@ func (p *PackedB) PackTransposed(w *Tensor) error {
 	for jp := 0; jp < panels; jp++ {
 		j0 := jp * gemmNR
 		dst := p.data[jp*k*gemmNR : (jp+1)*k*gemmNR]
+		if j0+gemmNR <= n {
+			// Full panel: interleave NR source rows.
+			r0 := w.Data[(j0+0)*k : (j0+1)*k]
+			r1 := w.Data[(j0+1)*k : (j0+2)*k]
+			r2 := w.Data[(j0+2)*k : (j0+3)*k]
+			r3 := w.Data[(j0+3)*k : (j0+4)*k]
+			r4 := w.Data[(j0+4)*k : (j0+5)*k]
+			r5 := w.Data[(j0+5)*k : (j0+6)*k]
+			r6 := w.Data[(j0+6)*k : (j0+7)*k]
+			r7 := w.Data[(j0+7)*k : (j0+8)*k]
+			for kk := 0; kk < k; kk++ {
+				d := dst[kk*gemmNR : kk*gemmNR+gemmNR : kk*gemmNR+gemmNR]
+				d[0] = r0[kk]
+				d[1] = r1[kk]
+				d[2] = r2[kk]
+				d[3] = r3[kk]
+				d[4] = r4[kk]
+				d[5] = r5[kk]
+				d[6] = r6[kk]
+				d[7] = r7[kk]
+			}
+			continue
+		}
 		for kk := 0; kk < k; kk++ {
 			for c := 0; c < gemmNR; c++ {
 				if j := j0 + c; j < n {

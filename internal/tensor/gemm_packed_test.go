@@ -279,3 +279,38 @@ func BenchmarkGemmPackedAlexConv3(b *testing.B) {
 		}
 	}
 }
+
+// TestGemmPackedTransposedAMatchesMatMulTransA: PackedA.PackTransposed packs
+// aᵀ from a stored (K×M) matrix — the backward pass's Kᵀ·G and Gᵀ·X — so the
+// product must match MatMulTransA(a, b) bit for bit, ragged row panels and a
+// reused (previously larger) buffer included.
+func TestGemmPackedTransposedAMatchesMatMulTransA(t *testing.T) {
+	r := xrand.New(15)
+	var pa PackedA
+	var pb PackedB
+	for _, dims := range [][3]int{
+		{33, 80, 50}, {1, 1, 1}, {3, 5, 4}, {27, 16, 576}, {6, 9, 14}, {288, 32, 36},
+	} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a, b := randomMat(r, k, m), randomMat(r, k, n)
+		want, err := MatMulTransA(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pa.PackTransposed(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := pb.Pack(b); err != nil {
+			t.Fatal(err)
+		}
+		c := New(m, n)
+		c.Fill(42)
+		if err := GemmPacked(c, &pa, &pb); err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, "GemmPacked/PackedA.PackTransposed", c.Data, want.Data)
+	}
+	if err := pa.PackTransposed(New(2, 3, 4)); err == nil {
+		t.Fatal("PackedA.PackTransposed accepted a 3-D tensor")
+	}
+}

@@ -289,37 +289,42 @@ func Im2Col(in *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
 // tensor, accumulating overlapping contributions — the adjoint of Im2Col,
 // used for convolution input gradients.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
+	out := New(c, h, w)
+	if err := Col2ImAdd(out.Data, cols, c, h, w, kh, kw, stride, pad); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Col2ImAdd is Col2Im accumulating into the caller's (c·h·w) plane instead of
+// a fresh tensor: onto zeros it is Col2Im bit for bit, and a reused buffer
+// makes it allocation-free.
+func Col2ImAdd(dst []float32, cols *Tensor, c, h, w, kh, kw, stride, pad int) error {
 	oh, ow := Conv2DShape(h, w, kh, kw, stride, pad)
 	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow {
-		return nil, fmt.Errorf("tensor: Col2Im got shape %v, want (%d, %d)", cols.Shape, c*kh*kw, oh*ow)
+		return fmt.Errorf("tensor: Col2Im got shape %v, want (%d, %d)", cols.Shape, c*kh*kw, oh*ow)
 	}
-	out := New(c, h, w)
+	if len(dst) != c*h*w {
+		return fmt.Errorf("tensor: Col2Im output has %d elements, want %d", len(dst), c*h*w)
+	}
 	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
 		for ky := 0; ky < kh; ky++ {
+			oy0, oy1 := inBounds(oh, h, stride, ky-pad)
 			for kx := 0; kx < kw; kx++ {
-				row := (ch*kh+ky)*kw + kx
-				src := cols.Data[row*oh*ow : (row+1)*oh*ow]
-				si := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						si += ow
-						continue
-					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride + kx - pad
-						if ix >= 0 && ix < w {
-							out.Data[rowBase+ix] += src[si]
-						}
-						si++
+				// Only the in-bounds span of each output row lands on a pixel
+				// (see im2colRow), so the scatter needs no per-element test.
+				ox0, ox1 := inBounds(ow, w, stride, kx-pad)
+				src := cols.Data[((ch*kh+ky)*kw+kx)*oh*ow:]
+				for oy := oy0; oy < oy1; oy++ {
+					base := (ch*h+oy*stride+ky-pad)*w + ox0*stride + kx - pad
+					for i, v := range src[oy*ow+ox0 : oy*ow+ox1] {
+						dst[base+i*stride] += v
 					}
 				}
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ArgMax returns the index of the largest element (first occurrence).

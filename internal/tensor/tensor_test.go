@@ -388,3 +388,47 @@ func BenchmarkIm2Col32(b *testing.B) {
 		}
 	}
 }
+
+// TestCol2ImAddMatchesElementwiseScatter: Col2ImAdd walks only the in-bounds
+// span of each output row; it must add exactly what a per-element bounds test
+// adds, in the same order (so bit for bit), onto whatever dst already holds.
+func TestCol2ImAddMatchesElementwiseScatter(t *testing.T) {
+	r := xrand.New(5)
+	for _, g := range []struct{ c, h, w, kh, kw, stride, pad int }{
+		{2, 6, 6, 3, 3, 1, 1}, {3, 7, 5, 3, 3, 2, 1}, {1, 8, 8, 5, 5, 1, 0},
+		{2, 5, 5, 1, 1, 1, 0}, {1, 4, 4, 3, 3, 1, 2}, {2, 9, 6, 3, 2, 3, 1}, {1, 2, 2, 3, 3, 1, 2},
+	} {
+		oh, ow := Conv2DShape(g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+		cols := New(g.c*g.kh*g.kw, oh*ow)
+		cols.RandomizeUniform(r, -1, 1)
+		got := New(g.c, g.h, g.w)
+		got.RandomizeUniform(r, -1, 1)
+		want := got.Clone()
+		for ch := 0; ch < g.c; ch++ {
+			for ky := 0; ky < g.kh; ky++ {
+				for kx := 0; kx < g.kw; kx++ {
+					row := (ch*g.kh+ky)*g.kw + kx
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							iy, ix := oy*g.stride+ky-g.pad, ox*g.stride+kx-g.pad
+							if iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
+								want.Data[(ch*g.h+iy)*g.w+ix] += cols.Data[row*oh*ow+oy*ow+ox]
+							}
+						}
+					}
+				}
+			}
+		}
+		if err := Col2ImAdd(got.Data, cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%+v: element %d = %v, elementwise scatter %v", g, i, got.Data[i], want.Data[i])
+			}
+		}
+		if err := Col2ImAdd(got.Data[1:], cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err == nil {
+			t.Fatalf("%+v: Col2ImAdd accepted a short destination", g)
+		}
+	}
+}

@@ -15,6 +15,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# The non-amd64 stubs (gemm_micro_other.go, pool_other.go, peak_other.go) are
+# never compiled on this host; vetting for arm64 at least type-checks them.
+echo "==> GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
+
 echo "==> go build ./..."
 go build ./...
 
@@ -32,9 +37,12 @@ go test ./...
 # Portable-kernel pass: the noasm tag forces the Go fallbacks of the GEMM
 # micro-kernels, the int8 packer and the 2x2 max-pool on an amd64 host, so
 # the bitwise, differential and int8-golden suites run against the code every
-# other architecture executes.
-echo "==> go test -tags noasm ./internal/tensor ./internal/nn"
-go test -tags noasm ./internal/tensor ./internal/nn
+# other architecture executes — and, since training, evaluation and fault
+# campaigns run on those kernels too, so do the trained-weight hashes, the
+# campaigns and the short paper-table goldens.
+echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject, -short ./internal/experiments"
+go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject
+go test -tags noasm -short ./internal/experiments
 
 # Shuffle pass: test order must not matter. -short keeps the pass cheap;
 # any inter-test state dependence fails here with the seed printed for
