@@ -92,7 +92,7 @@ func registerGwFlags(fs *flag.FlagSet) *gwFlags {
 	return &gwFlags{
 		shards:      fs.Int("shards", 4, "number of serving shards"),
 		versions:    fs.Int("versions", def.Versions, "ensemble size per shard"),
-		workers:     fs.Int("workers", def.WorkersPerVersion, "initial worker replicas per version per shard"),
+		workers:     fs.Int("workers", def.WorkersPerVersion, "initial workers per version per shard"),
 		queue:       fs.Int("queue", def.QueueDepth, "per-shard admission queue depth"),
 		batch:       fs.Int("batch", def.MaxBatch, "per-shard micro-batch flush size"),
 		timeout:     fs.Duration("timeout", def.RequestTimeout, "per-request deadline"),

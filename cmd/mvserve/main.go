@@ -69,7 +69,7 @@ run "mvserve <subcommand> -h" for flags`)
 func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	def := serve.DefaultConfig()
 	versions := fs.Int("versions", def.Versions, "ensemble size")
-	workers := fs.Int("workers", def.WorkersPerVersion, "worker replicas per version")
+	workers := fs.Int("workers", def.WorkersPerVersion, "workers per version (each an arena on the version's one network)")
 	queue := fs.Int("queue", def.QueueDepth, "admission queue depth")
 	batch := fs.Int("batch", def.MaxBatch, "micro-batch flush size")
 	batchWait := fs.Duration("batch-wait", def.MaxBatchWait, "micro-batch flush deadline")

@@ -13,10 +13,11 @@ import (
 // buffer across requests. After the first request at a given batch size the
 // steady-state serving hot path performs zero heap allocations.
 //
-// An arena is NOT safe for concurrent use — give every serving worker its
-// own arena, exactly as every worker owns its own network replica. Tensors
-// returned by arena-backed calls are owned by the arena and remain valid
-// only until the next call that uses the same arena.
+// An arena is NOT safe for concurrent use; a network on the arena path is —
+// the forward pass writes the arena and nothing else — so serving workers
+// share one network and own one arena each. Tensors returned by arena-backed
+// calls are owned by the arena and remain valid only until the next call that
+// uses the same arena.
 type InferenceArena struct {
 	// Profiler, when non-nil, receives per-layer timings and GEMM shapes
 	// from every dispatch through this arena (see ForwardProfiler). The

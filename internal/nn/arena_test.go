@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"mvml/internal/tensor"
@@ -50,6 +51,84 @@ func TestForwardBatchArenaMatchesPerSample(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedNetworkConcurrentArenas is the contract a serving pool rests on:
+// one network (and, on the int8 path, one QuantParams) is read-only on the
+// arena path, so any number of goroutines may run it at once, each through
+// its own arena. Four goroutines hit a freshly constructed network — the very
+// first use, where any lazily built layer state would be written — and every
+// output must be bitwise what a single goroutine gets. The race detector is
+// the other half of the assertion.
+func TestSharedNetworkConcurrentArenas(t *testing.T) {
+	var batches []*tensor.Tensor
+	for _, b := range []int{1, 8} {
+		batch, err := Stack(randomBatch(b, xrand.New(uint64(b))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, batch)
+	}
+	var calib []Sample
+	for _, x := range randomBatch(8, xrand.New(99)) {
+		calib = append(calib, Sample{X: x})
+	}
+	// run returns the logits of both batches through a fresh arena.
+	run := func(net *Network, quant *QuantParams) ([]float32, error) {
+		ar := NewInferenceArena()
+		ar.Quant = quant
+		var logits []float32
+		for _, batch := range batches {
+			out, err := net.ForwardBatchArena(batch, ar)
+			if err != nil {
+				return nil, err
+			}
+			logits = append(logits, out.Data...)
+		}
+		return logits, nil
+	}
+	for _, name := range AllModels() {
+		for _, int8Path := range []bool{false, true} {
+			t.Run(name.String()+map[bool]string{false: "/float", true: "/int8"}[int8Path], func(t *testing.T) {
+				net, err := NewModel(name, 7, xrand.New(uint64(name)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var quant *QuantParams
+				if int8Path {
+					if quant, err = CalibrateInt8(net, calib, 8); err != nil {
+						t.Fatal(err)
+					}
+				}
+				const goroutines = 4
+				got := make([][]float32, goroutines)
+				errs := make([]error, goroutines)
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						got[g], errs[g] = run(net, quant)
+					}(g)
+				}
+				wg.Wait()
+				want, err := run(net, quant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g := range got {
+					if errs[g] != nil {
+						t.Fatalf("goroutine %d: %v", g, errs[g])
+					}
+					for i, v := range want {
+						if math.Float32bits(got[g][i]) != math.Float32bits(v) {
+							t.Fatalf("goroutine %d logit %d: %v, single-goroutine %v", g, i, got[g][i], v)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -154,24 +154,18 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, r *xrand.Rand) *Conv2
 	}
 	fanIn := inC * k * k
 	c.Kernel.RandomizeNormal(r, 0, math.Sqrt(2/float64(fanIn)))
+	c.kmat = &tensor.Tensor{Shape: []int{outC, fanIn}, Data: c.Kernel.Data}
 	return c
 }
 
 func (c *Conv2D) Name() string { return c.name }
 
-// kernelMatrix returns the (outC, inC·KH·KW) matrix view of the kernel,
-// cached so the hot paths never allocate a header. The view aliases
-// Kernel.Data, which every mutation path (training, fault injection,
-// RestoreWeights) updates in place rather than replacing — so the cache can
-// never go stale.
-func (c *Conv2D) kernelMatrix() *tensor.Tensor {
-	if c.kmat == nil {
-		outC, inC := c.Kernel.Shape[0], c.Kernel.Shape[1]
-		kh, kw := c.Kernel.Shape[2], c.Kernel.Shape[3]
-		c.kmat = &tensor.Tensor{Shape: []int{outC, inC * kh * kw}, Data: c.Kernel.Data}
-	}
-	return c.kmat
-}
+// kernelMatrix returns the (outC, inC·KH·KW) matrix view of the kernel, built
+// once by NewConv2D so no forward pass writes layer state (arenas on several
+// goroutines share one network). The view aliases Kernel.Data, which every
+// mutation path (training, fault injection, RestoreWeights) updates in place
+// rather than replacing — so it can never go stale.
+func (c *Conv2D) kernelMatrix() *tensor.Tensor { return c.kmat }
 
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	if len(x.Shape) != 3 {

@@ -64,7 +64,7 @@ type Network struct {
 	Layers []Layer
 
 	// sc is the private scratch of Accuracy, ErrorSet and TrainBatch,
-	// created on first use — a serving replica never allocates it.
+	// created on first use — the serving path never allocates it.
 	sc *scratch
 }
 

@@ -8,11 +8,10 @@ import (
 )
 
 // QuantParams holds the per-layer activation scales of a calibrated int8
-// inference configuration. Scales are keyed by layer identity, so params
-// calibrated on one network replica must not be shared with another — each
-// serving replica calibrates its own (the scales come out identical because
-// replicas share weights and the calibration set is fixed, but the keys do
-// not transfer).
+// inference configuration. Scales are keyed by layer identity, so they belong
+// to the one network they were calibrated on; they are immutable after
+// CalibrateInt8, so every arena that runs that network — a version's serving
+// workers — shares them read-only.
 //
 // Weight scales are NOT stored here: they derive from the weights themselves
 // and are recomputed whenever the arena repacks after a weight swap, so a
@@ -149,9 +148,9 @@ func (a *InferenceArena) packedFor(l Layer) *packedLayer {
 	return p
 }
 
-// InvalidateWeights marks every cached packed weight panel stale. Serving
-// workers call this after any weight swap on their replica — fault injection,
-// rejuvenation restore, weight adoption on resize — so the next forward pass
+// InvalidateWeights marks every cached packed weight panel stale. Whoever
+// writes a network's weights — fault injection, rejuvenation restore,
+// training — calls this on each arena that runs it, so the next forward pass
 // repacks (and, on the int8 path, re-quantizes) from the current weights.
 // The float activations buffers need no invalidation: they are fully
 // overwritten on every call.

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mvml/internal/health"
 	"mvml/internal/obs"
@@ -44,11 +45,18 @@ func TestResponsesUnchangedByHealthEngine(t *testing.T) {
 		}
 	}
 
+	// finish replies before it ends the request span (telemetry stays off
+	// the latency path), so the last round may be published a moment after
+	// its answer arrived: wait for it, bounded.
+	v := withHealth.Health().Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); v.Rounds < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		v = withHealth.Health().Snapshot()
+	}
 	// The engine observed the traffic and judged the ensemble clean. (Not
 	// asserted: the overall rollup — stage-latency EWMAs see real wall-clock
 	// durations, and on a noisy machine a jitter anomaly may legitimately
 	// mark a stage degraded without saying anything about the ensemble.)
-	v := withHealth.Health().Snapshot()
 	if v.Spans == 0 || v.Rounds != n {
 		t.Fatalf("engine saw %d spans / %d rounds, want >0 / %d", v.Spans, v.Rounds, n)
 	}

@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"mvml/internal/nn"
 	"mvml/internal/obs"
+	"mvml/internal/tensor"
+	"mvml/internal/xrand"
 )
 
 func TestResizeWorkers(t *testing.T) {
@@ -46,10 +51,10 @@ func TestResizeWorkers(t *testing.T) {
 	}
 }
 
-// TestResizeKeepsCompromisedVersionUniform pins the replica-uniformity rule:
-// a worker added while its version is compromised must clone the CURRENT
-// (faulted) weights, not the pristine safe store — replicas of one version
-// must answer identically, and rejuvenation must still heal them all.
+// TestResizeKeepsCompromisedVersionUniform: a worker added while its version
+// is compromised serves the version's one (faulted) weight set, not the
+// pristine safe store — a version answers the same whichever worker serves
+// the batch — and rejuvenation still heals it.
 func TestResizeKeepsCompromisedVersionUniform(t *testing.T) {
 	s := newTestServer(t, testConfig(), nil)
 	if err := s.Compromise(0); err != nil {
@@ -58,25 +63,104 @@ func TestResizeKeepsCompromisedVersionUniform(t *testing.T) {
 	if err := s.ResizeWorkers(4); err != nil {
 		t.Fatal(err)
 	}
-	// With version 0 compromised (all four replicas identically), every
-	// decided request is a clean 2-of-3: the healthy pair always agrees and
-	// the voter never sees intra-version disagreement.
+	// With version 0 compromised (on all four workers), every decided
+	// request is a clean 2-of-3: the healthy pair always agrees and the voter
+	// never sees intra-version disagreement.
 	for i := 0; i < 16; i++ {
 		res, err := s.Classify(testImage(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Proposals == 3 && res.Agreeing != 2 && res.Agreeing != 3 {
-			t.Fatalf("request %d: mixed replica weights? %+v", i, res)
+			t.Fatalf("request %d: workers disagree within a version? %+v", i, res)
 		}
 	}
-	// Rejuvenation restores the pristine weights on every replica, grown
+	// Rejuvenation restores the pristine weights for every worker, grown
 	// ones included.
 	if err := s.Rejuvenate(0, RejuvManual); err != nil {
 		t.Fatal(err)
 	}
 	if !classifyUntil(t, s, 32, func(r Result) bool { return r.Agreeing == 3 }) {
 		t.Fatal("full agreement not restored after rejuvenating the resized pool")
+	}
+}
+
+// TestOneNetworkPerVersion counts network constructions: serve.New builds
+// exactly one per version however many workers serve it, and growing the
+// pools builds none — a worker is an arena, not a copy of the model.
+func TestOneNetworkPerVersion(t *testing.T) {
+	var built atomic.Int64
+	cfg := testConfig()
+	cfg.WorkersPerVersion = 1
+	cfg.NewNetwork = func(v int, r *xrand.Rand) (*nn.Network, error) {
+		built.Add(1)
+		return tinyNet(v, r)
+	}
+	s := newTestServer(t, cfg, nil)
+	if got := built.Load(); got != int64(cfg.Versions) {
+		t.Fatalf("serve.New built %d networks for %d versions", got, cfg.Versions)
+	}
+	if err := s.ResizeWorkers(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := built.Load(); got != int64(cfg.Versions) {
+		t.Fatalf("growing 1 → 3 workers built %d more networks", got-int64(cfg.Versions))
+	}
+	if res, err := s.Classify(testImage(0)); err != nil || res.Agreeing != 3 {
+		t.Fatalf("grown pools: %+v, %v", res, err)
+	}
+}
+
+// TestTwoWorkersShareOneNetwork runs both workers of a pool at the same
+// time on the real convolutional ensemble: two batches are submitted before
+// either answer is gathered, the first time on cold arenas. Both workers
+// must answer alike; a compromise must change both answers the same way and
+// rejuvenation must bring both back to the baseline — one weight set, two
+// arenas, no stale panels in either.
+func TestTwoWorkersShareOneNetwork(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InjectCount = 64
+	s := newTestServer(t, cfg, nil)
+	images := make([]*tensor.Tensor, 8)
+	for i := range images {
+		images[i] = testImage(i)
+	}
+	batch, err := nn.Stack(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// both returns the answer the two workers of p agree on.
+	both := func(p *pool) []int {
+		t.Helper()
+		out := make(chan versionAnswer, 2)
+		for w := 0; w < 2; w++ {
+			if !p.trySubmit(batchJob{batch: batch, out: out}) {
+				t.Fatalf("%s declined job %d with two idle workers", p.name, w)
+			}
+		}
+		a, b := <-out, <-out
+		if a.err != nil || b.err != nil {
+			t.Fatalf("%s: %v, %v", p.name, a.err, b.err)
+		}
+		if !slices.Equal(a.preds, b.preds) {
+			t.Fatalf("%s: two workers of one version disagree: %v vs %v", p.name, a.preds, b.preds)
+		}
+		return a.preds
+	}
+	for v, p := range s.pools {
+		baseline := both(p)
+		if err := s.Compromise(v); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(both(p), baseline) {
+			t.Fatalf("%s: compromise changed no answer — stale packed weights, or the fault is too weak for this test", p.name)
+		}
+		if err := s.Rejuvenate(v, RejuvManual); err != nil {
+			t.Fatal(err)
+		}
+		if got := both(p); !slices.Equal(got, baseline) {
+			t.Fatalf("%s: after rejuvenation %v, baseline %v", p.name, got, baseline)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"mvml/internal/core"
 	"mvml/internal/health"
@@ -55,47 +54,31 @@ type versionAnswer struct {
 	start, end float64
 }
 
-// worker is one replica plus its private stop signal, so the pool can be
-// shrunk one worker at a time (autoscaling) without closing the shared jobs
-// channel. quant carries the replica's calibrated int8 activation scales
-// (nil on float pools); scales are keyed by layer identity, so they belong
-// to exactly this replica's network.
+// worker is one serving goroutine's private state: the arena it runs the
+// pool's network through, and a stop signal so the pool can shrink one worker
+// at a time without closing the shared jobs channel. done closes on exit.
 type worker struct {
-	nv    *core.NNVersion
-	quant *nn.QuantParams
-	stop  chan struct{}
+	arena      *nn.InferenceArena
+	stop, done chan struct{}
 }
 
-// pool runs one version: a set of workers, each owning a private replica
-// network with the version's shared weights. Replicas exist because layer
-// forward passes record state — two batches must never share a network.
+// pool runs one version: one network, one weight set, and a set of workers
+// that share both read-only. The arena forward pass writes nothing to the
+// network, so a worker owns only its arena; the weights are written (fault
+// injection, rejuvenation) only while the pool is quiesced.
 type pool struct {
 	index int
 	name  string
 	m     *metrics
 
+	// nv is the version's network: live weights plus the pristine snapshot
+	// rejuvenation reloads. quant is its int8 calibration (nil: float pool).
+	nv    *core.NNVersion
+	quant *nn.QuantParams
+
 	jobs    chan batchJob
 	workers []*worker
 	wg      sync.WaitGroup
-
-	// factory builds one more replica (used by resize) together with its
-	// int8 calibration (nil for float pools); nextReplica numbers replicas so
-	// each gets its own deterministic fault stream. Both are only touched
-	// while the pool is quiesced under the server's rejuvMu.
-	factory     func(replica int) (*core.NNVersion, *nn.QuantParams, error)
-	nextReplica int
-
-	// weightEpoch counts weight swaps on this pool's replicas (compromise,
-	// rejuvenation restore). Workers compare it per job and invalidate their
-	// arena's packed weight panels when it moved — without this a
-	// rejuvenated replica would keep serving its compromised weights out of
-	// the packed-GEMM cache. Bumped only while the pool is quiesced; atomic
-	// because workers read it outside the lock.
-	weightEpoch atomic.Uint64
-
-	// quantized marks an int8 pool (status/reporting only; the workers'
-	// QuantParams do the actual switching).
-	quantized bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -110,46 +93,48 @@ type pool struct {
 	divergedTotal *obs.Counter
 }
 
-func newPool(index int, name string, cfg Config, m *metrics) *pool {
+// newPool starts cfg.WorkersPerVersion workers on nv.
+func newPool(index int, nv *core.NNVersion, quant *nn.QuantParams, cfg Config, m *metrics) *pool {
 	p := &pool{
 		index:         index,
-		name:          name,
+		name:          nv.Name(),
 		m:             m,
+		nv:            nv,
+		quant:         quant,
 		jobs:          make(chan batchJob, cfg.WorkersPerVersion),
 		ring:          health.NewDivergenceRing(cfg.DivergenceWindow),
 		threshold:     cfg.DivergenceThreshold,
-		divergedTotal: m.divergence(name),
+		divergedTotal: m.divergence(nv.Name()),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	for w := 0; w < cfg.WorkersPerVersion; w++ {
+		p.addWorker()
+	}
 	return p
 }
 
-// addWorker registers one replica; call before start.
-func (p *pool) addWorker(v *core.NNVersion, quant *nn.QuantParams) {
-	p.workers = append(p.workers, &worker{nv: v, quant: quant, stop: make(chan struct{})})
-	p.nextReplica++
+// addWorker starts one more worker on the shared network, with a cold arena
+// that packs whatever weights are live at its first job. Only called while
+// no job can arrive: from newPool, or with the pool quiesced.
+func (p *pool) addWorker() {
+	w := &worker{arena: nn.NewInferenceArena(), stop: make(chan struct{}), done: make(chan struct{})}
+	w.arena.Profiler = p.m.layerProfiler(p.name)
+	w.arena.Quant = p.quant
+	p.mu.Lock()
+	p.workers = append(p.workers, w)
+	p.mu.Unlock()
+	p.wg.Add(1)
+	go p.run(w)
 }
 
-// start launches one goroutine per replica.
-func (p *pool) start() {
-	for _, w := range p.workers {
-		p.wg.Add(1)
-		go p.run(w)
-	}
-}
-
-// run is a worker loop: each job is a full-batch inference on this worker's
-// private replica, through the fused-GEMM arena path. The arena is owned by
-// this goroutine (like the replica itself), so buffers are reused across
-// jobs without synchronisation; the prediction slice crosses the channel to
-// the voter and therefore must be freshly allocated per job (preds = nil).
+// run is a worker loop: each job is a full-batch inference on the pool's
+// network through this goroutine's arena, so buffers are reused across jobs
+// without synchronisation; the prediction slice crosses the channel to the
+// voter and therefore must be freshly allocated per job (preds = nil).
 func (p *pool) run(w *worker) {
 	defer p.wg.Done()
-	ar := nn.NewInferenceArena()
-	ar.Profiler = p.m.layerProfiler(p.name)
-	ar.Quant = w.quant
+	defer close(w.done)
 	sink := p.m.spans
-	seenEpoch := p.weightEpoch.Load()
 	for {
 		select {
 		case <-w.stop:
@@ -158,18 +143,11 @@ func (p *pool) run(w *worker) {
 			if !ok {
 				return
 			}
-			// A weight swap while this worker was idle (compromise or
-			// rejuvenation ran under quiescence) invalidates the packed
-			// weight panels cached in the arena.
-			if ep := p.weightEpoch.Load(); ep != seenEpoch {
-				ar.InvalidateWeights()
-				seenEpoch = ep
-			}
 			ans := versionAnswer{version: p.index}
 			if sink != nil {
 				ans.start = sink.Now()
 			}
-			ans.preds, ans.err = w.nv.Network().PredictBatchArena(job.batch, ar, nil)
+			ans.preds, ans.err = p.nv.Network().PredictBatchArena(job.batch, w.arena, nil)
 			if sink != nil {
 				ans.end = sink.Now()
 			}
@@ -208,103 +186,77 @@ func (p *pool) finishJob() {
 	p.mu.Unlock()
 }
 
-// withQuiesced drains the pool (no new batches; in-flight ones finish), runs
-// fn on every replica while nothing touches the weights, and reinstates the
-// pool. The first error is returned but every replica is still visited, so
-// the replicas never diverge from each other.
-func (p *pool) withQuiesced(fn func(*core.NNVersion) error) error {
+// quiesce moves the pool to state to (draining or halted: no new batches)
+// and waits for the in-flight ones, so that on return every worker is idle
+// and stays idle until reopen. It reports false on a pool already halted.
+func (p *pool) quiesce(to poolState) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.state == poolHalted {
-		p.mu.Unlock()
-		return ErrClosed
+		return false
 	}
-	p.state = poolDraining
+	p.state = to
 	for p.pending > 0 {
 		p.cond.Wait()
 	}
-	p.mu.Unlock()
+	return true
+}
 
-	var first error
-	for _, w := range p.workers {
-		if err := fn(w.nv); err != nil && first == nil {
-			first = err
-		}
-	}
-	// Every withQuiesced caller may have swapped weights (restore, fault
-	// injection); bumping the epoch unconditionally costs at worst one
-	// spurious repack per worker, while missing a bump would serve stale
-	// packed weights. Ordered before the pool reopens so every worker sees
-	// the new epoch ahead of its next job.
-	p.weightEpoch.Add(1)
-
+// reopen puts a draining pool back in service (a halted one stays halted).
+func (p *pool) reopen() {
 	p.mu.Lock()
 	if p.state == poolDraining {
 		p.state = poolServing
 	}
 	p.mu.Unlock()
-	return first
 }
 
-// resize grows or shrinks the worker set to n replicas while the pool is
-// quiesced. New replicas are built by the factory and then loaded with the
-// CURRENT weights of an existing replica (not the pristine ones): if the
-// version is compromised right now, all replicas must stay functionally
-// identical until rejuvenation restores the whole set. Shrinking stops the
-// newest workers first. Caller must serialise resize with rejuvenation
-// (the server holds rejuvMu).
-func (p *pool) resize(n int) error {
-	p.mu.Lock()
-	if p.state == poolHalted {
-		p.mu.Unlock()
+// withQuiesced drains the pool, runs fn on the version while no worker reads
+// its weights, and reinstates the pool. fn may have rewritten the weights
+// (restore, fault injection), so every arena's packed weight panels are
+// marked stale before a worker can take its next job: the idle workers'
+// last use is ordered before this through p.mu, their next through p.mu and
+// the jobs channel. One spurious repack per worker is the cost of not asking.
+func (p *pool) withQuiesced(fn func(*core.NNVersion) error) error {
+	if !p.quiesce(poolDraining) {
 		return ErrClosed
 	}
-	p.state = poolDraining
-	for p.pending > 0 {
-		p.cond.Wait()
+	err := fn(p.nv)
+	for _, w := range p.workers {
+		w.arena.InvalidateWeights()
 	}
-	p.mu.Unlock()
+	p.reopen()
+	return err
+}
 
-	// The pool is quiesced, so no goroutine touches the replicas themselves;
-	// the slice header is still guarded by p.mu for concurrent size() reads.
-	var err error
-	for len(p.workers) > n && len(p.workers) > 1 {
+// resize grows or shrinks the pool to n ≥ 1 workers while it is quiesced.
+// The weights are not touched: a new worker reads what the others read, so
+// a compromised version stays compromised until it is rejuvenated. A removed
+// worker is waited for: out of p.workers its arena is no longer invalidated,
+// so it must not win one more job. Caller must serialise resize with
+// rejuvenation (the server holds rejuvMu).
+func (p *pool) resize(n int) error {
+	if !p.quiesce(poolDraining) {
+		return ErrClosed
+	}
+	// Quiesced, so only this goroutine writes p.workers; the slice header is
+	// still guarded by p.mu for concurrent size() reads.
+	for len(p.workers) > n {
 		w := p.workers[len(p.workers)-1]
 		p.mu.Lock()
 		p.workers = p.workers[:len(p.workers)-1]
 		p.mu.Unlock()
 		close(w.stop)
+		<-w.done
 	}
-	if len(p.workers) < n {
-		cur := p.workers[0].nv.Network().CloneWeights()
-		for len(p.workers) < n {
-			nv, quant, ferr := p.factory(p.nextReplica)
-			if ferr != nil {
-				err = ferr
-				break
-			}
-			if ferr := nv.Network().RestoreWeights(cur); ferr != nil {
-				err = ferr
-				break
-			}
-			p.nextReplica++
-			w := &worker{nv: nv, quant: quant, stop: make(chan struct{})}
-			p.mu.Lock()
-			p.workers = append(p.workers, w)
-			p.mu.Unlock()
-			p.wg.Add(1)
-			go p.run(w)
-		}
+	for len(p.workers) < n {
+		p.addWorker()
 	}
-
-	p.mu.Lock()
-	if p.state == poolDraining {
-		p.state = poolServing
-	}
-	p.mu.Unlock()
-	return err
+	p.reopen()
+	return nil
 }
 
-// size reports the current replica count.
+// size reports the current worker count.
 func (p *pool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -313,16 +265,9 @@ func (p *pool) size() int {
 
 // halt permanently stops the pool and its workers (server shutdown).
 func (p *pool) halt() {
-	p.mu.Lock()
-	if p.state == poolHalted {
-		p.mu.Unlock()
+	if !p.quiesce(poolHalted) {
 		return
 	}
-	p.state = poolHalted
-	for p.pending > 0 {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
 	close(p.jobs)
 	p.wg.Wait()
 }
@@ -373,7 +318,7 @@ func (p *pool) status() VersionStatus {
 		State:      p.state.String(),
 		InFlight:   p.pending,
 		Workers:    len(p.workers),
-		Quantized:  p.quantized,
+		Quantized:  p.quant != nil,
 		Divergence: rate,
 	}
 }

@@ -2,9 +2,9 @@ package serve
 
 // Serving-side tests for the packed-GEMM weight cache and the int8 inference
 // path: the swap-then-infer differential (compromise → answers change;
-// rejuvenate → answers restore bitwise) is the regression test for weight-
-// epoch invalidation — with a stale packed cache a rejuvenated replica would
-// keep serving its compromised weights.
+// rejuvenate → answers restore bitwise) is the regression test for arena
+// invalidation — with a stale packed cache a rejuvenated version would keep
+// serving its compromised weights.
 
 import (
 	"testing"
@@ -120,8 +120,8 @@ func TestInt8MixedEnsembleServes(t *testing.T) {
 	}
 }
 
-// TestInt8ResizeWorkers grows an int8 pool: late-built replicas must come out
-// of the factory with their own calibration and answer like their siblings.
+// TestInt8ResizeWorkers grows an int8 pool: late-started workers share the
+// version's one calibration and must answer like their siblings.
 func TestInt8ResizeWorkers(t *testing.T) {
 	cfg := quantConfig()
 	cfg.Int8Versions = []int{0}
@@ -134,13 +134,13 @@ func TestInt8ResizeWorkers(t *testing.T) {
 	if got := s.Workers(); got != 3 {
 		t.Fatalf("workers = %d, want 3", got)
 	}
-	// All replicas share weights and calibration-derived scales, so answers
-	// are identical whichever (possibly new) worker serves the batch.
+	// All workers read one weight set and one set of scales, so answers are
+	// identical whichever (possibly new) worker serves the batch.
 	for round := 0; round < 3; round++ {
 		got := classifySet(t, s, 8)
 		for i := range baseline {
 			if got[i] != baseline[i] {
-				t.Fatalf("round %d image %d: class %d, baseline %d — resized replica diverges", round, i, got[i], baseline[i])
+				t.Fatalf("round %d image %d: class %d, baseline %d — resized pool diverges", round, i, got[i], baseline[i])
 			}
 		}
 	}

@@ -11,14 +11,14 @@
 //	       → majority voter  (rules R.1–R.3; safe skip ⇒ degraded fallback)
 //	       → response
 //
-// Each worker owns a private replica of its version's network, because
-// nn.Layer implementations record state during Forward and are not safe for
-// concurrent use. All replicas of a version share the same weights, so a
-// version answers identically regardless of which worker serves the batch.
+// A version is one network with one weight set. Its workers share it
+// read-only — the arena forward pass writes no layer state — and each owns
+// only an nn.InferenceArena, so a version answers identically regardless of
+// which worker serves the batch.
 //
 // Rejuvenation never stops the service: one version at a time is drained
 // (workers finish in-flight batches, new batches skip the version), its
-// replicas reload pristine weights from safe storage, and it is reinstated
+// network reloads the pristine weights from safe storage, and it is reinstated
 // while the remaining versions keep answering — requests served meanwhile are
 // at most tagged degraded, never failed. Rejuvenation is triggered reactively
 // (observed divergence from the majority exceeding a threshold) and
@@ -48,8 +48,8 @@ import (
 type Config struct {
 	// Versions is the ensemble size (the paper's n; default 3).
 	Versions int
-	// WorkersPerVersion is how many weight-sharing replicas serve each
-	// version concurrently.
+	// WorkersPerVersion is how many workers (goroutine + arena) serve each
+	// version's one network concurrently.
 	WorkersPerVersion int
 	// QueueDepth bounds the admission queue; a full queue rejects instead
 	// of blocking (explicit backpressure).
@@ -85,9 +85,9 @@ type Config struct {
 	InjectLayer int
 	InjectCount int
 	// Int8Versions lists version indices served through the fixed-point int8
-	// inference path: each listed version's replicas quantize their weights
+	// inference path: each listed version's workers quantize its weights
 	// symmetrically and run the quantized GEMM kernels, with activation
-	// scales calibrated once per replica on the signs test split (see
+	// scales calibrated once per version on the signs test split (see
 	// nn.CalibrateInt8). Decisions are verified against the float path by the
 	// golden-corpus gate in internal/nn; unlisted versions are untouched, so
 	// a mixed ensemble pits both numeric regimes against each other in the
@@ -347,70 +347,42 @@ func (s *Server) makeNetwork(v int, root *xrand.Rand) (*nn.Network, error) {
 	return nn.NewModel(names[v%len(names)], signs.NumClasses, r)
 }
 
-// buildPool trains version v once, then clones the weights into
-// WorkersPerVersion private replicas. The replica factory is retained on the
-// pool so the worker set can be grown later (autoscaling): xrand.Split is a
-// pure derivation, so replicas built after startup draw the same
-// deterministic streams they would have drawn at startup.
-//
-// A non-empty calib set marks the version as int8-served: every replica is
-// calibrated on it right after adopting the trained weights, so late-built
-// autoscale replicas derive exactly the scales their siblings got at startup
-// (replicas share weights and the calibration set is fixed).
+// buildPool builds version v's one network — trained here when a training set
+// is given, calibrated for int8 when a calibration set is — and starts its
+// pool. The fault stream is derived per version, so a compromise perturbs the
+// same weights however many workers serve it.
 func (s *Server) buildPool(v int, root *xrand.Rand, train, calib []nn.Sample) (*pool, error) {
-	proto, err := s.makeNetwork(v, root)
+	net, err := s.makeNetwork(v, root)
 	if err != nil {
 		return nil, fmt.Errorf("serve: version %d: %w", v, err)
 	}
 	if len(train) > 0 {
 		tcfg := experiments.QuickTableIIConfig()
 		tcfg.Epochs = s.cfg.TrainEpochs
-		if err := experiments.Train(proto, train, tcfg, root.Split("train", uint64(v))); err != nil {
+		if err := experiments.Train(net, train, tcfg, root.Split("train", uint64(v))); err != nil {
 			return nil, fmt.Errorf("serve: training version %d: %w", v, err)
 		}
 	}
-	weights := proto.CloneWeights()
-
-	p := newPool(v, proto.Name, s.cfg, s.m)
-	p.quantized = len(calib) > 0
+	var quant *nn.QuantParams
+	if len(calib) > 0 {
+		if quant, err = nn.CalibrateInt8(net, calib, s.cfg.MaxBatch); err != nil {
+			return nil, fmt.Errorf("serve: version %d: calibration: %w", v, err)
+		}
+	}
 	layer, count := s.cfg.InjectLayer, s.cfg.InjectCount
-	p.factory = func(w int) (*core.NNVersion, *nn.QuantParams, error) {
-		net, err := s.makeNetwork(v, root)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: version %d replica %d: %w", v, w, err)
-		}
-		if err := net.RestoreWeights(weights); err != nil {
-			return nil, nil, fmt.Errorf("serve: version %d replica %d: %w", v, w, err)
-		}
-		var quant *nn.QuantParams
-		if len(calib) > 0 {
-			if quant, err = nn.CalibrateInt8(net, calib, s.cfg.MaxBatch); err != nil {
-				return nil, nil, fmt.Errorf("serve: version %d replica %d: calibration: %w", v, w, err)
+	faultR := root.Split("fault", uint64(v)<<16)
+	nv, err := core.NewNNVersion(net, func(n *nn.Network) error {
+		for i := 0; i < count; i++ {
+			if _, err := faultinject.RandomWeightInj(n, layer, -10, 30, faultR); err != nil {
+				return err
 			}
 		}
-		faultR := root.Split("fault", uint64(v)<<16|uint64(w))
-		nv, err := core.NewNNVersion(net, func(n *nn.Network) error {
-			for i := 0; i < count; i++ {
-				if _, err := faultinject.RandomWeightInj(n, layer, -10, 30, faultR); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: version %d replica %d: %w", v, w, err)
-		}
-		return nv, quant, nil
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: version %d: %w", v, err)
 	}
-	for w := 0; w < s.cfg.WorkersPerVersion; w++ {
-		nv, quant, err := p.factory(w)
-		if err != nil {
-			return nil, err
-		}
-		p.addWorker(nv, quant)
-	}
-	p.start()
-	return p, nil
+	return newPool(v, nv, quant, s.cfg, s.m), nil
 }
 
 // Classify queues one image and blocks until its answer, deadline or
@@ -488,7 +460,7 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 	defer s.rejuvMu.Unlock()
 	start := time.Now()
 	t0 := s.m.spans.Now()
-	err = p.withQuiesced(func(nv *core.NNVersion) error { return nv.Restore() })
+	err = p.withQuiesced((*core.NNVersion).Restore)
 	p.resetDivergence()
 	if err != nil {
 		return fmt.Errorf("serve: rejuvenating %s: %w", p.name, err)
@@ -505,10 +477,10 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 	return nil
 }
 
-// Compromise injects the configured weight fault into every replica of
-// version v — the serving-side analogue of an attack, used by the demo and
-// tests to provoke divergence. The pool is quiesced during injection so no
-// worker reads weights mid-write.
+// Compromise injects the configured weight fault into version v — the
+// serving-side analogue of an attack, used by the demo and tests to provoke
+// divergence. The pool is quiesced during injection so no worker reads
+// weights mid-write.
 func (s *Server) Compromise(v int) error {
 	p, err := s.pool(v)
 	if err != nil {
@@ -516,21 +488,7 @@ func (s *Server) Compromise(v int) error {
 	}
 	s.rejuvMu.Lock()
 	defer s.rejuvMu.Unlock()
-	// Inject into the first replica, then copy its weights to the rest:
-	// all replicas of a version must stay functionally identical, so the
-	// version keeps a single (now faulty) behaviour whichever worker
-	// serves a batch.
-	var weights [][]float32
-	err = p.withQuiesced(func(nv *core.NNVersion) error {
-		if weights == nil {
-			if err := nv.Compromise(); err != nil {
-				return err
-			}
-			weights = nv.Network().CloneWeights()
-			return nil
-		}
-		return nv.Network().RestoreWeights(weights)
-	})
+	err = p.withQuiesced((*core.NNVersion).Compromise)
 	if err != nil {
 		return fmt.Errorf("serve: compromising %s: %w", p.name, err)
 	}
@@ -589,7 +547,7 @@ func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 // QueueCapacity returns the admission queue's bound.
 func (s *Server) QueueCapacity() int { return s.cfg.QueueDepth }
 
-// Workers returns the current per-version replica count (the pools are kept
+// Workers returns the current per-version worker count (the pools are kept
 // symmetric, so any pool's size is the answer).
 func (s *Server) Workers() int {
 	if len(s.pools) == 0 {
@@ -614,11 +572,11 @@ func (s *Server) SetDraining(v bool) {
 // Draining reports the shard-lifecycle drain flag.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// ResizeWorkers grows or shrinks every version pool to perVersion replicas,
+// ResizeWorkers grows or shrinks every version pool to perVersion workers,
 // one pool at a time so at most one version is ever paused — the other n−1
 // keep answering while a pool quiesces (the same zero-downtime contract as
-// rejuvenation). New replicas adopt the CURRENT weights of their pool, so a
-// compromised version stays functionally uniform until it is rejuvenated.
+// rejuvenation). Weights are not touched: a compromised version stays
+// compromised, on every worker, until it is rejuvenated.
 func (s *Server) ResizeWorkers(perVersion int) error {
 	if perVersion < 1 {
 		return fmt.Errorf("serve: need at least one worker per version, got %d", perVersion)

@@ -29,6 +29,10 @@ go build ./...
 # stays covered.
 echo "==> go test -race -short ./..."
 go test -race -short ./...
+# A version's workers share one network: schedule their interleavings on one
+# P and on four, whatever GOMAXPROCS the host gives the pass above.
+echo "==> go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway"
+go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway
 
 # Full pass without the race detector: every test, including training.
 echo "==> go test ./..."
