@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -239,7 +238,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: gw.Handler()}
+	srv := serve.NewHTTPServer(gw.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "mvgateway: routing %d shards on http://%s\n", *gf.shards, ln.Addr())
@@ -334,7 +333,7 @@ func cmdDemo(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: gw.Handler()}
+	srv := serve.NewHTTPServer(gw.Handler())
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -71,8 +70,7 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	versions := fs.Int("versions", def.Versions, "ensemble size")
 	workers := fs.Int("workers", def.WorkersPerVersion, "workers per version (each an arena on the version's one network)")
 	queue := fs.Int("queue", def.QueueDepth, "admission queue depth")
-	batch := fs.Int("batch", def.MaxBatch, "micro-batch flush size")
-	batchWait := fs.Duration("batch-wait", def.MaxBatchWait, "micro-batch flush deadline")
+	batch := fs.Int("batch", def.MaxBatch, "micro-batch size bound (a batch closes sooner when the queue is empty)")
 	timeout := fs.Duration("timeout", def.RequestTimeout, "per-request deadline")
 	seed := fs.Uint64("seed", def.Seed, "root random seed")
 	epochs := fs.Int("train-epochs", 0, "train the ensemble this many epochs before serving (0 = untrained)")
@@ -90,7 +88,6 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 		cfg.WorkersPerVersion = *workers
 		cfg.QueueDepth = *queue
 		cfg.MaxBatch = *batch
-		cfg.MaxBatchWait = *batchWait
 		cfg.RequestTimeout = *timeout
 		cfg.Seed = *seed
 		cfg.TrainEpochs = *epochs
@@ -158,7 +155,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := serve.NewHTTPServer(s.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "mvserve: serving on http://%s\n", ln.Addr())
@@ -243,7 +240,7 @@ func cmdDemo(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := serve.NewHTTPServer(s.Handler())
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

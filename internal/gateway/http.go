@@ -43,7 +43,8 @@ type errorResponse struct {
 // Handler returns the gateway's HTTP API — the same data plane a single
 // server exposes, plus shard-addressed admin:
 //
-//	POST /v1/classify      — classify (routed; 429 on gateway shed)
+//	POST /v1/classify      — classify (routed; 429 on gateway shed, 413 on a
+//	                         body over 1 MiB)
 //	GET  /healthz          — per-shard level, drain state and queue depth
 //	POST /admin/rejuvenate — rejuvenate every version of one shard
 //	POST /admin/compromise — fault-inject one version of one shard
@@ -84,14 +85,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 func (g *Gateway) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req serve.ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
-		return
-	}
-	img, err := req.Tensor()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	req, img, ok := serve.DecodeClassify(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()

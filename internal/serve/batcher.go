@@ -8,13 +8,20 @@ import (
 	"mvml/internal/tensor"
 )
 
-// batchLoop is the micro-batching scheduler: it collects queued requests
-// until either MaxBatch is reached or MaxBatchWait has elapsed since the
-// batch's first request, stacks the images into one tensor, fans the batch
-// out to every version's worker pool, gathers proposals until the earliest
-// request deadline, and votes per sample.
+// batchLoop is the micro-batching scheduler. It is work-conserving: a batch
+// closes as soon as the queue is empty, so batching comes from backpressure
+// alone — requests that arrive while a batch is in flight form the next one,
+// and a lone request is served at once. Each batch is stacked into one tensor,
+// fanned out to every version's worker pool, gathered until the earliest
+// request deadline, and voted per sample.
 func (s *Server) batchLoop() {
 	defer s.stopped.Done()
+	// One goroutine, one batch in flight: the request and image slices are
+	// reused across batches. The stacked tensor and job.out are NOT recycled —
+	// a worker that misses the gather deadline may still be reading the one
+	// and sending on the other after dispatch has returned.
+	batch := make([]*request, 0, s.cfg.MaxBatch)
+	images := make([]*tensor.Tensor, 0, s.cfg.MaxBatch)
 	for {
 		if gate := s.cfg.batchGate; gate != nil {
 			select {
@@ -29,30 +36,26 @@ func (s *Server) batchLoop() {
 		case <-s.stop:
 			return
 		}
-		batch := s.collect(first)
+		batch = s.collect(append(batch[:0], first))
 		s.m.queueDepth.Set(float64(s.depth.Add(-int64(len(batch)))))
 		s.m.batchSize.Observe(float64(len(batch)))
 		s.m.batches.Inc()
-		s.dispatch(batch)
+		images = images[:0]
+		for _, req := range batch {
+			images = append(images, req.image)
+		}
+		s.dispatch(batch, images)
 	}
 }
 
-// collect gathers up to MaxBatch requests, waiting at most MaxBatchWait
-// beyond the first one.
-func (s *Server) collect(first *request) []*request {
-	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-	if s.cfg.MaxBatch == 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.MaxBatchWait)
-	defer timer.Stop()
+// collect fills batch (holding its first request) up to MaxBatch with
+// whatever is already queued, without ever blocking.
+func (s *Server) collect(batch []*request) []*request {
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case req := <-s.queue:
 			batch = append(batch, req)
-		case <-timer.C:
-			return batch
-		case <-s.stop:
+		default:
 			return batch
 		}
 	}
@@ -60,13 +63,9 @@ func (s *Server) collect(first *request) []*request {
 }
 
 // dispatch runs one batch end to end: stack → fan out → gather → vote.
-func (s *Server) dispatch(batch []*request) {
+func (s *Server) dispatch(batch []*request, images []*tensor.Tensor) {
 	sink := s.m.spans // nil when tracing is disabled
 	tCollected := sink.Now()
-	images := make([]*tensor.Tensor, len(batch))
-	for i, req := range batch {
-		images[i] = req.image
-	}
 	stacked, err := nn.Stack(images)
 	if err != nil {
 		s.fail(batch, err)

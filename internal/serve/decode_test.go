@@ -1,0 +1,200 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"mvml/internal/nn"
+)
+
+// referenceDecode is what both handlers ran before decodeClassify existed, and
+// what decodeClassify must stay indistinguishable from.
+func referenceDecode(body []byte, req *ClassifyRequest) error {
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+}
+
+// sameRequest compares two decoded requests bit for bit: float32 payloads by
+// their bit patterns (so -0 ≠ +0), nil-ness of Image and Class included.
+func sameRequest(a, b *ClassifyRequest) bool {
+	if (a.Image == nil) != (b.Image == nil) || len(a.Image) != len(b.Image) {
+		return false
+	}
+	for i := range a.Image {
+		if math.Float32bits(a.Image[i]) != math.Float32bits(b.Image[i]) {
+			return false
+		}
+	}
+	if (a.Class == nil) != (b.Class == nil) || (a.Class != nil && *a.Class != *b.Class) {
+		return false
+	}
+	return a.Seed == b.Seed
+}
+
+// decodeSeeds are the shapes the one-pass parser must either take and get
+// exactly right or hand to encoding/json; testdata/fuzz holds more.
+var decodeSeeds = []string{
+	`{"image":[0.5,0.25,1]}`,
+	`{"image":[-0,0,-0.0,0e0,-0e-7]}`,
+	`{"image":[1e2,1E+2,1.5e-3,123456789.125]}`,
+	`{"image":[1e39]}`,          // out of float32 range: an error in both
+	`{"image":[3.4028236e38]}`,  // rounds past MaxFloat32
+	`{"image":[1e-60,1.4e-45]}`, // underflow to zero, smallest subnormal
+	`{"image":[0.1000000014901161193847656250000000001]}`,
+	`{"image":[01]}`,    // leading zero
+	`{"image":[1.]}`,    // no fraction digits
+	`{"image":[.5]}`,    // no integer part
+	`{"image":[+1]}`,    // explicit plus
+	`{"image":[1e]}`,    // no exponent digits
+	`{"image":[0x10]}`,  // strconv would take hex
+	`{"image":[1_000]}`, // strconv would take underscores
+	`{"image":[NaN]}`,   // not JSON
+	`{"image":[Infinity,-Infinity]}`,
+	`{"image":[inf]}`,
+	`{"image":[]}`,
+	`{"image":[1,]}`,
+	`{"image":[,1]}`,
+	`{"image":[1 ,2]}`, // whitespace: valid JSON, not canonical
+	`{"image": [1,2]}`,
+	` {"image":[1,2]}`,
+	`{"image":[1,2]}trailing`, // json.Decoder stops at the brace
+	`{"image":[1,2]} {"image":[3]}`,
+	`{"image":[1,2]`, // truncated
+	`{"image":[1,2`,
+	`{"image":[1,2]]`,
+	`{"image":[1,2],"image":[3]}`, // duplicate key: last wins
+	`{"image":[1,2],"class":3}`,
+	`{"Image":[1,2]}`, // keys match case-insensitively
+	`{"IMAGE":[1,2],"image":[4]}`,
+	`{"\u0069mage":[1,2]}`, // escaped key
+	`{"image":[1,"2"]}`,
+	`{"image":[1,null]}`,
+	`{"image":[[1]]}`,
+	`{"image":null}`,
+	`{"image":"x"}`,
+	`{"class":7,"seed":1}`,
+	`{"class":7,"seed":-1}`,
+	`{"seed":18446744073709551615}`,
+	`{}`,
+	`null`,
+	`[1,2]`,
+	`1`,
+	``,
+	`{`,
+}
+
+// FuzzDecodeClassify is the differential gate on the one-pass decoder: for any
+// bytes, it and encoding/json agree on error-or-success, and on success on
+// every field bit for bit.
+func FuzzDecodeClassify(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	// Real pixel formatting, but one row only: the fuzzer minimises what it
+	// finds interesting, and an 18 KB body stalls it for its whole budget.
+	row, err := json.Marshal(ClassifyRequest{Image: testImage(3).Data[:nn.InputSize]})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(row)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got, want ClassifyRequest
+		gotErr, wantErr := decodeClassify(body, &got), referenceDecode(body, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("body %q: decodeClassify error %v, encoding/json error %v", body, gotErr, wantErr)
+		}
+		if gotErr == nil && !sameRequest(&got, &want) {
+			t.Fatalf("body %q: decodeClassify %+v, encoding/json %+v", body, got, want)
+		}
+	})
+}
+
+// TestDecodeClassifyFastPath checks that the bodies the benchmark clients and
+// loadgen send — json.Marshal of a raw image — are actually taken by the
+// one-pass parser, not silently handed to the fallback.
+func TestDecodeClassifyFastPath(t *testing.T) {
+	img := testImage(3).Data
+	body, err := json.Marshal(ClassifyRequest{Image: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := parseImageObject(body)
+	if !ok {
+		t.Fatal("marshalled raw-image body not taken by the one-pass parser")
+	}
+	if !sameRequest(&ClassifyRequest{Image: got}, &ClassifyRequest{Image: img}) {
+		t.Fatal("one-pass parse does not round-trip the image")
+	}
+	for _, body := range []string{`{"class":7}`, `{"image":[]}`, `{"image":[1, 2]}`, `{"image":[1],"seed":2}`} {
+		if _, ok := parseImageObject([]byte(body)); ok {
+			t.Errorf("non-canonical body %s taken by the one-pass parser", body)
+		}
+	}
+}
+
+// BenchmarkDecodeClassify times both decoders on the body shard_http sends:
+// one raw 3×24×24 image, ≈18 KB of JSON.
+func BenchmarkDecodeClassify(b *testing.B) {
+	body, err := json.Marshal(ClassifyRequest{Image: testImage(3).Data})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte, *ClassifyRequest) error
+	}{
+		{"onepass", decodeClassify},
+		{"encodingjson", referenceDecode},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				var req ClassifyRequest
+				if err := bc.decode(body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestHTTPClassifyBodyBounds drives the handler with an oversized and a
+// truncated body (the gateway's handler has the same test: both sit on
+// DecodeClassify). An oversized body must be refused with 413 after at most
+// the bound, plus the one byte that proves the overrun, has been read — not
+// parsed to the end and then rejected for its length.
+func TestHTTPClassifyBodyBounds(t *testing.T) {
+	h := newTestServer(t, testConfig(), nil).Handler()
+	post := func(body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", body))
+		return rec
+	}
+	oversized := strings.NewReader(`{"image":[` + strings.Repeat("0,", maxClassifyBody) + `0]}`)
+	size := oversized.Len()
+	if rec := post(oversized); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", rec.Code)
+	}
+	if read := size - oversized.Len(); read > maxClassifyBody+1 {
+		t.Errorf("oversized body: handler read %d bytes, bound is %d", read, maxClassifyBody)
+	}
+	for _, body := range []string{`{"image":[0.5,0.25`, `{"image":[0.5,0.25]`, `{"class":`} {
+		if rec := post(strings.NewReader(body)); rec.Code != http.StatusBadRequest {
+			t.Errorf("truncated body %s: status %d, want 400", body, rec.Code)
+		}
+	}
+	// A body cut short by the transport, not by its author.
+	if rec := post(io.MultiReader(strings.NewReader(`{"image":[0.5,`), errReader{})); rec.Code != http.StatusBadRequest {
+		t.Errorf("body failing mid-read: status %d, want 400", rec.Code)
+	}
+}
+
+type errReader struct{}
+
+func (errReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }

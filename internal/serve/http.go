@@ -57,7 +57,8 @@ type errorResponse struct {
 
 // Handler returns the server's HTTP API:
 //
-//	POST /v1/classify     — classify one image (429 when the queue is full)
+//	POST /v1/classify     — classify one image (429 when the queue is full,
+//	                        413 when the body exceeds 1 MiB)
 //	GET  /healthz         — per-version health and queue depth
 //	POST /admin/rejuvenate — manually drain+restore one version
 //	POST /admin/compromise — fault-inject one version (demos/tests)
@@ -70,6 +71,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// NewHTTPServer wraps a data-plane handler (the shard's or the gateway's) in
+// an http.Server with every timeout set, so a client that stalls while sending
+// its headers or body, never reads its answer, or parks idle connections holds
+// a goroutine for a bounded time only. The write bound is far above any
+// request deadline a deployment would configure (default 500 ms).
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -77,14 +93,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
-		return
-	}
-	img, err := req.Tensor()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	_, img, ok := DecodeClassify(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()

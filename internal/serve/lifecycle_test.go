@@ -205,6 +205,9 @@ func TestShardLabelOnSpans(t *testing.T) {
 		if err := s.Rejuvenate(0, RejuvManual); err != nil {
 			t.Fatal(err)
 		}
+		// The batcher ends a request's trace after it has replied, so the
+		// reply can outrun the publish; Close waits for the batcher.
+		s.Close()
 		recs := rt.Spans().Spans()
 		kinds := map[string]bool{}
 		for _, r := range recs {

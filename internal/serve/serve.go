@@ -6,7 +6,7 @@
 // Request flow:
 //
 //	client → admission queue (bounded; full ⇒ explicit rejection)
-//	       → micro-batcher   (flush on batch size or max-wait deadline)
+//	       → micro-batcher   (flush on batch size or an empty queue)
 //	       → per-version worker pools (the N versions run concurrently)
 //	       → majority voter  (rules R.1–R.3; safe skip ⇒ degraded fallback)
 //	       → response
@@ -54,11 +54,10 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue rejects instead
 	// of blocking (explicit backpressure).
 	QueueDepth int
-	// MaxBatch is the micro-batch flush size.
+	// MaxBatch is the micro-batch flush size. There is no flush deadline: a
+	// batch closes as soon as the queue is empty, so only requests that
+	// arrived while the previous batch was in flight are batched together.
 	MaxBatch int
-	// MaxBatchWait is the micro-batch flush deadline: a partially filled
-	// batch is dispatched at most this long after its first request.
-	MaxBatchWait time.Duration
 	// RequestTimeout is the per-request deadline. Versions that have not
 	// answered by then are dropped from the vote; the request degrades to
 	// whatever proposals arrived rather than failing.
@@ -132,7 +131,6 @@ func DefaultConfig() Config {
 		WorkersPerVersion:   2,
 		QueueDepth:          64,
 		MaxBatch:            8,
-		MaxBatchWait:        2 * time.Millisecond,
 		RequestTimeout:      500 * time.Millisecond,
 		Seed:                38,
 		Dataset:             signs.DefaultConfig(),
@@ -156,9 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("serve: max batch %d", c.MaxBatch)
-	}
-	if c.MaxBatchWait <= 0 {
-		return fmt.Errorf("serve: max batch wait %v", c.MaxBatchWait)
 	}
 	if c.RequestTimeout <= 0 {
 		return fmt.Errorf("serve: request timeout %v", c.RequestTimeout)
@@ -399,6 +394,19 @@ func (s *Server) Classify(img *tensor.Tensor) (Result, error) {
 
 // submit performs bounded admission: it never blocks on a full queue.
 func (s *Server) submit(img *tensor.Tensor) (*request, error) {
+	req, err := s.admit(img)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.enqueue(req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// admit checks that the server is open and the image well-formed, and builds
+// the request with its admission interval closed.
+func (s *Server) admit(img *tensor.Tensor) (*request, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -435,15 +443,44 @@ func (s *Server) submit(img *tensor.Tensor) (*request, error) {
 		req.tq = sink.Now()
 		sp.Interval("admission", t0, req.tq, s.m.shardAttrs)
 	}
+	return req, nil
+}
+
+// enqueue offers an admitted request to the queue without blocking. Close may
+// have drained the queue between admit's check and the send here, leaving the
+// request where nobody reads; so when the server reads closed after the send,
+// the submitter drains too. Whoever pulls a request fails it, exactly once.
+func (s *Server) enqueue(req *request) error {
 	select {
 	case s.queue <- req:
 		s.m.queueDepth.Set(float64(s.depth.Add(1)))
-		return req, nil
+		if s.closed.Load() {
+			s.failQueued()
+		}
+		return nil
 	default:
-		sp.SetAttr("error", "queue_full")
-		sp.End()
+		req.span.SetAttr("error", "queue_full")
+		req.span.End()
 		s.m.rejected.Inc()
-		return nil, ErrQueueFull
+		return ErrQueueFull
+	}
+}
+
+// failQueued answers everything still queued with ErrClosed; nothing will
+// serve it now. Safe to run concurrently: the channel hands each request to
+// exactly one caller.
+func (s *Server) failQueued() {
+	for {
+		select {
+		case req := <-s.queue:
+			s.depth.Add(-1)
+			req.done <- Result{Err: ErrClosed}
+			req.span.SetAttr("error", "closed")
+			req.span.End()
+		default:
+			s.m.queueDepth.Set(float64(s.depth.Load()))
+			return
+		}
 	}
 }
 
@@ -622,19 +659,7 @@ func (s *Server) Close() {
 	close(s.stop)
 	s.stopped.Wait()
 	s.haltPools()
-	// Fail whatever is still queued; nothing will serve it now.
-	for {
-		select {
-		case req := <-s.queue:
-			s.depth.Add(-1)
-			req.done <- Result{Err: ErrClosed}
-			req.span.SetAttr("error", "closed")
-			req.span.End()
-		default:
-			s.m.queueDepth.Set(float64(s.depth.Load()))
-			return
-		}
-	}
+	s.failQueued()
 }
 
 func (s *Server) haltPools() {

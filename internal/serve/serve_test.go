@@ -37,7 +37,6 @@ func testConfig() Config {
 	cfg.InjectCount = 64 // enough perturbed weights to reliably flip argmax
 	cfg.WorkersPerVersion = 2
 	cfg.MaxBatch = 4
-	cfg.MaxBatchWait = time.Millisecond
 	cfg.RequestTimeout = 2 * time.Second
 	return cfg
 }
@@ -148,6 +147,9 @@ func TestRequestWaterfall(t *testing.T) {
 		}
 	}
 
+	// The batcher ends a request's trace after it has replied, so the last
+	// reply can outrun its publish; Close waits for the batcher.
+	s.Close()
 	byTrace := map[uint64][]obs.SpanRecord{}
 	for _, r := range rt.Spans().Spans() {
 		byTrace[r.Trace] = append(byTrace[r.Trace], r)
@@ -235,6 +237,55 @@ func TestQueueFullRejects(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("queued request %d failed after gate opened: %v", i, res.Err)
 		}
+	}
+}
+
+// TestBatchClosesOnEmptyQueue pins the batching policy: a batch is whatever is
+// already queued when the batcher looks, up to MaxBatch, and nothing on the
+// path waits for more. The gate makes "already queued" deterministic: every
+// request is admitted before the first token, and one token is one batch.
+func TestBatchClosesOnEmptyQueue(t *testing.T) {
+	maxBatch := testConfig().MaxBatch
+	for _, tc := range []struct {
+		name     string
+		queued   int
+		wantSize []float64 // batch sizes, largest first
+	}{
+		{"partial batch dispatched whole", maxBatch - 1, []float64{float64(maxBatch - 1)}},
+		{"overflow split at MaxBatch", maxBatch + 3, []float64{float64(maxBatch), 3}},
+		{"lone request served alone", 1, []float64{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := obs.NewRuntime(64) // a registry, so mvserve_batch_size is a live histogram
+			cfg := testConfig()
+			cfg.batchGate = make(chan struct{}, len(tc.wantSize))
+			s := newTestServer(t, cfg, rt)
+			reqs := make([]*request, tc.queued)
+			for i := range reqs {
+				var err error
+				if reqs[i], err = s.submit(testImage(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range tc.wantSize {
+				cfg.batchGate <- struct{}{}
+			}
+			for i, req := range reqs {
+				if res := <-req.done; res.Err != nil {
+					t.Fatalf("request %d: %v", i, res.Err)
+				}
+			}
+			// Every answer is in, so every batch was observed; the batcher is
+			// back at the gate with no token, so there will be no more.
+			h := s.m.batchSize
+			if h.Count() != uint64(len(tc.wantSize)) || h.Sum() != float64(tc.queued) {
+				t.Fatalf("batches: count %d sum %v, want %d batches over %d requests",
+					h.Count(), h.Sum(), len(tc.wantSize), tc.queued)
+			}
+			if h.Max() != tc.wantSize[0] || h.Min() != tc.wantSize[len(tc.wantSize)-1] {
+				t.Fatalf("batch sizes span [%v, %v], want %v", h.Min(), h.Max(), tc.wantSize)
+			}
+		})
 	}
 }
 
@@ -425,6 +476,81 @@ func TestCloseRejectsAndFailsQueued(t *testing.T) {
 	}
 }
 
+// TestSubmitRacingCloseIsAnswered holds a submitter between admit's closed
+// check and the queue send while Close runs to completion, final drain
+// included: the request lands in a queue nobody reads any more, and must still
+// get its one ErrClosed reply.
+func TestSubmitRacingCloseIsAnswered(t *testing.T) {
+	cfg := testConfig()
+	cfg.batchGate = make(chan struct{}) // batcher never runs
+	s, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := s.admit(testImage(0)) // reads closed == false
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := s.enqueue(req); err != nil {
+		t.Fatalf("enqueue after Close: %v (the queue is empty, the send succeeds)", err)
+	}
+	select {
+	case res := <-req.done:
+		if !errors.Is(res.Err, ErrClosed) {
+			t.Fatalf("request admitted during Close: got %v, want ErrClosed", res.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request admitted during Close was never answered")
+	}
+	if n, depth := len(s.queue), s.QueueDepth(); n != 0 || depth != 0 {
+		t.Fatalf("after the reply: %d requests queued, depth gauge %d, want 0 and 0", n, depth)
+	}
+}
+
+// TestCloseUnderLoadAnswersEveryone is the same race left to the scheduler:
+// clients submit flat out while Close runs, and every Classify must return —
+// an answer or ErrClosed, never a hang.
+func TestCloseUnderLoadAnswersEveryone(t *testing.T) {
+	s, err := New(testConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	var wg sync.WaitGroup
+	running := make(chan struct{}, clients) // one send per client, after its first reply
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				_, err := s.Classify(testImage(c*1000 + i))
+				if i == 0 {
+					running <- struct{}{}
+				}
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil && !errors.Is(err, ErrQueueFull) {
+					t.Errorf("client %d request %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		<-running
+	}
+	s.Close()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Classify that raced Close never returned")
+	}
+}
+
 func TestRejuvenateValidatesVersion(t *testing.T) {
 	s := newTestServer(t, testConfig(), nil)
 	if err := s.Rejuvenate(-1, RejuvManual); err == nil {
@@ -441,7 +567,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WorkersPerVersion = 0 },
 		func(c *Config) { c.QueueDepth = 0 },
 		func(c *Config) { c.MaxBatch = 0 },
-		func(c *Config) { c.MaxBatchWait = 0 },
 		func(c *Config) { c.RequestTimeout = 0 },
 		func(c *Config) { c.DivergenceWindow = 0 },
 		func(c *Config) { c.DivergenceThreshold = 0 },

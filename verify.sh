@@ -29,8 +29,9 @@ go build ./...
 # stays covered.
 echo "==> go test -race -short ./..."
 go test -race -short ./...
-# A version's workers share one network: schedule their interleavings on one
-# P and on four, whatever GOMAXPROCS the host gives the pass above.
+# A version's workers share one network, and the batcher closes a batch the
+# moment the queue is empty: schedule their interleavings (and submit racing
+# Close) on one P and on four, whatever GOMAXPROCS the host gives the pass above.
 echo "==> go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway"
 go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway
 
@@ -61,14 +62,16 @@ go test ./internal/experiments -run TestParallelEquivalenceGolden -count=1
 go test ./internal/scenario -run TestFalsifierGolden -count=1
 
 # Fuzz smoke: a few seconds per target catches regressions in the voting
-# rules, quantile estimator and RNG stream derivation without the cost of a
-# long campaign.
+# rules, quantile estimator, RNG stream derivation and the one-pass request
+# decoder (differential against encoding/json) without the cost of a long
+# campaign.
 echo "==> fuzz smoke"
 go test ./internal/core -run '^$' -fuzz '^FuzzVoter$' -fuzztime 5s
 go test ./internal/core -run '^$' -fuzz '^FuzzMedianVoter$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz '^FuzzHistogramQuantile$' -fuzztime 5s
 go test ./internal/xrand -run '^$' -fuzz '^FuzzXrandSplit$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
+go test ./internal/serve -run '^$' -fuzz '^FuzzDecodeClassify$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
