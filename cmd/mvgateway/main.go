@@ -1,26 +1,20 @@
 // Command mvgateway runs the multi-shard serving gateway: N independent
 // multi-version inference shards behind a consistent-hash router with
 // health-aware failover, per-client retry budgets, front-door load shedding
-// and a queue/latency-driven autoscaler.
-//
-// Usage:
-//
-//	mvgateway serve -shards 4 -addr :8090    # gateway + in-process shards
-//	mvgateway loadgen -target http://host:8090 -rate 1000 -duration 10s
-//	mvgateway demo                           # self-contained 10x resilience demo:
-//	                                         # shard compromise + whole-shard
-//	                                         # drain/rejuvenate under load
-//
-// Telemetry flags are shared with the other binaries; the demo always builds
-// an in-process telemetry runtime because per-shard health engines (the
-// failover signal) ride the span stream.
+// and a queue/latency-driven autoscaler. `mvgateway serve` runs the gateway
+// over in-process shards, `mvgateway loadgen` drives open-loop load at one,
+// and `mvgateway demo` is the self-contained 10x resilience demo (shard
+// compromise plus whole-shard drain/rejuvenate under load). Telemetry flags
+// are shared with the other binaries.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -37,71 +31,88 @@ import (
 	"mvml/internal/xrand"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
-	case "demo":
-		err = cmdDemo(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvgateway:", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usageText = `usage:
   mvgateway serve   [flags]   run the gateway over in-process shards
   mvgateway loadgen [flags]   open-loop load against a running gateway
   mvgateway demo    [flags]   self-contained multi-shard resilience demo
-run "mvgateway <subcommand> -h" for flags`)
+run "mvgateway <subcommand> -h" for flags
+`
+
+// errFlagParse marks a flag-parse failure the flag package already reported.
+var errFlagParse = errors.New("flag parse error")
+
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"serve":   cmdServe,
+	"loadgen": cmdLoadgen,
+	"demo":    cmdDemo,
 }
 
-// gwFlags bundles the shard-fleet and gateway knobs shared by serve and demo.
-type gwFlags struct {
-	shards      *int
-	versions    *int
-	workers     *int
-	queue       *int
-	batch       *int
-	timeout     *time.Duration
-	seed        *uint64
-	fullModels  *bool
-	maxInflight *int
-	retryBurst  *float64
-	autoscale   *bool
-	maxWorkers  *int
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func registerGwFlags(fs *flag.FlagSet) *gwFlags {
-	def := serve.DefaultConfig()
-	return &gwFlags{
-		shards:      fs.Int("shards", 4, "number of serving shards"),
-		versions:    fs.Int("versions", def.Versions, "ensemble size per shard"),
-		workers:     fs.Int("workers", def.WorkersPerVersion, "initial workers per version per shard"),
-		queue:       fs.Int("queue", def.QueueDepth, "per-shard admission queue depth"),
-		batch:       fs.Int("batch", def.MaxBatch, "per-shard micro-batch flush size"),
-		timeout:     fs.Duration("timeout", def.RequestTimeout, "per-request deadline"),
-		seed:        fs.Uint64("seed", def.Seed, "root random seed (all shards share it: identical ensembles)"),
-		fullModels:  fs.Bool("full-models", false, "serve the full three-architecture ensemble instead of the fast profile"),
-		maxInflight: fs.Int("max-inflight", 512, "gateway load-shedding bound on concurrently routed requests"),
-		retryBurst:  fs.Float64("retry-burst", 10, "per-client retry budget cap"),
-		autoscale:   fs.Bool("autoscale", true, "run the queue/latency-driven autoscaler"),
-		maxWorkers:  fs.Int("max-workers", 4, "autoscaler ceiling on per-version workers per shard"),
+// run dispatches one invocation and returns its exit code: 0 ok (and -h), 1 a
+// failed run, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usageText)
+		return 2
 	}
+	cmd, ok := commands[args[0]]
+	switch {
+	case args[0] == "-h" || args[0] == "-help" || args[0] == "--help" || args[0] == "help":
+		fmt.Fprint(stderr, usageText)
+		return 0
+	case !ok:
+		fmt.Fprintf(stderr, "mvgateway: unknown subcommand %q\n%s", args[0], usageText)
+		return 2
+	}
+	err := cmd(args[1:], stdout, stderr)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlagParse):
+		return 2
+	}
+	fmt.Fprintln(stderr, "mvgateway:", err)
+	return 1
+}
+
+// parse parses a subcommand's flags (errors and -h go to stderr), reporting a
+// failure the flag package printed as errFlagParse.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errFlagParse
+	}
+	return err
+}
+
+// fleetFlags is the shard-fleet, gateway and telemetry command line shared by
+// serve and demo.
+type fleetFlags struct {
+	shard                           serve.Config // every shard's serving configuration
+	shards, maxInflight, maxWorkers int
+	retryBurst                      float64
+	fullModels, autoscale           bool
+	tele                            telemetry.Flags
+}
+
+func registerFleetFlags(fs *flag.FlagSet) *fleetFlags {
+	f := &fleetFlags{shard: serve.DefaultConfig()}
+	fs.IntVar(&f.shards, "shards", 4, "number of serving shards")
+	fs.IntVar(&f.shard.Versions, "versions", f.shard.Versions, "ensemble size per shard")
+	fs.IntVar(&f.shard.WorkersPerVersion, "workers", f.shard.WorkersPerVersion, "initial workers per version per shard")
+	fs.IntVar(&f.shard.QueueDepth, "queue", f.shard.QueueDepth, "per-shard admission queue depth")
+	fs.IntVar(&f.shard.MaxBatch, "batch", f.shard.MaxBatch, "per-shard micro-batch flush size")
+	fs.DurationVar(&f.shard.RequestTimeout, "timeout", f.shard.RequestTimeout, "per-request deadline")
+	fs.Uint64Var(&f.shard.Seed, "seed", f.shard.Seed, "root random seed (all shards share it: identical ensembles)")
+	fs.BoolVar(&f.fullModels, "full-models", false, "serve the full three-architecture ensemble instead of the fast profile")
+	fs.IntVar(&f.maxInflight, "max-inflight", 512, "gateway load-shedding bound on concurrently routed requests")
+	fs.Float64Var(&f.retryBurst, "retry-burst", 10, "per-client retry budget cap")
+	fs.BoolVar(&f.autoscale, "autoscale", true, "run the queue/latency-driven autoscaler")
+	fs.IntVar(&f.maxWorkers, "max-workers", 4, "autoscaler ceiling on per-version workers per shard")
+	f.tele.RegisterFlags(fs)
+	return f
 }
 
 // fastNet is the demo model profile: a minimal flatten+dense classifier with
@@ -121,118 +132,90 @@ func fastNet(version int, _ *xrand.Rand) (*nn.Network, error) {
 	}, nil
 }
 
-// shardConfig builds the serve.Config for one shard of the fleet.
-func (gf *gwFlags) shardConfig(label string, healthOpts *health.Options) serve.Config {
-	cfg := serve.DefaultConfig()
-	cfg.Versions = *gf.versions
-	cfg.WorkersPerVersion = *gf.workers
-	cfg.QueueDepth = *gf.queue
-	cfg.MaxBatch = *gf.batch
-	cfg.RequestTimeout = *gf.timeout
-	cfg.Seed = *gf.seed
-	cfg.ShardLabel = label
-	cfg.Health = healthOpts
-	if !*gf.fullModels {
-		cfg.NewNetwork = fastNet
-		cfg.InjectLayer = 0  // the fast net's only parameterised layer
-		cfg.InjectCount = 64 // enough perturbed weights to reliably flip argmax
+// buildFleet constructs the gateway and its initial shards on rt; the
+// autoscaler spawns further shards with the same configuration. Per-shard
+// health engines are always on: health-aware failover is the point of the
+// gateway, so it is not opt-in. With the tsdb enabled, its p99 recording
+// rule feeds the autoscaler's latency signal instead of the gateway's own
+// window.
+func (f *fleetFlags) buildFleet(rt *obs.Runtime, stderr io.Writer) (*obs.Runtime, *gateway.Gateway, []*gateway.LocalShard, error) {
+	if rt == nil {
+		// Health engines (the failover signal) ride the span stream, so the
+		// gateway always runs a local runtime even with telemetry flags off.
+		rt = obs.NewRuntime(0)
 	}
-	return cfg
-}
-
-// buildFleet constructs the gateway and its initial shards. The returned
-// spawn function builds autoscaler shards with the same configuration. p99,
-// when non-nil, feeds the autoscaler's latency signal from the tsdb
-// recording rule instead of the gateway's own window.
-func (gf *gwFlags) buildFleet(rt *obs.Runtime, healthOpts *health.Options, p99 func() time.Duration) (*gateway.Gateway, []*gateway.LocalShard, func(id string) (gateway.ShardControl, error), error) {
-	gw := gateway.New(gateway.Config{
-		MaxInflight: *gf.maxInflight,
-		RetryBurst:  *gf.retryBurst,
-	}, rt)
+	healthOpts := f.tele.Options()
+	if healthOpts == nil {
+		d := health.DefaultOptions()
+		healthOpts = &d
+	}
+	gw := gateway.New(gateway.Config{MaxInflight: f.maxInflight, RetryBurst: f.retryBurst}, rt)
 	spawn := func(id string) (gateway.ShardControl, error) {
-		srv, err := serve.New(gf.shardConfig(id, healthOpts), rt)
+		cfg := f.shard
+		cfg.ShardLabel = id
+		cfg.Health = healthOpts
+		if !f.fullModels {
+			cfg.NewNetwork = fastNet
+			cfg.InjectLayer = 0  // the fast net's only parameterised layer
+			cfg.InjectCount = 64 // enough perturbed weights to reliably flip argmax
+		}
+		srv, err := serve.New(cfg, rt)
 		if err != nil {
 			return nil, err
 		}
 		return gateway.NewLocalShard(srv)
 	}
 	var shards []*gateway.LocalShard
-	for i := 0; i < *gf.shards; i++ {
+	for i := 0; i < f.shards; i++ {
 		sc, err := spawn(fmt.Sprintf("shard-%d", i))
-		if err != nil {
-			for _, sh := range shards {
-				sh.Close()
-			}
-			return nil, nil, nil, err
+		if err == nil {
+			shards = append(shards, sc.(*gateway.LocalShard))
+			err = gw.AddShard(sc)
 		}
-		sh := sc.(*gateway.LocalShard)
-		shards = append(shards, sh)
-		if err := gw.AddShard(sh); err != nil {
-			for _, s := range shards {
-				s.Close()
-			}
+		if err != nil {
+			closeFleet(gw, shards)
 			return nil, nil, nil, err
 		}
 	}
-	if *gf.autoscale {
+	if f.autoscale {
 		gw.StartAutoscaler(gateway.AutoscalerConfig{
-			MaxWorkers: *gf.maxWorkers,
-			P99Source:  p99,
+			MaxWorkers: f.maxWorkers,
+			P99Source:  f.tele.P99Source(),
 			SpawnShard: spawn,
 			OnEvent: func(ev gateway.ScaleEvent) {
-				fmt.Fprintf(os.Stderr, "mvgateway: autoscale %s shard=%s workers=%d (%s)\n",
+				fmt.Fprintf(stderr, "mvgateway: autoscale %s shard=%s workers=%d (%s)\n",
 					ev.Kind, ev.Shard, ev.Workers, ev.Reason)
 			},
 		})
 	}
-	return gw, shards, spawn, nil
+	return rt, gw, shards, nil
 }
 
-// demoHealthOptions force-enables per-shard health engines: health-aware
-// failover is the point of the gateway, so the demo does not make it opt-in.
-func demoHealthOptions(tele *telemetry.Flags) *health.Options {
-	if opts := tele.Options(); opts != nil {
-		return opts
+func closeFleet(gw *gateway.Gateway, shards []*gateway.LocalShard) {
+	gw.Close()
+	for _, sh := range shards {
+		sh.Close()
 	}
-	d := health.DefaultOptions()
-	return &d
 }
 
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("mvgateway serve", flag.ExitOnError)
+func cmdServe(args []string, w, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("mvgateway serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "HTTP listen address")
-	gf := registerGwFlags(fs)
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	f := registerFleetFlags(fs)
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
-	tele.InfoLabel("shards", fmt.Sprintf("%d", *gf.shards))
-	rt, err := tele.Start()
+	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
+	rt, err := f.tele.Start()
 	if err != nil {
 		return err
 	}
-	if rt == nil {
-		// Health engines (the failover signal) ride the span stream, so the
-		// gateway always runs a local runtime even with telemetry flags off.
-		rt = obs.NewRuntime(0)
-	}
-	defer func() {
-		if err := tele.Finish(map[string]any{"command": "gateway-serve"}); err != nil {
-			fmt.Fprintln(os.Stderr, "mvgateway:", err)
-		}
-	}()
-
-	gw, shards, _, err := gf.buildFleet(rt, demoHealthOptions(&tele), tele.P99Source())
+	defer func() { err = errors.Join(err, f.tele.Finish(map[string]any{"command": "gateway-serve"})) }()
+	_, gw, shards, err := f.buildFleet(rt, stderr)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		gw.Close()
-		for _, sh := range shards {
-			sh.Close()
-		}
-	}()
+	defer closeFleet(gw, shards)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -241,23 +224,24 @@ func cmdServe(args []string) error {
 	srv := serve.NewHTTPServer(gw.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "mvgateway: routing %d shards on http://%s\n", *gf.shards, ln.Addr())
+	fmt.Fprintf(stderr, "mvgateway: routing %d shards on http://%s\n", f.shards, ln.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	select {
 	case err := <-errCh:
 		return err
 	case <-sig:
-		fmt.Fprintln(os.Stderr, "mvgateway: shutting down")
+		fmt.Fprintln(stderr, "mvgateway: shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
 }
 
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("mvgateway loadgen", flag.ExitOnError)
+func cmdLoadgen(args []string, w, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mvgateway loadgen", flag.ContinueOnError)
 	target := fs.String("target", "http://127.0.0.1:8090", "base URL of the gateway")
 	def := serve.DefaultLoadConfig()
 	rate := fs.Float64("rate", 1000, "open-loop request rate (req/s)")
@@ -266,7 +250,7 @@ func cmdLoadgen(args []string) error {
 	seed := fs.Uint64("seed", def.Seed, "request-stream seed")
 	client := fs.String("client", "loadgen", "X-Client-ID for retry budgeting")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	rep, err := serve.RunLoad(*target, serve.LoadConfig{
@@ -275,15 +259,15 @@ func cmdLoadgen(args []string) error {
 	if err != nil {
 		return err
 	}
-	return printReport(rep, *jsonOut)
+	return printReport(w, rep, *jsonOut)
 }
 
-func printReport(rep *serve.LoadReport, asJSON bool) error {
+func printReport(w io.Writer, rep *serve.LoadReport, asJSON bool) error {
 	if asJSON {
-		return json.NewEncoder(os.Stdout).Encode(rep)
+		return json.NewEncoder(w).Encode(rep)
 	}
-	fmt.Println(rep)
-	return nil
+	_, err := fmt.Fprintln(w, rep)
+	return err
 }
 
 // cmdDemo is the multi-shard resilience demonstration: a gateway over N
@@ -294,39 +278,33 @@ func printReport(rep *serve.LoadReport, asJSON bool) error {
 // rejuvenated and reinstated (ring failover end to end). It exits non-zero
 // if any request failed; degraded answers and 429 shedding are designed
 // behaviours, failures are not.
-func cmdDemo(args []string) error {
-	fs := flag.NewFlagSet("mvgateway demo", flag.ExitOnError)
-	gf := registerGwFlags(fs)
+func cmdDemo(args []string, w, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("mvgateway demo", flag.ContinueOnError)
+	f := registerFleetFlags(fs)
 	rate := fs.Float64("rate", 1000, "open-loop request rate (req/s)")
 	duration := fs.Duration("duration", 10*time.Second, "load duration")
 	baseline := fs.Float64("baseline-rps", 100,
 		"single-shard reference throughput for the scale ratio (the mvserve demo's default workload)")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
-	tele.InfoLabel("shards", fmt.Sprintf("%d", *gf.shards))
-	rt, err := tele.Start()
+	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
+	rt, err := f.tele.Start()
 	if err != nil {
 		return err
 	}
-	if rt == nil {
-		rt = obs.NewRuntime(0)
-	}
-	gw, shards, _, err := gf.buildFleet(rt, demoHealthOptions(&tele), tele.P99Source())
-	if err != nil {
-		return err
-	}
+	var rep *serve.LoadReport
 	defer func() {
-		gw.Close()
-		for _, sh := range shards {
-			sh.Close()
-		}
+		err = errors.Join(err, f.tele.Finish(map[string]any{"command": "gateway-demo", "report": rep}))
 	}()
+	rt, gw, shards, err := f.buildFleet(rt, stderr)
+	if err != nil {
+		return err
+	}
+	defer closeFleet(gw, shards)
 	if len(shards) > 0 {
-		tele.Observe(shards[0].Server().Health())
+		f.tele.Observe(shards[0].Server().Health())
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -337,7 +315,7 @@ func cmdDemo(args []string) error {
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "mvgateway demo: %d shards on %s, load %.0f req/s for %v\n",
+	fmt.Fprintf(stderr, "mvgateway demo: %d shards on %s, load %.0f req/s for %v\n",
 		len(shards), base, *rate, *duration)
 
 	// Fault 1 (t/3): compromise one version of shard-0. Its health engine
@@ -345,10 +323,10 @@ func cmdDemo(args []string) error {
 	// routing), and the reactive trigger rejuvenates the version.
 	go func() {
 		time.Sleep(*duration / 3)
-		fmt.Fprintln(os.Stderr, "mvgateway demo: compromising shard-0 version 0")
+		fmt.Fprintln(stderr, "mvgateway demo: compromising shard-0 version 0")
 		if len(shards) > 0 {
 			if err := shards[0].Compromise(0); err != nil {
-				fmt.Fprintln(os.Stderr, "mvgateway demo:", err)
+				fmt.Fprintln(stderr, "mvgateway demo:", err)
 			}
 		}
 	}()
@@ -361,28 +339,28 @@ func cmdDemo(args []string) error {
 			return
 		}
 		sh := shards[1]
-		fmt.Fprintf(os.Stderr, "mvgateway demo: draining %s for full rejuvenation\n", sh.ID())
+		fmt.Fprintf(stderr, "mvgateway demo: draining %s for full rejuvenation\n", sh.ID())
 		sh.SetDraining(true)
 		if err := sh.Rejuvenate(serve.RejuvManual); err != nil {
-			fmt.Fprintln(os.Stderr, "mvgateway demo:", err)
+			fmt.Fprintln(stderr, "mvgateway demo:", err)
 		}
 		sh.SetDraining(false)
-		fmt.Fprintf(os.Stderr, "mvgateway demo: %s rejuvenated and reinstated\n", sh.ID())
+		fmt.Fprintf(stderr, "mvgateway demo: %s rejuvenated and reinstated\n", sh.ID())
 	}()
 
-	rep, err := serve.RunLoad(base, serve.LoadConfig{
+	rep, err = serve.RunLoad(base, serve.LoadConfig{
 		Rate: *rate, Duration: *duration, Timeout: 5 * time.Second,
-		Seed: *gf.seed, ClientID: "demo",
+		Seed: f.shard.Seed, ClientID: "demo",
 	})
 	if err != nil {
 		return err
 	}
-	if err := printReport(rep, *jsonOut); err != nil {
+	if err := printReport(w, rep, *jsonOut); err != nil {
 		return err
 	}
 
 	reg := rt.Metrics()
-	fmt.Printf("gateway: %d answered by owner, %d rerouted (health/drain), %d failovers, %d budget retries, %d shed (429), %d exhausted\n",
+	fmt.Fprintf(w, "gateway: %d answered by owner, %d rerouted (health/drain), %d failovers, %d budget retries, %d shed (429), %d exhausted\n",
 		reg.Counter("mv_gateway_routed_total").Value(),
 		reg.Counter("mv_gateway_rerouted_total").Value(),
 		reg.Counter("mv_gateway_failovers_total").Value(),
@@ -393,18 +371,14 @@ func cmdDemo(args []string) error {
 	for _, kind := range []string{serve.RejuvReactive, serve.RejuvProactive, serve.RejuvManual} {
 		rejuv += reg.Counter("mvserve_rejuvenations_total", "kind", kind).Value()
 	}
-	fmt.Printf("fleet: %d shards live, %d rejuvenations (all kinds)\n", len(gw.Shards()), rejuv)
+	fmt.Fprintf(w, "fleet: %d shards live, %d rejuvenations (all kinds)\n", len(gw.Shards()), rejuv)
 	if *baseline > 0 {
-		fmt.Printf("scale: %.1f req/s answered = %.1fx the single-shard reference (%.0f req/s)\n",
+		fmt.Fprintf(w, "scale: %.1f req/s answered = %.1fx the single-shard reference (%.0f req/s)\n",
 			rep.Throughput, rep.Throughput / *baseline, *baseline)
-	}
-
-	if err := tele.Finish(map[string]any{"command": "gateway-demo", "report": rep}); err != nil {
-		fmt.Fprintln(os.Stderr, "mvgateway:", err)
 	}
 	if rep.Failed > 0 || rep.Errors > 0 {
 		return fmt.Errorf("demo saw %d failed and %d transport-error requests", rep.Failed, rep.Errors)
 	}
-	fmt.Println("demo passed: zero failed requests across shard compromise, drain and rejuvenation")
+	fmt.Fprintln(w, "demo passed: zero failed requests across shard compromise, drain and rejuvenation")
 	return nil
 }

@@ -1,0 +1,94 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"image"
+	"image/color"
+	"io"
+	"time"
+
+	"mvml/internal/nn"
+	"mvml/internal/obs"
+	"mvml/internal/signs"
+	"mvml/internal/telemetry"
+	"mvml/internal/tensor"
+	"mvml/internal/xrand"
+)
+
+// cmdSigns renders a contact sheet of the synthetic traffic-sign dataset to a
+// PNG, one row per class (or a selected range), so the GTSRB substitution can
+// be inspected visually.
+func cmdSigns(args []string, w, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mvml signs", flag.ContinueOnError)
+	out := fs.String("o", "signs.png", "output PNG path")
+	perClass := fs.Int("per-class", 8, "instances per class (columns)")
+	firstClass := fs.Int("first", 0, "first class to render")
+	lastClass := fs.Int("last", signs.NumClasses-1, "last class to render")
+	noise := fs.Float64("noise", -1, "override pixel-noise sigma (-1 = dataset default)")
+	seed := fs.Uint64("seed", 38, "render seed")
+	var tele telemetry.Flags
+	tele.RegisterFlags(fs)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
+	if *perClass < 1 {
+		return usageError{fmt.Sprintf("per-class must be positive, got %d", *perClass)}
+	}
+	if *firstClass < 0 || *lastClass >= signs.NumClasses || *firstClass > *lastClass {
+		return usageError{fmt.Sprintf("class range [%d, %d] outside [0, %d]", *firstClass, *lastClass, signs.NumClasses-1)}
+	}
+	cfg := signs.DefaultConfig()
+	cfg.Seed = *seed
+	if *noise >= 0 {
+		cfg.Noise = *noise
+	}
+
+	return instrumented(&tele, map[string]any{"command": "signsheet", "seed": *seed}, func(rt *obs.Runtime) error {
+		const pad = 2
+		cell := nn.InputSize + pad
+		rows := *lastClass - *firstClass + 1
+		sheet := image.NewRGBA(image.Rect(0, 0, *perClass*cell+pad, rows*cell+pad))
+		root := xrand.New(cfg.Seed)
+
+		// A nil registry (telemetry off) hands out nil no-op handles.
+		reg := rt.Metrics()
+		reg.Help("mvml_signsheet_render_seconds", "Per-tile render latency of the synthetic sign generator.")
+		reg.Help("mvml_signsheet_tiles_total", "Tiles rendered, labelled by class.")
+		renderHist := reg.Histogram("mvml_signsheet_render_seconds", obs.LatencyBuckets())
+		for row := 0; row < rows; row++ {
+			class := *firstClass + row
+			r := root.Split("sheet", uint64(class))
+			tileCtr := reg.Counter("mvml_signsheet_tiles_total", "class", fmt.Sprintf("%d", class))
+			for col := 0; col < *perClass; col++ {
+				start := time.Now()
+				img := signs.Render(class, r, cfg)
+				renderHist.Observe(time.Since(start).Seconds())
+				tileCtr.Inc()
+				blit(sheet, img, pad+col*cell, pad+row*cell)
+			}
+		}
+		if err := writePNG(*out, sheet); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s (%d classes x %d instances)\n", *out, rows, *perClass)
+		return nil
+	})
+}
+
+// blit copies one rendered sign tensor into the sheet at (x0, y0).
+func blit(dst *image.RGBA, src *tensor.Tensor, x0, y0 int) {
+	size := src.Shape[1]
+	plane := size * size
+	for y := 0; y < size; y++ {
+		for x := 0; x < size; x++ {
+			idx := y*size + x
+			dst.SetRGBA(x0+x, y0+y, color.RGBA{
+				R: uint8(src.Data[idx]*255 + 0.5),
+				G: uint8(src.Data[plane+idx]*255 + 0.5),
+				B: uint8(src.Data[2*plane+idx]*255 + 0.5),
+				A: 255,
+			})
+		}
+	}
+}

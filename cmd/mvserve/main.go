@@ -1,24 +1,19 @@
 // Command mvserve runs the online multi-version inference service: the
 // three-version traffic-sign ensemble behind an HTTP API with bounded
 // admission, micro-batching, majority voting and zero-downtime rejuvenation.
-//
-// Usage:
-//
-//	mvserve serve -addr :8080              # run the service
-//	mvserve loadgen -target http://host:8080 -rate 200 -duration 5s
-//	mvserve demo                           # in-process server + open-loop load
-//	                                       # + forced compromise + rejuvenation
-//
-// Telemetry (shared by all binaries): -metrics-addr serves live Prometheus
-// exposition, -telemetry-out writes the end-of-run JSON summary, -spans-out
-// streams the JSONL span trace. Attaching telemetry never changes responses.
+// `mvserve serve` runs the service, `mvserve loadgen` drives open-loop load at
+// one, and `mvserve demo` runs both in-process with a forced compromise and
+// the rejuvenation that heals it. Telemetry flags are shared with the other
+// binaries; attaching telemetry never changes responses.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -31,118 +26,120 @@ import (
 	"mvml/internal/telemetry"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
-	case "demo":
-		err = cmdDemo(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvserve:", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usageText = `usage:
   mvserve serve   [flags]   run the inference service
   mvserve loadgen [flags]   open-loop load against a running service
   mvserve demo    [flags]   self-contained resilience demo (server+load+rejuvenation)
-run "mvserve <subcommand> -h" for flags`)
+run "mvserve <subcommand> -h" for flags
+`
+
+// errFlagParse marks a flag-parse failure the flag package already reported.
+var errFlagParse = errors.New("flag parse error")
+
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"serve":   cmdServe,
+	"loadgen": cmdLoadgen,
+	"demo":    cmdDemo,
 }
 
-// serveFlags registers the serving Config on fs and returns a loader.
-func serveFlags(fs *flag.FlagSet) func() serve.Config {
-	def := serve.DefaultConfig()
-	versions := fs.Int("versions", def.Versions, "ensemble size")
-	workers := fs.Int("workers", def.WorkersPerVersion, "workers per version (each an arena on the version's one network)")
-	queue := fs.Int("queue", def.QueueDepth, "admission queue depth")
-	batch := fs.Int("batch", def.MaxBatch, "micro-batch size bound (a batch closes sooner when the queue is empty)")
-	timeout := fs.Duration("timeout", def.RequestTimeout, "per-request deadline")
-	seed := fs.Uint64("seed", def.Seed, "root random seed")
-	epochs := fs.Int("train-epochs", 0, "train the ensemble this many epochs before serving (0 = untrained)")
-	perClass := fs.Int("train-per-class", def.Dataset.TrainPerClass, "training images per class (with -train-epochs)")
-	injects := fs.Int("inject-count", def.InjectCount, "weights perturbed per compromise event")
-	int8Versions := fs.String("int8-versions", "", "comma-separated version indices served through the int8 quantized path (e.g. 1 or 0,2)")
-	profileLayers := fs.Bool("profile-layers", false, "time every layer dispatch and count GEMM volumes into the metrics registry")
-	proactive := fs.Duration("proactive", 0, "proactive rejuvenation interval (0 = disabled)")
-	window := fs.Int("divergence-window", def.DivergenceWindow, "reactive-trigger observation window")
-	threshold := fs.Float64("divergence-threshold", def.DivergenceThreshold, "reactive-trigger disagreement fraction")
-	return func() serve.Config {
-		cfg := serve.DefaultConfig()
-		cfg.Int8Versions = parseIndexList(*int8Versions)
-		cfg.Versions = *versions
-		cfg.WorkersPerVersion = *workers
-		cfg.QueueDepth = *queue
-		cfg.MaxBatch = *batch
-		cfg.RequestTimeout = *timeout
-		cfg.Seed = *seed
-		cfg.TrainEpochs = *epochs
-		cfg.Dataset.TrainPerClass = *perClass
-		cfg.InjectCount = *injects
-		cfg.ProfileLayers = *profileLayers
-		cfg.ProactiveInterval = *proactive
-		cfg.DivergenceWindow = *window
-		cfg.DivergenceThreshold = *threshold
-		return cfg
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches one invocation and returns its exit code: 0 ok (and -h), 1 a
+// failed run, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usageText)
+		return 2
 	}
+	cmd, ok := commands[args[0]]
+	switch {
+	case args[0] == "-h" || args[0] == "-help" || args[0] == "--help" || args[0] == "help":
+		fmt.Fprint(stderr, usageText)
+		return 0
+	case !ok:
+		fmt.Fprintf(stderr, "mvserve: unknown subcommand %q\n%s", args[0], usageText)
+		return 2
+	}
+	err := cmd(args[1:], stdout, stderr)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlagParse):
+		return 2
+	}
+	fmt.Fprintln(stderr, "mvserve:", err)
+	return 1
 }
 
-// parseIndexList parses a comma-separated list of non-negative version
-// indices; malformed entries are dropped (Config.Validate still rejects
-// out-of-range indices).
-func parseIndexList(s string) []int {
+// parse parses a subcommand's flags (errors and -h go to stderr), reporting a
+// failure the flag package printed as errFlagParse.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errFlagParse
+	}
+	return err
+}
+
+// serveFlags registers the serving Config and the telemetry flags on fs.
+func serveFlags(fs *flag.FlagSet) (*serve.Config, *telemetry.Flags) {
+	cfg, tele := serve.DefaultConfig(), &telemetry.Flags{}
+	tele.RegisterFlags(fs)
+	fs.IntVar(&cfg.Versions, "versions", cfg.Versions, "ensemble size")
+	fs.IntVar(&cfg.WorkersPerVersion, "workers", cfg.WorkersPerVersion, "workers per version (each an arena on the version's one network)")
+	fs.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission queue depth")
+	fs.IntVar(&cfg.MaxBatch, "batch", cfg.MaxBatch, "micro-batch size bound (a batch closes sooner when the queue is empty)")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request deadline")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "root random seed")
+	fs.IntVar(&cfg.TrainEpochs, "train-epochs", 0, "train the ensemble this many epochs before serving (0 = untrained)")
+	fs.IntVar(&cfg.Dataset.TrainPerClass, "train-per-class", cfg.Dataset.TrainPerClass, "training images per class (with -train-epochs)")
+	fs.IntVar(&cfg.InjectCount, "inject-count", cfg.InjectCount, "weights perturbed per compromise event")
+	fs.BoolVar(&cfg.ProfileLayers, "profile-layers", false, "time every layer dispatch and count GEMM volumes into the metrics registry")
+	fs.DurationVar(&cfg.ProactiveInterval, "proactive", 0, "proactive rejuvenation interval (0 = disabled)")
+	fs.IntVar(&cfg.DivergenceWindow, "divergence-window", cfg.DivergenceWindow, "reactive-trigger observation window")
+	fs.Float64Var(&cfg.DivergenceThreshold, "divergence-threshold", cfg.DivergenceThreshold, "reactive-trigger disagreement fraction")
+	fs.Func("int8-versions", "comma-separated version indices served through the int8 quantized path (e.g. 1 or 0,2)",
+		func(s string) (err error) {
+			cfg.Int8Versions, err = parseIndexList(s)
+			return err
+		})
+	return &cfg, tele
+}
+
+// parseIndexList parses the comma-separated -int8-versions list; a malformed
+// entry fails the flag parse. The range is Config.Validate's to check.
+func parseIndexList(s string) ([]int, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvserve: ignoring malformed version index %q\n", part)
-			continue
+			return nil, fmt.Errorf("malformed version index %q", part)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("mvserve serve", flag.ExitOnError)
+func cmdServe(args []string, w, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("mvserve serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
-	loadCfg := serveFlags(fs)
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg, tele := serveFlags(fs)
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
-	cfg := loadCfg()
 	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))
 	rt, err := tele.Start()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := tele.Finish(map[string]any{"command": "serve"}); err != nil {
-			fmt.Fprintln(os.Stderr, "mvserve:", err)
-		}
-	}()
+	defer func() { err = errors.Join(err, tele.Finish(map[string]any{"command": "serve"})) }()
 
-	s, err := serve.New(cfg, rt)
+	s, err := serve.New(*cfg, rt)
 	if err != nil {
 		return err
 	}
@@ -158,23 +155,24 @@ func cmdServe(args []string) error {
 	srv := serve.NewHTTPServer(s.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "mvserve: serving on http://%s\n", ln.Addr())
+	fmt.Fprintf(stderr, "mvserve: serving on http://%s\n", ln.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	select {
 	case err := <-errCh:
 		return err
 	case <-sig:
-		fmt.Fprintln(os.Stderr, "mvserve: shutting down")
+		fmt.Fprintln(stderr, "mvserve: shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
 }
 
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("mvserve loadgen", flag.ExitOnError)
+func cmdLoadgen(args []string, w, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mvserve loadgen", flag.ContinueOnError)
 	target := fs.String("target", "http://127.0.0.1:8080", "base URL of the service")
 	def := serve.DefaultLoadConfig()
 	rate := fs.Float64("rate", def.Rate, "open-loop request rate (req/s)")
@@ -182,7 +180,7 @@ func cmdLoadgen(args []string) error {
 	timeout := fs.Duration("request-timeout", def.Timeout, "per-request HTTP timeout")
 	seed := fs.Uint64("seed", def.Seed, "request-stream seed")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	rep, err := serve.RunLoad(*target, serve.LoadConfig{
@@ -191,15 +189,15 @@ func cmdLoadgen(args []string) error {
 	if err != nil {
 		return err
 	}
-	return printReport(rep, *jsonOut)
+	return printReport(w, rep, *jsonOut)
 }
 
-func printReport(rep *serve.LoadReport, asJSON bool) error {
+func printReport(w io.Writer, rep *serve.LoadReport, asJSON bool) error {
 	if asJSON {
-		return json.NewEncoder(os.Stdout).Encode(rep)
+		return json.NewEncoder(w).Encode(rep)
 	}
-	fmt.Println(rep)
-	return nil
+	_, err := fmt.Fprintln(w, rep)
+	return err
 }
 
 // cmdDemo is the self-contained resilience demonstration: it brings the
@@ -207,29 +205,26 @@ func printReport(rep *serve.LoadReport, asJSON bool) error {
 // mid-run, lets the reactive trigger rejuvenate it, and reports the outcome.
 // It exits non-zero if any request failed (5xx/transport) — degraded answers
 // and 429 rejections are the designed behaviours, failures are not.
-func cmdDemo(args []string) error {
-	fs := flag.NewFlagSet("mvserve demo", flag.ExitOnError)
-	loadCfg := serveFlags(fs)
+func cmdDemo(args []string, w, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("mvserve demo", flag.ContinueOnError)
+	cfg, tele := serveFlags(fs)
 	def := serve.DefaultLoadConfig()
 	rate := fs.Float64("rate", def.Rate, "open-loop request rate (req/s)")
 	duration := fs.Duration("duration", def.Duration, "load duration")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
-	cfg := loadCfg()
 	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))
 	rt, err := tele.Start()
 	if err != nil {
 		return err
 	}
+	var rep *serve.LoadReport
+	defer func() { err = errors.Join(err, tele.Finish(map[string]any{"command": "demo", "report": rep})) }()
 
-	// The demo leans on the reactive trigger: make it responsive enough to
-	// fire within the run unless the operator tuned it explicitly.
-	s, err := serve.New(cfg, rt)
+	s, err := serve.New(*cfg, rt)
 	if err != nil {
 		return err
 	}
@@ -244,40 +239,36 @@ func cmdDemo(args []string) error {
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "mvserve demo: serving on %s, load %.0f req/s for %v\n", base, *rate, *duration)
+	fmt.Fprintf(stderr, "mvserve demo: serving on %s, load %.0f req/s for %v\n", base, *rate, *duration)
 
 	// Mid-run fault: compromise version 0 a third of the way in; the
 	// divergence monitor should drain and restore it while load continues.
 	go func() {
 		time.Sleep(*duration / 3)
-		fmt.Fprintln(os.Stderr, "mvserve demo: compromising version 0")
+		fmt.Fprintln(stderr, "mvserve demo: compromising version 0")
 		if err := s.Compromise(0); err != nil {
-			fmt.Fprintln(os.Stderr, "mvserve demo:", err)
+			fmt.Fprintln(stderr, "mvserve demo:", err)
 		}
 	}()
 
-	rep, err := serve.RunLoad(base, serve.LoadConfig{
+	rep, err = serve.RunLoad(base, serve.LoadConfig{
 		Rate: *rate, Duration: *duration, Timeout: 5 * time.Second, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return err
 	}
-	if err := printReport(rep, *jsonOut); err != nil {
+	if err := printReport(w, rep, *jsonOut); err != nil {
 		return err
 	}
-	if rt != nil {
-		reactive := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", serve.RejuvReactive)
-		proactive := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", serve.RejuvProactive)
-		degraded := rt.Metrics().Counter("mvserve_degraded_total")
-		fmt.Printf("rejuvenations: %d reactive, %d proactive; degraded answers: %d\n",
-			reactive.Value(), proactive.Value(), degraded.Value())
-	}
-	if err := tele.Finish(map[string]any{"command": "demo", "report": rep}); err != nil {
-		fmt.Fprintln(os.Stderr, "mvserve:", err)
+	if reg := rt.Metrics(); reg != nil {
+		fmt.Fprintf(w, "rejuvenations: %d reactive, %d proactive; degraded answers: %d\n",
+			reg.Counter("mvserve_rejuvenations_total", "kind", serve.RejuvReactive).Value(),
+			reg.Counter("mvserve_rejuvenations_total", "kind", serve.RejuvProactive).Value(),
+			reg.Counter("mvserve_degraded_total").Value())
 	}
 	if rep.Failed > 0 || rep.Errors > 0 {
 		return fmt.Errorf("demo saw %d failed and %d transport-error requests", rep.Failed, rep.Errors)
 	}
-	fmt.Println("demo passed: zero failed requests across compromise and rejuvenation")
+	fmt.Fprintln(w, "demo passed: zero failed requests across compromise and rejuvenation")
 	return nil
 }

@@ -6,10 +6,11 @@
 // driving-simulator case study evaluating end-to-end safety.
 //
 // The implementation lives under internal/ (see DESIGN.md for the full
-// inventory and per-experiment index); cmd/ hosts the binaries that
-// regenerate every table and figure of the paper's evaluation, examples/
-// shows the public API in use, and bench_test.go ties each experiment to a
-// testing.B benchmark.
+// inventory and per-experiment index); cmd/mvml regenerates every table and
+// figure of the paper's evaluation (mvml tables, drive, dspn, falsify,
+// signs), cmd/mvserve and cmd/mvgateway serve the ensemble online,
+// internal/core's Example_quickstart shows the public API in use, and
+// bench_test.go ties each experiment to a testing.B benchmark.
 //
 // Inference has two forwards per layer and no more: the per-sample Forward
 // on the scalar MatMul kernels (training, and the executable spec) and the

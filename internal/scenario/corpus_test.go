@@ -15,7 +15,7 @@ package scenario
 // and review the metric diffs like any other golden change. Entries whose
 // scenario no longer violates are reported; decide case by case whether the
 // regression is real or the entry should be re-minimized via
-// `mvfalsify search`.
+// `mvml falsify search`.
 
 import (
 	"flag"

@@ -303,7 +303,7 @@ func (f *Flags) debugMux() *http.ServeMux {
 
 // AttachEngine builds the health engine and subscribes it to the runtime's
 // span sink and metric registry — the path for binaries whose span stream is
-// not the serving subsystem (drivesim, dspn, mvmlbench). A no-op when the
+// not the serving subsystem (mvml's subcommands). A no-op when the
 // engine or telemetry is disabled.
 func (f *Flags) AttachEngine() {
 	if opts := f.Options(); opts != nil && f.rt != nil {
