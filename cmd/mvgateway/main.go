@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"mvml/internal/cli"
 	"mvml/internal/gateway"
 	"mvml/internal/health"
 	"mvml/internal/nn"
@@ -38,10 +39,7 @@ const usageText = `usage:
 run "mvgateway <subcommand> -h" for flags
 `
 
-// errFlagParse marks a flag-parse failure the flag package already reported.
-var errFlagParse = errors.New("flag parse error")
-
-var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+var commands = map[string]cli.Command{
 	"serve":   cmdServe,
 	"loadgen": cmdLoadgen,
 	"demo":    cmdDemo,
@@ -52,39 +50,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run dispatches one invocation and returns its exit code: 0 ok (and -h), 1 a
 // failed run, 2 a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	cmd, ok := commands[args[0]]
-	switch {
-	case args[0] == "-h" || args[0] == "-help" || args[0] == "--help" || args[0] == "help":
-		fmt.Fprint(stderr, usageText)
-		return 0
-	case !ok:
-		fmt.Fprintf(stderr, "mvgateway: unknown subcommand %q\n%s", args[0], usageText)
-		return 2
-	}
-	err := cmd(args[1:], stdout, stderr)
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errFlagParse):
-		return 2
-	}
-	fmt.Fprintln(stderr, "mvgateway:", err)
-	return 1
-}
-
-// parse parses a subcommand's flags (errors and -h go to stderr), reporting a
-// failure the flag package printed as errFlagParse.
-func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
-	fs.SetOutput(stderr)
-	err := fs.Parse(args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errFlagParse
-	}
-	return err
+	return cli.Run("mvgateway", usageText, commands, args, stdout, stderr)
 }
 
 // fleetFlags is the shard-fleet, gateway and telemetry command line shared by
@@ -202,7 +168,7 @@ func cmdServe(args []string, w, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mvgateway serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "HTTP listen address")
 	f := registerFleetFlags(fs)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
@@ -250,7 +216,7 @@ func cmdLoadgen(args []string, w, stderr io.Writer) error {
 	seed := fs.Uint64("seed", def.Seed, "request-stream seed")
 	client := fs.String("client", "loadgen", "X-Client-ID for retry budgeting")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	rep, err := serve.RunLoad(*target, serve.LoadConfig{
@@ -286,7 +252,7 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	baseline := fs.Float64("baseline-rps", 100,
 		"single-shard reference throughput for the scale ratio (the mvserve demo's default workload)")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"mvml/internal/cli"
 	"mvml/internal/experiments"
 	"mvml/internal/obs"
 	"mvml/internal/telemetry"
@@ -25,16 +26,16 @@ func cmdDrive(args []string, w, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 2025, "root random seed")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	switch {
 	case *table != 0 && (*table < 6 || *table > 8):
-		return usageError{fmt.Sprintf("no Table %d here: pass -table 6..8 (Tables 2..5 are mvml tables)", *table)}
+		return cli.Usagef("no Table %d here: pass -table 6..8 (Tables 2..5 are mvml tables)", *table)
 	case *ablation != "" && *ablation != "voting" && *ablation != "selection" && *ablation != "clocks":
-		return usageError{fmt.Sprintf("no ablation %q: pass -ablation voting|selection|clocks", *ablation)}
+		return cli.Usagef("no ablation %q: pass -ablation voting|selection|clocks", *ablation)
 	case *table == 0 && *mapPath == "" && *ablation == "" && !*all:
-		return usageError{"nothing to do: pass -table 6..8, -map <png>, -ablation voting|selection|clocks, or -all"}
+		return cli.Usagef("nothing to do: pass -table 6..8, -map <png>, -ablation voting|selection|clocks, or -all")
 	}
 
 	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))

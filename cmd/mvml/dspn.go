@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 
+	"mvml/internal/cli"
 	"mvml/internal/obs"
 	"mvml/internal/reliability"
 	"mvml/internal/telemetry"
@@ -29,7 +30,7 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 

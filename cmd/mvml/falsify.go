@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"mvml/internal/cli"
 	"mvml/internal/scenario"
 )
 
@@ -15,7 +16,7 @@ import (
 // near-collisions, undetected obstacles) and shrinks each find to a
 // locally-minimal counterexample; replay and show work on the regression
 // corpus that `go test ./internal/scenario` replays.
-var falsifyCommands = map[string]command{
+var falsifyCommands = map[string]cli.Command{
 	"search": falsifySearch,
 	"replay": falsifyReplay,
 	"show":   falsifyShow,
@@ -31,11 +32,11 @@ func falsifySearch(args []string, w, stderr io.Writer) error {
 	write := fs.Bool("write", false, "bank minimized counterexamples into -corpus")
 	rediscover := fs.Bool("rediscover", false, "require >=1 found counterexample to already be in -corpus")
 	minViolations := fs.Int("min-violations", 0, "fail unless at least this many distinct counterexamples were found")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if (*write || *rediscover) && *corpusDir == "" {
-		return usageError{"-write/-rediscover need -corpus"}
+		return cli.Usagef("-write/-rediscover need -corpus")
 	}
 
 	rep, err := scenario.Search(scenario.Config{
@@ -98,11 +99,11 @@ func falsifySearch(args []string, w, stderr io.Writer) error {
 func falsifyReplay(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mvml falsify replay", flag.ContinueOnError)
 	corpusDir := fs.String("corpus", "", "corpus directory")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *corpusDir == "" {
-		return usageError{"replay needs -corpus"}
+		return cli.Usagef("replay needs -corpus")
 	}
 	entries, names, err := scenario.LoadCorpus(*corpusDir)
 	if err != nil {
@@ -140,11 +141,11 @@ func falsifyReplay(args []string, w, stderr io.Writer) error {
 func falsifyShow(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mvml falsify show", flag.ContinueOnError)
 	in := fs.String("in", "", "corpus entry file")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *in == "" {
-		return usageError{"show needs -in"}
+		return cli.Usagef("show needs -in")
 	}
 	data, err := os.ReadFile(*in)
 	if err != nil {

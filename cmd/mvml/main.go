@@ -13,13 +13,13 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"image"
 	"image/png"
 	"io"
 	"os"
 
+	"mvml/internal/cli"
 	"mvml/internal/obs"
 	"mvml/internal/telemetry"
 )
@@ -37,24 +37,12 @@ const usageText = `usage:
 run "mvml <subcommand> -h" for flags
 `
 
-// usageError marks a bad invocation: run prints it with the usage text and
-// exits 2 (a failed run exits 1).
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
-// errFlagParse marks a flag-parse failure the flag package already reported.
-var errFlagParse = errors.New("flag parse error")
-
-// command runs one subcommand on its arguments.
-type command func(args []string, stdout, stderr io.Writer) error
-
-var commands = map[string]command{
+var commands = map[string]cli.Command{
 	"tables": cmdTables,
 	"drive":  cmdDrive,
 	"dspn":   cmdDSPN,
 	"falsify": func(args []string, stdout, stderr io.Writer) error {
-		return dispatch(falsifyCommands, args, stdout, stderr)
+		return cli.Dispatch(usageText, falsifyCommands, args, stdout, stderr)
 	},
 	"signs": cmdSigns,
 }
@@ -63,49 +51,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run dispatches one invocation and returns its exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	err := dispatch(commands, args, stdout, stderr)
-	var bad usageError
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errFlagParse):
-		return 2
-	case errors.As(err, &bad):
-		fmt.Fprintln(stderr, "mvml:", err)
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	fmt.Fprintln(stderr, "mvml:", err)
-	return 1
-}
-
-// dispatch hands args to the subcommand args[0] names in cmds (-h prints the
-// usage).
-func dispatch(cmds map[string]command, args []string, stdout, stderr io.Writer) error {
-	if len(args) == 0 {
-		return usageError{"missing subcommand"}
-	}
-	switch args[0] {
-	case "-h", "-help", "--help", "help":
-		fmt.Fprint(stderr, usageText)
-		return flag.ErrHelp
-	}
-	cmd, ok := cmds[args[0]]
-	if !ok {
-		return usageError{fmt.Sprintf("unknown subcommand %q", args[0])}
-	}
-	return cmd(args[1:], stdout, stderr)
-}
-
-// parse parses a subcommand's flags (errors and -h go to stderr), reporting a
-// failure the flag package printed as errFlagParse.
-func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
-	fs.SetOutput(stderr)
-	err := fs.Parse(args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errFlagParse
-	}
-	return err
+	return cli.Run("mvml", usageText, commands, args, stdout, stderr)
 }
 
 // instrumented runs body on the runtime the telemetry flags ask for (nil when

@@ -95,6 +95,28 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestTablesAllUsesPaperParams: -all runs every reliability-side step on the
+// paper's parameters, so it exits 0 and its Tables III and IV are exactly the
+// single-step ones (Table II's quick fit feeds nothing downstream).
+func TestTablesAllUsesPaperParams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains Table II's three models and runs every sweep (~35 s)")
+	}
+	code, stdout, stderr := runCLI("tables", "-all", "-quick")
+	if code != 0 {
+		t.Fatalf("mvml tables -all -quick exited %d: %s", code, stderr)
+	}
+	for _, name := range []string{"tables_table3", "tables_table4"} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stdout, string(want)) {
+			t.Errorf("-all stdout lacks the section in %s.golden:\n%s", name, stdout)
+		}
+	}
+}
+
 // TestDriveWorkerCountInvariant: the case-study fan-out prints the same
 // table at one worker and at four.
 func TestDriveWorkerCountInvariant(t *testing.T) {

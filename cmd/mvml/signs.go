@@ -8,6 +8,7 @@ import (
 	"io"
 	"time"
 
+	"mvml/internal/cli"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/signs"
@@ -29,14 +30,14 @@ func cmdSigns(args []string, w, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 38, "render seed")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *perClass < 1 {
-		return usageError{fmt.Sprintf("per-class must be positive, got %d", *perClass)}
+		return cli.Usagef("per-class must be positive, got %d", *perClass)
 	}
 	if *firstClass < 0 || *lastClass >= signs.NumClasses || *firstClass > *lastClass {
-		return usageError{fmt.Sprintf("class range [%d, %d] outside [0, %d]", *firstClass, *lastClass, signs.NumClasses-1)}
+		return cli.Usagef("class range [%d, %d] outside [0, %d]", *firstClass, *lastClass, signs.NumClasses-1)
 	}
 	cfg := signs.DefaultConfig()
 	cfg.Seed = *seed

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"mvml/internal/cli"
 	"mvml/internal/experiments"
 	"mvml/internal/obs"
 	"mvml/internal/petri"
@@ -32,16 +33,16 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 	horizon := fs.Float64("horizon", 0, "DSPN simulation horizon in model seconds (0 = default)")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	switch {
 	case *table != 0 && (*table < 2 || *table > 5):
-		return usageError{fmt.Sprintf("no Table %d here: pass -table 2..5 (Tables 6..8 are mvml drive)", *table)}
+		return cli.Usagef("no Table %d here: pass -table 2..5 (Tables 6..8 are mvml drive)", *table)
 	case *fig != "" && (len(*fig) != 1 || !strings.Contains("abcdef", *fig)):
-		return usageError{fmt.Sprintf("no Fig. 4 sweep %q: pass -fig a..f", *fig)}
+		return cli.Usagef("no Fig. 4 sweep %q: pass -fig a..f", *fig)
 	case *table == 0 && *fig == "" && !*nversion && !*diversity && !*campaign && !*all:
-		return usageError{"nothing to do: pass -table 2..5, -fig a..f, -nversion, -diversity, -campaign, or -all"}
+		return cli.Usagef("nothing to do: pass -table 2..5, -fig a..f, -nversion, -diversity, -campaign, or -all")
 	}
 
 	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
@@ -60,15 +61,7 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 		}
 
 		steps := []step{
-			{*table == 2 || *all, func() (renderer, error) {
-				res, err := experiments.RunTableII(train)
-				// Feed the fitted parameters into the downstream tables when
-				// running everything.
-				if err == nil && *all {
-					params = res.Params()
-				}
-				return res, err
-			}},
+			{*table == 2 || *all, func() (renderer, error) { return experiments.RunTableII(train) }},
 			{*table == 3 || *all, func() (renderer, error) { return experiments.RunTableIII(params) }},
 			{*table == 4 || *all, func() (renderer, error) { return text(experiments.RenderTableIV(params)), nil }},
 			{*table == 5 || *all, func() (renderer, error) { return experiments.RunTableV(params, simCfg, rng) }},

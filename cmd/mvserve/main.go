@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"mvml/internal/cli"
 	"mvml/internal/serve"
 	"mvml/internal/telemetry"
 )
@@ -33,10 +34,7 @@ const usageText = `usage:
 run "mvserve <subcommand> -h" for flags
 `
 
-// errFlagParse marks a flag-parse failure the flag package already reported.
-var errFlagParse = errors.New("flag parse error")
-
-var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+var commands = map[string]cli.Command{
 	"serve":   cmdServe,
 	"loadgen": cmdLoadgen,
 	"demo":    cmdDemo,
@@ -47,39 +45,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run dispatches one invocation and returns its exit code: 0 ok (and -h), 1 a
 // failed run, 2 a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	cmd, ok := commands[args[0]]
-	switch {
-	case args[0] == "-h" || args[0] == "-help" || args[0] == "--help" || args[0] == "help":
-		fmt.Fprint(stderr, usageText)
-		return 0
-	case !ok:
-		fmt.Fprintf(stderr, "mvserve: unknown subcommand %q\n%s", args[0], usageText)
-		return 2
-	}
-	err := cmd(args[1:], stdout, stderr)
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errFlagParse):
-		return 2
-	}
-	fmt.Fprintln(stderr, "mvserve:", err)
-	return 1
-}
-
-// parse parses a subcommand's flags (errors and -h go to stderr), reporting a
-// failure the flag package printed as errFlagParse.
-func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
-	fs.SetOutput(stderr)
-	err := fs.Parse(args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errFlagParse
-	}
-	return err
+	return cli.Run("mvserve", usageText, commands, args, stdout, stderr)
 }
 
 // serveFlags registers the serving Config and the telemetry flags on fs.
@@ -128,7 +94,7 @@ func cmdServe(args []string, w, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mvserve serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
 	cfg, tele := serveFlags(fs)
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	cfg.Health = tele.Options()
@@ -180,7 +146,7 @@ func cmdLoadgen(args []string, w, stderr io.Writer) error {
 	timeout := fs.Duration("request-timeout", def.Timeout, "per-request HTTP timeout")
 	seed := fs.Uint64("seed", def.Seed, "request-stream seed")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	rep, err := serve.RunLoad(*target, serve.LoadConfig{
@@ -212,7 +178,7 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	rate := fs.Float64("rate", def.Rate, "open-loop request rate (req/s)")
 	duration := fs.Duration("duration", def.Duration, "load duration")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := parse(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	cfg.Health = tele.Options()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"mvml/internal/cli"
 	"mvml/internal/health"
 	"mvml/internal/obs/tsdb"
 	"mvml/internal/stats"
@@ -38,7 +39,7 @@ func cmdDash(args []string, w, stderr io.Writer) error {
 		return err
 	}
 	if (*in == "") == (*addr == "") {
-		return usageError{"dash: exactly one of -in (offline) or -metrics-addr (live) is required"}
+		return cli.Usagef("dash: exactly one of -in (offline) or -metrics-addr (live) is required")
 	}
 
 	var (

@@ -20,7 +20,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"mvml/internal/cli"
 	"mvml/internal/obs"
 	"mvml/internal/stats"
 )
@@ -43,16 +43,7 @@ const usageText = `usage:
 all but waterfall take -format text|json; run "mvtrace <subcommand> -h" for flags
 `
 
-// usageError marks a bad invocation: run prints it with the usage text and
-// exits 2 (a failed analysis or CI gate exits 1).
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
-
-// errFlagParse marks a flag-parse failure the flag package already reported.
-var errFlagParse = errors.New("flag parse error")
-
-var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+var commands = map[string]cli.Command{
 	"summary":   cmdSummary,
 	"top":       cmdTop,
 	"waterfall": cmdWaterfall,
@@ -64,32 +55,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run dispatches one invocation and returns its exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	switch args[0] {
-	case "-h", "-help", "--help", "help":
-		fmt.Fprint(stderr, usageText)
-		return 0
-	}
-	err := error(usageError{fmt.Sprintf("unknown subcommand %q", args[0])})
-	if cmd, ok := commands[args[0]]; ok {
-		err = cmd(args[1:], stdout, stderr)
-	}
-	var bad usageError
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errFlagParse):
-		return 2
-	case errors.As(err, &bad):
-		fmt.Fprintln(stderr, "mvtrace:", err)
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	fmt.Fprintln(stderr, "mvtrace:", err)
-	return 1
+	return cli.Run("mvtrace", usageText, commands, args, stdout, stderr)
 }
 
 // newFlagSet starts a subcommand's flag set with the shared -in flag.
@@ -106,14 +72,11 @@ func formatFlag(fs *flag.FlagSet) *string {
 
 // parse parses args and validates -format (nil for text-only subcommands).
 func parse(fs *flag.FlagSet, args []string, format *string) error {
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errFlagParse
+	if err := cli.Parse(fs, args, fs.Output()); err != nil {
+		return err
 	}
 	if format != nil && *format != "text" && *format != "json" {
-		return usageError{fmt.Sprintf("unknown -format %q (want text or json)", *format)}
+		return cli.Usagef("unknown -format %q (want text or json)", *format)
 	}
 	return nil
 }

@@ -2,9 +2,15 @@
 
 package tensor
 
-// haveGemmAsm gates the SSE2 micro-kernel; SSE2 is part of the amd64
-// baseline, so no runtime feature detection is needed.
+// haveGemmAsm gates the SSE2 int8 kernel and packer; SSE2 is part of the
+// amd64 baseline.
 const haveGemmAsm = true
+
+// gemmArm is GemmPacked's micro-kernel, chosen once at init by a CPUID/XGETBV
+// check: AVX2 where the CPU and OS support it, else the SSE2 baseline.
+var gemmArm = hostGemmArm()
+
+func hostGemmArm() int
 
 // gemmMicroAsm computes one full gemmMR×gemmNR register tile from packed
 // panels ap (k-major, MR-wide) and bp (k-major, NR-wide), storing rows at c,
@@ -15,6 +21,15 @@ const haveGemmAsm = true
 //
 //go:noescape
 func gemmMicroAsm(c, ap, bp *float32, ldc, kk int)
+
+// gemmMicro2AVX2 is gemmMicroAsm over two adjacent B panels at once: a
+// gemmMR×2·gemmNR tile from ap and the panels at bp and bp+bstride (in
+// floats), 8-wide VMULPS/VADDPS with the same per-lane rounding and k order,
+// so each half is bitwise identical to gemmMicroAsm on its panel. Requires
+// AVX2; kk must be >= 1.
+//
+//go:noescape
+func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int)
 
 // gemmInt8MicroAsm computes one full gemmMR×gemmNR int32 tile from quantized
 // k-pair panels (PMADDWD multiply-add of int16 pairs, PADDD accumulation).

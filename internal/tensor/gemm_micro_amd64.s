@@ -6,6 +6,7 @@
 // op — no FMA contraction — and every lane accumulates in ascending k order,
 // so the tile is bitwise identical to the scalar reference kernel.
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func gemmMicroAsm(c, ap, bp *float32, ldc, kk int)
@@ -78,6 +79,117 @@ loop:
 	LEAQ   (DI)(CX*4), DI
 	MOVUPS X6, (DI)
 	MOVUPS X7, 16(DI)
+	RET
+
+// AVX2 micro-kernel: one 4×16 tile from one A panel and two adjacent 8-column
+// B panels (bp and bp+bstride floats), held in eight YMM accumulators (row r
+// lives in Y(2r) for the first panel and Y(2r+1) for the second). Eight
+// independent VADDPS chains hide the add latency a 4×8 ymm tile could not.
+// VMULPS/VADDPS round each lane once per op, with no FMA, and keep the same
+// operand order as the SSE2 kernel, so every lane is bitwise identical to it.
+
+// func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int)
+TEXT ·gemmMicro2AVX2(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DX
+	MOVQ ldc+24(FP), CX
+	MOVQ kk+32(FP), AX
+	MOVQ bstride+40(FP), R8
+	LEAQ (DX)(R8*4), R8 // second B panel
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+avx2loop:
+	VMOVUPS (DX), Y8 // b[k][0:8]
+	VMOVUPS (R8), Y9 // b[k][8:16]
+
+	VBROADCASTSS (SI), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y11, Y0, Y0
+	VADDPS       Y12, Y1, Y1
+
+	VBROADCASTSS 4(SI), Y13
+	VMULPS       Y8, Y13, Y14
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y14, Y2, Y2
+	VADDPS       Y15, Y3, Y3
+
+	VBROADCASTSS 8(SI), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y11, Y4, Y4
+	VADDPS       Y12, Y5, Y5
+
+	VBROADCASTSS 12(SI), Y13
+	VMULPS       Y8, Y13, Y14
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y14, Y6, Y6
+	VADDPS       Y15, Y7, Y7
+
+	ADDQ $16, SI
+	ADDQ $32, DX
+	ADDQ $32, R8
+	DECQ AX
+	JNE  avx2loop
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	LEAQ    (DI)(CX*4), DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	LEAQ    (DI)(CX*4), DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	LEAQ    (DI)(CX*4), DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// hostGemmArm returns armAVX2 when the CPU has AVX2 and the OS saves YMM
+// state — CPUID leaf 7 exists, CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1–2,
+// CPUID.7.0:EBX bit 5 — and armSSE2 otherwise. Hand-written because
+// golang.org/x/sys/cpu is not a dependency of this module.
+
+// func hostGemmArm() int
+TEXT ·hostGemmArm(SB), NOSPLIT, $0-8
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  noavx2
+
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
+	CMPL CX, $0x18000000
+	JNE  noavx2
+
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx2
+
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX
+	JCC  noavx2
+	MOVQ $const_armAVX2, ret+0(FP)
+	RET
+
+noavx2:
+	MOVQ $const_armSSE2, ret+0(FP)
 	RET
 
 // Int8 micro-kernel: one 4×8 int32 tile from quantized k-pair panels. Each

@@ -3,14 +3,22 @@
 package tensor
 
 // haveGemmAsm is false off amd64 and under the noasm tag (which lets an amd64
-// host test the fallbacks): GemmPacked always runs the portable
-// gemmMicroGo kernel, which is bitwise identical by construction.
+// host test the fallbacks): the int8 path runs its portable kernels.
 const haveGemmAsm = false
 
-// gemmMicroAsm is never called when haveGemmAsm is false; this stub only
+// gemmArm is always the portable gemmMicroGo kernel here, which is bitwise
+// identical to the assembly ones by construction.
+var gemmArm = armGo
+
+// gemmMicroAsm is never called when gemmArm is armGo; this stub only
 // satisfies the reference so the dispatch code compiles everywhere.
 func gemmMicroAsm(c, ap, bp *float32, ldc, kk int) {
 	panic("tensor: gemmMicroAsm without asm support")
+}
+
+// gemmMicro2AVX2 is never called when gemmArm is armGo.
+func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int) {
+	panic("tensor: gemmMicro2AVX2 without asm support")
 }
 
 // gemmInt8MicroAsm is never called when haveGemmAsm is false.

@@ -7,11 +7,12 @@
 // Determinism contract: every output element accumulates
 // its K partial products in ascending k order inside a register-resident
 // accumulator, exactly like MatMul's scalar loop, so GemmPacked results are
-// bitwise identical to MatMul. On amd64 the micro-kernel is SSE2
-// assembly — MULPS/ADDPS round each lane exactly like MULSS/ADDSS (one IEEE
-// single rounding per op, no FMA contraction), so vectorising across *output
-// elements* while keeping each element's k order preserves bitwise identity;
-// the pure-Go kernel is the portable fallback and the executable spec.
+// bitwise identical to MatMul. Every micro-kernel vectorises across *output
+// elements* only, with one IEEE single rounding per multiply and per add and
+// no FMA, so all produce the same bits: on amd64, a 4×16 AVX2 kernel over
+// pairs of adjacent column panels, else the 4×8 SSE2 one (an odd last panel,
+// the column edge, hosts without AVX2); the pure-Go kernel, the executable
+// spec, off amd64 and under the noasm tag.
 // Packing pads partial edge panels with zeros; padded lanes have their own
 // accumulator lanes which are simply never stored, so even a 0·Inf = NaN
 // computed in a dead lane cannot leak into the output.
@@ -240,43 +241,56 @@ func GemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 	}
 	m, k, n := pa.M, pa.K, pb.N
 	mPanels := (m + gemmMR - 1) / gemmMR
-	nPanels := (n + gemmNR - 1) / gemmNR
-	for jp := 0; jp < nPanels; jp++ {
-		bp := pb.data[jp*k*gemmNR : (jp+1)*k*gemmNR]
-		j0 := jp * gemmNR
-		nr := n - j0
-		if nr > gemmNR {
-			nr = gemmNR
+	for j0 := 0; j0 < n; {
+		// Two adjacent full column panels make one AVX2 tile; an odd last
+		// panel and the padded edge panel stay on the 4×8 kernel.
+		tw := gemmNR // tile width
+		if gemmArm == armAVX2 && n-j0 >= 2*gemmNR {
+			tw = 2 * gemmNR
 		}
+		nr := min(tw, n-j0)
+		bp := pb.data[j0*k : (j0+tw)*k]
 		for ip := 0; ip < mPanels; ip++ {
 			ap := pa.data[ip*k*gemmMR : (ip+1)*k*gemmMR]
 			i0 := ip * gemmMR
-			mr := m - i0
-			if mr > gemmMR {
-				mr = gemmMR
-			}
-			if haveGemmAsm {
-				if mr == gemmMR && nr == gemmNR {
-					gemmMicroAsm(&c.Data[i0*n+j0], &ap[0], &bp[0], n, k)
-					continue
-				}
+			mr := min(gemmMR, m-i0)
+			switch {
+			case gemmArm == armGo:
+				gemmMicroGo(c.Data, n, i0, j0, mr, nr, k, ap, bp)
+			case mr == gemmMR && nr == tw:
+				microTile(&c.Data[i0*n+j0], &ap[0], &bp[0], n, k, tw)
+			default:
 				// Edge tile: run the same kernel into a scratch tile,
 				// then keep only the live lanes. The discarded lanes
 				// are exactly the zero-padded panel rows/columns.
-				var scratch [gemmMR * gemmNR]float32
-				gemmMicroAsm(&scratch[0], &ap[0], &bp[0], gemmNR, k)
+				var scratch [gemmMR * 2 * gemmNR]float32
+				microTile(&scratch[0], &ap[0], &bp[0], tw, k, tw)
 				for r := 0; r < mr; r++ {
-					row := c.Data[(i0+r)*n+j0:]
-					for cc := 0; cc < nr; cc++ {
-						row[cc] = scratch[r*gemmNR+cc]
-					}
+					copy(c.Data[(i0+r)*n+j0:(i0+r)*n+j0+nr], scratch[r*tw:])
 				}
-				continue
 			}
-			gemmMicroGo(c.Data, n, i0, j0, mr, nr, k, ap, bp)
 		}
+		j0 += tw
 	}
 	return nil
+}
+
+// The micro-kernel arms GemmPacked dispatches on (gemmArm).
+const (
+	armGo   = iota // portable spec: off amd64 and under noasm
+	armSSE2        // 4×8 xmm, the amd64 baseline
+	armAVX2        // 4×16 ymm over column-panel pairs, SSE2 on the edge
+)
+
+// microTile runs one assembly register tile tw columns wide into c: the
+// 4×16 AVX2 kernel over the panel at bp and the next one, or the 4×8 SSE2
+// kernel over bp.
+func microTile(c, ap, bp *float32, ldc, k, tw int) {
+	if tw > gemmNR {
+		gemmMicro2AVX2(c, ap, bp, ldc, k, k*gemmNR)
+		return
+	}
+	gemmMicroAsm(c, ap, bp, ldc, k)
 }
 
 // gemmMicroGo is the portable micro-kernel and the executable spec for the

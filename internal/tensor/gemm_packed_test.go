@@ -1,7 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mvml/internal/xrand"
@@ -9,15 +13,60 @@ import (
 
 func isNaN32(v float32) bool { return v != v }
 
-// TestGemmPackedBitwiseMatchesMatMul: the packed register-blocked kernel must
-// reproduce MatMul bit for bit across ragged shapes — m, n deliberately not
-// multiples of the register block, n not a multiple of the column tile.
+var gemmArmNames = [...]string{armGo: "go", armSSE2: "sse2", armAVX2: "avx2"}
+
+// forEachGemmArm runs f once per micro-kernel arm this host can execute — the
+// Go spec, then SSE2 and AVX2 where present — with GemmPacked forced onto it,
+// and restores the host's arm afterwards.
+func forEachGemmArm(f func(arm int)) {
+	host := gemmArm
+	defer func() { gemmArm = host }()
+	for arm := armGo; arm <= host; arm++ {
+		gemmArm = arm
+		f(arm)
+	}
+}
+
+// poisonPadding overwrites the zero padding of the last row and column panels
+// with specials. Every kernel computes those lanes but must drop them, so no
+// Inf or NaN placed there may reach the output.
+func poisonPadding(pa *PackedA, pb *PackedB) {
+	k := pa.K
+	if live := pa.M % gemmMR; live != 0 {
+		last := pa.data[pa.M/gemmMR*k*gemmMR:]
+		for kk := 0; kk < k; kk++ {
+			for r := live; r < gemmMR; r++ {
+				last[kk*gemmMR+r] = float32(math.Inf(1))
+			}
+		}
+	}
+	if live := pb.N % gemmNR; live != 0 {
+		last := pb.data[pb.N/gemmNR*k*gemmNR:]
+		for kk := 0; kk < k; kk++ {
+			for c := live; c < gemmNR; c++ {
+				last[kk*gemmNR+c] = float32(math.NaN())
+			}
+		}
+	}
+}
+
+// TestGemmPackedBitwiseMatchesMatMul: every micro-kernel arm must reproduce
+// MatMul bit for bit across ragged shapes — m, n deliberately not multiples
+// of the register block, n not a multiple of the column tile, and every
+// pairing of a row edge with a column edge, odd panel and panel pair — while
+// the padded lanes carry Inf and NaN.
 func TestGemmPackedBitwiseMatchesMatMul(t *testing.T) {
 	r := xrand.New(11)
-	for _, dims := range [][3]int{
+	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 4}, {4, 7, 4}, {5, 3, 9}, {16, 300, 7},
 		{2, 17, 1030}, {32, 288, 513}, {65, 64, 33}, {7, 1, 258},
-	} {
+	}
+	for _, m := range []int{1, 3, 4, 5, 6} {
+		for _, n := range []int{8, 15, 16, 17, 24, 33} {
+			shapes = append(shapes, [3]int{m, 1, n})
+		}
+	}
+	for _, dims := range shapes {
 		m, k, n := dims[0], dims[1], dims[2]
 		a, b := randomMat(r, m, k), randomMat(r, k, n)
 		want, err := MatMul(a, b)
@@ -32,12 +81,42 @@ func TestGemmPackedBitwiseMatchesMatMul(t *testing.T) {
 		if err := pb.Pack(b); err != nil {
 			t.Fatal(err)
 		}
-		c := New(m, n)
-		c.Fill(42) // dirty buffer: packed kernel must overwrite every element
-		if err := GemmPacked(c, &pa, &pb); err != nil {
-			t.Fatal(err)
+		poisonPadding(&pa, &pb)
+		forEachGemmArm(func(arm int) {
+			c := New(m, n)
+			c.Fill(42) // dirty buffer: packed kernel must overwrite every element
+			if err := GemmPacked(c, &pa, &pb); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqual(t, fmt.Sprintf("GemmPacked %s %v", gemmArmNames[arm], dims), c.Data, want.Data)
+		})
+	}
+}
+
+// TestAVX2ArmTaken: a host whose kernel reports avx2 must run the AVX2 arm, so
+// a broken CPUID/XGETBV check fails here instead of silently serving SSE2.
+func TestAVX2ArmTaken(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" || !haveGemmAsm {
+		t.Skip("needs linux/amd64 with the assembly kernels")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	avx2 := false
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(flags) {
+				avx2 = avx2 || f == "avx2"
+			}
+			break
 		}
-		bitsEqual(t, "GemmPacked", c.Data, want.Data)
+	}
+	if avx2 && gemmArm != armAVX2 {
+		t.Fatalf("/proc/cpuinfo lists avx2 but GemmPacked runs the %s arm", gemmArmNames[gemmArm])
+	}
+	if !avx2 && gemmArm == armAVX2 {
+		t.Fatal("GemmPacked runs the avx2 arm but /proc/cpuinfo does not list avx2")
 	}
 }
 
@@ -205,7 +284,8 @@ func TestGemmPackedShapeErrors(t *testing.T) {
 }
 
 // FuzzGemmPackedBitwise: for fuzzer-chosen ragged shapes and a value stream
-// that includes specials, packed GEMM must match MatMul bit for bit.
+// that includes specials, packed GEMM must match MatMul bit for bit on every
+// micro-kernel arm the host has.
 func FuzzGemmPackedBitwise(f *testing.F) {
 	f.Add(uint16(3), uint16(5), uint16(4), uint64(1))
 	f.Add(uint16(4), uint16(4), uint16(4), uint64(2))
@@ -236,24 +316,26 @@ func FuzzGemmPackedBitwise(f *testing.F) {
 			t.Fatal(err)
 		}
 		c := New(m, n)
-		c.Fill(7)
-		if err := GemmPacked(c, &pa, &pb); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			gb, wb := math.Float32bits(c.Data[i]), math.Float32bits(want.Data[i])
-			if gb == wb {
-				continue
+		forEachGemmArm(func(arm int) {
+			c.Fill(7)
+			if err := GemmPacked(c, &pa, &pb); err != nil {
+				t.Fatal(err)
 			}
-			// Two distinct NaN payloads colliding in one add resolve by
-			// operand position (codegen-defined on x86), so NaN==NaN is
-			// the strongest portable contract for fuzzer-built inputs;
-			// all other values must match bit for bit.
-			if isNaN32(c.Data[i]) && isNaN32(want.Data[i]) {
-				continue
+			for i := range want.Data {
+				gb, wb := math.Float32bits(c.Data[i]), math.Float32bits(want.Data[i])
+				if gb == wb {
+					continue
+				}
+				// Two distinct NaN payloads colliding in one add resolve by
+				// operand position (codegen-defined on x86), so NaN==NaN is
+				// the strongest portable contract for fuzzer-built inputs;
+				// all other values must match bit for bit.
+				if isNaN32(c.Data[i]) && isNaN32(want.Data[i]) {
+					continue
+				}
+				t.Fatalf("%s arm, element %d: got bits %#x want %#x", gemmArmNames[arm], i, gb, wb)
 			}
-			t.Fatalf("element %d: got bits %#x want %#x", i, gb, wb)
-		}
+		})
 	})
 }
 

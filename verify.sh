@@ -23,6 +23,12 @@ GOARCH=arm64 go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# The AVX2 GEMM kernel is chosen at run time by CPUID, so the assembly must
+# build for the amd64 baseline too, not only for whatever GOAMD64 level the
+# toolchain defaults to.
+echo "==> GOAMD64=v1 go build ./..."
+GOAMD64=v1 go build ./...
+
 # Race pass: -short skips the NN-training marathons, which run 10-40x
 # slower under the race detector and hold no concurrency of their own;
 # everything concurrent (obs registry, span sink, exposition, serving)
@@ -40,7 +46,9 @@ echo "==> go test ./..."
 go test ./...
 
 # Portable-kernel pass: the noasm tag forces the Go fallbacks of the GEMM
-# micro-kernels, the int8 packer and the 2x2 max-pool on an amd64 host, so
+# micro-kernels, the int8 packer and the 2x2 max-pool on an amd64 host (the
+# default pass above already runs the bitwise suites on the SSE2 and AVX2
+# GEMM arms the host has), so
 # the bitwise, differential and int8-golden suites run against the code every
 # other architecture executes — and, since training, evaluation and fault
 # campaigns run on those kernels too, so do the trained-weight hashes, the
