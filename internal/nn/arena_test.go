@@ -198,6 +198,17 @@ func TestForwardBatchArenaRejectsEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestConvForwardBatchArenaRejectsKernelLargerThanInput: a 3×3 kernel at
+// stride 2 has no position on a 2×2 plane. Conv2DShape used to truncate that
+// to one output pixel, so the arena convolved a phantom window read from past
+// the image; it is refused instead, like any other empty output.
+func TestConvForwardBatchArenaRejectsKernelLargerThanInput(t *testing.T) {
+	conv := NewConv2D("conv", 1, 2, 3, 2, 0, xrand.New(4))
+	if _, err := conv.ForwardBatchArena(tensor.New(1, 1, 2, 2), NewInferenceArena()); err == nil {
+		t.Fatal("Conv2D.ForwardBatchArena accepted a kernel larger than its input")
+	}
+}
+
 // TestMaxPool2x2AllSpecialWindows drives every 2×2 window over {NaN, −NaN, −0,
 // +0, −1, 1, +Inf} — 7⁴ of them — through the batched pool at widths that put
 // each window in every SIMD lane, in the scalar tail and beside a dropped odd

@@ -88,9 +88,10 @@ func TestIm2ColBatchRejectsAliasedOutput(t *testing.T) {
 	}
 }
 
-// TestPackIm2ColRejectsAliasedInput: the fused packers rewrite their panels
-// and row scratch while still gathering from the input, so an input sharing
-// either buffer must be refused like Im2ColBatch refuses an aliased output.
+// TestPackIm2ColRejectsAliasedInput: the fused packers rewrite their panels,
+// padded image and row scratch while still gathering from the input, so an
+// input sharing any of them must be refused like Im2ColBatch refuses an
+// aliased output.
 func TestPackIm2ColRejectsAliasedInput(t *testing.T) {
 	fresh := New(2, 2, 4, 4)
 	var pb PackedB
@@ -101,7 +102,7 @@ func TestPackIm2ColRejectsAliasedInput(t *testing.T) {
 	if err := qb.PackIm2Col(fresh, 3, 3, 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	for name, buf := range map[string][]float32{"panels": pb.data, "row scratch": pb.row} {
+	for name, buf := range map[string][]float32{"panels": pb.data, "padded image": pb.padded} {
 		in := &Tensor{Shape: []int{1, 1, 4, 4}, Data: buf[:16]}
 		if err := pb.PackIm2Col(in, 3, 3, 1, 1); err == nil {
 			t.Fatalf("PackedB.PackIm2Col accepted an input aliasing its %s", name)

@@ -31,6 +31,21 @@ func gemmMicroAsm(c, ap, bp *float32, ldc, kk int)
 //go:noescape
 func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int)
 
+// packPanelLoadAVX2 writes one k-major PackIm2Col panel whose eight columns
+// are consecutive pixels: for each of the kk rows, the eight floats at
+// src + off[row] (in floats) with one VMOVUPS. Requires AVX2; kk must be >= 1.
+//
+//go:noescape
+func packPanelLoadAVX2(dst, src *float32, off *int, kk int)
+
+// packPanelGatherAVX2 is packPanelLoadAVX2 for any other panel: lane c of each
+// row is the float at src + off[row] + idx[c], one VGATHERDPS per row, and a
+// lane whose mask is zero is stored as +0 without being read. Requires AVX2;
+// kk must be >= 1.
+//
+//go:noescape
+func packPanelGatherAVX2(dst, src *float32, off *int, kk int, idx, mask *[gemmNR]int32)
+
 // gemmInt8MicroAsm computes one full gemmMR×gemmNR int32 tile from quantized
 // k-pair panels (PMADDWD multiply-add of int16 pairs, PADDD accumulation).
 // Integer arithmetic is exact, so this is identical to gemmInt8MicroGo by

@@ -155,6 +155,58 @@ avx2loop:
 	VZEROUPPER
 	RET
 
+// AVX2 PackIm2Col panel writers: one k-major 8-column panel, one 32-byte row
+// per k. off holds each row's offset (in floats) from src; the load form reads
+// eight consecutive floats there, the gather form the eight lanes at idx from
+// it. Both only move bits, so the panel is exactly the Go packer's.
+
+// func packPanelLoadAVX2(dst, src *float32, off *int, kk int)
+TEXT ·packPanelLoadAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ off+16(FP), DX
+	MOVQ kk+24(FP), CX
+
+loadloop:
+	MOVQ    (DX), R8
+	VMOVUPS (SI)(R8*4), Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $8, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     loadloop
+	VZEROUPPER
+	RET
+
+// VGATHERDPS loads only the lanes whose mask sign bit is set and clears the
+// mask as it goes, so each row gathers into a zeroed register with a fresh
+// copy of the mask: dead lanes store +0 and are never read.
+
+// func packPanelGatherAVX2(dst, src *float32, off *int, kk int, idx, mask *[gemmNR]int32)
+TEXT ·packPanelGatherAVX2(SB), NOSPLIT, $0-48
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    off+16(FP), DX
+	MOVQ    kk+24(FP), CX
+	MOVQ    idx+32(FP), AX
+	VMOVDQU (AX), Y2 // lane indices
+	MOVQ    mask+40(FP), AX
+	VMOVDQU (AX), Y3 // live lanes
+
+gatherloop:
+	MOVQ       (DX), R8
+	LEAQ       (SI)(R8*4), R8
+	VXORPS     Y0, Y0, Y0
+	VMOVDQU    Y3, Y1
+	VGATHERDPS Y1, (R8)(Y2*4), Y0
+	VMOVUPS    Y0, (DI)
+	ADDQ       $8, DX
+	ADDQ       $32, DI
+	DECQ       CX
+	JNE        gatherloop
+	VZEROUPPER
+	RET
+
 // hostGemmArm returns armAVX2 when the CPU has AVX2 and the OS saves YMM
 // state — CPUID leaf 7 exists, CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1–2,
 // CPUID.7.0:EBX bit 5 — and armSSE2 otherwise. Hand-written because

@@ -21,6 +21,16 @@ func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int) {
 	panic("tensor: gemmMicro2AVX2 without asm support")
 }
 
+// packPanelLoadAVX2 is never called when gemmArm is armGo.
+func packPanelLoadAVX2(dst, src *float32, off *int, kk int) {
+	panic("tensor: packPanelLoadAVX2 without asm support")
+}
+
+// packPanelGatherAVX2 is never called when gemmArm is armGo.
+func packPanelGatherAVX2(dst, src *float32, off *int, kk int, idx, mask *[gemmNR]int32) {
+	panic("tensor: packPanelGatherAVX2 without asm support")
+}
+
 // gemmInt8MicroAsm is never called when haveGemmAsm is false.
 func gemmInt8MicroAsm(c *int32, ap, bp *int16, ldc, kp int) {
 	panic("tensor: gemmInt8MicroAsm without asm support")

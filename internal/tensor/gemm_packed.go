@@ -46,9 +46,10 @@ type PackedA struct {
 // holds columns [jp·NR, jp·NR+NR) stored k-major, zero-padded past the last
 // column.
 type PackedB struct {
-	K, N int
-	data []float32
-	row  []float32 // PackIm2Col's one-row unroll scratch
+	K, N   int
+	data   []float32
+	padded []float32 // PackIm2Col's zero-padded copy of the image
+	offs   []int     // PackIm2Col's per-row (ch, ky, kx) offsets into it
 }
 
 // grow resizes buf to n elements, reusing capacity when possible.
@@ -131,7 +132,37 @@ func (p *PackedB) Pack(b *Tensor) error {
 		return fmt.Errorf("tensor: PackedB.Pack requires a 2-D operand, got %v", b.Shape)
 	}
 	k, n := b.Shape[0], b.Shape[1]
-	p.packRows(k, n, func(kk int) []float32 { return b.Data[kk*n : (kk+1)*n] })
+	panels := (n + gemmNR - 1) / gemmNR
+	p.data = grow(p.data, panels*k*gemmNR)
+	p.K, p.N = k, n
+	full := n / gemmNR // panels with no column padding
+	for kk := 0; kk < k; kk++ {
+		src := b.Data[kk*n : (kk+1)*n]
+		base := kk * gemmNR
+		for jp := 0; jp < full; jp++ {
+			d := p.data[jp*k*gemmNR+base : jp*k*gemmNR+base+gemmNR : jp*k*gemmNR+base+gemmNR]
+			s := src[jp*gemmNR : jp*gemmNR+gemmNR : jp*gemmNR+gemmNR]
+			d[0] = s[0]
+			d[1] = s[1]
+			d[2] = s[2]
+			d[3] = s[3]
+			d[4] = s[4]
+			d[5] = s[5]
+			d[6] = s[6]
+			d[7] = s[7]
+		}
+		if full < panels {
+			d := p.data[full*k*gemmNR+base : full*k*gemmNR+base+gemmNR]
+			j0 := full * gemmNR
+			for c := 0; c < gemmNR; c++ {
+				if j := j0 + c; j < n {
+					d[c] = src[j]
+				} else {
+					d[c] = 0
+				}
+			}
+		}
+	}
 	return nil
 }
 
@@ -183,42 +214,6 @@ func (p *PackedB) PackTransposed(w *Tensor) error {
 		}
 	}
 	return nil
-}
-
-// packRows is the shared row-streaming packer: row(kk) must return source row
-// kk of the logical K×N operand.
-func (p *PackedB) packRows(k, n int, row func(kk int) []float32) {
-	panels := (n + gemmNR - 1) / gemmNR
-	p.data = grow(p.data, panels*k*gemmNR)
-	p.K, p.N = k, n
-	full := n / gemmNR // panels with no column padding
-	for kk := 0; kk < k; kk++ {
-		src := row(kk)
-		base := kk * gemmNR
-		for jp := 0; jp < full; jp++ {
-			d := p.data[jp*k*gemmNR+base : jp*k*gemmNR+base+gemmNR : jp*k*gemmNR+base+gemmNR]
-			s := src[jp*gemmNR : jp*gemmNR+gemmNR : jp*gemmNR+gemmNR]
-			d[0] = s[0]
-			d[1] = s[1]
-			d[2] = s[2]
-			d[3] = s[3]
-			d[4] = s[4]
-			d[5] = s[5]
-			d[6] = s[6]
-			d[7] = s[7]
-		}
-		if full < panels {
-			d := p.data[full*k*gemmNR+base : full*k*gemmNR+base+gemmNR]
-			j0 := full * gemmNR
-			for c := 0; c < gemmNR; c++ {
-				if j := j0 + c; j < n {
-					d[c] = src[j]
-				} else {
-					d[c] = 0
-				}
-			}
-		}
-	}
 }
 
 // GemmPacked computes C = A·B from pre-packed operands into the

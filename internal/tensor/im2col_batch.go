@@ -1,12 +1,16 @@
 // Batched im2col: the transform that lets a convolution layer process a whole
-// (B, C, H, W) batch with a single packed GEMM (see gemm_packed.go). There is
-// one unroll — im2colRow, which produces a single row of the column matrix —
-// and three consumers: PackedB.PackIm2Col and PackedBInt8.PackIm2Col stream
-// the rows straight into GEMM panels without ever materialising the matrix,
-// and Im2ColBatch writes them out for callers that want the matrix itself.
+// (B, C, H, W) batch with a single packed GEMM (see gemm_packed.go). The float
+// inference and training forward packs its GEMM panels straight from the
+// image, one panel at a time (PackedB.PackIm2Col); the row unroll im2colRow,
+// which produces a single row of the column matrix, serves Im2ColBatch (the
+// training backward, and the matrix the tests pack and compare against) and
+// the int8 packer PackedBInt8.PackIm2Col only.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // im2colGeom is the checked geometry of one batched unroll.
 type im2colGeom struct {
@@ -120,24 +124,154 @@ func Im2ColBatch(in *Tensor, kh, kw, stride, pad int, out *Tensor) error {
 }
 
 // PackIm2Col packs the column matrix of a (B, C, H, W) batch — what Pack would
-// produce from Im2ColBatch's output — without materialising it: each row is
-// unrolled into a one-row scratch that stays cache-resident and scattered into
-// the panels from there.
+// produce from Im2ColBatch's output — without materialising it, panel by panel
+// straight from the image. Column (b, oy, ox) of row kk = (ch, ky, kx) is the
+// pixel at base(b, oy, ox) + off(ch, ky, kx) of the zero-padded
+// (B, C, h+2·pad, w+2·pad) image; with pad > 0 the input is copied there once,
+// so no read needs a bounds test. Each panel's eight column bases advance
+// incrementally, then its K rows are written in order, each one eight-float
+// load where the eight columns are consecutive pixels and a gather otherwise.
+// Every slot is written, padding and dead lanes as zeros, so p may be dirty.
 func (p *PackedB) PackIm2Col(in *Tensor, kh, kw, stride, pad int) error {
 	g, err := newIm2ColGeom("PackedB.PackIm2Col", in, kh, kw, stride, pad)
 	if err != nil {
 		return err
 	}
-	// Panels and row scratch are rewritten while in is still being read.
-	if overlaps(p.data[:cap(p.data)], in.Data) || overlaps(p.row[:cap(p.row)], in.Data) {
+	// Panels and the padded copy are rewritten while in is still being read.
+	if overlaps(p.data[:cap(p.data)], in.Data) || overlaps(p.padded[:cap(p.padded)], in.Data) {
 		return fmt.Errorf("tensor: PackedB.PackIm2Col input aliases the packed operand")
 	}
-	p.row = grow(p.row, g.cols())
-	p.packRows(g.rows(), g.cols(), func(kk int) []float32 {
-		im2colRow(p.row, in.Data, &g, kk)
-		return p.row
-	})
+	src, hp, wp := in.Data, g.h+2*pad, g.w+2*pad
+	if pad > 0 {
+		p.padded = grow(p.padded, g.b*g.c*hp*wp)
+		padImage(p.padded, in.Data, &g)
+		src = p.padded
+	}
+	p.offs = p.offs[:0]
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				p.offs = append(p.offs, (ch*hp+ky)*wp+kx)
+			}
+		}
+	}
+	k, n := g.rows(), g.cols()
+	panels := (n + gemmNR - 1) / gemmNR
+	p.data = grow(p.data, panels*k*gemmNR)
+	p.K, p.N = k, n
+	// The column walk: the next column's base moves by the stride along an
+	// output row, then by rowStep to the next row and by sampleStep to the
+	// next sample's first row.
+	rowStep := stride*wp - g.ow*stride
+	sampleStep := g.c*hp*wp - g.oh*stride*wp
+	base, ox, oy := 0, 0, 0
+	for jp := 0; jp < panels; jp++ {
+		live := min(gemmNR, n-jp*gemmNR)
+		var lane [gemmNR]int // each column's base minus the panel's first
+		b0 := base
+		for c := 0; c < live; c++ {
+			lane[c] = base - b0
+			base += stride
+			if ox++; ox == g.ow {
+				ox, base = 0, base+rowStep
+				if oy++; oy == g.oh {
+					oy, base = 0, base+sampleStep
+				}
+			}
+		}
+		packPanel(p.data[jp*k*gemmNR:(jp+1)*k*gemmNR], src[b0:], p.offs, &lane, live)
+	}
 	return nil
+}
+
+// padImage writes every (h, w) plane of in into the centre of its
+// (h+2·pad, w+2·pad) plane in dst and zeroes the border, so dst may be dirty.
+func padImage(dst, in []float32, g *im2colGeom) {
+	h, w, pad := g.h, g.w, g.pad
+	wp := w + 2*pad
+	plane := (h + 2*pad) * wp
+	for pl := 0; pl < g.b*g.c; pl++ {
+		d := dst[pl*plane : (pl+1)*plane]
+		s := in[pl*h*w : (pl+1)*h*w]
+		clear(d[:pad*wp+pad]) // top rows, then the first row's left border
+		for y := 0; y < h; y++ {
+			row := d[(pad+y)*wp+pad:]
+			copy(row[:w], s[y*w:(y+1)*w])
+			// This row's right border and the next one's left: a few floats,
+			// cheaper stored than through a clear call.
+			for i := w; i < w+2*pad; i++ {
+				row[i] = 0
+			}
+		}
+		clear(d[(pad+h)*wp+pad:])
+	}
+}
+
+// packPanel writes one k-major panel of len(off) rows: lane c of row kk is
+// src[lane[c]+off[kk]], and lanes from live on are zero. The lane bases
+// strictly increase, so eight live lanes ending at 7 are one contiguous run.
+func packPanel(dst, src []float32, off []int, lane *[gemmNR]int, live int) {
+	switch {
+	case gemmArm != armAVX2 || !gatherFits(lane[live-1]):
+		packPanelGo(dst, src, off, lane, live)
+	case live == gemmNR && lane[gemmNR-1] == gemmNR-1:
+		packPanelLoadAVX2(&dst[0], &src[0], &off[0], len(off))
+	default:
+		var idx, mask [gemmNR]int32
+		for c := 0; c < live; c++ {
+			idx[c], mask[c] = int32(lane[c]), -1
+		}
+		packPanelGatherAVX2(&dst[0], &src[0], &off[0], len(off), &idx, &mask)
+	}
+}
+
+// gatherFits reports whether a panel whose last lane base is span floats past
+// its first can be gathered: VGATHERDPS takes signed 32-bit lane indices.
+func gatherFits(span int) bool { return span <= math.MaxInt32 }
+
+// packPanelGo is packPanel's portable arm and the executable spec of the
+// assembly ones.
+func packPanelGo(dst, src []float32, off []int, lane *[gemmNR]int, live int) {
+	if live == gemmNR && lane[gemmNR-1] == gemmNR-1 {
+		for kk, o := range off {
+			d := dst[kk*gemmNR : kk*gemmNR+gemmNR : kk*gemmNR+gemmNR]
+			s := src[o : o+gemmNR : o+gemmNR]
+			d[0] = s[0]
+			d[1] = s[1]
+			d[2] = s[2]
+			d[3] = s[3]
+			d[4] = s[4]
+			d[5] = s[5]
+			d[6] = s[6]
+			d[7] = s[7]
+		}
+		return
+	}
+	if live == gemmNR {
+		// The lane offsets in registers, not reloaded per row.
+		l0, l1, l2, l3, l4, l5, l6, l7 := lane[0], lane[1], lane[2], lane[3], lane[4], lane[5], lane[6], lane[7]
+		for kk, o := range off {
+			d := dst[kk*gemmNR : kk*gemmNR+gemmNR : kk*gemmNR+gemmNR]
+			s := src[o:]
+			d[0] = s[l0]
+			d[1] = s[l1]
+			d[2] = s[l2]
+			d[3] = s[l3]
+			d[4] = s[l4]
+			d[5] = s[l5]
+			d[6] = s[l6]
+			d[7] = s[l7]
+		}
+		return
+	}
+	for kk, o := range off {
+		d := dst[kk*gemmNR : kk*gemmNR+gemmNR : kk*gemmNR+gemmNR]
+		s := src[o:]
+		for c := 0; c < live; c++ {
+			d[c] = s[lane[c]]
+		}
+		clear(d[live:])
+	}
 }
 
 // PackIm2Col is PackedB.PackIm2Col for the quantized operand: Pack of

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"mvml/internal/xrand"
@@ -59,9 +60,16 @@ func checkPackIm2Col(t *testing.T, g im2colCase, in *Tensor, pb *PackedB, qb *Pa
 }
 
 // TestPackIm2ColMatchesPackOfIm2ColBatch: the column matrix is never built on
-// the inference path, so its packed form is pinned against the one that is.
+// the inference path, so its packed form is pinned against the one that is,
+// on every pack arm: the Go panel packer, and the AVX2 load and gather.
 func TestPackIm2ColMatchesPackOfIm2ColBatch(t *testing.T) {
 	cases := []im2colCase{
+		{1, 2, 4, 12, 3, 3, 1, 0},  // ow = 10: the second panel crosses an output row
+		{3, 2, 5, 5, 3, 3, 1, 1},   // 25 columns a sample: the fourth panel crosses a sample
+		{5, 1, 3, 3, 3, 3, 1, 0},   // one column a sample: five samples in one ragged panel
+		{1, 2, 11, 11, 3, 3, 2, 0}, // stride 2, 25 columns: ragged last panel
+		{2, 2, 10, 10, 3, 3, 1, 0}, // pad 0: the input itself is the image
+		{2, 1, 4, 4, 1, 1, 1, 0},   // 1×1, one channel: consecutive pixels across rows
 		{2, 3, 9, 9, 3, 3, 2, 1},   // stride 2
 		{1, 2, 7, 10, 3, 3, 2, 0},  // stride 2, ragged width
 		{2, 2, 8, 8, 5, 5, 3, 2},   // stride 3
@@ -89,17 +97,21 @@ func TestPackIm2ColMatchesPackOfIm2ColBatch(t *testing.T) {
 	for _, g := range cases {
 		in := New(g.b, g.c, g.h, g.w)
 		in.RandomizeUniform(r, -1, 1)
-		checkPackIm2Col(t, g, in, &PackedB{}, &PackedBInt8{})
+		forEachGemmArm(func(arm int) {
+			t.Run(gemmArmNames[arm], func(t *testing.T) {
+				checkPackIm2Col(t, g, in, &PackedB{}, &PackedBInt8{})
+			})
+		})
 	}
 }
 
 // TestPackIm2ColDirtyReuseAcrossShapes is TestIm2ColBatchDirtyReuseAcrossShapes
 // for the fused packers: the arena keeps one PackedB / PackedBInt8 per layer and
-// repacks it at every batch size, so panels and row scratch hold stale values
-// past (and inside) the new extent. Poison both between calls; every in-extent
-// slot, padding included, must be rewritten.
+// repacks it at every batch size, so panels, the padded image and the row
+// scratch hold stale values past (and inside) the new extent. Poison all of
+// them between calls; every in-extent slot, padding included, must be
+// rewritten, on every pack arm.
 func TestPackIm2ColDirtyReuseAcrossShapes(t *testing.T) {
-	r := xrand.New(21)
 	// Deliberate shrink transitions: batch 4→1, stride 1→2 (spatial collapse),
 	// pad 2→0, and a grow back at the end to catch under-slicing too.
 	geoms := []im2colCase{
@@ -110,20 +122,70 @@ func TestPackIm2ColDirtyReuseAcrossShapes(t *testing.T) {
 		{1, 1, 6, 6, 3, 3, 3, 0},
 		{4, 3, 12, 12, 3, 3, 1, 2},
 	}
-	var pb PackedB
-	var qb PackedBInt8
-	for _, g := range geoms {
-		in := New(g.b, g.c, g.h, g.w)
-		in.RandomizeUniform(r, -1, 1)
-		for _, buf := range [][]float32{pb.data[:cap(pb.data)], pb.row[:cap(pb.row)], qb.rows[:cap(qb.rows)]} {
-			for i := range buf {
-				buf[i] = 1e30 // sentinel: never a legal im2col value here
+	forEachGemmArm(func(arm int) {
+		r := xrand.New(21)
+		var pb PackedB
+		var qb PackedBInt8
+		for _, g := range geoms {
+			in := New(g.b, g.c, g.h, g.w)
+			in.RandomizeUniform(r, -1, 1)
+			for _, buf := range [][]float32{pb.data[:cap(pb.data)], pb.padded[:cap(pb.padded)], qb.rows[:cap(qb.rows)]} {
+				for i := range buf {
+					buf[i] = 1e30 // sentinel: never a legal im2col value here
+				}
 			}
+			for i := range qb.data[:cap(qb.data)] {
+				qb.data[:cap(qb.data)][i] = 0x7fff // outside the int8 range
+			}
+			t.Run(gemmArmNames[arm], func(t *testing.T) { checkPackIm2Col(t, g, in, &pb, &qb) })
 		}
-		for i := range qb.data[:cap(qb.data)] {
-			qb.data[:cap(qb.data)][i] = 0x7fff // outside the int8 range
+	})
+}
+
+// TestPackIm2ColGatherSpanGuard: VGATHERDPS indexes its lanes with signed
+// 32-bit offsets, so a panel whose lanes span more floats than that must fall
+// to the Go packer. Such a panel needs an image of over 2³¹ floats, so the
+// guard itself is pinned at its boundary.
+func TestPackIm2ColGatherSpanGuard(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot hold a span past int32")
+	}
+	span := math.MaxInt32
+	if !gatherFits(span) {
+		t.Fatalf("gatherFits(%d) = false, want true", span)
+	}
+	if span++; gatherFits(span) {
+		t.Fatalf("gatherFits(%d) = true: the int32 lane index would wrap", span)
+	}
+}
+
+// TestConvShapeKernelLargerThanPaddedInput: a kernel that does not fit the
+// padded input has no output position. Conv2DShape used to truncate the
+// negative quotient toward zero and report one, so every unroll of it read
+// past the image.
+func TestConvShapeKernelLargerThanPaddedInput(t *testing.T) {
+	for _, g := range []im2colCase{
+		{1, 1, 2, 2, 3, 3, 2, 0}, // h+2p = 2 < 3
+		{3, 1, 9, 2, 5, 5, 3, 1}, // w+2p = 4 < 5, the fuzzer's shape
+	} {
+		if oh, ow := Conv2DShape(g.h, g.w, g.kh, g.kw, g.stride, g.pad); oh > 0 && ow > 0 {
+			t.Fatalf("%v: Conv2DShape = (%d, %d), want an empty output", g, oh, ow)
 		}
-		checkPackIm2Col(t, g, in, &pb, &qb)
+		in := New(g.b, g.c, g.h, g.w)
+		if _, err := Im2Col(&Tensor{Shape: in.Shape[1:], Data: in.Data[:g.c*g.h*g.w]}, g.kh, g.kw, g.stride, g.pad); err == nil {
+			t.Fatalf("%v: Im2Col accepted an empty output", g)
+		}
+		if err := Im2ColBatch(in, g.kh, g.kw, g.stride, g.pad, New(g.c*g.kh*g.kw, g.b)); err == nil {
+			t.Fatalf("%v: Im2ColBatch accepted an empty output", g)
+		}
+		var pb PackedB
+		var qb PackedBInt8
+		if err := pb.PackIm2Col(in, g.kh, g.kw, g.stride, g.pad); err == nil {
+			t.Fatalf("%v: PackedB.PackIm2Col accepted an empty output", g)
+		}
+		if err := qb.PackIm2Col(in, g.kh, g.kw, g.stride, g.pad, 1); err == nil {
+			t.Fatalf("%v: PackedBInt8.PackIm2Col accepted an empty output", g)
+		}
 	}
 }
 
@@ -139,8 +201,9 @@ func TestPackIm2ColErrors(t *testing.T) {
 }
 
 // FuzzPackIm2Col: for fuzzer-chosen geometries and a value stream with
-// specials, the fused packers must match Pack(Im2ColBatch(x)) slot for slot,
-// and the GEMM over them must match the per-sample Im2Col + MatMul spec.
+// specials, the fused packers must match Pack(Im2ColBatch(x)) slot for slot on
+// every pack arm, and the GEMM over them must match the per-sample Im2Col +
+// MatMul spec.
 func FuzzPackIm2Col(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(6), uint8(6), uint8(2), uint8(2), uint8(0), uint8(1), uint64(1))
 	f.Add(uint8(3), uint8(1), uint8(4), uint8(9), uint8(0), uint8(4), uint8(1), uint8(6), uint64(2))
@@ -160,35 +223,71 @@ func FuzzPackIm2Col(f *testing.F) {
 		in.Data[r.Intn(in.Len())] = float32(math.NaN())
 		in.Data[r.Intn(in.Len())] = float32(math.Inf(-1))
 		in.Data[r.Intn(in.Len())] = float32(math.Copysign(0, -1))
-		var pb PackedB
-		checkPackIm2Col(t, g, in, &pb, &PackedBInt8{})
-
 		// End to end against the executable spec. A is free of specials, so no
 		// output sums two distinct NaN payloads and bit equality is exact.
-		a := randomMat(r, 3, pb.K)
+		a := randomMat(r, 3, g.c*g.kh*g.kw)
 		var pa PackedA
 		if err := pa.Pack(a); err != nil {
 			t.Fatal(err)
 		}
-		got := New(3, pb.N)
-		if err := GemmPacked(got, &pa, &pb); err != nil {
-			t.Fatal(err)
-		}
+		want := make([]*Tensor, g.b)
 		plane := g.c * g.h * g.w
-		for b := 0; b < g.b; b++ {
+		for b := range want {
 			cols, err := Im2Col(&Tensor{Shape: []int{g.c, g.h, g.w}, Data: in.Data[b*plane : (b+1)*plane]},
 				g.kh, g.kw, g.stride, g.pad)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := MatMul(a, cols)
-			if err != nil {
+			if want[b], err = MatMul(a, cols); err != nil {
 				t.Fatal(err)
 			}
-			for o := 0; o < 3; o++ {
-				bitsEqual(t, fmt.Sprintf("%v sample %d row %d", g, b, o),
-					got.Data[o*pb.N+b*oh*ow:o*pb.N+(b+1)*oh*ow], want.Data[o*oh*ow:(o+1)*oh*ow])
-			}
 		}
+		forEachGemmArm(func(arm int) {
+			var pb PackedB
+			checkPackIm2Col(t, g, in, &pb, &PackedBInt8{})
+			got := New(3, pb.N)
+			if err := GemmPacked(got, &pa, &pb); err != nil {
+				t.Fatal(err)
+			}
+			for b := range want {
+				for o := 0; o < 3; o++ {
+					bitsEqual(t, fmt.Sprintf("%s arm, %v sample %d row %d", gemmArmNames[arm], g, b, o),
+						got.Data[o*pb.N+b*oh*ow:o*pb.N+(b+1)*oh*ow], want[b].Data[o*oh*ow:(o+1)*oh*ow])
+				}
+			}
+		})
 	})
+}
+
+// BenchmarkPackIm2Col times PackedB.PackIm2Col on the seven convolution shapes
+// of the three models at batch 8, on every pack arm, and reports the panel
+// bytes written per second.
+func BenchmarkPackIm2Col(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		g    im2colCase
+	}{
+		{"lenet-conv1", im2colCase{8, 3, 24, 24, 5, 5, 1, 0}},
+		{"lenet-conv2", im2colCase{8, 6, 10, 10, 5, 5, 1, 0}},
+		{"alexnet-conv1", im2colCase{8, 3, 24, 24, 3, 3, 1, 1}},
+		{"alexnet-conv2", im2colCase{8, 16, 12, 12, 3, 3, 1, 1}},
+		{"alexnet-conv3", im2colCase{8, 32, 6, 6, 3, 3, 1, 1}},
+		{"resnet-res2-conv1", im2colCase{8, 16, 6, 6, 3, 3, 1, 1}},
+		{"resnet-res2-proj", im2colCase{8, 16, 6, 6, 1, 1, 1, 0}},
+	} {
+		g := s.g
+		in := New(g.b, g.c, g.h, g.w)
+		in.RandomizeUniform(xrand.New(5), -1, 1)
+		forEachGemmArm(func(arm int) {
+			b.Run(s.name+"/"+gemmArmNames[arm], func(b *testing.B) {
+				var pb PackedB
+				for i := 0; i < b.N; i++ {
+					if err := pb.PackIm2Col(in, g.kh, g.kw, g.stride, g.pad); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(4*len(pb.data))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		})
+	}
 }

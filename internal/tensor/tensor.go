@@ -237,10 +237,19 @@ func MatMulTransB(a, b *Tensor) (*Tensor, error) {
 
 // Conv2DShape returns the output height and width of a convolution over an
 // input of the given spatial size with the given kernel, stride and padding.
+// A dimension whose kernel is larger than the padded input is 0.
 func Conv2DShape(h, w, kh, kw, stride, pad int) (int, int) {
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	return oh, ow
+	return convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
+}
+
+// convOut is the number of kernel positions along one dimension: the floor of
+// (n+2·pad−k)/stride, plus one. Go's / truncates toward zero, which would
+// count one position for a kernel up to stride−1 wider than the padded input.
+func convOut(n, k, stride, pad int) int {
+	if n+2*pad < k {
+		return 0
+	}
+	return (n+2*pad-k)/stride + 1
 }
 
 // Im2Col unrolls an input tensor of shape (C, H, W) into a matrix of shape
