@@ -239,9 +239,9 @@ func printReport(w io.Writer, rep *serve.LoadReport, asJSON bool) error {
 // cmdDemo is the multi-shard resilience demonstration: a gateway over N
 // in-process shards under open-loop load an order of magnitude beyond the
 // single-shard demo workload, with two mid-run faults — one version of one
-// shard compromised (the shard's health engine degrades it, routing fails
-// over, reactive rejuvenation heals it) and one whole shard drained,
-// rejuvenated and reinstated (ring failover end to end). It exits non-zero
+// shard compromised (the shard's reactive trigger drains and heals it, its
+// health engine marking the version critical meanwhile) and one whole shard
+// drained, rejuvenated and reinstated (ring failover end to end). It exits non-zero
 // if any request failed; degraded answers and 429 shedding are designed
 // behaviours, failures are not.
 func cmdDemo(args []string, w, stderr io.Writer) (err error) {
@@ -284,9 +284,10 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	fmt.Fprintf(stderr, "mvgateway demo: %d shards on %s, load %.0f req/s for %v\n",
 		len(shards), base, *rate, *duration)
 
-	// Fault 1 (t/3): compromise one version of shard-0. Its health engine
-	// sees the divergence, the shard drops to degraded (deprioritised in
-	// routing), and the reactive trigger rejuvenates the version.
+	// Fault 1 (t/3): compromise one version of shard-0. The shard's pool
+	// sees the divergence and the reactive trigger rejuvenates the version;
+	// its health engine marks the version critical until then, which
+	// deprioritises the shard in routing.
 	go func() {
 		time.Sleep(*duration / 3)
 		fmt.Fprintln(stderr, "mvgateway demo: compromising shard-0 version 0")

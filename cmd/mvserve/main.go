@@ -110,8 +110,8 @@ func cmdServe(args []string, w, stderr io.Writer) (err error) {
 		return err
 	}
 	defer s.Close()
-	// The server owns the engine (verdicts drive rejuvenation); adopt it so
-	// the deferred Finish reports on it. Rule alerts feed the same engine.
+	// The server owns the engine (it judges only its own shard's spans);
+	// adopt it so the deferred Finish reports on it.
 	tele.Observe(s.Health())
 
 	ln, err := net.Listen("tcp", *addr)

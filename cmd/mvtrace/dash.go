@@ -18,8 +18,8 @@ import (
 // cmdDash renders the observability pipeline as a terminal dashboard or a
 // machine-readable JSON report: request-rate sparklines, the top-K slowest
 // stages with exemplar trace ids (jump straight into `mvtrace waterfall
-// -trace N`), the health/incident timeline, and the recording-rule and alert
-// state evaluated over the same store the server runs.
+// -trace N`), the health/incident timeline, and the recording-rule values
+// evaluated over the same store the server runs.
 //
 // Two sources, one renderer: -in replays a span export offline through the
 // identical tsdb ingester and rule set the live server runs; -metrics-addr
@@ -108,7 +108,6 @@ type Dashboard struct {
 	SlowTop   []StageRow              `json:"slow_stages,omitempty"`
 	Timeline  []TimelineEvent         `json:"timeline,omitempty"`
 	Incidents []health.IncidentWindow `json:"incidents,omitempty"`
-	Alerts    []tsdb.AlertStatus      `json:"alerts,omitempty"`
 	Rules     map[string]float64      `json:"rules,omitempty"`
 }
 
@@ -133,10 +132,9 @@ func offline(path string, bucket time.Duration, topK, width int) (*Dashboard, er
 		BucketSeconds: bs,
 		Buckets:       int(horizon/bs) + 2,
 	})
-	hopts := health.DefaultOptions()
-	rules := tsdb.NewRules(store, bs, tsdb.DefaultServingRules(hopts))
+	rules := tsdb.NewRules(store, bs, tsdb.DefaultServingRules())
 	tsdb.Replay(recs, tsdb.NewIngester(store, rules))
-	hreport := health.Replay(recs, hopts)
+	hreport := health.Replay(recs, health.DefaultOptions())
 
 	dash := &Dashboard{
 		Source: path, Mode: "offline", Horizon: horizon,
@@ -145,7 +143,6 @@ func offline(path string, bucket time.Duration, topK, width int) (*Dashboard, er
 		Errors:    store.FamilySumOver(tsdb.SeriesErrors, 0, horizon+1),
 		SlowTop:   slowStages(store, horizon, topK),
 		Rates:     rateSparklines(store, horizon, bs, width, tsdb.SeriesRequests, tsdb.SeriesErrors),
-		Alerts:    rules.Alerts(),
 		Rules:     ruleValues(store, rules),
 		Incidents: hreport.Incidents,
 	}
@@ -506,21 +503,6 @@ func render(w io.Writer, d *Dashboard, width int) {
 			}
 			fmt.Fprintf(w, "  %-52s %10s %10s %8.0f %s\n",
 				name, dur(row.P50), dur(row.P99), row.Count, ex)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if len(d.Alerts) > 0 {
-		fmt.Fprintln(w, "alerts:")
-		for _, a := range d.Alerts {
-			state := "ok"
-			if a.Firing {
-				state = "FIRING"
-				if a.Critical {
-					state = "FIRING (critical)"
-				}
-			}
-			fmt.Fprintf(w, "  %-40s %-18s value %.4g threshold %.4g\n", a.Name, state, a.Value, a.Threshold)
 		}
 		fmt.Fprintln(w)
 	}

@@ -56,10 +56,6 @@ func cmdHealth(args []string, w, stderr io.Writer) error {
 		"per-request latency objective feeding the latency SLO")
 	availability := fs.Float64("availability", 0.99, "availability SLO target in (0,1)")
 	window := fs.Duration("window", 2*time.Minute, "SLO error-budget window")
-	divergenceWindow := fs.Int("divergence-window", 0,
-		"per-version disagreement window in rounds (0 = engine default)")
-	divergenceThreshold := fs.Float64("divergence-threshold", 0,
-		"windowed disagreement rate marking a version critical (0 = engine default)")
 	if err := parse(fs, args, format); err != nil {
 		return err
 	}
@@ -70,8 +66,6 @@ func cmdHealth(args []string, w, stderr io.Writer) error {
 
 	opts := health.DefaultOptions()
 	opts.LatencyObjective = latencySLO.Seconds()
-	opts.DivergenceWindow = *divergenceWindow
-	opts.DivergenceThreshold = *divergenceThreshold
 	for i := range opts.Objectives {
 		opts.Objectives[i].Window = window.Seconds()
 		if opts.Objectives[i].Name == "availability" {

@@ -39,7 +39,7 @@ const usageText = `usage:
   mvtrace health    -in spans.jsonl [-require-incident]
                                                 health-engine replay: verdict timeline, SLO budgets, online alpha
   mvtrace dash      -in spans.jsonl [-require-exemplars]   (or -metrics-addr host:port, live)
-                                                tsdb + rules dashboard: rates, slow stages with exemplar traces, alerts
+                                                tsdb + recording-rule dashboard: rates, slow stages with exemplar traces, incidents
 all but waterfall take -format text|json; run "mvtrace <subcommand> -h" for flags
 `
 

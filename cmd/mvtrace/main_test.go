@@ -20,6 +20,7 @@ const fixturePath = "testdata/spans.jsonl"
 const (
 	coldStarts   = 5   // first requests, 20x slower in every stage
 	compromiseAt = 40  // version a starts disagreeing from this request on
+	triggerAt    = 55  // after this request's vote, a's 32-round window is half disagreement
 	slowTrace    = 60  // one 20x-slow request inside the incident: the exemplar
 	rejuvenateAt = 63  // reactive rejuvenation of version a lands before this request
 	sampledFrom  = 90  // tail sampling (rate 0.1) engages here
@@ -28,11 +29,11 @@ const (
 )
 
 // buildFixture generates the committed span export: a compromise → divergence
-// → rejuvenation arc recorded in full, one slow exemplar inside the incident,
-// and a sampled-out stretch of healthy traffic at the end. Every span goes
-// through a real SpanSink (its tail sampler and JSONL exporter) with explicit
-// timestamps, so the file is byte-stable. It also returns the byte offset at
-// which the slow-exemplar trace starts.
+// → trigger → rejuvenation arc recorded in full, one slow exemplar inside the
+// incident, and a sampled-out stretch of healthy traffic at the end. Every
+// span goes through a real SpanSink (its tail sampler and JSONL exporter)
+// with explicit timestamps, so the file is byte-stable. It also returns the
+// byte offset at which the slow-exemplar trace starts.
 func buildFixture(t *testing.T) (full []byte, cut int) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -42,6 +43,7 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 	id := func() uint64 { nextID++; return nextID }
 	versions := []string{"a", "b", "c"}
 	forward := []float64{0.001, 0.002, 0.0015}
+	var triggerT float64
 
 	for k := 0; k < requests; k++ {
 		t0 := float64(k) * period
@@ -95,7 +97,15 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 		recs = append(recs, obs.SpanRecord{Trace: trace, ID: root, Kind: "request", Start: t0, End: at,
 			Attrs: map[string]any{"class": k % 43}})
 		sink.EmitBatch(recs)
+		if k == triggerAt {
+			triggerT = at
+		}
 	}
+	// The serving pool's reactive trigger, at the vote that filled a's window
+	// to the threshold. It is exported last so that it takes no id from the
+	// requests after it; every tool orders spans by time, not file position.
+	sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "rejuvenation_trigger",
+		Start: triggerT, End: triggerT, Attrs: map[string]any{"version": "a", "rate": 0.5}}})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +173,14 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGates: both CI gates pass on the fixture and fail (exit 1, not a usage
-// error) on a copy truncated just before the slow exemplar — which still has
-// the incident window open but no rejuvenation, and no exemplar reaching it.
+// error) on a copy truncated just before the slow exemplar, keeping the
+// trigger exported last — which still has the incident window open but no
+// rejuvenation, and no exemplar reaching it.
 func TestGates(t *testing.T) {
 	full, cut := buildFixture(t)
+	trigger := full[bytes.LastIndexByte(full[:len(full)-1], '\n')+1:]
 	truncated := filepath.Join(t.TempDir(), "truncated.jsonl")
-	if err := os.WriteFile(truncated, full[:cut], 0o644); err != nil {
+	if err := os.WriteFile(truncated, append(full[:cut:cut], trigger...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, gate := range [][]string{{"health", "-require-incident"}, {"dash", "-require-exemplars"}} {

@@ -134,57 +134,3 @@ func (c *CUSUM) Baseline() float64 { return c.mu }
 // (initially, or re-learning after a detection). While learning it cannot
 // flag changes, so its silence is not evidence of health.
 func (c *CUSUM) Learning() bool { return c.n < c.Warmup }
-
-// DivergenceRing is a windowed disagreement-rate tracker for one version:
-// the outcome of the last n decided rounds it took part in (true = it
-// disagreed with the voted output). The engine keeps one per version and so
-// does the serving pool's reactive trigger, so health verdicts and the
-// trigger agree on what "diverging" means. Not safe for concurrent use; the
-// owner's lock guards it.
-type DivergenceRing struct {
-	window    []bool
-	pos, fill int
-	disagreed int
-}
-
-// NewDivergenceRing returns a ring over the last n rounds (minimum 1).
-func NewDivergenceRing(n int) *DivergenceRing {
-	if n < 1 {
-		n = 1
-	}
-	return &DivergenceRing{window: make([]bool, n)}
-}
-
-// Observe records one decided round.
-func (r *DivergenceRing) Observe(disagreed bool) {
-	if r.fill == len(r.window) {
-		if r.window[r.pos] {
-			r.disagreed--
-		}
-	} else {
-		r.fill++
-	}
-	r.window[r.pos] = disagreed
-	if disagreed {
-		r.disagreed++
-	}
-	r.pos = (r.pos + 1) % len(r.window)
-}
-
-// Reset clears the window (after rejuvenation, so stale disagreements cannot
-// immediately re-trigger).
-func (r *DivergenceRing) Reset() {
-	for i := range r.window {
-		r.window[i] = false
-	}
-	r.pos, r.fill, r.disagreed = 0, 0, 0
-}
-
-// Rate returns the windowed disagreement fraction and whether the window
-// has filled (rates over a part-filled window are not trigger-worthy).
-func (r *DivergenceRing) Rate() (float64, bool) {
-	if r.fill == 0 {
-		return 0, false
-	}
-	return float64(r.disagreed) / float64(r.fill), r.fill == len(r.window)
-}

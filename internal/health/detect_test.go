@@ -154,29 +154,3 @@ func TestCUSUMConstantBaseline(t *testing.T) {
 		t.Fatal("deviation from a constant baseline not detected")
 	}
 }
-
-func TestDivergenceRing(t *testing.T) {
-	r := NewDivergenceRing(4)
-	if _, full := r.Rate(); full {
-		t.Fatal("empty ring reports full")
-	}
-	r.Observe(true)
-	r.Observe(false)
-	if rate, full := r.Rate(); full || rate != 0.5 {
-		t.Fatalf("part-filled ring: rate %.2f full %v, want 0.50 false", rate, full)
-	}
-	r.Observe(true)
-	r.Observe(true)
-	if rate, full := r.Rate(); !full || rate != 0.75 {
-		t.Fatalf("filled ring: rate %.2f full %v, want 0.75 true", rate, full)
-	}
-	// Eviction: the oldest (true) slides out.
-	r.Observe(false)
-	if rate, _ := r.Rate(); rate != 0.5 {
-		t.Fatalf("after eviction: rate %.2f, want 0.50", rate)
-	}
-	r.Reset()
-	if rate, full := r.Rate(); rate != 0 || full {
-		t.Fatalf("after reset: rate %.2f full %v, want 0 false", rate, full)
-	}
-}

@@ -67,17 +67,9 @@ type Options struct {
 	// CUSUMK/CUSUMH parameterise the queue-depth change-point detector.
 	CUSUMK float64
 	CUSUMH float64
-	// DivergenceWindow/DivergenceThreshold mirror the serving reactive
-	// trigger: a version whose windowed disagreement rate reaches the
-	// threshold goes critical (the engine's rejuvenation advice).
-	DivergenceWindow    int
-	DivergenceThreshold float64
 	// RecoverAfter is how many consecutive clean observations step a
 	// component's level down by one (hysteresis).
 	RecoverAfter int
-	// CooldownSeconds suppresses repeat rejuvenation advice for a version
-	// after its last rejuvenation.
-	CooldownSeconds float64
 	// MaxTimeline bounds the recorded verdict-transition log.
 	MaxTimeline int
 	// ShardFilter, when non-empty, restricts the engine to spans carrying a
@@ -103,19 +95,16 @@ func DefaultObjectives() []Objective {
 // DefaultOptions returns engine parameters matched to the demo workload.
 func DefaultOptions() Options {
 	return Options{
-		Objectives:          DefaultObjectives(),
-		LatencyObjective:    0.25,
-		BucketSeconds:       1,
-		EWMALambda:          0.05,
-		EWMAZ:               6,
-		Warmup:              32,
-		CUSUMK:              0.5,
-		CUSUMH:              8,
-		DivergenceWindow:    32,
-		DivergenceThreshold: 0.5,
-		RecoverAfter:        16,
-		CooldownSeconds:     5,
-		MaxTimeline:         4096,
+		Objectives:       DefaultObjectives(),
+		LatencyObjective: 0.25,
+		BucketSeconds:    1,
+		EWMALambda:       0.05,
+		EWMAZ:            6,
+		Warmup:           32,
+		CUSUMK:           0.5,
+		CUSUMH:           8,
+		RecoverAfter:     16,
+		MaxTimeline:      4096,
 	}
 }
 
@@ -146,17 +135,8 @@ func (o Options) withDefaults() Options {
 	if o.CUSUMH <= 0 {
 		o.CUSUMH = d.CUSUMH
 	}
-	if o.DivergenceWindow <= 0 {
-		o.DivergenceWindow = d.DivergenceWindow
-	}
-	if o.DivergenceThreshold <= 0 || o.DivergenceThreshold > 1 {
-		o.DivergenceThreshold = d.DivergenceThreshold
-	}
 	if o.RecoverAfter <= 0 {
 		o.RecoverAfter = d.RecoverAfter
-	}
-	if o.CooldownSeconds <= 0 {
-		o.CooldownSeconds = d.CooldownSeconds
 	}
 	if o.MaxTimeline <= 0 {
 		o.MaxTimeline = d.MaxTimeline
@@ -217,8 +197,6 @@ type Engine struct {
 
 	slos  []*sloTracker
 	alpha *AlphaEstimator
-	rings map[string]*DivergenceRing // version name → disagreement window
-	cool  map[string]float64         // version name → cooldown deadline
 
 	timeline      []Transition
 	timelineTrunc uint64
@@ -252,8 +230,6 @@ func NewEngine(opts Options, reg *obs.Registry) *Engine {
 		stages:  map[string]*EWMA{},
 		queue:   &CUSUM{K: opts.CUSUMK, H: opts.CUSUMH, Warmup: opts.Warmup},
 		alpha:   NewAlphaEstimator(),
-		rings:   map[string]*DivergenceRing{},
-		cool:    map[string]float64{},
 		reg:     reg,
 	}
 	reg.Help("mv_health_state", "Component health verdict: 0 healthy, 1 degraded, 2 critical.")
@@ -465,6 +441,13 @@ func (e *Engine) observeOne(rec *obs.SpanRecord) {
 				e.observeQueueDepth(depth, t)
 			}
 		}
+	case "rejuvenation_trigger":
+		// The serving pool decided this version is diverging (core's
+		// simulator emits the kind without a version: nothing to mark).
+		if version := rec.AttrString("version"); version != "" {
+			rate, _ := rec.AttrFloat("rate")
+			e.bump("version:"+version, Critical, t, fmt.Sprintf("divergence rate %.2f over window", rate))
+		}
 	case "rejuvenation":
 		e.observeRejuvenation(rec, t)
 	case "divergence":
@@ -567,28 +550,10 @@ func (e *Engine) observeVote(rec *obs.SpanRecord, t float64) {
 			e.alphaTraj = append(e.alphaTraj, AlphaPoint{T: t, Rounds: e.roundsDecided, Alpha: a})
 		}
 	}
-	divergedSet := map[string]bool{}
-	for _, name := range diverged {
-		divergedSet[name] = true
-	}
+	// Register every voter's component; its level moves only on the
+	// serving pool's decisions (rejuvenation_trigger, rejuvenation).
 	for _, name := range rec.AttrStrings("voters") {
-		ring := e.rings[name]
-		if ring == nil {
-			ring = NewDivergenceRing(e.opts.DivergenceWindow)
-			e.rings[name] = ring
-		}
-		ring.Observe(divergedSet[name])
-		comp := "version:" + name
-		rate, full := ring.Rate()
-		switch {
-		case full && rate >= e.opts.DivergenceThreshold:
-			e.bump(comp, Critical, t, fmt.Sprintf("divergence rate %.2f over window", rate))
-		case full && rate >= e.opts.DivergenceThreshold/2:
-			e.bump(comp, Degraded, t, fmt.Sprintf("divergence rate %.2f over window", rate))
-		default:
-			e.comp(comp)
-			e.clean(comp, t)
-		}
+		e.comp("version:" + name)
 	}
 }
 
@@ -596,35 +561,9 @@ func (e *Engine) observeRejuvenation(rec *obs.SpanRecord, t float64) {
 	version := rec.AttrString("version")
 	kind := rec.AttrString("kind")
 	e.rejuvenations = append(e.rejuvenations, RejuvenationEvent{T: t, Version: version, Kind: kind})
-	if version == "" {
-		return
-	}
-	// Rejuvenation gives the version a clean slate: its disagreement window
-	// restarts (mirroring the serving pool's reset) and repeat advice is
-	// suppressed for the cooldown.
-	if ring := e.rings[version]; ring != nil {
-		ring.Reset()
-	}
-	e.cool[version] = t + e.opts.CooldownSeconds
 	if _, ok := e.comps["version:"+version]; ok {
 		e.force("version:"+version, Healthy, t, "rejuvenated ("+kind+")")
 	}
-}
-
-// ShouldRejuvenate reports whether the engine's verdict calls for
-// rejuvenating the named version: its divergence component is critical and
-// it is outside the post-rejuvenation cooldown. False on a nil engine.
-func (e *Engine) ShouldRejuvenate(version string) bool {
-	if e == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.comps["version:"+version]
-	if c == nil || c.level < Critical {
-		return false
-	}
-	return e.now >= e.cool[version]
 }
 
 // SuppressRejuvenation reports whether reactive rejuvenation should be held
@@ -640,35 +579,6 @@ func (e *Engine) SuppressRejuvenation() bool {
 	defer e.mu.Unlock()
 	c := e.comps["queue"]
 	return c != nil && c.level >= Critical
-}
-
-// ObserveAlert feeds an external alert transition — the tsdb rule engine's
-// firing/resolve edges — into the verdict as component "alert:"+name. A
-// firing critical alert goes Critical, a firing warning Degraded; a resolve
-// returns the component to Healthy immediately (the rule engine's
-// for-duration already provides the hysteresis the span-driven components
-// get from RecoverAfter). Safe on a nil engine.
-func (e *Engine) ObserveAlert(name string, critical, firing bool, t float64, reason string) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	comp := "alert:" + name
-	if firing {
-		lvl := Degraded
-		if critical {
-			lvl = Critical
-		}
-		if reason == "" {
-			reason = "alert firing"
-		}
-		e.bump(comp, lvl, t, reason)
-		return
-	}
-	if _, ok := e.comps[comp]; ok {
-		e.force(comp, Healthy, t, "alert resolved")
-	}
 }
 
 // ComponentStatus is one component's externally visible state.

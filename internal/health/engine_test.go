@@ -53,6 +53,11 @@ func (b *streamBuilder) rejuvenation(t float64, version, kind string) {
 	b.span("rejuvenation", t, t+0.01, map[string]any{"version": version, "kind": kind})
 }
 
+// trigger emits the serving pool's zero-duration reactive-trigger span.
+func (b *streamBuilder) trigger(t float64, version string, rate float64) {
+	b.span("rejuvenation_trigger", t, t, map[string]any{"version": version, "rate": rate})
+}
+
 // testOptions uses SLO windows short enough that the synthetic incident
 // both alerts and fully recovers within the stream.
 func testEngineOptions() Options {
@@ -67,7 +72,8 @@ func testEngineOptions() Options {
 
 // incidentStream builds the canonical test scenario: a clean baseline,
 // a mid-stream compromise of version "a" (persistent divergence, queue
-// surge, degraded answers, two coincident-failure skips), a reactive
+// surge, degraded answers, two coincident-failure skips), the serving pool's
+// reactive trigger once a 32-round window is half disagreement, the
 // rejuvenation, and a clean recovery phase. Rounds are 0.1s apart.
 func incidentStream() []obs.SpanRecord {
 	var b streamBuilder
@@ -82,6 +88,9 @@ func incidentStream() []obs.SpanRecord {
 	for i := 100; i < 200; i++ { // compromise, t ∈ [10,20)
 		skipped := i == 140 || i == 141 // two no-majority rounds
 		b.round(float64(i)*dt, 50, []string{"a"}, skipped, true)
+		if i == 115 {
+			b.trigger(float64(i)*dt+0.003, "a", 0.5)
+		}
 	}
 	b.rejuvenation(199.5*dt, "a", "reactive")
 	for i := 200; i < 300; i++ { // recovery, t ∈ [20,30)
@@ -211,30 +220,6 @@ func TestEngineIncidentArc(t *testing.T) {
 	}
 }
 
-// TestShouldRejuvenate: critical divergence advises rejuvenation; the
-// post-rejuvenation cooldown and the reset both clear the advice.
-func TestShouldRejuvenate(t *testing.T) {
-	var b streamBuilder
-	for i := 0; i < 100; i++ {
-		b.round(float64(i)*0.1, 2, []string{"a"}, false, false)
-	}
-	e := NewEngine(testEngineOptions(), nil)
-	e.ObserveSpans(b.recs, 0)
-	if !e.ShouldRejuvenate("a") {
-		t.Fatal("persistently diverging version not advised for rejuvenation")
-	}
-	if e.ShouldRejuvenate("b") {
-		t.Fatal("healthy version advised for rejuvenation")
-	}
-
-	var rb streamBuilder
-	rb.rejuvenation(10.0, "a", "reactive")
-	e.ObserveSpans(rb.recs, 0)
-	if e.ShouldRejuvenate("a") {
-		t.Fatal("advice persists through rejuvenation reset + cooldown")
-	}
-}
-
 // TestSuppressRejuvenation: repeated queue change-points without recovery
 // escalate the queue component to critical, which vetoes rejuvenation.
 func TestSuppressRejuvenation(t *testing.T) {
@@ -264,7 +249,7 @@ func TestSuppressRejuvenation(t *testing.T) {
 	}
 
 	var nilEngine *Engine
-	if nilEngine.SuppressRejuvenation() || nilEngine.ShouldRejuvenate("a") {
+	if nilEngine.SuppressRejuvenation() {
 		t.Fatal("nil engine gave advice")
 	}
 	if nilEngine.Snapshot() != nil || nilEngine.Report() != nil {
@@ -326,6 +311,7 @@ func TestEngineGauges(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.round(float64(i)*0.1, 2, []string{"a"}, false, false)
 	}
+	b.trigger(9.903, "a", 1)
 	b.recs = append(b.recs, obs.SpanRecord{
 		Trace: 9999, ID: 9999, Kind: "vote", Start: 10, End: 10.001,
 		Attrs: map[string]any{"skipped": true, "voters": []string{"a", "b"}},
@@ -359,6 +345,7 @@ var eventKinds = []string{"voter_skip", "rejuvenation_trigger", "compromise",
 // TestEventSpansDoNotMoveTheVerdict pins "no kind collision": interleaving
 // every event kind through the recorded incident leaves the replayed report
 // byte-identical — the engine counts the extra spans and judges none of them.
+// rejuvenation_trigger comes without a version, the way core emits it.
 func TestEventSpansDoNotMoveTheVerdict(t *testing.T) {
 	recs := incidentStream()
 	opts := testEngineOptions()
@@ -371,8 +358,12 @@ func TestEventSpansDoNotMoveTheVerdict(t *testing.T) {
 		if i%25 == 0 {
 			kind := eventKinds[events%len(eventKinds)]
 			events++
+			attrs := map[string]any{"version": "a", "reason": "x", "proposals": 0}
+			if kind == "rejuvenation_trigger" {
+				delete(attrs, "version")
+			}
 			mixed = append(mixed, obs.SpanRecord{Trace: uint64(1e6 + i), ID: uint64(1e6 + i), Kind: kind,
-				Start: rec.End, End: rec.End, Attrs: map[string]any{"version": "a", "reason": "x", "proposals": 0}})
+				Start: rec.End, End: rec.End, Attrs: attrs})
 		}
 	}
 	if events < 2*len(eventKinds) {
@@ -386,5 +377,42 @@ func TestEventSpansDoNotMoveTheVerdict(t *testing.T) {
 	rep.Final.Spans -= uint64(events)
 	if got := reportJSON(t, rep); got != want {
 		t.Fatalf("event spans moved the report:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestTriggerSpanMarksVersionCritical: the engine watches the serving pool's
+// decision rather than computing its own. Disagreement alone moves nothing;
+// a rejuvenation_trigger naming a version marks it critical at once, and
+// that version's rejuvenation returns it to healthy.
+func TestTriggerSpanMarksVersionCritical(t *testing.T) {
+	var b streamBuilder
+	for i := 0; i < 40; i++ {
+		b.round(float64(i)*0.1, 2, []string{"a"}, false, false)
+	}
+	b.trigger(4.0, "b", 0.5)
+	b.rejuvenation(4.1, "b", "reactive")
+	e := NewEngine(testEngineOptions(), nil)
+	n := len(b.recs)
+	e.ObserveSpans(b.recs[:n-2], 0)
+	if lvl := e.Level("version:a"); lvl != Healthy {
+		t.Fatalf("version:a is %s with no trigger, want healthy", lvl)
+	}
+	e.ObserveSpans(b.recs[n-2:n-1], 0)
+	if lvl := e.Level("version:b"); lvl != Critical {
+		t.Fatalf("version:b is %s after its trigger, want critical", lvl)
+	}
+	e.ObserveSpans(b.recs[n-1:], 0)
+	if lvl := e.Level("version:b"); lvl != Healthy {
+		t.Fatalf("version:b is %s after its rejuvenation, want healthy", lvl)
+	}
+	var arc []string
+	for _, tr := range e.Report().Timeline {
+		if tr.Component == "version:b" {
+			arc = append(arc, tr.To.String()+" ("+tr.Reason+")")
+		}
+	}
+	want := "critical (divergence rate 0.50 over window); healthy (rejuvenated (reactive))"
+	if got := strings.Join(arc, "; "); got != want {
+		t.Fatalf("version:b arc %q, want %q", got, want)
 	}
 }

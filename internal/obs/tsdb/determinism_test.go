@@ -102,7 +102,7 @@ func TestConcurrentScrapeIngestAndRules(t *testing.T) {
 	s := New(Config{BucketSeconds: 1, Buckets: 600})
 	reg := obs.NewRegistry()
 	s.Register(reg)
-	rules := NewRules(s, 1, DefaultServingRules(healthDefaults()))
+	rules := NewRules(s, 1, DefaultServingRules())
 	rules.Register(reg)
 	ing := NewIngester(s, rules)
 	sc := NewScraper(s)
@@ -129,7 +129,6 @@ func TestConcurrentScrapeIngestAndRules(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			rules.Advance(float64(i) / 20)
 			s.Snapshot()
-			rules.Alerts()
 		}
 	}()
 	wg.Wait()

@@ -160,7 +160,7 @@ func (in *Ingester) MaxT() float64 {
 // live batches (a late child merged into an adjacent run aggregates
 // identically — per-record aggregation only consults the shared trace→shard
 // cache). After the final batch the attached rule engine has advanced to the
-// last span time, so rule/alert state matches the live run too.
+// last span time, so the recorded rule series match the live run too.
 func Replay(recs []obs.SpanRecord, in *Ingester) {
 	for i := 0; i < len(recs); {
 		j := i + 1

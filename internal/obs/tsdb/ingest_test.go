@@ -3,11 +3,9 @@ package tsdb
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
-	"mvml/internal/health"
 	"mvml/internal/obs"
 )
 
@@ -46,7 +44,7 @@ func TestIngesterAggregatesSpanStream(t *testing.T) {
 
 // TestLiveEqualsReplay drives a real sink (sampler installed, ingester
 // attached post-sampling, JSONL export on) and then replays the export into
-// a second store: content and rule/alert state must match exactly.
+// a second store: content and recorded rule series must match exactly.
 func TestLiveEqualsReplay(t *testing.T) {
 	var jsonl bytes.Buffer
 	sink := obs.NewSpanSink(4096)
@@ -54,7 +52,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 	sink.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.2, Seed: 9}))
 
 	live := New(Config{BucketSeconds: 1, Buckets: 120})
-	liveRules := NewRules(live, 1, DefaultServingRules(healthDefaults()))
+	liveRules := NewRules(live, 1, DefaultServingRules())
 	liveIng := NewIngester(live, liveRules)
 	sink.AttachSampled(liveIng)
 
@@ -74,7 +72,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 	}
 
 	replay := New(Config{BucketSeconds: 1, Buckets: 120})
-	replayRules := NewRules(replay, 1, DefaultServingRules(healthDefaults()))
+	replayRules := NewRules(replay, 1, DefaultServingRules())
 	Replay(recs, NewIngester(replay, replayRules))
 
 	var a, b bytes.Buffer
@@ -87,11 +85,8 @@ func TestLiveEqualsReplay(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("live store != replay store\n--- live ---\n%s\n--- replay ---\n%s", a.String(), b.String())
 	}
-	if !reflect.DeepEqual(liveRules.Alerts(), replayRules.Alerts()) {
-		t.Fatalf("alert state diverged: live %+v replay %+v", liveRules.Alerts(), replayRules.Alerts())
-	}
-	ja, _ := json.Marshal(BuildReport(live, liveRules))
-	jb, _ := json.Marshal(BuildReport(replay, replayRules))
+	ja, _ := json.Marshal(BuildReport(live))
+	jb, _ := json.Marshal(BuildReport(replay))
 	if !bytes.Equal(ja, jb) {
 		t.Fatal("JSON reports diverged between live and replay")
 	}
@@ -139,79 +134,19 @@ func TestSamplingKeepsEveryIncidentAndSlowTrace(t *testing.T) {
 	}
 }
 
-func TestRulesAlertLifecycleFeedsHealthEngine(t *testing.T) {
-	s := New(Config{BucketSeconds: 1, Buckets: 600})
-	rules := NewRules(s, 1, DefaultServingRules(healthDefaults()))
-	reg := obs.NewRegistry()
-	rules.Register(reg)
-	eng := health.NewEngine(health.Options{}, reg)
-	rules.AddSink(eng)
-
-	// Healthy traffic for 40s, then a 20s error storm, then recovery.
-	emit := func(t0 float64, n int, errRate float64) {
-		for i := 0; i < n; i++ {
-			ts := t0 + float64(i)*0.01
-			s.Add(SeriesRequests, ts, 1, "kind", "request", "shard", "a")
-			s.Observe(SeriesStage, ts, 0.01, "kind", "request", "shard", "a")
-			if errRate > 0 && float64(i%100) < errRate*100 {
-				s.Add(SeriesErrors, ts, 1, "kind", "request", "shard", "a")
-			}
-		}
-	}
-	for sec := 0; sec < 40; sec++ {
-		emit(float64(sec), 50, 0)
-		rules.Advance(float64(sec + 1))
-	}
-	if g := reg.Gauge(MetricAlertFiring, "alert", AlertHighErrorRate).Value(); g != 0 {
-		t.Fatalf("error alert firing during healthy traffic")
-	}
-	for sec := 40; sec < 60; sec++ {
-		emit(float64(sec), 50, 0.5)
-		rules.Advance(float64(sec + 1))
-	}
-	alerts := rules.Alerts()
-	var errAlert *AlertStatus
-	for i := range alerts {
-		if alerts[i].Name == AlertHighErrorRate {
-			errAlert = &alerts[i]
-		}
-	}
-	if errAlert == nil || !errAlert.Firing {
-		t.Fatalf("error alert not firing after storm: %+v", alerts)
-	}
-	if g := reg.Gauge(MetricAlertFiring, "alert", AlertHighErrorRate).Value(); g != 1 {
-		t.Fatal("mv_tsdb_alert_firing gauge not set")
-	}
-	if lvl := eng.Level("alert:" + AlertHighErrorRate); lvl != health.Critical {
-		t.Fatalf("health component level = %v, want Critical", lvl)
-	}
-	// Recovery: clean traffic long enough to drain the 30s window.
-	for sec := 60; sec < 100; sec++ {
-		emit(float64(sec), 50, 0)
-		rules.Advance(float64(sec + 1))
-	}
-	if lvl := eng.Level("alert:" + AlertHighErrorRate); lvl != health.Healthy {
-		t.Fatalf("health component did not recover: %v", lvl)
-	}
-	// The p99 recording rule has a value (autoscaler signal path).
-	if v, ok := s.LastValue(RuleP99Latency); !ok || v <= 0 {
-		t.Fatalf("p99 recording rule = %v,%v", v, ok)
-	}
-}
-
 // TestEventSpansOnlyAddTheirOwnSeries pins "no kind collision" for the store:
 // interleaving the zero-duration event kinds (each its own root trace, as
 // emitted) through the recorded stream adds lifecycle/stage series labelled
-// with those kinds and changes nothing else — every other series, every
-// recording rule and every alert replays byte-identically.
+// with those kinds and changes nothing else — every other series and every
+// recording rule replays byte-identically.
 func TestEventSpansOnlyAddTheirOwnSeries(t *testing.T) {
 	eventKinds := []string{"voter_skip", "rejuvenation_trigger", "compromise",
 		"perception_skip", "collision", "run_end", "petri_run_end"}
 	replay := func(recs []obs.SpanRecord) *Report {
 		store := New(Config{BucketSeconds: 1, Buckets: 120})
-		rules := NewRules(store, 1, DefaultServingRules(healthDefaults()))
+		rules := NewRules(store, 1, DefaultServingRules())
 		Replay(recs, NewIngester(store, rules))
-		return BuildReport(store, rules)
+		return BuildReport(store)
 	}
 	var mixed []obs.SpanRecord
 	for i := 0; i < 120; i++ {
@@ -246,6 +181,6 @@ func TestEventSpansOnlyAddTheirOwnSeries(t *testing.T) {
 	ja, _ := json.Marshal(want)
 	jb, _ := json.Marshal(got)
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("event spans moved existing series, rules or alerts:\n%s\nvs\n%s", jb, ja)
+		t.Fatalf("event spans moved existing series or rules:\n%s\nvs\n%s", jb, ja)
 	}
 }

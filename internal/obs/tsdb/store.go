@@ -2,7 +2,7 @@
 // pipeline: fixed-width time buckets per series with bounded retention,
 // filled from two sources — streaming aggregation of the span firehose
 // (Ingester) and periodic scrapes of the metrics registry (Scraper) — and
-// queried by recording/alert rules (Rules), the gateway autoscaler and the
+// queried by recording rules (Rules), the gateway autoscaler and the
 // `mvtrace dash` dashboard.
 //
 // Like the rest of the obs stack the store is passive and deterministic:
@@ -458,28 +458,6 @@ func (s *Store) QuantileOver(name string, t0, t1, q float64, kv ...string) (floa
 	return stats.BucketQuantile(s.cfg.HistBounds, m.counts, q), true
 }
 
-// FracBelow returns the fraction of a histogram series' observations at or
-// below bound over [t0, t1] (the empirical CDF at bound, resolved to value
-// buckets), reporting whether the window held any observations.
-func (s *Store) FracBelow(name string, t0, t1, bound float64, kv ...string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.mergeHist(s.lookup(name, kv), t0, t1)
-	if m == nil {
-		return 0, false
-	}
-	var below uint64
-	for i, ub := range s.cfg.HistBounds {
-		if ub <= bound {
-			below += m.counts[i]
-		}
-	}
-	return float64(below) / float64(m.count), true
-}
-
 // ExemplarNear returns the exemplar closest to value v in a histogram
 // series: the exemplar of v's own value bucket if present, else the nearest
 // populated bucket's. The second result reports whether any exemplar exists.
@@ -635,31 +613,6 @@ func (s *Store) FamilyQuantileOver(name string, t0, t1, q float64, match ...stri
 		return 0, false
 	}
 	return stats.BucketQuantile(s.cfg.HistBounds, m.counts, q), true
-}
-
-// FamilyFracBelow returns the merged empirical CDF at bound over [t0, t1]
-// across every matching series.
-func (s *Store) FamilyFracBelow(name string, t0, t1, bound float64, match ...string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var below, total uint64
-	s.familyEach(name, match, func(sd *seriesData) {
-		if h := s.mergeHist(sd, t0, t1); h != nil {
-			total += h.count
-			for i, ub := range s.cfg.HistBounds {
-				if ub <= bound {
-					below += h.counts[i]
-				}
-			}
-		}
-	})
-	if total == 0 {
-		return 0, false
-	}
-	return float64(below) / float64(total), true
 }
 
 // FamilyLastSum sums the latest gauge value of every matching series.

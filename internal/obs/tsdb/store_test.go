@@ -62,10 +62,6 @@ func TestStoreHistogramQuantileAndExemplars(t *testing.T) {
 	if !ok || q99 < 0.5 {
 		t.Fatalf("p99.9 = %v, want near 0.9+", q99)
 	}
-	frac, ok := s.FracBelow("lat", 0, 60, 0.25, "kind", "request")
-	if !ok || frac < 0.98 || frac > 1 {
-		t.Fatalf("FracBelow(0.25) = %v,%v", frac, ok)
-	}
 	// The slow observation's exemplar is retrievable near its value.
 	e, ok := s.ExemplarNear("lat", 0.9, "kind", "request")
 	if !ok || e.Trace != 7777 {
@@ -94,10 +90,6 @@ func TestStoreFamilyQueriesAcrossShards(t *testing.T) {
 	if !ok || q > 1 {
 		t.Fatalf("family p99 = %v,%v — rejuvenation series must be excluded", q, ok)
 	}
-	frac, ok := s.FamilyFracBelow(SeriesStage, 0, 2, 0.2, "kind", "request")
-	if !ok || frac != 0.5 {
-		t.Fatalf("family FracBelow = %v,%v want 0.5", frac, ok)
-	}
 	s.Set(SeriesQueue, 1, 3, "shard", "a")
 	s.Set(SeriesQueue, 1, 4, "shard", "b")
 	if sum, ok := s.FamilyLastSum(SeriesQueue); !ok || sum != 7 {
@@ -124,7 +116,7 @@ func TestStoreExpositionByteStable(t *testing.T) {
 	s := New(Config{BucketSeconds: 1, Buckets: 60})
 	reg := obs.NewRegistry()
 	s.Register(reg)
-	rules := NewRules(s, 1, DefaultServingRules(healthDefaults()))
+	rules := NewRules(s, 1, DefaultServingRules())
 	rules.Register(reg)
 	ing := NewIngester(s, rules)
 	Replay(demoSpans(), ing)
@@ -157,7 +149,7 @@ func TestStoreExpositionByteStable(t *testing.T) {
 		t.Fatal("registry exposition not byte-stable")
 	}
 	rtext := ra.String()
-	for _, want := range []string{MetricSamples, MetricSeries, MetricRuleValue, MetricAlertFiring} {
+	for _, want := range []string{MetricSamples, MetricSeries, MetricRuleValue} {
 		if !strings.Contains(rtext, want) {
 			t.Fatalf("registry exposition missing %q", want)
 		}

@@ -1,11 +1,6 @@
 package tsdb
 
-import (
-	"mvml/internal/health"
-	"mvml/internal/obs"
-)
-
-func healthDefaults() health.Options { return health.DefaultOptions() }
+import "mvml/internal/obs"
 
 // traceSpec derives one synthetic request trace's shape from its index,
 // with no randomness: every ~11th trace is slow, every ~17th errors, and

@@ -114,6 +114,61 @@ func FuzzDecodeClassify(f *testing.F) {
 	})
 }
 
+// FuzzClassifyHandler drives whole requests through Server.Handler: any body
+// under any Content-Type is answered with 200, 400, 413, 429 or 503 — never a
+// 500 — every error body is JSON, and a 200 carries exactly the class
+// Classify gives the image DecodeClassify reads from the same body.
+func FuzzClassifyHandler(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add("application/json", []byte(s))
+	}
+	f.Add("text/plain", []byte(`{"class":7,"seed":3}`))
+	f.Add("application/octet-stream", []byte{0, 0, 128, 63})
+	image, err := json.Marshal(ClassifyRequest{Image: testImage(3).Data})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("", image)
+	s, err := New(testConfig(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, contentType string, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		r.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("status %d with body %q: not a JSON error (%v)", rec.Code, rec.Body.Bytes(), err)
+			}
+			return
+		default:
+			t.Fatalf("body %q (%s): status %d", body, contentType, rec.Code)
+		}
+		var got ClassifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("200 with body %q: %v", rec.Body.Bytes(), err)
+		}
+		_, img, ok := DecodeClassify(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body)))
+		if !ok {
+			t.Fatalf("body %q answered 200 but does not decode", body)
+		}
+		want, err := s.Classify(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Class != want.Class || got.Degraded != want.Degraded || got.Agreeing != want.Agreeing || got.Proposals != want.Proposals {
+			t.Fatalf("body %q: handler answered %+v, Classify %+v", body, got, want)
+		}
+	})
+}
+
 // TestDecodeClassifyFastPath checks that the bodies the benchmark clients and
 // loadgen send — json.Marshal of a raw image — are actually taken by the
 // one-pass parser, not silently handed to the fallback.

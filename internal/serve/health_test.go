@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,10 +139,11 @@ func TestHealthzReportsEngineVerdict(t *testing.T) {
 	}
 }
 
-// TestHealthEngineGatesReactiveRejuvenation: with the engine enabled, the
-// reactive trigger fires on the engine's verdict (version component
-// critical), drains the compromised version and restores full agreement.
-func TestHealthEngineGatesReactiveRejuvenation(t *testing.T) {
+// TestHealthEngineSeesReactiveRejuvenation: with the engine enabled, the
+// pool's reactive trigger drains the compromised version and restores full
+// agreement, and the engine shows the decision as that version's
+// critical → healthy arc.
+func TestHealthEngineSeesReactiveRejuvenation(t *testing.T) {
 	rt := obs.NewRuntime(256)
 	cfg := healthTestConfig()
 	cfg.DivergenceWindow = 8
@@ -153,14 +155,107 @@ func TestHealthEngineGatesReactiveRejuvenation(t *testing.T) {
 	reactive := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", RejuvReactive)
 	fired := classifyUntil(t, s, 500, func(res Result) bool {
 		if res.Err != nil {
-			t.Fatalf("request failed during engine-gated rejuvenation: %v", res.Err)
+			t.Fatalf("request failed during reactive rejuvenation: %v", res.Err)
 		}
 		return reactive.Value() > 0
 	})
 	if !fired {
-		t.Fatalf("engine verdict never triggered rejuvenation (snapshot: %+v)", s.Health().Snapshot())
+		t.Fatalf("reactive trigger never fired (divergence %v)", s.pools[1].divergenceRate())
 	}
 	if !classifyUntil(t, s, 200, func(res Result) bool { return res.Agreeing == 3 }) {
-		t.Fatal("version still diverging after engine-gated rejuvenation")
+		t.Fatal("version still diverging after reactive rejuvenation")
+	}
+	var arc []string
+	for _, tr := range s.Health().Report().Timeline {
+		if tr.Component == "version:tiny-1" {
+			arc = append(arc, tr.To.String())
+		}
+	}
+	if len(arc) < 2 || arc[0] != "critical" || arc[1] != "healthy" {
+		t.Fatalf("version:tiny-1 transitions %v, want critical then healthy", arc)
+	}
+}
+
+// reactiveRun is what one server did over reactiveCycles: every answer, and
+// the decided round after which each reactive rejuvenation fired, with the
+// version it drained.
+type reactiveRun struct {
+	answers []Result
+	fired   []string
+}
+
+// reactiveCycles compromises version 1, serves until the reactive trigger
+// has rejuvenated it, serves clean rounds past the trigger's cooldown, and
+// does it all again — two cycles well under five seconds apart. One request
+// per batch through an unbuffered gate makes every round deterministic: the
+// gate send returns only once the batcher is back at the gate, so the last
+// round's vote and trigger decision are done, and a rejuvenation it started
+// is waited for before the next request is admitted.
+func reactiveCycles(t *testing.T, rt *obs.Runtime, h *health.Options) reactiveRun {
+	cfg := testConfig()
+	cfg.DivergenceWindow = 4
+	cfg.Health = h
+	gate := make(chan struct{})
+	cfg.batchGate = gate
+	s := newTestServer(t, cfg, rt)
+	var run reactiveRun
+	round := 0
+	serve := func() {
+		gate <- struct{}{}
+		for s.reactivePending.Load() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		for _, p := range s.pools {
+			p.mu.Lock()
+			reset := p.ring.fill == 0 // only a rejuvenation empties a window
+			p.mu.Unlock()
+			if reset && round > 0 {
+				run.fired = append(run.fired, fmt.Sprintf("%s after round %d", p.name, round))
+			}
+		}
+		res, err := s.Classify(testImage(round))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		run.answers = append(run.answers, res)
+		round++
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		if err := s.Compromise(1); err != nil {
+			t.Fatal(err)
+		}
+		for n := len(run.fired); len(run.fired) == n && round < 200*(cycle+1); {
+			serve()
+		}
+		for i := 0; i < cooldownWindows*cfg.DivergenceWindow+8; i++ {
+			serve()
+		}
+	}
+	return run
+}
+
+// TestReactiveTriggerIndependentOfTelemetry: the pool alone decides that a
+// version is diverging, so a bare server, an instrumented one and one with
+// the health engine attached give the same answers and rejuvenate the same
+// version after the same decided rounds — including a second compromise
+// soon after the first rejuvenation.
+func TestReactiveTriggerIndependentOfTelemetry(t *testing.T) {
+	bare := reactiveCycles(t, nil, nil)
+	if len(bare.fired) != 2 {
+		t.Fatalf("bare server: reactive rejuvenations %v, want one per cycle", bare.fired)
+	}
+	for _, tc := range []struct {
+		name string
+		run  reactiveRun
+	}{
+		{"runtime", reactiveCycles(t, obs.NewRuntime(256), nil)},
+		{"runtime+health", reactiveCycles(t, obs.NewRuntime(256), &health.Options{})},
+	} {
+		if fmt.Sprint(tc.run.fired) != fmt.Sprint(bare.fired) {
+			t.Errorf("%s: rejuvenations %v, bare server %v", tc.name, tc.run.fired, bare.fired)
+		}
+		if fmt.Sprint(tc.run.answers) != fmt.Sprint(bare.answers) {
+			t.Errorf("%s: answers differ from the bare server's", tc.name)
+		}
 	}
 }

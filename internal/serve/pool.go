@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mvml/internal/core"
-	"mvml/internal/health"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/tensor"
@@ -87,7 +86,7 @@ type pool struct {
 
 	// ring holds the outcome of the last DivergenceWindow decided requests
 	// this version participated in — the reactive-trigger window.
-	ring      *health.DivergenceRing
+	ring      *divergenceRing
 	threshold float64
 
 	divergedTotal *obs.Counter
@@ -102,7 +101,7 @@ func newPool(index int, nv *core.NNVersion, quant *nn.QuantParams, cfg Config, m
 		nv:            nv,
 		quant:         quant,
 		jobs:          make(chan batchJob, cfg.WorkersPerVersion),
-		ring:          health.NewDivergenceRing(cfg.DivergenceWindow),
+		ring:          newDivergenceRing(cfg.DivergenceWindow),
 		threshold:     cfg.DivergenceThreshold,
 		divergedTotal: m.divergence(nv.Name()),
 	}
@@ -284,16 +283,17 @@ func (p *pool) observe(disagreed bool) {
 }
 
 // shouldRejuvenate reports whether the divergence window is full and over
-// threshold — the reactive trigger condition.
+// threshold, outside the post-rejuvenation cooldown — the reactive trigger
+// condition, and the only place that decides "this version is diverging".
 func (p *pool) shouldRejuvenate() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rate, full := p.ring.Rate()
-	return p.state == poolServing && full && rate >= p.threshold
+	return p.state == poolServing && full && rate >= p.threshold && p.ring.cooldown == 0
 }
 
-// resetDivergence clears the window after rejuvenation so stale
-// disagreements cannot immediately re-trigger.
+// resetDivergence clears the window after rejuvenation and starts the
+// cooldown, so stale disagreements cannot immediately re-trigger.
 func (p *pool) resetDivergence() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -321,4 +321,70 @@ func (p *pool) status() VersionStatus {
 		Quantized:  p.quant != nil,
 		Divergence: rate,
 	}
+}
+
+// cooldownWindows is how many windows of decided rounds a version serves
+// after a rejuvenation before its window may trigger again. A version that
+// disagrees with the majority at its baseline rate — a weak model, not a
+// compromised one — would otherwise be rejuvenated every time its window
+// refills: on fleet_lifecycle, twelve 32-round windows (about 5 s at 70
+// decided rounds per shard per second) halve those false triggers and leave
+// the detection of the scripted compromise as fast (EXPERIMENTS.md). It is
+// counted in rounds, not seconds, so the decision depends on the answers
+// alone.
+const cooldownWindows = 12
+
+// divergenceRing is one version's reactive-trigger window: the outcome of the
+// last n decided rounds it took part in (true = it disagreed with the voted
+// output). Not safe for concurrent use; the pool's lock guards it.
+type divergenceRing struct {
+	window    []bool
+	pos, fill int
+	disagreed int
+	// cooldown counts down the rounds after a Reset during which the ring
+	// must not trigger.
+	cooldown int
+}
+
+// newDivergenceRing returns a ring over the last n rounds (minimum 1).
+func newDivergenceRing(n int) *divergenceRing {
+	if n < 1 {
+		n = 1
+	}
+	return &divergenceRing{window: make([]bool, n)}
+}
+
+// Observe records one decided round.
+func (r *divergenceRing) Observe(disagreed bool) {
+	if r.cooldown > 0 {
+		r.cooldown--
+	}
+	if r.fill == len(r.window) {
+		if r.window[r.pos] {
+			r.disagreed--
+		}
+	} else {
+		r.fill++
+	}
+	r.window[r.pos] = disagreed
+	if disagreed {
+		r.disagreed++
+	}
+	r.pos = (r.pos + 1) % len(r.window)
+}
+
+// Reset clears the window and starts the cooldown.
+func (r *divergenceRing) Reset() {
+	clear(r.window)
+	r.pos, r.fill, r.disagreed = 0, 0, 0
+	r.cooldown = cooldownWindows * len(r.window)
+}
+
+// Rate returns the windowed disagreement fraction and whether the window
+// has filled (rates over a part-filled window are not trigger-worthy).
+func (r *divergenceRing) Rate() (float64, bool) {
+	if r.fill == 0 {
+		return 0, false
+	}
+	return float64(r.disagreed) / float64(r.fill), r.fill == len(r.window)
 }

@@ -104,11 +104,13 @@ type Config struct {
 	NewNetwork func(version int, r *xrand.Rand) (*nn.Network, error)
 	// Health, when non-nil, attaches a streaming health engine to the span
 	// firehose: SLO error budgets, anomaly detectors and the online α
-	// estimator feed /healthz and the mv_health_* gauges, and the reactive
-	// rejuvenation trigger is driven (and suppressed) by health verdicts
-	// instead of the raw per-pool divergence counter. Requires a telemetry
-	// runtime with a span sink; the engine only observes published spans,
-	// so responses are bitwise-identical with it on or off.
+	// estimator feed /healthz and the mv_health_* gauges. The pools alone
+	// decide which version is diverging; the engine watches that decision
+	// (a version goes critical at its rejuvenation_trigger span and healthy
+	// again at its rejuvenation) and can only hold the trigger back while it
+	// judges the queue to be collapsing. Requires a telemetry runtime with a
+	// span sink; the engine only observes published spans, so responses are
+	// bitwise-identical with it on or off.
 	Health *health.Options
 	// ShardLabel names this server inside a multi-shard deployment. When
 	// non-empty every span the server emits carries a "shard" attribute, so a
@@ -288,16 +290,9 @@ func New(cfg Config, rt *obs.Runtime) (*Server, error) {
 	}
 	if cfg.Health != nil && s.m.spans != nil {
 		// The engine rides the span firehose: it sees every published span
-		// (votes, stages, rejuvenations) and nothing else, so enabling it
-		// cannot change a single response. Verdict-driven rejuvenation
-		// replaces the per-pool divergence counter in maybeReact.
+		// (votes, stages, triggers, rejuvenations) and nothing else, so
+		// enabling it cannot change a single response.
 		opts := *cfg.Health
-		if opts.DivergenceWindow == 0 {
-			opts.DivergenceWindow = cfg.DivergenceWindow
-		}
-		if opts.DivergenceThreshold == 0 {
-			opts.DivergenceThreshold = cfg.DivergenceThreshold
-		}
 		if opts.ShardFilter == "" {
 			// On a shared multi-shard sink this engine must judge only its
 			// own shard's spans.
@@ -687,30 +682,25 @@ func (s *Server) proactiveLoop() {
 	}
 }
 
-// maybeReact fires the reactive trigger. With the health engine attached
-// the verdict decides: a version is rejuvenated when its divergence
-// component went critical (and its cooldown passed), and the whole trigger
-// is vetoed while the engine judges the queue to be collapsing — draining a
-// version under backpressure would amplify the incident. Without the
-// engine, the legacy per-pool divergence window decides. Either way the
-// rejuvenation runs on its own goroutine so the batcher never blocks on a
-// drain.
+// maybeReact fires the reactive trigger: the first pool whose divergence
+// window says its version is diverging is rejuvenated, on its own goroutine
+// so the batcher never blocks on a drain. The decision is announced as a
+// zero-duration rejuvenation_trigger span. An attached health engine can
+// only veto it, while it judges the queue to be collapsing: draining a
+// version under backpressure would amplify the incident.
 func (s *Server) maybeReact() {
-	if s.health != nil && s.health.SuppressRejuvenation() {
+	if s.health.SuppressRejuvenation() {
 		return
 	}
 	for _, p := range s.pools {
-		if s.health != nil {
-			if !s.health.ShouldRejuvenate(p.name) {
-				continue
-			}
-		} else if !p.shouldRejuvenate() {
+		if !p.shouldRejuvenate() {
 			continue
 		}
 		if s.reactivePending.CompareAndSwap(false, true) {
-			s.m.incident("divergence", map[string]any{
-				"version": p.name, "rate": p.divergenceRate(),
-			})
+			attrs := map[string]any{"version": p.name, "rate": p.divergenceRate()}
+			now := s.m.spans.Now()
+			s.lifecycle("rejuvenation_trigger", now, now, attrs)
+			s.m.incident("divergence", attrs)
 			go func(v int) {
 				defer s.reactivePending.Store(false)
 				_ = s.Rejuvenate(v, RejuvReactive)

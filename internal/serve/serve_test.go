@@ -600,3 +600,42 @@ func TestRealEnsembleServes(t *testing.T) {
 		t.Fatalf("no proposals from the real ensemble: %+v", res)
 	}
 }
+
+func TestDivergenceRing(t *testing.T) {
+	r := newDivergenceRing(4)
+	if _, full := r.Rate(); full {
+		t.Fatal("empty ring reports full")
+	}
+	r.Observe(true)
+	r.Observe(false)
+	if rate, full := r.Rate(); full || rate != 0.5 {
+		t.Fatalf("part-filled ring: rate %.2f full %v, want 0.50 false", rate, full)
+	}
+	r.Observe(true)
+	r.Observe(true)
+	if rate, full := r.Rate(); !full || rate != 0.75 {
+		t.Fatalf("filled ring: rate %.2f full %v, want 0.75 true", rate, full)
+	}
+	// Eviction: the oldest (true) slides out.
+	r.Observe(false)
+	if rate, _ := r.Rate(); rate != 0.5 {
+		t.Fatalf("after eviction: rate %.2f, want 0.50", rate)
+	}
+	if r.cooldown != 0 {
+		t.Fatalf("cooldown %d before any reset, want 0", r.cooldown)
+	}
+	r.Reset()
+	if rate, full := r.Rate(); rate != 0 || full {
+		t.Fatalf("after reset: rate %.2f full %v, want 0 false", rate, full)
+	}
+	// The cooldown runs for cooldownWindows windows of decided rounds.
+	for i := 0; i < cooldownWindows*4; i++ {
+		if r.cooldown == 0 {
+			t.Fatalf("cooldown over after %d rounds, want %d", i, cooldownWindows*4)
+		}
+		r.Observe(true)
+	}
+	if rate, full := r.Rate(); r.cooldown != 0 || !full || rate != 1 {
+		t.Fatalf("after the cooldown: cooldown %d, rate %.2f full %v", r.cooldown, rate, full)
+	}
+}

@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"mvml/internal/health"
 	"mvml/internal/obs"
 	"mvml/internal/obs/tsdb"
 )
@@ -18,7 +17,7 @@ func TestResponsesUnchangedByTsdbAndSampling(t *testing.T) {
 	rt.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.1, Seed: 42}))
 	store := tsdb.New(tsdb.Config{BucketSeconds: 1, Buckets: 120})
 	store.Register(rt.Metrics())
-	rules := tsdb.NewRules(store, 1, tsdb.DefaultServingRules(health.DefaultOptions()))
+	rules := tsdb.NewRules(store, 1, tsdb.DefaultServingRules())
 	rules.Register(rt.Metrics())
 	rt.Spans().AttachSampled(tsdb.NewIngester(store, rules))
 	scraper := tsdb.NewScraper(store)

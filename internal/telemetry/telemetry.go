@@ -84,7 +84,6 @@ type Flags struct {
 	spansFile *os.File
 	engine    *health.Engine
 	store     *tsdb.Store
-	rules     *tsdb.Rules
 	scraper   *tsdb.Scraper
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -148,7 +147,7 @@ func (f *Flags) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Tsdb, "tsdb", false,
 		"collect windowed time-series (spans + registry scrapes) into the in-process store")
 	fs.StringVar(&f.TsdbReport, "tsdb-report", "",
-		"write the end-of-run store snapshot (series, exemplars, alerts) here as JSON (implies -tsdb)")
+		"write the end-of-run store snapshot (series, exemplars) here as JSON (implies -tsdb)")
 }
 
 // InfoLabel adds one label pair to the mv_build_info gauge; call before
@@ -164,8 +163,8 @@ func (f *Flags) Enabled() bool {
 
 // Options materialises the health engine options from the flags, or nil when
 // the engine is disabled. Serving binaries hand them to serve.Config (the
-// server owns its engine so verdicts can drive rejuvenation) and Observe the
-// result; the others call AttachEngine.
+// server owns its engine, filtered to its shard) and Observe the result; the
+// others call AttachEngine.
 func (f *Flags) Options() *health.Options {
 	if !f.Health && f.HealthReport == "" {
 		return nil
@@ -238,22 +237,18 @@ func (f *Flags) Start() (*obs.Runtime, error) {
 	return f.rt, nil
 }
 
-// startStore builds the store, rule engine (alert thresholds derived from
-// the health options) and span ingester on the runtime, and starts the
-// registry scrape loop that runs on the wall clock until Finish.
+// startStore builds the store, its recording rules and span ingester on the
+// runtime, and starts the registry scrape loop that runs on the wall clock
+// until Finish.
 func (f *Flags) startStore() {
-	hopts := health.DefaultOptions()
-	if o := f.Options(); o != nil {
-		hopts = *o
-	}
 	reg := f.rt.Metrics()
 	f.store = tsdb.New(tsdb.Config{BucketSeconds: tsdbBucketSeconds, Buckets: tsdbBuckets})
 	f.store.Register(reg)
-	f.rules = tsdb.NewRules(f.store, tsdbBucketSeconds, tsdb.DefaultServingRules(hopts))
-	f.rules.Register(reg)
+	rules := tsdb.NewRules(f.store, tsdbBucketSeconds, tsdb.DefaultServingRules())
+	rules.Register(reg)
 	// Post-sampling attachment: the store aggregates exactly the spans the
 	// JSONL export retains, so an offline replay reproduces it.
-	f.rt.Spans().AttachSampled(tsdb.NewIngester(f.store, f.rules))
+	f.rt.Spans().AttachSampled(tsdb.NewIngester(f.store, rules))
 	f.scraper = tsdb.NewScraper(f.store)
 	f.stop = make(chan struct{})
 	stop, scraper, sink := f.stop, f.scraper, f.rt.Spans()
@@ -313,13 +308,11 @@ func (f *Flags) AttachEngine() {
 	}
 }
 
-// Observe adopts an engine created elsewhere (a server owns its own): Finish
-// reports on it, and the store's alert transitions feed it — a firing alert
-// bumps the engine's matching component, a resolving one lets it recover.
+// Observe adopts an engine created elsewhere (a server owns its own), so that
+// Finish reports on it.
 func (f *Flags) Observe(e *health.Engine) {
 	if e != nil {
 		f.engine = e
-		f.rules.AddSink(e)
 	}
 }
 
@@ -381,7 +374,7 @@ func (f *Flags) Finish(extra map[string]any) error {
 		f.wg.Wait()
 		_ = f.scraper.ScrapeRegistry(f.rt.Metrics(), f.rt.Spans().Now())
 		if f.TsdbReport != "" {
-			fail(writeArtifact("tsdb", "store snapshot", f.TsdbReport, tsdb.BuildReport(f.store, f.rules)))
+			fail(writeArtifact("tsdb", "store snapshot", f.TsdbReport, tsdb.BuildReport(f.store)))
 		}
 		f.store = nil
 	}

@@ -37,7 +37,8 @@ echo "==> go test -race -short ./..."
 go test -race -short ./...
 # A version's workers share one network, and the batcher closes a batch the
 # moment the queue is empty: schedule their interleavings (and submit racing
-# Close) on one P and on four, whatever GOMAXPROCS the host gives the pass above.
+# Close, and the reactive trigger with and without telemetry) on one P and on
+# four, whatever GOMAXPROCS the host gives the pass above.
 echo "==> go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway"
 go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway
 
@@ -70,9 +71,9 @@ go test ./internal/experiments -run TestParallelEquivalenceGolden -count=1
 go test ./internal/scenario -run TestFalsifierGolden -count=1
 
 # Fuzz smoke: a few seconds per target catches regressions in the voting
-# rules, quantile estimator, RNG stream derivation and the one-pass request
-# decoder (differential against encoding/json) without the cost of a long
-# campaign.
+# rules, quantile estimator, RNG stream derivation, the one-pass request
+# decoder (differential against encoding/json) and the classify handler's
+# status mapping without the cost of a long campaign.
 echo "==> fuzz smoke"
 go test ./internal/core -run '^$' -fuzz '^FuzzVoter$' -fuzztime 5s
 go test ./internal/core -run '^$' -fuzz '^FuzzMedianVoter$' -fuzztime 5s
@@ -80,6 +81,7 @@ go test ./internal/obs -run '^$' -fuzz '^FuzzHistogramQuantile$' -fuzztime 5s
 go test ./internal/xrand -run '^$' -fuzz '^FuzzXrandSplit$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzDecodeClassify$' -fuzztime 5s
+go test ./internal/serve -run '^$' -fuzz '^FuzzClassifyHandler$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
@@ -94,5 +96,9 @@ for dir in $(find . -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort 
 done
 printf '%6d  total without ./cmd/mvbench\n' \
     "$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/mvbench/*' | xargs cat | wc -l)"
+# The telemetry set: everything that watches the system rather than runs it.
+printf '%6d  telemetry set (obs + obs/tsdb + health + telemetry + cmd/mvtrace)\n' \
+    "$(for dir in internal/obs internal/obs/tsdb internal/health internal/telemetry cmd/mvtrace; do
+        find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l)"
 
 echo "OK"
