@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"mvml/internal/tensor"
 )
@@ -177,13 +176,19 @@ func (l *Center) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 // Wᵀ (repacked only after InvalidateWeights); with a calibrated activation
 // scale on ar.Quant the whole product runs in int8.
 func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+	return d.forwardArena(x, ar, false)
+}
+
+// forwardArena is ForwardBatchArena whose bias pass also applies the
+// following ReLU when relu is set.
+func (d *Dense) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (*tensor.Tensor, error) {
 	out, in := d.W.Shape[0], d.W.Shape[1]
 	if len(x.Shape) != 2 || x.Shape[1] != in {
 		return nil, fmt.Errorf("dense %s: batched input shape %v, want (B, %d)", d.name, x.Shape, in)
 	}
 	b := x.Shape[0]
 	if xs, ok := ar.Quant.Scale(d); ok {
-		y, err := d.forwardArenaInt8(x, xs, b, out, in, ar)
+		y, err := d.forwardArenaInt8(x, xs, b, out, in, ar, relu)
 		if err != nil {
 			return nil, fmt.Errorf("dense %s: %w", d.name, err)
 		}
@@ -203,9 +208,7 @@ func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor
 	ar.noteGemm(b, out, in)
 	for i := 0; i < b; i++ {
 		row := y.Data[i*out : (i+1)*out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
+		addRow(row, row, d.B.Data, relu)
 	}
 	return y, nil
 }
@@ -215,6 +218,12 @@ func (d *Dense) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor
 // dispatch per layer instead of one per sample, with zero steady-state
 // allocations — and its column matrix exists only as packed panels.
 func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+	return c.forwardArena(x, ar, false)
+}
+
+// forwardArena is ForwardBatchArena whose bias/reorder pass also applies the
+// following ReLU when relu is set.
+func (c *Conv2D) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("conv %s: want (B,C,H,W) input, got %v", c.name, x.Shape)
 	}
@@ -231,7 +240,7 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 	spatial := oh * ow
 
 	if xs, ok := ar.Quant.Scale(c); ok {
-		out, err := c.forwardArenaInt8(x, xs, oh, ow, ar)
+		out, err := c.forwardArenaInt8(x, xs, oh, ow, ar, relu)
 		if err != nil {
 			return nil, fmt.Errorf("conv %s: %w", c.name, err)
 		}
@@ -255,12 +264,8 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 	for bi := 0; bi < b; bi++ {
 		dst := out.Data[bi*outC*spatial : (bi+1)*outC*spatial]
 		for o := 0; o < outC; o++ {
-			bias := c.Bias.Data[o]
 			src := y.Data[o*b*spatial+bi*spatial : o*b*spatial+(bi+1)*spatial]
-			row := dst[o*spatial : (o+1)*spatial]
-			for j, v := range src {
-				row[j] = v + bias
-			}
+			addScalarRow(dst[o*spatial:(o+1)*spatial], src, c.Bias.Data[o], relu)
 		}
 	}
 	return out, nil
@@ -272,28 +277,6 @@ func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.
 	y := ar.tensor(l, arenaOut, x.Shape...)
 	reluInto(y.Data, x.Data)
 	return y, nil
-}
-
-// reluInto writes Forward's rule — 0 where v <= 0, else v — on the bit
-// patterns, so the loop has no data-dependent branch to mispredict on the
-// coin-flip signs of real activations (the two ifs compile to conditional
-// moves). v <= 0 holds exactly for +0 (bits 0) and for [0x80000000,
-// 0xff800000] (−0, the negative finites, −Inf); NaNs of either sign lie
-// outside. bits−1 wraps +0 above everything else, so one unsigned compare
-// splits off the positives and +NaNs, and a second restores the −NaNs.
-func reluInto(dst, src []float32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		b := math.Float32bits(v)
-		out := b
-		if b-1 >= 0x7fffffff { // v <= 0, or a −NaN
-			out = 0
-		}
-		if b > 0xff800000 { // −NaN: put it back
-			out = b
-		}
-		dst[i] = math.Float32frombits(out)
-	}
 }
 
 // ForwardBatchArena implements Layer for (B, C, H, W) inputs. The window
@@ -310,7 +293,7 @@ func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*te
 		return nil, fmt.Errorf("maxpool %s: input %v smaller than window %d", l.name, x.Shape, s)
 	}
 	y := ar.tensor(l, arenaOut, b, c, oh, ow)
-	if havePoolAsm && s == 2 {
+	if haveAsm && s == 2 {
 		for p := 0; p < b*c; p++ {
 			for oy := 0; oy < oh; oy++ {
 				rows := x.Data[(p*h+2*oy)*w:][:2*w] // the window's two source rows
@@ -382,21 +365,33 @@ func (l *Dropout) ForwardBatchArena(x *tensor.Tensor, _ *InferenceArena) (*tenso
 // own arena buffers and never mutate x, so the skip path reads x unchanged
 // after the body has run.
 func (l *Residual) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+	return l.forwardArena(x, ar, false)
+}
+
+// forwardArena is ForwardBatchArena whose sum pass also applies the
+// following ReLU when relu is set.
+func (l *Residual) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (*tensor.Tensor, error) {
 	y, err := forwardBatchLayers(l.Body, x, ar)
 	if err != nil {
 		return nil, fmt.Errorf("residual %s body: %w", l.name, err)
 	}
 	skip := x
 	if l.Proj != nil {
-		skip, err = forwardOneBatch(l.Proj, x, ar)
+		skip, err = forwardOneBatch(l.Proj, x, ar, nil)
 		if err != nil {
 			return nil, fmt.Errorf("residual %s proj: %w", l.name, err)
 		}
 	}
-	out := ar.tensor(l, arenaOut, y.Shape...)
-	copy(out.Data, y.Data)
-	if err := out.AddInPlace(skip); err != nil {
-		return nil, fmt.Errorf("residual %s: body and skip shapes incompatible: %w", l.name, err)
+	return l.sum(ar, y, skip, relu)
+}
+
+// sum writes body + skip into the residual's output, then the ReLU when
+// relu is set.
+func (l *Residual) sum(ar *InferenceArena, y, skip *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
+	if len(y.Data) != len(skip.Data) {
+		return nil, fmt.Errorf("residual %s: body and skip shapes incompatible: %v vs %v", l.name, y.Shape, skip.Shape)
 	}
+	out := ar.tensor(l, arenaOut, y.Shape...)
+	addRow(out.Data, y.Data, skip.Data, relu)
 	return out, nil
 }

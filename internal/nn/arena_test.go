@@ -266,17 +266,21 @@ func TestMaxPool2x2AllSpecialWindows(t *testing.T) {
 	}
 }
 
+// specialBits covers every class of float32 bit pattern, class boundaries
+// included.
+var specialBits = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x007fffff, 0x80000001, 0x807fffff, // ±denormal
+	0x00800000, 0x3f800000, 0x7f7fffff, 0x80800000, 0xbf800000, 0xff7fffff, // ±finite
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0x7fc12345, 0x7fffffff, 0xffc00000, 0xffc12345, 0xffffffff, // quiet NaN, sign clear and set
+	0x7f800001, 0x7fa00000, 0x7fbfffff, 0xff800001, 0xffa00000, 0xffbfffff, // signalling NaN, sign clear and set
+}
+
 // TestReLUSpecialValues checks the branch-free ReLU against Forward's rule on
 // every class of bit pattern, class boundaries included.
 func TestReLUSpecialValues(t *testing.T) {
-	bits := []uint32{
-		0x00000000, 0x80000000, // ±0
-		0x00000001, 0x007fffff, 0x80000001, 0x807fffff, // ±denormal
-		0x00800000, 0x3f800000, 0x7f7fffff, 0x80800000, 0xbf800000, 0xff7fffff, // ±finite
-		0x7f800000, 0xff800000, // ±Inf
-		0x7fc00000, 0x7fc12345, 0x7fffffff, 0xffc00000, 0xffc12345, 0xffffffff, // quiet NaN, sign clear and set
-		0x7f800001, 0x7fa00000, 0x7fbfffff, 0xff800001, 0xffa00000, 0xffbfffff, // signalling NaN, sign clear and set
-	}
+	bits := specialBits
 	x := tensor.New(len(bits), 1)
 	for i, b := range bits {
 		x.Data[i] = math.Float32frombits(b)

@@ -27,7 +27,9 @@ func Stack(samples []*tensor.Tensor) (*tensor.Tensor, error) {
 
 // forwardBatchLayers pushes a batch tensor through a layer stack on the arena
 // path — the one batched inference path, bitwise identical to a per-sample
-// Forward loop (same per-element accumulation order everywhere).
+// Forward loop (same per-element accumulation order everywhere). A ReLU right
+// after a Conv2D, Dense or Residual is folded into that layer's output pass
+// and not dispatched on its own.
 func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if ar == nil {
 		return nil, errors.New("nn: batched inference needs an InferenceArena, got nil")
@@ -39,8 +41,15 @@ func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*
 		return nil, fmt.Errorf("nn: batched input is an empty batch, shape %v", x.Shape)
 	}
 	var err error
-	for _, l := range layers {
-		x, err = forwardOneBatch(l, x, ar)
+	for i := 0; i < len(layers); i++ {
+		l := layers[i]
+		var relu *ReLU
+		if _, ok := l.(reluFuser); ok && i+1 < len(layers) {
+			if relu, ok = layers[i+1].(*ReLU); ok {
+				i++
+			}
+		}
+		x, err = forwardOneBatch(l, x, ar, relu)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %s: %w", l.Name(), err)
 		}
@@ -48,14 +57,30 @@ func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*
 	return x, nil
 }
 
-// forwardOneBatch dispatches a single layer through the arena, feeding the
-// calibration observer and the profiler when they are attached.
-func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+// reluFuser is a layer whose output pass can also apply the ReLU that
+// follows it: forwardArena(x, ar, false) is ForwardBatchArena.
+type reluFuser interface {
+	forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (*tensor.Tensor, error)
+}
+
+// forwardOneBatch dispatches a single layer through the arena, fused with
+// relu when that is non-nil, feeding the calibration observer and the
+// profiler when they are attached. The observer sees l only: a fused ReLU's
+// input is never written.
+func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) (*tensor.Tensor, error) {
 	if ar.observer != nil {
 		ar.observer(l, x)
 	}
 	if ar.Profiler != nil {
-		return profiledForward(l, x, ar)
+		return profiledForward(l, x, ar, relu)
+	}
+	return dispatch(l, x, ar, relu)
+}
+
+// dispatch runs l alone, or l with the ReLU forwardBatchLayers fused into it.
+func dispatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) (*tensor.Tensor, error) {
+	if relu != nil {
+		return l.(reluFuser).forwardArena(x, ar, true)
 	}
 	return l.ForwardBatchArena(x, ar)
 }

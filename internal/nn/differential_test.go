@@ -20,7 +20,9 @@ import (
 
 // frankenNet stacks one instance of every built-in layer type: Center,
 // Conv2D, ReLU, MaxPool2D, Residual (with conv body and identity skip),
-// GlobalAvgPool, Flatten, Dropout and Dense.
+// GlobalAvgPool, Flatten, Dropout and Dense — and a ReLU behind every layer
+// kind the arena path fuses it into (Conv2D, Residual, Dense) and behind one
+// it must not (Dropout).
 func frankenNet(seed uint64) *nn.Network {
 	r := xrand.New(seed)
 	return &nn.Network{Name: "franken", Layers: []nn.Layer{
@@ -32,10 +34,14 @@ func frankenNet(seed uint64) *nn.Network {
 			nn.NewConv2D("res-conv", 4, 4, 3, 1, 1, r),
 			nn.NewReLU("res-relu"),
 		),
+		nn.NewReLU("res-out-relu"),
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewFlatten("flat"),
 		nn.NewDropout("drop", 0.5, r),
-		nn.NewDense("fc", 4, 5, r),
+		nn.NewReLU("drop-relu"),
+		nn.NewDense("fc1", 4, 6, r),
+		nn.NewReLU("fc1-relu"),
+		nn.NewDense("fc2", 6, 5, r),
 	}}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mvml/internal/xrand"
@@ -34,7 +35,9 @@ func (p *recordingProfiler) ObserveGemm(layer string, m, n, k int) {
 
 // TestProfilerDoesNotChangeOutputs: attaching a profiler to the arena must
 // leave every logit bitwise identical on all three architectures, while
-// reporting at least one timed dispatch per layer with the right batch size.
+// reporting one dispatch per layer with the right batch size. Every ReLU of
+// the three models follows a Conv2D, Dense or Residual, so each is fused:
+// timed inside its producer and reported with zero seconds.
 func TestProfilerDoesNotChangeOutputs(t *testing.T) {
 	const b = 5
 	for _, name := range AllModels() {
@@ -70,12 +73,18 @@ func TestProfilerDoesNotChangeOutputs(t *testing.T) {
 			}
 			seen := map[string]bool{}
 			for _, o := range prof.layers {
+				if seen[o.layer] {
+					t.Fatalf("layer %s observed twice", o.layer)
+				}
 				seen[o.layer] = true
 				if o.batch != b {
 					t.Fatalf("layer %s observed batch %d, want %d", o.layer, o.batch, b)
 				}
 				if o.seconds < 0 {
 					t.Fatalf("layer %s observed negative duration %v", o.layer, o.seconds)
+				}
+				if strings.Contains(o.layer, "relu") && o.seconds != 0 {
+					t.Fatalf("fused %s observed %v s, want 0", o.layer, o.seconds)
 				}
 			}
 			for _, l := range net.Layers {

@@ -216,10 +216,10 @@ func (a *InferenceArena) denseWeightsQuantized(d *Dense) (*packedLayer, error) {
 // matrix is unrolled row by row and quantized with the calibrated activation
 // scale straight into int8 panels, multiplied against the int8 weight panels
 // in exact int32 arithmetic, and dequantized while the bias/reorder pass
-// writes the output. The shape checks are ForwardBatchArena's, which also
-// computed (oh, ow).
+// writes the output, each row then rectified in place when relu is set. The
+// shape checks are forwardArena's, which also computed (oh, ow).
 func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
-	oh, ow int, ar *InferenceArena) (*tensor.Tensor, error) {
+	oh, ow int, ar *InferenceArena, relu bool) (*tensor.Tensor, error) {
 	b, outC := x.Shape[0], c.Kernel.Shape[0]
 	kh, kw := c.Kernel.Shape[2], c.Kernel.Shape[3]
 	spatial := oh * ow
@@ -248,6 +248,9 @@ func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
 			for j, v := range src {
 				row[j] = float32(v)*scale + bias
 			}
+			if relu {
+				reluInto(row, row)
+			}
 		}
 	}
 	return out, nil
@@ -255,9 +258,10 @@ func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
 
 // forwardArenaInt8 is the quantized dense dispatch: the input batch is
 // quantized row-wise with the calibrated activation scale and multiplied
-// against the int8 Wᵀ panels; the bias pass dequantizes.
+// against the int8 Wᵀ panels; the bias pass dequantizes, then rectifies
+// when relu is set.
 func (d *Dense) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
-	b, out, in int, ar *InferenceArena) (*tensor.Tensor, error) {
+	b, out, in int, ar *InferenceArena, relu bool) (*tensor.Tensor, error) {
 	p, err := ar.denseWeightsQuantized(d)
 	if err != nil {
 		return nil, err
@@ -277,6 +281,9 @@ func (d *Dense) forwardArenaInt8(x *tensor.Tensor, xs tensor.Int8Scale,
 		row := y.Data[i*out : (i+1)*out]
 		for o, v := range src {
 			row[o] = float32(v)*scale + d.B.Data[o]
+		}
+		if relu {
+			reluInto(row, row)
 		}
 	}
 	return y, nil

@@ -167,7 +167,7 @@ func (l *ReLU) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, 
 	gd := g.Data[:len(x.Data)]
 	dd := dx.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		// v > 0 on the bit pattern (see reluInto) is [1, +Inf's bits]; with
+		// v > 0 on the bit pattern (see reluBits) is [1, +Inf's bits]; with
 		// the gradient already loaded the select compiles to a conditional
 		// move, not a coin-flip branch.
 		out := math.Float32bits(gd[i])
@@ -383,12 +383,7 @@ func (l *Residual) forwardTrain(x *tensor.Tensor, sc *scratch) (*tensor.Tensor, 
 			return nil, err
 		}
 	}
-	out := sc.ar.tensor(l, arenaOut, y.Shape...)
-	copy(out.Data, y.Data)
-	if err := out.AddInPlace(skip); err != nil {
-		return nil, fmt.Errorf("residual %s: body and skip shapes incompatible: %w", l.name, err)
-	}
-	return out, nil
+	return l.sum(sc.ar, y, skip, false)
 }
 
 func (l *Residual) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {

@@ -47,7 +47,8 @@ echo "==> go test ./..."
 go test ./...
 
 # Portable-kernel pass: the noasm tag forces the Go fallbacks of the GEMM
-# micro-kernels, the int8 packer and the 2x2 max-pool on an amd64 host (the
+# micro-kernels, the int8 packer, the 2x2 max-pool and the output epilogue
+# on an amd64 host (the
 # default pass above already runs the bitwise suites on the SSE2 and AVX2
 # GEMM arms the host has), so
 # the bitwise, differential and int8-golden suites run against the code every
@@ -57,6 +58,12 @@ go test ./...
 echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject, -short ./internal/experiments"
 go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject
 go test -tags noasm -short ./internal/experiments
+
+# FMA-contraction pass: at GOAMD64=v3 the compiler may fuse a*b+c into one
+# FMA, and the int8 dequant+bias epilogue is exactly that expression. The
+# bitwise, differential and int8-golden suites must hold on that build too.
+echo "==> GOAMD64=v3 go test ./internal/tensor ./internal/nn"
+GOAMD64=v3 go test ./internal/tensor ./internal/nn
 
 # Shuffle pass: test order must not matter. -short keeps the pass cheap;
 # any inter-test state dependence fails here with the seed printed for
@@ -72,14 +79,16 @@ go test ./internal/scenario -run TestFalsifierGolden -count=1
 
 # Fuzz smoke: a few seconds per target catches regressions in the voting
 # rules, quantile estimator, RNG stream derivation, the one-pass request
-# decoder (differential against encoding/json) and the classify handler's
-# status mapping without the cost of a long campaign.
+# decoder (differential against encoding/json), the classify handler's
+# status mapping and the SSE2 output epilogue (against its Go spec) without
+# the cost of a long campaign.
 echo "==> fuzz smoke"
 go test ./internal/core -run '^$' -fuzz '^FuzzVoter$' -fuzztime 5s
 go test ./internal/core -run '^$' -fuzz '^FuzzMedianVoter$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz '^FuzzHistogramQuantile$' -fuzztime 5s
 go test ./internal/xrand -run '^$' -fuzz '^FuzzXrandSplit$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
+go test ./internal/nn -run '^$' -fuzz '^FuzzEpilogueRow$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzDecodeClassify$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzClassifyHandler$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
