@@ -12,9 +12,9 @@
 // internal/core's Example_quickstart shows the public API in use, and
 // bench_test.go ties each experiment to a testing.B benchmark.
 //
-// Inference has two forwards per layer and no more: the per-sample Forward
-// on the scalar MatMul kernels (training, and the executable spec) and the
-// batched ForwardBatchArena on the packed float / int8 kernels (serving),
-// bitwise identical to it. cmd/mvbench is the repo's one benchmark; it
-// measures that path end to end and layer by layer.
+// Inference has one forward per layer: the batched ForwardBatchArena on the
+// packed float / int8 kernels, which serving, evaluation (a single sample is
+// a batch of one) and training all run. The per-sample executable spec it is
+// held to bit for bit lives in internal/nn's tests. cmd/mvbench is the repo's
+// one benchmark; it measures that path end to end and layer by layer.
 package mvml

@@ -37,8 +37,12 @@ type InferenceArena struct {
 	// zero-valued epoch of a fresh packedLayer is always stale.
 	weightEpoch uint64
 	// observer, when non-nil, sees every (layer, input) pair ahead of
-	// dispatch — the calibration hook.
+	// dispatch, and (relu, output) after a dispatch with a ReLU fused into
+	// it — the calibration hook, and how a training step records the
+	// tensors its backward pass reads.
 	observer func(l Layer, x *tensor.Tensor)
+	// train marks a training step's forward pass: Dropout draws its mask.
+	train bool
 	// profLayer labels GEMM observations with the layer currently being
 	// dispatched; maintained by profiledForward.
 	profLayer string
@@ -54,7 +58,7 @@ const (
 
 	// Training-step buffers (train.go).
 	arenaGrad    // gradient w.r.t. the layer input
-	arenaMask    // dropout keep mask
+	arenaMask    // dropout keep mask, drawn by the training forward
 	arenaCols    // one sample's im2col matrix
 	arenaDK      // one sample's kernel gradient
 	arenaDCols   // one sample's column-matrix gradient
@@ -120,8 +124,8 @@ func (a *InferenceArena) header(owner Layer, purpose arenaPurpose, shape []int) 
 
 // ForwardBatchArena runs inference over a batch tensor with a leading batch
 // dimension, e.g. (B, C, H, W) for the convolutional classifiers: one
-// dispatch per layer instead of one per sample, bitwise identical to a
-// per-sample Forward loop. With a reused arena the steady state allocates
+// dispatch per layer instead of one per sample, bitwise identical to running
+// the samples one at a time. With a reused arena the steady state allocates
 // nothing; a nil arena is an error.
 func (n *Network) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	return forwardBatchLayers(n.Layers, x, ar)
@@ -272,7 +276,8 @@ func (c *Conv2D) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (
 }
 
 // ForwardBatchArena implements Layer. NaN activations propagate
-// (v <= 0 is false for NaN), matching Forward.
+// (v <= 0 is false for NaN): zeroing them would hide fault-injected
+// corruption from the voter.
 func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	y := ar.tensor(l, arenaOut, x.Shape...)
 	reluInto(y.Data, x.Data)
@@ -280,8 +285,10 @@ func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.
 }
 
 // ForwardBatchArena implements Layer for (B, C, H, W) inputs. The window
-// loop is Forward's, and the spec; size-2 windows — the only size the three
-// models use — take the SIMD kernel where there is one.
+// loop below is the spec; size-2 windows — the only size the three models
+// use — take the SIMD kernel where there is one. Each window is seeded with
+// its first element: a -Inf seed would never update on an all-NaN window
+// (every compare is false) and so lose the NaN.
 func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("maxpool %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
@@ -356,9 +363,24 @@ func (l *Flatten) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tens
 }
 
 // ForwardBatchArena implements Layer: dropout is the identity at
-// inference.
-func (l *Dropout) ForwardBatchArena(x *tensor.Tensor, _ *InferenceArena) (*tensor.Tensor, error) {
-	return x, nil
+// inference. In a training step it draws the batch's keep mask into the
+// arena for backwardBatch; batch-first storage makes the draw order per
+// sample, per element.
+func (l *Dropout) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
+	if !ar.train || l.P <= 0 {
+		return x, nil
+	}
+	y := ar.tensor(l, arenaOut, x.Shape...)
+	mask := ar.tensor(l, arenaMask, x.Shape...)
+	keep := float32(1 / (1 - l.P))
+	for i, v := range x.Data {
+		if l.rng.Float64() < l.P {
+			mask.Data[i], y.Data[i] = 0, 0
+		} else {
+			mask.Data[i], y.Data[i] = keep, v*keep
+		}
+	}
+	return y, nil
 }
 
 // ForwardBatchArena implements Layer. Body layers write into their
@@ -382,12 +404,6 @@ func (l *Residual) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool)
 			return nil, fmt.Errorf("residual %s proj: %w", l.name, err)
 		}
 	}
-	return l.sum(ar, y, skip, relu)
-}
-
-// sum writes body + skip into the residual's output, then the ReLU when
-// relu is set.
-func (l *Residual) sum(ar *InferenceArena, y, skip *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
 	if len(y.Data) != len(skip.Data) {
 		return nil, fmt.Errorf("residual %s: body and skip shapes incompatible: %v vs %v", l.name, y.Shape, skip.Shape)
 	}

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +13,7 @@ import (
 )
 
 // TestForwardBatchArenaMatchesPerSample: the arena-backed packed-GEMM path
-// must reproduce the per-sample Forward logits bit for bit on all three
+// must reproduce the per-sample spec's logits bit for bit on all three
 // architectures, including across arena reuse (dirty buffers must be fully
 // overwritten).
 func TestForwardBatchArenaMatchesPerSample(t *testing.T) {
@@ -27,8 +29,9 @@ func TestForwardBatchArenaMatchesPerSample(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([][]float32, len(xs))
+			spec := NewSpec(net)
 			for i, x := range xs {
-				single, err := net.Forward(x, false)
+				single, err := spec.Forward(x, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +137,8 @@ func TestSharedNetworkConcurrentArenas(t *testing.T) {
 
 // TestPredictBatchArenaZeroAllocs is the steady-state serving guarantee: with
 // a warmed arena and a reused prediction slice, a full conv-net batch predict
-// performs zero heap allocations.
+// performs zero heap allocations. So does Predict, a batch of one on the
+// network's own scratch, weight repack included.
 func TestPredictBatchArenaZeroAllocs(t *testing.T) {
 	for _, name := range AllModels() {
 		t.Run(name.String(), func(t *testing.T) {
@@ -159,6 +163,18 @@ func TestPredictBatchArenaZeroAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state PredictBatchArena allocates %.1f objects per call, want 0", allocs)
+			}
+			x := randomBatch(1, xrand.New(9))[0]
+			if _, err := net.Predict(x); err != nil { // warm the scratch
+				t.Fatal(err)
+			}
+			allocs = testing.AllocsPerRun(50, func() {
+				if _, err := net.Predict(x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Predict allocates %.1f objects per call, want 0", allocs)
 			}
 		})
 	}
@@ -252,7 +268,7 @@ func TestMaxPool2x2AllSpecialWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := pool.Forward(x, false)
+			want, err := specOf(pool).Forward(x, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +302,7 @@ func TestReLUSpecialValues(t *testing.T) {
 		x.Data[i] = math.Float32frombits(b)
 	}
 	relu := NewReLU("relu")
-	want, err := relu.Forward(x, false)
+	want, err := specOf(relu).Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +317,61 @@ func TestReLUSpecialValues(t *testing.T) {
 	}
 }
 
+// TestReLUMaskSameOnOutput: a training step records a fused ReLU's output,
+// not its input, and ReLU.backwardBatch reads its mask off whichever tensor it
+// got. Over all 2³² float32 bit patterns, the gradient it passes back must be
+// the same from x as from relu(x).
+func TestReLUMaskSameOnOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks all 2³² float32 bit patterns")
+	}
+	const chunk = 1 << 16
+	workers := runtime.GOMAXPROCS(0)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			relu := NewReLU("relu")
+			sc := &scratch{ar: NewInferenceArena()}
+			x, y, g := tensor.New(chunk), tensor.New(chunk), tensor.New(chunk)
+			g.Fill(1)
+			fromX := make([]float32, chunk)
+			for hi := uint32(w); hi < 1<<32/chunk; hi += uint32(workers) {
+				for lo := range x.Data {
+					x.Data[lo] = math.Float32frombits(hi*chunk + uint32(lo))
+				}
+				reluInto(y.Data, x.Data)
+				dx, err := relu.backwardBatch(x, g, sc)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				copy(fromX, dx.Data)
+				dy, err := relu.backwardBatch(y, g, sc)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				for lo, v := range dy.Data {
+					if math.Float32bits(v) != math.Float32bits(fromX[lo]) {
+						errs[w] = fmt.Errorf("x = %#08x, relu(x) = %#08x: gradient %v from x, %v from relu(x)",
+							hi*chunk+uint32(lo), math.Float32bits(y.Data[lo]), fromX[lo], v)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestMaxPoolNaNConsistency is the regression for the -Inf/-1 seeding bug:
 // on an all-NaN window Forward used to return -Inf with argmax -1 (Backward
 // then panicked on dx.Data[-1]) while the batched path returned NaN. Both
@@ -309,6 +380,7 @@ func TestReLUSpecialValues(t *testing.T) {
 func TestMaxPoolNaNConsistency(t *testing.T) {
 	nan := float32(math.NaN())
 	pool := NewMaxPool2D("pool", 2)
+	spec := specOf(pool)
 	for _, tc := range []struct {
 		name string
 		data []float32
@@ -323,7 +395,7 @@ func TestMaxPoolNaNConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			y, err := pool.Forward(x, false)
+			y, err := spec.Forward(x, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +412,7 @@ func TestMaxPoolNaNConsistency(t *testing.T) {
 			}
 			grad := tensor.New(1, 1, 1)
 			grad.Fill(1)
-			if _, err := pool.Backward(grad); err != nil { // used to panic on dx.Data[-1]
+			if err := spec.Backward(grad); err != nil { // used to panic on dx.Data[-1]
 				t.Fatal(err)
 			}
 		})
@@ -356,7 +428,7 @@ func TestReLUNaNConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := relu.Forward(x, false)
+	y, err := specOf(relu).Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +456,8 @@ func TestDenseBackwardInputAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Forward(x, true); err != nil {
+	spec := specOf(d)
+	if _, err := spec.Forward(x, true); err != nil {
 		t.Fatal(err)
 	}
 	x.Fill(-100) // caller reuses its buffer before Backward
@@ -392,7 +465,7 @@ func TestDenseBackwardInputAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Backward(grad); err != nil {
+	if err := spec.Backward(grad); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{1, 2, 3, 1, 2, 3} // dW[o][i] = grad[o] * x_forward[i]

@@ -10,7 +10,7 @@ const haveAsm = true
 // maxPool2x2RowAsm writes n outputs of a 2×2, stride-2 max-pool: dst[i] folds
 // the window r0[2i], r0[2i+1], r1[2i], r1[2i+1] in that order under the
 // scalar rule "best = v if v > best", so NaNs and ±0 ties resolve exactly as
-// in MaxPool2D.Forward. Reads 2n floats from each row.
+// in MaxPool2D's Go window loop. Reads 2n floats from each row.
 //
 //go:noescape
 func maxPool2x2RowAsm(dst, r0, r1 *float32, n int)

@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mvml/internal/tensor"
 )
@@ -13,23 +14,35 @@ func Stack(samples []*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("nn: cannot stack an empty batch")
 	}
-	first := samples[0]
-	out := tensor.New(append([]int{len(samples)}, first.Shape...)...)
-	stride := first.Len()
-	for i, s := range samples {
-		if s.Len() != stride {
-			return nil, fmt.Errorf("nn: sample %d has %d elements, batch wants %d", i, s.Len(), stride)
-		}
-		copy(out.Data[i*stride:(i+1)*stride], s.Data)
+	out := tensor.New(append([]int{len(samples)}, samples[0].Shape...)...)
+	if err := stackInto(out, len(samples), func(i int) *tensor.Tensor { return samples[i] }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// stackInto copies the n samples sample(0..n-1) into the batch-first x,
+// refusing any sample whose shape is not the first one's: a (24, 24, 3)
+// image has the element count of a (3, 24, 24) one, and is not one.
+func stackInto(x *tensor.Tensor, n int, sample func(i int) *tensor.Tensor) error {
+	first := sample(0)
+	stride := first.Len()
+	for i := 0; i < n; i++ {
+		s := sample(i)
+		if !slices.Equal(s.Shape, first.Shape) {
+			return fmt.Errorf("nn: sample %d has shape %v, the batch wants %v", i, s.Shape, first.Shape)
+		}
+		copy(x.Data[i*stride:(i+1)*stride], s.Data)
+	}
+	return nil
+}
+
 // forwardBatchLayers pushes a batch tensor through a layer stack on the arena
-// path — the one batched inference path, bitwise identical to a per-sample
-// Forward loop (same per-element accumulation order everywhere). A ReLU right
-// after a Conv2D, Dense or Residual is folded into that layer's output pass
-// and not dispatched on its own.
+// path — the one forward, of serving, evaluation and training alike,
+// bitwise identical to running the samples one at a time (same per-element
+// accumulation order everywhere). A ReLU right after a Conv2D, Dense or
+// Residual is folded into that layer's output pass and not dispatched on its
+// own.
 func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if ar == nil {
 		return nil, errors.New("nn: batched inference needs an InferenceArena, got nil")
@@ -64,17 +77,24 @@ type reluFuser interface {
 }
 
 // forwardOneBatch dispatches a single layer through the arena, fused with
-// relu when that is non-nil, feeding the calibration observer and the
-// profiler when they are attached. The observer sees l only: a fused ReLU's
-// input is never written.
+// relu when that is non-nil, feeding the observer and the profiler when they
+// are attached. The observer sees l's input, and then relu's output: a fused
+// ReLU's input is never written.
 func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) (*tensor.Tensor, error) {
 	if ar.observer != nil {
 		ar.observer(l, x)
 	}
+	var y *tensor.Tensor
+	var err error
 	if ar.Profiler != nil {
-		return profiledForward(l, x, ar, relu)
+		y, err = profiledForward(l, x, ar, relu)
+	} else {
+		y, err = dispatch(l, x, ar, relu)
 	}
-	return dispatch(l, x, ar, relu)
+	if err == nil && relu != nil && ar.observer != nil {
+		ar.observer(relu, y)
+	}
+	return y, err
 }
 
 // dispatch runs l alone, or l with the ReLU forwardBatchLayers fused into it.

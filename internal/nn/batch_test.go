@@ -45,7 +45,13 @@ func TestStack(t *testing.T) {
 	}
 	bad := []*tensor.Tensor{tensor.New(2), tensor.New(3)}
 	if _, err := Stack(bad); err == nil {
-		t.Fatal("expected error for mismatched sample shapes")
+		t.Fatal("expected error for mismatched sample sizes")
+	}
+	// Same element count, other layout: a channels-last image is not a
+	// channels-first one.
+	hwc := tensor.New(InputSize, InputSize, InputChannels)
+	if _, err := Stack([]*tensor.Tensor{xs[0], hwc}); err == nil {
+		t.Fatalf("Stack accepted a %v sample into a %v batch", hwc.Shape, xs[0].Shape)
 	}
 }
 
@@ -81,8 +87,9 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 			if out.Shape[0] != 5 || out.Shape[1] != 7 {
 				t.Fatalf("batched output shape %v, want (5, 7)", out.Shape)
 			}
+			spec := NewSpec(net)
 			for i, x := range xs {
-				single, err := net.Forward(x, false)
+				single, err := spec.Forward(x, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,59 +104,6 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestForwardBatchLeavesTrainingStateAlone: a batched inference between a
-// Forward and its Backward must not corrupt the recorded activations.
-func TestForwardBatchLeavesTrainingStateAlone(t *testing.T) {
-	r := xrand.New(5)
-	net := &Network{Name: "probe", Layers: []Layer{
-		NewFlatten("flat"),
-		NewDense("fc1", 6, 5, r),
-		NewReLU("relu"),
-		NewDense("fc2", 5, 3, r),
-	}}
-	x := tensor.New(2, 3)
-	x.RandomizeUniform(r, -1, 1)
-
-	// Reference gradient: forward + backward with nothing in between.
-	out, err := net.Forward(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, grad, err := SoftmaxCrossEntropy(out, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Backward(grad.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float32(nil), net.Grads()[0].Data...)
-
-	// Same forward, then a batched inference, then the backward.
-	net.ZeroGrads()
-	out2, err := net.Forward(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := tensor.New(4, 2, 3)
-	batch.RandomizeUniform(xrand.New(7), -1, 1)
-	if _, err := net.ForwardBatchArena(batch, NewInferenceArena()); err != nil {
-		t.Fatal(err)
-	}
-	_, grad2, err := SoftmaxCrossEntropy(out2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Backward(grad2.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	got := net.Grads()[0].Data
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("gradient %d perturbed by batched inference: %v vs %v", i, got[i], want[i])
-		}
 	}
 }
 

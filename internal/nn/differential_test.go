@@ -1,12 +1,13 @@
 package nn_test
 
 // Differential property tests: every built-in layer, driven through the
-// per-sample Forward path and the batched arena path (packed GEMM) on
-// identical inputs, must produce bitwise-equal outputs — including when
-// fault-injected weights poison the network with NaN and ±Inf. This is the equivalence contract the N-version voter relies
-// on: a kernel that handles special values differently across paths would
-// make the ensemble disagree with itself. The external test package lets
-// the poisoning go through internal/faultinject (which imports nn).
+// per-sample spec and the batched arena path (packed GEMM) on identical
+// inputs, must produce bitwise-equal outputs — including when fault-injected
+// weights poison the network with NaN and ±Inf. This is the equivalence
+// contract the N-version voter relies on: a kernel that handles special
+// values differently across paths would make the ensemble disagree with
+// itself. The external test package lets the poisoning go through
+// internal/faultinject (which imports nn).
 
 import (
 	"math"
@@ -65,7 +66,7 @@ func frankenBatch(b int, seed uint64) []*tensor.Tensor {
 	return xs
 }
 
-// checkAllPathsAgree runs both inference paths and fails on the first
+// checkAllPathsAgree runs the arena path and the spec and fails on the first
 // bitwise difference.
 func checkAllPathsAgree(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 	t.Helper()
@@ -78,8 +79,9 @@ func checkAllPathsAgree(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 		t.Fatal(err)
 	}
 	stride := batched.Len() / len(xs)
+	spec := nn.NewSpec(net)
 	for i, x := range xs {
-		single, err := net.Forward(x, false)
+		single, err := spec.Forward(x, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +91,7 @@ func checkAllPathsAgree(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 		for j, v := range single.Data {
 			bw := batched.Data[i*stride+j]
 			if math.Float32bits(bw) != math.Float32bits(v) {
-				t.Fatalf("sample %d element %d: ForwardBatchArena %v, Forward %v", i, j, bw, v)
+				t.Fatalf("sample %d element %d: ForwardBatchArena %v, spec %v", i, j, bw, v)
 			}
 		}
 	}
@@ -147,21 +149,52 @@ func TestDifferentialArchitecturesPoisoned(t *testing.T) {
 }
 
 // FuzzForwardBatchArena fuzzes the equivalence property over seeds, batch
-// sizes and poison values.
+// sizes and poison values. With train set it fuzzes a training step instead:
+// TrainBatch on the fused serving forward — the Dropout layer drawing its
+// mask, the residual block recursing — against the spec loop, gradients and
+// parameters bit for bit.
 func FuzzForwardBatchArena(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(2))
-	f.Add(uint64(7), uint8(1), uint8(1))
-	f.Add(uint64(42), uint8(3), uint8(4))
-	f.Fuzz(func(t *testing.T, seed uint64, poison, bsz uint8) {
-		net := frankenNet(seed)
+	f.Add(uint64(1), uint8(0), uint8(2), false)
+	f.Add(uint64(7), uint8(1), uint8(1), false)
+	f.Add(uint64(42), uint8(3), uint8(4), false)
+	f.Add(uint64(3), uint8(0), uint8(3), true)
+	f.Add(uint64(9), uint8(6), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed uint64, poison, bsz uint8, train bool) {
 		b := int(bsz)%4 + 1
 		xs := frankenBatch(b, seed+1)
-		r := xrand.New(seed + 2)
-		layers := net.ParamLayers()
-		layer := int(poison) % len(layers)
-		if _, err := faultinject.StuckAt(net, layer, poisonValues[int(poison)%len(poisonValues)], r); err != nil {
+		poisoned := func() *nn.Network {
+			net := frankenNet(seed)
+			layer := int(poison) % len(net.ParamLayers())
+			if _, err := faultinject.StuckAt(net, layer, poisonValues[int(poison)%len(poisonValues)], xrand.New(seed+2)); err != nil {
+				t.Fatal(err)
+			}
+			return net
+		}
+		if !train {
+			checkAllPathsAgree(t, poisoned(), xs)
+			return
+		}
+		batch := make([]nn.Sample, b)
+		for i, x := range xs {
+			batch[i] = nn.Sample{X: x, Label: int(seed+uint64(i)) % 5}
+		}
+		got, want := poisoned(), poisoned()
+		gotLoss, err := got.TrainBatch(batch, nn.NewSGD(0.05, 0.9))
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkAllPathsAgree(t, net, xs)
+		wantLoss, err := specTrainBatch(want, batch, nn.NewSGD(0.05, 0.9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg := want.Grads()
+		for gi, g := range got.Grads() {
+			for j, v := range g.Data {
+				if math.Float32bits(v) != math.Float32bits(wg[gi].Data[j]) {
+					t.Fatalf("gradient %d[%d] = %v, spec loop %v", gi, j, v, wg[gi].Data[j])
+				}
+			}
+		}
+		requireSameTraining(t, 0, got, want, gotLoss, wantLoss)
 	})
 }

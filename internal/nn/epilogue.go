@@ -19,7 +19,7 @@ func addScalarRow(dst, src []float32, c float32, relu bool) {
 	epilogue(dst, src, cs[:], 0, relu)
 }
 
-// reluInto writes Forward's rule — 0 where v <= 0, else v. It adds nothing,
+// reluInto writes the ReLU's rule — 0 where v <= 0, else v. It adds nothing,
 // so every NaN, signalling ones included, keeps its bits.
 func reluInto(dst, src []float32) {
 	epilogue(dst, src, nil, 0, true)

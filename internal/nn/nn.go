@@ -6,10 +6,11 @@
 // accumulation, SGD with momentum, and weight snapshots for serialisation
 // and fault injection.
 //
-// The per-sample Forward and Backward methods are the executable spec.
-// Serving (ForwardBatchArena), evaluation (Accuracy, ErrorSet) and training
-// (TrainBatch) all run batched on the packed GEMM kernels over reused arena
-// buffers, and are held to the spec bit for bit.
+// There is one forward and one backward. Serving (ForwardBatchArena),
+// evaluation (Predict, Accuracy, ErrorSet) and training (TrainBatch) all run
+// batch-first on the packed GEMM kernels over reused arena buffers, a single
+// sample being a batch of one. The per-sample executable spec they are held
+// to bit for bit lives in the package's tests.
 package nn
 
 import (
@@ -21,36 +22,30 @@ import (
 	"mvml/internal/tensor"
 )
 
-// Layer is one differentiable stage of a network. Forward must record
-// whatever it needs for the next Backward call; layers are therefore
-// stateful and not safe for concurrent use. Inference-only callers pass
-// train=false, which skips regularisation noise such as dropout.
-//
-// Every layer has the per-sample Forward/Backward pair (the executable spec)
-// and the batched ForwardBatchArena/backwardBatch pair that serving,
-// evaluation and training run, which must agree with the spec bit for bit.
+// Layer is one differentiable stage of a network. A layer holds its
+// parameters and gradient accumulators and nothing per call: everything a
+// forward or backward pass writes lives in the arena it is given. Inference
+// on a layer is therefore safe from any number of goroutines, each with its
+// own arena; a training step writes the gradients (and a Dropout layer's
+// RNG) and is not.
 type Layer interface {
 	// Name identifies the layer for diagnostics and fault targeting.
 	Name() string
-	// Forward computes the layer output for a single sample.
-	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
-	// Backward consumes the gradient w.r.t. the layer output and returns
-	// the gradient w.r.t. the layer input, accumulating parameter
-	// gradients internally.
-	Backward(grad *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the trainable parameter tensors (possibly empty).
 	Params() []*tensor.Tensor
 	// Grads returns gradient accumulators aligned with Params.
 	Grads() []*tensor.Tensor
-	// ForwardBatchArena computes the inference output for a batch tensor
-	// with a leading batch dimension (B, ...sample shape), writing into
-	// buffers borrowed from the arena instead of allocating. It records no
-	// backward state, must never mutate its input (residual blocks read it
-	// again for the skip path) and must return either the input itself or
-	// an arena-owned buffer.
+	// ForwardBatchArena computes the output for a batch tensor with a
+	// leading batch dimension (B, ...sample shape), writing into buffers
+	// borrowed from the arena instead of allocating. It must never mutate
+	// its input (residual blocks read it again for the skip path) and must
+	// return either the input itself or an arena-owned buffer. Inside a
+	// training step (see trainStep) a Dropout layer also draws its mask into
+	// the arena; nothing else differs between training and inference.
 	ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error)
-	// backwardBatch is Backward for a whole mini-batch inside a training
-	// step (train.go): given the batch-first input x the layer saw and the
+	// backwardBatch is the backward pass of a training step (train.go):
+	// given the batch-first input x the layer saw (for a ReLU fused into
+	// the layer before it, its output instead, see trainStep) and the
 	// gradient g w.r.t. its output, it adds the parameter gradients and
 	// returns the gradient w.r.t. x in an arena buffer (or g itself). It
 	// must not mutate g — a residual block hands the same g to both paths.
@@ -63,42 +58,28 @@ type Network struct {
 	Name   string
 	Layers []Layer
 
-	// sc is the private scratch of Accuracy, ErrorSet and TrainBatch,
-	// created on first use — the serving path never allocates it.
+	// sc is the private scratch of Predict, Accuracy, ErrorSet and
+	// TrainBatch, created on first use — the serving path never allocates it.
 	sc *scratch
 }
 
-// Forward runs a single sample through every layer.
-func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	var err error
-	for _, l := range n.Layers {
-		x, err = l.Forward(x, train)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %s: %w", l.Name(), err)
-		}
-	}
-	return x, nil
-}
-
-// Backward propagates an output gradient through the stack in reverse.
-func (n *Network) Backward(grad *tensor.Tensor) error {
-	var err error
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad, err = n.Layers[i].Backward(grad)
-		if err != nil {
-			return fmt.Errorf("nn: layer %s backward: %w", n.Layers[i].Name(), err)
-		}
-	}
-	return nil
-}
-
-// Predict returns the argmax class for one input sample.
+// Predict returns the argmax class for one input sample: a batch of one on
+// the network's private scratch. Training, fault injection and
+// RestoreWeights all write weights in place without telling the network, so
+// every call repacks the weight panels before the forward pass. Like
+// Accuracy and TrainBatch it is not safe for concurrent use; concurrent
+// callers run PredictBatchArena, each with an arena of its own.
 func (n *Network) Predict(x *tensor.Tensor) (int, error) {
-	out, err := n.Forward(x, false)
+	sc := n.scratch()
+	sc.ar.InvalidateWeights()
+	xb, err := sc.stack(1, func(int) *tensor.Tensor { return x })
 	if err != nil {
 		return 0, err
 	}
-	return out.ArgMax(), nil
+	if sc.preds, err = n.PredictBatchArena(xb, sc.ar, sc.preds[:0]); err != nil {
+		return 0, err
+	}
+	return sc.preds[0], nil
 }
 
 // Params returns every trainable tensor in the network, in layer order.

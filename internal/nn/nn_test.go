@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mvml/internal/tensor"
 	"mvml/internal/xrand"
 )
 
-// lossOf runs a forward pass and returns the cross-entropy loss.
+// lossOf runs a spec forward pass and returns the cross-entropy loss.
 func lossOf(t *testing.T, net *Network, x *tensor.Tensor, label int) float64 {
 	t.Helper()
-	out, err := net.Forward(x.Clone(), false)
+	out, err := NewSpec(net).Forward(x.Clone(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +25,8 @@ func lossOf(t *testing.T, net *Network, x *tensor.Tensor, label int) float64 {
 	return loss
 }
 
-// checkGradients compares analytic parameter gradients against central
-// finite differences for a single sample. Networks containing kinked
+// checkGradients compares the spec's analytic parameter gradients against
+// central finite differences for a single sample. Networks containing kinked
 // activations (ReLU, max pooling) are piecewise smooth: a finite-difference
 // probe that crosses an activation boundary produces a biased estimate for
 // that one coordinate. maxBadFrac is the tolerated fraction of such sampled
@@ -34,7 +35,8 @@ func lossOf(t *testing.T, net *Network, x *tensor.Tensor, label int) float64 {
 func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, label int, maxBadFrac float64) {
 	t.Helper()
 	net.ZeroGrads()
-	out, err := net.Forward(x.Clone(), false)
+	spec := NewSpec(net)
+	out, err := spec.Forward(x.Clone(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, label int, max
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Backward(grad); err != nil {
+	if err := spec.Backward(grad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +189,8 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := pool.Forward(x, false)
+	spec := specOf(pool)
+	y, err := spec.Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := pool.Backward(grad)
+	dx, err := spec.backward(pool, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +348,7 @@ func TestModelForwardShapes(t *testing.T) {
 		}
 		x := tensor.New(InputChannels, InputSize, InputSize)
 		x.RandomizeUniform(r, 0, 1)
-		out, err := net.Forward(x, false)
+		out, err := NewSpec(net).Forward(x, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -411,11 +414,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := dst.LoadWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	a, err := src.Forward(x.Clone(), false)
+	a, err := NewSpec(src).Forward(x.Clone(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dst.Forward(x.Clone(), false)
+	b, err := NewSpec(dst).Forward(x.Clone(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +490,7 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 	d := NewDropout("drop", 0.5, r)
 	x := tensor.New(100)
 	x.RandomizeUniform(r, -1, 1)
-	y, err := d.Forward(x, false)
+	y, err := d.ForwardBatchArena(x, NewInferenceArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +506,9 @@ func TestDropoutTrainPreservesExpectation(t *testing.T) {
 	d := NewDropout("drop", 0.3, r)
 	x := tensor.New(10000)
 	x.Fill(1)
-	y, err := d.Forward(x, true)
+	ar := NewInferenceArena()
+	ar.train = true // as inside a training step
+	y, err := d.ForwardBatchArena(x, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,8 +545,8 @@ func TestSGDStepErrors(t *testing.T) {
 func TestForwardErrorPropagatesLayerName(t *testing.T) {
 	r := xrand.New(19)
 	net := &Network{Name: "bad", Layers: []Layer{NewDense("fc", 4, 2, r)}}
-	if _, err := net.Forward(tensor.New(7), false); err == nil {
-		t.Fatal("expected size-mismatch error")
+	if _, err := net.Predict(tensor.New(7)); err == nil || !strings.Contains(err.Error(), "layer fc") {
+		t.Fatalf("Predict on a 7-element input to a 4-input layer: err = %v, want a size-mismatch error naming fc", err)
 	}
 }
 
@@ -552,7 +557,7 @@ func BenchmarkLeNetForward(b *testing.B) {
 	x.RandomizeUniform(r, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Forward(x, false); err != nil {
+		if _, err := net.Predict(x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -565,7 +570,7 @@ func BenchmarkResNetForward(b *testing.B) {
 	x.RandomizeUniform(r, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Forward(x, false); err != nil {
+		if _, err := net.Predict(x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,9 @@ package nn
 // The batched training step and the scratch it shares with evaluation.
 //
 // A step runs the whole mini-batch through each layer at once — forward on
-// the serving kernels, backward as packed GEMMs — and must leave every
-// weight exactly where the per-sample spec loop (Forward(x, true), Backward,
+// the serving forward itself (forwardBatchLayers, fused ReLUs included),
+// backward as packed GEMMs — and must leave every weight exactly where the
+// per-sample spec loop in the tests (forward in training mode, backward,
 // sample after sample) leaves it. GemmPacked sums each output element's k
 // products in ascending order from +0, as MatMul, MatMulTransA and
 // MatMulTransB do, so any product the spec computes per sample may be moved
@@ -26,18 +27,20 @@ import (
 	"mvml/internal/tensor"
 )
 
-// scratch is a network's private working memory for Accuracy, ErrorSet and
-// TrainBatch: an arena for activations, gradients and packed operands (its
-// nil-owner buffers are the network's own: the stacked input batch and the
-// loss gradient), plus what the arena cannot hold. Like the network it is not
-// safe for concurrent use.
+// scratch is a network's private working memory for Predict, Accuracy,
+// ErrorSet and TrainBatch: an arena for activations, gradients and packed
+// operands (its nil-owner buffers are the network's own: the stacked input
+// batch and the loss gradient), plus what the arena cannot hold. Like the
+// network it is not safe for concurrent use.
 type scratch struct {
 	ar    *InferenceArena
 	shape []int // stack's batch-first shape
 	preds []int
 	// inputs records the tensor each layer was fed by the current step's
 	// forward pass — all a layer's backwardBatch needs besides the gradient.
+	// record, the arena's observer during that pass, fills it.
 	inputs map[Layer]*tensor.Tensor
+	record func(l Layer, x *tensor.Tensor)
 	// first is the network's first layer with parameters. Nothing consumes
 	// the gradient w.r.t. its input, so backward stops there and a Conv2D or
 	// Dense in that position skips the GEMM that would compute it.
@@ -46,23 +49,19 @@ type scratch struct {
 
 func (n *Network) scratch() *scratch {
 	if n.sc == nil {
-		n.sc = &scratch{ar: NewInferenceArena(), inputs: make(map[Layer]*tensor.Tensor)}
+		sc := &scratch{ar: NewInferenceArena(), inputs: make(map[Layer]*tensor.Tensor)}
+		sc.record = func(l Layer, x *tensor.Tensor) { sc.inputs[l] = x }
+		n.sc = sc
 	}
 	return n.sc
 }
 
 // stack copies the n samples sample(0..n-1) into one batch-first arena tensor.
 func (sc *scratch) stack(n int, sample func(i int) *tensor.Tensor) (*tensor.Tensor, error) {
-	first := sample(0)
-	sc.shape = append(append(sc.shape[:0], n), first.Shape...)
+	sc.shape = append(append(sc.shape[:0], n), sample(0).Shape...)
 	x := sc.ar.tensor(nil, arenaOut, sc.shape...)
-	stride := first.Len()
-	for i := 0; i < n; i++ {
-		s := sample(i)
-		if !slices.Equal(s.Shape, first.Shape) {
-			return nil, fmt.Errorf("nn: sample %d has shape %v, the batch wants %v", i, s.Shape, first.Shape)
-		}
-		copy(x.Data[i*stride:(i+1)*stride], s.Data)
+	if err := stackInto(x, n, sample); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -73,6 +72,12 @@ type lossFunc func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error)
 
 // trainStep is the one training step: size samples forward, loss per row,
 // backward, one optimiser step. It returns the mean loss.
+//
+// The forward is forwardBatchLayers on the arena in training mode, where a
+// Dropout layer draws its mask, with sc.record observing every dispatch. A
+// ReLU fused into the layer before it is never dispatched and its input
+// never written, so the observer sees the ReLU's output instead: the mask
+// ReLU.backwardBatch reads off it is the same.
 func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lossFunc, opt *SGD) (float64, error) {
 	sc := n.scratch()
 	x, err := sc.stack(size, sample)
@@ -81,7 +86,9 @@ func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lo
 	}
 	n.ZeroGrads()
 	sc.ar.InvalidateWeights() // the last step, or anyone since, moved the weights
-	out, err := sc.forward(n.Layers, x)
+	sc.ar.train, sc.ar.observer = true, sc.record
+	out, err := forwardBatchLayers(n.Layers, x, sc.ar)
+	sc.ar.train, sc.ar.observer = false, nil
 	if err != nil {
 		return 0, err
 	}
@@ -113,29 +120,6 @@ func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lo
 	return total / float64(size), nil
 }
 
-// trainForwarder is implemented by the layers whose forward differs inside a
-// training step: Dropout draws its mask, Residual recurses so that inner
-// layers do. Every other layer trains on ForwardBatchArena.
-type trainForwarder interface {
-	forwardTrain(x *tensor.Tensor, sc *scratch) (*tensor.Tensor, error)
-}
-
-func (sc *scratch) forward(layers []Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
-	var err error
-	for _, l := range layers {
-		sc.inputs[l] = x
-		if t, ok := l.(trainForwarder); ok {
-			x, err = t.forwardTrain(x, sc)
-		} else {
-			x, err = l.ForwardBatchArena(x, sc.ar)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %s: %w", l.Name(), err)
-		}
-	}
-	return x, nil
-}
-
 func (sc *scratch) backward(layers []Layer, g *tensor.Tensor) (*tensor.Tensor, error) {
 	var err error
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -158,7 +142,11 @@ func (l *Flatten) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tenso
 	return sc.ar.view(l, arenaGrad, g.Data, x.Shape...), nil
 }
 
-// backwardBatch reads Forward's mask off the input: v > 0, false for NaN.
+// backwardBatch passes g where the ReLU let its input through: v > 0, false
+// for NaN. x is the ReLU's input, or its output when the forward fused the
+// ReLU into the layer before; the test answers the same on both for every
+// bit pattern, since a ReLU maps v to v or to +0, and to +0 only a v the
+// test masks.
 func (l *ReLU) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
 	if g.Len() != x.Len() {
 		return nil, fmt.Errorf("relu %s: grad size %d, want %d", l.name, g.Len(), x.Len())
@@ -179,25 +167,6 @@ func (l *ReLU) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, 
 	return dx, nil
 }
 
-// forwardTrain draws the layer's mask for the whole batch; batch-first
-// storage makes the draw order per sample, per element.
-func (l *Dropout) forwardTrain(x *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
-	if l.P <= 0 {
-		return x, nil
-	}
-	y := sc.ar.tensor(l, arenaOut, x.Shape...)
-	mask := sc.ar.tensor(l, arenaMask, x.Shape...)
-	keep := float32(1 / (1 - l.P))
-	for i, v := range x.Data {
-		if l.rng.Float64() < l.P {
-			mask.Data[i], y.Data[i] = 0, 0
-		} else {
-			mask.Data[i], y.Data[i] = keep, v*keep
-		}
-	}
-	return y, nil
-}
-
 func (l *Dropout) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
 	if l.P <= 0 {
 		return g, nil
@@ -205,7 +174,7 @@ func (l *Dropout) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tenso
 	if g.Len() != x.Len() {
 		return nil, fmt.Errorf("dropout %s: grad size %d, want %d", l.name, g.Len(), x.Len())
 	}
-	mask := sc.ar.tensor(l, arenaMask, x.Shape...) // as forwardTrain left it
+	mask := sc.ar.tensor(l, arenaMask, x.Shape...) // as the forward drew it
 	dx := sc.ar.tensor(l, arenaGrad, x.Shape...)
 	for i, v := range g.Data {
 		dx.Data[i] = v * mask.Data[i]
@@ -214,8 +183,8 @@ func (l *Dropout) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tenso
 }
 
 // backwardBatch routes each output gradient to its window's argmax, found by
-// Forward's scan again (first maximum; a NaN seed keeps its place) rather
-// than recorded, so the forward can stay on the SIMD pool kernel.
+// scanning the window again (first maximum; a NaN seed keeps its place)
+// rather than recorded, so the forward can stay on the SIMD pool kernel.
 func (l *MaxPool2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
 	planes, h, w := x.Shape[0]*x.Shape[1], x.Shape[2], x.Shape[3]
 	s := l.Size
@@ -368,22 +337,6 @@ func (c *Conv2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor
 		}
 	}
 	return dx, nil
-}
-
-// forwardTrain is ForwardBatchArena with the body and projection run in
-// training mode.
-func (l *Residual) forwardTrain(x *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
-	y, err := sc.forward(l.Body, x)
-	if err != nil {
-		return nil, err
-	}
-	skip := x
-	if l.Proj != nil {
-		if skip, err = sc.forward([]Layer{l.Proj}, x); err != nil {
-			return nil, err
-		}
-	}
-	return l.sum(sc.ar, y, skip, false)
 }
 
 func (l *Residual) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {

@@ -1,9 +1,10 @@
 package nn_test
 
-// Training-equivalence tests. The per-sample Forward(x, true)/Backward
-// methods are the executable spec of a training step; specTrainBatch below is
-// the loop over them that TrainBatch is held to, bit for bit, and the weight
-// hashes were committed from that loop before TrainBatch moved off it.
+// Training-equivalence tests. The per-sample spec (nn.Spec: Forward in
+// training mode, then Backward) is the executable spec of a training step;
+// specTrainBatch below is the loop over it that TrainBatch is held to, bit
+// for bit, and the weight hashes were committed from that loop before
+// TrainBatch moved off it.
 
 import (
 	"crypto/sha256"
@@ -27,9 +28,10 @@ func specStep(net *nn.Network, xs []*tensor.Tensor, opt *nn.SGD,
 		return 0, errors.New("empty batch")
 	}
 	net.ZeroGrads()
+	spec := nn.NewSpec(net)
 	var total float64
 	for i, x := range xs {
-		out, err := net.Forward(x, true)
+		out, err := spec.Forward(x, true)
 		if err != nil {
 			return 0, err
 		}
@@ -38,7 +40,7 @@ func specStep(net *nn.Network, xs []*tensor.Tensor, opt *nn.SGD,
 			return 0, err
 		}
 		total += l
-		if err := net.Backward(grad); err != nil {
+		if err := spec.Backward(grad); err != nil {
 			return 0, err
 		}
 	}
@@ -234,7 +236,11 @@ func requireSameTraining(t *testing.T, step int, got, want *nn.Network, gotLoss,
 }
 
 // TrainBatch and the spec loop, from identical seeds, must return the same
-// losses and leave the same parameters after every step, bit for bit.
+// losses and leave the same parameters after every step, bit for bit. Between
+// steps the trained network also serves — Predict and Accuracy on its own
+// scratch, ForwardBatchArena on a fresh arena — and none of that may move
+// the next step: inference draws no dropout mask and leaves the gradients
+// and the step's recorded inputs alone.
 func TestTrainBatchMatchesSpecLoop(t *testing.T) {
 	type trainCase struct {
 		name    string
@@ -263,8 +269,31 @@ func TestTrainBatchMatchesSpecLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameTraining(t, step, got, want, gotLoss, wantLoss)
+				serveBetweenSteps(t, got, batch)
 			}
 		})
+	}
+}
+
+// serveBetweenSteps runs every inference entry point of net over batch.
+func serveBetweenSteps(t *testing.T, net *nn.Network, batch []nn.Sample) {
+	t.Helper()
+	if _, err := net.Predict(batch[0].X); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Accuracy(batch); err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]*tensor.Tensor, len(batch))
+	for i, s := range batch {
+		xs[i] = s.X
+	}
+	x, err := nn.Stack(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.ForwardBatchArena(x, nn.NewInferenceArena()); err != nil {
+		t.Fatal(err)
 	}
 }
 

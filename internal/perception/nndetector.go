@@ -141,6 +141,7 @@ func TrainYOLite(steps int, rng *xrand.Rand) (*nn.Network, error) {
 type NNDetectorVersion struct {
 	name      string
 	net       *nn.Network
+	ar        *nn.InferenceArena
 	pristine  [][]float32
 	threshold float64
 	// Injection parameters for Compromise (the paper's YOLO experiment
@@ -167,6 +168,7 @@ func NewNNDetectorVersion(name string, net *nn.Network, rng *xrand.Rand) (*NNDet
 	return &NNDetectorVersion{
 		name:        name,
 		net:         net,
+		ar:          nn.NewInferenceArena(),
 		pristine:    net.CloneWeights(),
 		threshold:   0.5,
 		injectLayer: 1,
@@ -185,7 +187,7 @@ func (v *NNDetectorVersion) Name() string { return v.name }
 // detections back to world coordinates.
 func (v *NNDetectorVersion) Infer(scene drivesim.Scene) ([]drivesim.Detection, error) {
 	raster := Rasterize(scene, v.noise, v.noiseRng)
-	out, err := v.net.Forward(raster, false)
+	out, err := forwardOne(v.net, v.ar, raster)
 	if err != nil {
 		return nil, fmt.Errorf("perception: YOLite forward: %w", err)
 	}
@@ -204,6 +206,16 @@ func (v *NNDetectorVersion) Infer(scene drivesim.Scene) ([]drivesim.Detection, e
 		}})
 	}
 	return dets, nil
+}
+
+// forwardOne runs one sample through net as a batch of one on ar and returns
+// the output, owned by ar until its next use. Compromise and Restore write
+// the weights in place without telling the network, so the packed weight
+// panels are invalidated on every call.
+func forwardOne(net *nn.Network, ar *nn.InferenceArena, x *tensor.Tensor) (*tensor.Tensor, error) {
+	ar.InvalidateWeights()
+	batch := &tensor.Tensor{Shape: append([]int{1}, x.Shape...), Data: x.Data}
+	return net.ForwardBatchArena(batch, ar)
 }
 
 // Compromise implements core.Version by injecting a large random weight

@@ -54,9 +54,11 @@ go test ./...
 # the bitwise, differential and int8-golden suites run against the code every
 # other architecture executes — and, since training, evaluation and fault
 # campaigns run on those kernels too, so do the trained-weight hashes, the
-# campaigns and the short paper-table goldens.
-echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject, -short ./internal/experiments"
-go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject
+# campaigns and the short paper-table goldens, and the per-input answers of
+# core.NNVersion and the YOLite detector version (Predict and Infer run as a
+# batch of one on the same kernels). ci.yml's noasm step runs the same set.
+echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core ./internal/perception, -short ./internal/experiments"
+go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core ./internal/perception
 go test -tags noasm -short ./internal/experiments
 
 # FMA-contraction pass: at GOAMD64=v3 the compiler may fuse a*b+c into one
