@@ -9,21 +9,21 @@ import (
 	"mvml/internal/experiments"
 	"mvml/internal/obs"
 	"mvml/internal/telemetry"
-	"mvml/internal/xrand"
 )
 
 // cmdDrive regenerates the paper's CARLA case study (Tables VI–VIII) on the
 // built-in 2-D driving simulator, plus the design-choice ablations and the
 // town maps (Fig. 5).
 func cmdDrive(args []string, w, stderr io.Writer) error {
+	cfg := experiments.DefaultCaseStudyConfig()
 	fs := flag.NewFlagSet("mvml drive", flag.ContinueOnError)
 	table := fs.Int("table", 0, "table number to regenerate (6-8)")
 	mapPath := fs.String("map", "", "render the town maps and routes (Fig. 5 analog) to this PNG path")
 	ablation := fs.String("ablation", "", "ablation study: voting, selection, or clocks")
 	all := fs.Bool("all", false, "run every case-study experiment")
-	runs := fs.Int("runs", 5, "runs per route")
+	runs := fs.Int("runs", cfg.RunsPerRoute, "runs per route")
 	workers := fs.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS; results are worker-count-invariant)")
-	seed := fs.Uint64("seed", 2025, "root random seed")
+	seed := fs.Uint64("seed", cfg.Seed, "root random seed")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
@@ -40,7 +40,6 @@ func cmdDrive(args []string, w, stderr io.Writer) error {
 
 	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
 	return instrumented(&tele, map[string]any{"command": "drivesim", "seed": *seed, "runs": *runs}, func(rt *obs.Runtime) error {
-		cfg := experiments.DefaultCaseStudyConfig()
 		cfg.RunsPerRoute = *runs
 		cfg.Seed = *seed
 		cfg.Workers = *workers
@@ -56,9 +55,7 @@ func cmdDrive(args []string, w, stderr io.Writer) error {
 			{*table == 8 || *all, func() (renderer, error) { return experiments.RunTableVIII(cfg, 3) }},
 			{*ablation == "voting" || *all, func() (renderer, error) { return experiments.RunVotingAblation(cfg) }},
 			{*ablation == "selection" || *all, func() (renderer, error) { return experiments.RunSelectionAblation(cfg) }},
-			{*ablation == "clocks" || *all, func() (renderer, error) {
-				return experiments.RunClockAblation(cfg.System, 100_000, xrand.New(*seed))
-			}},
+			{*ablation == "clocks" || *all, func() (renderer, error) { return experiments.RunClockAblation(cfg) }},
 		})
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"mvml/internal/cli"
+	"mvml/internal/experiments"
 	"mvml/internal/obs"
 	"mvml/internal/reliability"
 	"mvml/internal/telemetry"
@@ -25,9 +26,8 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	interval := fs.Float64("interval", 0, "rejuvenation interval 1/gamma in seconds (0 = Table IV default)")
 	erlang := fs.Int("erlang", 0, "Erlang stages for the cross-validation solve (0 = skip)")
 	transient := fs.Bool("transient", false, "also print the mission-time reliability curve E[R(t)]")
-	horizon := fs.Float64("horizon", 0, "simulation horizon (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent transient replications (0 = GOMAXPROCS; results are worker-count-invariant)")
-	seed := fs.Uint64("seed", 1, "simulation seed")
+	seed := fs.Uint64("seed", experiments.Seed, "simulation seed")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
@@ -41,10 +41,6 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 			params.RejuvenationInterval = *interval
 		}
 		simCfg := reliability.DefaultSimConfig()
-		if *horizon > 0 {
-			simCfg.Horizon = *horizon
-			simCfg.Warmup = *horizon / 100
-		}
 		simCfg.Metrics = rt.Metrics()
 		simCfg.Spans = rt.Spans()
 		rng := xrand.New(*seed)

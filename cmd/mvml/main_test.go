@@ -32,22 +32,64 @@ type goldenCase struct {
 	args []string
 }
 
+// Every golden that prints a paper number runs at the paper's budget: the
+// flags a reader of EXPERIMENTS.md would type, with every default in place.
 var goldenCases = []goldenCase{
 	{"tables_table3", 0, []string{"tables", "-table", "3"}},
 	{"tables_table4", 0, []string{"tables", "-table", "4"}},
-	{"tables_table5", 0, []string{"tables", "-table", "5", "-horizon", "20000"}},
-	{"tables_figa", 0, []string{"tables", "-fig", "a", "-horizon", "20000"}},
-	{"drive_table7", 0, []string{"drive", "-table", "7", "-runs", "1", "-seed", "77"}},
-	{"drive_table8", 0, []string{"drive", "-table", "8", "-runs", "2", "-workers", "1"}},
+	{"tables_table5", 0, []string{"tables", "-table", "5"}},
+	{"tables_figa", 0, []string{"tables", "-fig", "a"}},
+	{"tables_figb", 0, []string{"tables", "-fig", "b"}},
+	{"tables_figc", 0, []string{"tables", "-fig", "c"}},
+	{"tables_figd", 0, []string{"tables", "-fig", "d"}},
+	{"tables_fige", 0, []string{"tables", "-fig", "e"}},
+	{"tables_figf", 0, []string{"tables", "-fig", "f"}},
+	{"tables_nversion", 0, []string{"tables", "-nversion"}},
+	{"drive_table6", 0, []string{"drive", "-table", "6"}},
+	{"drive_table7", 0, []string{"drive", "-table", "7"}},
+	{"drive_table8", 0, []string{"drive", "-table", "8"}},
+	{"drive_ablation_voting", 0, []string{"drive", "-ablation", "voting"}},
+	{"drive_ablation_selection", 0, []string{"drive", "-ablation", "selection"}},
+	{"drive_ablation_clocks", 0, []string{"drive", "-ablation", "clocks"}},
 	{"drive_map", 0, []string{"drive", "-map", "{png}"}},
-	{"dspn_erlang_transient", 0, []string{"dspn", "-n", "3", "-horizon", "20000", "-erlang", "20", "-transient"}},
-	{"dspn_n2_interval", 0, []string{"dspn", "-n", "2", "-interval", "120", "-horizon", "20000"}},
+	{"dspn_erlang_transient", 0, []string{"dspn", "-n", "3", "-erlang", "20", "-transient"}},
+	{"dspn_n2_interval", 0, []string{"dspn", "-n", "2", "-interval", "120"}},
 	{"falsify_search", 0, []string{"falsify", "search", "-seed", "7", "-chains", "2", "-steps", "4"}},
 	// A failed gate still prints the whole report before exiting 1.
 	{"falsify_search", 1, []string{"falsify", "search", "-seed", "7", "-chains", "2", "-steps", "4", "-min-violations", "99"}},
 	{"falsify_replay", 0, []string{"falsify", "replay", "-corpus", corpus}},
 	{"falsify_show", 0, []string{"falsify", "show", "-in", filepath.Join(corpus, "ce-5f9b681d5327.json")}},
 	{"signs", 0, []string{"signs", "-o", "{png}", "-per-class", "3", "-first", "10", "-last", "19"}},
+}
+
+// tablesAllSteps and driveAllSteps are the goldens that `tables -all` (after
+// Table II) and `drive -all` print, in order: -all is the single steps in
+// sequence, nothing more.
+var (
+	tablesAllSteps = []string{"tables_table3", "tables_table4", "tables_table5",
+		"tables_figa", "tables_figb", "tables_figc", "tables_figd", "tables_fige", "tables_figf",
+		"tables_nversion"}
+	driveAllSteps = []string{"drive_table6", "drive_table7", "drive_table8",
+		"drive_ablation_voting", "drive_ablation_selection", "drive_ablation_clocks"}
+)
+
+// tableIIGolden is the quick Table II, the first section `tables -all -quick`
+// prints. It trains three models (~30 s), so TestTablesAllUsesPaperParams,
+// which has to train them anyway, is the one test that checks it.
+const tableIIGolden = "tables_table2_quick"
+
+// readGoldens concatenates the named goldens.
+func readGoldens(t *testing.T, names ...string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(data)
+	}
+	return b.String()
 }
 
 // invoke runs one case and returns its exit code and recorded output.
@@ -95,35 +137,52 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestTablesAllUsesPaperParams: -all runs every reliability-side step on the
-// paper's parameters, so it exits 0 and its Tables III and IV are exactly the
-// single-step ones (Table II's quick fit feeds nothing downstream).
+// TestTablesAllUsesPaperParams: `tables -all -quick` is the one command
+// behind EXPERIMENTS.md's reliability side. It exits 0 and prints the quick
+// Table II followed by exactly the single-step goldens, so every table after
+// Table II runs on the paper's parameters, as it does alone (Table II's
+// quick fit feeds nothing downstream).
 func TestTablesAllUsesPaperParams(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains Table II's three models and runs every sweep (~35 s)")
+		t.Skip("trains Table II's three models and runs every sweep (~40 s)")
 	}
 	code, stdout, stderr := runCLI("tables", "-all", "-quick")
 	if code != 0 {
 		t.Fatalf("mvml tables -all -quick exited %d: %s", code, stderr)
 	}
-	for _, name := range []string{"tables_table3", "tables_table4"} {
-		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
-		if err != nil {
+	steps := readGoldens(t, tablesAllSteps...)
+	if *update && strings.HasSuffix(stdout, steps) {
+		golden := filepath.Join("testdata", tableIIGolden+".golden")
+		if err := os.WriteFile(golden, []byte(strings.TrimSuffix(stdout, steps)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(stdout, string(want)) {
-			t.Errorf("-all stdout lacks the section in %s.golden:\n%s", name, stdout)
-		}
+	}
+	if want := readGoldens(t, tableIIGolden) + steps; stdout != want {
+		t.Errorf("mvml tables -all -quick stdout is not %s.golden followed by %v:\n%s", tableIIGolden, tablesAllSteps, stdout)
 	}
 }
 
-// TestDriveWorkerCountInvariant: the case-study fan-out prints the same
-// table at one worker and at four.
+// TestDriveAll: `drive -all`, the one command behind EXPERIMENTS.md's case
+// study, prints exactly the single-step goldens.
+func TestDriveAll(t *testing.T) {
+	code, stdout, stderr := runCLI("drive", "-all")
+	if code != 0 {
+		t.Fatalf("mvml drive -all exited %d: %s", code, stderr)
+	}
+	if want := readGoldens(t, driveAllSteps...); stdout != want {
+		t.Errorf("mvml drive -all stdout is not %v concatenated:\n%s", driveAllSteps, stdout)
+	}
+}
+
+// TestDriveWorkerCountInvariant: the case-study fan-out prints Table VIII's
+// golden at one worker and at four.
 func TestDriveWorkerCountInvariant(t *testing.T) {
-	_, w1, _ := runCLI("drive", "-table", "8", "-runs", "2", "-workers", "1")
-	code, w4, stderr := runCLI("drive", "-table", "8", "-runs", "2", "-workers", "4")
-	if code != 0 || w4 != w1 {
-		t.Fatalf("-workers 4: exit %d (%s), stdout\n%s\nwant the -workers 1 table\n%s", code, stderr, w4, w1)
+	want := readGoldens(t, "drive_table8")
+	for _, workers := range []string{"1", "4"} {
+		code, stdout, stderr := runCLI("drive", "-table", "8", "-workers", workers)
+		if code != 0 || stdout != want {
+			t.Fatalf("-workers %s: exit %d (%s), stdout\n%s\nwant drive_table8.golden\n%s", workers, code, stderr, stdout, want)
+		}
 	}
 }
 
@@ -137,7 +196,7 @@ func TestTelemetry(t *testing.T) {
 	}{
 		{"mvmlbench", []string{"tables", "-table", "3"}},
 		{"drivesim", []string{"drive", "-table", "7", "-runs", "1", "-seed", "77"}},
-		{"dspn", []string{"dspn", "-n", "2", "-horizon", "2000"}},
+		{"dspn", []string{"dspn", "-n", "2"}},
 		{"signsheet", []string{"signs", "-per-class", "1", "-last", "0"}},
 	} {
 		t.Run(c.args[0], func(t *testing.T) {
@@ -180,10 +239,12 @@ func TestUsage(t *testing.T) {
 		{"tables", "-no-such-flag"},
 		{"tables", "-table", "7"},
 		{"tables", "-fig", "4a"},
+		{"tables", "-horizon", "20000"},
 		{"drive"},
 		{"drive", "-table", "9"},
 		{"drive", "-ablation", "none"},
 		{"dspn", "-n"},
+		{"dspn", "-horizon", "20000"},
 		{"falsify"},
 		{"falsify", "frobnicate"},
 		{"falsify", "search", "-write"},
@@ -197,9 +258,14 @@ func TestUsage(t *testing.T) {
 			t.Errorf("mvml %v: exit %d, stdout %q, stderr %q; want 2 with usage on stderr", args, code, stdout, stderr)
 		}
 	}
-	for _, args := range [][]string{{"-h"}, {"help"}, {"tables", "-h"}, {"falsify", "-h"}, {"falsify", "search", "-h"}} {
-		if code, stdout, stderr := runCLI(args...); code != 0 || stdout != "" || stderr == "" {
+	for _, args := range [][]string{{"-h"}, {"help"}, {"tables", "-h"}, {"dspn", "-h"}, {"falsify", "-h"}, {"falsify", "search", "-h"}} {
+		code, stdout, stderr := runCLI(args...)
+		if code != 0 || stdout != "" || stderr == "" {
 			t.Errorf("mvml %v: exit %d, stdout %q; want 0 with help on stderr", args, code, stdout)
+		}
+		// One budget: the paper's. No subcommand takes a horizon.
+		if strings.Contains(stderr, "-horizon") {
+			t.Errorf("mvml %v lists -horizon:\n%s", args, stderr)
 		}
 	}
 }

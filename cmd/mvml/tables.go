@@ -9,7 +9,6 @@ import (
 	"mvml/internal/cli"
 	"mvml/internal/experiments"
 	"mvml/internal/obs"
-	"mvml/internal/petri"
 	"mvml/internal/reliability"
 	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
@@ -29,8 +28,7 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 	all := fs.Bool("all", false, "run every reliability-side experiment")
 	quick := fs.Bool("quick", false, "reduced dataset/training budget for Table II")
 	workers := fs.Int("workers", 0, "concurrent replications for fan-out experiments (0 = GOMAXPROCS; results are worker-count-invariant)")
-	seed := fs.Uint64("seed", 1, "random seed for simulations")
-	horizon := fs.Float64("horizon", 0, "DSPN simulation horizon in model seconds (0 = default)")
+	seed := fs.Uint64("seed", experiments.Seed, "random seed for simulations")
 	var tele telemetry.Flags
 	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
@@ -50,9 +48,6 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 		rng := xrand.New(*seed)
 		params := reliability.DefaultParams()
 		simCfg := reliability.DefaultSimConfig()
-		if *horizon > 0 {
-			simCfg = petri.SimConfig{Horizon: *horizon, Warmup: *horizon / 100}
-		}
 		simCfg.Metrics = rt.Metrics()
 		simCfg.Spans = rt.Spans()
 		train := experiments.DefaultTableIIConfig()
@@ -68,7 +63,7 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 		}
 		for _, letter := range []string{"a", "b", "c", "d", "e", "f"} {
 			steps = append(steps, step{*fig == letter || (*fig == "" && *all), func() (renderer, error) {
-				return experiments.RunFig4(letter, params, experiments.Fig4Config{SimConfig: simCfg}, rng)
+				return experiments.RunFig4(letter, params, simCfg, rng)
 			}})
 		}
 		nvCfg := experiments.DefaultNVersionStudyConfig()

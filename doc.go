@@ -8,9 +8,11 @@
 // The implementation lives under internal/ (see DESIGN.md for the full
 // inventory and per-experiment index); cmd/mvml regenerates every table and
 // figure of the paper's evaluation (mvml tables, drive, dspn, falsify,
-// signs), cmd/mvserve and cmd/mvgateway serve the ensemble online,
-// internal/core's Example_quickstart shows the public API in use, and
-// bench_test.go ties each experiment to a testing.B benchmark.
+// signs), cmd/mvserve and cmd/mvgateway serve the ensemble online, and
+// internal/core's Example_quickstart shows the public API in use.
+// EXPERIMENTS.md is the printout of `mvml tables -all -quick` and `mvml drive
+// -all` at the paper's budget: cmd/mvml's goldens pin every step of both, and
+// doc_test.go checks each "Ours" cell against them.
 //
 // Inference has one forward per layer: the batched ForwardBatchArena on the
 // packed float / int8 kernels, which serving, evaluation (a single sample is

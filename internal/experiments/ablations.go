@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"mvml/internal/core"
 	"mvml/internal/drivesim"
 	"mvml/internal/parallel"
 	"mvml/internal/perception"
-	"mvml/internal/reliability"
 	"mvml/internal/xrand"
 )
 
@@ -174,11 +172,16 @@ type ClockAblationResult struct {
 	SharedDegraded, PerModuleDegraded float64
 }
 
+// clockAblationHorizon is the simulated time each clock semantics runs for.
+const clockAblationHorizon = 100_000
+
 // RunClockAblation measures how the two fault-clock semantics change the
-// system's exposure to degraded majorities under the case-study parameters.
-func RunClockAblation(sysCfg core.Config, horizon float64, rng *xrand.Rand) (*ClockAblationResult, error) {
+// system's exposure to degraded majorities under cfg.System, on streams
+// split from cfg.Seed.
+func RunClockAblation(cfg CaseStudyConfig) (*ClockAblationResult, error) {
+	rng := xrand.New(cfg.Seed)
 	degraded := func(perModule bool, r *xrand.Rand) (float64, error) {
-		cfg := sysCfg
+		cfg := cfg.System
 		cfg.PerModuleClocks = perModule
 		versions := make([]core.Version[int, int], 3)
 		for i := range versions {
@@ -191,7 +194,7 @@ func RunClockAblation(sysCfg core.Config, horizon float64, rng *xrand.Rand) (*Cl
 		if err != nil {
 			return 0, err
 		}
-		if err := sys.Advance(horizon); err != nil {
+		if err := sys.Advance(clockAblationHorizon); err != nil {
 			return 0, err
 		}
 		var frac float64
@@ -221,51 +224,5 @@ func (r *ClockAblationResult) Render() string {
 	}
 	t.AddRow("shared single-server (DSPN)", f6(r.SharedDegraded))
 	t.AddRow("per-module", f6(r.PerModuleDegraded))
-	return t.String()
-}
-
-// ErlangConvergenceResult records how the Erlang phase-type approximation of
-// the rejuvenation clock converges to the simulated DSPN reliability.
-type ErlangConvergenceResult struct {
-	Simulated float64
-	Stages    []int
-	Values    []float64
-}
-
-// RunErlangConvergence solves the 3-version proactive model with increasing
-// Erlang stage counts and compares against the Monte-Carlo DSPN solution.
-func RunErlangConvergence(params reliability.Params, stages []int, rng *xrand.Rand) (*ErlangConvergenceResult, error) {
-	if len(stages) == 0 {
-		stages = []int{1, 2, 5, 10, 20}
-	}
-	model, err := reliability.NewModel(3, params, true)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := model.SolveSimulation(reliability.DefaultSimConfig(), rng)
-	if err != nil {
-		return nil, err
-	}
-	res := &ErlangConvergenceResult{Simulated: sim.Expected, Stages: stages}
-	for _, k := range stages {
-		erl, err := model.SolveErlang(k)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: Erlang k=%d: %w", k, err)
-		}
-		res.Values = append(res.Values, erl.Expected)
-	}
-	return res, nil
-}
-
-// Render formats the convergence study.
-func (r *ErlangConvergenceResult) Render() string {
-	t := &Table{
-		Title:   "Ablation: Erlang phase-type approximation of the rejuvenation clock",
-		Headers: []string{"Stages", "E[R] (exact CTMC of approximation)", "abs. err vs simulation"},
-	}
-	for i, k := range r.Stages {
-		t.AddRow(fmt.Sprintf("%d", k), f6(r.Values[i]), f6(math.Abs(r.Values[i]-r.Simulated)))
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("DSPN simulation reference: %s", f6(r.Simulated)))
 	return t.String()
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // tinyTableIIConfig keeps the Table II pipeline test fast: the assertions
-// below check pipeline mechanics, not headline accuracy (that is the
-// full-scale benchmark's job).
+// below check pipeline mechanics, not headline accuracy (cmd/mvml's
+// tables_table2_quick golden pins the printed quick Table II).
 func tinyTableIIConfig() TableIIConfig {
 	cfg := QuickTableIIConfig()
 	cfg.Dataset.TrainPerClass = 10
@@ -87,9 +87,17 @@ func TestRenderTableIV(t *testing.T) {
 	}
 }
 
+// The tests below run what `mvml tables` runs with no flags but the step's
+// own: the paper's parameters, DefaultSimConfig, the default sweep grids and
+// the root seed Seed. Every number they assert is one EXPERIMENTS.md prints.
+
+// cliRun returns the reliability-side step's inputs as the CLI builds them.
+func cliRun() (reliability.Params, petri.SimConfig, *xrand.Rand) {
+	return reliability.DefaultParams(), reliability.DefaultSimConfig(), xrand.New(Seed)
+}
+
 func TestRunTableVMatchesPaper(t *testing.T) {
-	simCfg := petri.SimConfig{Horizon: 2e6, Warmup: 2e4}
-	res, err := RunTableV(reliability.DefaultParams(), simCfg, xrand.New(3))
+	res, err := RunTableV(cliRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,28 +110,35 @@ func TestRunTableVMatchesPaper(t *testing.T) {
 		if math.Abs(res.With[n]-wantWith[n]) > 0.012 {
 			t.Errorf("%d-version w/: %.6f, want ≈%.6f", n, res.With[n], wantWith[n])
 		}
+		// The paper's headline: proactive rejuvenation helps all three.
 		if res.With[n] <= res.Without[n] {
 			t.Errorf("%d-version: rejuvenation did not improve reliability", n)
 		}
+	}
+	// And the other one: the two-version system, with its safe skip, beats
+	// the three-version system on both arms.
+	if res.Without[2] <= res.Without[3] || res.With[2] <= res.With[3] {
+		t.Errorf("2v (%.6f / %.6f) should beat 3v (%.6f / %.6f) w/o and w/",
+			res.Without[2], res.With[2], res.Without[3], res.With[3])
 	}
 	if !strings.Contains(res.Render(), "Two-version") {
 		t.Fatal("render missing rows")
 	}
 }
 
-// fig4SimConfig keeps sweep tests fast.
-func fig4SimConfig() Fig4Config {
-	return Fig4Config{
-		SimConfig: petri.SimConfig{Horizon: 4e5, Warmup: 4e3},
-		Points:    4,
-	}
-}
-
-func TestFig4aIntervalMonotonicity(t *testing.T) {
-	res, err := RunFig4("a", reliability.DefaultParams(), fig4SimConfig(), xrand.New(7))
+// fig4 runs one sweep as `mvml tables -fig <letter>` does.
+func fig4(t *testing.T, letter string) *Fig4Result {
+	t.Helper()
+	params, simCfg, rng := cliRun()
+	res, err := RunFig4(letter, params, simCfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestFig4aIntervalMonotonicity(t *testing.T) {
+	res := fig4(t, "a")
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	// Short intervals must beat long intervals for the 3-version system.
 	if first.With[3] <= last.With[3] {
@@ -134,13 +149,70 @@ func TestFig4aIntervalMonotonicity(t *testing.T) {
 	if math.Abs(first.Without[3]-last.Without[3]) > 1e-9 {
 		t.Error("w/o series should not depend on the rejuvenation interval")
 	}
+	// 2v w/ stays above 3v w/ at every interval but the shortest, where
+	// rejuvenating every 50 s keeps the third version healthy enough to win.
+	for _, p := range res.Points[1:] {
+		if p.With[2] <= p.With[3] {
+			t.Errorf("1/gamma = %v: 2v w/ %.6f not above 3v w/ %.6f", p.X, p.With[2], p.With[3])
+		}
+	}
+	if first.With[3] <= first.With[2] {
+		t.Errorf("1/gamma = %v: 3v w/ %.6f should lead 2v w/ %.6f", first.X, first.With[3], first.With[2])
+	}
+}
+
+// TestFig4bDurationSparesRedundancy: the rejuvenation duration barely moves
+// the redundant configurations, while the single version, whose lone module
+// is offline while it rejuvenates, falls from 0.921 to 0.770.
+func TestFig4bDurationSparesRedundancy(t *testing.T) {
+	res := fig4(t, "b")
+	for n := 2; n <= 3; n++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, p := range res.Points {
+			lo, hi = math.Min(lo, p.With[n]), math.Max(hi, p.With[n])
+		}
+		if hi-lo >= 0.011 {
+			t.Errorf("%dv w/ varies %.6f across the sweep, want < 0.011", n, hi-lo)
+		}
+	}
+	for i := 1; i < len(res.Points); i++ {
+		if res.Points[i].With[1] >= res.Points[i-1].With[1] {
+			t.Errorf("1v w/ does not fall at 1/mu_r = %v", res.Points[i].X)
+		}
+	}
+	first, last := res.Points[0].With[1], res.Points[len(res.Points)-1].With[1]
+	if math.Abs(first-0.921) > 0.0005 || math.Abs(last-0.770) > 0.0005 {
+		t.Errorf("1v w/ falls %.6f → %.6f, want 0.921 → 0.770", first, last)
+	}
+}
+
+// TestFig4cThreeVersionDips: every configuration gains from a longer mean
+// time to compromise except that the 3v w/o series first dips (the paper's
+// 100–1000 s) and then rises above where it started.
+func TestFig4cThreeVersionDips(t *testing.T) {
+	res := fig4(t, "c")
+	series := func(p Fig4Point) float64 { return p.Without[3] }
+	low := 0
+	for i, p := range res.Points {
+		if series(p) < series(res.Points[low]) {
+			low = i
+		}
+	}
+	if low == 0 || low == len(res.Points)-1 {
+		t.Fatalf("3v w/o has its minimum at the sweep's edge (1/lambda_c = %v): no dip", res.Points[low].X)
+	}
+	for i := low + 1; i < len(res.Points); i++ {
+		if series(res.Points[i]) <= series(res.Points[i-1]) {
+			t.Errorf("3v w/o does not rise after the dip at 1/lambda_c = %v", res.Points[i].X)
+		}
+	}
+	if last := res.Points[len(res.Points)-1]; series(last) <= series(res.Points[0]) {
+		t.Errorf("3v w/o ends at %.6f, below its start %.6f", series(last), series(res.Points[0]))
+	}
 }
 
 func TestFig4dAlphaHurtsRedundancy(t *testing.T) {
-	res, err := RunFig4("d", reliability.DefaultParams(), fig4SimConfig(), xrand.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fig4(t, "d")
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	// Higher dependency degrades the 2v and 3v systems...
 	if last.Without[3] >= first.Without[3] {
@@ -155,31 +227,29 @@ func TestFig4dAlphaHurtsRedundancy(t *testing.T) {
 	}
 }
 
+// TestFig4eCrossoverExists: a rejuvenated single version beats the
+// non-rejuvenated three-version system for small p and loses for large p,
+// and the non-rejuvenated two-version system overtakes the rejuvenated
+// three-version one for large p. The paper puts the crossings at p = 0.10
+// and 0.13; the printed sweep brackets them in (0.065, 0.0925] and
+// (0.12, 0.1475].
 func TestFig4eCrossoverExists(t *testing.T) {
-	cfg := Fig4Config{
-		SimConfig: petri.SimConfig{Horizon: 8e5, Warmup: 8e3},
-		Points:    8,
+	res := fig4(t, "e")
+	bracket := func(name string, xs []float64, lo, hi float64) {
+		if len(xs) != 1 || xs[0] <= lo || xs[0] > hi+1e-12 {
+			t.Errorf("%s crossovers at %v, want one in (%v, %v]", name, xs, lo, hi)
+		}
 	}
-	res, err := RunFig4("e", reliability.DefaultParams(), cfg, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper: a rejuvenated single version beats the non-rejuvenated
-	// three-version system for small p, and loses for large p, so a
-	// crossover exists inside the sweep.
-	xs := res.Crossovers(
+	bracket("1v w/ vs 3v w/o", res.Crossovers(
 		func(p Fig4Point) float64 { return p.With[1] },
-		func(p Fig4Point) float64 { return p.Without[3] })
-	if len(xs) == 0 {
-		t.Fatal("no 1v-with vs 3v-without crossover found in Fig. 4(e) sweep")
-	}
+		func(p Fig4Point) float64 { return p.Without[3] }), 0.065, 0.0925)
+	bracket("2v w/o vs 3v w/", res.Crossovers(
+		func(p Fig4Point) float64 { return p.Without[2] },
+		func(p Fig4Point) float64 { return p.With[3] }), 0.12, 0.1475)
 }
 
 func TestFig4fCompromisedInaccuracy(t *testing.T) {
-	res, err := RunFig4("f", reliability.DefaultParams(), fig4SimConfig(), xrand.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fig4(t, "f")
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	// Reliability drops with p' everywhere, and the single version
 	// without rejuvenation is hurt the most (paper: −27%).
@@ -194,7 +264,8 @@ func TestFig4fCompromisedInaccuracy(t *testing.T) {
 }
 
 func TestRunFig4UnknownLetter(t *testing.T) {
-	if _, err := RunFig4("z", reliability.DefaultParams(), fig4SimConfig(), xrand.New(1)); err == nil {
+	params, simCfg, rng := cliRun()
+	if _, err := RunFig4("z", params, simCfg, rng); err == nil {
 		t.Fatal("expected error for unknown sweep")
 	}
 }

@@ -74,6 +74,9 @@ type NVersionRow struct {
 	ErrorFreeWith, ErrorFreeWithout float64
 	// SkipWith/Without is the skip ratio of each arm.
 	SkipWith, SkipWithout float64
+	// DivergenceWith/Without is the share of rounds skipped on
+	// disagreement; the rest of the skips had no functional version.
+	DivergenceWith, DivergenceWithout float64
 }
 
 // NVersionStudyResult is the full sweep.
@@ -162,15 +165,17 @@ func RunNVersionStudy(cfg NVersionStudyConfig) (*NVersionStudyResult, error) {
 				}
 				rel := float64(correct) / float64(cfg.Requests)
 				errFree := 1 - float64(wrong)/float64(cfg.Requests)
-				skip := sys.Stats().SkipRatio()
+				stats := sys.Stats()
 				if rejuvenate {
 					row.ReliabilityWith = rel
 					row.ErrorFreeWith = errFree
-					row.SkipWith = skip
+					row.SkipWith = stats.SkipRatio()
+					row.DivergenceWith = stats.DivergenceRatio()
 				} else {
 					row.ReliabilityWithout = rel
 					row.ErrorFreeWithout = errFree
-					row.SkipWithout = skip
+					row.SkipWithout = stats.SkipRatio()
+					row.DivergenceWithout = stats.DivergenceRatio()
 				}
 			}
 			return row, nil

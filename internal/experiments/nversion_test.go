@@ -5,19 +5,13 @@ import (
 	"testing"
 )
 
-func quickNVersionConfig() NVersionStudyConfig {
-	cfg := DefaultNVersionStudyConfig()
-	cfg.Requests = 12_000
-	return cfg
-}
-
 func TestNVersionStudyValidation(t *testing.T) {
-	bad := quickNVersionConfig()
+	bad := DefaultNVersionStudyConfig()
 	bad.MaxVersions = 0
 	if _, err := RunNVersionStudy(bad); err == nil {
 		t.Fatal("expected error for MaxVersions 0")
 	}
-	bad = quickNVersionConfig()
+	bad = DefaultNVersionStudyConfig()
 	bad.Requests = 0
 	if _, err := RunNVersionStudy(bad); err == nil {
 		t.Fatal("expected error for zero requests")
@@ -25,7 +19,7 @@ func TestNVersionStudyValidation(t *testing.T) {
 }
 
 func TestNVersionStudyShape(t *testing.T) {
-	cfg := quickNVersionConfig()
+	cfg := DefaultNVersionStudyConfig()
 	res, err := RunNVersionStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,14 +32,20 @@ func TestNVersionStudyShape(t *testing.T) {
 	for _, row := range res.Rows {
 		byKey[row.Voter+string(rune('0'+row.Versions))] = row
 
-		// Rejuvenation must never hurt the error-free metric by much
-		// (Monte-Carlo noise aside) and usually helps correctness.
+		// Rejuvenation improves correctness in every row, and never hurts
+		// the error-free metric by much (Monte-Carlo noise aside).
+		if row.ReliabilityWith <= row.ReliabilityWithout {
+			t.Errorf("%d-version %s: rejuvenation did not improve correctness (%.4f vs %.4f)",
+				row.Versions, row.Voter, row.ReliabilityWith, row.ReliabilityWithout)
+		}
 		if row.ErrorFreeWith < row.ErrorFreeWithout-0.02 {
 			t.Errorf("%d-version %s: rejuvenation degraded error-freeness (%.4f vs %.4f)",
 				row.Versions, row.Voter, row.ErrorFreeWith, row.ErrorFreeWithout)
 		}
-		// Plurality never skips; unanimity skips most.
-		if row.Voter == "plurality" && (row.SkipWith != 0 || row.SkipWithout != 0) {
+		// Plurality never skips on disagreement; unanimity skips most. A
+		// round with no functional version is skipped whatever the voter,
+		// which rejuvenation makes possible (two versions down at once).
+		if row.Voter == "plurality" && (row.DivergenceWith != 0 || row.DivergenceWithout != 0 || row.SkipWithout != 0) {
 			t.Errorf("plurality skipped: %+v", row)
 		}
 	}
@@ -71,9 +71,20 @@ func TestNVersionStudyShape(t *testing.T) {
 	// Five-version majority should beat three-version majority on plain
 	// correctness (more redundancy).
 	five := byKey["majority5"]
-	if five.ReliabilityWith < three.ReliabilityWith-0.015 { // Monte-Carlo margin at 12k requests
+	if five.ReliabilityWith < three.ReliabilityWith-0.015 { // Monte-Carlo margin
 		t.Errorf("5-version correctness %.4f should be >= 3-version %.4f",
 			five.ReliabilityWith, three.ReliabilityWith)
+	}
+	// Plurality is the best pure-correctness voter at every N, and
+	// unanimity's skip ratio grows with N.
+	for n := 2; n <= cfg.MaxVersions; n++ {
+		v := string(rune('0' + n))
+		if p, m := byKey["plurality"+v], byKey["majority"+v]; p.ReliabilityWith < m.ReliabilityWith {
+			t.Errorf("%d versions: plurality correctness %.4f below majority %.4f", n, p.ReliabilityWith, m.ReliabilityWith)
+		}
+		if n > 2 && byKey["unanimous"+v].SkipWith <= byKey["unanimous"+string(rune('0'+n-1))].SkipWith {
+			t.Errorf("%d versions: unanimity skips %.4f, no more than at %d", n, byKey["unanimous"+v].SkipWith, n-1)
+		}
 	}
 	if !strings.Contains(res.Render(), "unanimous") {
 		t.Fatal("render broken")

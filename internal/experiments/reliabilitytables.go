@@ -10,6 +10,10 @@ import (
 	"mvml/internal/xrand"
 )
 
+// Seed is the root seed of the reliability-side runs EXPERIMENTS.md prints:
+// the -seed default of `mvml tables` and `mvml dspn`.
+const Seed = 1
+
 // TableIIIResult lists the reliability-function value of every reachable
 // system state (the paper's Table III).
 type TableIIIResult struct {
@@ -183,19 +187,7 @@ func fig4Sweep(name, xlabel string, xs []float64, base reliability.Params,
 	return res, nil
 }
 
-// Fig4Config selects the sweep grids; the zero value uses the paper's
-// ranges.
-type Fig4Config struct {
-	// SimConfig is used for every with-rejuvenation solve.
-	SimConfig petri.SimConfig
-	// Points overrides the number of sweep points (0 = default grid).
-	Points int
-}
-
 func sweepGrid(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		n = 2
-	}
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = lo + (hi-lo)*float64(i)/float64(n-1)
@@ -203,52 +195,42 @@ func sweepGrid(lo, hi float64, n int) []float64 {
 	return xs
 }
 
-// RunFig4 produces one of the paper's Fig. 4 sweeps by letter (a–f).
-func RunFig4(letter string, base reliability.Params, cfg Fig4Config, rng *xrand.Rand) (*Fig4Result, error) {
-	simCfg := cfg.SimConfig
-	if simCfg.Horizon == 0 {
-		simCfg = reliability.DefaultSimConfig()
-	}
-	n := cfg.Points
-	grid := func(lo, hi float64, def int) []float64 {
-		if n > 0 {
-			return sweepGrid(lo, hi, n)
-		}
-		return sweepGrid(lo, hi, def)
-	}
+// RunFig4 produces one of the paper's Fig. 4 sweeps by letter (a–f) on the
+// paper's ranges, solving every with-rejuvenation point under simCfg.
+func RunFig4(letter string, base reliability.Params, simCfg petri.SimConfig, rng *xrand.Rand) (*Fig4Result, error) {
 	switch letter {
 	case "a":
-		return fig4Sweep("4a", "rejuvenation interval 1/gamma (s)", grid(50, 3000, 9), base,
+		return fig4Sweep("4a", "rejuvenation interval 1/gamma (s)", sweepGrid(50, 3000, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.RejuvenationInterval = x
 				return p
 			}, simCfg, rng)
 	case "b":
-		return fig4Sweep("4b", "rejuvenation duration 1/mu_r (s)", grid(0.1, 50, 9), base,
+		return fig4Sweep("4b", "rejuvenation duration 1/mu_r (s)", sweepGrid(0.1, 50, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.MeanProactiveRejuvenation = x
 				return p
 			}, simCfg, rng)
 	case "c":
-		return fig4Sweep("4c", "mean time to compromise 1/lambda_c (s)", grid(100, 7000, 9), base,
+		return fig4Sweep("4c", "mean time to compromise 1/lambda_c (s)", sweepGrid(100, 7000, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.MeanTimeToCompromise = x
 				return p
 			}, simCfg, rng)
 	case "d":
-		return fig4Sweep("4d", "error dependency alpha", grid(0.1, 1.0, 10), base,
+		return fig4Sweep("4d", "error dependency alpha", sweepGrid(0.1, 1.0, 10), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.Alpha = x
 				return p
 			}, simCfg, rng)
 	case "e":
-		return fig4Sweep("4e", "healthy inaccuracy p", grid(0.01, 0.23, 9), base,
+		return fig4Sweep("4e", "healthy inaccuracy p", sweepGrid(0.01, 0.23, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.P = x
 				return p
 			}, simCfg, rng)
 	case "f":
-		return fig4Sweep("4f", "compromised inaccuracy p'", grid(0.1, 0.6, 9), base,
+		return fig4Sweep("4f", "compromised inaccuracy p'", sweepGrid(0.1, 0.6, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.PPrime = x
 				return p

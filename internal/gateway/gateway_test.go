@@ -97,7 +97,7 @@ func (f *fakeShard) Rejuvenate(string) error { return nil }
 func (f *fakeShard) Compromise(int) error    { return nil }
 func (f *fakeShard) Close()                  {}
 
-func testGateway(t *testing.T, cfg Config, n int) (*Gateway, []*fakeShard) {
+func testGateway(t testing.TB, cfg Config, n int) (*Gateway, []*fakeShard) {
 	t.Helper()
 	gw := New(cfg, nil)
 	shards := make([]*fakeShard, n)

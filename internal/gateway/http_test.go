@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -70,4 +71,63 @@ func TestHTTPClassifyBodyBounds(t *testing.T) {
 			t.Errorf("%s was asked to classify a rejected body", sh.id)
 		}
 	}
+}
+
+// FuzzGatewayHandler is the gateway half of serve's FuzzClassifyHandler: any
+// body under any Content-Type is answered 200 with a decodable answer from a
+// shard of the fleet, or with a JSON error under 400, 413, 429 or 503 —
+// never a 500.
+func FuzzGatewayHandler(f *testing.F) {
+	image, err := json.Marshal(serve.ClassifyRequest{Image: make([]float32, nn.InputChannels*nn.InputSize*nn.InputSize)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct{ contentType, body string }{
+		{"application/json", string(image)},
+		{"", string(image)},
+		{"application/json", `{"class":7,"seed":3}`},
+		{"text/plain", `{"class":7}`},
+		{"application/json", `{"image":[0.5,0.25,1]}`},
+		{"application/json", `{"image":[1e39]}`},
+		{"application/json", `{"image":[NaN]}`},
+		{"application/json", `{"image":[0.5,0.25`},
+		{"application/json", `{"class":`},
+		{"application/json", `[]`},
+		{"application/json", ``},
+		{"application/octet-stream", "\x00\x00\x80\x3f"},
+	} {
+		f.Add(seed.contentType, []byte(seed.body))
+	}
+	gw, shards := testGateway(f, Config{}, 2)
+	h := gw.Handler()
+	f.Fuzz(func(t *testing.T, contentType string, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		r.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("status %d with body %q: not a JSON error (%v)", rec.Code, rec.Body.Bytes(), err)
+			}
+			return
+		default:
+			t.Fatalf("body %q (%s): status %d", body, contentType, rec.Code)
+		}
+		var got serve.ClassifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("200 with body %q: %v", rec.Body.Bytes(), err)
+		}
+		if got.Class != 7 || got.Proposals != 3 {
+			t.Fatalf("body %q: answered %+v, want the fake shards' class 7 from 3 proposals", body, got)
+		}
+		if shard := rec.Header().Get("X-Shard"); shard != shards[0].id && shard != shards[1].id {
+			t.Fatalf("body %q: served by %q, not a shard of the fleet", body, shard)
+		}
+		if _, _, ok := serve.DecodeClassify(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))); !ok {
+			t.Fatalf("body %q answered 200 but does not decode", body)
+		}
+	})
 }

@@ -36,28 +36,49 @@ func TestPipelineInstrumentRecords(t *testing.T) {
 	}
 }
 
-func benchPerceive(b *testing.B, instrument bool) {
+// perceiveLoop returns one Perceive round on a fresh three-version pipeline,
+// instrumented or not, at frame i.
+func perceiveLoop(tb testing.TB, instrument bool) func(i int) {
 	pipe, err := NewPipeline(3, DefaultDetectorParams(), core.Config{DisableFaults: true}, 1, xrand.New(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if instrument {
 		pipe.InstrumentObs(obs.NewRuntime(0))
 	}
 	sc := scene(0, 0, obj(1, 12, 0), obj(2, 30, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		sc.Frame = i
 		sc.Time = float64(i) * 0.05
 		if _, err := pipe.Perceive(sc.Time, sc); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
+// TestPerceiveTelemetryAddsNoAllocs: attaching telemetry costs a round a few
+// timestamp reads and no heap allocation.
+func TestPerceiveTelemetryAddsNoAllocs(t *testing.T) {
+	allocs := func(instrument bool) float64 {
+		round, i := perceiveLoop(t, instrument), 0
+		return testing.AllocsPerRun(200, func() { round(i); i++ })
+	}
+	if plain, instrumented := allocs(false), allocs(true); instrumented != plain {
+		t.Fatalf("Perceive allocates %v per round instrumented, %v without", instrumented, plain)
+	}
+}
+
+func benchPerceive(b *testing.B, instrument bool) {
+	round := perceiveLoop(b, instrument)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+}
+
 // The pair below measures instrumentation overhead: a fixed cost of a few
-// timestamp reads per round (no extra allocations), which vanishes against
-// real inference workloads; the uninstrumented path pays only nil checks.
+// timestamp reads per round, which vanishes against real inference
+// workloads; the uninstrumented path pays only nil checks.
 func BenchmarkPerceiveUninstrumented(b *testing.B) { benchPerceive(b, false) }
 func BenchmarkPerceiveInstrumented(b *testing.B)   { benchPerceive(b, true) }

@@ -81,9 +81,9 @@ go test ./internal/scenario -run TestFalsifierGolden -count=1
 
 # Fuzz smoke: a few seconds per target catches regressions in the voting
 # rules, quantile estimator, RNG stream derivation, the one-pass request
-# decoder (differential against encoding/json), the classify handler's
-# status mapping and the SSE2 output epilogue (against its Go spec) without
-# the cost of a long campaign.
+# decoder (differential against encoding/json), the shard's and the
+# gateway's classify-handler status mapping and the SSE2 output epilogue
+# (against its Go spec) without the cost of a long campaign.
 echo "==> fuzz smoke"
 go test ./internal/core -run '^$' -fuzz '^FuzzVoter$' -fuzztime 5s
 go test ./internal/core -run '^$' -fuzz '^FuzzMedianVoter$' -fuzztime 5s
@@ -93,6 +93,7 @@ go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzEpilogueRow$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzDecodeClassify$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzClassifyHandler$' -fuzztime 5s
+go test ./internal/gateway -run '^$' -fuzz '^FuzzGatewayHandler$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
@@ -111,5 +112,8 @@ printf '%6d  total without ./cmd/mvbench\n' \
 printf '%6d  telemetry set (obs + obs/tsdb + health + telemetry + cmd/mvtrace)\n' \
     "$(for dir in internal/obs internal/obs/tsdb internal/health internal/telemetry cmd/mvtrace; do
         find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l)"
+# The docs: EXPERIMENTS.md is the printout of `mvml tables -all` / `drive -all`
+# and grows by a ledger row per perf change, not by a section.
+printf '%6d  README + DESIGN + EXPERIMENTS\n' "$(cat README.md DESIGN.md EXPERIMENTS.md | wc -l)"
 
 echo "OK"
