@@ -101,9 +101,7 @@ func fastNet(version int, _ *xrand.Rand) (*nn.Network, error) {
 // buildFleet constructs the gateway and its initial shards on rt; the
 // autoscaler spawns further shards with the same configuration. Per-shard
 // health engines are always on: health-aware failover is the point of the
-// gateway, so it is not opt-in. With the tsdb enabled, its p99 recording
-// rule feeds the autoscaler's latency signal instead of the gateway's own
-// window.
+// gateway, so it is not opt-in.
 func (f *fleetFlags) buildFleet(rt *obs.Runtime, stderr io.Writer) (*obs.Runtime, *gateway.Gateway, []*gateway.LocalShard, error) {
 	if rt == nil {
 		// Health engines (the failover signal) ride the span stream, so the
@@ -146,7 +144,6 @@ func (f *fleetFlags) buildFleet(rt *obs.Runtime, stderr io.Writer) (*obs.Runtime
 	if f.autoscale {
 		gw.StartAutoscaler(gateway.AutoscalerConfig{
 			MaxWorkers: f.maxWorkers,
-			P99Source:  f.tele.P99Source(),
 			SpawnShard: spawn,
 			OnEvent: func(ev gateway.ScaleEvent) {
 				fmt.Fprintf(stderr, "mvgateway: autoscale %s shard=%s workers=%d (%s)\n",

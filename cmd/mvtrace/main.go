@@ -7,15 +7,14 @@
 //	mvtrace waterfall -in spans.jsonl            # richest trace, as a tree
 //	mvtrace waterfall -in spans.jsonl -trace 42  # a specific trace id
 //	mvtrace health    -in spans.jsonl            # replay through the health engine
-//	mvtrace dash      -in spans.jsonl            # replay through the tsdb + rules
-//	mvtrace dash      -metrics-addr host:9090    # live: poll /metrics instead
+//	mvtrace dash      -in spans.jsonl            # replay through the tsdb aggregator
 //
 // summary, top and waterfall reconstruct a request's path through admission →
-// queue → batch → per-version forwards → vote → reply; health and dash replay
-// the export through the identical engine, ingester and rule set the live
-// server runs, so they show exactly what the server itself decided (the
-// live == replay contract). health -require-incident and dash
-// -require-exemplars are the CI gates.
+// queue → batch → per-version forwards → vote → reply; health replays the
+// export through the identical engine the live server runs, so it shows
+// exactly what the server itself decided (the live == replay contract), and
+// dash aggregates it into time series with exemplar trace ids. health
+// -require-incident and dash -require-exemplars are the CI gates.
 package main
 
 import (
@@ -38,8 +37,8 @@ const usageText = `usage:
   mvtrace waterfall -in spans.jsonl [-trace N]  text waterfall for one trace
   mvtrace health    -in spans.jsonl [-require-incident]
                                                 health-engine replay: verdict timeline, SLO budgets, online alpha
-  mvtrace dash      -in spans.jsonl [-require-exemplars]   (or -metrics-addr host:port, live)
-                                                tsdb + recording-rule dashboard: rates, slow stages with exemplar traces, incidents
+  mvtrace dash      -in spans.jsonl [-require-exemplars]
+                                                dashboard: rates, slow stages with exemplar traces, incidents
 all but waterfall take -format text|json; run "mvtrace <subcommand> -h" for flags
 `
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -194,25 +195,51 @@ func TestGates(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a bad invocation exits non-zero with the usage text on
-// stderr and nothing on stdout.
+// TestUsageErrors: a bad invocation exits 2 with the usage text on stderr
+// and nothing on stdout.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"frobnicate"},
-		{"dash"}, // neither -in nor -metrics-addr
-		{"dash", "-in", fixturePath, "-metrics-addr", "127.0.0.1:1"},
+		{"dash"}, // no -in
+		{"dash", "-metrics-addr", "x"},
+		{"dash", "-in", fixturePath, "-bucket", "1s"},
+		{"dash", "-in", fixturePath, "-width", "0"},
 		{"summary", "-in", fixturePath, "-format", "xml"},
 		{"health", "-in", fixturePath, "-format", "xml"},
 		{"top", "-in", fixturePath, "-no-such-flag"},
 	} {
 		code, stdout, stderr := runCLI(args...)
-		if code == 0 || stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage") {
-			t.Errorf("mvtrace %v: exit %d, stdout %q, stderr %q; want non-zero with usage on stderr", args, code, stdout, stderr)
+		if code != 2 || stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage") {
+			t.Errorf("mvtrace %v: exit %d, stdout %q, stderr %q; want 2 with usage on stderr", args, code, stdout, stderr)
 		}
 	}
 	// A missing or unreadable export is a failed analysis, not a usage error.
 	if code, _, stderr := runCLI("summary", "-in", filepath.Join(t.TempDir(), "none.jsonl")); code != 1 || stderr == "" {
 		t.Errorf("missing export: exit %d, stderr %q; want 1 with an error", code, stderr)
+	}
+}
+
+// TestDashSizesStoreFromHorizon: a simulated-time export (one DSPN run-end
+// span at t = 5.05e6 s) renders in a few buckets, not one per second of its
+// horizon.
+func TestDashSizesStoreFromHorizon(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dspn.jsonl")
+	span := `{"trace":1,"id":1,"kind":"petri_run_end","start":5050000,"end":5050000}` + "\n"
+	if err := os.WriteFile(path, []byte(span), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dash, err := offline(path, 8, 40)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
+		t.Fatalf("offline allocated %d MB for a one-span export, want < 32 MB", got>>20)
+	}
+	if len(dash.SlowTop) != 1 || dash.Horizon != 5050000 {
+		t.Fatalf("dashboard = %+v, want the one petri_run_end stage over a 5.05e6 s horizon", dash)
 	}
 }

@@ -2,6 +2,7 @@ package mvml_test
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -103,19 +104,23 @@ func goldenNumbers(t *testing.T, names []string) map[string]bool {
 	return set
 }
 
-// testNames returns every Test function declared under dir.
+// testNames returns every Test and Fuzz function declared in a *_test.go
+// file under dir, subdirectories included.
 func testNames(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func (Test[A-Za-z0-9_]+)\(`)
-	for _, f := range files {
-		for _, m := range decl.FindAllStringSubmatch(readFile(t, f), -1) {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)[A-Za-z0-9_]+)\(`)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(readFile(t, path), -1) {
 			names[m[1]] = true
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return names
 }
@@ -223,6 +228,24 @@ func TestDocsCiteOnlyBaselineRows(t *testing.T) {
 			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
 				if sub := rowName.FindStringSubmatch(m[1]); sub != nil && namespaces[sub[1]] && !rows[m[1]] {
 					t.Errorf("%s:%d cites `%s`, which no committed mvbench baseline run reports", doc, n+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+// citedTest matches a code span that is exactly a test or fuzz target name.
+var citedTest = regexp.MustCompile("`((?:Test|Fuzz)[A-Za-z0-9_]*)`")
+
+// TestDocsCiteOnlyExistingTests: every `TestX` or `FuzzX` the docs cite is
+// declared in some *_test.go of the module.
+func TestDocsCiteOnlyExistingTests(t *testing.T) {
+	tests := testNames(t, ".")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		for n, line := range strings.Split(readFile(t, doc), "\n") {
+			for _, m := range citedTest.FindAllStringSubmatch(line, -1) {
+				if !tests[m[1]] {
+					t.Errorf("%s:%d cites `%s`, which no *_test.go declares", doc, n+1, m[1])
 				}
 			}
 		}

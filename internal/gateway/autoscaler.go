@@ -23,13 +23,10 @@ type AutoscalerConfig struct {
 	// (<=0: 0.5 and 0.05).
 	QueueHigh float64
 	QueueLow  float64
-	// P99Target is the routing-latency objective; a p99 above it reads as
-	// pressure even with shallow queues (<=0: 250ms).
+	// P99Target is the routing-latency objective, judged against the p99 of
+	// the gateway's own window of its last 512 routed requests; a p99 above
+	// it reads as pressure even with shallow queues (<=0: 250ms).
 	P99Target time.Duration
-	// P99Source, when set, supplies the p99 latency signal — typically a
-	// tsdb recording rule evaluated over the span stream. A nil source or a
-	// non-positive reading falls back to the gateway's own latency window.
-	P99Source func() time.Duration
 	// UpStreak/DownStreak are how many consecutive pressured (resp. slack)
 	// evaluations trigger a scale-up (resp. scale-down). Scale-up reacts
 	// fast, scale-down hesitates — flapping costs more than idling
@@ -105,6 +102,21 @@ type scaleSignals struct {
 	P99    time.Duration
 }
 
+// pressure classifies one snapshot: the highest queue occupancy among
+// non-draining shards, and whether the snapshot reads as pressure (p99 over
+// target, or a queue at QueueHigh) or as slack (p99 under half the target and
+// every queue at most QueueLow).
+func pressure(cfg AutoscalerConfig, sig scaleSignals) (maxFrac float64, hot, cold bool) {
+	for _, s := range sig.Shards {
+		if !s.Draining && s.QueueFrac > maxFrac {
+			maxFrac = s.QueueFrac
+		}
+	}
+	hot = sig.P99 > cfg.P99Target || maxFrac >= cfg.QueueHigh
+	cold = sig.P99 < cfg.P99Target/2 && maxFrac <= cfg.QueueLow
+	return maxFrac, hot, cold
+}
+
 // scaleAction is a decided (not yet applied) scaling step.
 type scaleAction struct {
 	Kind    string // grow | shrink | spawn | retire | none
@@ -134,11 +146,8 @@ func decide(cfg AutoscalerConfig, sig scaleSignals, upStreak, downStreak int) sc
 	if len(live) == 0 {
 		return scaleAction{Kind: "none"}
 	}
-	maxFrac, hotIdx, coldIdx := 0.0, 0, 0
+	hotIdx, coldIdx := 0, 0
 	for i, s := range live {
-		if s.QueueFrac > maxFrac {
-			maxFrac = s.QueueFrac
-		}
 		if s.QueueFrac > live[hotIdx].QueueFrac {
 			hotIdx = i
 		}
@@ -146,8 +155,7 @@ func decide(cfg AutoscalerConfig, sig scaleSignals, upStreak, downStreak int) sc
 			coldIdx = i
 		}
 	}
-	hot := sig.P99 > cfg.P99Target || maxFrac >= cfg.QueueHigh
-	cold := sig.P99 < cfg.P99Target/2 && maxFrac <= cfg.QueueLow
+	maxFrac, hot, cold := pressure(cfg, sig)
 
 	switch {
 	case hot && upStreak >= cfg.UpStreak:
@@ -250,12 +258,6 @@ func (a *autoscaler) signals() scaleSignals {
 		})
 	}
 	sort.Slice(sig.Shards, func(i, j int) bool { return sig.Shards[i].ID < sig.Shards[j].ID })
-	if a.cfg.P99Source != nil {
-		if p99 := a.cfg.P99Source(); p99 > 0 {
-			sig.P99 = p99
-			return sig
-		}
-	}
 	if lat := g.latencySnapshot(); len(lat) > 0 {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		sig.P99 = stats.NearestRank(lat, 0.99)
@@ -271,19 +273,14 @@ func (a *autoscaler) evaluate() {
 	}
 	// Streaks advance on the raw pressure/slack classification so decide
 	// stays pure; decide sees the post-increment values.
-	maxFrac := 0.0
-	for _, s := range sig.Shards {
-		if !s.Draining && s.QueueFrac > maxFrac {
-			maxFrac = s.QueueFrac
-		}
-	}
-	if sig.P99 > a.cfg.P99Target || maxFrac >= a.cfg.QueueHigh {
+	switch _, hot, cold := pressure(a.cfg, sig); {
+	case hot:
 		a.upStreak++
 		a.downStreak = 0
-	} else if sig.P99 < a.cfg.P99Target/2 && maxFrac <= a.cfg.QueueLow {
+	case cold:
 		a.downStreak++
 		a.upStreak = 0
-	} else {
+	default:
 		a.upStreak, a.downStreak = 0, 0
 	}
 

@@ -126,24 +126,43 @@ func TestDecideSteadyStateDoesNothing(t *testing.T) {
 	}
 }
 
-// TestSignalsPrefersP99Source checks that a configured latency source (the
-// tsdb recording-rule feed) overrides the gateway's own latency window, and
-// that a dead source (<=0 readings) falls back to it.
-func TestSignalsPrefersP99Source(t *testing.T) {
+// TestSignalsP99FromOwnWindow pins the autoscaler's only latency signal:
+// the nearest-rank p99 over the gateway's window of its last 512 routed
+// requests, 0 while the window is empty.
+func TestSignalsP99FromOwnWindow(t *testing.T) {
 	gw := New(Config{}, nil)
 	defer gw.Close()
 	if err := gw.AddShard(newFakeShard("a")); err != nil {
 		t.Fatal(err)
 	}
-	external := 400 * time.Millisecond
-	a := &autoscaler{gw: gw, cfg: AutoscalerConfig{
-		P99Source: func() time.Duration { return external },
-	}.withDefaults()}
-	if got := a.signals().P99; got != 400*time.Millisecond {
-		t.Fatalf("P99 = %v, want the external source's 400ms", got)
-	}
-	external = 0 // source goes quiet: fall back to the local window
+	a := &autoscaler{gw: gw, cfg: AutoscalerConfig{}.withDefaults()}
 	if got := a.signals().P99; got != 0 {
-		t.Fatalf("P99 with quiet source and empty window = %v, want 0", got)
+		t.Fatalf("P99 of an empty window = %v, want 0", got)
+	}
+	// 1ms..100ms in scrambled order: the nearest-rank p99 of 100 is the 99th.
+	for i := 0; i < 100; i++ {
+		gw.recordLatency(time.Duration(1+(i*37)%100) * time.Millisecond)
+	}
+	if got := a.signals().P99; got != 99*time.Millisecond {
+		t.Fatalf("P99 of 1..100ms = %v, want 99ms", got)
+	}
+	// Wrap the ring: 512 fast requests push every earlier one out.
+	for i := 0; i < 512; i++ {
+		gw.recordLatency(time.Millisecond)
+	}
+	if got := a.signals().P99; got != time.Millisecond {
+		t.Fatalf("P99 after the ring wrapped = %v, want 1ms (only the last 512 count)", got)
+	}
+	// The nearest rank of p99 over 512 is the 507th: five slow requests sit
+	// above it, the sixth reaches it.
+	for i := 0; i < 5; i++ {
+		gw.recordLatency(time.Second)
+	}
+	if got := a.signals().P99; got != time.Millisecond {
+		t.Fatalf("P99 with 5 slow of the last 512 = %v, want 1ms", got)
+	}
+	gw.recordLatency(time.Second)
+	if got := a.signals().P99; got != time.Second {
+		t.Fatalf("P99 with 6 slow of the last 512 = %v, want 1s", got)
 	}
 }

@@ -204,7 +204,7 @@ func (f *FlightRecorder) writeLocked(inc *Incident) {
 
 // WriteJSONFile creates path and writes v into it as indented JSON — the one
 // writer behind every telemetry artifact (incident files, the run summary,
-// the health and tsdb reports).
+// the health report).
 func WriteJSONFile(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -183,10 +183,9 @@ func (s *SpanSink) Attach(o SpanObserver) {
 }
 
 // AttachSampled registers o to receive only the spans that survive tail
-// sampling (everything, when no sampler is set). Downstream aggregators that
-// must reproduce identically from a sampled JSONL export — the tsdb span
-// ingester — attach here; true-rate consumers (health engine, flight
-// recorder) use Attach.
+// sampling (everything, when no sampler is set). Aggregators that must
+// reproduce identically from a sampled JSONL export attach here; true-rate
+// consumers (health engine, flight recorder) use Attach.
 func (s *SpanSink) AttachSampled(o SpanObserver) {
 	if s == nil || o == nil {
 		return

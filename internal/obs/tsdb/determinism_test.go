@@ -95,49 +95,48 @@ func TestSamplingDeterminismGolden(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeIngestAndRules hammers one store from three sides at
-// once — span ingestion, registry scraping, rule evaluation — and then
-// checks it still serves consistent queries. Run with -race in CI.
-func TestConcurrentScrapeIngestAndRules(t *testing.T) {
+// TestConcurrentIngestAndSnapshot feeds one ingester from four publishers
+// at once while a reader snapshots and queries the store, then checks that
+// nothing was lost. Run with -race in CI.
+func TestConcurrentIngestAndSnapshot(t *testing.T) {
 	s := New(Config{BucketSeconds: 1, Buckets: 600})
-	reg := obs.NewRegistry()
-	s.Register(reg)
-	rules := NewRules(s, 1, DefaultServingRules())
-	rules.Register(reg)
-	ing := NewIngester(s, rules)
-	sc := NewScraper(s)
-	c := reg.Counter("mv_demo_total")
+	ing := NewIngester(s, nil)
 
+	const publishers = 4
 	var wg sync.WaitGroup
-	wg.Add(3)
+	for w := 0; w < publishers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 120; i += publishers {
+				ing.ObserveSpans(buildTrace(i), 0)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		Replay(demoSpans(), ing)
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			c.Add(3)
-			if err := sc.ScrapeRegistry(reg, float64(i)); err != nil {
-				t.Error(err)
-				return
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			s.Snapshot()
+			s.FamilySumOver(SeriesRequests, 0, 10)
+			for _, ls := range s.LabelSets(SeriesStage) {
+				s.ExemplarNearLabels(SeriesStage, ls, 0.5)
 			}
 		}
 	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			rules.Advance(float64(i) / 20)
-			s.Snapshot()
-		}
-	}()
 	wg.Wait()
+	<-done
 
-	horizon := ing.MaxT() + 1
-	if got := s.FamilySumOver(SeriesRequests, 0, horizon); got != 119 {
+	if got := s.FamilySumOver(SeriesRequests, 0, 10); got != 119 {
 		t.Fatalf("requests after concurrent load = %v, want 119", got)
 	}
-	if got := s.SumOver("mv_demo_total", 0, 100); got != 3*49 {
-		t.Fatalf("scraped counter = %v, want %v", got, 3*49)
+	var observed uint64
+	for _, sv := range s.Snapshot() {
+		if sv.Name == SeriesStage {
+			observed += sv.Count
+		}
+	}
+	if want := uint64(len(demoSpans())); observed != want {
+		t.Fatalf("stage observations = %d, want one per span (%d)", observed, want)
 	}
 }

@@ -6,52 +6,40 @@ import (
 	"mvml/internal/obs"
 )
 
-// Span-derived series names. The mv_tsdb_ prefix marks content that came
-// through the store (as opposed to the live registry's mvserve_*/mvgateway_*
-// families scraped alongside).
+// Span-derived series names.
 const (
-	SeriesRequests  = "mv_tsdb_requests_total"
-	SeriesErrors    = "mv_tsdb_errors_total"
-	SeriesDegraded  = "mv_tsdb_degraded_total"
-	SeriesLifecycle = "mv_tsdb_lifecycle_total"
-	SeriesStage     = "mv_tsdb_stage_latency_seconds"
-	SeriesQueue     = "mv_tsdb_queue_depth"
-	SeriesBatch     = "mv_tsdb_batch_size"
+	SeriesRequests = "mv_tsdb_requests_total"
+	SeriesErrors   = "mv_tsdb_errors_total"
+	SeriesStage    = "mv_tsdb_stage_latency_seconds"
 )
 
-// rootKind reports whether kind is normal serving traffic when seen on a
+// trafficRoot reports whether kind is normal serving traffic when seen on a
 // root span ("request" at a shard, "route" at the gateway).
 func trafficRoot(kind string) bool { return kind == "request" || kind == "route" }
 
 // Ingester aggregates a span stream into a Store: per-stage/per-shard
-// latency histograms with exemplar links, request/error/degraded rates,
-// queue-depth and batch-size streams, and lifecycle counts. It implements
-// obs.SpanObserver and is meant to be attached with SpanSink.AttachSampled,
-// so a store fed live and one replayed from the retained spans.jsonl see
-// the exact same records.
-//
-// The ingester's clock advances only on span end timestamps — never the
-// wall — which is what makes live == replay hold bit-for-bit. After each
-// batch it advances the attached rule engine (if any) to the newest span
-// time seen.
+// latency histograms with exemplar links, and request and error rates. It
+// implements obs.SpanObserver, so a store fed by a sink's sampled stream
+// (SpanSink.AttachSampled) and one replayed from that sink's spans.jsonl see
+// the exact same records. Its clock is the span end timestamps, never the
+// wall.
 type Ingester struct {
 	store *Store
-	rules *Rules // optional; advanced on the span clock
 
 	mu      sync.Mutex
 	shardOf map[uint64]string // trace → shard fallback for shard-less spans
 	fifo    []uint64          // bounded eviction over shardOf
 	next    int
-	maxT    float64
 }
 
 // shardCache bounds the trace → shard fallback memory.
 const shardCache = 4096
 
-// NewIngester returns an ingester writing into store and advancing rules
-// (which may be nil) on the span clock.
-func NewIngester(store *Store, rules *Rules) *Ingester {
-	return &Ingester{store: store, rules: rules,
+// NewIngester returns an ingester writing into store. The second parameter
+// is ignored: it is kept only because the benchmark's probe still passes nil,
+// and goes when that probe does (ROADMAP item 10).
+func NewIngester(store *Store, _ any) *Ingester {
+	return &Ingester{store: store,
 		shardOf: make(map[uint64]string), fifo: make([]uint64, shardCache)}
 }
 
@@ -62,6 +50,7 @@ func (in *Ingester) ObserveSpans(recs []obs.SpanRecord, _ float64) {
 		return
 	}
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	// Pre-scan: a trace's shard is announced by whichever spans carry the
 	// attribute (the root always does in serve/gateway); remember it so
 	// shard-less members of the same trace — including late children in a
@@ -74,9 +63,6 @@ func (in *Ingester) ObserveSpans(recs []obs.SpanRecord, _ float64) {
 	for i := range recs {
 		in.ingest(&recs[i])
 	}
-	maxT := in.maxT
-	in.mu.Unlock()
-	in.rules.Advance(maxT)
 }
 
 // remember caches trace → shard with FIFO eviction. Caller holds in.mu.
@@ -94,64 +80,29 @@ func (in *Ingester) remember(trace uint64, shard string) {
 
 // ingest aggregates one record. Caller holds in.mu.
 func (in *Ingester) ingest(rec *obs.SpanRecord) {
-	if rec.End > in.maxT {
-		in.maxT = rec.End
-	}
 	t := rec.End
 	shard := rec.AttrString("shard")
 	if shard == "" {
 		shard = in.shardOf[rec.Trace]
 	}
-
-	isRoot := rec.Parent == 0
+	kv := []string{"kind", rec.Kind, "shard", shard}
 	switch {
-	case isRoot && trafficRoot(rec.Kind):
-		in.store.Add(SeriesRequests, t, 1, "kind", rec.Kind, "shard", shard)
-		in.store.ObserveEx(SeriesStage, t, rec.Duration(), rec.Trace,
-			"kind", rec.Kind, "shard", shard)
-		if rec.AttrBool("degraded") {
-			in.store.Add(SeriesDegraded, t, 1, "shard", shard)
-		}
-	case isRoot:
-		// Lifecycle / simulation roots: rejuvenation, drain, resize, scale,
-		// shed, ... — rare, always retained by the sampler, each one a
-		// timeline event.
-		in.store.Add(SeriesLifecycle, t, 1, "kind", rec.Kind)
-		in.store.ObserveEx(SeriesStage, t, rec.Duration(), rec.Trace,
-			"kind", rec.Kind, "shard", shard)
-	default:
+	case rec.Parent == 0 && trafficRoot(rec.Kind):
+		in.store.Add(SeriesRequests, t, 1, kv...)
+	case rec.Parent != 0:
 		// Pipeline stage inside a trace. The version label (forwards carry
 		// it) splits per-model-version latency without exploding the rest.
-		kv := []string{"kind", rec.Kind, "shard", shard}
 		if v := rec.AttrString("version"); v != "" {
 			kv = append(kv, "version", v)
 		}
-		in.store.ObserveEx(SeriesStage, t, rec.Duration(), rec.Trace, kv...)
 	}
-
-	if rec.Attrs != nil {
-		if rec.Attrs["error"] != nil {
-			in.store.Add(SeriesErrors, t, 1, "kind", rec.Kind, "shard", shard)
-		}
-		if rec.Kind == "batch" {
-			if d, ok := rec.AttrFloat("queue_depth"); ok {
-				in.store.Set(SeriesQueue, t, d, "shard", shard)
-			}
-			if b, ok := rec.AttrFloat("batch_size"); ok {
-				in.store.Observe(SeriesBatch, t, b, "shard", shard)
-			}
-		}
+	// Every span, root or not, lands in its kind's latency histogram; a
+	// lifecycle or event root (rejuvenation, scale, run_end, ...) is one
+	// observation of its own kind.
+	in.store.ObserveEx(SeriesStage, t, rec.Duration(), rec.Trace, kv...)
+	if rec.Attrs != nil && rec.Attrs["error"] != nil {
+		in.store.Add(SeriesErrors, t, 1, "kind", rec.Kind, "shard", shard)
 	}
-}
-
-// MaxT returns the newest span end time ingested so far.
-func (in *Ingester) MaxT() float64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.maxT
 }
 
 // Replay feeds a JSONL span export through the ingester with the live
@@ -159,8 +110,7 @@ func (in *Ingester) MaxT() float64 {
 // single batches, so runs of consecutive same-trace records are exactly the
 // live batches (a late child merged into an adjacent run aggregates
 // identically — per-record aggregation only consults the shared trace→shard
-// cache). After the final batch the attached rule engine has advanced to the
-// last span time, so the recorded rule series match the live run too.
+// cache).
 func Replay(recs []obs.SpanRecord, in *Ingester) {
 	for i := 0; i < len(recs); {
 		j := i + 1

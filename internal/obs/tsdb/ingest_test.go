@@ -11,40 +11,42 @@ import (
 
 func TestIngesterAggregatesSpanStream(t *testing.T) {
 	s := New(Config{BucketSeconds: 1, Buckets: 120})
-	ing := NewIngester(s, nil)
-	Replay(demoSpans(), ing)
+	Replay(demoSpans(), NewIngester(s, nil))
 
-	horizon := ing.MaxT() + 1
-	reqA := s.SumOver(SeriesRequests, 0, horizon, "kind", "request", "shard", "shard-a")
-	reqB := s.SumOver(SeriesRequests, 0, horizon, "kind", "request", "shard", "shard-b")
+	const horizon = 10
+	reqA := s.SumOverLabels(SeriesRequests, `kind="request",shard="shard-a"`, 0, horizon)
+	reqB := s.SumOverLabels(SeriesRequests, `kind="request",shard="shard-b"`, 0, horizon)
 	if reqA+reqB != 119 { // 120 traces minus the rejuvenation
 		t.Fatalf("requests a+b = %v+%v, want 119", reqA, reqB)
 	}
 	if errs := s.FamilySumOver(SeriesErrors, 0, horizon); errs == 0 {
 		t.Fatal("no errors ingested")
 	}
-	if lc := s.SumOver(SeriesLifecycle, 0, horizon, "kind", "rejuvenation"); lc != 1 {
-		t.Fatalf("lifecycle rejuvenations = %v, want 1", lc)
+	stages := map[string]SeriesView{}
+	for _, sv := range s.Snapshot() {
+		if sv.Name == SeriesStage {
+			stages[sv.Labels] = sv
+		}
 	}
-	if _, ok := s.QuantileOver(SeriesStage, 0, horizon, 0.5, "kind", "forward", "shard", "shard-a", "version", "v0"); !ok {
+	if sv := stages[`kind="rejuvenation",shard=""`]; sv.Count != 1 {
+		t.Fatalf("rejuvenation stage observations = %d, want 1", sv.Count)
+	}
+	if sv := stages[`kind="forward",shard="shard-a",version="v0"`]; sv.Count == 0 {
 		t.Fatal("no per-version forward latency series")
 	}
-	if v, ok := s.LastValue(SeriesQueue, "shard", "shard-a"); !ok || v < 0 {
-		t.Fatalf("queue depth = %v,%v", v, ok)
-	}
 	// Root request latency histograms carry trace exemplars.
-	if ex := s.Exemplars(SeriesStage, "kind", "request", "shard", "shard-a"); len(ex) == 0 {
+	if sv := stages[`kind="request",shard="shard-a"`]; len(sv.Exemplars) == 0 {
 		t.Fatal("no exemplars on request latency")
 	}
 	// A slow trace's exemplar resolves near the tail.
-	if e, ok := s.ExemplarNear(SeriesStage, 0.5, "kind", "request", "shard", "shard-a"); !ok || e.Trace == 0 {
+	if e, ok := s.ExemplarNearLabels(SeriesStage, `kind="request",shard="shard-a"`, 0.5); !ok || e.Trace == 0 {
 		t.Fatalf("tail exemplar = %+v,%v", e, ok)
 	}
 }
 
 // TestLiveEqualsReplay drives a real sink (sampler installed, ingester
 // attached post-sampling, JSONL export on) and then replays the export into
-// a second store: content and recorded rule series must match exactly.
+// a second store: their snapshots must match byte for byte.
 func TestLiveEqualsReplay(t *testing.T) {
 	var jsonl bytes.Buffer
 	sink := obs.NewSpanSink(4096)
@@ -52,9 +54,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 	sink.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.2, Seed: 9}))
 
 	live := New(Config{BucketSeconds: 1, Buckets: 120})
-	liveRules := NewRules(live, 1, DefaultServingRules())
-	liveIng := NewIngester(live, liveRules)
-	sink.AttachSampled(liveIng)
+	sink.AttachSampled(NewIngester(live, nil))
 
 	for i := 0; i < 120; i++ {
 		sink.EmitBatch(buildTrace(i))
@@ -72,23 +72,12 @@ func TestLiveEqualsReplay(t *testing.T) {
 	}
 
 	replay := New(Config{BucketSeconds: 1, Buckets: 120})
-	replayRules := NewRules(replay, 1, DefaultServingRules())
-	Replay(recs, NewIngester(replay, replayRules))
+	Replay(recs, NewIngester(replay, nil))
 
-	var a, b bytes.Buffer
-	if err := live.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("live store != replay store\n--- live ---\n%s\n--- replay ---\n%s", a.String(), b.String())
-	}
-	ja, _ := json.Marshal(BuildReport(live))
-	jb, _ := json.Marshal(BuildReport(replay))
+	ja, _ := json.Marshal(live.Snapshot())
+	jb, _ := json.Marshal(replay.Snapshot())
 	if !bytes.Equal(ja, jb) {
-		t.Fatal("JSON reports diverged between live and replay")
+		t.Fatalf("live store != replay store\n--- live ---\n%s\n--- replay ---\n%s", ja, jb)
 	}
 }
 
@@ -101,8 +90,7 @@ func TestSamplingKeepsEveryIncidentAndSlowTrace(t *testing.T) {
 	sink.SetWriter(&jsonl)
 	sink.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.1, Seed: 1}))
 	store := New(Config{BucketSeconds: 1, Buckets: 120})
-	ing := NewIngester(store, nil)
-	sink.AttachSampled(ing)
+	sink.AttachSampled(NewIngester(store, nil))
 
 	for i := 0; i < 120; i++ {
 		sink.EmitBatch(buildTrace(i))
@@ -127,7 +115,7 @@ func TestSamplingKeepsEveryIncidentAndSlowTrace(t *testing.T) {
 	}
 	// Exemplar link works: a tail exemplar resolves to a retained trace.
 	for _, shard := range []string{"shard-a", "shard-b"} {
-		e, ok := store.ExemplarNear(SeriesStage, 0.5, "kind", "request", "shard", shard)
+		e, ok := store.ExemplarNearLabels(SeriesStage, `kind="request",shard="`+shard+`"`, 0.5)
 		if !ok || !retained[e.Trace] {
 			t.Fatalf("%s: tail exemplar %+v not retained", shard, e)
 		}
@@ -136,17 +124,16 @@ func TestSamplingKeepsEveryIncidentAndSlowTrace(t *testing.T) {
 
 // TestEventSpansOnlyAddTheirOwnSeries pins "no kind collision" for the store:
 // interleaving the zero-duration event kinds (each its own root trace, as
-// emitted) through the recorded stream adds lifecycle/stage series labelled
-// with those kinds and changes nothing else — every other series and every
-// recording rule replays byte-identically.
+// emitted) through the recorded stream adds one stage histogram per event
+// kind and changes nothing else — every other series replays
+// byte-identically.
 func TestEventSpansOnlyAddTheirOwnSeries(t *testing.T) {
 	eventKinds := []string{"voter_skip", "rejuvenation_trigger", "compromise",
 		"perception_skip", "collision", "run_end", "petri_run_end"}
-	replay := func(recs []obs.SpanRecord) *Report {
+	replay := func(recs []obs.SpanRecord) []SeriesView {
 		store := New(Config{BucketSeconds: 1, Buckets: 120})
-		rules := NewRules(store, 1, DefaultServingRules())
-		Replay(recs, NewIngester(store, rules))
-		return BuildReport(store)
+		Replay(recs, NewIngester(store, nil))
+		return store.Snapshot()
 	}
 	var mixed []obs.SpanRecord
 	for i := 0; i < 120; i++ {
@@ -160,27 +147,28 @@ func TestEventSpansOnlyAddTheirOwnSeries(t *testing.T) {
 		}
 	}
 	want := replay(demoSpans())
-	got := replay(mixed)
-	kept := got.Series[:0]
+	var kept []SeriesView
 	added := 0
-	for _, sv := range got.Series {
+	for _, sv := range replay(mixed) {
 		isEvent := false
 		for _, kind := range eventKinds {
 			isEvent = isEvent || strings.Contains(sv.Labels, `kind="`+kind+`"`)
 		}
-		if isEvent {
-			added++
+		if !isEvent {
+			kept = append(kept, sv)
 			continue
 		}
-		kept = append(kept, sv)
+		added++
+		if sv.Name != SeriesStage {
+			t.Errorf("event span wrote %s{%s}, want only its stage histogram", sv.Name, sv.Labels)
+		}
 	}
-	got.Series = kept
-	if added != 2*len(eventKinds) {
-		t.Errorf("%d event-kind series, want a lifecycle count and a stage histogram per kind (%d)", added, 2*len(eventKinds))
+	if added != len(eventKinds) {
+		t.Errorf("%d event-kind series, want one stage histogram per kind (%d)", added, len(eventKinds))
 	}
 	ja, _ := json.Marshal(want)
-	jb, _ := json.Marshal(got)
+	jb, _ := json.Marshal(kept)
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("event spans moved existing series or rules:\n%s\nvs\n%s", jb, ja)
+		t.Fatalf("event spans moved existing series:\n%s\nvs\n%s", jb, ja)
 	}
 }

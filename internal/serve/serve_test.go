@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +130,52 @@ func TestResponsesUnchangedByInstrumentation(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("exposition missing %s:\n%s", want, b.String())
 		}
+	}
+}
+
+// sampledCounter counts the spans a sink hands its post-sampling observers.
+type sampledCounter struct{ n atomic.Uint64 }
+
+func (c *sampledCounter) ObserveSpans(recs []obs.SpanRecord, _ float64) {
+	c.n.Add(uint64(len(recs)))
+}
+
+// TestResponsesUnchangedBySampling extends the determinism guarantee to tail
+// sampling: a server whose sink thins its traces (and feeds the retained ones
+// to a post-sampling observer) answers bitwise identically to a bare one.
+// Telemetry observes; it never decides.
+func TestResponsesUnchangedBySampling(t *testing.T) {
+	rt := obs.NewRuntime(256)
+	rt.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.1, Seed: 42}))
+	sampled := &sampledCounter{}
+	rt.Spans().AttachSampled(sampled)
+
+	bare := newTestServer(t, testConfig(), nil)
+	inst := newTestServer(t, testConfig(), rt)
+
+	const n = 48
+	for i := 0; i < n; i++ {
+		img := testImage(i)
+		a, errA := bare.Classify(img)
+		b, errB := inst.Classify(img)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("request %d: error mismatch %v vs %v", i, errA, errB)
+		}
+		if a.Class != b.Class || a.Degraded != b.Degraded ||
+			a.Agreeing != b.Agreeing || a.Proposals != b.Proposals {
+			t.Fatalf("request %d: answer differs under tail sampling: %+v vs %+v", i, a, b)
+		}
+	}
+
+	// The sampler actually ran: the sink saw every span and handed exactly
+	// the retained subset to its post-sampling observer.
+	sink := rt.Spans()
+	if sink.Published() == 0 {
+		t.Fatal("no spans published")
+	}
+	if sink.Retained() > sink.Published() || sampled.n.Load() != sink.Retained() {
+		t.Fatalf("published %d, retained %d, post-sampling observer saw %d",
+			sink.Published(), sink.Retained(), sampled.n.Load())
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package telemetry is the command-line wiring of the whole telemetry
-// stack — the obs runtime, the streaming health engine and the time-series
-// store — behind one flag struct. It is the one package that imports all
-// three, and it holds nothing else.
+// Package telemetry is the command-line wiring of the running system's
+// telemetry — the obs runtime and the streaming health engine — behind one
+// flag struct. It is the one package that imports both, and it holds nothing
+// else.
 package telemetry
 
 import (
@@ -15,19 +15,17 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
 	"mvml/internal/health"
 	"mvml/internal/obs"
-	"mvml/internal/obs/tsdb"
 )
 
 // Flags is the shared telemetry command line: every instrumented cmd/ binary
 // registers the same flag set, calls Start before its run and Finish after.
 // Telemetry is opt-in — with no artifact or endpoint flag set, Start returns
 // a nil Runtime and the whole stack runs uninstrumented (nil no-op handles);
-// -health and -tsdb ride that runtime and do nothing without it.
+// -health rides that runtime and does nothing without it.
 type Flags struct {
 	// MetricsAddr serves Prometheus text exposition on this address
 	// ("host:port") for the lifetime of the process when non-empty.
@@ -71,22 +69,12 @@ type Flags struct {
 	// JSON (implies Health).
 	HealthReport string
 
-	// Tsdb turns the in-process time-series store on.
-	Tsdb bool
-	// TsdbReport, when non-empty, receives the end-of-run store snapshot as
-	// JSON (implies Tsdb).
-	TsdbReport string
-
 	infoKV    []string
 	rt        *obs.Runtime
 	srv       *http.Server
 	ln        net.Listener
 	spansFile *os.File
 	engine    *health.Engine
-	store     *tsdb.Store
-	scraper   *tsdb.Scraper
-	stop      chan struct{}
-	wg        sync.WaitGroup
 }
 
 // DefaultSummaryPath is where the JSON run summary lands when telemetry is
@@ -97,14 +85,6 @@ const DefaultSummaryPath = "mvml-telemetry.json"
 // go version, binary name, and whatever extra labels the binary added via
 // InfoLabel (e.g. its workers configuration).
 const MetricBuildInfo = "mv_build_info"
-
-// The time-series store's shape. No caller, test, CI step or document ever
-// ran it at another value, so these are not flags.
-const (
-	tsdbBucketSeconds = 1   // bucket width, also the rule evaluation interval (span clock)
-	tsdbBuckets       = 600 // 10 minutes of per-series retention
-	tsdbScrape        = 2 * time.Second
-)
 
 // shutdownGrace bounds how long Finish waits for in-flight scrapes before
 // forcing the metrics endpoint closed.
@@ -143,11 +123,6 @@ func (f *Flags) RegisterFlags(fs *flag.FlagSet) {
 		"SLO error-budget window")
 	fs.StringVar(&f.HealthReport, "health-report", "",
 		"write the end-of-run health report here as JSON (implies -health)")
-
-	fs.BoolVar(&f.Tsdb, "tsdb", false,
-		"collect windowed time-series (spans + registry scrapes) into the in-process store")
-	fs.StringVar(&f.TsdbReport, "tsdb-report", "",
-		"write the end-of-run store snapshot (series, exemplars) here as JSON (implies -tsdb)")
 }
 
 // InfoLabel adds one label pair to the mv_build_info gauge; call before
@@ -181,8 +156,8 @@ func (f *Flags) Options() *health.Options {
 }
 
 // Start builds the Runtime and, when requested, brings up the metrics
-// endpoint, the span exporter, the flight recorder and the time-series
-// store. It returns (nil, nil) when telemetry is disabled.
+// endpoint, the span exporter and the flight recorder. It returns (nil, nil)
+// when telemetry is disabled.
 func (f *Flags) Start() (*obs.Runtime, error) {
 	if !f.Enabled() {
 		return nil, nil
@@ -217,9 +192,6 @@ func (f *Flags) Start() (*obs.Runtime, error) {
 		}
 		f.rt.AttachFlightRecorder(fr)
 	}
-	if f.Tsdb || f.TsdbReport != "" {
-		f.startStore()
-	}
 	if f.MetricsAddr != "" {
 		ln, err := net.Listen("tcp", f.MetricsAddr)
 		if err != nil {
@@ -235,37 +207,6 @@ func (f *Flags) Start() (*obs.Runtime, error) {
 		}
 	}
 	return f.rt, nil
-}
-
-// startStore builds the store, its recording rules and span ingester on the
-// runtime, and starts the registry scrape loop that runs on the wall clock
-// until Finish.
-func (f *Flags) startStore() {
-	reg := f.rt.Metrics()
-	f.store = tsdb.New(tsdb.Config{BucketSeconds: tsdbBucketSeconds, Buckets: tsdbBuckets})
-	f.store.Register(reg)
-	rules := tsdb.NewRules(f.store, tsdbBucketSeconds, tsdb.DefaultServingRules())
-	rules.Register(reg)
-	// Post-sampling attachment: the store aggregates exactly the spans the
-	// JSONL export retains, so an offline replay reproduces it.
-	f.rt.Spans().AttachSampled(tsdb.NewIngester(f.store, rules))
-	f.scraper = tsdb.NewScraper(f.store)
-	f.stop = make(chan struct{})
-	stop, scraper, sink := f.stop, f.scraper, f.rt.Spans()
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		t := time.NewTicker(tsdbScrape)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				_ = scraper.ScrapeRegistry(reg, sink.Now())
-			}
-		}
-	}()
 }
 
 // debugMux routes the metrics endpoint: /metrics for exposition, a plain
@@ -316,24 +257,6 @@ func (f *Flags) Observe(e *health.Engine) {
 	}
 }
 
-// P99Source returns a closure reading the p99 recording rule — the gateway
-// autoscaler's latency signal. Returns nil when the store is disabled, and
-// the closure returns 0 until the rule has a value (callers fall back to
-// their own measurement).
-func (f *Flags) P99Source() func() time.Duration {
-	if f.store == nil {
-		return nil
-	}
-	store := f.store
-	return func() time.Duration {
-		v, ok := store.LastValue(tsdb.RuleP99Latency)
-		if !ok || v <= 0 {
-			return 0
-		}
-		return time.Duration(v * float64(time.Second))
-	}
-}
-
 // writeArtifact writes one JSON artifact and reports where it went.
 func writeArtifact(pkg, what, path string, v any) error {
 	if err := obs.WriteJSONFile(path, v); err != nil {
@@ -343,10 +266,9 @@ func writeArtifact(pkg, what, path string, v any) error {
 	return nil
 }
 
-// Finish prints the final health verdict, stops the scrape loop (after one
-// final scrape, so short runs still land in the store), writes every
-// requested artifact, closes the span exporter and flight recorder, honours
-// -metrics-hold and shuts the endpoint down. Every step is attempted even
+// Finish prints the final health verdict, writes every requested artifact,
+// closes the span exporter and flight recorder, honours -metrics-hold and
+// shuts the endpoint down. Every step is attempted even
 // when an earlier one failed; the first error is returned. extra is embedded
 // verbatim in the summary's "extra" field. Safe to call when telemetry is
 // disabled.
@@ -368,15 +290,6 @@ func (f *Flags) Finish(extra map[string]any) error {
 	}
 	if f.rt == nil {
 		return firstErr
-	}
-	if f.store != nil {
-		close(f.stop)
-		f.wg.Wait()
-		_ = f.scraper.ScrapeRegistry(f.rt.Metrics(), f.rt.Spans().Now())
-		if f.TsdbReport != "" {
-			fail(writeArtifact("tsdb", "store snapshot", f.TsdbReport, tsdb.BuildReport(f.store)))
-		}
-		f.store = nil
 	}
 	if fr := f.rt.Flight(); fr != nil {
 		fail(fr.Close())
