@@ -108,16 +108,12 @@ func (f *fleetFlags) buildFleet(rt *obs.Runtime, stderr io.Writer) (*obs.Runtime
 		// gateway always runs a local runtime even with telemetry flags off.
 		rt = obs.NewRuntime(0)
 	}
-	healthOpts := f.tele.Options()
-	if healthOpts == nil {
-		d := health.DefaultOptions()
-		healthOpts = &d
-	}
+	healthOpts := health.DefaultOptions()
 	gw := gateway.New(gateway.Config{MaxInflight: f.maxInflight, RetryBurst: f.retryBurst}, rt)
 	spawn := func(id string) (gateway.ShardControl, error) {
 		cfg := f.shard
 		cfg.ShardLabel = id
-		cfg.Health = healthOpts
+		cfg.Health = &healthOpts
 		if !f.fullModels {
 			cfg.NewNetwork = fastNet
 			cfg.InjectLayer = 0  // the fast net's only parameterised layer

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"mvml/internal/health"
 	"mvml/internal/reliability"
@@ -38,8 +37,8 @@ func project(alpha float64) projection {
 // budget consumption, detected change-points, the online α trajectory, and a
 // reliability projection that substitutes the measured α into the paper's
 // three-version failure model. Because the engine advances only on span
-// timestamps, the replayed report reproduces exactly what a live engine
-// attached to the same stream decided.
+// timestamps, and its parameters are constants, the replayed report
+// reproduces exactly what a live engine attached to the same stream decided.
 //
 // With -require-incident it fails unless the stream shows a full
 // detected-incident arc: at least one non-healthy incident window, at least
@@ -52,10 +51,6 @@ func cmdHealth(args []string, w, stderr io.Writer) error {
 	format := formatFlag(fs)
 	requireIncident := fs.Bool("require-incident", false,
 		"exit non-zero unless the stream shows an incident window, a rejuvenation, and a final healthy verdict")
-	latencySLO := fs.Duration("latency-slo", 250*time.Millisecond,
-		"per-request latency objective feeding the latency SLO")
-	availability := fs.Float64("availability", 0.99, "availability SLO target in (0,1)")
-	window := fs.Duration("window", 2*time.Minute, "SLO error-budget window")
 	if err := parse(fs, args, format); err != nil {
 		return err
 	}
@@ -64,15 +59,7 @@ func cmdHealth(args []string, w, stderr io.Writer) error {
 		return err
 	}
 
-	opts := health.DefaultOptions()
-	opts.LatencyObjective = latencySLO.Seconds()
-	for i := range opts.Objectives {
-		opts.Objectives[i].Window = window.Seconds()
-		if opts.Objectives[i].Name == "availability" {
-			opts.Objectives[i].Target = *availability
-		}
-	}
-	rep := health.Replay(recs, opts)
+	rep := health.Replay(recs, health.DefaultOptions())
 
 	var proj *projection
 	if rep.AlphaKnown {

@@ -2,12 +2,17 @@ package mvml_test
 
 import (
 	"encoding/json"
+	"flag"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mvml/internal/telemetry"
 )
 
 // EXPERIMENTS.md is the printout of `mvml tables -all -quick` and `mvml drive
@@ -249,5 +254,40 @@ func TestDocsCiteOnlyExistingTests(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// flagCountRE matches the README's stated size of the telemetry flag set.
+var flagCountRE = regexp.MustCompile(`The whole flag set \((\d+);`)
+
+// TestReadmeFlagTableIsTheFlagSet: the README's telemetry table lists
+// exactly the flags telemetry.Flags registers, and its stated count is
+// theirs.
+func TestReadmeFlagTableIsTheFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	new(telemetry.Flags).RegisterFlags(fs)
+	var registered []string
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, "-"+f.Name) })
+
+	section := sections(readFile(t, "README.md"))["Observability"]
+	var documented []string
+	for _, tbl := range tables(section) {
+		if tbl[0][0] != "Flag" {
+			continue
+		}
+		for _, row := range tbl[1:] {
+			documented = append(documented, strings.Trim(row[0], "`"))
+		}
+	}
+	sort.Strings(documented)
+	if strings.Join(documented, " ") != strings.Join(registered, " ") {
+		t.Errorf("README flag table %v, telemetry.Flags registers %v", documented, registered)
+	}
+	m := flagCountRE.FindStringSubmatch(section)
+	if m == nil {
+		t.Fatal("README states no size of the telemetry flag set")
+	}
+	if n, _ := strconv.Atoi(m[1]); n != len(registered) {
+		t.Errorf("README says the flag set has %d flags, telemetry.Flags registers %d", n, len(registered))
 	}
 }

@@ -38,9 +38,8 @@ const (
 // allocation — and, because telemetry only observes, it never consumes xrand
 // draws: instrumented and uninstrumented runs are decision-identical.
 type telemetry struct {
-	reg    *obs.Registry
-	spans  *obs.SpanSink
-	flight *obs.FlightRecorder
+	reg   *obs.Registry
+	spans *obs.SpanSink
 
 	// trace groups every span this System emits; span times are simulated
 	// seconds (the System's clock), not the sink's wall clock.
@@ -69,12 +68,11 @@ type telemetry struct {
 // stateLabel is the exposition value for a module state.
 func stateLabel(s ModuleState) string { return s.String() }
 
-// newTelemetry resolves every handle the system needs from rt (whose flight
-// recorder may be nil: a no-op handle).
+// newTelemetry resolves every handle the system needs from rt.
 func newTelemetry(rt *obs.Runtime, moduleNames []string) *telemetry {
 	reg := rt.Metrics()
 	t := &telemetry{
-		reg: reg, spans: rt.Spans(), flight: rt.Flight(),
+		reg: reg, spans: rt.Spans(),
 		trace:       rt.Spans().NewTraceID(),
 		stateSince:  make([]float64, len(moduleNames)),
 		rejuvStart:  make([]float64, len(moduleNames)),
@@ -145,12 +143,6 @@ func (t *telemetry) transition(now float64, idx int, from, to ModuleState, kind,
 			map[string]any{"module": name})
 		t.rejuvStart[idx] = -1
 	}
-	switch {
-	case kind != "":
-		t.flight.Trigger("rejuvenation_"+kind, map[string]any{"module": name})
-	case to == Compromised:
-		t.flight.Trigger("compromise", map[string]any{"module": name})
-	}
 }
 
 // trigger records a proactive rejuvenation trigger expiry.
@@ -187,13 +179,11 @@ func (t *telemetry) voterOutcome(now float64, d *decisionOutcome) {
 	}
 	// A skip with live proposals is a divergence (the health engine counts
 	// these), one with none a plain voter_skip: a zero-length span marks the
-	// voter round in simulated time either way, and the flight recorder
-	// snapshots the window around a divergence.
+	// voter round in simulated time either way.
 	if d.skipped {
 		attrs := map[string]any{"reason": d.reason, "proposals": d.proposals}
 		if d.proposals > 0 {
 			t.spans.Emit(t.trace, 0, "divergence", now, now, attrs)
-			t.flight.Trigger("divergence", map[string]any{"reason": d.reason})
 		} else {
 			t.spans.Emit(t.trace, 0, "voter_skip", now, now, attrs)
 		}
@@ -218,12 +208,11 @@ type decisionOutcome struct {
 
 // InstrumentObs attaches an obs.Runtime to the system: metrics, the
 // module_state / rejuvenation / divergence / disagreement spans and the
-// voter_skip / rejuvenation_trigger instants (all in simulated seconds), and
-// the runtime's flight recorder fired around compromises, divergences and
-// rejuvenations. A nil Runtime detaches telemetry. The instrumentation is
-// purely observational — it draws nothing from the system's random stream —
-// so it never changes the decision sequence. InstrumentObs is not safe to
-// call concurrently with Infer/Advance.
+// voter_skip / rejuvenation_trigger instants (all in simulated seconds). A
+// nil Runtime detaches telemetry. The instrumentation is purely
+// observational — it draws nothing from the system's random stream — so it
+// never changes the decision sequence. InstrumentObs is not safe to call
+// concurrently with Infer/Advance.
 func (s *System[I, O]) InstrumentObs(rt *obs.Runtime) {
 	if rt == nil {
 		s.tel = nil

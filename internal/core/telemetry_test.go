@@ -1,8 +1,7 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
+	"bytes"
 	"testing"
 
 	"mvml/internal/obs"
@@ -50,10 +49,9 @@ func driveSystem(t *testing.T, sys *System[int, int], steps int) []stepRecord {
 }
 
 // TestInstrumentDoesNotAlterDecisions is the determinism regression test:
-// a run instrumented with the full observability stack (metrics, spans and
-// an attached flight recorder) must produce exactly the decision
-// sequence, stats, and final module states of the uninstrumented run with
-// the same seed.
+// a run instrumented with the full observability stack (metrics and spans)
+// must produce exactly the decision sequence, stats, and final module states
+// of the uninstrumented run with the same seed.
 func TestInstrumentDoesNotAlterDecisions(t *testing.T) {
 	const steps = 2000
 	cfg := CaseStudyConfig()
@@ -69,11 +67,6 @@ func TestInstrumentDoesNotAlterDecisions(t *testing.T) {
 	plain := build()
 	instrumented := build()
 	rt := obs.NewRuntime(1024)
-	fr, err := obs.NewFlightRecorder(t.TempDir(), 0, 0, rt.Spans())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.AttachFlightRecorder(fr)
 	instrumented.InstrumentObs(rt)
 
 	seqA := driveSystem(t, plain, steps)
@@ -93,12 +86,13 @@ func TestInstrumentDoesNotAlterDecisions(t *testing.T) {
 	}
 }
 
-// TestSystemSpanEmission drives a fault-injected run with spans and a
-// flight recorder attached and checks the simulated-clock span stream:
-// module_state intervals on every transition (carrying the transition that
-// closed them), rejuvenation intervals with drain durations, zero-length
-// divergence / voter_skip / rejuvenation_trigger markers, and incident files
-// around compromises / divergences / rejuvenations. Two diverging versions
+// TestSystemSpanEmission drives a fault-injected run with a span export
+// attached and checks the simulated-clock span stream: module_state
+// intervals on every transition (carrying the transition that closed them),
+// rejuvenation intervals with drain durations, and zero-length divergence /
+// voter_skip / rejuvenation_trigger markers. The export alone is the record
+// of every incident: the compromise, the divergence and the reactive
+// rejuvenation each have a span of their own in it. Two diverging versions
 // make every single compromise a 1v1 split, so the run reliably produces
 // divergences.
 func TestSystemSpanEmission(t *testing.T) {
@@ -112,21 +106,26 @@ func TestSystemSpanEmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := obs.NewRuntime(4096)
-	fr, err := obs.NewFlightRecorder(t.TempDir(), 0, 0, rt.Spans())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.AttachFlightRecorder(fr)
+	var export bytes.Buffer
+	rt.Spans().SetWriter(&export)
 	sys.InstrumentObs(rt)
 	driveSystem(t, sys, 3000)
 	st := sys.Stats()
 	if st.Compromises == 0 || st.Divergences == 0 || st.ReactiveRejuvenations == 0 {
 		t.Fatalf("run too quiet to be meaningful: %+v", st)
 	}
+	if err := rt.Spans().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadSpans(&export)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	trace := uint64(0)
 	kinds := map[string]int{}
-	for _, r := range rt.Spans().Spans() {
+	incidents := map[string]int{}
+	for _, r := range recs {
 		kinds[r.Kind]++
 		if trace == 0 {
 			trace = r.Trace
@@ -144,6 +143,12 @@ func TestSystemSpanEmission(t *testing.T) {
 			if r.End < r.Start {
 				t.Fatalf("module_state interval inverted: %+v", r)
 			}
+			if r.AttrString("to") == "C" {
+				incidents["compromise"]++
+			}
+			if r.AttrString("kind") == "reactive" {
+				incidents["rejuvenation_reactive"]++
+			}
 		case "rejuvenation":
 			if r.End <= r.Start {
 				t.Fatalf("rejuvenation span has no drain duration: %+v", r)
@@ -151,6 +156,9 @@ func TestSystemSpanEmission(t *testing.T) {
 		case "divergence", "voter_skip", "rejuvenation_trigger":
 			if r.End != r.Start {
 				t.Fatalf("%s marker not zero-length: %+v", r.Kind, r)
+			}
+			if r.Kind == "divergence" {
+				incidents["divergence"]++
 			}
 		default:
 			t.Fatalf("unexpected span kind %q", r.Kind)
@@ -170,35 +178,14 @@ func TestSystemSpanEmission(t *testing.T) {
 		t.Fatalf("%d voter_skip spans, stats counted %d skips with no proposals",
 			kinds["voter_skip"], st.Skips-st.Divergences)
 	}
-
-	if err := fr.Close(); err != nil {
-		t.Fatal(err)
+	// Every compromise and every reactive rejuvenation is in the export.
+	if incidents["compromise"] != st.Compromises {
+		t.Fatalf("%d compromise transitions exported, stats counted %d", incidents["compromise"], st.Compromises)
 	}
-	reasons := map[string]bool{}
-	for _, path := range fr.Incidents() {
-		reasons[readIncidentReason(t, path)] = true
+	if incidents["rejuvenation_reactive"] != st.ReactiveRejuvenations {
+		t.Fatalf("%d reactive rejuvenation starts exported, stats counted %d",
+			incidents["rejuvenation_reactive"], st.ReactiveRejuvenations)
 	}
-	for _, want := range []string{"compromise", "divergence", "rejuvenation_reactive"} {
-		if !reasons[want] {
-			t.Fatalf("no incident for %q (got %v)", want, reasons)
-		}
-	}
-}
-
-// readIncidentReason extracts the reason field from one incident file.
-func readIncidentReason(t *testing.T, path string) string {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inc struct {
-		Reason string `json:"reason"`
-	}
-	if err := json.Unmarshal(b, &inc); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return inc.Reason
 }
 
 // TestTelemetryMirrorsStats checks the registry counters agree with the

@@ -51,33 +51,44 @@ func (l *Level) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Options parameterises an Engine. Start from DefaultOptions.
-type Options struct {
-	// Objectives are the SLOs to track; empty selects DefaultObjectives.
-	Objectives []Objective
-	// LatencyObjective is the per-request latency threshold (seconds)
-	// feeding the latency SLO: a slower answer spends latency budget.
-	LatencyObjective float64
-	// BucketSeconds is the SLO ring bucket width.
-	BucketSeconds float64
-	// EWMALambda/EWMAZ/Warmup parameterise the per-stream EWMA detectors.
-	EWMALambda float64
-	EWMAZ      float64
-	Warmup     int
-	// CUSUMK/CUSUMH parameterise the queue-depth change-point detector.
-	CUSUMK float64
-	CUSUMH float64
-	// RecoverAfter is how many consecutive clean observations step a
+// The engine's parameters. They are constants, so the live engine and every
+// replay of its export (mvtrace health, mvtrace dash, mvbench) judge with
+// the same numbers.
+const (
+	// latencyObjective is the per-request latency threshold (seconds)
+	// feeding the latency SLO: a slower answer spends latency budget. It is
+	// the tail sampler's "slow", so a request that spends latency budget is
+	// also one the sampler always keeps.
+	latencyObjective = obs.DefaultSlowSeconds
+	// bucketSeconds is the SLO ring bucket width.
+	bucketSeconds = 1
+	// ewmaLambda, ewmaZ and warmup parameterise the per-stream EWMA
+	// detectors (warmup also the queue-depth CUSUM's baseline).
+	ewmaLambda = 0.05
+	ewmaZ      = 6
+	warmup     = 32
+	// cusumK and cusumH parameterise the queue-depth change-point detector.
+	cusumK = 0.5
+	cusumH = 8
+	// recoverAfter is how many consecutive clean observations step a
 	// component's level down by one (hysteresis).
-	RecoverAfter int
-	// MaxTimeline bounds the recorded verdict-transition log.
-	MaxTimeline int
+	recoverAfter = 16
+	// maxTimeline bounds the recorded verdict-transition log.
+	maxTimeline = 4096
+)
+
+// Options selects what an Engine watches. Start from DefaultOptions.
+type Options struct {
 	// ShardFilter, when non-empty, restricts the engine to spans carrying a
 	// matching "shard" attribute. In a multi-shard deployment every shard's
 	// engine rides the same shared span sink; the filter is what keeps each
 	// engine's verdict about its own shard only. Empty observes everything
 	// (the single-server and replay default).
 	ShardFilter string
+
+	// objectives overrides DefaultObjectives; only the package's tests set
+	// it, to shorten the windows of a synthetic stream.
+	objectives []Objective
 }
 
 // DefaultObjectives returns the standard serving objectives: availability
@@ -92,57 +103,9 @@ func DefaultObjectives() []Objective {
 	}
 }
 
-// DefaultOptions returns engine parameters matched to the demo workload.
-func DefaultOptions() Options {
-	return Options{
-		Objectives:       DefaultObjectives(),
-		LatencyObjective: 0.25,
-		BucketSeconds:    1,
-		EWMALambda:       0.05,
-		EWMAZ:            6,
-		Warmup:           32,
-		CUSUMK:           0.5,
-		CUSUMH:           8,
-		RecoverAfter:     16,
-		MaxTimeline:      4096,
-	}
-}
-
-// withDefaults fills zero fields from DefaultOptions.
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if len(o.Objectives) == 0 {
-		o.Objectives = d.Objectives
-	}
-	if o.LatencyObjective <= 0 {
-		o.LatencyObjective = d.LatencyObjective
-	}
-	if o.BucketSeconds <= 0 {
-		o.BucketSeconds = d.BucketSeconds
-	}
-	if o.EWMALambda <= 0 || o.EWMALambda > 1 {
-		o.EWMALambda = d.EWMALambda
-	}
-	if o.EWMAZ <= 0 {
-		o.EWMAZ = d.EWMAZ
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = d.Warmup
-	}
-	if o.CUSUMK <= 0 {
-		o.CUSUMK = d.CUSUMK
-	}
-	if o.CUSUMH <= 0 {
-		o.CUSUMH = d.CUSUMH
-	}
-	if o.RecoverAfter <= 0 {
-		o.RecoverAfter = d.RecoverAfter
-	}
-	if o.MaxTimeline <= 0 {
-		o.MaxTimeline = d.MaxTimeline
-	}
-	return o
-}
+// DefaultOptions returns the options every engine runs with: all shards,
+// the default objectives.
+func DefaultOptions() Options { return Options{} }
 
 // component is one tracked health dimension's state-machine cell.
 type component struct {
@@ -222,13 +185,16 @@ type Engine struct {
 // NewEngine builds an engine publishing mv_health_* gauges into reg (nil
 // reg keeps the engine fully functional with no-op gauges).
 func NewEngine(opts Options, reg *obs.Registry) *Engine {
-	opts = opts.withDefaults()
+	objectives := opts.objectives
+	if objectives == nil {
+		objectives = DefaultObjectives()
+	}
 	e := &Engine{
 		opts:    opts,
 		comps:   map[string]*component{},
-		latency: &EWMA{Lambda: opts.EWMALambda, Z: opts.EWMAZ, Warmup: opts.Warmup},
+		latency: &EWMA{Lambda: ewmaLambda, Z: ewmaZ, Warmup: warmup},
 		stages:  map[string]*EWMA{},
-		queue:   &CUSUM{K: opts.CUSUMK, H: opts.CUSUMH, Warmup: opts.Warmup},
+		queue:   &CUSUM{K: cusumK, H: cusumH, Warmup: warmup},
 		alpha:   NewAlphaEstimator(),
 		reg:     reg,
 	}
@@ -239,8 +205,8 @@ func NewEngine(opts Options, reg *obs.Registry) *Engine {
 	reg.Help("mv_health_anomalies_total", "Anomalous observations flagged per component.")
 	e.alphaGauge = reg.Gauge("mv_health_alpha")
 	e.sloGauges = map[string][3]*obs.Gauge{}
-	for _, obj := range opts.Objectives {
-		e.slos = append(e.slos, newSLOTracker(obj, opts.BucketSeconds))
+	for _, obj := range objectives {
+		e.slos = append(e.slos, newSLOTracker(obj))
 		e.sloGauges[obj.Name] = [3]*obs.Gauge{
 			reg.Gauge("mv_health_budget_remaining", "slo", obj.Name),
 			reg.Gauge("mv_health_burn_rate", "slo", obj.Name, "window", "short"),
@@ -288,7 +254,7 @@ func (e *Engine) clean(name string, t float64) {
 		return
 	}
 	c.cleanStreak++
-	if c.cleanStreak >= e.opts.RecoverAfter {
+	if c.cleanStreak >= recoverAfter {
 		c.cleanStreak = 0
 		e.transition(name, c, c.level-1, t, "recovered")
 	}
@@ -344,7 +310,7 @@ func (e *Engine) record(tr Transition) {
 	if len(e.subs) > 0 {
 		e.pending = append(e.pending, tr)
 	}
-	if len(e.timeline) >= e.opts.MaxTimeline {
+	if len(e.timeline) >= maxTimeline {
 		e.timelineTrunc++
 		return
 	}
@@ -472,7 +438,7 @@ func (e *Engine) observeRequest(rec *obs.SpanRecord, t float64) {
 		case "quality":
 			bad = errAttr || degraded
 		case "latency":
-			bad = !errAttr && d > e.opts.LatencyObjective
+			bad = !errAttr && d > latencyObjective
 		default:
 			bad = errAttr
 		}
@@ -497,7 +463,7 @@ func (e *Engine) observeRequest(rec *obs.SpanRecord, t float64) {
 func (e *Engine) observeStage(rec *obs.SpanRecord, t float64) {
 	det := e.stages[rec.Kind]
 	if det == nil {
-		det = &EWMA{Lambda: e.opts.EWMALambda, Z: e.opts.EWMAZ, Warmup: e.opts.Warmup}
+		det = &EWMA{Lambda: ewmaLambda, Z: ewmaZ, Warmup: warmup}
 		e.stages[rec.Kind] = det
 	}
 	if z, anom := det.Observe(rec.Duration()); anom {

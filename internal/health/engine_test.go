@@ -58,14 +58,15 @@ func (b *streamBuilder) trigger(t float64, version string, rate float64) {
 	b.span("rejuvenation_trigger", t, t, map[string]any{"version": version, "rate": rate})
 }
 
-// testOptions uses SLO windows short enough that the synthetic incident
-// both alerts and fully recovers within the stream.
+// testEngineOptions uses SLO windows short enough that the synthetic
+// incident both alerts and fully recovers within the stream.
 func testEngineOptions() Options {
 	opts := DefaultOptions()
-	for i := range opts.Objectives {
-		opts.Objectives[i].Window = 10
-		opts.Objectives[i].ShortWindow = 1
-		opts.Objectives[i].LongWindow = 3
+	opts.objectives = DefaultObjectives()
+	for i := range opts.objectives {
+		opts.objectives[i].Window = 10
+		opts.objectives[i].ShortWindow = 1
+		opts.objectives[i].LongWindow = 3
 	}
 	return opts
 }
@@ -233,7 +234,7 @@ func TestSuppressRejuvenation(t *testing.T) {
 		switch {
 		case i < 40:
 			return 2
-		case i < 40+1+testEngineOptions().Warmup:
+		case i < 40+1+warmup:
 			return 60
 		default:
 			return 300

@@ -32,9 +32,8 @@ type sloBucket struct {
 // allocation, and the whole structure is deterministic in the observed
 // (time, bad) sequence.
 type sloTracker struct {
-	obj   Objective
-	width float64 // bucket width in seconds
-	ring  []sloBucket
+	obj  Objective
+	ring []sloBucket // buckets of bucketSeconds each
 
 	totalGood, totalBad uint64
 	lastT               float64
@@ -42,15 +41,12 @@ type sloTracker struct {
 	alerts              int // rising edges of the burn alert
 }
 
-func newSLOTracker(obj Objective, bucketSeconds float64) *sloTracker {
-	if bucketSeconds <= 0 {
-		bucketSeconds = 1
-	}
+func newSLOTracker(obj Objective) *sloTracker {
 	n := int(math.Ceil(obj.Window/bucketSeconds)) + 1
 	if n < 2 {
 		n = 2
 	}
-	t := &sloTracker{obj: obj, width: bucketSeconds, ring: make([]sloBucket, n)}
+	t := &sloTracker{obj: obj, ring: make([]sloBucket, n)}
 	for i := range t.ring {
 		t.ring[i].start = -1
 	}
@@ -65,8 +61,8 @@ func (t *sloTracker) record(ts float64, bad bool) {
 	if ts > t.lastT {
 		t.lastT = ts
 	}
-	start := math.Floor(ts/t.width) * t.width
-	b := &t.ring[int(ts/t.width)%len(t.ring)]
+	start := math.Floor(ts/bucketSeconds) * bucketSeconds
+	b := &t.ring[int(ts/bucketSeconds)%len(t.ring)]
 	if b.start != start {
 		// Ring wrapped onto a stale bucket: evict it.
 		b.start, b.good, b.bad = start, 0, 0
@@ -90,7 +86,7 @@ func (t *sloTracker) record(ts float64, bad bool) {
 func (t *sloTracker) windowCounts(now, window float64) (good, bad uint64) {
 	lo := now - window
 	for _, b := range t.ring {
-		if b.start < 0 || b.start+t.width <= lo || b.start > now {
+		if b.start < 0 || b.start+bucketSeconds <= lo || b.start > now {
 			continue
 		}
 		good += b.good

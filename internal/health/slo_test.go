@@ -13,7 +13,7 @@ func testObjective() Objective {
 }
 
 func TestSLOTrackerBudget(t *testing.T) {
-	tr := newSLOTracker(testObjective(), 1)
+	tr := newSLOTracker(testObjective())
 	// 90 good + 10 bad over the window: budget exactly spent.
 	for i := 0; i < 100; i++ {
 		tr.record(float64(i), i%10 == 0)
@@ -28,7 +28,7 @@ func TestSLOTrackerBudget(t *testing.T) {
 }
 
 func TestSLOTrackerCleanStream(t *testing.T) {
-	tr := newSLOTracker(testObjective(), 1)
+	tr := newSLOTracker(testObjective())
 	for i := 0; i < 50; i++ {
 		tr.record(float64(i), false)
 	}
@@ -42,7 +42,7 @@ func TestSLOTrackerCleanStream(t *testing.T) {
 }
 
 func TestSLOTrackerBurnRateAndAlert(t *testing.T) {
-	tr := newSLOTracker(testObjective(), 1)
+	tr := newSLOTracker(testObjective())
 	// Healthy baseline, long enough to cover the long window.
 	for i := 0; i < 60; i++ {
 		tr.record(float64(i), false)
@@ -87,7 +87,7 @@ func TestSLOTrackerBurnRateAndAlert(t *testing.T) {
 }
 
 func TestSLOTrackerRingEviction(t *testing.T) {
-	tr := newSLOTracker(testObjective(), 1)
+	tr := newSLOTracker(testObjective())
 	// Errors early on, then a window-length of clean traffic: the stale
 	// buckets must age out of the budget window.
 	for i := 0; i < 20; i++ {
@@ -107,7 +107,7 @@ func TestSLOTrackerRingEviction(t *testing.T) {
 }
 
 func TestSLOTrackerEmptyWindow(t *testing.T) {
-	tr := newSLOTracker(testObjective(), 1)
+	tr := newSLOTracker(testObjective())
 	if got := tr.budgetRemaining(0); got != 1 {
 		t.Fatalf("empty tracker budget %v, want 1", got)
 	}

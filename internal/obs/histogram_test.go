@@ -165,7 +165,7 @@ func TestNilHandlesNoOp(t *testing.T) {
 		t.Fatal("nil sink Flush should be a no-op")
 	}
 	var rt *Runtime
-	if rt.Metrics() != nil || rt.Spans() != nil || rt.Flight() != nil {
+	if rt.Metrics() != nil || rt.Spans() != nil {
 		t.Fatal("nil runtime must expose nil handles")
 	}
 }

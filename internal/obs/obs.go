@@ -21,14 +21,18 @@
 //     flow.)
 package obs
 
+import (
+	"encoding/json"
+	"os"
+)
+
 // Runtime bundles a metrics registry and a span sink — the pair every
 // instrumented component accepts. A nil *Runtime is valid and yields nil
 // (no-op) handles, so callers can thread cfg.Obs.Metrics()/cfg.Obs.Spans()
 // unconditionally.
 type Runtime struct {
-	reg    *Registry
-	spans  *SpanSink
-	flight *FlightRecorder
+	reg   *Registry
+	spans *SpanSink
 }
 
 // DefaultTraceCapacity is the ring-buffer size used when NewRuntime is
@@ -92,21 +96,19 @@ func (r *Runtime) Spans() *SpanSink {
 	return r.spans
 }
 
-// Flight returns the attached flight recorder, or nil when none is attached
-// (or for a nil Runtime).
-func (r *Runtime) Flight() *FlightRecorder {
-	if r == nil {
-		return nil
+// WriteJSONFile creates path and writes v into it as indented JSON — the one
+// writer behind every telemetry artifact (the run summary, the health
+// report).
+func WriteJSONFile(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return r.flight
-}
-
-// AttachFlightRecorder wires fr into the runtime: accessible via Flight and
-// fed by the span sink.
-func (r *Runtime) AttachFlightRecorder(fr *FlightRecorder) {
-	if r == nil || fr == nil {
-		return
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(v)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	r.flight = fr
-	r.spans.Attach(fr)
+	return err
 }

@@ -12,8 +12,8 @@ import (
 
 // SpanRecord is one finished span: a named interval on the sink's clock,
 // linked into a trace by parent/child ids. Records are what the ring buffer
-// retains, what the JSONL exporter writes, and what the flight recorder
-// snapshots — a live Span is just a builder for one of these.
+// retains and what the JSONL exporter writes — a live Span is just a builder
+// for one of these.
 type SpanRecord struct {
 	// Trace groups every span of one logical operation (e.g. one served
 	// request); ids are unique per sink, never zero.
@@ -91,16 +91,15 @@ func (r SpanRecord) AttrStrings(key string) []string {
 // sink's own lock is released. Observers must take their own locks; the sink
 // guarantees the lock order sink → observer (it never calls an observer with
 // its lock held), so an observer may snapshot the sink from inside
-// ObserveSpans. The flight recorder and the health engine are the two
-// in-tree observers.
+// ObserveSpans. The health engine is the in-tree observer.
 type SpanObserver interface {
 	ObserveSpans(recs []SpanRecord, now float64)
 }
 
 // SpanSink collects finished spans. It keeps the newest `capacity` records
-// in a ring buffer (the flight recorder's pre-trigger window), optionally
-// streams every record to a JSONL writer, and notifies attached
-// SpanObservers (flight recorder, health engine) as records are published.
+// in a ring buffer, optionally streams every record to a JSONL writer (the
+// one record of a run), and notifies attached SpanObservers (the health
+// engine) as records are published.
 //
 // A nil *SpanSink is a valid no-op handle: every method does nothing and
 // StartTrace returns a nil (no-op) Span, so instrumented code needs no
@@ -185,7 +184,7 @@ func (s *SpanSink) Attach(o SpanObserver) {
 // AttachSampled registers o to receive only the spans that survive tail
 // sampling (everything, when no sampler is set). Aggregators that must
 // reproduce identically from a sampled JSONL export attach here; true-rate
-// consumers (health engine, flight recorder) use Attach.
+// consumers (the health engine) use Attach.
 func (s *SpanSink) AttachSampled(o SpanObserver) {
 	if s == nil || o == nil {
 		return

@@ -454,10 +454,9 @@ const (
 // InstrumentObs attaches an obs.Runtime to the pipeline and its underlying
 // multi-version system: per-version inference latency histograms, voter and
 // rejuvenation counters, module_state / rejuvenation / divergence spans in
-// simulated seconds and the runtime's flight recorder (see
-// core.System.InstrumentObs), plus pipeline-level perceive latency/skip
-// series. A nil Runtime detaches telemetry; telemetry never consumes xrand
-// draws, so instrumented runs stay decision-identical.
+// simulated seconds (see core.System.InstrumentObs), plus pipeline-level
+// perceive latency/skip series. A nil Runtime detaches telemetry; telemetry
+// never consumes xrand draws, so instrumented runs stay decision-identical.
 func (p *Pipeline) InstrumentObs(rt *obs.Runtime) {
 	p.sys.InstrumentObs(rt)
 	reg := rt.Metrics()

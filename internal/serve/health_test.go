@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -258,4 +261,73 @@ func TestReactiveTriggerIndependentOfTelemetry(t *testing.T) {
 			t.Errorf("%s: answers differ from the bare server's", tc.name)
 		}
 	}
+}
+
+// TestServerHealthEqualsReplayOfItsExport: the engine a server runs live and
+// `health.Replay` over that server's span export (sample rate 1) judge the
+// same stream with the same constants, so they reach the same verdict,
+// incident windows and SLO statuses through one compromise and its reactive
+// rejuvenation. Transitions are compared as a multiset: within one trace the
+// live engine sees spans in record order, the replay in end-time order.
+func TestServerHealthEqualsReplayOfItsExport(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	var export bytes.Buffer
+	rt.Spans().SetWriter(&export)
+	cfg := healthTestConfig()
+	cfg.DivergenceWindow = 8
+	cfg.DivergenceThreshold = 0.5
+	s := newTestServer(t, cfg, rt)
+	if err := s.Compromise(1); err != nil {
+		t.Fatal(err)
+	}
+	reactive := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", RejuvReactive)
+	if !classifyUntil(t, s, 500, func(Result) bool { return reactive.Value() > 0 }) {
+		t.Fatalf("reactive trigger never fired (divergence %v)", s.pools[1].divergenceRate())
+	}
+	if !classifyUntil(t, s, 200, func(res Result) bool { return res.Agreeing == 3 }) {
+		t.Fatal("version still diverging after reactive rejuvenation")
+	}
+	for s.reactivePending.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.Close() // the batcher publishes the last trace after its reply
+	if err := rt.Spans().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadSpans(&export)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live := s.Health().Report()
+	replay := health.Replay(recs, health.DefaultOptions())
+	if live.Spans != uint64(len(recs)) || replay.Spans != live.Spans {
+		t.Fatalf("live engine saw %d spans, export holds %d, replay saw %d", live.Spans, len(recs), replay.Spans)
+	}
+	if live.Final.Overall != replay.Final.Overall {
+		t.Errorf("final verdict: live %s, replay %s", live.Final.Overall, replay.Final.Overall)
+	}
+	if !reflect.DeepEqual(live.Incidents, replay.Incidents) {
+		t.Errorf("incident windows: live %+v, replay %+v", live.Incidents, replay.Incidents)
+	}
+	if !reflect.DeepEqual(live.Final.SLOs, replay.Final.SLOs) {
+		t.Errorf("SLO statuses: live %+v, replay %+v", live.Final.SLOs, replay.Final.SLOs)
+	}
+	if a, b := transitionSet(live.Timeline), transitionSet(replay.Timeline); a != b {
+		t.Errorf("transitions: live\n%s\nreplay\n%s", a, b)
+	}
+	if len(live.Rejuvenations) == 0 {
+		t.Fatal("live engine saw no rejuvenation")
+	}
+}
+
+// transitionSet renders a timeline as a sorted multiset, one line per
+// transition.
+func transitionSet(tl []health.Transition) string {
+	lines := make([]string, len(tl))
+	for i, tr := range tl {
+		lines[i] = fmt.Sprintf("%.9f %s %s→%s %s", tr.T, tr.Component, tr.From, tr.To, tr.Reason)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,5 +181,54 @@ func TestHTTPAdminRejuvenateAndCompromise(t *testing.T) {
 	res, err := s.Classify(testImage(1))
 	if err != nil || res.Agreeing != 3 {
 		t.Fatalf("post-admin classify: res=%+v err=%v", res, err)
+	}
+}
+
+// TestSlowLorisClosedByReadHeaderTimeout: against a real listener, a client
+// that sends a partial header and never finishes it is disconnected within
+// ReadHeaderTimeout (plus slack), while a well-formed classify request sent
+// meanwhile is answered.
+func TestSlowLorisClosedByReadHeaderTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the server's ReadHeaderTimeout")
+	}
+	s := newTestServer(t, testConfig(), nil)
+	srv := NewHTTPServer(s.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+
+	// The server arms the header deadline after it accepts, so the
+	// connection cannot close before dialled + ReadHeaderTimeout.
+	dialled := time.Now()
+	loris, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loris.Close()
+	if _, err := loris.Write([]byte("POST /v1/classify HTTP/1.1\r\nHost: mvserve\r\nContent-Type: application/json\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Now()
+
+	resp := postJSON(t, "http://"+ln.Addr().String()+"/v1/classify", ClassifyRequest{Class: ptr(7), Seed: 1})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed request beside a slow loris: status %d, want 200", resp.StatusCode)
+	}
+
+	limit := srv.ReadHeaderTimeout + 2*time.Second
+	if err := loris.SetReadDeadline(sent.Add(limit)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(loris)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("slow-loris connection still open %v after its partial header", limit)
+	}
+	if waited := time.Since(dialled); waited < srv.ReadHeaderTimeout {
+		t.Fatalf("slow-loris connection closed after %v, before ReadHeaderTimeout %v", waited, srv.ReadHeaderTimeout)
 	}
 }

@@ -20,7 +20,6 @@ type metrics struct {
 
 	reg     *obs.Registry
 	spans   *obs.SpanSink
-	flight  *obs.FlightRecorder
 	profile bool
 
 	// shard is the server's shard label ("" standalone); shardAttrs is a
@@ -39,7 +38,6 @@ func newMetrics(rt *obs.Runtime, profile bool, shard string) *metrics {
 	if rt != nil {
 		m.reg = rt.Metrics()
 		m.spans = rt.Spans()
-		m.flight = rt.Flight()
 		m.profile = profile
 	}
 	r := m.reg // nil registry hands out nil (no-op) handles
@@ -78,12 +76,6 @@ func (m *metrics) rejuvenations(kind string) *obs.Counter {
 // divergence resolves the per-version divergence counter.
 func (m *metrics) divergence(version string) *obs.Counter {
 	return m.reg.Counter("mvserve_divergence_total", "version", version)
-}
-
-// incident fires the flight recorder (a no-op when none is attached): the
-// window around reason is captured into a standalone incident file.
-func (m *metrics) incident(reason string, attrs map[string]any) {
-	m.flight.Trigger(reason, attrs)
 }
 
 // layerProfiler adapts the obs registry to nn.ForwardProfiler for one

@@ -497,15 +497,13 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 	if err != nil {
 		return fmt.Errorf("serve: rejuvenating %s: %w", p.name, err)
 	}
-	attrs := map[string]any{
-		"version": p.name, "kind": kind,
-		"drain_ms": float64(time.Since(start)) / float64(time.Millisecond),
-	}
 	// The span covers drain → restore → reinstate; request traces proceed
 	// concurrently on the other versions.
-	s.lifecycle("rejuvenation", t0, s.m.spans.Now(), attrs)
+	s.lifecycle("rejuvenation", t0, s.m.spans.Now(), map[string]any{
+		"version": p.name, "kind": kind,
+		"drain_ms": float64(time.Since(start)) / float64(time.Millisecond),
+	})
 	s.m.rejuvenations(kind).Inc()
-	s.m.incident("rejuvenation_"+kind, attrs)
 	return nil
 }
 
@@ -526,7 +524,6 @@ func (s *Server) Compromise(v int) error {
 	}
 	now := s.m.spans.Now()
 	s.lifecycle("compromise", now, now, map[string]any{"version": p.name})
-	s.m.incident("compromise", map[string]any{"version": p.name})
 	return nil
 }
 
@@ -697,10 +694,9 @@ func (s *Server) maybeReact() {
 			continue
 		}
 		if s.reactivePending.CompareAndSwap(false, true) {
-			attrs := map[string]any{"version": p.name, "rate": p.divergenceRate()}
 			now := s.m.spans.Now()
-			s.lifecycle("rejuvenation_trigger", now, now, attrs)
-			s.m.incident("divergence", attrs)
+			s.lifecycle("rejuvenation_trigger", now, now,
+				map[string]any{"version": p.name, "rate": p.divergenceRate()})
 			go func(v int) {
 				defer s.reactivePending.Store(false)
 				_ = s.Rejuvenate(v, RejuvReactive)

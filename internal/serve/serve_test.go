@@ -87,16 +87,10 @@ func TestClassifyRejectsBadImage(t *testing.T) {
 
 // TestResponsesUnchangedByInstrumentation is the determinism guarantee the
 // telemetry layer promises: the same request sequence against a fully
-// instrumented server (metrics, spans, per-layer profiler AND an
-// attached flight recorder) and an uninstrumented one yields identical
-// answers.
+// instrumented server (metrics, spans and the per-layer profiler) and an
+// uninstrumented one yields identical answers.
 func TestResponsesUnchangedByInstrumentation(t *testing.T) {
 	rt := obs.NewRuntime(64)
-	fr, err := obs.NewFlightRecorder(t.TempDir(), time.Minute, 0, rt.Spans())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.AttachFlightRecorder(fr)
 	instCfg := testConfig()
 	instCfg.ProfileLayers = true
 	bare := newTestServer(t, testConfig(), nil)

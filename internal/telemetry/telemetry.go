@@ -34,22 +34,12 @@ type Flags struct {
 	// DefaultSummaryPath when telemetry is enabled by another flag.
 	SummaryPath string
 	// SpansPath streams every retained span as JSONL for the lifetime of the
-	// run (the input of cmd/mvtrace).
+	// run (the input of cmd/mvtrace): the one record of every compromise,
+	// divergence and rejuvenation.
 	SpansPath string
-	// IncidentDir enables the flight recorder: the window around every
-	// divergence, compromise and rejuvenation is written there as a
-	// self-contained JSON incident file.
-	IncidentDir string
-	// IncidentPost is the flight recorder's post-trigger capture horizon.
-	IncidentPost time.Duration
-	// TraceCapacity bounds the span ring buffer.
-	TraceCapacity int
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the metrics
 	// endpoint (requires MetricsAddr).
 	Pprof bool
-	// Hold keeps the metrics endpoint up for this long after Finish, so
-	// short runs can still be scraped.
-	Hold time.Duration
 	// SampleRate < 1 enables tail-based trace sampling: error/slow/lifecycle
 	// traces are always retained, plus this fraction of normal traffic.
 	SampleRate float64
@@ -58,15 +48,8 @@ type Flags struct {
 
 	// Health turns the streaming health engine on.
 	Health bool
-	// LatencySLO is the per-request latency objective.
-	LatencySLO time.Duration
-	// Availability is the availability SLO target (fraction of requests
-	// answered at all).
-	Availability float64
-	// Window is the SLO error-budget window.
-	Window time.Duration
 	// HealthReport, when non-empty, receives the end-of-run health report as
-	// JSON (implies Health).
+	// JSON (implies Health, and enables telemetry).
 	HealthReport string
 
 	infoKV    []string
@@ -98,16 +81,8 @@ func (f *Flags) RegisterFlags(fs *flag.FlagSet) {
 		fmt.Sprintf("write the JSON telemetry summary here and enable telemetry (default %s when another telemetry flag is set)", DefaultSummaryPath))
 	fs.StringVar(&f.SpansPath, "spans-out", "",
 		"stream the JSONL span trace here and enable telemetry (analyse with mvtrace)")
-	fs.StringVar(&f.IncidentDir, "incident-dir", "",
-		"write flight-recorder incident files into this directory and enable telemetry")
-	fs.DurationVar(&f.IncidentPost, "incident-post", obs.DefaultPostWindow,
-		"flight-recorder post-trigger capture window")
-	fs.IntVar(&f.TraceCapacity, "trace-capacity", obs.DefaultTraceCapacity,
-		"span ring buffer capacity")
 	fs.BoolVar(&f.Pprof, "pprof", false,
 		"mount net/http/pprof under /debug/pprof/ on the metrics endpoint")
-	fs.DurationVar(&f.Hold, "metrics-hold", 0,
-		"keep the metrics endpoint up this long after the run finishes")
 	fs.Float64Var(&f.SampleRate, "sample-rate", 1,
 		"tail-sampling retention rate for normal traces in [0,1); 1 records everything (error/slow/lifecycle traces are always retained)")
 	fs.Uint64Var(&f.SampleSeed, "sample-seed", 0,
@@ -115,14 +90,8 @@ func (f *Flags) RegisterFlags(fs *flag.FlagSet) {
 
 	fs.BoolVar(&f.Health, "health", false,
 		"attach the streaming health engine (SLO budgets, anomaly detection, online alpha) to the span stream")
-	fs.DurationVar(&f.LatencySLO, "health-latency-slo", 250*time.Millisecond,
-		"per-request latency objective feeding the latency SLO")
-	fs.Float64Var(&f.Availability, "health-availability", 0.99,
-		"availability SLO target in (0,1)")
-	fs.DurationVar(&f.Window, "health-window", 2*time.Minute,
-		"SLO error-budget window")
 	fs.StringVar(&f.HealthReport, "health-report", "",
-		"write the end-of-run health report here as JSON (implies -health)")
+		"write the end-of-run health report here as JSON (implies -health) and enable telemetry")
 }
 
 // InfoLabel adds one label pair to the mv_build_info gauge; call before
@@ -133,31 +102,25 @@ func (f *Flags) InfoLabel(key, value string) {
 
 // Enabled reports whether any flag turns collection on.
 func (f *Flags) Enabled() bool {
-	return f.MetricsAddr != "" || f.SummaryPath != "" || f.SpansPath != "" || f.IncidentDir != ""
+	return f.MetricsAddr != "" || f.SummaryPath != "" || f.SpansPath != "" || f.HealthReport != ""
 }
 
-// Options materialises the health engine options from the flags, or nil when
-// the engine is disabled. Serving binaries hand them to serve.Config (the
-// server owns its engine, filtered to its shard) and Observe the result; the
-// others call AttachEngine.
+// Options returns the health engine options when the engine is on (the
+// defaults: the engine's parameters are constants, shared with every replay
+// of the export), or nil when it is off. Serving binaries hand them to
+// serve.Config (the server owns its engine, filtered to its shard) and
+// Observe the result; the others call AttachEngine.
 func (f *Flags) Options() *health.Options {
 	if !f.Health && f.HealthReport == "" {
 		return nil
 	}
 	opts := health.DefaultOptions()
-	opts.LatencyObjective = f.LatencySLO.Seconds()
-	for i := range opts.Objectives {
-		opts.Objectives[i].Window = f.Window.Seconds()
-		if opts.Objectives[i].Name == "availability" {
-			opts.Objectives[i].Target = f.Availability
-		}
-	}
 	return &opts
 }
 
 // Start builds the Runtime and, when requested, brings up the metrics
-// endpoint, the span exporter and the flight recorder. It returns (nil, nil)
-// when telemetry is disabled.
+// endpoint and the span exporter. It returns (nil, nil) when telemetry is
+// disabled.
 func (f *Flags) Start() (*obs.Runtime, error) {
 	if !f.Enabled() {
 		return nil, nil
@@ -165,7 +128,7 @@ func (f *Flags) Start() (*obs.Runtime, error) {
 	if f.SummaryPath == "" {
 		f.SummaryPath = DefaultSummaryPath
 	}
-	f.rt = obs.NewRuntime(f.TraceCapacity)
+	f.rt = obs.NewRuntime(0)
 	reg := f.rt.Metrics()
 	reg.Help(MetricBuildInfo, "Constant 1; labels identify the emitting binary and its configuration.")
 	reg.Gauge(MetricBuildInfo, append([]string{
@@ -184,13 +147,6 @@ func (f *Flags) Start() (*obs.Runtime, error) {
 		}
 		f.spansFile = file
 		f.rt.Spans().SetWriter(file)
-	}
-	if f.IncidentDir != "" {
-		fr, err := obs.NewFlightRecorder(f.IncidentDir, f.IncidentPost, 0, f.rt.Spans())
-		if err != nil {
-			return nil, err
-		}
-		f.rt.AttachFlightRecorder(fr)
 	}
 	if f.MetricsAddr != "" {
 		ln, err := net.Listen("tcp", f.MetricsAddr)
@@ -267,11 +223,10 @@ func writeArtifact(pkg, what, path string, v any) error {
 }
 
 // Finish prints the final health verdict, writes every requested artifact,
-// closes the span exporter and flight recorder, honours -metrics-hold and
-// shuts the endpoint down. Every step is attempted even
-// when an earlier one failed; the first error is returned. extra is embedded
-// verbatim in the summary's "extra" field. Safe to call when telemetry is
-// disabled.
+// closes the span exporter and shuts the endpoint down. Every step is
+// attempted even when an earlier one failed; the first error is returned.
+// extra is embedded verbatim in the summary's "extra" field. Safe to call
+// when telemetry is disabled.
 func (f *Flags) Finish(extra map[string]any) error {
 	var firstErr error
 	fail := func(err error) {
@@ -290,12 +245,6 @@ func (f *Flags) Finish(extra map[string]any) error {
 	}
 	if f.rt == nil {
 		return firstErr
-	}
-	if fr := f.rt.Flight(); fr != nil {
-		fail(fr.Close())
-		if n := len(fr.Incidents()); n > 0 {
-			fmt.Fprintf(os.Stderr, "obs: wrote %d incident file(s) to %s\n", n, fr.Dir())
-		}
 	}
 	if f.spansFile != nil {
 		sink := f.rt.Spans()
@@ -317,10 +266,6 @@ func (f *Flags) Finish(extra map[string]any) error {
 	fail(writeArtifact("obs", "telemetry summary", f.SummaryPath,
 		obs.Summary{Metrics: f.rt.Metrics().Snapshot(), Extra: extra}))
 	if f.srv != nil {
-		if f.Hold > 0 {
-			fmt.Fprintf(os.Stderr, "obs: holding metrics endpoint for %s\n", f.Hold)
-			time.Sleep(f.Hold)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := f.Shutdown(ctx); err != nil {

@@ -45,7 +45,6 @@ func TestCLIStartFinishArtifacts(t *testing.T) {
 		"-metrics-addr", "127.0.0.1:0",
 		"-telemetry-out", filepath.Join(dir, "summary.json"),
 		"-spans-out", filepath.Join(dir, "spans.jsonl"),
-		"-trace-capacity", "4",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -202,13 +201,15 @@ func TestCLISummaryPathDefaults(t *testing.T) {
 	}
 }
 
+// TestCLISpansIncidentsAndDebugEndpoints: the span export is the one record
+// of an incident — a compromise instant lands in it beside the request
+// trace — and the metrics endpoint serves build info, the index and pprof.
 func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	c := &telemetry.Flags{
 		MetricsAddr: "127.0.0.1:0",
 		SummaryPath: filepath.Join(dir, "s.json"),
 		SpansPath:   filepath.Join(dir, "spans.jsonl"),
-		IncidentDir: filepath.Join(dir, "incidents"),
 		Pprof:       true,
 	}
 	c.InfoLabel("workers", "3x2")
@@ -216,8 +217,8 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Spans() == nil || rt.Flight() == nil {
-		t.Fatal("runtime missing span sink or flight recorder")
+	if rt.Spans() == nil {
+		t.Fatal("runtime missing span sink")
 	}
 
 	get := func(path string) (int, string) {
@@ -247,7 +248,8 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	sp := rt.Spans().StartTrace("request")
 	sp.Child("vote").End()
 	sp.End()
-	rt.Flight().Trigger("compromise", map[string]any{"version": "a"})
+	now := rt.Spans().Now()
+	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "compromise", now, now, map[string]any{"version": "a"})
 	if err := c.Finish(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +263,35 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("span export holds %d records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("span export holds %d records, want 3", len(recs))
 	}
-	incidents, err := filepath.Glob(filepath.Join(c.IncidentDir, "incident-*.json"))
-	if err != nil || len(incidents) != 1 {
-		t.Fatalf("incident files = %v (%v), want exactly one", incidents, err)
+	if last := recs[2]; last.Kind != "compromise" || last.AttrString("version") != "a" {
+		t.Fatalf("span export ends with %+v, want the compromise instant of version a", last)
+	}
+}
+
+// TestHealthReportAloneEnablesTelemetry: -health-report is an artifact flag
+// like the others, so on its own it starts the runtime, runs the engine and
+// writes the report.
+func TestHealthReportAloneEnablesTelemetry(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "health.json")
+	c := telemetry.Flags{HealthReport: p}
+	rt, err := c.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt == nil {
+		t.Fatal("-health-report alone did not enable telemetry")
+	}
+	c.AttachEngine()
+	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "request", 0, 0.001, nil)
+	c.SummaryPath = filepath.Join(t.TempDir(), "s.json")
+	if err := c.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(p); err != nil {
+		t.Fatalf("health report not written: %v", err)
 	}
 }
 
