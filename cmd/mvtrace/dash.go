@@ -209,7 +209,7 @@ func healthTimeline(r *health.Report) []TimelineEvent {
 
 // checkExemplars is the CI gate: every incident window must be reachable
 // from at least one slow-stage exemplar, so an on-call engineer can always
-// jump from "something was wrong here" to a concrete retained trace.
+// jump from "something was wrong here" to a concrete trace.
 func checkExemplars(d *Dashboard) error {
 	var withEx []StageRow
 	for _, row := range d.SlowTop {

@@ -3,7 +3,7 @@
 // file through the same loader:
 //
 //	mvtrace summary   -in spans.jsonl            # p50/p95/p99 per span kind
-//	mvtrace top       -in spans.jsonl -n 10      # slowest retained traces
+//	mvtrace top       -in spans.jsonl -n 10      # slowest traces
 //	mvtrace waterfall -in spans.jsonl            # richest trace, as a tree
 //	mvtrace waterfall -in spans.jsonl -trace 42  # a specific trace id
 //	mvtrace health    -in spans.jsonl            # replay through the health engine
@@ -33,7 +33,7 @@ import (
 
 const usageText = `usage:
   mvtrace summary   -in spans.jsonl             per-stage latency quantiles
-  mvtrace top       -in spans.jsonl [-n K]      K slowest retained traces
+  mvtrace top       -in spans.jsonl [-n K]      K slowest traces
   mvtrace waterfall -in spans.jsonl [-trace N]  text waterfall for one trace
   mvtrace health    -in spans.jsonl [-require-incident]
                                                 health-engine replay: verdict timeline, SLO budgets, online alpha
@@ -186,7 +186,6 @@ func cmdSummary(args []string, w, stderr io.Writer) error {
 	for _, r := range recs {
 		traces[r.Trace] = struct{}{}
 	}
-	cov := coverage(recs)
 	rows := make([]kindSummary, 0, len(kinds))
 	for _, k := range kinds {
 		d := byKind[k]
@@ -200,18 +199,14 @@ func cmdSummary(args []string, w, stderr io.Writer) error {
 
 	if *format == "json" {
 		return writeJSON(w, struct {
-			Spans    int           `json:"spans"`
-			Traces   int           `json:"traces"`
-			Coverage float64       `json:"coverage"`
-			Input    string        `json:"input"`
-			Kinds    []kindSummary `json:"kinds"`
-		}{len(recs), len(traces), cov, *in, rows})
+			Spans  int           `json:"spans"`
+			Traces int           `json:"traces"`
+			Input  string        `json:"input"`
+			Kinds  []kindSummary `json:"kinds"`
+		}{len(recs), len(traces), *in, rows})
 	}
 
 	fmt.Fprintf(w, "%d spans · %d traces · %s\n", len(recs), len(traces), *in)
-	if cov < 0.999 {
-		fmt.Fprintf(w, "coverage ~%.0f%% of emitted spans retained (tail sampling and/or ring drops)\n", cov*100)
-	}
 	fmt.Fprintln(w)
 	// The shard column appears only for multi-shard exports.
 	shardCol := func(string) string { return "" }
@@ -226,35 +221,7 @@ func cmdSummary(args []string, w, stderr io.Writer) error {
 	return nil
 }
 
-// coverage estimates the fraction of emitted spans present in the export.
-// Span ids are allocated from a dense per-process counter, so the gap
-// between the smallest and largest id seen bounds how many spans existed;
-// anything missing was sampled out or dropped by the ring.
-func coverage(recs []obs.SpanRecord) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	minID, maxID := recs[0].ID, recs[0].ID
-	for _, r := range recs {
-		if r.ID < minID {
-			minID = r.ID
-		}
-		if r.ID > maxID {
-			maxID = r.ID
-		}
-	}
-	emitted := maxID - minID + 1
-	if emitted == 0 {
-		return 1
-	}
-	cov := float64(len(recs)) / float64(emitted)
-	if cov > 1 {
-		cov = 1
-	}
-	return cov
-}
-
-// traceTop is one row of `mvtrace top`: a retained trace ranked by root
+// traceTop is one row of `mvtrace top`: a trace ranked by root
 // duration, with its slowest child stage called out.
 type traceTop struct {
 	Trace       uint64  `json:"trace"`

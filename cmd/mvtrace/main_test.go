@@ -24,16 +24,15 @@ const (
 	triggerAt    = 55  // after this request's vote, a's 32-round window is half disagreement
 	slowTrace    = 60  // one 20x-slow request inside the incident: the exemplar
 	rejuvenateAt = 63  // reactive rejuvenation of version a lands before this request
-	sampledFrom  = 90  // tail sampling (rate 0.1) engages here
-	requests     = 140 //
+	requests     = 90  //
 	period       = 0.2 // seconds between requests
 )
 
 // buildFixture generates the committed span export: a compromise → divergence
-// → trigger → rejuvenation arc recorded in full, one slow exemplar inside the
-// incident, and a sampled-out stretch of healthy traffic at the end. Every
-// span goes through a real SpanSink (its tail sampler and JSONL exporter)
-// with explicit timestamps, so the file is byte-stable. It also returns the
+// → trigger → rejuvenation arc, one slow exemplar inside the incident, and
+// healthy traffic after it. Every span goes through a real SpanSink (its
+// JSONL exporter) with explicit timestamps, in the order the live system
+// publishes them, so the file is byte-stable. It also returns the
 // byte offset at which the slow-exemplar trace starts.
 func buildFixture(t *testing.T) (full []byte, cut int) {
 	t.Helper()
@@ -44,7 +43,6 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 	id := func() uint64 { nextID++; return nextID }
 	versions := []string{"a", "b", "c"}
 	forward := []float64{0.001, 0.002, 0.0015}
-	var triggerT float64
 
 	for k := 0; k < requests; k++ {
 		t0 := float64(k) * period
@@ -61,8 +59,6 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 			sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "rejuvenation",
 				Start: t0 - 0.1, End: t0 - 0.05,
 				Attrs: map[string]any{"version": "a", "kind": "reactive", "drain_ms": 50.0}}})
-		case sampledFrom:
-			sink.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.1, Seed: 1}))
 		}
 		scale := 1.0
 		if k < coldStarts || k == slowTrace {
@@ -99,14 +95,12 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 			Attrs: map[string]any{"class": k % 43}})
 		sink.EmitBatch(recs)
 		if k == triggerAt {
-			triggerT = at
+			// The serving pool's reactive trigger, at the vote that filled
+			// a's window to the threshold.
+			sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "rejuvenation_trigger",
+				Start: at, End: at, Attrs: map[string]any{"version": "a", "rate": 0.5}}})
 		}
 	}
-	// The serving pool's reactive trigger, at the vote that filled a's window
-	// to the threshold. It is exported last so that it takes no id from the
-	// requests after it; every tool orders spans by time, not file position.
-	sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "rejuvenation_trigger",
-		Start: triggerT, End: triggerT, Attrs: map[string]any{"version": "a", "rate": 0.5}}})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +115,8 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestFixtureIsWhatTheGeneratorBuilds keeps testdata/spans.jsonl honest: it
-// is exactly the generator's output (a change to the span JSON encoding or
-// the sampler's hash shows up here first). -update rewrites it.
+// is exactly the generator's output (a change to the span JSON encoding shows
+// up here first). -update rewrites it.
 func TestFixtureIsWhatTheGeneratorBuilds(t *testing.T) {
 	want, _ := buildFixture(t)
 	if *update {
@@ -144,7 +138,7 @@ func TestGolden(t *testing.T) {
 	cases := [][]string{
 		{"summary"}, {"summary", "-format", "json"},
 		{"top", "-n", "5"}, {"top", "-n", "5", "-format", "json"},
-		{"waterfall"}, {"waterfall", "-trace", "483"},
+		{"waterfall"}, {"waterfall", "-trace", "485"},
 		{"health"}, {"health", "-format", "json"},
 		{"dash"}, {"dash", "-format", "json"},
 	}
@@ -174,14 +168,13 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGates: both CI gates pass on the fixture and fail (exit 1, not a usage
-// error) on a copy truncated just before the slow exemplar, keeping the
-// trigger exported last — which still has the incident window open but no
-// rejuvenation, and no exemplar reaching it.
+// error) on a copy truncated just before the slow exemplar — which still has
+// the trigger and the incident window open but no rejuvenation, and no
+// exemplar reaching it.
 func TestGates(t *testing.T) {
 	full, cut := buildFixture(t)
-	trigger := full[bytes.LastIndexByte(full[:len(full)-1], '\n')+1:]
 	truncated := filepath.Join(t.TempDir(), "truncated.jsonl")
-	if err := os.WriteFile(truncated, append(full[:cut:cut], trigger...), 0o644); err != nil {
+	if err := os.WriteFile(truncated, full[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, gate := range [][]string{{"health", "-require-incident"}, {"dash", "-require-exemplars"}} {

@@ -55,11 +55,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/classify", g.handleClassify)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("POST /admin/rejuvenate", g.handleAdmin(func(sc ShardControl, req *gwAdminRequest) error {
-		kind := req.Kind
-		if kind == "" {
-			kind = serve.RejuvManual
-		}
-		return sc.Rejuvenate(kind)
+		return sc.Rejuvenate(req.Kind)
 	}))
 	mux.HandleFunc("POST /admin/compromise", g.handleAdmin(func(sc ShardControl, req *gwAdminRequest) error {
 		return sc.Compromise(req.Version)
@@ -139,12 +135,15 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleAdmin wraps a shard-addressed admin operation: resolve the shard,
-// require control, run the op.
+// maxAdminBody bounds an /admin body: a shard id and a few small fields.
+const maxAdminBody = 4 << 10
+
+// handleAdmin wraps a shard-addressed admin operation: read the bounded
+// body, resolve the shard, require control, run the op.
 func (g *Gateway) handleAdmin(op func(sc ShardControl, req *gwAdminRequest) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req gwAdminRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody)).Decode(&req); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 			return
 		}

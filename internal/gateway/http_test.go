@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,10 @@ import (
 	"testing"
 
 	"mvml/internal/nn"
+	"mvml/internal/obs"
 	"mvml/internal/serve"
+	"mvml/internal/signs"
+	"mvml/internal/xrand"
 )
 
 func postClassify(h http.Handler, body io.Reader) *httptest.ResponseRecorder {
@@ -130,4 +134,65 @@ func FuzzGatewayHandler(f *testing.F) {
 			t.Fatalf("body %q answered 200 but does not decode", body)
 		}
 	})
+}
+
+// TestHTTPAdminRejuvenateKinds mirrors the shard handler's test of the same
+// name through the gateway and a real shard: only the trigger kinds reach the
+// mvserve_rejuvenations_total label ("" means manual); any other kind, or a
+// body over the admin bound, is refused before a series exists.
+func TestHTTPAdminRejuvenateKinds(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	cfg := serve.DefaultConfig()
+	cfg.NewNetwork = func(version int, _ *xrand.Rand) (*nn.Network, error) {
+		return &nn.Network{Name: fmt.Sprintf("tiny-%d", version), Layers: []nn.Layer{
+			nn.NewFlatten("flat"),
+			nn.NewDense("fc", nn.InputChannels*nn.InputSize*nn.InputSize, signs.NumClasses, xrand.New(1)),
+		}}, nil
+	}
+	cfg.WorkersPerVersion = 1
+	cfg.ShardLabel = "shard-0"
+	srv, err := serve.New(cfg, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	sh, err := NewLocalShard(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := New(Config{}, nil)
+	t.Cleanup(gw.Close)
+	if err := gw.AddShard(sh); err != nil {
+		t.Fatal(err)
+	}
+	h := gw.Handler()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"shard":"shard-0"}`, http.StatusOK},
+		{`{"shard":"shard-0","kind":"manual"}`, http.StatusOK},
+		{`{"shard":"shard-0","kind":"proactive"}`, http.StatusOK},
+		{`{"shard":"shard-0","kind":"reactive"}`, http.StatusOK},
+		{`{"shard":"shard-0","kind":"anything"}`, http.StatusBadRequest},
+		{`{"shard":"shard-0","kind":"Manual"}`, http.StatusBadRequest},
+		{`{"shard":"shard-0","kind":"manual","pad":"` + strings.Repeat("x", 8<<10) + `"}`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/rejuvenate", strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%.50s: status %d, want %d", tc.body, rec.Code, tc.want)
+		}
+	}
+	var b strings.Builder
+	if err := rt.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "mvserve_rejuvenations_total{") &&
+			!strings.Contains(line, `kind="manual"`) && !strings.Contains(line, `kind="proactive"`) &&
+			!strings.Contains(line, `kind="reactive"`) {
+			t.Errorf("series beyond the trigger kinds: %.80s", line)
+		}
+	}
 }

@@ -43,7 +43,8 @@ type ShardControl interface {
 	Resize(perVersion int) error
 	// SetDraining flips the advisory drain flag.
 	SetDraining(v bool)
-	// Rejuvenate restores every version of the shard to pristine weights.
+	// Rejuvenate restores every version of the shard to pristine weights;
+	// kind is one of serve's Rejuv* kinds ("" means manual).
 	Rejuvenate(kind string) error
 	// Compromise fault-injects one version (demos and tests only).
 	Compromise(version int) error

@@ -56,10 +56,8 @@ func (l *Level) UnmarshalJSON(b []byte) error {
 // the same numbers.
 const (
 	// latencyObjective is the per-request latency threshold (seconds)
-	// feeding the latency SLO: a slower answer spends latency budget. It is
-	// the tail sampler's "slow", so a request that spends latency budget is
-	// also one the sampler always keeps.
-	latencyObjective = obs.DefaultSlowSeconds
+	// feeding the latency SLO: a slower answer spends latency budget.
+	latencyObjective = 0.25
 	// bucketSeconds is the SLO ring bucket width.
 	bucketSeconds = 1
 	// ewmaLambda, ewmaZ and warmup parameterise the per-stream EWMA

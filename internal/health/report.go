@@ -1,10 +1,6 @@
 package health
 
-import (
-	"sort"
-
-	"mvml/internal/obs"
-)
+import "mvml/internal/obs"
 
 // IncidentWindow is a contiguous interval during which the process-level
 // verdict was worse than healthy.
@@ -97,24 +93,18 @@ func incidentWindows(timeline []Transition, horizon float64) []IncidentWindow {
 }
 
 // Replay feeds an exported span stream through a fresh engine and returns
-// its report. Records are sorted by end time (stable) first, the same order
-// a live sink observes completions in, so a replayed report reproduces the
-// live engine's verdicts.
+// its report. Records are fed in file order, the order the sink handed them
+// to its live observers, so a replayed report is the live engine's report.
 func Replay(recs []obs.SpanRecord, opts Options) *Report {
 	e := NewEngine(opts, nil)
 	e.trackAlphaTrajectory(64)
-	sorted := append([]obs.SpanRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].End < sorted[j].End })
 	// Feed in sink-sized batches purely to exercise the same batch path the
 	// live sink uses; batch boundaries carry no state.
 	const batch = 256
-	for len(sorted) > 0 {
-		n := batch
-		if n > len(sorted) {
-			n = len(sorted)
-		}
-		e.ObserveSpans(sorted[:n], 0)
-		sorted = sorted[n:]
+	for len(recs) > 0 {
+		n := min(batch, len(recs))
+		e.ObserveSpans(recs[:n], 0)
+		recs = recs[n:]
 	}
 	return e.Report()
 }

@@ -39,12 +39,9 @@ type Runtime struct {
 // called with a non-positive capacity.
 const DefaultTraceCapacity = 8192
 
-// Names of the ring-buffer drop and sampling-decision counters every
-// Runtime registers: silent telemetry loss is itself a telemetry signal.
-const (
-	MetricDroppedSpans  = "mv_obs_dropped_spans_total"
-	MetricSampledTraces = "mv_obs_sampled_traces_total"
-)
+// MetricDroppedSpans names the ring-buffer drop counter every Runtime
+// registers: silent telemetry loss is itself a telemetry signal.
+const MetricDroppedSpans = "mv_obs_dropped_spans_total"
 
 // NewRuntime returns a Runtime with a fresh registry and a span sink holding
 // up to traceCapacity records (DefaultTraceCapacity when <= 0). Ring-buffer
@@ -63,23 +60,6 @@ func NewRuntime(traceCapacity int) *Runtime {
 	return r
 }
 
-// SetSampler installs the tail sampler on the span sink and wires its
-// kept/sampled-out decision counters into the registry as
-// mv_obs_sampled_traces_total{decision="kept"|"sampled_out"}.
-func (r *Runtime) SetSampler(sm *Sampler) {
-	if r == nil {
-		return
-	}
-	if sm != nil {
-		r.reg.Help(MetricSampledTraces, "Tail-sampling retention decisions by outcome.")
-		sm.SetCounters(
-			r.reg.Counter(MetricSampledTraces, "decision", "kept"),
-			r.reg.Counter(MetricSampledTraces, "decision", "sampled_out"),
-		)
-	}
-	r.spans.SetSampler(sm)
-}
-
 // Metrics returns the registry, or nil for a nil Runtime.
 func (r *Runtime) Metrics() *Registry {
 	if r == nil {
@@ -96,9 +76,8 @@ func (r *Runtime) Spans() *SpanSink {
 	return r.spans
 }
 
-// WriteJSONFile creates path and writes v into it as indented JSON — the one
-// writer behind every telemetry artifact (the run summary, the health
-// report).
+// WriteJSONFile creates path and writes v into it as indented JSON — the
+// writer behind the run summary.
 func WriteJSONFile(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -87,19 +87,22 @@ func (r SpanRecord) AttrStrings(key string) []string {
 	return nil
 }
 
-// SpanObserver receives every batch of spans a sink publishes, after the
-// sink's own lock is released. Observers must take their own locks; the sink
-// guarantees the lock order sink → observer (it never calls an observer with
-// its lock held), so an observer may snapshot the sink from inside
-// ObserveSpans. The health engine is the in-tree observer.
+// SpanObserver receives every batch of spans a sink publishes, in the order
+// the sink wrote them to its JSONL export: publishes are serialised, so every
+// observer sees the exact stream a replay of the export reads, batch for
+// batch. The sink's ring lock is released before observers run, so an
+// observer may snapshot the sink from inside ObserveSpans; it must never
+// publish into the sink it observes (nor may a health Subscribe callback),
+// since that would deadlock on the publish lock. The health engine is the
+// in-tree observer.
 type SpanObserver interface {
 	ObserveSpans(recs []SpanRecord, now float64)
 }
 
 // SpanSink collects finished spans. It keeps the newest `capacity` records
 // in a ring buffer, optionally streams every record to a JSONL writer (the
-// one record of a run), and notifies attached SpanObservers (the health
-// engine) as records are published.
+// one record of a run, complete and in publish order), and notifies attached
+// SpanObservers (the health engine) as records are published.
 //
 // A nil *SpanSink is a valid no-op handle: every method does nothing and
 // StartTrace returns a nil (no-op) Span, so instrumented code needs no
@@ -110,20 +113,20 @@ type SpanSink struct {
 	nextTrace atomic.Uint64
 	nextSpan  atomic.Uint64
 
-	sampler atomic.Pointer[Sampler]
+	// pub serialises whole publishes (ring, JSONL write and observer calls),
+	// so observers see batches in file order. It is taken before mu.
+	pub sync.Mutex
 
 	mu        sync.Mutex
 	buf       []SpanRecord
 	start     int
 	size      int
-	total     uint64 // spans ever published (pre-sampling)
-	retained  uint64 // spans that survived sampling (= total with no sampler)
+	total     uint64 // spans ever published
 	dropped   uint64
 	dropC     *Counter // optional registry counter mirroring dropped
 	w         *bufio.Writer
 	werr      error
-	observers []SpanObserver // full firehose: every published span
-	sampled   []SpanObserver // post-sampling: retained spans only
+	observers []SpanObserver
 }
 
 // NewSpanSink returns a sink retaining up to capacity finished spans
@@ -181,38 +184,6 @@ func (s *SpanSink) Attach(o SpanObserver) {
 	s.mu.Unlock()
 }
 
-// AttachSampled registers o to receive only the spans that survive tail
-// sampling (everything, when no sampler is set). Aggregators that must
-// reproduce identically from a sampled JSONL export attach here; true-rate
-// consumers (the health engine) use Attach.
-func (s *SpanSink) AttachSampled(o SpanObserver) {
-	if s == nil || o == nil {
-		return
-	}
-	s.mu.Lock()
-	s.sampled = append(s.sampled, o)
-	s.mu.Unlock()
-}
-
-// SetSampler installs (or, with nil, removes) the tail sampler deciding
-// which traces the ring buffer, the JSONL export and sampled observers
-// retain. Full-firehose observers are unaffected.
-func (s *SpanSink) SetSampler(sm *Sampler) {
-	if s == nil {
-		return
-	}
-	s.sampler.Store(sm)
-}
-
-// Sampler returns the installed tail sampler, or nil when recording
-// everything.
-func (s *SpanSink) Sampler() *Sampler {
-	if s == nil {
-		return nil
-	}
-	return s.sampler.Load()
-}
-
 // SetDropCounter mirrors ring-buffer evictions into a registry counter so
 // silent span loss becomes visible on the metrics path.
 func (s *SpanSink) SetDropCounter(c *Counter) {
@@ -246,17 +217,6 @@ func (s *SpanSink) Published() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
-}
-
-// Retained returns how many published spans survived tail sampling (equal
-// to Published when no sampler is installed).
-func (s *SpanSink) Retained() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retained
 }
 
 // Dropped returns how many spans the ring evicted.
@@ -296,7 +256,7 @@ func (s *SpanSink) Emit(trace, parent uint64, kind string, start, end float64, a
 // EmitBatch publishes a batch of already-finished records at once — the
 // whole-trace entry point for components that build complete traces on
 // their own clock (and for replay tooling). The batch flows through the
-// same sampling, ring, JSONL and observer path a root span's End uses.
+// same ring, JSONL and observer path a root span's End uses.
 func (s *SpanSink) EmitBatch(recs []SpanRecord) {
 	if s == nil {
 		return
@@ -304,21 +264,20 @@ func (s *SpanSink) EmitBatch(recs []SpanRecord) {
 	s.publish(recs)
 }
 
-// publish routes a batch of finished records: the tail sampler (when set)
-// decides retention first, then ring insertion and JSONL streaming of the
-// retained subset happen under one lock acquisition, then observers are
-// notified — full-firehose observers with the whole batch, sampled observers
-// with the retained subset.
+// publish routes a batch of finished records: ring insertion and JSONL
+// streaming under the ring lock, then every observer with the whole batch.
+// The publish lock spans all three, so concurrent publishers reach the
+// observers in the order the export holds their batches.
 func (s *SpanSink) publish(recs []SpanRecord) {
 	if s == nil || len(recs) == 0 {
 		return
 	}
+	s.pub.Lock()
+	defer s.pub.Unlock()
 	now := s.Now()
-	retained := s.sampler.Load().Retain(recs)
 	s.mu.Lock()
 	s.total += uint64(len(recs))
-	s.retained += uint64(len(retained))
-	for _, rec := range retained {
+	for _, rec := range recs {
 		if s.size < len(s.buf) {
 			s.buf[(s.start+s.size)%len(s.buf)] = rec
 			s.size++
@@ -340,17 +299,10 @@ func (s *SpanSink) publish(recs []SpanRecord) {
 		}
 	}
 	watchers := s.observers
-	sampledWatchers := s.sampled
 	s.mu.Unlock()
-	// Outside s.mu: observers take their own locks and may snapshot the sink
-	// again (lock order is always sink → observer, never nested).
+	// Outside s.mu, so an observer may snapshot the sink.
 	for _, o := range watchers {
 		o.ObserveSpans(recs, now)
-	}
-	if len(retained) > 0 {
-		for _, o := range sampledWatchers {
-			o.ObserveSpans(retained, now)
-		}
 	}
 }
 

@@ -222,3 +222,21 @@ func TestReadJSONLBadInput(t *testing.T) {
 		t.Fatal("expected decode error")
 	}
 }
+
+// TestRingOverflowDropCounters overflows the span ring with intervals and
+// instants alike and asserts the silent-loss bugfix: evictions must show up
+// on the metrics path.
+func TestRingOverflowDropCounters(t *testing.T) {
+	rt := NewRuntime(4)
+	for i := 0; i < 5; i++ {
+		sp := rt.Spans().StartTrace("request")
+		sp.End()
+		rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "tick", float64(i), float64(i), nil)
+	}
+	if got := rt.Spans().Dropped(); got != 6 {
+		t.Fatalf("sink dropped %d, want 6", got)
+	}
+	if got := rt.Metrics().Counter(MetricDroppedSpans).Value(); got != 6 {
+		t.Fatalf("%s = %d, want 6", MetricDroppedSpans, got)
+	}
+}

@@ -19,9 +19,8 @@ func trafficRoot(kind string) bool { return kind == "request" || kind == "route"
 
 // Ingester aggregates a span stream into a Store: per-stage/per-shard
 // latency histograms with exemplar links, and request and error rates. It
-// implements obs.SpanObserver, so a store fed by a sink's sampled stream
-// (SpanSink.AttachSampled) and one replayed from that sink's spans.jsonl see
-// the exact same records. Its clock is the span end timestamps, never the
+// implements obs.SpanObserver, so a store fed live by a sink (SpanSink.Attach)
+// and one replayed from that sink's spans.jsonl see the exact same records. Its clock is the span end timestamps, never the
 // wall.
 type Ingester struct {
 	store *Store

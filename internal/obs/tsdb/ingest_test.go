@@ -44,17 +44,16 @@ func TestIngesterAggregatesSpanStream(t *testing.T) {
 	}
 }
 
-// TestLiveEqualsReplay drives a real sink (sampler installed, ingester
-// attached post-sampling, JSONL export on) and then replays the export into
-// a second store: their snapshots must match byte for byte.
+// TestLiveEqualsReplay drives a real sink (ingester attached, JSONL export
+// on) and then replays the export into a second store: their snapshots must
+// match byte for byte.
 func TestLiveEqualsReplay(t *testing.T) {
 	var jsonl bytes.Buffer
 	sink := obs.NewSpanSink(4096)
 	sink.SetWriter(&jsonl)
-	sink.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.2, Seed: 9}))
 
 	live := New(Config{BucketSeconds: 1, Buckets: 120})
-	sink.AttachSampled(NewIngester(live, nil))
+	sink.Attach(NewIngester(live, nil))
 
 	for i := 0; i < 120; i++ {
 		sink.EmitBatch(buildTrace(i))
@@ -67,8 +66,8 @@ func TestLiveEqualsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 || uint64(len(recs)) != sink.Retained() {
-		t.Fatalf("export holds %d records, sink retained %d", len(recs), sink.Retained())
+	if len(recs) == 0 || uint64(len(recs)) != sink.Published() {
+		t.Fatalf("export holds %d records, sink published %d", len(recs), sink.Published())
 	}
 
 	replay := New(Config{BucketSeconds: 1, Buckets: 120})
@@ -78,47 +77,6 @@ func TestLiveEqualsReplay(t *testing.T) {
 	jb, _ := json.Marshal(replay.Snapshot())
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("live store != replay store\n--- live ---\n%s\n--- replay ---\n%s", ja, jb)
-	}
-}
-
-// TestSamplingKeepsEveryIncidentAndSlowTrace checks the acceptance bar: at
-// a 10% normal-traffic rate, every error, degraded, slow and lifecycle
-// trace survives sampling, and their exemplar links resolve.
-func TestSamplingKeepsEveryIncidentAndSlowTrace(t *testing.T) {
-	var jsonl bytes.Buffer
-	sink := obs.NewSpanSink(8192)
-	sink.SetWriter(&jsonl)
-	sink.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: 0.1, Seed: 1}))
-	store := New(Config{BucketSeconds: 1, Buckets: 120})
-	sink.AttachSampled(NewIngester(store, nil))
-
-	for i := 0; i < 120; i++ {
-		sink.EmitBatch(buildTrace(i))
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ReadSpans(bytes.NewReader(jsonl.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	retained := map[uint64]bool{}
-	for _, r := range recs {
-		retained[r.Trace] = true
-	}
-	for i := 0; i < 120; i++ {
-		dur, errAttr, kind := traceSpec(i)
-		mustKeep := errAttr || kind != "request" || dur >= obs.DefaultSlowSeconds || i%13 == 2
-		if mustKeep && !retained[uint64(1+i)] {
-			t.Fatalf("trace %d (dur=%v err=%v kind=%s) sampled out", 1+i, dur, errAttr, kind)
-		}
-	}
-	// Exemplar link works: a tail exemplar resolves to a retained trace.
-	for _, shard := range []string{"shard-a", "shard-b"} {
-		e, ok := store.ExemplarNearLabels(SeriesStage, `kind="request",shard="`+shard+`"`, 0.5)
-		if !ok || !retained[e.Trace] {
-			t.Fatalf("%s: tail exemplar %+v not retained", shard, e)
-		}
 	}
 }
 

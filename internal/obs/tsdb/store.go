@@ -4,8 +4,8 @@
 // a sorted snapshot, per-bucket sums and exemplar trace ids.
 //
 // The store is passive and deterministic: nothing here consumes randomness,
-// content advances only on span timestamps (so feeding a sink's sampled
-// stream live and replaying its spans.jsonl agree byte-for-byte), and every
+// content advances only on span timestamps (so feeding a sink's stream live
+// and replaying its spans.jsonl agree byte-for-byte), and every
 // read iterates series in sorted order so output is reproducible.
 package tsdb
 
@@ -54,7 +54,7 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// Exemplar links a histogram value bucket to a retained trace: "a request
+// Exemplar links a histogram value bucket to a trace: "a request
 // that landed in this latency bucket looks like trace Trace".
 type Exemplar struct {
 	Trace uint64  `json:"trace"`
@@ -96,7 +96,7 @@ type cell struct {
 
 // seriesData is one (name, labels) series: a ring of time-bucket cells plus,
 // for histograms, the per-value-bucket exemplar table (latest-wins, global
-// over the series' lifetime — the freshest retained trace per latency band).
+// over the series' lifetime — the freshest trace per latency band).
 type seriesData struct {
 	name   string
 	labels string // canonical `k="v",...` form, "" for none

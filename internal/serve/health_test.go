@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -264,11 +264,10 @@ func TestReactiveTriggerIndependentOfTelemetry(t *testing.T) {
 }
 
 // TestServerHealthEqualsReplayOfItsExport: the engine a server runs live and
-// `health.Replay` over that server's span export (sample rate 1) judge the
-// same stream with the same constants, so they reach the same verdict,
-// incident windows and SLO statuses through one compromise and its reactive
-// rejuvenation. Transitions are compared as a multiset: within one trace the
-// live engine sees spans in record order, the replay in end-time order.
+// `health.Replay` over that server's span export judge the same stream, in
+// the same order, with the same constants, so they reach the same verdict,
+// incident windows, SLO statuses and transition timeline through one
+// compromise and its reactive rejuvenation.
 func TestServerHealthEqualsReplayOfItsExport(t *testing.T) {
 	rt := obs.NewRuntime(0)
 	var export bytes.Buffer
@@ -287,22 +286,108 @@ func TestServerHealthEqualsReplayOfItsExport(t *testing.T) {
 	if !classifyUntil(t, s, 200, func(res Result) bool { return res.Agreeing == 3 }) {
 		t.Fatal("version still diverging after reactive rejuvenation")
 	}
-	for s.reactivePending.Load() {
-		time.Sleep(100 * time.Microsecond)
+	recs := closeAndRead(t, rt, &export, s)
+
+	live := s.Health().Report()
+	if live.Spans != uint64(len(recs)) {
+		t.Fatalf("live engine saw %d spans, export holds %d", live.Spans, len(recs))
 	}
-	s.Close() // the batcher publishes the last trace after its reply
+	requireLiveEqualsReplay(t, live, health.Replay(recs, health.DefaultOptions()))
+	if len(live.Rejuvenations) == 0 {
+		t.Fatal("live engine saw no rejuvenation")
+	}
+}
+
+// TestShardedHealthEqualsReplayUnderConcurrency: two labelled servers share
+// one runtime and its export while eight clients drive both at once and
+// shard-a's version 1 is compromised partway through. Each server's live
+// engine must equal the replay of the shared export filtered to its shard,
+// timeline included: the sink hands batches to its observers in the order it
+// writes them, and the replay reads that order back.
+func TestShardedHealthEqualsReplayUnderConcurrency(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	var export bytes.Buffer
+	rt.Spans().SetWriter(&export)
+	labels := []string{"shard-a", "shard-b"}
+	var servers []*Server
+	for _, label := range labels {
+		cfg := healthTestConfig()
+		cfg.DivergenceWindow = 8
+		cfg.ShardLabel = label
+		servers = append(servers, newTestServer(t, cfg, rt))
+	}
+
+	const clients, perClient, compromiseAt = 8, 150, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if c == 0 && i == compromiseAt {
+					if err := servers[0].Compromise(1); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if _, err := servers[(c+i)%2].Classify(testImage(c*perClient + i)); err != nil {
+					errs <- fmt.Errorf("client %d request %d: %w", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	recs := closeAndRead(t, rt, &export, servers...)
+
+	critical := false
+	for _, tr := range servers[0].Health().Report().Timeline {
+		critical = critical || (tr.Component == "version:tiny-1" && tr.To == health.Critical)
+	}
+	if !critical {
+		t.Fatal("shard-a's engine never judged the compromised version critical")
+	}
+	for i, s := range servers {
+		live := s.Health().Report()
+		t.Run(labels[i], func(t *testing.T) {
+			requireLiveEqualsReplay(t, live, health.Replay(recs, health.Options{ShardFilter: labels[i]}))
+		})
+	}
+}
+
+// closeAndRead waits out any reactive rejuvenation the servers started,
+// closes them (the batcher publishes a request's trace after its reply) and
+// returns the flushed export.
+func closeAndRead(t *testing.T, rt *obs.Runtime, export *bytes.Buffer, servers ...*Server) []obs.SpanRecord {
+	t.Helper()
+	for _, s := range servers {
+		for s.reactivePending.Load() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		s.Close()
+	}
 	if err := rt.Spans().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadSpans(&export)
+	recs, err := obs.ReadSpans(export)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return recs
+}
 
-	live := s.Health().Report()
-	replay := health.Replay(recs, health.DefaultOptions())
-	if live.Spans != uint64(len(recs)) || replay.Spans != live.Spans {
-		t.Fatalf("live engine saw %d spans, export holds %d, replay saw %d", live.Spans, len(recs), replay.Spans)
+// requireLiveEqualsReplay compares a live engine's report with the replay of
+// its export: spans seen, final verdict, incident windows, SLO statuses and
+// the exact transition timeline.
+func requireLiveEqualsReplay(t *testing.T, live, replay *health.Report) {
+	t.Helper()
+	if live.Spans != replay.Spans {
+		t.Errorf("spans: live %d, replay %d", live.Spans, replay.Spans)
 	}
 	if live.Final.Overall != replay.Final.Overall {
 		t.Errorf("final verdict: live %s, replay %s", live.Final.Overall, replay.Final.Overall)
@@ -313,21 +398,7 @@ func TestServerHealthEqualsReplayOfItsExport(t *testing.T) {
 	if !reflect.DeepEqual(live.Final.SLOs, replay.Final.SLOs) {
 		t.Errorf("SLO statuses: live %+v, replay %+v", live.Final.SLOs, replay.Final.SLOs)
 	}
-	if a, b := transitionSet(live.Timeline), transitionSet(replay.Timeline); a != b {
-		t.Errorf("transitions: live\n%s\nreplay\n%s", a, b)
+	if !reflect.DeepEqual(live.Timeline, replay.Timeline) {
+		t.Errorf("timeline: live\n%+v\nreplay\n%+v", live.Timeline, replay.Timeline)
 	}
-	if len(live.Rejuvenations) == 0 {
-		t.Fatal("live engine saw no rejuvenation")
-	}
-}
-
-// transitionSet renders a timeline as a sorted multiset, one line per
-// transition.
-func transitionSet(tl []health.Transition) string {
-	lines := make([]string, len(tl))
-	for i, tr := range tl {
-		lines[i] = fmt.Sprintf("%.9f %s %s→%s %s", tr.T, tr.Component, tr.From, tr.To, tr.Reason)
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -158,17 +158,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxAdminBody bounds an /admin body: a version index and a kind.
+const maxAdminBody = 4 << 10
+
 func (s *Server) handleRejuvenate(w http.ResponseWriter, r *http.Request) {
 	var req adminRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = RejuvManual
-	}
-	if err := s.Rejuvenate(req.Version, kind); err != nil {
+	if err := s.Rejuvenate(req.Version, req.Kind); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
@@ -177,7 +176,7 @@ func (s *Server) handleRejuvenate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCompromise(w http.ResponseWriter, r *http.Request) {
 	var req adminRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mvml/internal/obs"
 )
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -181,6 +183,52 @@ func TestHTTPAdminRejuvenateAndCompromise(t *testing.T) {
 	res, err := s.Classify(testImage(1))
 	if err != nil || res.Agreeing != 3 {
 		t.Fatalf("post-admin classify: res=%+v err=%v", res, err)
+	}
+}
+
+// TestHTTPAdminRejuvenateKinds: the kind of an /admin/rejuvenate body becomes
+// a metric label, so only the trigger kinds are accepted ("" means manual);
+// any other kind, or a body over the admin bound, is refused before a series
+// exists.
+func TestHTTPAdminRejuvenateKinds(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	s := newTestServer(t, testConfig(), rt)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"version":0}`, http.StatusOK},
+		{`{"version":0,"kind":"manual"}`, http.StatusOK},
+		{`{"version":0,"kind":"proactive"}`, http.StatusOK},
+		{`{"version":0,"kind":"reactive"}`, http.StatusOK},
+		{`{"version":0,"kind":"anything"}`, http.StatusBadRequest},
+		{`{"version":0,"kind":"Manual"}`, http.StatusBadRequest},
+		{`{"version":0,"kind":"manual","pad":"` + strings.Repeat("x", 8<<10) + `"}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/admin/rejuvenate", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%.40s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+	}
+	var b strings.Builder
+	if err := rt.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "mvserve_rejuvenations_total{") &&
+			!strings.Contains(line, `kind="manual"`) && !strings.Contains(line, `kind="proactive"`) &&
+			!strings.Contains(line, `kind="reactive"`) {
+			t.Errorf("series beyond the trigger kinds: %.80s", line)
+		}
+	}
+	if got := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", RejuvManual).Value(); got != 2 {
+		t.Errorf("manual rejuvenations = %d, want 2 (empty kind and manual)", got)
 	}
 }
 

@@ -481,9 +481,17 @@ func (s *Server) failQueued() {
 
 // Rejuvenate drains version v, reloads its pristine weights and reinstates
 // it, while the other versions keep serving. kind labels the trigger in the
-// metrics. Serialised: concurrent calls queue up, so at most one version is
-// out of rotation at any moment.
+// metrics and must be one of the Rejuv* kinds ("" means manual), so the label
+// stays bounded. Serialised: concurrent calls queue up, so at most one
+// version is out of rotation at any moment.
 func (s *Server) Rejuvenate(v int, kind string) error {
+	switch kind {
+	case "":
+		kind = RejuvManual
+	case RejuvManual, RejuvProactive, RejuvReactive:
+	default:
+		return fmt.Errorf("serve: unknown rejuvenation kind %q", kind)
+	}
 	p, err := s.pool(v)
 	if err != nil {
 		return err

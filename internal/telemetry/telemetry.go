@@ -23,9 +23,9 @@ import (
 
 // Flags is the shared telemetry command line: every instrumented cmd/ binary
 // registers the same flag set, calls Start before its run and Finish after.
-// Telemetry is opt-in — with no artifact or endpoint flag set, Start returns
-// a nil Runtime and the whole stack runs uninstrumented (nil no-op handles);
-// -health rides that runtime and does nothing without it.
+// Telemetry is opt-in — with no artifact, endpoint or health flag set, Start
+// returns a nil Runtime and the whole stack runs uninstrumented (nil no-op
+// handles).
 type Flags struct {
 	// MetricsAddr serves Prometheus text exposition on this address
 	// ("host:port") for the lifetime of the process when non-empty.
@@ -33,24 +33,17 @@ type Flags struct {
 	// SummaryPath receives the end-of-run JSON summary. Defaults to
 	// DefaultSummaryPath when telemetry is enabled by another flag.
 	SummaryPath string
-	// SpansPath streams every retained span as JSONL for the lifetime of the
+	// SpansPath streams every published span as JSONL for the lifetime of the
 	// run (the input of cmd/mvtrace): the one record of every compromise,
 	// divergence and rejuvenation.
 	SpansPath string
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the metrics
 	// endpoint (requires MetricsAddr).
 	Pprof bool
-	// SampleRate < 1 enables tail-based trace sampling: error/slow/lifecycle
-	// traces are always retained, plus this fraction of normal traffic.
-	SampleRate float64
-	// SampleSeed seeds the deterministic retain/drop hash.
-	SampleSeed uint64
 
-	// Health turns the streaming health engine on.
+	// Health turns the streaming health engine on (and enables telemetry);
+	// its report is the replay of the span export (mvtrace health).
 	Health bool
-	// HealthReport, when non-empty, receives the end-of-run health report as
-	// JSON (implies Health, and enables telemetry).
-	HealthReport string
 
 	infoKV    []string
 	rt        *obs.Runtime
@@ -83,15 +76,8 @@ func (f *Flags) RegisterFlags(fs *flag.FlagSet) {
 		"stream the JSONL span trace here and enable telemetry (analyse with mvtrace)")
 	fs.BoolVar(&f.Pprof, "pprof", false,
 		"mount net/http/pprof under /debug/pprof/ on the metrics endpoint")
-	fs.Float64Var(&f.SampleRate, "sample-rate", 1,
-		"tail-sampling retention rate for normal traces in [0,1); 1 records everything (error/slow/lifecycle traces are always retained)")
-	fs.Uint64Var(&f.SampleSeed, "sample-seed", 0,
-		"seed for the deterministic tail-sampling hash")
-
 	fs.BoolVar(&f.Health, "health", false,
-		"attach the streaming health engine (SLO budgets, anomaly detection, online alpha) to the span stream")
-	fs.StringVar(&f.HealthReport, "health-report", "",
-		"write the end-of-run health report here as JSON (implies -health) and enable telemetry")
+		"attach the streaming health engine (SLO budgets, anomaly detection, online alpha) to the span stream and enable telemetry")
 }
 
 // InfoLabel adds one label pair to the mv_build_info gauge; call before
@@ -102,7 +88,7 @@ func (f *Flags) InfoLabel(key, value string) {
 
 // Enabled reports whether any flag turns collection on.
 func (f *Flags) Enabled() bool {
-	return f.MetricsAddr != "" || f.SummaryPath != "" || f.SpansPath != "" || f.HealthReport != ""
+	return f.MetricsAddr != "" || f.SummaryPath != "" || f.SpansPath != "" || f.Health
 }
 
 // Options returns the health engine options when the engine is on (the
@@ -111,7 +97,7 @@ func (f *Flags) Enabled() bool {
 // serve.Config (the server owns its engine, filtered to its shard) and
 // Observe the result; the others call AttachEngine.
 func (f *Flags) Options() *health.Options {
-	if !f.Health && f.HealthReport == "" {
+	if !f.Health {
 		return nil
 	}
 	opts := health.DefaultOptions()
@@ -135,11 +121,6 @@ func (f *Flags) Start() (*obs.Runtime, error) {
 		"binary", filepath.Base(os.Args[0]),
 		"go_version", runtime.Version(),
 	}, f.infoKV...)...).Set(1)
-	// 0 (the zero value: Flags built without RegisterFlags) and >= 1 both
-	// mean record everything; sampling engages only for an explicit fraction.
-	if f.SampleRate > 0 && f.SampleRate < 1 {
-		f.rt.SetSampler(obs.NewSampler(obs.SampleConfig{Rate: f.SampleRate, Seed: f.SampleSeed}))
-	}
 	if f.SpansPath != "" {
 		file, err := os.Create(f.SpansPath)
 		if err != nil {
@@ -213,38 +194,26 @@ func (f *Flags) Observe(e *health.Engine) {
 	}
 }
 
-// writeArtifact writes one JSON artifact and reports where it went.
-func writeArtifact(pkg, what, path string, v any) error {
-	if err := obs.WriteJSONFile(path, v); err != nil {
-		return fmt.Errorf("%s: %s: %w", pkg, what, err)
-	}
-	fmt.Fprintf(os.Stderr, "%s: wrote %s to %s\n", pkg, what, path)
-	return nil
-}
-
-// Finish prints the final health verdict, writes every requested artifact,
-// closes the span exporter and shuts the endpoint down. Every step is
-// attempted even when an earlier one failed; the first error is returned.
-// extra is embedded verbatim in the summary's "extra" field. Safe to call
-// when telemetry is disabled.
+// Finish prints the final health verdict, closes the span exporter, writes
+// the summary and shuts the endpoint down. Every step is attempted even when
+// an earlier one failed; the first error is returned. extra is embedded
+// verbatim in the summary's "extra" field. Safe to call when telemetry is
+// disabled.
 func (f *Flags) Finish(extra map[string]any) error {
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	if f.engine != nil {
 		rep := f.engine.Report()
 		v := rep.Final
 		fmt.Fprintf(os.Stderr, "health: final verdict %s (%d components, %d incidents, alpha=%.4f over %d rounds)\n",
 			v.Overall, len(v.Components), len(rep.Incidents), rep.AlphaFinal, rep.RoundsDecided)
-		if f.HealthReport != "" {
-			fail(writeArtifact("health", "health report", f.HealthReport, rep))
-		}
 	}
 	if f.rt == nil {
-		return firstErr
+		return nil
+	}
+	var firstErr error
+	fail := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if f.spansFile != nil {
 		sink := f.rt.Spans()
@@ -255,16 +224,16 @@ func (f *Flags) Finish(extra map[string]any) error {
 		f.spansFile = nil
 		if err != nil {
 			fail(fmt.Errorf("obs: span export: %w", err))
-		} else if sm := sink.Sampler(); sm != nil {
-			kept, out := sm.Stats()
-			fmt.Fprintf(os.Stderr, "obs: wrote %d of %d spans to %s (tail sampling: %d traces kept, %d sampled out)\n",
-				sink.Retained(), sink.Published(), f.SpansPath, kept, out)
 		} else {
 			fmt.Fprintf(os.Stderr, "obs: wrote %d spans to %s\n", sink.Published(), f.SpansPath)
 		}
 	}
-	fail(writeArtifact("obs", "telemetry summary", f.SummaryPath,
-		obs.Summary{Metrics: f.rt.Metrics().Snapshot(), Extra: extra}))
+	sum := obs.Summary{Metrics: f.rt.Metrics().Snapshot(), Extra: extra}
+	if err := obs.WriteJSONFile(f.SummaryPath, sum); err != nil {
+		fail(fmt.Errorf("obs: telemetry summary: %w", err))
+	} else {
+		fmt.Fprintf(os.Stderr, "obs: wrote telemetry summary to %s\n", f.SummaryPath)
+	}
 	if f.srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()

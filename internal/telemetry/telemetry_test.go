@@ -133,10 +133,10 @@ func requirePortReleased(t *testing.T, c *telemetry.Flags, addr string) {
 func TestFinishAttemptsEveryArtifact(t *testing.T) {
 	dir := t.TempDir()
 	c := telemetry.Flags{
-		MetricsAddr:  "127.0.0.1:0",
-		HealthReport: filepath.Join(dir, "no-such-dir", "health.json"),
-		SummaryPath:  filepath.Join(dir, "no-such-dir", "s.json"),
-		SpansPath:    filepath.Join(dir, "spans.jsonl"),
+		MetricsAddr: "127.0.0.1:0",
+		Health:      true,
+		SummaryPath: filepath.Join(dir, "no-such-dir", "s.json"),
+		SpansPath:   filepath.Join(dir, "spans.jsonl"),
 	}
 	rt, err := c.Start()
 	if err != nil {
@@ -146,8 +146,8 @@ func TestFinishAttemptsEveryArtifact(t *testing.T) {
 	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "clitest", 1, 1, nil)
 	addr := c.ListenAddr()
 	err = c.Finish(nil)
-	if err == nil || !strings.Contains(err.Error(), "health report") {
-		t.Fatalf("Finish = %v, want the first failure (the health report)", err)
+	if err == nil || !strings.Contains(err.Error(), "telemetry summary") {
+		t.Fatalf("Finish = %v, want the first failure (the summary)", err)
 	}
 	requirePortReleased(t, &c, addr)
 	if fi, err := os.Stat(filepath.Join(dir, "spans.jsonl")); err != nil || fi.Size() == 0 {
@@ -271,18 +271,16 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	}
 }
 
-// TestHealthReportAloneEnablesTelemetry: -health-report is an artifact flag
-// like the others, so on its own it starts the runtime, runs the engine and
-// writes the report.
-func TestHealthReportAloneEnablesTelemetry(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "health.json")
-	c := telemetry.Flags{HealthReport: p}
+// TestHealthAloneEnablesTelemetry: -health is the one health flag, so on its
+// own it starts the runtime, attaches the engine and writes the summary.
+func TestHealthAloneEnablesTelemetry(t *testing.T) {
+	c := telemetry.Flags{Health: true}
 	rt, err := c.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt == nil {
-		t.Fatal("-health-report alone did not enable telemetry")
+		t.Fatal("-health alone did not enable telemetry")
 	}
 	c.AttachEngine()
 	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "request", 0, 0.001, nil)
@@ -290,8 +288,14 @@ func TestHealthReportAloneEnablesTelemetry(t *testing.T) {
 	if err := c.Finish(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("health report not written: %v", err)
+	sum, err := os.ReadFile(c.SummaryPath)
+	if err != nil {
+		t.Fatalf("summary not written: %v", err)
+	}
+	// The engine publishes its gauges into the runtime's registry, so they
+	// land in the summary only when it was attached.
+	if !strings.Contains(string(sum), `"mv_health_budget_remaining"`) {
+		t.Fatalf("summary holds no engine gauges:\n%s", sum)
 	}
 }
 
