@@ -169,10 +169,10 @@ type System[I, O any] struct {
 	cfg     Config
 	rng     *xrand.Rand
 
-	now            float64
-	nextTick       float64 // next proactive trigger expiry
-	pendingTrigger bool    // a trigger fired but no rejuvenation started yet
-	repairing      int     // index of module under reactive repair, -1 if none
+	now      float64
+	nextTick float64 // next proactive trigger expiry
+	rejuv    *Rejuvenator
+	states   []ModuleState // the modules' states, reused by processEventsAt
 
 	// Single-server fault clocks (used unless cfg.PerModuleClocks).
 	sysCompromiseAt float64
@@ -209,7 +209,7 @@ func NewSystem[I, O any](versions []Version[I, O], voter Voter[O], cfg Config, r
 		voter:           voter,
 		cfg:             cfg,
 		rng:             rng,
-		repairing:       -1,
+		rejuv:           NewRejuvenator(cfg, rng),
 		occupancy:       make(map[reliability.State]float64),
 		nextTick:        math.Inf(1),
 		sysCompromiseAt: math.Inf(1),
@@ -455,47 +455,40 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 				m.degraded = false
 			}
 			m.compromiseAt = s.sampleCompromise(t)
-			if s.repairing == i {
-				s.repairing = -1
-			}
+			s.rejuv.Done(i)
 		}
 	}
 	// Proactive trigger expiry: register a pending trigger and reset the
 	// clock (DSPN: Tac fires, Trt immediately returns the token to Prc).
 	if t >= s.nextTick {
-		s.pendingTrigger = true
+		s.rejuv.Tick()
 		s.nextTick = t + s.cfg.RejuvenationInterval
 		s.tel.trigger(t)
 	}
-	// Reactive rejuvenation: one crashed module at a time (single-server
-	// Tr), taking precedence over proactive starts.
-	if s.repairing < 0 && !s.cfg.DisableReactive {
-		for i, m := range s.modules {
-			if m.state == NonFunctional {
-				s.repairing = i
-				m.state = Rejuvenating
-				m.rejuvDoneAt = t + s.rng.Exp(s.cfg.MeanReactiveRejuvenation)
-				s.stats.ReactiveRejuvenations++
-				s.tel.transition(t, i, NonFunctional, Rejuvenating, "reactive", "")
-				break
-			}
-		}
+	// Start whatever the policy says is due: reactive repair first, then a
+	// pending proactive trigger once g2 holds.
+	s.states = s.states[:0]
+	for _, m := range s.modules {
+		s.states = append(s.states, m.state)
 	}
-	// Proactive start: only when no module is crashed or rejuvenating
-	// (guard g2) and a trigger is pending.
-	if s.pendingTrigger && s.canStartProactive() {
-		victim := s.selectVictim()
-		if victim >= 0 {
-			m := s.modules[victim]
-			from := m.state
-			m.state = Rejuvenating
-			m.crashAt = math.Inf(1)
-			m.compromiseAt = math.Inf(1)
-			m.rejuvDoneAt = t + s.rng.Exp(s.cfg.MeanProactiveRejuvenation)
-			s.pendingTrigger = false
-			s.stats.ProactiveRejuvenations++
-			s.tel.transition(t, victim, from, Rejuvenating, "proactive", s.cfg.Selection.String())
+	for {
+		i, proactive, ok := s.rejuv.Next(s.states)
+		if !ok {
+			break
 		}
+		m := s.modules[i]
+		from, kind, policy, mean := m.state, "reactive", "", s.cfg.MeanReactiveRejuvenation
+		if proactive {
+			kind, policy, mean = "proactive", s.cfg.Selection.String(), s.cfg.MeanProactiveRejuvenation
+			s.stats.ProactiveRejuvenations++
+		} else {
+			s.stats.ReactiveRejuvenations++
+		}
+		m.state, s.states[i] = Rejuvenating, Rejuvenating
+		m.crashAt = math.Inf(1)
+		m.compromiseAt = math.Inf(1)
+		m.rejuvDoneAt = t + s.rng.Exp(mean)
+		s.tel.transition(t, i, from, Rejuvenating, kind, policy)
 	}
 	// Re-arm the single-server fault clocks against the new state
 	// (memorylessness makes re-drawing equivalent to continuing).
@@ -504,44 +497,6 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 		s.tel.syncPopulation(s.statePopulation())
 	}
 	return nil
-}
-
-func (s *System[I, O]) canStartProactive() bool {
-	for _, m := range s.modules {
-		if m.state == NonFunctional || m.state == Rejuvenating {
-			return false
-		}
-	}
-	return true
-}
-
-// selectVictim picks the module to rejuvenate proactively, or -1 if none is
-// eligible.
-func (s *System[I, O]) selectVictim() int {
-	var healthy, compromised []int
-	for i, m := range s.modules {
-		switch m.state {
-		case Healthy:
-			healthy = append(healthy, i)
-		case Compromised:
-			compromised = append(compromised, i)
-		}
-	}
-	total := len(healthy) + len(compromised)
-	if total == 0 {
-		return -1
-	}
-	switch s.cfg.Selection {
-	case SelectPreferCompromised:
-		if len(compromised) > 0 && s.rng.Bernoulli(s.cfg.PreferProb) {
-			return compromised[s.rng.Intn(len(compromised))]
-		}
-		all := append(append([]int(nil), healthy...), compromised...)
-		return all[s.rng.Intn(len(all))]
-	default: // SelectByCount: uniform over functional modules (w1/w2)
-		all := append(append([]int(nil), healthy...), compromised...)
-		return all[s.rng.Intn(len(all))]
-	}
 }
 
 // Infer advances the clock to time t and runs one voted inference round.

@@ -205,7 +205,7 @@ func reactiveCycles(t *testing.T, rt *obs.Runtime, h *health.Options) reactiveRu
 	round := 0
 	serve := func() {
 		gate <- struct{}{}
-		for s.reactivePending.Load() {
+		for s.reacting.Load() {
 			time.Sleep(100 * time.Microsecond)
 		}
 		for _, p := range s.pools {
@@ -344,6 +344,12 @@ func TestShardedHealthEqualsReplayUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := closeAndRead(t, rt, &export, servers...)
+	// Nothing publishes once Close has returned: a drain the rejuvenation
+	// loop had started is part of the export, not a late straggler.
+	time.Sleep(20 * time.Millisecond)
+	if n := rt.Spans().Published(); n != uint64(len(recs)) {
+		t.Fatalf("sink published %d spans, export closed with %d", n, len(recs))
+	}
 
 	critical := false
 	for _, tr := range servers[0].Health().Report().Timeline {
@@ -360,15 +366,12 @@ func TestShardedHealthEqualsReplayUnderConcurrency(t *testing.T) {
 	}
 }
 
-// closeAndRead waits out any reactive rejuvenation the servers started,
-// closes them (the batcher publishes a request's trace after its reply) and
-// returns the flushed export.
+// closeAndRead closes the servers and returns the flushed export. Close waits
+// for the batcher, which publishes a request's trace after its reply, and for
+// the rejuvenation loop, so a drain under way publishes before Close returns.
 func closeAndRead(t *testing.T, rt *obs.Runtime, export *bytes.Buffer, servers ...*Server) []obs.SpanRecord {
 	t.Helper()
 	for _, s := range servers {
-		for s.reactivePending.Load() {
-			time.Sleep(100 * time.Microsecond)
-		}
 		s.Close()
 	}
 	if err := rt.Spans().Flush(); err != nil {

@@ -282,14 +282,20 @@ func (p *pool) observe(disagreed bool) {
 	}
 }
 
-// shouldRejuvenate reports whether the divergence window is full and over
-// threshold, outside the post-rejuvenation cooldown — the reactive trigger
-// condition, and the only place that decides "this version is diverging".
-func (p *pool) shouldRejuvenate() bool {
+// policyState is the version as the rejuvenation policy sees it, and the only
+// place that decides "this version is diverging" (NonFunctional: the window is
+// full and over threshold outside the cooldown). A compromise stays invisible
+// until then, as in the paper; a pool out of rotation is Rejuvenating.
+func (p *pool) policyState() core.ModuleState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rate, full := p.ring.Rate()
-	return p.state == poolServing && full && rate >= p.threshold && p.ring.cooldown == 0
+	switch rate, full := p.ring.Rate(); {
+	case p.state != poolServing:
+		return core.Rejuvenating
+	case full && rate >= p.threshold && p.ring.cooldown == 0:
+		return core.NonFunctional
+	}
+	return core.Healthy
 }
 
 // resetDivergence clears the window after rejuvenation and starts the

@@ -20,9 +20,9 @@
 // (workers finish in-flight batches, new batches skip the version), its
 // network reloads the pristine weights from safe storage, and it is reinstated
 // while the remaining versions keep answering — requests served meanwhile are
-// at most tagged degraded, never failed. Rejuvenation is triggered reactively
-// (observed divergence from the majority exceeding a threshold) and
-// proactively (time-triggered rotation), mirroring the paper's two triggers.
+// at most tagged degraded, never failed. The paper's policy (core.Rejuvenator)
+// decides what to rejuvenate from its two triggers: reactive (divergence from
+// the majority exceeding a threshold) and proactive (a timer).
 package serve
 
 import (
@@ -70,8 +70,8 @@ type Config struct {
 	TrainEpochs int
 	// Dataset configures the training data when TrainEpochs > 0.
 	Dataset signs.Config
-	// ProactiveInterval rejuvenates one version (round-robin) per tick;
-	// 0 disables the proactive trigger.
+	// ProactiveInterval: each tick drains one in-rotation version, drawn
+	// uniformly, once none is diverging or draining (g2); 0 disables it.
 	ProactiveInterval time.Duration
 	// DivergenceWindow and DivergenceThreshold configure the reactive
 	// trigger: a version whose answers disagreed with the voted output in
@@ -242,8 +242,10 @@ type Server struct {
 	// most one version is ever out of service at a time (the other n−1 keep
 	// answering).
 	rejuvMu sync.Mutex
-	// reactivePending collapses concurrent reactive triggers into one.
-	reactivePending atomic.Bool
+	// detect wakes rejuvLoop; reacting is set with the wake-up and cleared
+	// when the loop is idle again, so concurrent triggers collapse into one.
+	detect   chan struct{}
+	reacting atomic.Bool
 
 	// draining is the gateway-visible lifecycle state: a draining shard keeps
 	// answering whatever still reaches it (zero downtime), but advertises
@@ -255,7 +257,7 @@ type Server struct {
 }
 
 // New builds the ensemble (optionally training it), starts the batcher,
-// worker pools and the proactive rejuvenation timer, and returns a serving
+// worker pools and the rejuvenation loop, and returns a serving
 // Server. rt carries the telemetry runtime; nil serves uninstrumented —
 // instrumentation never changes responses.
 func New(cfg Config, rt *obs.Runtime) (*Server, error) {
@@ -286,6 +288,7 @@ func New(cfg Config, rt *obs.Runtime) (*Server, error) {
 		m:         newMetrics(rt, cfg.ProfileLayers, cfg.ShardLabel),
 		queue:     make(chan *request, cfg.QueueDepth),
 		stop:      make(chan struct{}),
+		detect:    make(chan struct{}, 1),
 		startedAt: time.Now(),
 	}
 	if cfg.Health != nil && s.m.spans != nil {
@@ -318,12 +321,10 @@ func New(cfg Config, rt *obs.Runtime) (*Server, error) {
 		s.pools = append(s.pools, p)
 	}
 
-	s.stopped.Add(1)
+	s.stopped.Add(2)
 	go s.batchLoop()
-	if cfg.ProactiveInterval > 0 {
-		s.stopped.Add(1)
-		go s.proactiveLoop()
-	}
+	// Split does not advance root, so no model, training or fault stream moves.
+	go s.rejuvLoop(core.NewRejuvenator(core.Config{}, root.Split("rejuvenation", 0)))
 	return s, nil
 }
 
@@ -668,49 +669,69 @@ func (s *Server) haltPools() {
 	}
 }
 
-// proactiveLoop is the time-triggered rejuvenation rotation (§IV's
-// timer-based trigger): every interval one version, round-robin.
-func (s *Server) proactiveLoop() {
+// rejuvLoop runs the paper's policy on wall time: a tick is a trigger expiry,
+// maybeReact's wake-up a detection, and each drain runs here, one at a time (a
+// reactive one announced by a rejuvenation_trigger span). An attached health
+// engine can veto a reactive start while it judges the queue to be
+// collapsing: draining a version under backpressure amplifies the incident.
+func (s *Server) rejuvLoop(r *core.Rejuvenator) {
 	defer s.stopped.Done()
-	t := time.NewTicker(s.cfg.ProactiveInterval)
-	defer t.Stop()
-	next := 0
+	var tick <-chan time.Time
+	if s.cfg.ProactiveInterval > 0 {
+		t := time.NewTicker(s.cfg.ProactiveInterval)
+		defer t.Stop()
+		tick = t.C
+	}
+	states := make([]core.ModuleState, len(s.pools))
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-t.C:
-			v := next % len(s.pools)
-			next++
-			_ = s.Rejuvenate(v, RejuvProactive)
+		case <-tick:
+			r.Tick()
+		case <-s.detect:
 		}
+		for !s.closed.Load() {
+			veto := s.health.SuppressRejuvenation()
+			for i, p := range s.pools {
+				if states[i] = p.policyState(); veto && states[i] == core.NonFunctional {
+					states[i] = core.Healthy
+				}
+			}
+			v, proactive, ok := r.Next(states)
+			if !ok {
+				break
+			}
+			kind := RejuvProactive
+			if !proactive {
+				kind = RejuvReactive
+				now := s.m.spans.Now()
+				s.lifecycle("rejuvenation_trigger", now, now,
+					map[string]any{"version": s.pools[v].name, "rate": s.pools[v].divergenceRate()})
+			}
+			_ = s.Rejuvenate(v, kind)
+			r.Done(v)
+		}
+		s.reacting.Store(false)
 	}
 }
 
-// maybeReact fires the reactive trigger: the first pool whose divergence
-// window says its version is diverging is rejuvenated, on its own goroutine
-// so the batcher never blocks on a drain. The decision is announced as a
-// zero-duration rejuvenation_trigger span. An attached health engine can
-// only veto it, while it judges the queue to be collapsing: draining a
-// version under backpressure would amplify the incident.
+// maybeReact wakes rejuvLoop when a pool's divergence window says its version
+// is diverging. It runs after every batch on the batcher, so it never waits
+// on a drain and skips the pool locks while the loop is already reacting.
 func (s *Server) maybeReact() {
-	if s.health.SuppressRejuvenation() {
+	if s.reacting.Load() {
 		return
 	}
 	for _, p := range s.pools {
-		if !p.shouldRejuvenate() {
-			continue
+		if p.policyState() == core.NonFunctional {
+			s.reacting.Store(true)
+			select {
+			case s.detect <- struct{}{}:
+			default:
+			}
+			return
 		}
-		if s.reactivePending.CompareAndSwap(false, true) {
-			now := s.m.spans.Now()
-			s.lifecycle("rejuvenation_trigger", now, now,
-				map[string]any{"version": p.name, "rate": p.divergenceRate()})
-			go func(v int) {
-				defer s.reactivePending.Store(false)
-				_ = s.Rejuvenate(v, RejuvReactive)
-			}(p.index)
-		}
-		return
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -379,8 +380,9 @@ func TestReactiveRejuvenation(t *testing.T) {
 	}
 }
 
-// TestProactiveRejuvenation: the time trigger rotates through versions and
-// heals a compromised one without any divergence signal.
+// TestProactiveRejuvenation: the time trigger heals a compromised version
+// without any divergence signal. Its victim is a uniform draw over the
+// in-rotation versions, so the test waits for a draw to land on version 2.
 func TestProactiveRejuvenation(t *testing.T) {
 	rt := obs.NewRuntime(64)
 	cfg := testConfig()
@@ -390,16 +392,95 @@ func TestProactiveRejuvenation(t *testing.T) {
 	if err := s.Compromise(2); err != nil {
 		t.Fatal(err)
 	}
-	proactive := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", RejuvProactive)
-	deadline := time.Now().Add(5 * time.Second)
-	for proactive.Value() < 3 { // a full rotation covers version 2
-		if time.Now().After(deadline) {
-			t.Fatalf("proactive trigger too slow: %d rejuvenations", proactive.Value())
+	versions, _ := s.Status()
+	healed := func() bool {
+		for _, r := range rt.Spans().Spans() {
+			if r.Kind == "rejuvenation" && r.AttrString("kind") == RejuvProactive &&
+				r.AttrString("version") == versions[2].Name {
+				return true
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !healed(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no proactive draw landed on the compromised version in 5 s")
+		}
 	}
 	if !classifyUntil(t, s, 50, func(res Result) bool { return res.Agreeing == 3 }) {
-		t.Fatal("compromised version not healed by proactive rotation")
+		t.Fatal("compromised version not healed by the proactive trigger")
+	}
+}
+
+// TestReactiveGoesAheadOfProactive: the server runs the paper's precedence.
+// With the proactive trigger ticking every millisecond, a diverging version's
+// reactive drain is never overtaken: in the export, no proactive rejuvenation
+// starts between a rejuvenation_trigger and the reactive rejuvenation that
+// answers it. A proactive draw heals version 1 (and starts its cooldown) long
+// before its own answers fill a window, so each gated round first fills the
+// window with the disagreements a compromised version produces.
+func TestReactiveGoesAheadOfProactive(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	var export bytes.Buffer
+	rt.Spans().SetWriter(&export)
+	cfg := testConfig()
+	cfg.ProactiveInterval = time.Millisecond
+	cfg.DivergenceWindow = 4
+	gate := make(chan struct{})
+	cfg.batchGate = gate
+	s := newTestServer(t, cfg, rt)
+	if err := s.Compromise(1); err != nil {
+		t.Fatal(err)
+	}
+	reactive := rt.Metrics().Counter("mvserve_rejuvenations_total", "kind", RejuvReactive)
+	for round := 0; reactive.Value() == 0; round++ {
+		if round == 200 {
+			t.Fatal("no reactive drain in 200 rounds")
+		}
+		p := s.pools[1]
+		p.mu.Lock()
+		for i := 0; i < cfg.DivergenceWindow; i++ {
+			p.ring.Observe(true)
+		}
+		p.ring.cooldown = 0
+		p.mu.Unlock()
+		gate <- struct{}{}
+		if _, err := s.Classify(testImage(round)); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for s.reacting.Load() {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	var triggers, rejuvs []obs.SpanRecord
+	for _, r := range closeAndRead(t, rt, &export, s) {
+		switch r.Kind {
+		case "rejuvenation_trigger":
+			triggers = append(triggers, r)
+		case "rejuvenation":
+			rejuvs = append(rejuvs, r)
+		}
+	}
+	if len(triggers) == 0 {
+		t.Fatal("reactive drain without a rejuvenation_trigger span")
+	}
+	for _, tr := range triggers {
+		answer := -1.0
+		for _, r := range rejuvs {
+			if r.AttrString("kind") == RejuvReactive && r.AttrString("version") == tr.AttrString("version") &&
+				r.Start >= tr.Start && (answer < 0 || r.Start < answer) {
+				answer = r.Start
+			}
+		}
+		if answer < 0 {
+			t.Fatalf("trigger at %v for %s never answered", tr.Start, tr.AttrString("version"))
+		}
+		for _, r := range rejuvs {
+			if r.AttrString("kind") == RejuvProactive && r.Start >= tr.Start && r.Start < answer {
+				t.Fatalf("proactive rejuvenation of %s at %v overtook the reactive one triggered at %v",
+					r.AttrString("version"), r.Start, tr.Start)
+			}
+		}
 	}
 }
 
