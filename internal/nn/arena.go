@@ -59,11 +59,11 @@ const (
 	// Training-step buffers (train.go).
 	arenaGrad    // gradient w.r.t. the layer input
 	arenaMask    // dropout keep mask, drawn by the training forward
-	arenaCols    // one sample's im2col matrix
 	arenaDK      // one sample's kernel gradient
 	arenaDCols   // one sample's column-matrix gradient
+	arenaDPad    // one sample's zero-padded input-gradient plane
 	arenaSampleX // view of one sample of the layer input
-	arenaSampleG // view of the output gradient as a matrix
+	arenaSampleG // view of the output gradient as a matrix, or of a loss row
 )
 
 type arenaKey struct {

@@ -282,6 +282,112 @@ func TestMaxPool2x2AllSpecialWindows(t *testing.T) {
 	}
 }
 
+// checkMaxPoolBackward runs the batched max-pool backward over x (B, C, H, W)
+// and g on a gradient buffer poisoned with NaN, and requires, sample by
+// sample, the bits of the spec's backward: the output gradient scattered
+// onto the argmax the per-sample Forward recorded, every other pixel +0.
+func checkMaxPoolBackward(t *testing.T, what string, pool *MaxPool2D, x, g *tensor.Tensor) {
+	t.Helper()
+	sc := &scratch{ar: NewInferenceArena()}
+	sc.ar.tensor(pool, arenaGrad, x.Shape...).Fill(float32(math.NaN()))
+	got, err := pool.backwardBatch(x, g, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, plane := x.Shape[0], x.Len()/x.Shape[0]
+	gplane := g.Len() / b
+	for s := 0; s < b; s++ {
+		spec := specOf(pool)
+		xs := &tensor.Tensor{Shape: x.Shape[1:], Data: x.Data[s*plane : (s+1)*plane]}
+		y, err := spec.Forward(xs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs := &tensor.Tensor{Shape: y.Shape, Data: g.Data[s*gplane : (s+1)*gplane]}
+		want, err := spec.backward(pool, gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, wv := range want.Data {
+			if gv := got.Data[s*plane+i]; math.Float32bits(gv) != math.Float32bits(wv) {
+				t.Fatalf("%s: sample %d pixel %d: batched bits %#x, spec bits %#x", what, s, i,
+					math.Float32bits(gv), math.Float32bits(wv))
+			}
+		}
+	}
+}
+
+// TestMaxPoolBackwardMatchesSpec holds the 2×2 backward kernel and the
+// generic window loop to the spec: odd sizes, whose uncovered last row and
+// column get +0 even on a dirty buffer; a NaN seed, which keeps its place,
+// and a NaN elsewhere, which never wins; ties, where the first maximum wins;
+// and −0 and NaN gradients, which land as +0 + g.
+func TestMaxPoolBackwardMatchesSpec(t *testing.T) {
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	r := xrand.New(31)
+	random := func(shape ...int) *tensor.Tensor {
+		x := tensor.New(shape...)
+		x.RandomizeUniform(r, -1, 1)
+		return x
+	}
+	from := func(data []float32, shape ...int) *tensor.Tensor {
+		x, err := tensor.FromSlice(data, shape...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	for _, c := range []struct {
+		name string
+		size int
+		x, g *tensor.Tensor
+	}{
+		{"odd 7x7", 2, random(2, 3, 7, 7), random(2, 3, 3, 3)},
+		{"odd 5x6", 2, random(2, 3, 5, 6), random(2, 3, 2, 3)},
+		{"even 24x24", 2, random(2, 2, 24, 24), random(2, 2, 12, 12)},
+		{"size 3, generic", 3, random(2, 3, 7, 8), random(2, 3, 2, 2)},
+		{"NaN seed", 2, from([]float32{nan, 5, 7, 9}, 1, 1, 2, 2), from([]float32{3}, 1, 1, 1, 1)},
+		{"NaN later", 2, from([]float32{1, nan, 0.5, 2, 3, 4, nan, 0}, 1, 1, 2, 4), from([]float32{3, 4}, 1, 1, 1, 2)},
+		{"ties", 2, from([]float32{1, 1, 2, 0, 1, 1, 2, 2, negZero, 0, 5, 5, 0, negZero, 5, 5}, 1, 1, 4, 4),
+			from([]float32{1, 2, 3, 4}, 1, 1, 2, 2)},
+		{"-0 and NaN gradients", 2, random(1, 2, 5, 9), from([]float32{negZero, nan, 1, negZero, nan, 2, 3, negZero,
+			nan, negZero, 4, 5, negZero, negZero, nan, 6}, 1, 2, 2, 4)},
+		{"-0 and NaN gradients, size 3", 3, random(1, 1, 7, 7), from([]float32{negZero, nan, 1, negZero}, 1, 1, 2, 2)},
+	} {
+		checkMaxPoolBackward(t, c.name, NewMaxPool2D("pool", c.size), c.x, c.g)
+	}
+
+	// Every window over the special values of TestMaxPool2x2AllSpecialWindows,
+	// with gradients cycling through ±0 and NaN, in every SIMD lane, the
+	// scalar tail and beside an uncovered column and row.
+	vals := []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002),
+		negZero, 0, -1, 1, float32(math.Inf(1)),
+	}
+	grads := []float32{1.5, negZero, math.Float32frombits(0x7fc00003), 0, -2}
+	nv := len(vals)
+	windows := nv * nv * nv * nv
+	for _, w := range []int{2, 3, 8, 9, 10, 11, 24, 25} {
+		ow := w / 2
+		oh := (windows + ow - 1) / ow
+		h := 2*oh + w%2
+		x := tensor.New(1, 1, h, w)
+		x.Fill(-1)
+		g := tensor.New(1, 1, oh, ow)
+		for i := range g.Data {
+			g.Data[i] = grads[i%len(grads)]
+		}
+		for i := 0; i < windows; i++ {
+			oy, ox := i/ow, i%ow
+			x.Data[(2*oy)*w+2*ox] = vals[i%nv]
+			x.Data[(2*oy)*w+2*ox+1] = vals[i/nv%nv]
+			x.Data[(2*oy+1)*w+2*ox] = vals[i/nv/nv%nv]
+			x.Data[(2*oy+1)*w+2*ox+1] = vals[i/nv/nv/nv]
+		}
+		checkMaxPoolBackward(t, fmt.Sprintf("special windows w=%d", w), NewMaxPool2D("pool", 2), x, g)
+	}
+}
+
 // specialBits covers every class of float32 bit pattern, class boundaries
 // included.
 var specialBits = []uint32{

@@ -142,23 +142,30 @@ func (n *Network) ParamLayers() []ParamLayer {
 // Softmax converts logits to a probability vector (numerically stabilised).
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(logits.Shape...)
-	maxv := logits.Data[0]
-	for _, v := range logits.Data[1:] {
+	softmaxInto(out.Data, logits.Data)
+	return out
+}
+
+// softmaxInto writes Softmax(logits) into out, a slice of the same length:
+// the exponentials and their sum in float64, each stored as float32 and
+// scaled by the float32 reciprocal of the sum.
+func softmaxInto(out, logits []float32) {
+	maxv := logits[0]
+	for _, v := range logits[1:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
 	var sum float64
-	for i, v := range logits.Data {
+	for i, v := range logits {
 		e := math.Exp(float64(v - maxv))
-		out.Data[i] = float32(e)
+		out[i] = float32(e)
 		sum += e
 	}
 	inv := float32(1 / sum)
-	for i := range out.Data {
-		out.Data[i] *= inv
+	for i := range out {
+		out[i] *= inv
 	}
-	return out
 }
 
 // ErrBadLabel is returned when a class label is outside the logit range.
@@ -167,18 +174,27 @@ var ErrBadLabel = errors.New("nn: label out of range")
 // SoftmaxCrossEntropy returns the cross-entropy loss for one sample and the
 // gradient of the loss w.r.t. the logits.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (float64, *tensor.Tensor, error) {
-	if label < 0 || label >= logits.Len() {
-		return 0, nil, fmt.Errorf("%w: %d with %d classes", ErrBadLabel, label, logits.Len())
+	grad := tensor.New(logits.Shape...)
+	loss, err := softmaxCrossEntropyInto(logits, grad, label)
+	if err != nil {
+		return 0, nil, err
 	}
-	probs := Softmax(logits)
-	p := float64(probs.Data[label])
+	return loss, grad, nil
+}
+
+// softmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into
+// grad, a tensor of the logits' length.
+func softmaxCrossEntropyInto(logits, grad *tensor.Tensor, label int) (float64, error) {
+	if label < 0 || label >= logits.Len() {
+		return 0, fmt.Errorf("%w: %d with %d classes", ErrBadLabel, label, logits.Len())
+	}
+	softmaxInto(grad.Data, logits.Data) // grad = probs - onehot(label)
+	p := float64(grad.Data[label])
 	if p < 1e-12 {
 		p = 1e-12
 	}
-	loss := -math.Log(p)
-	grad := probs // reuse: grad = probs - onehot(label)
 	grad.Data[label]--
-	return loss, grad, nil
+	return -math.Log(p), nil
 }
 
 // SGD is stochastic gradient descent with classical momentum and optional L2
@@ -241,8 +257,8 @@ func (n *Network) TrainBatch(batch []Sample, opt *SGD) (float64, error) {
 		return 0, errors.New("nn: empty batch")
 	}
 	return n.trainStep(len(batch), func(i int) *tensor.Tensor { return batch[i].X },
-		func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error) {
-			return SoftmaxCrossEntropy(out, batch[i].Label)
+		func(i int, out, grad *tensor.Tensor) (float64, error) {
+			return softmaxCrossEntropyInto(out, grad, batch[i].Label)
 		}, opt)
 }
 

@@ -68,3 +68,108 @@ scalar:
 
 done:
 	RET
+
+// maxPool2x2BackRowAsm is maxPool2x2BackRowGo four windows at a time, with a
+// one-window tail. Each window finds its first maximum as masks: mN is
+// "candidate N > running best" (CMPPS predicate 1, dst < src, false on NaN,
+// so a NaN seed keeps its place and a NaN candidate never wins), and the
+// running best is blended with AND/ANDN/OR. The winner is the last candidate
+// whose mask is set: d on m3, c on m2 &^ m3, b on m1 &^ (m2|m3), a on none.
+// Each pixel stores +0 + g under its winner mask and +0 elsewhere.
+//
+// In: X0 = a, X1 = b, X2 = c, X3 = d, X8 = g. Out: X6 = da, X11 = db,
+// X10 = dc, X9 = dd. Clobbers X5, X7, X12.
+#define WINDOWS2X2 \
+	MOVAPS X0, X6; CMPPS X1, X6, $1; \
+	MOVAPS X6, X5; ANDNPS X0, X5; \
+	MOVAPS X6, X7; ANDPS X1, X7; ORPS X7, X5; \
+	MOVAPS X5, X7; CMPPS X2, X7, $1; \
+	MOVAPS X7, X9; ANDNPS X5, X9; \
+	MOVAPS X7, X10; ANDPS X2, X10; ORPS X10, X9; \
+	CMPPS X3, X9, $1; \
+	MOVAPS X9, X10; ANDNPS X7, X10; \
+	ORPS X9, X7; \
+	MOVAPS X7, X11; ANDNPS X6, X11; \
+	ORPS X7, X6; \
+	XORPS X12, X12; ADDPS X8, X12; \
+	ANDNPS X12, X6; \
+	ANDPS X12, X11; \
+	ANDPS X12, X10; \
+	ANDPS X12, X9
+
+// func maxPool2x2BackRowAsm(d0, d1, r0, r1, grad *float32, n int)
+TEXT ·maxPool2x2BackRowAsm(SB), NOSPLIT, $0-48
+	MOVQ d0+0(FP), DI
+	MOVQ d1+8(FP), R8
+	MOVQ r0+16(FP), SI
+	MOVQ r1+24(FP), DX
+	MOVQ grad+32(FP), R9
+	MOVQ n+40(FP), CX
+
+	CMPQ CX, $4
+	JLT  backtail
+
+backvec:
+	// De-interleave as the forward does: even lanes a/c, odd lanes b/d.
+	MOVUPS (SI), X0
+	MOVUPS 16(SI), X4
+	MOVAPS X0, X1
+	SHUFPS $0x88, X4, X0
+	SHUFPS $0xDD, X4, X1
+	MOVUPS (DX), X2
+	MOVUPS 16(DX), X4
+	MOVAPS X2, X3
+	SHUFPS $0x88, X4, X2
+	SHUFPS $0xDD, X4, X3
+	MOVUPS (R9), X8
+	WINDOWS2X2
+
+	// Re-interleave: row 0 is da0 db0 da1 db1 | da2 db2 da3 db3, row 1 the
+	// same of dc and dd.
+	MOVAPS   X6, X13
+	UNPCKLPS X11, X13
+	UNPCKHPS X11, X6
+	MOVUPS   X13, (DI)
+	MOVUPS   X6, 16(DI)
+	MOVAPS   X10, X13
+	UNPCKLPS X9, X13
+	UNPCKHPS X9, X10
+	MOVUPS   X13, (R8)
+	MOVUPS   X10, 16(R8)
+
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $16, R9
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  backvec
+
+backtail:
+	TESTQ CX, CX
+	JEQ   backdone
+
+backscalar:
+	// One window in lane 0; MOVSS from memory zeroes the other lanes.
+	MOVSS (SI), X0
+	MOVSS 4(SI), X1
+	MOVSS (DX), X2
+	MOVSS 4(DX), X3
+	MOVSS (R9), X8
+	WINDOWS2X2
+	MOVSS X6, (DI)
+	MOVSS X11, 4(DI)
+	MOVSS X10, (R8)
+	MOVSS X9, 4(R8)
+
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ $8, DI
+	ADDQ $8, R8
+	ADDQ $4, R9
+	DECQ CX
+	JNE  backscalar
+
+backdone:
+	RET

@@ -4,18 +4,21 @@ package nn
 //
 // A step runs the whole mini-batch through each layer at once — forward on
 // the serving forward itself (forwardBatchLayers, fused ReLUs included),
-// backward as packed GEMMs — and must leave every weight exactly where the
-// per-sample spec loop in the tests (forward in training mode, backward,
-// sample after sample) leaves it. GemmPacked sums each output element's k
-// products in ascending order from +0, as MatMul, MatMulTransA and
-// MatMulTransB do, so any product the spec computes per sample may be moved
-// onto it. What may not move is the order in which one accumulator receives
-// its terms: a parameter gradient is a sum over samples in batch order of
-// per-sample terms, each term complete before it is added. A convolution's
-// dK is therefore Σ_s (G_s·cols_sᵀ), one GEMM and one add per sample — a
-// single GEMM over the batch's columns would interleave the samples' spatial
-// sums and change every weight. A dense layer's dW[o][i] is Σ_s g_s[o]·x_s[i],
-// one product per sample, which is exactly a GEMM whose k runs over the batch.
+// backward as packed GEMMs whose operands are packed straight from the
+// recorded tensors, no column matrix built — allocates nothing once warm,
+// and must leave every weight exactly where the per-sample spec loop in the
+// tests (forward in training mode, backward, sample after sample) leaves it.
+// GemmPacked sums each output element's k products in ascending order from
+// +0, as MatMul, MatMulTransA and MatMulTransB do, so any product the spec
+// computes per sample may be moved onto it. What may not move is the order
+// in which one accumulator receives its terms: a parameter gradient is a sum
+// over samples in batch order of per-sample terms, each term complete before
+// it is added. A convolution's dK is therefore Σ_s (G_s·cols_sᵀ), one GEMM
+// and one add per sample — a single GEMM over the batch's columns would
+// interleave the samples' spatial sums and change every weight — and each
+// pixel of its dX_s = col2im(Kᵀ·G_s) sums its terms in the spec's ascending
+// (ky, kx) order from +0. A dense layer's dW[o][i] is Σ_s g_s[o]·x_s[i], one
+// product per sample, which is exactly a GEMM whose k runs over the batch.
 // Dropout draws per layer, per sample, per element in batch order, so each
 // Dropout layer needs its own RNG stream to match the spec.
 
@@ -41,9 +44,14 @@ type scratch struct {
 	// record, the arena's observer during that pass, fills it.
 	inputs map[Layer]*tensor.Tensor
 	record func(l Layer, x *tensor.Tensor)
-	// first is the network's first layer with parameters. Nothing consumes
-	// the gradient w.r.t. its input, so backward stops there and a Conv2D or
-	// Dense in that position skips the GEMM that would compute it.
+	// params and grads are the network's Params and Grads, and trained its
+	// layers from the first one with parameters on, all listed on the first
+	// step: a network's layers do not change once it has run.
+	params, grads []*tensor.Tensor
+	trained       []Layer
+	// first is trained[0]. Nothing consumes the gradient w.r.t. its input,
+	// so backward stops there and a Conv2D or Dense in that position skips
+	// the GEMM that would compute it.
 	first Layer
 }
 
@@ -66,9 +74,9 @@ func (sc *scratch) stack(n int, sample func(i int) *tensor.Tensor) (*tensor.Tens
 	return x, nil
 }
 
-// lossFunc scores sample i's output row: the loss and its gradient w.r.t.
-// that row.
-type lossFunc func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error)
+// lossFunc scores sample i's output row: it returns the loss and writes its
+// gradient w.r.t. that row into grad, a row of the same shape.
+type lossFunc func(i int, out, grad *tensor.Tensor) (float64, error)
 
 // trainStep is the one training step: size samples forward, loss per row,
 // backward, one optimiser step. It returns the mean loss.
@@ -84,7 +92,15 @@ func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lo
 	if err != nil {
 		return 0, err
 	}
-	n.ZeroGrads()
+	if sc.params == nil {
+		sc.params, sc.grads = n.Params(), n.Grads()
+		if i := slices.IndexFunc(n.Layers, func(l Layer) bool { return len(l.Params()) > 0 }); i >= 0 {
+			sc.trained, sc.first = n.Layers[i:], n.Layers[i]
+		}
+	}
+	for _, g := range sc.grads {
+		g.Zero()
+	}
 	sc.ar.InvalidateWeights() // the last step, or anyone since, moved the weights
 	sc.ar.train, sc.ar.observer = true, sc.record
 	out, err := forwardBatchLayers(n.Layers, x, sc.ar)
@@ -97,24 +113,17 @@ func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lo
 	var total float64
 	for i := 0; i < size; i++ {
 		row := sc.ar.view(nil, arenaView, out.Data[i*stride:(i+1)*stride], out.Shape[1:]...)
-		l, grad, err := loss(i, row)
+		grad := sc.ar.view(nil, arenaSampleG, g.Data[i*stride:(i+1)*stride], out.Shape[1:]...)
+		l, err := loss(i, row, grad)
 		if err != nil {
 			return 0, err
 		}
-		if grad.Len() != stride {
-			return 0, fmt.Errorf("nn: loss gradient has %d elements, output row %d", grad.Len(), stride)
-		}
 		total += l
-		copy(g.Data[i*stride:], grad.Data)
 	}
-	first := slices.IndexFunc(n.Layers, func(l Layer) bool { return len(l.Params()) > 0 })
-	if first >= 0 {
-		sc.first = n.Layers[first]
-		if _, err := sc.backward(n.Layers[first:], g); err != nil {
-			return 0, err
-		}
+	if _, err := sc.backward(sc.trained, g); err != nil {
+		return 0, err
 	}
-	if err := opt.Step(n.Params(), n.Grads(), size); err != nil {
+	if err := opt.Step(sc.params, sc.grads, size); err != nil {
 		return 0, err
 	}
 	return total / float64(size), nil
@@ -184,7 +193,9 @@ func (l *Dropout) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tenso
 
 // backwardBatch routes each output gradient to its window's argmax, found by
 // scanning the window again (first maximum; a NaN seed keeps its place)
-// rather than recorded, so the forward can stay on the SIMD pool kernel.
+// rather than recorded, so the forward can stay on the SIMD pool kernel. A
+// 2×2 window — the only size the models use — runs maxPool2x2BackRow, which
+// writes all four of its pixels; the generic loop clears dx and adds into it.
 func (l *MaxPool2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
 	planes, h, w := x.Shape[0]*x.Shape[1], x.Shape[2], x.Shape[3]
 	s := l.Size
@@ -193,6 +204,22 @@ func (l *MaxPool2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Ten
 		return nil, fmt.Errorf("maxpool %s: grad size %d, want %d", l.name, g.Len(), planes*oh*ow)
 	}
 	dx := sc.ar.tensor(l, arenaGrad, x.Shape...)
+	if s == 2 {
+		for p := 0; p < planes; p++ {
+			for oy := 0; oy < oh; oy++ {
+				rows := x.Data[(p*h+2*oy)*w:][:2*w] // the window's two source rows
+				drows := dx.Data[(p*h+2*oy)*w:][:2*w]
+				maxPool2x2BackRow(drows[:w], drows[w:], rows[:w], rows[w:], g.Data[(p*oh+oy)*ow:][:ow])
+				if w%2 == 1 { // the column no window covers
+					drows[w-1], drows[2*w-1] = 0, 0
+				}
+			}
+			if h%2 == 1 { // the row no window covers
+				clear(dx.Data[(p*h+h-1)*w:][:w])
+			}
+		}
+		return dx, nil
+	}
 	clear(dx.Data)
 	oi := 0
 	for p := 0; p < planes; p++ {
@@ -214,6 +241,41 @@ func (l *MaxPool2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Ten
 		}
 	}
 	return dx, nil
+}
+
+// maxPool2x2BackRow writes the gradient of one row of len(g) 2×2 windows into
+// the two destination rows d0 and d1 under the source rows r0 and r1.
+func maxPool2x2BackRow(d0, d1, r0, r1, g []float32) {
+	if haveAsm && len(g) > 0 {
+		maxPool2x2BackRowAsm(&d0[0], &d1[0], &r0[0], &r1[0], &g[0], len(g))
+		return
+	}
+	maxPool2x2BackRowGo(d0, d1, r0, r1, g)
+}
+
+// maxPool2x2BackRowGo is maxPool2x2BackRow's portable arm and the executable
+// spec of the assembly one. Window i holds r0[2i], r0[2i+1], r1[2i],
+// r1[2i+1]; the first maximum in that order under "v > best" wins, so a NaN
+// seed keeps its place and a NaN elsewhere never wins. The winner's pixel
+// gets +0 + g[i] — the generic loop's add onto a cleared +0, which turns a
+// −0 gradient into +0 — and the other three get +0.
+func maxPool2x2BackRowGo(d0, d1, r0, r1, g []float32) {
+	for i, gv := range g {
+		a, b, c, d := r0[2*i], r0[2*i+1], r1[2*i], r1[2*i+1]
+		best, k := a, 0
+		if b > best {
+			best, k = b, 1
+		}
+		if c > best {
+			best, k = c, 2
+		}
+		if d > best {
+			k = 3
+		}
+		var win [4]float32
+		win[k] += gv
+		d0[2*i], d0[2*i+1], d1[2*i], d1[2*i+1] = win[0], win[1], win[2], win[3]
+	}
 }
 
 func (l *GlobalAvgPool) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
@@ -275,7 +337,8 @@ func (d *Dense) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor,
 }
 
 // backwardBatch walks the batch in order, one sample at a time: bias
-// gradient, dK += G_s·cols_sᵀ, and dX_s = col2im(Kᵀ·G_s) with Kᵀ packed once.
+// gradient, dK += G_s·cols_sᵀ with cols_sᵀ packed straight from the image,
+// and dX_s = col2im(Kᵀ·G_s) with Kᵀ packed once.
 func (c *Conv2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
 	ar := sc.ar
 	outC, inC := c.Kernel.Shape[0], c.Kernel.Shape[1]
@@ -287,16 +350,18 @@ func (c *Conv2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor
 		return nil, fmt.Errorf("conv %s: grad size %d, want %d", c.name, g.Len(), b*outC*spatial)
 	}
 	p := ar.packedFor(c)
-	cols := ar.tensor(c, arenaCols, ckk, spatial)
 	dk := ar.tensor(c, arenaDK, outC, ckk)
 	var dcols, dx *tensor.Tensor
+	var padded []float32
 	if sc.first != Layer(c) {
 		if err := p.kT.PackTransposed(c.kernelMatrix()); err != nil {
 			return nil, err
 		}
 		dcols = ar.tensor(c, arenaDCols, ckk, spatial)
 		dx = ar.tensor(c, arenaGrad, x.Shape...)
-		clear(dx.Data)
+		if c.Pad > 0 {
+			padded = ar.tensor(c, arenaDPad, inC, h+2*c.Pad, w+2*c.Pad).Data
+		}
 	}
 	for s := 0; s < b; s++ {
 		xs := ar.view(c, arenaSampleX, x.Data[s*plane:(s+1)*plane], 1, inC, h, w)
@@ -308,13 +373,10 @@ func (c *Conv2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor
 			}
 			c.dB.Data[o] += sum
 		}
-		if err := tensor.Im2ColBatch(xs, kh, kw, c.Stride, c.Pad, cols); err != nil {
-			return nil, err
-		}
 		if err := p.gA.Pack(gs); err != nil {
 			return nil, err
 		}
-		if err := p.gB.PackTransposed(cols); err != nil {
+		if err := p.gB.PackIm2ColTransposed(xs, kh, kw, c.Stride, c.Pad); err != nil {
 			return nil, err
 		}
 		if err := tensor.GemmPacked(dk, &p.gA, &p.gB); err != nil {
@@ -332,7 +394,7 @@ func (c *Conv2D) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor
 		if err := tensor.GemmPacked(dcols, &p.kT, &p.gB); err != nil {
 			return nil, err
 		}
-		if err := tensor.Col2ImAdd(dx.Data[s*plane:(s+1)*plane], dcols, inC, h, w, kh, kw, c.Stride, c.Pad); err != nil {
+		if err := tensor.Col2ImAdd(dx.Data[s*plane:(s+1)*plane], padded, dcols, inC, h, w, kh, kw, c.Stride, c.Pad); err != nil {
 			return nil, err
 		}
 	}

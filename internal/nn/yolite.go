@@ -59,14 +59,25 @@ func Sigmoid(x float32) float32 {
 // plus squared-error on the offsets of occupied cells (weighted by
 // offsetWeight). Both pred and target must have the YOLite output shape.
 func YOLiteLoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor, error) {
+	grad := tensor.New(pred.Shape...)
+	loss, err := yoliteLossInto(pred, target, grad)
+	if err != nil {
+		return 0, nil, err
+	}
+	return loss, grad, nil
+}
+
+// yoliteLossInto is YOLiteLoss writing the gradient into grad, a tensor of
+// the prediction's length.
+func yoliteLossInto(pred, target, grad *tensor.Tensor) (float64, error) {
 	wantLen := YOLiteChannels * YOLiteGrid * YOLiteGrid
 	if pred.Len() != wantLen || target.Len() != wantLen {
-		return 0, nil, fmt.Errorf("nn: YOLite loss wants %d elements, got pred %d target %d",
+		return 0, fmt.Errorf("nn: YOLite loss wants %d elements, got pred %d target %d",
 			wantLen, pred.Len(), target.Len())
 	}
 	const offsetWeight = 2.0
 	cells := YOLiteGrid * YOLiteGrid
-	grad := tensor.New(pred.Shape...)
+	clear(grad.Data)
 	var loss float64
 	for c := 0; c < cells; c++ {
 		logit := pred.Data[c]
@@ -86,7 +97,7 @@ func YOLiteLoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor, error) {
 			}
 		}
 	}
-	return loss, grad, nil
+	return loss, nil
 }
 
 // GridDetection is one decoded detection in raster coordinates (pixels of
@@ -148,7 +159,7 @@ func TrainYOLiteBatch(net *Network, batch []YOLiteSample, opt *SGD) (float64, er
 		return 0, fmt.Errorf("nn: empty YOLite batch")
 	}
 	return net.trainStep(len(batch), func(i int) *tensor.Tensor { return batch[i].Raster },
-		func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error) {
-			return YOLiteLoss(out, batch[i].Target)
+		func(i int, out, grad *tensor.Tensor) (float64, error) {
+			return yoliteLossInto(out, batch[i].Target, grad)
 		}, opt)
 }

@@ -2,8 +2,8 @@
 
 package tensor
 
-// haveGemmAsm gates the SSE2 int8 kernel and packer; SSE2 is part of the
-// amd64 baseline.
+// haveGemmAsm gates the SSE2 int8 kernel and packer and the SSE2 addRows;
+// SSE2 is part of the amd64 baseline.
 const haveGemmAsm = true
 
 // gemmArm is GemmPacked's micro-kernel, chosen once at init by a CPUID/XGETBV
@@ -45,6 +45,13 @@ func packPanelLoadAVX2(dst, src *float32, off *int, kk int)
 //
 //go:noescape
 func packPanelGatherAVX2(dst, src *float32, off *int, kk int, idx, mask *[gemmNR]int32)
+
+// addRowsAsm adds the rows·n floats at src, row by row, into rows runs of n
+// floats ldd apart at dst: one IEEE single add per element with the src term
+// as the first operand, addTermFirst lane by lane. n and rows must be >= 1.
+//
+//go:noescape
+func addRowsAsm(dst, src *float32, n, rows, ldd int)
 
 // gemmInt8MicroAsm computes one full gemmMR×gemmNR int32 tile from quantized
 // k-pair panels (PMADDWD multiply-add of int16 pairs, PADDD accumulation).

@@ -3,7 +3,8 @@
 package tensor
 
 // haveGemmAsm is false off amd64 and under the noasm tag (which lets an amd64
-// host test the fallbacks): the int8 path runs its portable kernels.
+// host test the fallbacks): the int8 path and addRows run their portable
+// kernels.
 const haveGemmAsm = false
 
 // gemmArm is always the portable gemmMicroGo kernel here, which is bitwise
@@ -29,6 +30,11 @@ func packPanelLoadAVX2(dst, src *float32, off *int, kk int) {
 // packPanelGatherAVX2 is never called when gemmArm is armGo.
 func packPanelGatherAVX2(dst, src *float32, off *int, kk int, idx, mask *[gemmNR]int32) {
 	panic("tensor: packPanelGatherAVX2 without asm support")
+}
+
+// addRowsAsm is never called when haveGemmAsm is false.
+func addRowsAsm(dst, src *float32, n, rows, ldd int) {
+	panic("tensor: addRowsAsm without asm support")
 }
 
 // gemmInt8MicroAsm is never called when haveGemmAsm is false.

@@ -50,6 +50,7 @@ type PackedB struct {
 	data   []float32
 	padded []float32 // PackIm2Col's zero-padded copy of the image
 	offs   []int     // PackIm2Col's per-row (ch, ky, kx) offsets into it
+	bases  []int     // PackIm2ColTransposed's per-column (b, oy, ox) bases
 }
 
 // grow resizes buf to n elements, reusing capacity when possible.

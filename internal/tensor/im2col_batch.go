@@ -1,10 +1,12 @@
 // Batched im2col: the transform that lets a convolution layer process a whole
 // (B, C, H, W) batch with a single packed GEMM (see gemm_packed.go). The float
-// inference and training forward packs its GEMM panels straight from the
-// image, one panel at a time (PackedB.PackIm2Col); the row unroll im2colRow,
-// which produces a single row of the column matrix, serves Im2ColBatch (the
-// training backward, and the matrix the tests pack and compare against) and
-// the int8 packer PackedBInt8.PackIm2Col only.
+// forward, serving and training alike, packs its GEMM panels straight from
+// the image, one panel at a time (PackedB.PackIm2Col), and the training
+// backward packs the transposed panels of its kernel-gradient GEMM the same
+// way (PackedB.PackIm2ColTransposed). The row unroll im2colRow, which
+// produces a single row of the column matrix, serves only Im2ColBatch (the
+// matrix the tests pack and compare against, and mvbench's im2col probe) and
+// the int8 packer PackedBInt8.PackIm2Col.
 package tensor
 
 import (
@@ -138,23 +140,11 @@ func (p *PackedB) PackIm2Col(in *Tensor, kh, kw, stride, pad int) error {
 		return err
 	}
 	// Panels and the padded copy are rewritten while in is still being read.
-	if overlaps(p.data[:cap(p.data)], in.Data) || overlaps(p.padded[:cap(p.padded)], in.Data) {
+	if p.aliases(in) {
 		return fmt.Errorf("tensor: PackedB.PackIm2Col input aliases the packed operand")
 	}
-	src, hp, wp := in.Data, g.h+2*pad, g.w+2*pad
-	if pad > 0 {
-		p.padded = grow(p.padded, g.b*g.c*hp*wp)
-		padImage(p.padded, in.Data, &g)
-		src = p.padded
-	}
-	p.offs = p.offs[:0]
-	for ch := 0; ch < g.c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				p.offs = append(p.offs, (ch*hp+ky)*wp+kx)
-			}
-		}
-	}
+	src := p.image(in, &g)
+	wp := g.w + 2*pad
 	k, n := g.rows(), g.cols()
 	panels := (n + gemmNR - 1) / gemmNR
 	p.data = grow(p.data, panels*k*gemmNR)
@@ -163,7 +153,7 @@ func (p *PackedB) PackIm2Col(in *Tensor, kh, kw, stride, pad int) error {
 	// output row, then by rowStep to the next row and by sampleStep to the
 	// next sample's first row.
 	rowStep := stride*wp - g.ow*stride
-	sampleStep := g.c*hp*wp - g.oh*stride*wp
+	sampleStep := g.c*(g.h+2*pad)*wp - g.oh*stride*wp
 	base, ox, oy := 0, 0, 0
 	for jp := 0; jp < panels; jp++ {
 		live := min(gemmNR, n-jp*gemmNR)
@@ -182,6 +172,76 @@ func (p *PackedB) PackIm2Col(in *Tensor, kh, kw, stride, pad int) error {
 		packPanel(p.data[jp*k*gemmNR:(jp+1)*k*gemmNR], src[b0:], p.offs, &lane, live)
 	}
 	return nil
+}
+
+// PackIm2ColTransposed packs the transpose of the column matrix of a
+// (B, C, H, W) batch — what PackTransposed would produce from Im2ColBatch's
+// output, the right operand of a convolution's dK = G·colsᵀ — without
+// materialising it. It is PackIm2Col with the two offset tables swapped: a
+// panel's eight lanes are eight consecutive rows kk = (ch, ky, kx) of the
+// column matrix, at their (ch, ky, kx) offsets into the zero-padded image,
+// and its K rows are the columns (b, oy, ox), at their bases. The panels go
+// through the same packPanel kernels; every slot is written, so p may be
+// dirty.
+func (p *PackedB) PackIm2ColTransposed(in *Tensor, kh, kw, stride, pad int) error {
+	g, err := newIm2ColGeom("PackedB.PackIm2ColTransposed", in, kh, kw, stride, pad)
+	if err != nil {
+		return err
+	}
+	if p.aliases(in) {
+		return fmt.Errorf("tensor: PackedB.PackIm2ColTransposed input aliases the packed operand")
+	}
+	src := p.image(in, &g)
+	hp, wp := g.h+2*pad, g.w+2*pad
+	p.bases = p.bases[:0]
+	for b := 0; b < g.b; b++ {
+		for oy := 0; oy < g.oh; oy++ {
+			for ox := 0; ox < g.ow; ox++ {
+				p.bases = append(p.bases, b*g.c*hp*wp+oy*stride*wp+ox*stride)
+			}
+		}
+	}
+	k, n := g.cols(), g.rows()
+	panels := (n + gemmNR - 1) / gemmNR
+	p.data = grow(p.data, panels*k*gemmNR)
+	p.K, p.N = k, n
+	for jp := 0; jp < panels; jp++ {
+		j0 := jp * gemmNR
+		live := min(gemmNR, n-j0)
+		var lane [gemmNR]int // each row's offset minus the panel's first
+		for c := 0; c < live; c++ {
+			lane[c] = p.offs[j0+c] - p.offs[j0]
+		}
+		packPanel(p.data[jp*k*gemmNR:(jp+1)*k*gemmNR], src[p.offs[j0]:], p.bases, &lane, live)
+	}
+	return nil
+}
+
+// aliases reports whether in shares memory with the panels or the padded
+// copy, which the packers rewrite while in is still being read.
+func (p *PackedB) aliases(in *Tensor) bool {
+	return overlaps(p.data[:cap(p.data)], in.Data) || overlaps(p.padded[:cap(p.padded)], in.Data)
+}
+
+// image returns the image the packers read — in itself at pad 0, else its
+// zero-padded (B, C, h+2·pad, w+2·pad) copy — and fills p.offs with the
+// offset of each column-matrix row kk = (ch, ky, kx) into it.
+func (p *PackedB) image(in *Tensor, g *im2colGeom) []float32 {
+	src, hp, wp := in.Data, g.h+2*g.pad, g.w+2*g.pad
+	if g.pad > 0 {
+		p.padded = grow(p.padded, g.b*g.c*hp*wp)
+		padImage(p.padded, in.Data, g)
+		src = p.padded
+	}
+	p.offs = p.offs[:0]
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				p.offs = append(p.offs, (ch*hp+ky)*wp+kx)
+			}
+		}
+	}
+	return src
 }
 
 // padImage writes every (h, w) plane of in into the centre of its

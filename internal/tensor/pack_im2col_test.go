@@ -19,8 +19,10 @@ func (g im2colCase) String() string {
 }
 
 // checkPackIm2Col requires the fused packers to produce exactly the panels
-// Pack builds from the materialised Im2ColBatch matrix, float and int8. pb and
-// qb are the (possibly dirty, reused) operands under test.
+// Pack builds from the materialised Im2ColBatch matrix, float and int8, and
+// PackIm2ColTransposed exactly the ones PackTransposed builds from it. pb and
+// qb are the (possibly dirty, reused) operands under test; pb is left holding
+// PackIm2Col's panels.
 func checkPackIm2Col(t *testing.T, g im2colCase, in *Tensor, pb *PackedB, qb *PackedBInt8) {
 	t.Helper()
 	oh, ow := Conv2DShape(g.h, g.w, g.kh, g.kw, g.stride, g.pad)
@@ -28,6 +30,7 @@ func checkPackIm2Col(t *testing.T, g im2colCase, in *Tensor, pb *PackedB, qb *Pa
 	if err := Im2ColBatch(in, g.kh, g.kw, g.stride, g.pad, cols); err != nil {
 		t.Fatalf("%v: %v", g, err)
 	}
+	checkPackIm2ColTransposed(t, g, in, cols, pb)
 	var want PackedB
 	if err := want.Pack(cols); err != nil {
 		t.Fatalf("%v: %v", g, err)
@@ -57,6 +60,24 @@ func checkPackIm2Col(t *testing.T, g im2colCase, in *Tensor, pb *PackedB, qb *Pa
 			t.Fatalf("%v: int8 panel slot %d = %d, want %d", g, i, qb.data[i], qwant.data[i])
 		}
 	}
+}
+
+// checkPackIm2ColTransposed requires PackIm2ColTransposed to produce exactly
+// the panels PackTransposed builds from cols, the materialised column matrix
+// of in.
+func checkPackIm2ColTransposed(t *testing.T, g im2colCase, in, cols *Tensor, pb *PackedB) {
+	t.Helper()
+	var want PackedB
+	if err := want.PackTransposed(cols); err != nil {
+		t.Fatalf("%v: %v", g, err)
+	}
+	if err := pb.PackIm2ColTransposed(in, g.kh, g.kw, g.stride, g.pad); err != nil {
+		t.Fatalf("%v: %v", g, err)
+	}
+	if pb.K != want.K || pb.N != want.N {
+		t.Fatalf("%v: transposed packed (%d, %d), want (%d, %d)", g, pb.K, pb.N, want.K, want.N)
+	}
+	bitsEqual(t, g.String()+" transposed panels", pb.data, want.data)
 }
 
 // TestPackIm2ColMatchesPackOfIm2ColBatch: the column matrix is never built on
@@ -198,6 +219,9 @@ func TestPackIm2ColErrors(t *testing.T) {
 	if pb.PackIm2Col(New(1, 1, 2, 2), 5, 5, 1, 0) == nil || qb.PackIm2Col(New(1, 1, 2, 2), 5, 5, 1, 0, 1) == nil {
 		t.Fatal("PackIm2Col accepted an empty output")
 	}
+	if pb.PackIm2ColTransposed(New(2, 3, 4), 3, 3, 1, 0) == nil || pb.PackIm2ColTransposed(New(1, 1, 2, 2), 5, 5, 1, 0) == nil {
+		t.Fatal("PackIm2ColTransposed accepted a 3-D input or an empty output")
+	}
 }
 
 // FuzzPackIm2Col: for fuzzer-chosen geometries and a value stream with
@@ -254,6 +278,73 @@ func FuzzPackIm2Col(f *testing.F) {
 					bitsEqual(t, fmt.Sprintf("%s arm, %v sample %d row %d", gemmArmNames[arm], g, b, o),
 						got.Data[o*pb.N+b*oh*ow:o*pb.N+(b+1)*oh*ow], want[b].Data[o*oh*ow:(o+1)*oh*ow])
 				}
+			}
+		})
+	})
+}
+
+// FuzzPackIm2ColTransposed: for fuzzer-chosen geometries — 1×1 and
+// non-square kernels, stride 1–3, pad 0–6 — and an image with specials,
+// PackIm2ColTransposed must match PackTransposed(Im2ColBatch(x)) slot for slot
+// on every pack arm, the Go packer included, into a fresh operand and a dirty
+// one; and a convolution's kernel gradient G·colsᵀ over one sample's panels
+// must match the MatMulTransB spec over its Im2Col matrix.
+func FuzzPackIm2ColTransposed(f *testing.F) {
+	f.Add(uint8(0), uint8(2), uint8(6), uint8(6), uint8(2), uint8(2), uint8(0), uint8(1), uint64(1))
+	f.Add(uint8(2), uint8(1), uint8(4), uint8(9), uint8(0), uint8(0), uint8(1), uint8(6), uint64(2))
+	f.Add(uint8(1), uint8(3), uint8(11), uint8(5), uint8(4), uint8(2), uint8(2), uint8(0), uint64(3))
+	f.Add(uint8(0), uint8(3), uint8(7), uint8(7), uint8(2), uint8(2), uint8(0), uint8(1), uint64(4))
+	f.Fuzz(func(t *testing.T, bb, cc, hh, ww, khh, kww, ss, pp uint8, seed uint64) {
+		g := im2colCase{
+			b: int(bb%3) + 1, c: int(cc%4) + 1, h: int(hh%12) + 1, w: int(ww%12) + 1,
+			kh: int(khh%5) + 1, kw: int(kww%5) + 1, stride: int(ss%3) + 1, pad: int(pp % 7),
+		}
+		oh, ow := Conv2DShape(g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+		if oh <= 0 || ow <= 0 {
+			t.Skip()
+		}
+		r := xrand.New(seed)
+		in := New(g.b, g.c, g.h, g.w)
+		in.RandomizeUniform(r, -2, 2)
+		in.Data[r.Intn(in.Len())] = float32(math.NaN())
+		in.Data[r.Intn(in.Len())] = float32(math.Inf(-1))
+		in.Data[r.Intn(in.Len())] = float32(math.Copysign(0, -1))
+		cols := New(g.c*g.kh*g.kw, g.b*oh*ow)
+		if err := Im2ColBatch(in, g.kh, g.kw, g.stride, g.pad, cols); err != nil {
+			t.Fatal(err)
+		}
+		// The first sample's kernel gradient against the spec. G is free of
+		// specials, so no output sums two distinct NaN payloads.
+		plane := g.c * g.h * g.w
+		x0 := &Tensor{Shape: []int{1, g.c, g.h, g.w}, Data: in.Data[:plane]}
+		cols0, err := Im2Col(&Tensor{Shape: []int{g.c, g.h, g.w}, Data: in.Data[:plane]}, g.kh, g.kw, g.stride, g.pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm := randomMat(r, 3, oh*ow)
+		want, err := MatMulTransB(gm, cols0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pa PackedA
+		if err := pa.Pack(gm); err != nil {
+			t.Fatal(err)
+		}
+		forEachGemmArm(func(arm int) {
+			dirty := PackedB{data: make([]float32, 4096), padded: make([]float32, 4096)}
+			for i := range dirty.data {
+				dirty.data[i], dirty.padded[i] = float32(math.NaN()), float32(math.NaN())
+			}
+			for _, pb := range []*PackedB{{}, &dirty} {
+				checkPackIm2ColTransposed(t, g, in, cols, pb)
+				if err := pb.PackIm2ColTransposed(x0, g.kh, g.kw, g.stride, g.pad); err != nil {
+					t.Fatal(err)
+				}
+				got := New(3, g.c*g.kh*g.kw)
+				if err := GemmPacked(got, &pa, pb); err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, fmt.Sprintf("%s arm, %v dK", gemmArmNames[arm], g), got.Data, want.Data)
 			}
 		})
 	})

@@ -7,6 +7,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 
 	"mvml/internal/xrand"
 )
@@ -131,10 +132,39 @@ func (t *Tensor) AddInPlace(other *Tensor) error {
 	if len(t.Data) != len(other.Data) {
 		return fmt.Errorf("tensor: add length mismatch %d vs %d", len(t.Data), len(other.Data))
 	}
-	for i, v := range other.Data {
-		t.Data[i] += v
+	if len(t.Data) > 0 {
+		addRows(t.Data, other.Data, len(t.Data), 1, 0)
 	}
 	return nil
+}
+
+// addRows adds the rows·n floats of src, row by row, into rows runs of n
+// floats ldd apart in dst, each as addTermFirst: one IEEE single add, no FMA,
+// so the SSE2 kernel and the Go loop agree bit for bit. n and rows must be
+// >= 1.
+func addRows(dst, src []float32, n, rows, ldd int) {
+	_, _ = dst[(rows-1)*ldd+n-1], src[rows*n-1] // the bounds the kernel relies on
+	if haveGemmAsm {
+		addRowsAsm(&dst[0], &src[0], n, rows, ldd)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d := dst[r*ldd : r*ldd+n]
+		for i, v := range src[r*n : (r+1)*n] {
+			d[i] = addTermFirst(v, d[i])
+		}
+	}
+}
+
+// addTermFirst is v + acc, with v's NaN (quieted) when both are NaN —
+// ADDPS's rule with the term v in the destination. IEEE 754 leaves that
+// choice open and Go compiles `acc += v` with either operand first, so the
+// Go loops that must match addRowsAsm bit for bit fix it here.
+func addTermFirst(v, acc float32) float32 {
+	if v != v {
+		return math.Float32frombits(math.Float32bits(v) | 0x00400000)
+	}
+	return v + acc
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -296,40 +326,86 @@ func Im2Col(in *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
 
 // Col2Im scatters a (C*kh*kw, oh*ow) column matrix back into a (C, H, W)
 // tensor, accumulating overlapping contributions — the adjoint of Im2Col,
-// used for convolution input gradients.
+// used for convolution input gradients. It is the reference: each pixel
+// receives its terms in ascending (ky, kx) order from +0, one addTermFirst
+// each.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
+	oh, ow := Conv2DShape(h, w, kh, kw, stride, pad)
+	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow {
+		return nil, fmt.Errorf("tensor: Col2Im got shape %v, want (%d, %d)", cols.Shape, c*kh*kw, oh*ow)
+	}
 	out := New(c, h, w)
-	if err := Col2ImAdd(out.Data, cols, c, h, w, kh, kw, stride, pad); err != nil {
-		return nil, err
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				src := cols.Data[((ch*kh+ky)*kw+kx)*oh*ow:]
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*stride + ky - pad
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for ox := 0; ox < ow; ox++ {
+						if ix := ox*stride + kx - pad; ix >= 0 && ix < w {
+							o := &out.Data[(ch*h+iy)*w+ix]
+							*o = addTermFirst(src[oy*ow+ox], *o)
+						}
+					}
+				}
+			}
+		}
 	}
 	return out, nil
 }
 
-// Col2ImAdd is Col2Im accumulating into the caller's (c·h·w) plane instead of
-// a fresh tensor: onto zeros it is Col2Im bit for bit, and a reused buffer
-// makes it allocation-free.
-func Col2ImAdd(dst []float32, cols *Tensor, c, h, w, kh, kw, stride, pad int) error {
+// Col2ImAdd is Col2Im written into the caller's (c·h·w) plane dst, which it
+// overwrites, bit for bit. The terms accumulate from +0 in the zero-padded
+// (c, h+2·pad, w+2·pad) plane padded — the caller's scratch, unused at pad 0
+// — where row kk = (ch, ky, kx) of cols lands at offset (ch, ky, kx) plus
+// each output position's base, the transpose of PackIm2Col's walk: no term
+// needs a bounds test, so at stride 1 all of row kk is one addRows call, a
+// vector row add per oy. The rows go in ascending kk, so each pixel still
+// receives its terms in Col2Im's order. Then the interior is copied out.
+func Col2ImAdd(dst, padded []float32, cols *Tensor, c, h, w, kh, kw, stride, pad int) error {
 	oh, ow := Conv2DShape(h, w, kh, kw, stride, pad)
-	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow {
-		return fmt.Errorf("tensor: Col2Im got shape %v, want (%d, %d)", cols.Shape, c*kh*kw, oh*ow)
+	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow || oh <= 0 || ow <= 0 {
+		return fmt.Errorf("tensor: Col2ImAdd got shape %v, want (%d, %d)", cols.Shape, c*kh*kw, oh*ow)
 	}
 	if len(dst) != c*h*w {
-		return fmt.Errorf("tensor: Col2Im output has %d elements, want %d", len(dst), c*h*w)
+		return fmt.Errorf("tensor: Col2ImAdd output has %d elements, want %d", len(dst), c*h*w)
 	}
-	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			oy0, oy1 := inBounds(oh, h, stride, ky-pad)
-			for kx := 0; kx < kw; kx++ {
-				// Only the in-bounds span of each output row lands on a pixel
-				// (see im2colRow), so the scatter needs no per-element test.
-				ox0, ox1 := inBounds(ow, w, stride, kx-pad)
-				src := cols.Data[((ch*kh+ky)*kw+kx)*oh*ow:]
-				for oy := oy0; oy < oy1; oy++ {
-					base := (ch*h+oy*stride+ky-pad)*w + ox0*stride + kx - pad
-					for i, v := range src[oy*ow+ox0 : oy*ow+ox1] {
-						dst[base+i*stride] += v
-					}
-				}
+	hp, wp := h+2*pad, w+2*pad
+	acc := dst
+	if pad > 0 {
+		if len(padded) != c*hp*wp {
+			return fmt.Errorf("tensor: Col2ImAdd padded scratch has %d elements, want %d", len(padded), c*hp*wp)
+		}
+		acc = padded
+	}
+	// The plane is cleared and then summed into while cols is still read.
+	if overlaps(acc, cols.Data) || overlaps(dst, cols.Data) || (pad > 0 && overlaps(dst, padded)) {
+		return fmt.Errorf("tensor: Col2ImAdd output aliases its input")
+	}
+	clear(acc)
+	spatial := oh * ow
+	for kk := 0; kk < c*kh*kw; kk++ {
+		kx, ky, ch := kk%kw, kk/kw%kh, kk/(kw*kh)
+		src := cols.Data[kk*spatial : (kk+1)*spatial]
+		first := (ch*hp+ky)*wp + kx
+		if stride == 1 {
+			addRows(acc[first:], src, ow, oh, wp)
+			continue
+		}
+		for oy := 0; oy < oh; oy++ {
+			d := acc[first+oy*stride*wp:]
+			for i, v := range src[oy*ow : (oy+1)*ow] {
+				d[i*stride] = addTermFirst(v, d[i*stride])
+			}
+		}
+	}
+	if pad > 0 {
+		for pl := 0; pl < c; pl++ {
+			for y := 0; y < h; y++ {
+				copy(dst[(pl*h+y)*w:(pl*h+y+1)*w], padded[(pl*hp+y+pad)*wp+pad:])
 			}
 		}
 	}

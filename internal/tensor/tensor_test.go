@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -389,46 +390,59 @@ func BenchmarkIm2Col32(b *testing.B) {
 	}
 }
 
-// TestCol2ImAddMatchesElementwiseScatter: Col2ImAdd walks only the in-bounds
-// span of each output row; it must add exactly what a per-element bounds test
-// adds, in the same order (so bit for bit), onto whatever dst already holds.
+// TestCol2ImAddMatchesElementwiseScatter: Col2ImAdd, which sums in a padded
+// plane with whole-row adds, must overwrite a dirty destination and scratch
+// with the result of Col2Im — the reference, a per-element bounds test adding
+// onto zeros — bit for bit, specials in the columns included.
 func TestCol2ImAddMatchesElementwiseScatter(t *testing.T) {
 	r := xrand.New(5)
-	for _, g := range []struct{ c, h, w, kh, kw, stride, pad int }{
+	// Two NaN payloads, and ±Inf whose sum is a third: many pixels sum two
+	// different NaNs, and each must keep the one Col2Im keeps.
+	specials := []float32{math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa00002),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+	type geom struct{ c, h, w, kh, kw, stride, pad int }
+	cases := []geom{
 		{2, 6, 6, 3, 3, 1, 1}, {3, 7, 5, 3, 3, 2, 1}, {1, 8, 8, 5, 5, 1, 0},
 		{2, 5, 5, 1, 1, 1, 0}, {1, 4, 4, 3, 3, 1, 2}, {2, 9, 6, 3, 2, 3, 1}, {1, 2, 2, 3, 3, 1, 2},
-	} {
+		{2, 7, 9, 1, 1, 2, 0}, {1, 5, 3, 1, 1, 1, 3}, {3, 11, 13, 5, 3, 1, 1}, {2, 10, 10, 3, 3, 3, 3},
+		{4, 24, 24, 3, 3, 1, 1}, {6, 10, 10, 5, 5, 1, 0}, {1, 3, 3, 3, 3, 2, 2},
+	}
+	for stride := 1; stride <= 3; stride++ {
+		for pad := 0; pad <= 3; pad++ {
+			cases = append(cases, geom{2, 7, 6, 3, 3, stride, pad}, geom{1, 5, 9, 2, 4, stride, pad})
+		}
+	}
+	for _, g := range cases {
 		oh, ow := Conv2DShape(g.h, g.w, g.kh, g.kw, g.stride, g.pad)
 		cols := New(g.c*g.kh*g.kw, oh*ow)
 		cols.RandomizeUniform(r, -1, 1)
-		got := New(g.c, g.h, g.w)
-		got.RandomizeUniform(r, -1, 1)
-		want := got.Clone()
-		for ch := 0; ch < g.c; ch++ {
-			for ky := 0; ky < g.kh; ky++ {
-				for kx := 0; kx < g.kw; kx++ {
-					row := (ch*g.kh+ky)*g.kw + kx
-					for oy := 0; oy < oh; oy++ {
-						for ox := 0; ox < ow; ox++ {
-							iy, ix := oy*g.stride+ky-g.pad, ox*g.stride+kx-g.pad
-							if iy >= 0 && iy < g.h && ix >= 0 && ix < g.w {
-								want.Data[(ch*g.h+iy)*g.w+ix] += cols.Data[row*oh*ow+oy*ow+ox]
-							}
-						}
-					}
-				}
-			}
+		for i := 0; i < cols.Len()/8+len(specials); i++ {
+			cols.Data[r.Intn(cols.Len())] = specials[i%len(specials)]
 		}
-		if err := Col2ImAdd(got.Data, cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err != nil {
+		want, err := Col2Im(cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("%+v: element %d = %v, elementwise scatter %v", g, i, got.Data[i], want.Data[i])
-			}
+		got := New(g.c, g.h, g.w)
+		got.RandomizeUniform(r, -1, 1)
+		padded := make([]float32, g.c*(g.h+2*g.pad)*(g.w+2*g.pad))
+		for i := range padded {
+			padded[i] = 1e30 // dirty scratch
 		}
-		if err := Col2ImAdd(got.Data[1:], cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err == nil {
+		if g.pad == 0 {
+			padded = nil
+		}
+		if err := Col2ImAdd(got.Data, padded, cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, fmt.Sprintf("%+v: Col2ImAdd against Col2Im", g), got.Data, want.Data)
+		if err := Col2ImAdd(got.Data[1:], padded, cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err == nil {
 			t.Fatalf("%+v: Col2ImAdd accepted a short destination", g)
+		}
+		if g.pad > 0 {
+			if err := Col2ImAdd(got.Data, padded[1:], cols, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad); err == nil {
+				t.Fatalf("%+v: Col2ImAdd accepted a short padded scratch", g)
+			}
 		}
 	}
 }

@@ -47,8 +47,9 @@ echo "==> go test ./..."
 go test ./...
 
 # Portable-kernel pass: the noasm tag forces the Go fallbacks of the GEMM
-# micro-kernels, the int8 packer, the 2x2 max-pool and the output epilogue
-# on an amd64 host (the
+# micro-kernels, the int8 packer, the 2x2 max-pool forward and backward
+# (maxPool2x2BackRowGo), the row add behind Col2ImAdd and AddInPlace
+# (addRows) and the output epilogue on an amd64 host (the
 # default pass above already runs the bitwise suites on the SSE2 and AVX2
 # GEMM arms the host has), so
 # the bitwise, differential and int8-golden suites run against the code every
@@ -82,8 +83,9 @@ go test ./internal/scenario -run TestFalsifierGolden -count=1
 # Fuzz smoke: a few seconds per target catches regressions in the voting
 # rules, quantile estimator, RNG stream derivation, the one-pass request
 # decoder (differential against encoding/json), the shard's and the
-# gateway's classify-handler status mapping and the SSE2 output epilogue
-# (against its Go spec) without the cost of a long campaign.
+# gateway's classify-handler status mapping, the SSE2 output epilogue
+# (against its Go spec) and the packers that read the image straight into
+# GEMM panels, forward and transposed, without the cost of a long campaign.
 echo "==> fuzz smoke"
 go test ./internal/core -run '^$' -fuzz '^FuzzVoter$' -fuzztime 5s
 go test ./internal/core -run '^$' -fuzz '^FuzzMedianVoter$' -fuzztime 5s
@@ -97,6 +99,7 @@ go test ./internal/gateway -run '^$' -fuzz '^FuzzGatewayHandler$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
+go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2ColTransposed$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRoundTrip$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRun$' -fuzztime 5s
 
