@@ -1,6 +1,6 @@
 // Command mvgateway runs the multi-shard serving gateway: N independent
 // multi-version inference shards behind a consistent-hash router with
-// health-aware failover, per-client retry budgets, front-door load shedding
+// state-aware failover, per-client retry budgets, front-door load shedding
 // and a queue/latency-driven autoscaler. `mvgateway serve` runs the gateway
 // over in-process shards, `mvgateway loadgen` drives open-loop load at one,
 // and `mvgateway demo` is the self-contained 10x resilience demo (shard
@@ -23,7 +23,6 @@ import (
 
 	"mvml/internal/cli"
 	"mvml/internal/gateway"
-	"mvml/internal/health"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/serve"
@@ -99,21 +98,20 @@ func fastNet(version int, _ *xrand.Rand) (*nn.Network, error) {
 }
 
 // buildFleet constructs the gateway and its initial shards on rt; the
-// autoscaler spawns further shards with the same configuration. Per-shard
-// health engines are always on: health-aware failover is the point of the
-// gateway, so it is not opt-in.
+// autoscaler spawns further shards with the same configuration. Routing
+// reads each shard's own state, so a health engine per shard is opt-in
+// (-health), as in mvserve.
 func (f *fleetFlags) buildFleet(rt *obs.Runtime, stderr io.Writer) (*obs.Runtime, *gateway.Gateway, []*gateway.LocalShard, error) {
 	if rt == nil {
-		// Health engines (the failover signal) ride the span stream, so the
-		// gateway always runs a local runtime even with telemetry flags off.
+		// The demo's report reads the gateway counters, so the fleet runs a
+		// local runtime even with telemetry flags off.
 		rt = obs.NewRuntime(0)
 	}
-	healthOpts := health.DefaultOptions()
 	gw := gateway.New(gateway.Config{MaxInflight: f.maxInflight, RetryBurst: f.retryBurst}, rt)
 	spawn := func(id string) (gateway.ShardControl, error) {
 		cfg := f.shard
 		cfg.ShardLabel = id
-		cfg.Health = &healthOpts
+		cfg.Health = f.tele.Options()
 		if !f.fullModels {
 			cfg.NewNetwork = fastNet
 			cfg.InjectLayer = 0  // the fast net's only parameterised layer
@@ -232,11 +230,10 @@ func printReport(w io.Writer, rep *serve.LoadReport, asJSON bool) error {
 // cmdDemo is the multi-shard resilience demonstration: a gateway over N
 // in-process shards under open-loop load an order of magnitude beyond the
 // single-shard demo workload, with two mid-run faults — one version of one
-// shard compromised (the shard's reactive trigger drains and heals it, its
-// health engine marking the version critical meanwhile) and one whole shard
-// drained, rejuvenated and reinstated (ring failover end to end). It exits non-zero
-// if any request failed; degraded answers and 429 shedding are designed
-// behaviours, failures are not.
+// shard compromised (the shard's reactive trigger drains and heals it) and
+// one whole shard drained, rejuvenated and reinstated (ring failover end to
+// end). It exits non-zero if any request failed; degraded answers and 429
+// shedding are designed behaviours, failures are not.
 func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mvgateway demo", flag.ContinueOnError)
 	f := registerFleetFlags(fs)
@@ -279,8 +276,8 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 
 	// Fault 1 (t/3): compromise one version of shard-0. The shard's pool
 	// sees the divergence and the reactive trigger rejuvenates the version;
-	// its health engine marks the version critical until then, which
-	// deprioritises the shard in routing.
+	// from the trip to the end of the drain the shard reads Degraded, which
+	// deprioritises it in routing.
 	go func() {
 		time.Sleep(*duration / 3)
 		fmt.Fprintln(stderr, "mvgateway demo: compromising shard-0 version 0")
@@ -320,7 +317,7 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	}
 
 	reg := rt.Metrics()
-	fmt.Fprintf(w, "gateway: %d answered by owner, %d rerouted (health/drain), %d failovers, %d budget retries, %d shed (429), %d exhausted\n",
+	fmt.Fprintf(w, "gateway: %d answered by owner, %d rerouted (level/drain), %d failovers, %d budget retries, %d shed (429), %d exhausted\n",
 		reg.Counter("mv_gateway_routed_total").Value(),
 		reg.Counter("mv_gateway_rerouted_total").Value(),
 		reg.Counter("mv_gateway_failovers_total").Value(),

@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"mvml/internal/signs"
+	"mvml/internal/xrand"
 )
 
 // TestUsage: a bad invocation exits 2 with the usage on stderr and nothing on
@@ -25,5 +31,47 @@ func TestUsage(t *testing.T) {
 		if code != c.code || stdout.Len() != 0 || !strings.Contains(strings.ToLower(stderr.String()), "usage") {
 			t.Errorf("mvgateway %v: exit %d, stdout %q, stderr %q; want %d with usage on stderr", c.args, code, stdout.String(), stderr.String(), c.code)
 		}
+	}
+}
+
+// TestBuildFleetHealthIsOptIn: routing reads each shard's own state, so a
+// fleet built without telemetry flags runs no health engine, -health gives
+// every shard one, and either way the report's gateway counters count.
+func TestBuildFleetHealthIsOptIn(t *testing.T) {
+	for _, c := range []struct {
+		args       []string
+		wantEngine bool
+	}{
+		{nil, false},
+		{[]string{"-health"}, true},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := registerFleetFlags(fs)
+		if err := fs.Parse(append([]string{"-shards", "2", "-autoscale=false"}, c.args...)); err != nil {
+			t.Fatal(err)
+		}
+		rt, err := f.tele.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, gw, shards, err := f.buildFleet(rt, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shards {
+			if got := sh.Server().Health() != nil; got != c.wantEngine {
+				t.Errorf("%v: shard %s has engine %v, want %v", c.args, sh.ID(), got, c.wantEngine)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			img := signs.Render(i%signs.NumClasses, xrand.New(uint64(i)), signs.DefaultConfig())
+			if _, _, err := gw.Classify(fmt.Sprintf("k%d", i), "test", img); err != nil {
+				t.Fatalf("%v: request %d: %v", c.args, i, err)
+			}
+		}
+		if n := rt.Metrics().Counter("mv_gateway_routed_total").Value(); n == 0 {
+			t.Errorf("%v: gateway counted no routed requests", c.args)
+		}
+		closeFleet(gw, shards)
 	}
 }

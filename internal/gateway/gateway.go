@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,35 +144,25 @@ func (g *Gateway) Shards() []string {
 	return g.ring.Shards()
 }
 
-// canaryDenom carves 1/canaryDenom of an unhealthy shard's primary keyspace
-// out as canary traffic that still routes to it first. Without the trickle,
-// health-aware routing deadlocks: a deprioritised shard receives no traffic,
-// its engine sees no clean observations, and its verdict never recovers —
-// the shard starves forever on one transient incident.
-const canaryDenom = 8
-
-func isCanary(key string) bool { return hash64(key+"#canary")%canaryDenom == 0 }
-
-// Plan returns the candidate shards for key in attempt order, applying the
-// health-aware routing policy to the ring's successor list:
-//
-//  1. the hash owner, unhealthy or not, for the canary slice of its
-//     keyspace — the recovery path (see canaryDenom);
-//  2. healthy, non-draining shards in ring order — the primary pass;
-//  3. degraded, non-draining shards in ring order — deprioritised, still
-//     answering;
-//  4. the remaining successors (critical or draining) as a last resort —
-//     a wrong answer chance beats no answer in a fail-operational system.
-//
-// The policy is a pure function of key, ring membership and shard state, so
-// two gateways with the same view route identically.
+// Plan returns the candidate shards for key in attempt order: the ring's
+// successors ranked healthy, degraded, critical, then draining, in ring order
+// within a rank. A critical shard still beats none — a wrong-answer chance
+// beats no answer in a fail-operational system — and a draining one comes
+// last, however sick the others are: it asked for no new traffic. Levels come
+// from the shards' own state (ShardClient.Level), so the plan is a pure
+// function of key, ring membership and shard state, and two gateways with
+// the same view route identically.
 func (g *Gateway) Plan(key string) []ShardClient {
 	plan, _ := g.plan(key)
 	return plan
 }
 
-// plan also reports the ring owner's id, so Classify can count health-driven
-// reroutes (first attempt away from the owner).
+// rankDraining ranks a draining shard after every health level.
+const rankDraining = int(health.Critical) + 1
+
+// plan also reports the ring owner's id, so Classify can count reroutes
+// (first attempt away from the owner). Each successor is ranked once and
+// insertion-sorted, stably, into the plan.
 func (g *Gateway) plan(key string) ([]ShardClient, string) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -179,33 +170,25 @@ func (g *Gateway) plan(key string) ([]ShardClient, string) {
 	if len(succ) == 0 {
 		return nil, ""
 	}
-	owner := succ[0]
 	plan := make([]ShardClient, 0, len(succ))
-	if sc := g.shards[owner]; sc != nil && !sc.Draining() && sc.Level() != health.Healthy && isCanary(key) {
-		plan = append(plan, sc)
-	}
-	add := func(pick func(sc ShardClient) bool) {
-		for _, id := range succ {
-			sc := g.shards[id]
-			if sc == nil {
-				continue
-			}
-			already := false
-			for _, p := range plan {
-				if p.ID() == id {
-					already = true
-					break
-				}
-			}
-			if !already && pick(sc) {
-				plan = append(plan, sc)
-			}
+	ranks := make([]int, 0, len(succ))
+	for _, id := range succ {
+		sc := g.shards[id]
+		if sc == nil {
+			continue
 		}
+		rank := rankDraining
+		if !sc.Draining() {
+			rank = int(sc.Level())
+		}
+		i := len(plan)
+		for i > 0 && ranks[i-1] > rank {
+			i--
+		}
+		plan = slices.Insert(plan, i, sc)
+		ranks = slices.Insert(ranks, i, rank)
 	}
-	add(func(sc ShardClient) bool { return sc.Level() == health.Healthy && !sc.Draining() })
-	add(func(sc ShardClient) bool { return sc.Level() == health.Degraded && !sc.Draining() })
-	add(func(sc ShardClient) bool { return true })
-	return plan, owner
+	return plan, succ[0]
 }
 
 // RouteKey derives the ring key for a classify request: the client-supplied
@@ -249,7 +232,7 @@ func (g *Gateway) Classify(key, client string, img *tensor.Tensor) (serve.Result
 		return serve.Result{}, info, ErrNoShards
 	}
 	if plan[0].ID() != owner {
-		// The hash owner was skipped for health or drain: a reroute, not a
+		// The hash owner was ranked behind another shard: a reroute, not a
 		// failover (nothing failed — the plan just started elsewhere).
 		g.m.rerouted.Inc()
 	}

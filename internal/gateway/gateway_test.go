@@ -122,22 +122,22 @@ func ownerOf(gw *Gateway, shards []*fakeShard, key string) *fakeShard {
 	return nil
 }
 
-// keyFor finds a key owned by shard id, canary or not as requested.
-func keyFor(t *testing.T, gw *Gateway, id string, canary bool) string {
+// keyFor finds a key owned by shard id.
+func keyFor(t *testing.T, gw *Gateway, id string) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		k := fmt.Sprintf("probe:%d", i)
-		if gw.ring.Lookup(k) == id && isCanary(k) == canary {
+		if gw.ring.Lookup(k) == id {
 			return k
 		}
 	}
-	t.Fatalf("no %v-canary key found for %s", canary, id)
+	t.Fatalf("no key found for %s", id)
 	return ""
 }
 
 func TestPlanHealthOrdering(t *testing.T) {
 	gw, shards := testGateway(t, Config{FailoverDepth: 3}, 4)
-	key := keyFor(t, gw, "shard-0", false)
+	key := keyFor(t, gw, "shard-0")
 	owner := ownerOf(gw, shards, key)
 
 	// All healthy: the hash owner leads the plan.
@@ -170,29 +170,23 @@ func TestPlanHealthOrdering(t *testing.T) {
 	if plan[0].ID() == owner.id {
 		t.Fatalf("draining owner still leads the plan: %v", planIDs(plan))
 	}
-}
 
-// TestPlanCanaryTrickle pins the starvation fix: a deterministic slice of an
-// unhealthy owner's keyspace still routes to it first, so its health engine
-// keeps observing traffic and can recover.
-func TestPlanCanaryTrickle(t *testing.T) {
-	gw, shards := testGateway(t, Config{FailoverDepth: 3}, 4)
-	key := keyFor(t, gw, "shard-0", true)
-	owner := ownerOf(gw, shards, key)
-	owner.setLevel(health.Degraded)
-	if plan := gw.Plan(key); plan[0].ID() != owner.id {
-		t.Fatalf("canary key abandoned its degraded owner: %v", planIDs(plan))
+	// Every shard critical, owner draining: the drain still steers traffic,
+	// so the owner comes after the critical shards, which keep ring order.
+	for _, s := range shards {
+		s.setLevel(health.Critical)
 	}
-	// Draining disables the canary — a retiring shard wants zero new traffic.
-	owner.SetDraining(true)
-	if plan := gw.Plan(key); plan[0].ID() == owner.id {
-		t.Fatalf("canary key routed to a draining owner: %v", planIDs(plan))
+	plan = gw.Plan(key)
+	succ := gw.ring.Successors(key, 3)
+	want := []string{succ[1], succ[2], succ[0]}
+	if got := planIDs(plan); !reflect.DeepEqual(got, want) {
+		t.Fatalf("all critical, owner draining: plan %v, want %v", got, want)
 	}
 }
 
 func TestClassifyFailoverAndBudget(t *testing.T) {
 	gw, shards := testGateway(t, Config{FailoverDepth: 3, RetryRatio: 0.1, RetryBurst: 1}, 3)
-	key := keyFor(t, gw, "shard-0", false)
+	key := keyFor(t, gw, "shard-0")
 	owner := ownerOf(gw, shards, key)
 	owner.fail = func(int) error { return serve.ErrQueueFull }
 
@@ -306,7 +300,7 @@ func TestClassifyNoShards(t *testing.T) {
 
 func TestRemoveShardFallsToSuccessor(t *testing.T) {
 	gw, shards := testGateway(t, Config{}, 3)
-	key := keyFor(t, gw, "shard-1", false)
+	key := keyFor(t, gw, "shard-1")
 	if _, err := gw.RemoveShard("shard-1"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"sync/atomic"
-
 	"mvml/internal/health"
 	"mvml/internal/serve"
 	"mvml/internal/tensor"
@@ -18,8 +16,9 @@ type ShardClient interface {
 	ID() string
 	// Classify answers one request on this shard.
 	Classify(img *tensor.Tensor) (serve.Result, error)
-	// Level is the shard's current overall health verdict. Implementations
-	// must be cheap (an atomic read) — the router consults it per attempt.
+	// Level is the shard's routing level, computed from the shard's own
+	// state, never from telemetry (serve.Server.Level). The router reads it
+	// for every candidate of every request, so it must be cheap.
 	Level() health.Level
 	// Draining reports whether the shard is being retired: it still answers
 	// whatever reaches it, but new traffic should prefer its ring successor.
@@ -52,15 +51,9 @@ type ShardControl interface {
 	Close()
 }
 
-// LocalShard adapts an in-process *serve.Server to ShardControl. Health
-// verdicts are pushed: the shard subscribes to its server's health engine and
-// caches the latest "overall" level in an atomic, so the router's per-attempt
-// Level() check costs one load — no lock shared with the engine's observe
-// path. Without a health engine the level pins at Healthy and routing relies
-// on queue-full shedding alone.
+// LocalShard adapts an in-process *serve.Server to ShardControl.
 type LocalShard struct {
-	srv   *serve.Server
-	level atomic.Int32
+	srv *serve.Server
 }
 
 // NewLocalShard wraps srv. The server must have a non-empty ShardLabel (the
@@ -70,16 +63,7 @@ func NewLocalShard(srv *serve.Server) (*LocalShard, error) {
 	if srv.ShardLabel() == "" {
 		return nil, errEmptyShardLabel
 	}
-	sh := &LocalShard{srv: srv}
-	if eng := srv.Health(); eng != nil {
-		sh.level.Store(int32(eng.OverallLevel()))
-		eng.Subscribe(func(tr health.Transition) {
-			if tr.Component == "overall" {
-				sh.level.Store(int32(tr.To))
-			}
-		})
-	}
-	return sh, nil
+	return &LocalShard{srv: srv}, nil
 }
 
 // Server exposes the wrapped server (demo wiring needs the raw handle).
@@ -94,7 +78,7 @@ func (s *LocalShard) Classify(img *tensor.Tensor) (serve.Result, error) {
 }
 
 // Level implements ShardClient.
-func (s *LocalShard) Level() health.Level { return health.Level(s.level.Load()) }
+func (s *LocalShard) Level() health.Level { return s.srv.Level() }
 
 // Draining implements ShardClient.
 func (s *LocalShard) Draining() bool { return s.srv.Draining() }

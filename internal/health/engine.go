@@ -175,7 +175,7 @@ type Engine struct {
 
 	// subs receive verdict transitions; pending buffers transitions recorded
 	// while e.mu is held so subscribers are always invoked outside the lock
-	// (they may call back into the engine's accessors).
+	// (they may call back into Snapshot or Report).
 	subs    []func(Transition)
 	pending []Transition
 }
@@ -318,8 +318,8 @@ func (e *Engine) record(tr Transition) {
 // Subscribe registers fn to receive every subsequent verdict transition
 // (component level changes, including the "overall" rollup). Callbacks run
 // synchronously on the span-publishing goroutine but always outside the
-// engine's lock, so a subscriber may call the engine's accessors; it must
-// not block. A nil engine ignores the call.
+// engine's lock, so a subscriber may call Snapshot or Report; it must not
+// block. A nil engine ignores the call.
 func (e *Engine) Subscribe(fn func(Transition)) {
 	if e == nil || fn == nil {
 		return
@@ -328,23 +328,6 @@ func (e *Engine) Subscribe(fn func(Transition)) {
 	e.subs = append(e.subs, fn)
 	e.mu.Unlock()
 }
-
-// Level returns the named component's current verdict (Healthy when the
-// component is unknown or the engine is nil).
-func (e *Engine) Level(component string) Level {
-	if e == nil {
-		return Healthy
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c := e.comps[component]; c != nil {
-		return c.level
-	}
-	return Healthy
-}
-
-// OverallLevel returns the process-level rollup verdict.
-func (e *Engine) OverallLevel() Level { return e.Level("overall") }
 
 // ObserveSpans implements obs.SpanObserver: the engine's single ingestion
 // path, shared by live serving and offline replay. The sink's now is
@@ -477,8 +460,7 @@ func (e *Engine) observeQueueDepth(depth, t float64) {
 		e.changePoints = append(e.changePoints, ChangePoint{T: t, Stream: "queue_depth", Stat: stat})
 		// First change-point degrades; a repeat before the component recovers
 		// (the CUSUM relearns its baseline after each detection, so a repeat
-		// means the shift is sustained) escalates to critical — the level at
-		// which rejuvenation is vetoed until the backlog clears.
+		// means the shift is sustained) escalates to critical.
 		lvl := Degraded
 		if c := e.comps["queue"]; c != nil && c.level >= Degraded {
 			lvl = Critical
@@ -528,21 +510,6 @@ func (e *Engine) observeRejuvenation(rec *obs.SpanRecord, t float64) {
 	if _, ok := e.comps["version:"+version]; ok {
 		e.force("version:"+version, Healthy, t, "rejuvenated ("+kind+")")
 	}
-}
-
-// SuppressRejuvenation reports whether reactive rejuvenation should be held
-// back right now: draining a version while the queue is collapsing under
-// backpressure would amplify the latency incident, so a critical queue
-// component vetoes the trigger until the backlog clears. False on a nil
-// engine.
-func (e *Engine) SuppressRejuvenation() bool {
-	if e == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.comps["queue"]
-	return c != nil && c.level >= Critical
 }
 
 // ComponentStatus is one component's externally visible state.

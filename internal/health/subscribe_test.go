@@ -7,9 +7,9 @@ import (
 	"mvml/internal/obs"
 )
 
-// TestSubscribeReceivesEveryTransition pins the push contract the gateway's
-// LocalShard relies on: a subscriber sees exactly the engine's recorded
-// timeline, in order, and the cached final level matches the engine's own.
+// TestSubscribeReceivesEveryTransition pins the push contract: a subscriber
+// sees exactly the engine's recorded timeline, in order, and the last
+// overall level it saw matches the engine's own.
 func TestSubscribeReceivesEveryTransition(t *testing.T) {
 	e := NewEngine(testEngineOptions(), nil)
 	var got []Transition
@@ -30,8 +30,8 @@ func TestSubscribeReceivesEveryTransition(t *testing.T) {
 			last = tr.To
 		}
 	}
-	if last != e.OverallLevel() {
-		t.Fatalf("replayed subscriber level %v != engine level %v", last, e.OverallLevel())
+	if overall := e.Snapshot().Overall; last != overall {
+		t.Fatalf("replayed subscriber level %v != engine level %v", last, overall)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestShardFilter(t *testing.T) {
 	var got []Transition
 	foreign.Subscribe(func(tr Transition) { got = append(got, tr) })
 	foreign.ObserveSpans(label(incidentStream(), "shard-b"), 0)
-	if len(got) != 0 || foreign.OverallLevel() != Healthy {
-		t.Fatalf("engine judged foreign spans: %d transitions, level %v", len(got), foreign.OverallLevel())
+	if overall := foreign.Snapshot().Overall; len(got) != 0 || overall != Healthy {
+		t.Fatalf("engine judged foreign spans: %d transitions, level %v", len(got), overall)
 	}
 	if rounds := foreign.Report().RoundsDecided; rounds != 0 {
 		t.Fatalf("foreign spans counted as %d decided rounds", rounds)
@@ -101,20 +101,21 @@ func TestShardFilter(t *testing.T) {
 	}
 }
 
-// TestLevelAccessors covers the gateway-facing read API.
+// TestLevelAccessors covers the read API: Snapshot's levels, and the nil
+// engine's no-op handle.
 func TestLevelAccessors(t *testing.T) {
 	var nilEngine *Engine
-	if nilEngine.OverallLevel() != Healthy {
-		t.Fatal("nil engine must read healthy")
+	if nilEngine.Snapshot() != nil || nilEngine.Report() != nil {
+		t.Fatal("nil engine produced a snapshot")
 	}
 	nilEngine.Subscribe(func(Transition) {}) // must not panic
 
 	e := NewEngine(testEngineOptions(), nil)
-	if e.Level("no-such-component") != Healthy {
-		t.Fatal("unknown component must read healthy")
+	if v := e.Snapshot(); v.Overall != Healthy || componentLevel(v, "no-such-component") != Healthy {
+		t.Fatal("fresh engine must read healthy")
 	}
 	e.ObserveSpans(incidentStream()[:600], 0) // stop mid-incident
-	if e.OverallLevel() == Healthy {
+	if e.Snapshot().Overall == Healthy {
 		t.Fatal("mid-incident engine reads healthy")
 	}
 }

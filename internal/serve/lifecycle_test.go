@@ -4,7 +4,10 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"mvml/internal/core"
+	"mvml/internal/health"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/tensor"
@@ -161,6 +164,52 @@ func TestTwoWorkersShareOneNetwork(t *testing.T) {
 		if got := both(p); !slices.Equal(got, baseline) {
 			t.Fatalf("%s: after rejuvenation %v, baseline %v", p.name, got, baseline)
 		}
+	}
+}
+
+// TestLevelFromPools: a shard's routing level reads its pools alone. A
+// tripped window degrades it, a second version out of rotation leaves no
+// healthy majority, and the drain's window reset brings it back to healthy.
+func TestLevelFromPools(t *testing.T) {
+	cfg := testConfig()
+	cfg.DivergenceWindow = 4
+	s := newTestServer(t, cfg, nil)
+	if lvl := s.Level(); lvl != health.Healthy {
+		t.Fatalf("fresh server reads %s, want healthy", lvl)
+	}
+	if err := s.Compromise(0); err != nil {
+		t.Fatal(err)
+	}
+	// Holding rejuvMu keeps the drain the trip asks for from starting.
+	s.rejuvMu.Lock()
+	held := true
+	defer func() {
+		if held {
+			s.rejuvMu.Unlock()
+		}
+	}()
+	if !classifyUntil(t, s, 500, func(Result) bool { return s.pools[0].policyState() == core.NonFunctional }) {
+		t.Fatal("compromised version's window never tripped")
+	}
+	if lvl := s.Level(); lvl != health.Degraded {
+		t.Fatalf("one tripped version of three reads %s, want degraded", lvl)
+	}
+	if !s.pools[1].quiesce(poolDraining) {
+		t.Fatal("pool 1 halted")
+	}
+	if lvl := s.Level(); lvl != health.Critical {
+		t.Fatalf("one healthy version of three reads %s, want critical", lvl)
+	}
+	s.pools[1].reopen()
+	s.rejuvMu.Unlock()
+	held = false
+	for deadline := time.Now().Add(5 * time.Second); s.Level() != health.Healthy; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("level %s 5 s after the drain was released", s.Level())
+		}
+	}
+	if versions, _ := s.Status(); versions[0].Rejuvenations != 1 {
+		t.Fatalf("healthy again after %d rejuvenations of version 0, want 1", versions[0].Rejuvenations)
 	}
 }
 

@@ -88,6 +88,8 @@ type pool struct {
 	// this version participated in — the reactive-trigger window.
 	ring      *divergenceRing
 	threshold float64
+	// rejuvenations counts the drains that restored this version.
+	rejuvenations int
 
 	divergedTotal *obs.Counter
 }
@@ -304,6 +306,7 @@ func (p *pool) resetDivergence() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ring.Reset()
+	p.rejuvenations++
 }
 
 // divergenceRate is the current windowed disagreement fraction.
@@ -319,13 +322,14 @@ func (p *pool) status() VersionStatus {
 	defer p.mu.Unlock()
 	rate, _ := p.ring.Rate()
 	return VersionStatus{
-		Index:      p.index,
-		Name:       p.name,
-		State:      p.state.String(),
-		InFlight:   p.pending,
-		Workers:    len(p.workers),
-		Quantized:  p.quant != nil,
-		Divergence: rate,
+		Index:         p.index,
+		Name:          p.name,
+		State:         p.state.String(),
+		InFlight:      p.pending,
+		Workers:       len(p.workers),
+		Quantized:     p.quant != nil,
+		Divergence:    rate,
+		Rejuvenations: p.rejuvenations,
 	}
 }
 

@@ -104,13 +104,14 @@ type Config struct {
 	NewNetwork func(version int, r *xrand.Rand) (*nn.Network, error)
 	// Health, when non-nil, attaches a streaming health engine to the span
 	// firehose: SLO error budgets, anomaly detectors and the online α
-	// estimator feed /healthz and the mv_health_* gauges. The pools alone
-	// decide which version is diverging; the engine watches that decision
-	// (a version goes critical at its rejuvenation_trigger span and healthy
-	// again at its rejuvenation) and can only hold the trigger back while it
-	// judges the queue to be collapsing. Requires a telemetry runtime with a
-	// span sink; the engine only observes published spans, so responses are
-	// bitwise-identical with it on or off.
+	// estimator feed /healthz and the mv_health_* gauges. The engine decides
+	// nothing: the pools alone decide which version is diverging and when it
+	// is rejuvenated, and Level (the gateway's routing signal) reads the
+	// pools too. The engine watches those decisions (a version goes critical
+	// at its rejuvenation_trigger span and healthy again at its
+	// rejuvenation). Requires a telemetry runtime with a span sink; the
+	// engine only observes published spans, so responses, routing and
+	// rejuvenations are identical with it on or off.
 	Health *health.Options
 	// ShardLabel names this server inside a multi-shard deployment. When
 	// non-empty every span the server emits carries a "shard" attribute, so a
@@ -562,6 +563,8 @@ type VersionStatus struct {
 	Workers    int     `json:"workers"`
 	Quantized  bool    `json:"quantized,omitempty"`
 	Divergence float64 `json:"divergence"`
+	// Rejuvenations counts the drains that restored the version, of any kind.
+	Rejuvenations int `json:"rejuvenations"`
 }
 
 // Status reports the live health of every version plus the queue depth.
@@ -574,6 +577,28 @@ func (s *Server) Status() (versions []VersionStatus, queueDepth int) {
 
 // Health returns the attached health engine (nil when disabled).
 func (s *Server) Health() *health.Engine { return s.health }
+
+// Level is the shard's routing level, a pure function of its pools' states:
+// Healthy while every version is in rotation and not diverging, Degraded
+// while a strict majority still is (one tripped or draining version out of
+// three), Critical otherwise. It reads no telemetry, so a gateway routes the
+// same with the health engine on or off, and a level recovers when the drain
+// resets the window, whether traffic reaches the shard or not.
+func (s *Server) Level() health.Level {
+	healthy := 0
+	for _, p := range s.pools {
+		if p.policyState() == core.Healthy {
+			healthy++
+		}
+	}
+	switch {
+	case healthy == len(s.pools):
+		return health.Healthy
+	case 2*healthy > len(s.pools):
+		return health.Degraded
+	}
+	return health.Critical
+}
 
 // ShardLabel returns the configured shard label ("" for standalone servers).
 func (s *Server) ShardLabel() string { return s.cfg.ShardLabel }
@@ -671,9 +696,8 @@ func (s *Server) haltPools() {
 
 // rejuvLoop runs the paper's policy on wall time: a tick is a trigger expiry,
 // maybeReact's wake-up a detection, and each drain runs here, one at a time (a
-// reactive one announced by a rejuvenation_trigger span). An attached health
-// engine can veto a reactive start while it judges the queue to be
-// collapsing: draining a version under backpressure amplifies the incident.
+// reactive one announced by a rejuvenation_trigger span). The policy sees the
+// pools' own states and nothing else.
 func (s *Server) rejuvLoop(r *core.Rejuvenator) {
 	defer s.stopped.Done()
 	var tick <-chan time.Time
@@ -692,11 +716,8 @@ func (s *Server) rejuvLoop(r *core.Rejuvenator) {
 		case <-s.detect:
 		}
 		for !s.closed.Load() {
-			veto := s.health.SuppressRejuvenation()
 			for i, p := range s.pools {
-				if states[i] = p.policyState(); veto && states[i] == core.NonFunctional {
-					states[i] = core.Healthy
-				}
+				states[i] = p.policyState()
 			}
 			v, proactive, ok := r.Next(states)
 			if !ok {

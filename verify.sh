@@ -80,6 +80,20 @@ echo "==> parallel equivalence (golden fixtures, workers 1/4/8)"
 go test ./internal/experiments -run TestParallelEquivalenceGolden -count=1
 go test ./internal/scenario -run TestFalsifierGolden -count=1
 
+# Gateway demo smoke: the only multi-shard zero-failed-requests check through
+# a compromise and a drain (the demo exits non-zero on any failed request),
+# once with telemetry off and once with a health engine on every shard, which
+# must print its final verdict.
+echo "==> gateway demo smoke"
+gwtmp=$(mktemp -d)
+go build -o "$gwtmp/mvgateway" ./cmd/mvgateway
+"$gwtmp/mvgateway" demo -duration 3s -rate 300
+"$gwtmp/mvgateway" demo -duration 3s -rate 300 -health \
+    -telemetry-out "$gwtmp/telemetry.json" 2> "$gwtmp/health.err" ||
+    { cat "$gwtmp/health.err"; exit 1; }
+grep 'health: final verdict' "$gwtmp/health.err"
+rm -rf "$gwtmp"
+
 # Fuzz smoke: a few seconds per target catches regressions in the voting
 # rules, quantile estimator, RNG stream derivation, the one-pass request
 # decoder (differential against encoding/json), the shard's and the
