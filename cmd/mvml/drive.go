@@ -2,13 +2,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 
 	"mvml/internal/cli"
 	"mvml/internal/experiments"
-	"mvml/internal/obs"
-	"mvml/internal/telemetry"
 )
 
 // cmdDrive regenerates the paper's CARLA case study (Tables VI–VIII) on the
@@ -24,38 +21,34 @@ func cmdDrive(args []string, w, stderr io.Writer) error {
 	runs := fs.Int("runs", cfg.RunsPerRoute, "runs per route")
 	workers := fs.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS; results are worker-count-invariant)")
 	seed := fs.Uint64("seed", cfg.Seed, "root random seed")
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	switch {
 	case *table != 0 && (*table < 6 || *table > 8):
 		return cli.Usagef("no Table %d here: pass -table 6..8 (Tables 2..5 are mvml tables)", *table)
+	case *runs < 1:
+		return cli.Usagef("-runs %d: pass at least 1 run per route", *runs)
 	case *ablation != "" && *ablation != "voting" && *ablation != "selection" && *ablation != "clocks":
 		return cli.Usagef("no ablation %q: pass -ablation voting|selection|clocks", *ablation)
 	case *table == 0 && *mapPath == "" && *ablation == "" && !*all:
 		return cli.Usagef("nothing to do: pass -table 6..8, -map <png>, -ablation voting|selection|clocks, or -all")
 	}
 
-	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
-	return instrumented(&tele, map[string]any{"command": "drivesim", "seed": *seed, "runs": *runs}, func(rt *obs.Runtime) error {
-		cfg.RunsPerRoute = *runs
-		cfg.Seed = *seed
-		cfg.Workers = *workers
-		cfg.Obs = rt
-		if *mapPath != "" {
-			if err := renderMaps(*mapPath, w); err != nil {
-				return err
-			}
+	cfg.RunsPerRoute = *runs
+	cfg.Seed = *seed
+	cfg.Workers = *workers
+	if *mapPath != "" {
+		if err := renderMaps(*mapPath, w); err != nil {
+			return err
 		}
-		return printSteps(w, []step{
-			{*table == 6 || *all, func() (renderer, error) { return experiments.RunTableVI(cfg) }},
-			{*table == 7 || *all, func() (renderer, error) { return experiments.RunTableVII(cfg, nil) }},
-			{*table == 8 || *all, func() (renderer, error) { return experiments.RunTableVIII(cfg, 3) }},
-			{*ablation == "voting" || *all, func() (renderer, error) { return experiments.RunVotingAblation(cfg) }},
-			{*ablation == "selection" || *all, func() (renderer, error) { return experiments.RunSelectionAblation(cfg) }},
-			{*ablation == "clocks" || *all, func() (renderer, error) { return experiments.RunClockAblation(cfg) }},
-		})
+	}
+	return printSteps(w, []step{
+		{*table == 6 || *all, func() (renderer, error) { return experiments.RunTableVI(cfg) }},
+		{*table == 7 || *all, func() (renderer, error) { return experiments.RunTableVII(cfg, nil) }},
+		{*table == 8 || *all, func() (renderer, error) { return experiments.RunTableVIII(cfg, 3) }},
+		{*ablation == "voting" || *all, func() (renderer, error) { return experiments.RunVotingAblation(cfg) }},
+		{*ablation == "selection" || *all, func() (renderer, error) { return experiments.RunSelectionAblation(cfg) }},
+		{*ablation == "clocks" || *all, func() (renderer, error) { return experiments.RunClockAblation(cfg) }},
 	})
 }

@@ -9,9 +9,7 @@ import (
 
 	"mvml/internal/cli"
 	"mvml/internal/experiments"
-	"mvml/internal/obs"
 	"mvml/internal/reliability"
-	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
 )
 
@@ -28,82 +26,74 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	transient := fs.Bool("transient", false, "also print the mission-time reliability curve E[R(t)]")
 	workers := fs.Int("workers", 0, "concurrent transient replications (0 = GOMAXPROCS; results are worker-count-invariant)")
 	seed := fs.Uint64("seed", experiments.Seed, "simulation seed")
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 
-	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
-	return instrumented(&tele, map[string]any{"command": "dspn", "versions": *n, "seed": *seed}, func(rt *obs.Runtime) error {
-		params := reliability.DefaultParams()
-		if *interval > 0 {
-			params.RejuvenationInterval = *interval
-		}
-		simCfg := reliability.DefaultSimConfig()
-		simCfg.Metrics = rt.Metrics()
-		simCfg.Spans = rt.Spans()
-		rng := xrand.New(*seed)
+	params := reliability.DefaultParams()
+	if *interval > 0 {
+		params.RejuvenationInterval = *interval
+	}
+	rng := xrand.New(*seed)
 
-		without, err := reliability.NewModel(*n, params, false)
+	without, err := reliability.NewModel(*n, params, false)
+	if err != nil {
+		return err
+	}
+	exact, err := without.SolveExact()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%d-version model WITHOUT proactive rejuvenation (Fig. 2, exact CTMC):\n", *n)
+	printStates(w, exact.StateProbs)
+	fmt.Fprintf(w, "  E[R] = %.6f\n\n", exact.Expected)
+
+	with, err := reliability.NewModel(*n, params, true)
+	if err != nil {
+		return err
+	}
+	sim, err := with.SolveSimulation(reliability.DefaultSimConfig(), rng)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%d-version model WITH proactive rejuvenation (Fig. 3, DSPN simulation, 1/gamma = %.0fs):\n",
+		*n, params.RejuvenationInterval)
+	printStates(w, sim.StateProbs)
+	fmt.Fprintf(w, "  E[R] = %.6f  CI %s\n", sim.Expected, sim.CI)
+
+	if *erlang > 0 {
+		erl, err := with.SolveErlang(*erlang)
 		if err != nil {
 			return err
 		}
-		exact, err := without.SolveExact()
+		fmt.Fprintf(w, "\nErlang(%d) phase-type cross-check: E[R] = %.6f (delta %.6f)\n",
+			*erlang, erl.Expected, erl.Expected-sim.Expected)
+	}
+
+	if *transient {
+		times := []float64{
+			params.RejuvenationInterval / 2, params.RejuvenationInterval,
+			params.MeanTimeToCompromise / 2, params.MeanTimeToCompromise,
+			2 * params.MeanTimeToCompromise, 4 * params.MeanTimeToCompromise,
+		}
+		fmt.Fprintln(w, "\nmission-time reliability E[R(t)] from an all-healthy start:")
+		fmt.Fprintln(w, "  t (s)        w/ rejuvenation          w/o proactive rejuvenation")
+		withPts, err := with.TransientReliability(times, 2000, *workers, rng.Split("transient-with", 0))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%d-version model WITHOUT proactive rejuvenation (Fig. 2, exact CTMC):\n", *n)
-		printStates(w, exact.StateProbs)
-		fmt.Fprintf(w, "  E[R] = %.6f\n\n", exact.Expected)
-
-		with, err := reliability.NewModel(*n, params, true)
+		withoutPts, err := without.TransientReliability(times, 2000, *workers, rng.Split("transient-without", 0))
 		if err != nil {
 			return err
 		}
-		sim, err := with.SolveSimulation(simCfg, rng)
-		if err != nil {
-			return err
+		for i := range withPts {
+			fmt.Fprintf(w, "  %8.0f     %.4f [%.4f,%.4f]   %.4f [%.4f,%.4f]\n",
+				withPts[i].Time,
+				withPts[i].Reward.Mean, withPts[i].Reward.Lo, withPts[i].Reward.Hi,
+				withoutPts[i].Reward.Mean, withoutPts[i].Reward.Lo, withoutPts[i].Reward.Hi)
 		}
-		fmt.Fprintf(w, "%d-version model WITH proactive rejuvenation (Fig. 3, DSPN simulation, 1/gamma = %.0fs):\n",
-			*n, params.RejuvenationInterval)
-		printStates(w, sim.StateProbs)
-		fmt.Fprintf(w, "  E[R] = %.6f  CI %s\n", sim.Expected, sim.CI)
-
-		if *erlang > 0 {
-			erl, err := with.SolveErlang(*erlang)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\nErlang(%d) phase-type cross-check: E[R] = %.6f (delta %.6f)\n",
-				*erlang, erl.Expected, erl.Expected-sim.Expected)
-		}
-
-		if *transient {
-			times := []float64{
-				params.RejuvenationInterval / 2, params.RejuvenationInterval,
-				params.MeanTimeToCompromise / 2, params.MeanTimeToCompromise,
-				2 * params.MeanTimeToCompromise, 4 * params.MeanTimeToCompromise,
-			}
-			fmt.Fprintln(w, "\nmission-time reliability E[R(t)] from an all-healthy start:")
-			fmt.Fprintln(w, "  t (s)        w/ rejuvenation          w/o proactive rejuvenation")
-			withPts, err := with.TransientReliability(times, 2000, *workers, rng.Split("transient-with", 0))
-			if err != nil {
-				return err
-			}
-			withoutPts, err := without.TransientReliability(times, 2000, *workers, rng.Split("transient-without", 0))
-			if err != nil {
-				return err
-			}
-			for i := range withPts {
-				fmt.Fprintf(w, "  %8.0f     %.4f [%.4f,%.4f]   %.4f [%.4f,%.4f]\n",
-					withPts[i].Time,
-					withPts[i].Reward.Mean, withPts[i].Reward.Lo, withPts[i].Reward.Hi,
-					withoutPts[i].Reward.Mean, withoutPts[i].Reward.Lo, withoutPts[i].Reward.Hi)
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
 func printStates(w io.Writer, probs map[reliability.State]float64) {

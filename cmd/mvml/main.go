@@ -5,14 +5,10 @@
 // corpus, `mvml signs` the synthetic dataset as a PNG. Run `mvml -h` for the
 // usage.
 //
-// Every subcommand but falsify takes the shared telemetry flags
-// (internal/telemetry); attaching telemetry never changes a run's output.
-// Exit codes: 0 ok (and -h), 1 a failed run (a failed telemetry artifact
-// included), 2 a usage error.
+// Exit codes: 0 ok (and -h), 1 a failed run, 2 a usage error.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"image"
 	"image/png"
@@ -20,8 +16,6 @@ import (
 	"os"
 
 	"mvml/internal/cli"
-	"mvml/internal/obs"
-	"mvml/internal/telemetry"
 )
 
 const usageText = `usage:
@@ -52,20 +46,6 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run dispatches one invocation and returns its exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	return cli.Run("mvml", usageText, commands, args, stdout, stderr)
-}
-
-// instrumented runs body on the runtime the telemetry flags ask for (nil when
-// none does), with the health engine on its span stream, and finishes the
-// telemetry however body ends: a failed Finish fails the run. extra is the
-// summary's "extra" field.
-func instrumented(tele *telemetry.Flags, extra map[string]any, body func(*obs.Runtime) error) (err error) {
-	rt, err := tele.Start()
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, tele.Finish(extra)) }()
-	tele.AttachEngine()
-	return body(rt)
 }
 
 // renderer is one experiment's result table.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -186,53 +185,10 @@ func TestDriveWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestTelemetry: each instrumented subcommand prints the same stdout with
-// telemetry on, tags its summary with the command it had as a binary of its
-// own, and fails the run (exit 1) when an artifact cannot be written.
-func TestTelemetry(t *testing.T) {
-	for _, c := range []struct {
-		command string
-		args    []string
-	}{
-		{"mvmlbench", []string{"tables", "-table", "3"}},
-		{"drivesim", []string{"drive", "-table", "7", "-runs", "1", "-seed", "77"}},
-		{"dspn", []string{"dspn", "-n", "2"}},
-		{"signsheet", []string{"signs", "-per-class", "1", "-last", "0"}},
-	} {
-		t.Run(c.args[0], func(t *testing.T) {
-			dir := t.TempDir()
-			args := c.args
-			if args[0] == "signs" {
-				args = append(args, "-o", filepath.Join(dir, "signs.png"))
-			}
-			_, plain, _ := runCLI(args...)
-			summary := filepath.Join(dir, "summary.json")
-			code, stdout, stderr := runCLI(append(args, "-telemetry-out", summary)...)
-			if code != 0 || stdout != plain {
-				t.Fatalf("with -telemetry-out: exit %d (%s), stdout\n%s\nwant\n%s", code, stderr, stdout, plain)
-			}
-			data, err := os.ReadFile(summary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sum struct {
-				Extra struct{ Command string } `json:"extra"`
-			}
-			if err := json.Unmarshal(data, &sum); err != nil || sum.Extra.Command != c.command {
-				t.Errorf("summary extra.command = %q (%v), want %q", sum.Extra.Command, err, c.command)
-			}
-			code, _, stderr = runCLI(append(args, "-telemetry-out", dir)...)
-			if code != 1 || !strings.Contains(stderr, "is a directory") {
-				t.Errorf("-telemetry-out <dir>: exit %d, stderr %q; want 1 naming the failure", code, stderr)
-			}
-		})
-	}
-}
-
 // TestUsage: a bad invocation exits 2 with the usage on stderr and nothing on
 // stdout; -h exits 0.
 func TestUsage(t *testing.T) {
-	for _, args := range [][]string{
+	bad := [][]string{
 		{},
 		{"frobnicate"},
 		{"tables"},
@@ -243,6 +199,8 @@ func TestUsage(t *testing.T) {
 		{"drive"},
 		{"drive", "-table", "9"},
 		{"drive", "-ablation", "none"},
+		{"drive", "-table", "7", "-runs", "0"},
+		{"drive", "-table", "7", "-runs", "-1"},
 		{"dspn", "-n"},
 		{"dspn", "-horizon", "20000"},
 		{"falsify"},
@@ -252,7 +210,22 @@ func TestUsage(t *testing.T) {
 		{"falsify", "show"},
 		{"signs", "-per-class", "0"},
 		{"signs", "-first", "5", "-last", "4"},
+	}
+	// No subcommand takes telemetry flags: telemetry watches the serving
+	// binaries only.
+	for _, valid := range [][]string{
+		{"tables", "-table", "3"},
+		{"drive", "-table", "7", "-runs", "1"},
+		{"dspn", "-n", "2"},
+		{"signs", "-per-class", "1", "-last", "0", "-o", filepath.Join(t.TempDir(), "s.png")},
 	} {
+		for _, tf := range [][]string{
+			{"-telemetry-out", "x"}, {"-spans-out", "x"}, {"-metrics-addr", "127.0.0.1:0"}, {"-pprof"}, {"-health"},
+		} {
+			bad = append(bad, append(append([]string(nil), valid...), tf...))
+		}
+	}
+	for _, args := range bad {
 		code, stdout, stderr := runCLI(args...)
 		if code != 2 || stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage") {
 			t.Errorf("mvml %v: exit %d, stdout %q, stderr %q; want 2 with usage on stderr", args, code, stdout, stderr)

@@ -6,13 +6,10 @@ import (
 	"image"
 	"image/color"
 	"io"
-	"time"
 
 	"mvml/internal/cli"
 	"mvml/internal/nn"
-	"mvml/internal/obs"
 	"mvml/internal/signs"
-	"mvml/internal/telemetry"
 	"mvml/internal/tensor"
 	"mvml/internal/xrand"
 )
@@ -28,8 +25,6 @@ func cmdSigns(args []string, w, stderr io.Writer) error {
 	lastClass := fs.Int("last", signs.NumClasses-1, "last class to render")
 	noise := fs.Float64("noise", -1, "override pixel-noise sigma (-1 = dataset default)")
 	seed := fs.Uint64("seed", 38, "render seed")
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
@@ -45,36 +40,23 @@ func cmdSigns(args []string, w, stderr io.Writer) error {
 		cfg.Noise = *noise
 	}
 
-	return instrumented(&tele, map[string]any{"command": "signsheet", "seed": *seed}, func(rt *obs.Runtime) error {
-		const pad = 2
-		cell := nn.InputSize + pad
-		rows := *lastClass - *firstClass + 1
-		sheet := image.NewRGBA(image.Rect(0, 0, *perClass*cell+pad, rows*cell+pad))
-		root := xrand.New(cfg.Seed)
-
-		// A nil registry (telemetry off) hands out nil no-op handles.
-		reg := rt.Metrics()
-		reg.Help("mvml_signsheet_render_seconds", "Per-tile render latency of the synthetic sign generator.")
-		reg.Help("mvml_signsheet_tiles_total", "Tiles rendered, labelled by class.")
-		renderHist := reg.Histogram("mvml_signsheet_render_seconds", obs.LatencyBuckets())
-		for row := 0; row < rows; row++ {
-			class := *firstClass + row
-			r := root.Split("sheet", uint64(class))
-			tileCtr := reg.Counter("mvml_signsheet_tiles_total", "class", fmt.Sprintf("%d", class))
-			for col := 0; col < *perClass; col++ {
-				start := time.Now()
-				img := signs.Render(class, r, cfg)
-				renderHist.Observe(time.Since(start).Seconds())
-				tileCtr.Inc()
-				blit(sheet, img, pad+col*cell, pad+row*cell)
-			}
+	const pad = 2
+	cell := nn.InputSize + pad
+	rows := *lastClass - *firstClass + 1
+	sheet := image.NewRGBA(image.Rect(0, 0, *perClass*cell+pad, rows*cell+pad))
+	root := xrand.New(cfg.Seed)
+	for row := 0; row < rows; row++ {
+		class := *firstClass + row
+		r := root.Split("sheet", uint64(class))
+		for col := 0; col < *perClass; col++ {
+			blit(sheet, signs.Render(class, r, cfg), pad+col*cell, pad+row*cell)
 		}
-		if err := writePNG(*out, sheet); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s (%d classes x %d instances)\n", *out, rows, *perClass)
-		return nil
-	})
+	}
+	if err := writePNG(*out, sheet); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s (%d classes x %d instances)\n", *out, rows, *perClass)
+	return nil
 }
 
 // blit copies one rendered sign tensor into the sheet at (x0, y0).

@@ -2,15 +2,12 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"strings"
 
 	"mvml/internal/cli"
 	"mvml/internal/experiments"
-	"mvml/internal/obs"
 	"mvml/internal/reliability"
-	"mvml/internal/telemetry"
 	"mvml/internal/xrand"
 )
 
@@ -29,8 +26,6 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced dataset/training budget for Table II")
 	workers := fs.Int("workers", 0, "concurrent replications for fan-out experiments (0 = GOMAXPROCS; results are worker-count-invariant)")
 	seed := fs.Uint64("seed", experiments.Seed, "random seed for simulations")
-	var tele telemetry.Flags
-	tele.RegisterFlags(fs)
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
@@ -43,36 +38,31 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 		return cli.Usagef("nothing to do: pass -table 2..5, -fig a..f, -nversion, -diversity, -campaign, or -all")
 	}
 
-	tele.InfoLabel("workers", fmt.Sprintf("%d", *workers))
-	return instrumented(&tele, map[string]any{"command": "mvmlbench", "seed": *seed}, func(rt *obs.Runtime) error {
-		rng := xrand.New(*seed)
-		params := reliability.DefaultParams()
-		simCfg := reliability.DefaultSimConfig()
-		simCfg.Metrics = rt.Metrics()
-		simCfg.Spans = rt.Spans()
-		train := experiments.DefaultTableIIConfig()
-		if *quick {
-			train = experiments.QuickTableIIConfig()
-		}
+	rng := xrand.New(*seed)
+	params := reliability.DefaultParams()
+	simCfg := reliability.DefaultSimConfig()
+	train := experiments.DefaultTableIIConfig()
+	if *quick {
+		train = experiments.QuickTableIIConfig()
+	}
 
-		steps := []step{
-			{*table == 2 || *all, func() (renderer, error) { return experiments.RunTableII(train) }},
-			{*table == 3 || *all, func() (renderer, error) { return experiments.RunTableIII(params) }},
-			{*table == 4 || *all, func() (renderer, error) { return text(experiments.RenderTableIV(params)), nil }},
-			{*table == 5 || *all, func() (renderer, error) { return experiments.RunTableV(params, simCfg, rng) }},
-		}
-		for _, letter := range []string{"a", "b", "c", "d", "e", "f"} {
-			steps = append(steps, step{*fig == letter || (*fig == "" && *all), func() (renderer, error) {
-				return experiments.RunFig4(letter, params, simCfg, rng)
-			}})
-		}
-		nvCfg := experiments.DefaultNVersionStudyConfig()
-		nvCfg.Workers = *workers
-		steps = append(steps,
-			step{*nversion || *all, func() (renderer, error) { return experiments.RunNVersionStudy(nvCfg) }},
-			step{*diversity, func() (renderer, error) { return experiments.RunDiversityStudy(train) }},
-			step{*campaign, func() (renderer, error) { return experiments.RunFaultSensitivity(train, 20, *workers) }},
-		)
-		return printSteps(w, steps)
-	})
+	steps := []step{
+		{*table == 2 || *all, func() (renderer, error) { return experiments.RunTableII(train) }},
+		{*table == 3 || *all, func() (renderer, error) { return experiments.RunTableIII(params) }},
+		{*table == 4 || *all, func() (renderer, error) { return text(experiments.RenderTableIV(params)), nil }},
+		{*table == 5 || *all, func() (renderer, error) { return experiments.RunTableV(params, simCfg, rng) }},
+	}
+	for _, letter := range []string{"a", "b", "c", "d", "e", "f"} {
+		steps = append(steps, step{*fig == letter || (*fig == "" && *all), func() (renderer, error) {
+			return experiments.RunFig4(letter, params, simCfg, rng)
+		}})
+	}
+	nvCfg := experiments.DefaultNVersionStudyConfig()
+	nvCfg.Workers = *workers
+	steps = append(steps,
+		step{*nversion || *all, func() (renderer, error) { return experiments.RunNVersionStudy(nvCfg) }},
+		step{*diversity, func() (renderer, error) { return experiments.RunDiversityStudy(train) }},
+		step{*campaign, func() (renderer, error) { return experiments.RunFaultSensitivity(train, 20, *workers) }},
+	)
+	return printSteps(w, steps)
 }

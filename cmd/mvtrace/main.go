@@ -241,6 +241,9 @@ func cmdTop(args []string, w, stderr io.Writer) error {
 	if err := parse(fs, args, format); err != nil {
 		return err
 	}
+	if *n < 1 {
+		return cli.Usagef("top: -n must be at least 1")
+	}
 	recs, err := load(*in)
 	if err != nil {
 		return err

@@ -201,6 +201,8 @@ func TestUsageErrors(t *testing.T) {
 		{"summary", "-in", fixturePath, "-format", "xml"},
 		{"health", "-in", fixturePath, "-format", "xml"},
 		{"top", "-in", fixturePath, "-no-such-flag"},
+		{"top", "-in", fixturePath, "-n", "0"},
+		{"top", "-in", fixturePath, "-n", "-1"},
 	} {
 		code, stdout, stderr := runCLI(args...)
 		if code != 2 || stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage") {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"mvml/internal/reliability"
 	"mvml/internal/xrand"
@@ -118,10 +117,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates a system's decision outcomes and lifecycle events. The
-// counters are maintained unconditionally (telemetry attachment never
-// changes them); when a registry is attached via Instrument, the same
-// quantities are mirrored as metric series.
+// Stats aggregates a system's decision outcomes and lifecycle events.
 type Stats struct {
 	Decisions  int // votes that produced an output
 	Skips      int // safe skips (divergence or no functional modules)
@@ -181,10 +177,6 @@ type System[I, O any] struct {
 	stats     Stats
 	occupancy map[reliability.State]float64
 	observed  float64
-
-	// tel is the optional observability hook (see Instrument); nil means
-	// uninstrumented, and every telemetry method no-ops on nil.
-	tel *telemetry
 }
 
 // NewSystem builds a system over the given versions. The voter is trusted
@@ -380,7 +372,6 @@ func (s *System[I, O]) compromiseModule(i int, t float64) error {
 	m.compromises++
 	m.degraded = true
 	s.stats.Compromises++
-	s.tel.transition(t, i, Healthy, Compromised, "", "")
 	if err := m.version.Compromise(); err != nil {
 		return fmt.Errorf("core: compromising %s: %w", m.Name(), err)
 	}
@@ -397,7 +388,6 @@ func (s *System[I, O]) crashModule(i int, t float64) {
 	m.state = NonFunctional
 	m.crashes++
 	s.stats.Crashes++
-	s.tel.transition(t, i, Compromised, NonFunctional, "", "")
 }
 
 // pickRandomInState returns a uniformly random module index in the given
@@ -447,7 +437,6 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 			m.rejuvDoneAt = math.Inf(1)
 			m.state = Healthy
 			m.rejuvenations++
-			s.tel.transition(t, i, Rejuvenating, Healthy, "", "")
 			if m.degraded {
 				if err := m.version.Restore(); err != nil {
 					return fmt.Errorf("core: restoring %s: %w", m.Name(), err)
@@ -463,7 +452,6 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 	if t >= s.nextTick {
 		s.rejuv.Tick()
 		s.nextTick = t + s.cfg.RejuvenationInterval
-		s.tel.trigger(t)
 	}
 	// Start whatever the policy says is due: reactive repair first, then a
 	// pending proactive trigger once g2 holds.
@@ -477,9 +465,9 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 			break
 		}
 		m := s.modules[i]
-		from, kind, policy, mean := m.state, "reactive", "", s.cfg.MeanReactiveRejuvenation
+		mean := s.cfg.MeanReactiveRejuvenation
 		if proactive {
-			kind, policy, mean = "proactive", s.cfg.Selection.String(), s.cfg.MeanProactiveRejuvenation
+			mean = s.cfg.MeanProactiveRejuvenation
 			s.stats.ProactiveRejuvenations++
 		} else {
 			s.stats.ReactiveRejuvenations++
@@ -488,14 +476,10 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 		m.crashAt = math.Inf(1)
 		m.compromiseAt = math.Inf(1)
 		m.rejuvDoneAt = t + s.rng.Exp(mean)
-		s.tel.transition(t, i, from, Rejuvenating, kind, policy)
 	}
 	// Re-arm the single-server fault clocks against the new state
 	// (memorylessness makes re-drawing equivalent to continuing).
 	s.resampleSharedClocks(t)
-	if s.tel != nil {
-		s.tel.syncPopulation(s.statePopulation())
-	}
 	return nil
 }
 
@@ -507,30 +491,17 @@ func (s *System[I, O]) Infer(t float64, in I) (Decision[O], []Proposal[O], error
 		return Decision[O]{}, nil, err
 	}
 	proposals := make([]Proposal[O], 0, len(s.modules))
-	var start time.Time
-	for i, m := range s.modules {
+	for _, m := range s.modules {
 		if !m.state.Functional() {
 			continue
 		}
-		if s.tel != nil {
-			start = time.Now()
-		}
 		out, err := m.version.Infer(in)
-		if s.tel != nil {
-			s.tel.moduleLatency[i].Observe(time.Since(start).Seconds())
-		}
 		if err != nil {
 			return Decision[O]{}, nil, fmt.Errorf("core: inference on %s: %w", m.Name(), err)
 		}
 		proposals = append(proposals, Proposal[O]{Module: m.Name(), Value: out})
 	}
-	if s.tel != nil {
-		start = time.Now()
-	}
 	d := s.voter.Vote(proposals)
-	if s.tel != nil {
-		s.tel.voteLatency.Observe(time.Since(start).Seconds())
-	}
 	s.stats.Inferences++
 	if d.Skipped {
 		s.stats.Skips++
@@ -539,14 +510,6 @@ func (s *System[I, O]) Infer(t float64, in I) (Decision[O], []Proposal[O], error
 		}
 	} else {
 		s.stats.Decisions++
-	}
-	if s.tel != nil {
-		s.tel.voterOutcome(t, &decisionOutcome{
-			skipped:    d.Skipped,
-			reason:     d.Reason,
-			proposals:  len(proposals),
-			dissenting: d.Dissenting,
-		})
 	}
 	return d, proposals, nil
 }

@@ -354,3 +354,71 @@ func TestFuncVersion(t *testing.T) {
 		t.Fatal("expected error for missing InferFn")
 	}
 }
+
+// TestDivergencesCountOnlySkipsWithProposals pins the Divergences rule: a
+// skipped round with at least one proposal is a divergence, a skipped round
+// with none (every module down) is a skip and nothing more.
+func TestDivergencesCountOnlySkipsWithProposals(t *testing.T) {
+	split := []Version[int, int]{
+		&constVersion{name: "a", value: 1},
+		&constVersion{name: "b", value: 2},
+	}
+	sys, err := NewSystem[int, int](split, NewEqualityVoter[int](), noFaultConfig(), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := sys.Infer(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.Stats(); !d.Skipped || st.Skips != 1 || st.Divergences != 1 || st.Decisions != 0 {
+		t.Fatalf("1v1 split: skipped=%v stats %+v, want one skip that is a divergence", d.Skipped, st)
+	}
+
+	// One version, fast faults and no repair: it crashes and stays down.
+	cfg := Config{MeanTimeToCompromise: 1, MeanTimeToFailure: 1, DisableReactive: true}
+	sys, err = NewSystem[int, int](testVersions(1), NewEqualityVoter[int](), cfg, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Advance(1000); err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.Modules()[0].State(); st != NonFunctional {
+		t.Fatalf("module in state %v after 1000 s, want N", st)
+	}
+	d, props, err := sys.Infer(1000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.Stats(); !d.Skipped || len(props) != 0 || st.Skips != 1 || st.Divergences != 0 {
+		t.Fatalf("no proposals: skipped=%v proposals=%d stats %+v, want one skip and no divergence",
+			d.Skipped, len(props), st)
+	}
+}
+
+func TestStatsRatios(t *testing.T) {
+	var zero Stats
+	if zero.SkipRatio() != 0 || zero.DecisionRatio() != 0 || zero.DivergenceRatio() != 0 {
+		t.Fatal("zero-inference ratios must be 0, not NaN")
+	}
+	s := Stats{Inferences: 8, Skips: 2, Decisions: 6, Divergences: 1}
+	if s.SkipRatio() != 0.25 || s.DecisionRatio() != 0.75 || s.DivergenceRatio() != 0.125 {
+		t.Fatalf("ratios %v %v %v", s.SkipRatio(), s.DecisionRatio(), s.DivergenceRatio())
+	}
+}
+
+// BenchmarkInfer times the Infer hot path of a no-fault three-version system.
+func BenchmarkInfer(b *testing.B) {
+	sys, err := NewSystem[int, int](testVersions(3), NewEqualityVoter[int](), noFaultConfig(), xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sys.Infer(float64(i), i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

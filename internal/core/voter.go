@@ -18,25 +18,6 @@ type Decision[O any] struct {
 	Agreeing int
 	// Proposals is the number of proposals considered.
 	Proposals int
-	// Dissenting names the modules whose proposal disagreed with the
-	// chosen value, in proposal order. Nil when the round was skipped or
-	// unanimous — the common case allocates nothing. This is the per-round
-	// error-overlap signal the health engine's online α estimator consumes
-	// (two modules dissenting on the same input is a simultaneous-error
-	// observation, the numerator of the paper's Eq. 8).
-	Dissenting []string
-}
-
-// dissenters collects the modules disagreeing with value under eq,
-// allocating only when dissent exists.
-func dissenters[O any](proposals []Proposal[O], eq Equal[O], value O) []string {
-	var out []string
-	for _, p := range proposals {
-		if !eq(p.Value, value) {
-			out = append(out, p.Module)
-		}
-	}
-	return out
 }
 
 // Voter decides a final output from module proposals. Implementations must
@@ -90,8 +71,7 @@ func (v *MajorityVoter[O]) Vote(proposals []Proposal[O]) Decision[O] {
 		need = 2 // R.2: unanimity of the two functional modules
 	}
 	if bestCount >= need {
-		return Decision[O]{Value: best, Agreeing: bestCount, Proposals: n,
-			Dissenting: dissenters(proposals, v.Eq, best)}
+		return Decision[O]{Value: best, Agreeing: bestCount, Proposals: n}
 	}
 	return Decision[O]{
 		Skipped:   true,
@@ -166,8 +146,7 @@ func (v *PluralityVoter[O]) Vote(proposals []Proposal[O]) Decision[O] {
 	}
 	mv := MajorityVoter[O]{Eq: v.Eq}
 	value, count := mv.largestCluster(proposals)
-	return Decision[O]{Value: value, Agreeing: count, Proposals: len(proposals),
-		Dissenting: dissenters(proposals, v.Eq, value)}
+	return Decision[O]{Value: value, Agreeing: count, Proposals: len(proposals)}
 }
 
 // MedianVoter implements approximate agreement for continuous outputs
@@ -218,15 +197,7 @@ func (v *MedianVoter) Vote(proposals []Proposal[float64]) Decision[float64] {
 		need = 2 // R.2: both must agree
 	}
 	if agreeing >= need {
-		within := func(a, b float64) bool {
-			d := a - b
-			if d < 0 {
-				d = -d
-			}
-			return d <= v.Epsilon
-		}
-		return Decision[float64]{Value: median, Agreeing: agreeing, Proposals: n,
-			Dissenting: dissenters(proposals, within, median)}
+		return Decision[float64]{Value: median, Agreeing: agreeing, Proposals: n}
 	}
 	return Decision[float64]{
 		Skipped:   true,
@@ -278,8 +249,7 @@ func (v *WeightedVoter[O]) Vote(proposals []Proposal[O]) Decision[O] {
 		}
 	}
 	if n == 1 || bestWeight > total/2 {
-		return Decision[O]{Value: proposals[bestIdx].Value, Agreeing: bestCount, Proposals: n,
-			Dissenting: dissenters(proposals, v.Eq, proposals[bestIdx].Value)}
+		return Decision[O]{Value: proposals[bestIdx].Value, Agreeing: bestCount, Proposals: n}
 	}
 	return Decision[O]{Skipped: true, Reason: "no weighted majority", Proposals: n}
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"mvml/internal/obs"
 	"mvml/internal/xrand"
 )
 
@@ -34,31 +32,7 @@ type Config struct {
 	// perception detection counts as covering a ground-truth object for
 	// the missed-obstacle safety signal (default 2.0).
 	DetectionMatchRadius float64
-	// Metrics, when non-nil, receives frame counters, tick-latency
-	// histograms and ego-state gauges. Telemetry is purely observational:
-	// it consumes no draws from the run's rng, so instrumented and
-	// uninstrumented runs are decision-identical.
-	Metrics *obs.Registry
-	// Spans, when non-nil, receives hazard events (collisions, perception
-	// skips, run completion) as zero-duration spans stamped with simulated
-	// time, one trace per run.
-	Spans *obs.SpanSink
 }
-
-// Drivesim metric names.
-const (
-	// MetricFrames counts simulated frames, labelled by route.
-	MetricFrames = "mvml_drivesim_frames_total"
-	// MetricCollisionFrames counts frames with ego/NPC overlap.
-	MetricCollisionFrames = "mvml_drivesim_collision_frames_total"
-	// MetricSkippedFrames counts frames on which perception safely skipped.
-	MetricSkippedFrames = "mvml_drivesim_skipped_frames_total"
-	// MetricTickLatency is the wall-clock duration of one simulation frame
-	// (traffic step + perception + planning + dynamics).
-	MetricTickLatency = "mvml_drivesim_tick_seconds"
-	// MetricEgoSpeed gauges the ego's current speed (m/s).
-	MetricEgoSpeed = "mvml_drivesim_ego_speed_mps"
-)
 
 func (c *Config) fillDefaults() {
 	if c.DT == 0 {
@@ -265,27 +239,12 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 	res := &Result{Route: townName, FirstCollisionFrame: -1, MinTTC: TTCCap}
 	account := &costAccount{}
 
-	// Telemetry handles; all nil (no-op) when cfg.Metrics is nil.
-	routeLabel := fmt.Sprintf("%d", cfg.RouteNumber)
-	cfg.Metrics.Help(MetricTickLatency, "Wall-clock duration of one simulation frame.")
-	frameCtr := cfg.Metrics.Counter(MetricFrames, "route", routeLabel)
-	collisionCtr := cfg.Metrics.Counter(MetricCollisionFrames, "route", routeLabel)
-	skipCtr := cfg.Metrics.Counter(MetricSkippedFrames, "route", routeLabel)
-	tickHist := cfg.Metrics.Histogram(MetricTickLatency, obs.LatencyBuckets())
-	speedGauge := cfg.Metrics.Gauge(MetricEgoSpeed)
-	trace := cfg.Spans.NewTraceID()
-	wasColliding := false
-
 	// The planner holds the last commanded target speed across skipped
 	// frames (§VII-A: driving properties remain unchanged on a skip).
 	targetSpeed := cfg.CruiseSpeed
 
 	for frame := 0; frame < maxFrames; frame++ {
 		t := float64(frame) * cfg.DT
-		var tickStart time.Time
-		if cfg.Metrics != nil {
-			tickStart = time.Now()
-		}
 
 		// Advance traffic.
 		for _, n := range npcs {
@@ -309,10 +268,6 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 
 		if out.Skipped {
 			res.SkippedFrames++
-			skipCtr.Inc()
-			cfg.Spans.Emit(trace, 0, "perception_skip", t, t, map[string]any{
-				"route": cfg.RouteNumber, "frame": frame,
-			})
 			// Hold the previous command.
 		} else {
 			targetSpeed = planSpeed(cfg, route, ego, out.Objects)
@@ -348,26 +303,13 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 		if colliding {
 			res.CollisionFrames++
 			res.MinTTC = 0
-			collisionCtr.Inc()
 			if !res.Collided {
 				res.Collided = true
 				res.FirstCollisionFrame = frame
 			}
-			if !wasColliding {
-				cfg.Spans.Emit(trace, 0, "collision", t, t, map[string]any{
-					"route": cfg.RouteNumber, "frame": frame,
-					"speed": ego.Speed,
-				})
-			}
 		}
-		wasColliding = colliding
 
 		res.TotalFrames++
-		frameCtr.Inc()
-		speedGauge.Set(ego.Speed)
-		if cfg.Metrics != nil {
-			tickHist.Observe(time.Since(tickStart).Seconds())
-		}
 		if route.NearestArcLength(ego.Pos) >= route.Length()-2 {
 			res.Completed = true
 			break
@@ -376,14 +318,6 @@ func Run(cfg Config, percept PerceptionSystem, rng *xrand.Rand) (*Result, error)
 	res.AvgFPS = account.fps()
 	res.AvgCPUUtil = account.cpuPct()
 	res.AvgGPUUtil = account.gpuPct()
-	end := float64(res.TotalFrames) * cfg.DT
-	cfg.Spans.Emit(trace, 0, "run_end", end, end, map[string]any{
-		"route":     cfg.RouteNumber,
-		"frames":    res.TotalFrames,
-		"collided":  res.Collided,
-		"skipped":   res.SkippedFrames,
-		"completed": res.Completed,
-	})
 	return res, nil
 }
 

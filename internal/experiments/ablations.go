@@ -55,10 +55,7 @@ func (r *AblationResult) Render() string {
 func driveArm(cfg CaseStudyConfig, makePipe func(seed uint64, rng *xrand.Rand) (drivesim.PerceptionSystem, error),
 	root *xrand.Rand) (AblationRow, error) {
 	episodes, err := parallel.Run(root, "episode", drivesim.NumRoutes*cfg.RunsPerRoute,
-		parallel.Options{
-			Workers:  cfg.Workers,
-			Progress: parallel.RegistryProgress(cfg.Obs.Metrics(), "ablation"),
-		}, func(rep int, _ *xrand.Rand) (*drivesim.Result, error) {
+		parallel.Options{Workers: cfg.Workers}, func(rep int, _ *xrand.Rand) (*drivesim.Result, error) {
 			route := 1 + rep/cfg.RunsPerRoute
 			run := rep % cfg.RunsPerRoute
 			seed := uint64(route*100 + run)
@@ -66,11 +63,7 @@ func driveArm(cfg CaseStudyConfig, makePipe func(seed uint64, rng *xrand.Rand) (
 			if err != nil {
 				return nil, err
 			}
-			if p, ok := pipe.(*perception.Pipeline); ok {
-				p.InstrumentObs(cfg.Obs)
-			}
-			return drivesim.Run(drivesim.Config{RouteNumber: route, CruiseSpeed: cfg.CruiseSpeed,
-				Metrics: cfg.Obs.Metrics(), Spans: cfg.Obs.Spans()},
+			return drivesim.Run(drivesim.Config{RouteNumber: route, CruiseSpeed: cfg.CruiseSpeed},
 				pipe, root.Split("sim", seed))
 		})
 	if err != nil {

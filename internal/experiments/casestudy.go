@@ -5,7 +5,6 @@ import (
 
 	"mvml/internal/core"
 	"mvml/internal/drivesim"
-	"mvml/internal/obs"
 	"mvml/internal/parallel"
 	"mvml/internal/perception"
 	"mvml/internal/stats"
@@ -31,17 +30,7 @@ type CaseStudyConfig struct {
 	// run's randomness is Split from the experiment root by (route, run)
 	// seed, so results are identical for every worker count.
 	Workers int
-	// Obs, when non-nil, instruments every pipeline and simulation run in
-	// the experiment: module state/rejuvenation series and latency
-	// histograms accumulate across runs in one registry, and per-run
-	// counters are recorded under mvml_experiment_runs_total. Telemetry is
-	// observational only and does not change any run's decisions.
-	Obs *obs.Runtime
 }
-
-// MetricExperimentRuns counts simulation runs executed by the experiment
-// harness, labelled by route and arm.
-const MetricExperimentRuns = "mvml_experiment_runs_total"
 
 // DefaultCaseStudyConfig returns the paper's §VII-A setup.
 func DefaultCaseStudyConfig() CaseStudyConfig {
@@ -89,32 +78,18 @@ func runRoute(cfg CaseStudyConfig, route int, rejuvenate bool, root *xrand.Rand)
 	agg.Runs = cfg.RunsPerRoute
 	var firstSum, firstN, totalSum, collFrames, frames int
 	var skipSum float64
-	arm := "with_rejuvenation"
-	if !rejuvenate {
-		arm = "without_rejuvenation"
-	}
 	// Fan the runs out. Each run derives its streams from the shared root
 	// by its (route, run) seed — a pure read of root — and builds a private
 	// pipeline, so runs are self-contained; the results come back in run
 	// order and the aggregation below sums in the sequential order.
-	runs, err := parallel.Run(root, "run", cfg.RunsPerRoute, parallel.Options{
-		Workers:  cfg.Workers,
-		Progress: parallel.RegistryProgress(cfg.Obs.Metrics(), "casestudy"),
-	}, func(run int, _ *xrand.Rand) (*drivesim.Result, error) {
+	runs, err := parallel.Run(root, "run", cfg.RunsPerRoute, parallel.Options{Workers: cfg.Workers}, func(run int, _ *xrand.Rand) (*drivesim.Result, error) {
 		seed := uint64(route*100 + run)
 		pipe, err := perception.NewPipeline(3, cfg.Detector, sysCfg, seed, root.Split("sys", seed))
 		if err != nil {
 			return nil, err
 		}
-		pipe.InstrumentObs(cfg.Obs)
-		cfg.Obs.Metrics().Counter(MetricExperimentRuns,
-			"route", fmt.Sprintf("%d", route), "arm", arm).Inc()
-		return drivesim.Run(drivesim.Config{
-			RouteNumber: route,
-			CruiseSpeed: cfg.CruiseSpeed,
-			Metrics:     cfg.Obs.Metrics(),
-			Spans:       cfg.Obs.Spans(),
-		}, pipe, root.Split("sim", seed))
+		return drivesim.Run(drivesim.Config{RouteNumber: route, CruiseSpeed: cfg.CruiseSpeed},
+			pipe, root.Split("sim", seed))
 	})
 	if err != nil {
 		return RouteStats{}, err
@@ -330,19 +305,14 @@ func RunTableVIII(cfg CaseStudyConfig, runs int) (*TableVIIIResult, error) {
 		// in run order, so the CI inputs below are assembled exactly as the
 		// sequential loop did.
 		type overhead struct{ fps, cpu, gpu float64 }
-		runRes, err := parallel.Run(root, "run", runs, parallel.Options{
-			Workers:  cfg.Workers,
-			Progress: parallel.RegistryProgress(cfg.Obs.Metrics(), "tableviii"),
-		}, func(run int, _ *xrand.Rand) (overhead, error) {
+		runRes, err := parallel.Run(root, "run", runs, parallel.Options{Workers: cfg.Workers}, func(run int, _ *xrand.Rand) (overhead, error) {
 			seed := uint64(ai*100 + run)
 			pipe, err := perception.NewPipeline(a.versions, cfg.Detector, a.system, seed,
 				root.Split("sys", seed))
 			if err != nil {
 				return overhead{}, err
 			}
-			pipe.InstrumentObs(cfg.Obs)
-			r, err := drivesim.Run(drivesim.Config{RouteNumber: 1, CruiseSpeed: cfg.CruiseSpeed,
-				Metrics: cfg.Obs.Metrics(), Spans: cfg.Obs.Spans()},
+			r, err := drivesim.Run(drivesim.Config{RouteNumber: 1, CruiseSpeed: cfg.CruiseSpeed},
 				pipe, root.Split("sim", seed))
 			if err != nil {
 				return overhead{}, err

@@ -389,21 +389,15 @@ func (e *Engine) observeOne(rec *obs.SpanRecord) {
 			}
 		}
 	case "rejuvenation_trigger":
-		// The serving pool decided this version is diverging (core's
-		// simulator emits the kind without a version: nothing to mark).
+		// The serving pool decided this version is diverging. A replayed
+		// file from outside the program may carry the kind without a
+		// version: nothing to mark.
 		if version := rec.AttrString("version"); version != "" {
 			rate, _ := rec.AttrFloat("rate")
 			e.bump("version:"+version, Critical, t, fmt.Sprintf("divergence rate %.2f over window", rate))
 		}
 	case "rejuvenation":
 		e.observeRejuvenation(rec, t)
-	case "divergence":
-		// The simulation stack's voter-skip span (core telemetry).
-		e.bump("voter", Degraded, t, "voter skipped: divergence")
-	case "disagreement":
-		// A decided round with minority dissent (core telemetry): a
-		// per-module error observation for the α estimator.
-		e.alpha.ObserveRound(rec.AttrStrings("diverged"))
 	}
 }
 

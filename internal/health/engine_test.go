@@ -340,16 +340,16 @@ func TestEngineGauges(t *testing.T) {
 	}
 }
 
-// eventKinds are the zero-duration instants the stack emits as spans of their
-// own kind (core: voter_skip, rejuvenation_trigger; serve: compromise;
-// drivesim: perception_skip, collision, run_end; petri: petri_run_end).
+// eventKinds are zero-duration instants a span export may hold: serve's
+// compromise and rejuvenation_trigger, and kinds no observer knows, as a
+// file written outside the program may carry.
 var eventKinds = []string{"voter_skip", "rejuvenation_trigger", "compromise",
 	"perception_skip", "collision", "run_end", "petri_run_end"}
 
 // TestEventSpansDoNotMoveTheVerdict pins "no kind collision": interleaving
 // every event kind through the recorded incident leaves the replayed report
 // byte-identical — the engine counts the extra spans and judges none of them.
-// rejuvenation_trigger comes without a version, the way core emits it.
+// rejuvenation_trigger comes without a version, which the engine ignores.
 func TestEventSpansDoNotMoveTheVerdict(t *testing.T) {
 	recs := incidentStream()
 	opts := testEngineOptions()

@@ -22,13 +22,10 @@
 //
 // Everything stochastic a replication needs must come from its arguments
 // (rep, rng); shared mutable state (model instances, accumulators, scratch
-// buffers) must be per-replication or per-worker. Telemetry writes to an
-// obs.Registry are safe: the registry is concurrency-safe and observational
-// only.
+// buffers) must be per-replication or per-worker.
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -36,43 +33,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mvml/internal/obs"
 	"mvml/internal/xrand"
 )
 
-// Options tunes a Run. The zero value runs on GOMAXPROCS workers with no
-// cancellation and no progress reporting.
+// Options tunes a Run. The zero value runs on GOMAXPROCS workers.
 type Options struct {
 	// Workers bounds concurrent replications; <= 0 means GOMAXPROCS. The
 	// worker count never changes results, only wall-clock time.
 	Workers int
-	// Context, when non-nil, cancels the run early: no new replications
-	// start after it is done and Run returns its error.
-	Context context.Context
-	// Progress, when non-nil, is called after every completed replication
-	// with the number of completions so far and the total. Calls may come
-	// from any worker goroutine and are not ordered by replication index;
-	// the callback must be safe for concurrent use (obs handles are).
-	Progress func(done, total int)
-}
-
-// CounterProgress adapts an obs counter into a Progress callback: one
-// increment per completed replication. A nil counter yields a no-op
-// callback, matching obs's nil-handle convention.
-func CounterProgress(c *obs.Counter) func(done, total int) {
-	return func(done, total int) { c.Inc() }
-}
-
-// MetricReplications counts completed fan-out replications, labelled by
-// experiment.
-const MetricReplications = "mvml_parallel_replications_total"
-
-// RegistryProgress returns a Progress callback incrementing
-// MetricReplications{experiment=...} in the given registry. A nil registry
-// yields a no-op callback.
-func RegistryProgress(reg *obs.Registry, experiment string) func(done, total int) {
-	reg.Help(MetricReplications, "Completed fan-out replications per experiment.")
-	return CounterProgress(reg.Counter(MetricReplications, "experiment", experiment))
 }
 
 // Run executes fn for every replication in [0, n) and returns the results
@@ -81,8 +49,7 @@ func RegistryProgress(reg *obs.Registry, experiment string) func(done, total int
 // Error and panic semantics: the first failure stops the dispatch of new
 // replications. Run returns the error of the lowest-indexed replication
 // that failed before the pool drained, and re-panics (with the original
-// value and stack) if any replication panicked. On a clean run with a
-// cancelled context it returns the context's error.
+// value and stack) if any replication panicked.
 func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep int, rng *xrand.Rand) (T, error)) ([]T, error) {
 	if root == nil {
 		return nil, errors.New("parallel: nil root rng")
@@ -93,10 +60,6 @@ func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep 
 	if fn == nil {
 		return nil, errors.New("parallel: nil replication function")
 	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -106,31 +69,24 @@ func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep 
 	}
 	results := make([]T, n)
 	if n == 0 {
-		return results, ctx.Err()
+		return results, nil
 	}
 
 	if workers == 1 {
 		// Sequential fast path: same RNG derivation, same order, no
 		// goroutines. This is the reference the parallel path must match.
 		for rep := 0; rep < n; rep++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			v, err := fn(rep, root.Split(label, uint64(rep)))
 			if err != nil {
 				return nil, err
 			}
 			results[rep] = v
-			if opt.Progress != nil {
-				opt.Progress(rep+1, n)
-			}
 		}
 		return results, nil
 	}
 
 	var (
 		next atomic.Int64 // next replication to dispatch
-		done atomic.Int64 // completed replications
 		wg   sync.WaitGroup
 
 		mu          sync.Mutex
@@ -140,23 +96,11 @@ func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep 
 		panicStack  []byte
 		panicked    bool
 	)
-	// stop is closed on the first error, panic or context cancellation;
-	// workers poll it before claiming the next replication.
+	// stop is closed on the first error or panic; workers poll it before
+	// claiming the next replication.
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	if ctx.Done() != nil {
-		// Watcher translating context cancellation into a halt. It exits
-		// when the run finishes (halt is always called after wg.Wait).
-		go func() {
-			select {
-			case <-ctx.Done():
-				halt()
-			case <-stop:
-			}
-		}()
-	}
 
 	body := func(rep int) {
 		defer func() {
@@ -180,9 +124,6 @@ func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep 
 			return
 		}
 		results[rep] = v
-		if opt.Progress != nil {
-			opt.Progress(int(done.Add(1)), n)
-		}
 	}
 
 	wg.Add(workers)
@@ -195,10 +136,6 @@ func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep 
 					return
 				default:
 				}
-				if ctx.Err() != nil {
-					halt()
-					return
-				}
 				rep := int(next.Add(1)) - 1
 				if rep >= n {
 					return
@@ -208,16 +145,12 @@ func Run[T any](root *xrand.Rand, label string, n int, opt Options, fn func(rep 
 		}()
 	}
 	wg.Wait()
-	halt()
 
 	if panicked {
 		panic(fmt.Sprintf("parallel: replication panicked: %v\n%s", panicVal, panicStack))
 	}
 	if firstErrRep != -1 {
 		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	return results, nil
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mvml/internal/obs"
 	"mvml/internal/xrand"
 )
 
@@ -141,86 +139,6 @@ func TestRunPropagatesPanic(t *testing.T) {
 				})
 		}()
 	}
-}
-
-func TestRunContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := Run(xrand.New(1), "rep", 1_000_000, Options{Workers: 4, Context: ctx},
-		func(rep int, _ *xrand.Rand) (int, error) {
-			if ran.Add(1) == 10 {
-				cancel()
-			}
-			return rep, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n > 10_000 {
-		t.Fatalf("%d replications ran after cancellation", n)
-	}
-}
-
-func TestRunPreCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		_, err := Run(xrand.New(1), "rep", 8, Options{Workers: workers, Context: ctx},
-			func(rep int, _ *xrand.Rand) (int, error) { return rep, nil })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-	}
-}
-
-func TestRunProgressCountsEveryReplication(t *testing.T) {
-	for _, workers := range []int{1, 5} {
-		var calls atomic.Int64
-		var sawTotal atomic.Int64
-		_, err := Run(xrand.New(1), "rep", 37, Options{
-			Workers: workers,
-			Progress: func(done, total int) {
-				calls.Add(1)
-				sawTotal.Store(int64(total))
-			},
-		}, func(rep int, _ *xrand.Rand) (int, error) { return rep, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls.Load() != 37 || sawTotal.Load() != 37 {
-			t.Fatalf("workers=%d: %d progress calls (total %d), want 37",
-				workers, calls.Load(), sawTotal.Load())
-		}
-	}
-}
-
-func TestRunRacingTelemetryWrites(t *testing.T) {
-	// Replications writing to one obs registry from many goroutines must be
-	// race-free (run under -race via verify.sh) and lose no increments.
-	reg := obs.NewRegistry()
-	ctr := reg.Counter("parallel_test_reps_total", "experiment", "race")
-	hist := reg.Histogram("parallel_test_values", obs.DefBuckets(), "experiment", "race")
-	_, err := Run(xrand.New(3), "rep", 200, Options{
-		Workers:  8,
-		Progress: CounterProgress(ctr),
-	}, func(rep int, rng *xrand.Rand) (int, error) {
-		hist.Observe(rng.Float64())
-		return rep, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Value() != 200 {
-		t.Fatalf("progress counter = %d, want 200", ctr.Value())
-	}
-	if hist.Count() != 200 {
-		t.Fatalf("histogram count = %d, want 200", hist.Count())
-	}
-}
-
-func TestCounterProgressNilCounterIsNoop(t *testing.T) {
-	p := CounterProgress(nil)
-	p(1, 2) // must not panic
 }
 
 func TestRunEdgeCases(t *testing.T) {

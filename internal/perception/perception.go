@@ -16,11 +16,9 @@ package perception
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"mvml/internal/core"
 	"mvml/internal/drivesim"
-	"mvml/internal/obs"
 	"mvml/internal/xrand"
 )
 
@@ -433,39 +431,6 @@ func listsAgree(a, b []drivesim.Detection, radius float64) bool {
 // simulator.
 type Pipeline struct {
 	sys *core.System[drivesim.Scene, []drivesim.Detection]
-
-	// Telemetry handles (nil when uninstrumented; see Instrument).
-	perceiveLatency *obs.Histogram
-	perceiveRounds  *obs.Counter
-	perceiveSkips   *obs.Counter
-}
-
-// Pipeline-level metric names.
-const (
-	// MetricPerceiveLatency is the end-to-end perception latency histogram
-	// (all versions plus the voter) in seconds.
-	MetricPerceiveLatency = "mvml_perception_perceive_seconds"
-	// MetricPerceiveRounds counts Perceive calls.
-	MetricPerceiveRounds = "mvml_perception_rounds_total"
-	// MetricPerceiveSkips counts Perceive calls that ended in a safe skip.
-	MetricPerceiveSkips = "mvml_perception_skips_total"
-)
-
-// InstrumentObs attaches an obs.Runtime to the pipeline and its underlying
-// multi-version system: per-version inference latency histograms, voter and
-// rejuvenation counters, module_state / rejuvenation / divergence spans in
-// simulated seconds (see core.System.InstrumentObs), plus pipeline-level
-// perceive latency/skip series. A nil Runtime detaches telemetry; telemetry
-// never consumes xrand draws, so instrumented runs stay decision-identical.
-func (p *Pipeline) InstrumentObs(rt *obs.Runtime) {
-	p.sys.InstrumentObs(rt)
-	reg := rt.Metrics()
-	reg.Help(MetricPerceiveLatency, "End-to-end perception latency: all versions plus the voter.")
-	reg.Help(MetricPerceiveRounds, "Perception rounds executed.")
-	reg.Help(MetricPerceiveSkips, "Perception rounds that ended in a safe skip.")
-	p.perceiveLatency = reg.Histogram(MetricPerceiveLatency, obs.LatencyBuckets())
-	p.perceiveRounds = reg.Counter(MetricPerceiveRounds)
-	p.perceiveSkips = reg.Counter(MetricPerceiveSkips)
 }
 
 var _ drivesim.PerceptionSystem = (*Pipeline)(nil)
@@ -512,20 +477,9 @@ func NewPipelineWithVoter(n int, det DetectorParams, sysCfg core.Config,
 
 // Perceive implements drivesim.PerceptionSystem.
 func (p *Pipeline) Perceive(t float64, scene drivesim.Scene) (drivesim.PerceptionResult, error) {
-	var start time.Time
-	if p.perceiveLatency != nil {
-		start = time.Now()
-	}
 	d, _, err := p.sys.Infer(t, scene)
-	if p.perceiveLatency != nil {
-		p.perceiveLatency.Observe(time.Since(start).Seconds())
-	}
 	if err != nil {
 		return drivesim.PerceptionResult{}, err
-	}
-	p.perceiveRounds.Inc()
-	if d.Skipped {
-		p.perceiveSkips.Inc()
 	}
 	return drivesim.PerceptionResult{Skipped: d.Skipped, Objects: d.Value}, nil
 }

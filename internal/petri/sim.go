@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mvml/internal/obs"
 	"mvml/internal/stats"
 	"mvml/internal/xrand"
 )
@@ -22,24 +21,7 @@ type SimConfig struct {
 	Level float64
 	// MaxEvents bounds the number of transition firings (default 50e6).
 	MaxEvents int
-	// Metrics, when non-nil, receives per-transition firing counters and a
-	// simulated-time progress gauge (labelled by net name). Purely
-	// observational: no rng draws are consumed, so instrumented runs fire
-	// the same transition sequence.
-	Metrics *obs.Registry
-	// Spans, when non-nil, receives one zero-duration end-of-run span
-	// summarising the simulation.
-	Spans *obs.SpanSink
 }
-
-// Petri metric names.
-const (
-	// MetricFirings counts transition firings, labelled by net and
-	// transition.
-	MetricFirings = "mvml_petri_firings_total"
-	// MetricSimTime gauges the current simulated time, labelled by net.
-	MetricSimTime = "mvml_petri_sim_time"
-)
 
 func (c *SimConfig) fillDefaults() {
 	if c.Batches == 0 {
@@ -134,30 +116,6 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 
 	var now float64
 
-	// Telemetry: firing counters are resolved lazily per transition and
-	// cached, so the hot loop performs map lookups on pointers rather than
-	// registry (mutex + string) lookups. All no-ops when Metrics is nil.
-	var firingCtrs map[*Transition]*obs.Counter
-	var simTimeGauge *obs.Gauge
-	if cfg.Metrics != nil {
-		cfg.Metrics.Help(MetricFirings, "Transition firings per net and transition.")
-		cfg.Metrics.Help(MetricSimTime, "Simulated-time progress of the current/last run.")
-		firingCtrs = make(map[*Transition]*obs.Counter)
-		simTimeGauge = cfg.Metrics.Gauge(MetricSimTime, "net", net.Name())
-	}
-	recordFiring := func(t *Transition) {
-		if firingCtrs == nil {
-			return
-		}
-		c, ok := firingCtrs[t]
-		if !ok {
-			c = cfg.Metrics.Counter(MetricFirings, "net", net.Name(), "transition", t.Name)
-			firingCtrs[t] = c
-		}
-		c.Inc()
-		simTimeGauge.Set(now)
-	}
-
 	fireImmediates := func() error {
 		for chain := 0; ; chain++ {
 			enabled := net.EnabledImmediate(m)
@@ -178,7 +136,6 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 			}
 			m = next
 			res.Events++
-			recordFiring(t)
 			// Drop deterministic clocks of transitions the firing disabled.
 			for dt := range detRemaining {
 				if !dt.EnabledIn(m) {
@@ -251,7 +208,6 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 		if len(timed) == 0 {
 			// Absorbing marking: dwell until the horizon.
 			accumulate(now, end-now)
-			now = end
 			break
 		}
 		// Determine the winning transition and its delay.
@@ -277,7 +233,6 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 		if now+minDelay > end {
 			// Horizon reached before the next firing.
 			accumulate(now, end-now)
-			now = end
 			break
 		}
 		accumulate(now, minDelay)
@@ -296,7 +251,6 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 		}
 		m = next
 		res.Events++
-		recordFiring(winner)
 		for t := range detRemaining {
 			if !t.EnabledIn(m) {
 				delete(detRemaining, t)
@@ -333,11 +287,5 @@ func Simulate(net *Net, cfg SimConfig, reward func(Marking) float64, rng *xrand.
 			}
 		}
 	}
-	cfg.Spans.Emit(cfg.Spans.NewTraceID(), 0, "petri_run_end", now, now, map[string]any{
-		"net":      net.Name(),
-		"events":   res.Events,
-		"observed": res.Observed,
-		"markings": len(res.Occupancy),
-	})
 	return res, nil
 }

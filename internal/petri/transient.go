@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mvml/internal/obs"
 	"mvml/internal/parallel"
 	"mvml/internal/stats"
 	"mvml/internal/xrand"
@@ -25,9 +24,6 @@ type TransientConfig struct {
 	// replication's stream is Split from the caller's rng, so results are
 	// identical for every worker count.
 	Workers int
-	// Metrics, when non-nil, counts completed replications under
-	// mvml_parallel_replications_total{experiment="transient/<net>"}.
-	Metrics *obs.Registry
 }
 
 func (c *TransientConfig) fillDefaults() {
@@ -80,10 +76,7 @@ func TransientRewards(net *Net, cfg TransientConfig, reward func(Marking) float6
 	// caller's rng exactly as the sequential loop did, and the per-rep
 	// reward vectors come back in replication order, so the estimates are
 	// identical for any worker count.
-	runs, err := parallel.Run(rng, "rep", cfg.Replications, parallel.Options{
-		Workers:  cfg.Workers,
-		Progress: parallel.RegistryProgress(cfg.Metrics, "transient/"+net.Name()),
-	}, func(rep int, repRNG *xrand.Rand) ([]float64, error) {
+	runs, err := parallel.Run(rng, "rep", cfg.Replications, parallel.Options{Workers: cfg.Workers}, func(rep int, repRNG *xrand.Rand) ([]float64, error) {
 		return transientRun(net, times, cfg.MaxEvents, reward, repRNG)
 	})
 	if err != nil {

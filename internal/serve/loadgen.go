@@ -106,7 +106,7 @@ func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, error) {
 	report.StatusCounts = map[int]int{}
 	fire := func(n int) {
 		body, _ := json.Marshal(ClassifyRequest{
-			Class: ptr((n + int(cfg.Seed)) % signs.NumClasses),
+			Class: ptr(int((cfg.Seed + uint64(n)) % signs.NumClasses)),
 			Seed:  cfg.Seed + uint64(n),
 		})
 		wg.Add(1)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,6 +45,28 @@ func TestRunLoadAgainstHealthyServer(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunLoadSeedAboveInt63: the request class is derived from the seed in
+// uint64, so a seed at or above 2^63 still asks for a class in range and
+// every request is answered 200.
+func TestRunLoadSeedAboveInt63(t *testing.T) {
+	s := newTestServer(t, testConfig(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	rep, err := RunLoad(ts.URL, LoadConfig{
+		Rate:     50,
+		Duration: 200 * time.Millisecond,
+		Timeout:  5 * time.Second,
+		Seed:     math.MaxUint64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent == 0 || len(rep.StatusCounts) != 0 || rep.Errors != 0 {
+		t.Fatalf("seed 2^64-1: %+v, want every request answered 200", rep)
 	}
 }
 

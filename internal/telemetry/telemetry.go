@@ -95,7 +95,7 @@ func (f *Flags) Enabled() bool {
 // defaults: the engine's parameters are constants, shared with every replay
 // of the export), or nil when it is off. Serving binaries hand them to
 // serve.Config (the server owns its engine, filtered to its shard) and
-// Observe the result; the others call AttachEngine.
+// Observe the result.
 func (f *Flags) Options() *health.Options {
 	if !f.Health {
 		return nil
@@ -172,18 +172,6 @@ func (f *Flags) debugMux() *http.ServeMux {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// AttachEngine builds the health engine and subscribes it to the runtime's
-// span sink and metric registry — the path for binaries whose span stream is
-// not the serving subsystem (mvml's subcommands). A no-op when the
-// engine or telemetry is disabled.
-func (f *Flags) AttachEngine() {
-	if opts := f.Options(); opts != nil && f.rt != nil {
-		e := health.NewEngine(*opts, f.rt.Metrics())
-		f.rt.Spans().Attach(e)
-		f.Observe(e)
-	}
 }
 
 // Observe adopts an engine created elsewhere (a server owns its own), so that

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"mvml/internal/health"
 	"mvml/internal/obs"
 	"mvml/internal/telemetry"
 )
@@ -142,7 +143,7 @@ func TestFinishAttemptsEveryArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AttachEngine()
+	observeEngine(&c, rt)
 	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "clitest", 1, 1, nil)
 	addr := c.ListenAddr()
 	err = c.Finish(nil)
@@ -272,7 +273,7 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 }
 
 // TestHealthAloneEnablesTelemetry: -health is the one health flag, so on its
-// own it starts the runtime, attaches the engine and writes the summary.
+// own it starts the runtime, its engine is observed and the summary written.
 func TestHealthAloneEnablesTelemetry(t *testing.T) {
 	c := telemetry.Flags{Health: true}
 	rt, err := c.Start()
@@ -282,7 +283,7 @@ func TestHealthAloneEnablesTelemetry(t *testing.T) {
 	if rt == nil {
 		t.Fatal("-health alone did not enable telemetry")
 	}
-	c.AttachEngine()
+	observeEngine(&c, rt)
 	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "request", 0, 0.001, nil)
 	c.SummaryPath = filepath.Join(t.TempDir(), "s.json")
 	if err := c.Finish(nil); err != nil {
@@ -315,4 +316,13 @@ func TestCLIPprofOffByDefault(t *testing.T) {
 	if err := c.Finish(nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// observeEngine builds the health engine from c's options, subscribes it to
+// rt's span sink and hands it to c, as a serving binary does with its
+// server's engine.
+func observeEngine(c *telemetry.Flags, rt *obs.Runtime) {
+	e := health.NewEngine(*c.Options(), rt.Metrics())
+	rt.Spans().Attach(e)
+	c.Observe(e)
 }

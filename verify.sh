@@ -23,6 +23,18 @@ GOARCH=arm64 go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# Telemetry watches the serving runtime only: the paper pipeline (mvml and
+# the experiments behind it) builds without the obs runtime, the health
+# engine and the telemetry flag wiring.
+echo "==> dependency gate: ./cmd/mvml ./internal/experiments import no telemetry"
+telemetry_deps=$(go list -deps ./cmd/mvml ./internal/experiments |
+    grep -E '^mvml/internal/(obs|health|telemetry)(/|$)' || true)
+if [ -n "$telemetry_deps" ]; then
+    echo "the paper pipeline depends on:" >&2
+    echo "$telemetry_deps" >&2
+    exit 1
+fi
+
 # The AVX2 GEMM kernel is chosen at run time by CPUID, so the assembly must
 # build for the amd64 baseline too, not only for whatever GOAMD64 level the
 # toolchain defaults to.
