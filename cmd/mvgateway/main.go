@@ -1,9 +1,9 @@
-// Command mvgateway runs the multi-shard serving gateway: N independent
-// multi-version inference shards behind a consistent-hash router with
-// state-aware failover, per-client retry budgets, front-door load shedding
-// and a queue/latency-driven autoscaler. `mvgateway serve` runs the gateway
-// over in-process shards, `mvgateway loadgen` drives open-loop load at one,
-// and `mvgateway demo` is the self-contained 10x resilience demo (shard
+// Command mvgateway runs the multi-shard serving gateway: a fixed set of
+// -shards independent multi-version inference shards behind a
+// consistent-hash router with state-aware failover, per-client retry budgets
+// and front-door load shedding. `mvgateway serve` runs the gateway over
+// in-process shards, `mvgateway loadgen` drives open-loop load at one, and
+// `mvgateway demo` is the self-contained 10x resilience demo (shard
 // compromise plus whole-shard drain/rejuvenate under load). Telemetry flags
 // are shared with the other binaries.
 package main
@@ -55,18 +55,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 // fleetFlags is the shard-fleet, gateway and telemetry command line shared by
 // serve and demo.
 type fleetFlags struct {
-	shard                           serve.Config // every shard's serving configuration
-	shards, maxInflight, maxWorkers int
-	retryBurst                      float64
-	fullModels, autoscale           bool
-	tele                            telemetry.Flags
+	shard               serve.Config // every shard's serving configuration
+	shards, maxInflight int
+	retryBurst          float64
+	fullModels          bool
+	tele                telemetry.Flags
 }
 
 func registerFleetFlags(fs *flag.FlagSet) *fleetFlags {
 	f := &fleetFlags{shard: serve.DefaultConfig()}
 	fs.IntVar(&f.shards, "shards", 4, "number of serving shards")
 	fs.IntVar(&f.shard.Versions, "versions", f.shard.Versions, "ensemble size per shard")
-	fs.IntVar(&f.shard.WorkersPerVersion, "workers", f.shard.WorkersPerVersion, "initial workers per version per shard")
+	fs.IntVar(&f.shard.WorkersPerVersion, "workers", f.shard.WorkersPerVersion, "workers per version per shard")
 	fs.IntVar(&f.shard.QueueDepth, "queue", f.shard.QueueDepth, "per-shard admission queue depth")
 	fs.IntVar(&f.shard.MaxBatch, "batch", f.shard.MaxBatch, "per-shard micro-batch flush size")
 	fs.DurationVar(&f.shard.RequestTimeout, "timeout", f.shard.RequestTimeout, "per-request deadline")
@@ -74,10 +74,21 @@ func registerFleetFlags(fs *flag.FlagSet) *fleetFlags {
 	fs.BoolVar(&f.fullModels, "full-models", false, "serve the full three-architecture ensemble instead of the fast profile")
 	fs.IntVar(&f.maxInflight, "max-inflight", 512, "gateway load-shedding bound on concurrently routed requests")
 	fs.Float64Var(&f.retryBurst, "retry-burst", 10, "per-client retry budget cap")
-	fs.BoolVar(&f.autoscale, "autoscale", true, "run the queue/latency-driven autoscaler")
-	fs.IntVar(&f.maxWorkers, "max-workers", 4, "autoscaler ceiling on per-version workers per shard")
 	f.tele.RegisterFlags(fs)
 	return f
+}
+
+// parse parses fs, rejects a fleet without shards before anything starts and
+// labels the build info with the shard count.
+func (f *fleetFlags) parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
+	}
+	if f.shards < 1 {
+		return cli.Usagef("-shards %d: need at least one shard", f.shards)
+	}
+	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
+	return nil
 }
 
 // fastNet is the demo model profile: a minimal flatten+dense classifier with
@@ -97,53 +108,38 @@ func fastNet(version int, _ *xrand.Rand) (*nn.Network, error) {
 	}, nil
 }
 
-// buildFleet constructs the gateway and its initial shards on rt; the
-// autoscaler spawns further shards with the same configuration. Routing
-// reads each shard's own state, so a health engine per shard is opt-in
-// (-health), as in mvserve.
-func (f *fleetFlags) buildFleet(rt *obs.Runtime, stderr io.Writer) (*obs.Runtime, *gateway.Gateway, []*gateway.LocalShard, error) {
+// buildFleet builds the gateway and its -shards shards on rt. Routing reads
+// each shard's own state, so a per-shard health engine is opt-in (-health).
+func (f *fleetFlags) buildFleet(rt *obs.Runtime) (*obs.Runtime, *gateway.Gateway, []*gateway.LocalShard, error) {
 	if rt == nil {
 		// The demo's report reads the gateway counters, so the fleet runs a
 		// local runtime even with telemetry flags off.
 		rt = obs.NewRuntime(0)
 	}
 	gw := gateway.New(gateway.Config{MaxInflight: f.maxInflight, RetryBurst: f.retryBurst}, rt)
-	spawn := func(id string) (gateway.ShardControl, error) {
-		cfg := f.shard
-		cfg.ShardLabel = id
-		cfg.Health = f.tele.Options()
-		if !f.fullModels {
-			cfg.NewNetwork = fastNet
-			cfg.InjectLayer = 0  // the fast net's only parameterised layer
-			cfg.InjectCount = 64 // enough perturbed weights to reliably flip argmax
-		}
-		srv, err := serve.New(cfg, rt)
-		if err != nil {
-			return nil, err
-		}
-		return gateway.NewLocalShard(srv)
+	cfg := f.shard
+	cfg.Health = f.tele.Options()
+	if !f.fullModels {
+		cfg.NewNetwork = fastNet
+		cfg.InjectLayer = 0  // the fast net's only parameterised layer
+		cfg.InjectCount = 64 // enough perturbed weights to reliably flip argmax
 	}
 	var shards []*gateway.LocalShard
 	for i := 0; i < f.shards; i++ {
-		sc, err := spawn(fmt.Sprintf("shard-%d", i))
+		cfg.ShardLabel = fmt.Sprintf("shard-%d", i)
+		srv, err := serve.New(cfg, rt)
+		var sh *gateway.LocalShard
 		if err == nil {
-			shards = append(shards, sc.(*gateway.LocalShard))
-			err = gw.AddShard(sc)
+			sh, err = gateway.NewLocalShard(srv)
+		}
+		if err == nil {
+			shards = append(shards, sh)
+			err = gw.AddShard(sh)
 		}
 		if err != nil {
 			closeFleet(gw, shards)
 			return nil, nil, nil, err
 		}
-	}
-	if f.autoscale {
-		gw.StartAutoscaler(gateway.AutoscalerConfig{
-			MaxWorkers: f.maxWorkers,
-			SpawnShard: spawn,
-			OnEvent: func(ev gateway.ScaleEvent) {
-				fmt.Fprintf(stderr, "mvgateway: autoscale %s shard=%s workers=%d (%s)\n",
-					ev.Kind, ev.Shard, ev.Workers, ev.Reason)
-			},
-		})
 	}
 	return rt, gw, shards, nil
 }
@@ -159,16 +155,15 @@ func cmdServe(args []string, w, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mvgateway serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "HTTP listen address")
 	f := registerFleetFlags(fs)
-	if err := cli.Parse(fs, args, stderr); err != nil {
+	if err := f.parse(fs, args, stderr); err != nil {
 		return err
 	}
-	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
 	rt, err := f.tele.Start()
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, f.tele.Finish(map[string]any{"command": "gateway-serve"})) }()
-	_, gw, shards, err := f.buildFleet(rt, stderr)
+	_, gw, shards, err := f.buildFleet(rt)
 	if err != nil {
 		return err
 	}
@@ -210,6 +205,9 @@ func cmdLoadgen(args []string, w, stderr io.Writer) error {
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if *rate <= 0 || *duration <= 0 {
+		return cli.Usagef("-rate %v and -duration %v must be positive", *rate, *duration)
+	}
 	rep, err := serve.RunLoad(*target, serve.LoadConfig{
 		Rate: *rate, Duration: *duration, Timeout: *timeout, Seed: *seed, ClientID: *client,
 	})
@@ -229,11 +227,12 @@ func printReport(w io.Writer, rep *serve.LoadReport, asJSON bool) error {
 
 // cmdDemo is the multi-shard resilience demonstration: a gateway over N
 // in-process shards under open-loop load an order of magnitude beyond the
-// single-shard demo workload, with two mid-run faults — one version of one
-// shard compromised (the shard's reactive trigger drains and heals it) and
-// one whole shard drained, rejuvenated and reinstated (ring failover end to
-// end). It exits non-zero if any request failed; degraded answers and 429
-// shedding are designed behaviours, failures are not.
+// single-shard demo workload, with two mid-run faults — at t/3 one version of
+// shard-0 compromised (the shard reads Degraded, and is routed around, until
+// its reactive trigger drains and heals it), at 2t/3 shard-1 drained (its
+// ring successors absorb its keyspace), rejuvenated and reinstated. It exits
+// non-zero if any request failed; degraded answers and 429 shedding are
+// designed behaviours, failures are not.
 func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mvgateway demo", flag.ContinueOnError)
 	f := registerFleetFlags(fs)
@@ -242,10 +241,12 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	baseline := fs.Float64("baseline-rps", 100,
 		"single-shard reference throughput for the scale ratio (the mvserve demo's default workload)")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
-	if err := cli.Parse(fs, args, stderr); err != nil {
+	if err := f.parse(fs, args, stderr); err != nil {
 		return err
 	}
-	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
+	if *rate <= 0 || *duration <= 0 {
+		return cli.Usagef("-rate %v and -duration %v must be positive", *rate, *duration)
+	}
 	rt, err := f.tele.Start()
 	if err != nil {
 		return err
@@ -254,14 +255,12 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	defer func() {
 		err = errors.Join(err, f.tele.Finish(map[string]any{"command": "gateway-demo", "report": rep}))
 	}()
-	rt, gw, shards, err := f.buildFleet(rt, stderr)
+	rt, gw, shards, err := f.buildFleet(rt)
 	if err != nil {
 		return err
 	}
 	defer closeFleet(gw, shards)
-	if len(shards) > 0 {
-		f.tele.Observe(shards[0].Server().Health())
-	}
+	f.tele.Observe(shards[0].Server().Health())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -274,24 +273,13 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	fmt.Fprintf(stderr, "mvgateway demo: %d shards on %s, load %.0f req/s for %v\n",
 		len(shards), base, *rate, *duration)
 
-	// Fault 1 (t/3): compromise one version of shard-0. The shard's pool
-	// sees the divergence and the reactive trigger rejuvenates the version;
-	// from the trip to the end of the drain the shard reads Degraded, which
-	// deprioritises it in routing.
 	go func() {
 		time.Sleep(*duration / 3)
 		fmt.Fprintln(stderr, "mvgateway demo: compromising shard-0 version 0")
-		if len(shards) > 0 {
-			if err := shards[0].Compromise(0); err != nil {
-				fmt.Fprintln(stderr, "mvgateway demo:", err)
-			}
+		if err := shards[0].Compromise(0); err != nil {
+			fmt.Fprintln(stderr, "mvgateway demo:", err)
 		}
-	}()
-	// Fault 2 (2t/3): take a whole shard through zero-downtime maintenance —
-	// drain (ring successors absorb its keyspace), rejuvenate every version,
-	// reinstate. No request should fail across the transition.
-	go func() {
-		time.Sleep(2 * *duration / 3)
+		time.Sleep(*duration / 3)
 		if len(shards) < 2 {
 			return
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -23,6 +22,9 @@ func TestUsage(t *testing.T) {
 		{[]string{"frobnicate"}, 2},
 		{[]string{"serve", "-no-such-flag"}, 2},
 		{[]string{"loadgen", "-rate"}, 2},
+		{[]string{"demo", "-shards", "0", "-duration", "1s"}, 2},
+		{[]string{"demo", "-rate", "0"}, 2},
+		{[]string{"loadgen", "-duration", "0s"}, 2},
 		{[]string{"-h"}, 0},
 		{[]string{"demo", "-h"}, 0},
 	} {
@@ -47,14 +49,14 @@ func TestBuildFleetHealthIsOptIn(t *testing.T) {
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		f := registerFleetFlags(fs)
-		if err := fs.Parse(append([]string{"-shards", "2", "-autoscale=false"}, c.args...)); err != nil {
+		if err := fs.Parse(append([]string{"-shards", "2"}, c.args...)); err != nil {
 			t.Fatal(err)
 		}
 		rt, err := f.tele.Start()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, gw, shards, err := f.buildFleet(rt, io.Discard)
+		rt, gw, shards, err := f.buildFleet(rt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,6 +149,9 @@ func cmdLoadgen(args []string, w, stderr io.Writer) error {
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if *rate <= 0 || *duration <= 0 {
+		return cli.Usagef("-rate %v and -duration %v must be positive", *rate, *duration)
+	}
 	rep, err := serve.RunLoad(*target, serve.LoadConfig{
 		Rate: *rate, Duration: *duration, Timeout: *timeout, Seed: *seed,
 	})
@@ -180,6 +183,9 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
+	}
+	if *rate <= 0 || *duration <= 0 {
+		return cli.Usagef("-rate %v and -duration %v must be positive", *rate, *duration)
 	}
 	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))

@@ -39,6 +39,9 @@ func TestUsage(t *testing.T) {
 		{[]string{"serve", "-no-such-flag"}, 2},
 		{[]string{"demo", "-int8-versions", "1,x"}, 2},
 		{[]string{"serve", "-int8-versions", ","}, 2},
+		{[]string{"demo", "-duration", "0s"}, 2},
+		{[]string{"demo", "-rate", "0"}, 2},
+		{[]string{"loadgen", "-duration", "0s"}, 2},
 		{[]string{"-h"}, 0},
 		{[]string{"demo", "-h"}, 0},
 	} {

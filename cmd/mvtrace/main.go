@@ -144,8 +144,9 @@ func cmdSummary(args []string, w, stderr io.Writer) error {
 
 	// A single-server export groups by span kind alone; when any span carries
 	// a "shard" attribute (a gateway export over a shared sink) every stage is
-	// grouped per shard, so per-shard latency asymmetry — the signal the
-	// autoscaler and failover act on — stays visible in the summary.
+	// grouped per shard, so per-shard latency asymmetry — a slow shard, or
+	// one whose traffic failed over to its successors — stays visible in the
+	// summary.
 	type group struct{ kind, shard string }
 	byShard := false
 	for _, r := range recs {

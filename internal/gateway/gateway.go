@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mvml/internal/health"
 	"mvml/internal/obs"
@@ -62,7 +61,7 @@ type RouteInfo struct {
 
 // Gateway fronts a set of serving shards. Create with New, add shards with
 // AddShard, route with Classify, stop with Close (shards are not owned by the
-// gateway and stay up unless the autoscaler retires them).
+// gateway and stay up).
 type Gateway struct {
 	cfg    Config
 	m      *gwMetrics
@@ -74,15 +73,6 @@ type Gateway struct {
 
 	inflight atomic.Int64
 	closed   atomic.Bool
-
-	// latencies is a fixed ring of recent end-to-end routing latencies — the
-	// autoscaler's p99 signal.
-	latMu   sync.Mutex
-	lat     []time.Duration
-	latNext int
-	latFull bool
-
-	scaler *autoscaler // nil until StartAutoscaler
 }
 
 // New returns a gateway with no shards. rt carries telemetry (nil: none).
@@ -99,7 +89,6 @@ func New(cfg Config, rt *obs.Runtime) *Gateway {
 		budget: newRetryBudget(cfg.RetryRatio, cfg.RetryBurst, cfg.MaxClients),
 		ring:   NewRing(cfg.VirtualNodes),
 		shards: make(map[string]ShardClient),
-		lat:    make([]time.Duration, 512),
 	}
 }
 
@@ -113,21 +102,6 @@ func (g *Gateway) AddShard(sc ShardClient) error {
 	g.shards[sc.ID()] = sc
 	g.m.shards.Set(float64(g.ring.Size()))
 	return nil
-}
-
-// RemoveShard takes a shard off the ring and returns it; its keyspace falls
-// to the ring successors. The shard itself keeps running — draining and
-// closing are the caller's (or the autoscaler's) business.
-func (g *Gateway) RemoveShard(id string) (ShardClient, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.ring.Remove(id); err != nil {
-		return nil, err
-	}
-	sc := g.shards[id]
-	delete(g.shards, id)
-	g.m.shards.Set(float64(g.ring.Size()))
-	return sc, nil
 }
 
 // Shard returns a registered shard by id (nil when unknown).
@@ -248,7 +222,6 @@ func (g *Gateway) Classify(key, client string, img *tensor.Tensor) (serve.Result
 		}
 		defer sp.End()
 	}
-	start := time.Now()
 
 	var lastErr error
 	for i, sc := range plan {
@@ -289,7 +262,6 @@ func (g *Gateway) Classify(key, client string, img *tensor.Tensor) (serve.Result
 				g.m.routed.Inc()
 			}
 			g.m.attempts.Observe(float64(i + 1))
-			g.recordLatency(time.Since(start))
 			if sp != nil {
 				sp.SetAttr("shard", sc.ID())
 				if i > 0 {
@@ -326,41 +298,9 @@ func (g *Gateway) emitShed(key, client string) {
 	g.m.spans.Emit(g.m.spans.NewTraceID(), 0, "shed", t, t, attrs)
 }
 
-// recordLatency feeds the autoscaler's p99 ring.
-func (g *Gateway) recordLatency(d time.Duration) {
-	g.latMu.Lock()
-	g.lat[g.latNext] = d
-	g.latNext++
-	if g.latNext == len(g.lat) {
-		g.latNext = 0
-		g.latFull = true
-	}
-	g.latMu.Unlock()
-}
-
-// latencySnapshot copies the recorded latencies (unordered).
-func (g *Gateway) latencySnapshot() []time.Duration {
-	g.latMu.Lock()
-	defer g.latMu.Unlock()
-	n := g.latNext
-	if g.latFull {
-		n = len(g.lat)
-	}
-	out := make([]time.Duration, n)
-	copy(out, g.lat[:n])
-	return out
-}
-
 // Inflight returns the number of requests currently being routed.
 func (g *Gateway) Inflight() int { return int(g.inflight.Load()) }
 
-// Close stops the gateway (and its autoscaler, if started). Registered
-// shards are not closed — the gateway routes over them, it does not own them.
-func (g *Gateway) Close() {
-	if g.closed.Swap(true) {
-		return
-	}
-	if g.scaler != nil {
-		g.scaler.stop()
-	}
-}
+// Close stops the gateway: later requests get ErrClosed. Registered shards
+// are not closed — the gateway routes over them, it does not own them.
+func (g *Gateway) Close() { g.closed.Store(true) }

@@ -12,7 +12,7 @@ import (
 	"mvml/internal/tensor"
 )
 
-// fakeShard is a scriptable ShardControl: health level, drain state and a
+// fakeShard is a scriptable ShardClient: health level, drain state and a
 // per-call classify script are all settable, so routing behaviour is tested
 // without spinning up real servers.
 type fakeShard struct {
@@ -95,7 +95,6 @@ func (f *fakeShard) SetDraining(v bool) {
 
 func (f *fakeShard) Rejuvenate(string) error { return nil }
 func (f *fakeShard) Compromise(int) error    { return nil }
-func (f *fakeShard) Close()                  {}
 
 func testGateway(t testing.TB, cfg Config, n int) (*Gateway, []*fakeShard) {
 	t.Helper()
@@ -296,22 +295,6 @@ func TestClassifyNoShards(t *testing.T) {
 	if _, _, err := gw.Classify("k", "", nil); !errors.Is(err, ErrNoShards) {
 		t.Fatalf("want ErrNoShards, got %v", err)
 	}
-}
-
-func TestRemoveShardFallsToSuccessor(t *testing.T) {
-	gw, shards := testGateway(t, Config{}, 3)
-	key := keyFor(t, gw, "shard-1")
-	if _, err := gw.RemoveShard("shard-1"); err != nil {
-		t.Fatal(err)
-	}
-	_, info, err := gw.Classify(key, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shard == "shard-1" {
-		t.Fatalf("removed shard still answering: %+v", info)
-	}
-	_ = shards
 }
 
 func TestRouteKeyStable(t *testing.T) {

@@ -17,7 +17,7 @@ type ShardStatus struct {
 	Draining   bool         `json:"draining"`
 	QueueDepth int          `json:"queue_depth"`
 	QueueCap   int          `json:"queue_capacity"`
-	Workers    int          `json:"workers,omitempty"`
+	Workers    int          `json:"workers"`
 }
 
 // statusResponse is the JSON body of the gateway's GET /healthz.
@@ -54,13 +54,13 @@ func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", g.handleClassify)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
-	mux.HandleFunc("POST /admin/rejuvenate", g.handleAdmin(func(sc ShardControl, req *gwAdminRequest) error {
+	mux.HandleFunc("POST /admin/rejuvenate", g.handleAdmin(func(sc ShardClient, req *gwAdminRequest) error {
 		return sc.Rejuvenate(req.Kind)
 	}))
-	mux.HandleFunc("POST /admin/compromise", g.handleAdmin(func(sc ShardControl, req *gwAdminRequest) error {
+	mux.HandleFunc("POST /admin/compromise", g.handleAdmin(func(sc ShardClient, req *gwAdminRequest) error {
 		return sc.Compromise(req.Version)
 	}))
-	mux.HandleFunc("POST /admin/drain", g.handleAdmin(func(sc ShardControl, req *gwAdminRequest) error {
+	mux.HandleFunc("POST /admin/drain", g.handleAdmin(func(sc ShardClient, req *gwAdminRequest) error {
 		v := true
 		if req.Draining != nil {
 			v = *req.Draining
@@ -68,7 +68,7 @@ func (g *Gateway) Handler() http.Handler {
 		sc.SetDraining(v)
 		return nil
 	}))
-	mux.HandleFunc("POST /admin/resize", g.handleAdmin(func(sc ShardControl, req *gwAdminRequest) error {
+	mux.HandleFunc("POST /admin/resize", g.handleAdmin(func(sc ShardClient, req *gwAdminRequest) error {
 		return sc.Resize(req.Workers)
 	}))
 	return mux
@@ -122,9 +122,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			Draining:   sc.Draining(),
 			QueueDepth: sc.QueueDepth(),
 			QueueCap:   sc.QueueCapacity(),
-		}
-		if c, ok := sc.(ShardControl); ok {
-			st.Workers = c.Workers()
+			Workers:    sc.Workers(),
 		}
 		if st.Level > worst {
 			worst = st.Level
@@ -139,8 +137,8 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 const maxAdminBody = 4 << 10
 
 // handleAdmin wraps a shard-addressed admin operation: read the bounded
-// body, resolve the shard, require control, run the op.
-func (g *Gateway) handleAdmin(op func(sc ShardControl, req *gwAdminRequest) error) http.HandlerFunc {
+// body, resolve the shard, run the op.
+func (g *Gateway) handleAdmin(op func(sc ShardClient, req *gwAdminRequest) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req gwAdminRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody)).Decode(&req); err != nil {
@@ -152,12 +150,7 @@ func (g *Gateway) handleAdmin(op func(sc ShardControl, req *gwAdminRequest) erro
 			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown shard " + req.Shard})
 			return
 		}
-		ctrl, ok := sc.(ShardControl)
-		if !ok {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "shard " + req.Shard + " is not controllable"})
-			return
-		}
-		if err := op(ctrl, &req); err != nil {
+		if err := op(sc, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}

@@ -17,6 +17,39 @@ import (
 	"mvml/internal/xrand"
 )
 
+// tinyFleet is a gateway over n real shards ("shard-0"…) that each serve a
+// one-layer network on rt, closed at the end of the test.
+func tinyFleet(t *testing.T, rt *obs.Runtime, n int) *Gateway {
+	t.Helper()
+	cfg := serve.DefaultConfig()
+	cfg.NewNetwork = func(version int, _ *xrand.Rand) (*nn.Network, error) {
+		return &nn.Network{Name: fmt.Sprintf("tiny-%d", version), Layers: []nn.Layer{
+			nn.NewFlatten("flat"),
+			nn.NewDense("fc", nn.InputChannels*nn.InputSize*nn.InputSize, signs.NumClasses, xrand.New(1)),
+		}}, nil
+	}
+	cfg.WorkersPerVersion = 1
+	cfg.InjectLayer = 0 // the network's only parameterised layer
+	gw := New(Config{}, nil)
+	t.Cleanup(gw.Close)
+	for i := 0; i < n; i++ {
+		cfg.ShardLabel = fmt.Sprintf("shard-%d", i)
+		srv, err := serve.New(cfg, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		sh, err := NewLocalShard(srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gw.AddShard(sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return gw
+}
+
 func postClassify(h http.Handler, body io.Reader) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", body))
@@ -142,30 +175,7 @@ func FuzzGatewayHandler(f *testing.F) {
 // body over the admin bound, is refused before a series exists.
 func TestHTTPAdminRejuvenateKinds(t *testing.T) {
 	rt := obs.NewRuntime(0)
-	cfg := serve.DefaultConfig()
-	cfg.NewNetwork = func(version int, _ *xrand.Rand) (*nn.Network, error) {
-		return &nn.Network{Name: fmt.Sprintf("tiny-%d", version), Layers: []nn.Layer{
-			nn.NewFlatten("flat"),
-			nn.NewDense("fc", nn.InputChannels*nn.InputSize*nn.InputSize, signs.NumClasses, xrand.New(1)),
-		}}, nil
-	}
-	cfg.WorkersPerVersion = 1
-	cfg.ShardLabel = "shard-0"
-	srv, err := serve.New(cfg, rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	sh, err := NewLocalShard(srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(Config{}, nil)
-	t.Cleanup(gw.Close)
-	if err := gw.AddShard(sh); err != nil {
-		t.Fatal(err)
-	}
-	h := gw.Handler()
+	h := tinyFleet(t, rt, 1).Handler()
 	for _, tc := range []struct {
 		body string
 		want int
@@ -194,5 +204,60 @@ func TestHTTPAdminRejuvenateKinds(t *testing.T) {
 			!strings.Contains(line, `kind="reactive"`) {
 			t.Errorf("series beyond the trigger kinds: %.80s", line)
 		}
+	}
+}
+
+// TestHTTPAdminOps drives the shard-addressed admin endpoints through the
+// gateway mux on two real shards: drain sets and clears the flag /healthz
+// reports, resize changes the reported worker count and refuses zero,
+// compromise answers, and an unknown shard is a 404.
+func TestHTTPAdminOps(t *testing.T) {
+	h := tinyFleet(t, obs.NewRuntime(0), 2).Handler()
+	post := func(path, body string, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s: status %d (%s), want %d", path, body, rec.Code, rec.Body, want)
+		}
+	}
+	status := func(id string) ShardStatus {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var resp statusResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("GET /healthz: status %d, body %s (%v)", rec.Code, rec.Body, err)
+		}
+		for _, st := range resp.Shards {
+			if st.ID == id {
+				return st
+			}
+		}
+		t.Fatalf("GET /healthz: no row for %s in %+v", id, resp.Shards)
+		return ShardStatus{}
+	}
+
+	post("/admin/drain", `{"shard":"shard-1"}`, http.StatusOK)
+	if !status("shard-1").Draining || status("shard-0").Draining {
+		t.Fatal("drain of shard-1 not reported on shard-1 alone")
+	}
+	post("/admin/drain", `{"shard":"shard-1","draining":false}`, http.StatusOK)
+	if status("shard-1").Draining {
+		t.Fatal("shard-1 still draining after the drain was cleared")
+	}
+
+	post("/admin/resize", `{"shard":"shard-0","workers":3}`, http.StatusOK)
+	if got := status("shard-0").Workers; got != 3 {
+		t.Fatalf("shard-0 reports %d workers after a resize to 3", got)
+	}
+	post("/admin/resize", `{"shard":"shard-0","workers":0}`, http.StatusBadRequest)
+	if got := status("shard-0").Workers; got != 3 {
+		t.Fatalf("shard-0 reports %d workers after a refused resize, want 3", got)
+	}
+
+	post("/admin/compromise", `{"shard":"shard-1","version":0}`, http.StatusOK)
+	for _, path := range []string{"/admin/drain", "/admin/resize", "/admin/compromise", "/admin/rejuvenate"} {
+		post(path, `{"shard":"shard-9","workers":2}`, http.StatusNotFound)
 	}
 }

@@ -17,17 +17,16 @@ type gwMetrics struct {
 	shards    *obs.Gauge     // shards on the ring
 	attempts  *obs.Histogram // attempts per answered request
 
-	reg   *obs.Registry
 	spans *obs.SpanSink
 }
 
 func newGwMetrics(rt *obs.Runtime) *gwMetrics {
 	m := &gwMetrics{}
+	var r *obs.Registry
 	if rt != nil {
-		m.reg = rt.Metrics()
+		r = rt.Metrics()
 		m.spans = rt.Spans()
 	}
-	r := m.reg
 	r.Help("mv_gateway_routed_total", "Requests answered by their primary (hash-owner) shard.")
 	r.Help("mv_gateway_rerouted_total", "Requests whose plan skipped an unhealthy or draining hash owner.")
 	r.Help("mv_gateway_failovers_total", "Attempts redirected from an unhealthy or draining shard to a ring successor.")
@@ -38,7 +37,6 @@ func newGwMetrics(rt *obs.Runtime) *gwMetrics {
 	r.Help("mv_gateway_inflight", "Requests currently being routed by the gateway.")
 	r.Help("mv_gateway_shards", "Shards currently on the hash ring.")
 	r.Help("mv_gateway_attempts", "Shard attempts per answered request.")
-	r.Help("mv_gateway_workers", "Per-version worker-pool size of one shard (autoscaler-controlled).")
 
 	m.routed = r.Counter("mv_gateway_routed_total")
 	m.rerouted = r.Counter("mv_gateway_rerouted_total")
@@ -51,9 +49,4 @@ func newGwMetrics(rt *obs.Runtime) *gwMetrics {
 	m.shards = r.Gauge("mv_gateway_shards")
 	m.attempts = r.Histogram("mv_gateway_attempts", obs.LinearBuckets(1, 1, 8))
 	return m
-}
-
-// workers resolves the per-shard worker-count gauge.
-func (m *gwMetrics) workers(shard string) *obs.Gauge {
-	return m.reg.Gauge("mv_gateway_workers", "shard", shard)
 }

@@ -1,15 +1,13 @@
 // Package gateway is the front tier of a multi-shard deployment: it
-// consistent-hashes classification requests across N serving shards, watches
-// each shard's streaming health verdict, fails over to ring successors when a
-// shard degrades or drains, enforces per-client retry budgets, sheds load at
-// the front door, and autoscales worker pools (and whole shards) from queue
-// depth and tail latency.
+// consistent-hashes classification requests across a fixed set of serving
+// shards, ranks each request's ring successors by the shards' own routing
+// level and drain flag, fails over to the next candidate when a shard cannot
+// answer, enforces per-client retry budgets and sheds load at the front door.
+// It routes; it does not scale. The shard set is whatever the caller adds.
 //
-// The package is deliberately transport-agnostic: the gateway talks to shards
-// through the ShardClient interface. LocalShard wraps an in-process
-// *serve.Server (the topology every test and the demo uses); an HTTP-backed
-// client implementing the same interface slots in unchanged when shards move
-// out of process.
+// The gateway talks to shards through the ShardClient interface; LocalShard
+// wraps an in-process *serve.Server, the topology every test and the demo
+// uses.
 package gateway
 
 import (

@@ -7,10 +7,9 @@ import (
 )
 
 // ShardClient is the gateway's view of one serving shard: enough to route
-// (Classify), to judge (Level, Draining) and to observe pressure (QueueDepth,
-// QueueCapacity). LocalShard implements it over an in-process *serve.Server;
-// an HTTP client implementing the same interface drops in when shards move
-// out of process.
+// (Classify), to judge (Level, Draining), to report (QueueDepth,
+// QueueCapacity, Workers) and to run the shard-addressed admin operations.
+// LocalShard implements it over an in-process *serve.Server.
 type ShardClient interface {
 	// ID is the shard's stable ring identity (its serve.Config.ShardLabel).
 	ID() string
@@ -23,22 +22,12 @@ type ShardClient interface {
 	// Draining reports whether the shard is being retired: it still answers
 	// whatever reaches it, but new traffic should prefer its ring successor.
 	Draining() bool
-	// QueueDepth / QueueCapacity expose the shard's admission backlog — the
-	// autoscaler's primary pressure signal.
+	// QueueDepth / QueueCapacity expose the shard's admission backlog.
 	QueueDepth() int
 	QueueCapacity() int
-}
-
-// ShardControl extends ShardClient with the lifecycle operations the
-// autoscaler and the demo's failure injection need. The gateway only demands
-// ShardControl where it actually scales or drains; pure routing needs just
-// ShardClient.
-type ShardControl interface {
-	ShardClient
 	// Workers returns the current per-version worker-pool size.
 	Workers() int
-	// Resize sets the per-version worker-pool size (the autoscaler's
-	// grow/shrink lever).
+	// Resize sets the per-version worker-pool size.
 	Resize(perVersion int) error
 	// SetDraining flips the advisory drain flag.
 	SetDraining(v bool)
@@ -47,11 +36,9 @@ type ShardControl interface {
 	Rejuvenate(kind string) error
 	// Compromise fault-injects one version (demos and tests only).
 	Compromise(version int) error
-	// Close shuts the shard down.
-	Close()
 }
 
-// LocalShard adapts an in-process *serve.Server to ShardControl.
+// LocalShard adapts an in-process *serve.Server to ShardClient.
 type LocalShard struct {
 	srv *serve.Server
 }
@@ -89,20 +76,21 @@ func (s *LocalShard) QueueDepth() int { return s.srv.QueueDepth() }
 // QueueCapacity implements ShardClient.
 func (s *LocalShard) QueueCapacity() int { return s.srv.QueueCapacity() }
 
-// Workers implements ShardControl.
+// Workers implements ShardClient.
 func (s *LocalShard) Workers() int { return s.srv.Workers() }
 
-// Resize implements ShardControl.
+// Resize implements ShardClient.
 func (s *LocalShard) Resize(perVersion int) error { return s.srv.ResizeWorkers(perVersion) }
 
-// SetDraining implements ShardControl.
+// SetDraining implements ShardClient.
 func (s *LocalShard) SetDraining(v bool) { s.srv.SetDraining(v) }
 
-// Rejuvenate implements ShardControl.
+// Rejuvenate implements ShardClient.
 func (s *LocalShard) Rejuvenate(kind string) error { return s.srv.RejuvenateAll(kind) }
 
-// Compromise implements ShardControl.
+// Compromise implements ShardClient.
 func (s *LocalShard) Compromise(version int) error { return s.srv.Compromise(version) }
 
-// Close implements ShardControl.
+// Close shuts the wrapped server down. The gateway never calls it: it routes
+// over shards, it does not own them.
 func (s *LocalShard) Close() { s.srv.Close() }

@@ -164,6 +164,9 @@ func (c Config) Validate() error {
 	if c.InjectCount < 1 {
 		return fmt.Errorf("serve: inject count %d", c.InjectCount)
 	}
+	if c.ProactiveInterval < 0 {
+		return fmt.Errorf("serve: proactive interval %v (0 disables it)", c.ProactiveInterval)
+	}
 	for _, v := range c.Int8Versions {
 		if v < 0 || v >= c.Versions {
 			return fmt.Errorf("serve: int8 version %d outside [0,%d)", v, c.Versions)
@@ -603,8 +606,8 @@ func (s *Server) Level() health.Level {
 // ShardLabel returns the configured shard label ("" for standalone servers).
 func (s *Server) ShardLabel() string { return s.cfg.ShardLabel }
 
-// QueueDepth returns the live admission-queue length — the gateway
-// autoscaler's primary load signal.
+// QueueDepth returns the live admission-queue length (the gateway reports it
+// per shard in its /healthz).
 func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 
 // QueueCapacity returns the admission queue's bound.

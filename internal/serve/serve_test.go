@@ -643,6 +643,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.QueueDepth = 0 },
 		func(c *Config) { c.MaxBatch = 0 },
 		func(c *Config) { c.RequestTimeout = 0 },
+		func(c *Config) { c.ProactiveInterval = -time.Second },
 		func(c *Config) { c.DivergenceWindow = 0 },
 		func(c *Config) { c.DivergenceThreshold = 0 },
 		func(c *Config) { c.DivergenceThreshold = 1.5 },

@@ -94,12 +94,16 @@ go test ./internal/scenario -run TestFalsifierGolden -count=1
 
 # Gateway demo smoke: the only multi-shard zero-failed-requests check through
 # a compromise and a drain (the demo exits non-zero on any failed request),
-# once with telemetry off and once with a health engine on every shard, which
-# must print its final verdict.
+# once with telemetry off, where every shard must still be live at the end,
+# and once with a health engine on every shard, which must print its final
+# verdict.
 echo "==> gateway demo smoke"
 gwtmp=$(mktemp -d)
 go build -o "$gwtmp/mvgateway" ./cmd/mvgateway
-"$gwtmp/mvgateway" demo -duration 3s -rate 300
+"$gwtmp/mvgateway" demo -duration 3s -rate 300 > "$gwtmp/demo.out" ||
+    { cat "$gwtmp/demo.out"; exit 1; }
+cat "$gwtmp/demo.out"
+grep -q 'fleet: 4 shards live' "$gwtmp/demo.out"
 "$gwtmp/mvgateway" demo -duration 3s -rate 300 -health \
     -telemetry-out "$gwtmp/telemetry.json" 2> "$gwtmp/health.err" ||
     { cat "$gwtmp/health.err"; exit 1; }
