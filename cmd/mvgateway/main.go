@@ -3,7 +3,7 @@
 // consistent-hash router with state-aware failover, per-client retry budgets
 // and front-door load shedding. `mvgateway serve` runs the gateway over
 // in-process shards, `mvgateway loadgen` drives open-loop load at one, and
-// `mvgateway demo` is the self-contained 10x resilience demo (shard
+// `mvgateway demo` is the self-contained resilience demo (shard
 // compromise plus whole-shard drain/rejuvenate under load). Telemetry flags
 // are shared with the other binaries.
 package main
@@ -229,17 +229,16 @@ func printReport(w io.Writer, rep *serve.LoadReport, asJSON bool) error {
 // in-process shards under open-loop load an order of magnitude beyond the
 // single-shard demo workload, with two mid-run faults — at t/3 one version of
 // shard-0 compromised (the shard reads Degraded, and is routed around, until
-// its reactive trigger drains and heals it), at 2t/3 shard-1 drained (its
-// ring successors absorb its keyspace), rejuvenated and reinstated. It exits
-// non-zero if any request failed; degraded answers and 429 shedding are
-// designed behaviours, failures are not.
+// its reactive trigger drains and heals it), at 2t/3 shard-1 drained for t/6
+// (its ring successors absorb its keyspace), then rejuvenated and reinstated.
+// It exits non-zero if any request failed, or if a fleet of two or more
+// shards rerouted no request around the drain; degraded answers and 429
+// shedding are designed behaviours, failures are not.
 func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("mvgateway demo", flag.ContinueOnError)
 	f := registerFleetFlags(fs)
 	rate := fs.Float64("rate", 1000, "open-loop request rate (req/s)")
 	duration := fs.Duration("duration", 10*time.Second, "load duration")
-	baseline := fs.Float64("baseline-rps", 100,
-		"single-shard reference throughput for the scale ratio (the mvserve demo's default workload)")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	if err := f.parse(fs, args, stderr); err != nil {
 		return err
@@ -284,8 +283,9 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 			return
 		}
 		sh := shards[1]
-		fmt.Fprintf(stderr, "mvgateway demo: draining %s for full rejuvenation\n", sh.ID())
+		fmt.Fprintf(stderr, "mvgateway demo: draining %s for %v, then rejuvenating it\n", sh.ID(), *duration/6)
 		sh.SetDraining(true)
+		time.Sleep(*duration / 6)
 		if err := sh.Rejuvenate(serve.RejuvManual); err != nil {
 			fmt.Fprintln(stderr, "mvgateway demo:", err)
 		}
@@ -305,9 +305,10 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	}
 
 	reg := rt.Metrics()
+	rerouted := reg.Counter("mv_gateway_rerouted_total").Value()
 	fmt.Fprintf(w, "gateway: %d answered by owner, %d rerouted (level/drain), %d failovers, %d budget retries, %d shed (429), %d exhausted\n",
 		reg.Counter("mv_gateway_routed_total").Value(),
-		reg.Counter("mv_gateway_rerouted_total").Value(),
+		rerouted,
 		reg.Counter("mv_gateway_failovers_total").Value(),
 		reg.Counter("mv_gateway_retries_total").Value(),
 		reg.Counter("mv_gateway_shed_total").Value(),
@@ -317,12 +318,11 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 		rejuv += reg.Counter("mvserve_rejuvenations_total", "kind", kind).Value()
 	}
 	fmt.Fprintf(w, "fleet: %d shards live, %d rejuvenations (all kinds)\n", len(gw.Shards()), rejuv)
-	if *baseline > 0 {
-		fmt.Fprintf(w, "scale: %.1f req/s answered = %.1fx the single-shard reference (%.0f req/s)\n",
-			rep.Throughput, rep.Throughput / *baseline, *baseline)
-	}
 	if rep.Failed > 0 || rep.Errors > 0 {
 		return fmt.Errorf("demo saw %d failed and %d transport-error requests", rep.Failed, rep.Errors)
+	}
+	if len(shards) >= 2 && rerouted == 0 {
+		return fmt.Errorf("demo rerouted no request around the drained %s", shards[1].ID())
 	}
 	fmt.Fprintln(w, "demo passed: zero failed requests across shard compromise, drain and rejuvenation")
 	return nil

@@ -24,6 +24,7 @@ func TestUsage(t *testing.T) {
 		{[]string{"loadgen", "-rate"}, 2},
 		{[]string{"demo", "-shards", "0", "-duration", "1s"}, 2},
 		{[]string{"demo", "-rate", "0"}, 2},
+		{[]string{"demo", "-baseline-rps", "100"}, 2},
 		{[]string{"loadgen", "-duration", "0s"}, 2},
 		{[]string{"-h"}, 0},
 		{[]string{"demo", "-h"}, 0},

@@ -8,24 +8,20 @@ import (
 	"slices"
 
 	"mvml/internal/cli"
-	"mvml/internal/experiments"
 	"mvml/internal/reliability"
-	"mvml/internal/xrand"
 )
 
 // cmdDSPN builds and solves the paper's DSPN reliability models (Figs. 2 and
-// 3) directly: it prints the steady-state probability of every (i, j, k)
-// system state, the expected output reliability, and — for the proactive
-// model — cross-validates the Monte-Carlo solution against the Erlang
-// phase-type approximation.
+// 3) exactly: it prints the steady-state probability of every (i, j, k)
+// system state, the expected output reliability, optionally the Erlang
+// phase-type cross-check of the proactive model, and the exact mission-time
+// curve.
 func cmdDSPN(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mvml dspn", flag.ContinueOnError)
 	n := fs.Int("n", 3, "number of ML module versions (1-3)")
 	interval := fs.Float64("interval", 0, "rejuvenation interval 1/gamma in seconds (0 = Table IV default)")
 	erlang := fs.Int("erlang", 0, "Erlang stages for the cross-validation solve (0 = skip)")
 	transient := fs.Bool("transient", false, "also print the mission-time reliability curve E[R(t)]")
-	workers := fs.Int("workers", 0, "concurrent transient replications (0 = GOMAXPROCS; results are worker-count-invariant)")
-	seed := fs.Uint64("seed", experiments.Seed, "simulation seed")
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
@@ -34,7 +30,6 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	if *interval > 0 {
 		params.RejuvenationInterval = *interval
 	}
-	rng := xrand.New(*seed)
 
 	without, err := reliability.NewModel(*n, params, false)
 	if err != nil {
@@ -52,14 +47,14 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sim, err := with.SolveSimulation(reliability.DefaultSimConfig(), rng)
+	exactWith, err := with.SolveExact()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%d-version model WITH proactive rejuvenation (Fig. 3, DSPN simulation, 1/gamma = %.0fs):\n",
+	fmt.Fprintf(w, "%d-version model WITH proactive rejuvenation (Fig. 3, exact Markov regenerative process, 1/gamma = %.0fs):\n",
 		*n, params.RejuvenationInterval)
-	printStates(w, sim.StateProbs)
-	fmt.Fprintf(w, "  E[R] = %.6f  CI %s\n", sim.Expected, sim.CI)
+	printStates(w, exactWith.StateProbs)
+	fmt.Fprintf(w, "  E[R] = %.6f\n", exactWith.Expected)
 
 	if *erlang > 0 {
 		erl, err := with.SolveErlang(*erlang)
@@ -67,7 +62,7 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "\nErlang(%d) phase-type cross-check: E[R] = %.6f (delta %.6f)\n",
-			*erlang, erl.Expected, erl.Expected-sim.Expected)
+			*erlang, erl.Expected, erl.Expected-exactWith.Expected)
 	}
 
 	if *transient {
@@ -76,21 +71,19 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 			params.MeanTimeToCompromise / 2, params.MeanTimeToCompromise,
 			2 * params.MeanTimeToCompromise, 4 * params.MeanTimeToCompromise,
 		}
-		fmt.Fprintln(w, "\nmission-time reliability E[R(t)] from an all-healthy start:")
-		fmt.Fprintln(w, "  t (s)        w/ rejuvenation          w/o proactive rejuvenation")
-		withPts, err := with.TransientReliability(times, 2000, *workers, rng.Split("transient-with", 0))
+		withR, err := with.TransientExact(times)
 		if err != nil {
 			return err
 		}
-		withoutPts, err := without.TransientReliability(times, 2000, *workers, rng.Split("transient-without", 0))
+		withoutR, err := without.TransientExact(times)
 		if err != nil {
 			return err
 		}
-		for i := range withPts {
-			fmt.Fprintf(w, "  %8.0f     %.4f [%.4f,%.4f]   %.4f [%.4f,%.4f]\n",
-				withPts[i].Time,
-				withPts[i].Reward.Mean, withPts[i].Reward.Lo, withPts[i].Reward.Hi,
-				withoutPts[i].Reward.Mean, withoutPts[i].Reward.Lo, withoutPts[i].Reward.Hi)
+		fmt.Fprintln(w, "\nmission-time reliability E[R(t)] from an all-healthy start (exact; at a multiple")
+		fmt.Fprintln(w, "of 1/gamma, the value just before the clock fires):")
+		fmt.Fprintln(w, "  t (s)      w/ rejuvenation   w/o proactive rejuvenation")
+		for i, t := range times {
+			fmt.Fprintf(w, "  %8.0f   %.6f          %.6f\n", t, withR[i], withoutR[i])
 		}
 	}
 	return nil

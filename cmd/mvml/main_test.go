@@ -196,6 +196,7 @@ func TestUsage(t *testing.T) {
 		{"tables", "-table", "7"},
 		{"tables", "-fig", "4a"},
 		{"tables", "-horizon", "20000"},
+		{"tables", "-table", "5", "-seed", "1"},
 		{"drive"},
 		{"drive", "-table", "9"},
 		{"drive", "-ablation", "none"},
@@ -203,6 +204,8 @@ func TestUsage(t *testing.T) {
 		{"drive", "-table", "7", "-runs", "-1"},
 		{"dspn", "-n"},
 		{"dspn", "-horizon", "20000"},
+		{"dspn", "-seed", "1"},
+		{"dspn", "-transient", "-workers", "2"},
 		{"falsify"},
 		{"falsify", "frobnicate"},
 		{"falsify", "search", "-write"},
@@ -236,9 +239,20 @@ func TestUsage(t *testing.T) {
 		if code != 0 || stdout != "" || stderr == "" {
 			t.Errorf("mvml %v: exit %d, stdout %q; want 0 with help on stderr", args, code, stdout)
 		}
-		// One budget: the paper's. No subcommand takes a horizon.
-		if strings.Contains(stderr, "-horizon") {
-			t.Errorf("mvml %v lists -horizon:\n%s", args, stderr)
+		// One budget: the paper's. No subcommand takes a horizon; the
+		// reliability side is exact, so tables and dspn take no seed and
+		// dspn no worker count.
+		banned := []string{"-horizon"}
+		switch args[0] {
+		case "tables":
+			banned = append(banned, "-seed")
+		case "dspn":
+			banned = append(banned, "-seed", "-workers")
+		}
+		for _, flag := range banned {
+			if strings.Contains(stderr, flag) {
+				t.Errorf("mvml %v lists %s:\n%s", args, flag, stderr)
+			}
 		}
 	}
 }

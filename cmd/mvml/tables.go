@@ -8,7 +8,6 @@ import (
 	"mvml/internal/cli"
 	"mvml/internal/experiments"
 	"mvml/internal/reliability"
-	"mvml/internal/xrand"
 )
 
 // cmdTables regenerates the reliability side of the paper: Table II (model
@@ -25,7 +24,6 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 	all := fs.Bool("all", false, "run every reliability-side experiment")
 	quick := fs.Bool("quick", false, "reduced dataset/training budget for Table II")
 	workers := fs.Int("workers", 0, "concurrent replications for fan-out experiments (0 = GOMAXPROCS; results are worker-count-invariant)")
-	seed := fs.Uint64("seed", experiments.Seed, "random seed for simulations")
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
@@ -38,9 +36,7 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 		return cli.Usagef("nothing to do: pass -table 2..5, -fig a..f, -nversion, -diversity, -campaign, or -all")
 	}
 
-	rng := xrand.New(*seed)
 	params := reliability.DefaultParams()
-	simCfg := reliability.DefaultSimConfig()
 	train := experiments.DefaultTableIIConfig()
 	if *quick {
 		train = experiments.QuickTableIIConfig()
@@ -50,11 +46,11 @@ func cmdTables(args []string, w, stderr io.Writer) error {
 		{*table == 2 || *all, func() (renderer, error) { return experiments.RunTableII(train) }},
 		{*table == 3 || *all, func() (renderer, error) { return experiments.RunTableIII(params) }},
 		{*table == 4 || *all, func() (renderer, error) { return text(experiments.RenderTableIV(params)), nil }},
-		{*table == 5 || *all, func() (renderer, error) { return experiments.RunTableV(params, simCfg, rng) }},
+		{*table == 5 || *all, func() (renderer, error) { return experiments.RunTableV(params) }},
 	}
 	for _, letter := range []string{"a", "b", "c", "d", "e", "f"} {
 		steps = append(steps, step{*fig == letter || (*fig == "" && *all), func() (renderer, error) {
-			return experiments.RunFig4(letter, params, simCfg, rng)
+			return experiments.RunFig4(letter, params)
 		}})
 	}
 	nvCfg := experiments.DefaultNVersionStudyConfig()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mvml/internal/reliability"
-	"mvml/internal/xrand"
 )
 
 // The case-study tests run what `mvml drive` runs with no flags but the
@@ -171,15 +170,17 @@ func TestClockAblation(t *testing.T) {
 }
 
 // TestErlangConvergence: the Erlang phase-type approximation of the
-// deterministic rejuvenation clock converges to the simulated DSPN
-// reliability of the 3-version proactive model — the simulation `mvml dspn
-// -n 3` prints, against which `-erlang 20` prints its delta.
+// deterministic rejuvenation clock converges from below to the exact
+// reliability of the 3-version proactive model, the value `mvml dspn -n 3`
+// prints and against which `-erlang 20` prints its delta. Its error is
+// −0.0033 at k = 1, −0.00018 at 20 and −0.000046 at 80, and roughly halves
+// with each doubling of k.
 func TestErlangConvergence(t *testing.T) {
 	model, err := reliability.NewModel(3, reliability.DefaultParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := model.SolveSimulation(reliability.DefaultSimConfig(), xrand.New(Seed))
+	exact, err := model.SolveExact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +189,16 @@ func TestErlangConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return math.Abs(erl.Expected - sim.Expected)
+		return erl.Expected - exact.Expected
 	}
-	e1, e20 := errAt(1), errAt(20)
-	if e20 > e1 {
-		t.Errorf("Erlang-20 error %.5f should not exceed Erlang-1 error %.5f", e20, e1)
+	for k, want := range map[int]float64{1: -0.0033, 20: -0.00018, 80: -0.000046} {
+		if got := errAt(k); math.Abs(got-want) > 0.1*math.Abs(want) {
+			t.Errorf("Erlang(%d) error %.7f, want ≈%.6f", k, got, want)
+		}
 	}
-	if e20 > 0.005 {
-		t.Errorf("Erlang-20 should approximate the DSPN within 0.005, got %.5f", e20)
+	for k := 5; k <= 40; k *= 2 {
+		if ratio := errAt(2*k) / errAt(k); ratio < 0.45 || ratio > 0.55 {
+			t.Errorf("Erlang(%d)/Erlang(%d) error ratio %.3f, want ≈0.5", 2*k, k, ratio)
+		}
 	}
 }

@@ -4,15 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"mvml/internal/petri"
 	"mvml/internal/reliability"
-	"mvml/internal/stats"
-	"mvml/internal/xrand"
 )
-
-// Seed is the root seed of the reliability-side runs EXPERIMENTS.md prints:
-// the -seed default of `mvml tables` and `mvml dspn`.
-const Seed = 1
 
 // TableIIIResult lists the reliability-function value of every reachable
 // system state (the paper's Table III).
@@ -82,38 +75,41 @@ type TableVResult struct {
 	Params  reliability.Params
 	Without [4]float64 // index by n (1..3)
 	With    [4]float64
-	WithCI  [4]stats.Interval
 }
 
-// RunTableV solves the DSPN models of Figs. 2 and 3 for one-, two- and
-// three-version systems: the without-proactive column exactly via the
-// embedded CTMC, the with-proactive column by Monte-Carlo simulation of the
-// deterministic-clock DSPN.
-func RunTableV(params reliability.Params, simCfg petri.SimConfig, rng *xrand.Rand) (*TableVResult, error) {
+// RunTableV solves the DSPN models of Figs. 2 and 3 exactly for one-, two-
+// and three-version systems: the without-proactive column as a CTMC, the
+// with-proactive column as a Markov regenerative process.
+func RunTableV(params reliability.Params) (*TableVResult, error) {
 	res := &TableVResult{Params: params}
-	for n := 1; n <= 3; n++ {
-		without, err := reliability.NewModel(n, params, false)
-		if err != nil {
-			return nil, err
-		}
-		exact, err := without.SolveExact()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table V %d-version exact: %w", n, err)
-		}
-		res.Without[n] = exact.Expected
-
-		with, err := reliability.NewModel(n, params, true)
-		if err != nil {
-			return nil, err
-		}
-		sim, err := with.SolveSimulation(simCfg, rng.Split("tableV", uint64(n)))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table V %d-version simulation: %w", n, err)
-		}
-		res.With[n] = sim.Expected
-		res.WithCI[n] = sim.CI
+	var err error
+	if res.Without, res.With, err = solveConfigurations(params); err != nil {
+		return nil, fmt.Errorf("experiments: table V: %w", err)
 	}
 	return res, nil
+}
+
+// solveConfigurations solves the six configurations exactly: 1–3 versions
+// without and with proactive rejuvenation, each indexed by version count.
+func solveConfigurations(params reliability.Params) (without, with [4]float64, err error) {
+	for n := 1; n <= 3; n++ {
+		for _, proactive := range []bool{false, true} {
+			model, err := reliability.NewModel(n, params, proactive)
+			if err != nil {
+				return without, with, err
+			}
+			exact, err := model.SolveExact()
+			if err != nil {
+				return without, with, err
+			}
+			if proactive {
+				with[n] = exact.Expected
+			} else {
+				without[n] = exact.Expected
+			}
+		}
+	}
+	return without, with, nil
 }
 
 // Render formats the result like the paper's Table V.
@@ -127,7 +123,7 @@ func (r *TableVResult) Render() string {
 		t.AddRow(names[n], f6(r.Without[n]), f6(r.With[n]))
 	}
 	t.Notes = append(t.Notes,
-		"w/o column: exact CTMC solution; w/ column: DSPN simulation",
+		"w/o column: exact CTMC solution; w/ column: exact DSPN solution (Markov regenerative)",
 		fmt.Sprintf("paper: 0.848211/0.920217, 0.943875/0.967152, 0.903190/0.952998"))
 	return t.String()
 }
@@ -151,36 +147,14 @@ type Fig4Result struct {
 // fig4Sweep evaluates the six configurations across a parameter sweep.
 // mutate applies the x value to a copy of the base parameters.
 func fig4Sweep(name, xlabel string, xs []float64, base reliability.Params,
-	mutate func(reliability.Params, float64) reliability.Params,
-	simCfg petri.SimConfig, rng *xrand.Rand) (*Fig4Result, error) {
+	mutate func(reliability.Params, float64) reliability.Params) (*Fig4Result, error) {
 
 	res := &Fig4Result{Name: name, XLabel: xlabel}
-	for i, x := range xs {
-		params := mutate(base, x)
-		if err := params.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: fig %s at %v: %w", name, x, err)
-		}
+	for _, x := range xs {
 		point := Fig4Point{X: x}
-		for n := 1; n <= 3; n++ {
-			without, err := reliability.NewModel(n, params, false)
-			if err != nil {
-				return nil, err
-			}
-			exact, err := without.SolveExact()
-			if err != nil {
-				return nil, err
-			}
-			point.Without[n] = exact.Expected
-
-			with, err := reliability.NewModel(n, params, true)
-			if err != nil {
-				return nil, err
-			}
-			sim, err := with.SolveSimulation(simCfg, rng.Split(name, uint64(i*4+n)))
-			if err != nil {
-				return nil, err
-			}
-			point.With[n] = sim.Expected
+		var err error
+		if point.Without, point.With, err = solveConfigurations(mutate(base, x)); err != nil {
+			return nil, fmt.Errorf("experiments: fig %s at %v: %w", name, x, err)
 		}
 		res.Points = append(res.Points, point)
 	}
@@ -196,45 +170,45 @@ func sweepGrid(lo, hi float64, n int) []float64 {
 }
 
 // RunFig4 produces one of the paper's Fig. 4 sweeps by letter (a–f) on the
-// paper's ranges, solving every with-rejuvenation point under simCfg.
-func RunFig4(letter string, base reliability.Params, simCfg petri.SimConfig, rng *xrand.Rand) (*Fig4Result, error) {
+// paper's ranges, solving every point exactly.
+func RunFig4(letter string, base reliability.Params) (*Fig4Result, error) {
 	switch letter {
 	case "a":
 		return fig4Sweep("4a", "rejuvenation interval 1/gamma (s)", sweepGrid(50, 3000, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.RejuvenationInterval = x
 				return p
-			}, simCfg, rng)
+			})
 	case "b":
 		return fig4Sweep("4b", "rejuvenation duration 1/mu_r (s)", sweepGrid(0.1, 50, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.MeanProactiveRejuvenation = x
 				return p
-			}, simCfg, rng)
+			})
 	case "c":
 		return fig4Sweep("4c", "mean time to compromise 1/lambda_c (s)", sweepGrid(100, 7000, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.MeanTimeToCompromise = x
 				return p
-			}, simCfg, rng)
+			})
 	case "d":
 		return fig4Sweep("4d", "error dependency alpha", sweepGrid(0.1, 1.0, 10), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.Alpha = x
 				return p
-			}, simCfg, rng)
+			})
 	case "e":
 		return fig4Sweep("4e", "healthy inaccuracy p", sweepGrid(0.01, 0.23, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.P = x
 				return p
-			}, simCfg, rng)
+			})
 	case "f":
 		return fig4Sweep("4f", "compromised inaccuracy p'", sweepGrid(0.1, 0.6, 9), base,
 			func(p reliability.Params, x float64) reliability.Params {
 				p.PPrime = x
 				return p
-			}, simCfg, rng)
+			})
 	default:
 		return nil, fmt.Errorf("experiments: unknown Fig. 4 sweep %q (want a-f)", letter)
 	}

@@ -8,8 +8,8 @@ import (
 // deterministic transition is replaced by a k-stage Erlang phase chain of
 // exponential transitions (each with mean delay/k). As k grows, the chain's
 // firing-time distribution converges to the deterministic delay, so the
-// transformed net — which SolveCTMC accepts — approximates the DSPN. This is
-// the cross-validation path for the Monte-Carlo simulator.
+// transformed net — a CTMC for SolveDSPN — approximates the DSPN. This is
+// the independent cross-check of SolveDSPN's exact solution.
 //
 // The original places keep their indices (new phase places are appended), so
 // guards, weights and reward functions written against the original net keep
@@ -57,13 +57,6 @@ func ErlangApproximation(net *Net, stages int) (*Net, error) {
 			copyArcs(t, nt)
 			nt.delay = t.delay
 		case Deterministic:
-			if stages == 1 {
-				// Degenerate case: a single exponential stage.
-				nt := out.AddExponential(t.Name, 1)
-				copyArcs(t, nt)
-				nt.delay = t.delay
-				continue
-			}
 			// Build the phase chain: first stage consumes the original
 			// inputs (and carries guard/inhibitors), intermediate stages
 			// hop through fresh phase places, last stage produces the

@@ -4,12 +4,15 @@
 // transitions, weighted arcs, inhibitor arcs, guard predicates and
 // marking-dependent firing weights (Table I of the paper uses all of these).
 //
-// Two solvers are provided: a discrete-event Monte-Carlo simulator
-// (sim.go) that handles the full DSPN class, and an exact continuous-time
-// Markov-chain solver (ctmc.go) for nets without deterministic transitions,
-// used to cross-validate the simulator. erlang.go approximates deterministic
-// transitions by Erlang phase chains so that DSPNs can also be pushed
-// through the exact solver.
+// The solver is exact (solve.go): one breadth-first walk builds the tangible
+// reachability graph, which is a continuous-time Markov chain for nets
+// without deterministic transitions and a Markov regenerative process for
+// nets with one deterministic clock enabled in every tangible marking, the
+// class of the paper's Fig. 3. Solution.Transient evaluates the same graph
+// at any mission time. Two independent cross-checks stay beside it:
+// transient.go estimates mission-time rewards by Monte-Carlo replications,
+// and erlang.go approximates deterministic transitions by Erlang phase
+// chains that the CTMC case solves.
 //
 // Timed transitions fire with single-server semantics: the firing rate does
 // not scale with the token count of input places. This matches TimeNET's
@@ -325,15 +328,12 @@ func (n *Net) Fire(m Marking, t *Transition) (Marking, error) {
 	return next, nil
 }
 
-// enabledOfKind collects enabled transitions, optionally filtered by kind
-// (0 means all kinds).
-func (n *Net) enabledOfKind(m Marking, kind Kind) []*Transition {
+// enabled collects the enabled transitions that are timed (exponential or
+// deterministic) or, with timed false, immediate.
+func (n *Net) enabled(m Marking, timed bool) []*Transition {
 	var out []*Transition
 	for _, t := range n.transitions {
-		if kind != 0 && t.Kind != kind {
-			continue
-		}
-		if t.EnabledIn(m) {
+		if (t.Kind != Immediate) == timed && t.EnabledIn(m) {
 			out = append(out, t)
 		}
 	}
@@ -343,7 +343,7 @@ func (n *Net) enabledOfKind(m Marking, kind Kind) []*Transition {
 // EnabledImmediate returns the enabled immediate transitions of maximal
 // priority; firing probability among them is proportional to their weights.
 func (n *Net) EnabledImmediate(m Marking) []*Transition {
-	candidates := n.enabledOfKind(m, Immediate)
+	candidates := n.enabled(m, false)
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -363,26 +363,4 @@ func (n *Net) EnabledImmediate(m Marking) []*Transition {
 }
 
 // EnabledTimed returns the enabled exponential and deterministic transitions.
-func (n *Net) EnabledTimed(m Marking) []*Transition {
-	var out []*Transition
-	for _, t := range n.transitions {
-		if t.Kind == Immediate {
-			continue
-		}
-		if t.EnabledIn(m) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// HasDeterministic reports whether the net contains deterministic
-// transitions (i.e. is a true DSPN rather than a GSPN).
-func (n *Net) HasDeterministic() bool {
-	for _, t := range n.transitions {
-		if t.Kind == Deterministic {
-			return true
-		}
-	}
-	return false
-}
+func (n *Net) EnabledTimed(m Marking) []*Transition { return n.enabled(m, true) }

@@ -2,6 +2,7 @@ package petri
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mvml/internal/xrand"
@@ -129,7 +130,7 @@ func TestCTMCCycleMatchesAnalytic(t *testing.T) {
 	// Steady-state occupancy of a cycle is proportional to the mean delay
 	// of the outgoing transition.
 	n, places := buildCycle(2, 3, 5)
-	res, err := SolveCTMC(n)
+	res, err := SolveDSPN(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestCTMCCycleMatchesAnalytic(t *testing.T) {
 
 func TestCTMCExpectedReward(t *testing.T) {
 	n, places := buildCycle(1, 1, 2)
-	res, err := SolveCTMC(n)
+	res, err := SolveDSPN(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,21 +158,6 @@ func TestCTMCExpectedReward(t *testing.T) {
 	})
 	if math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("expected reward %v, want 0.5", got)
-	}
-}
-
-func TestCTMCRejectsDeterministic(t *testing.T) {
-	n := NewNet("det")
-	p := n.AddPlace("P", 1)
-	q := n.AddPlace("Q", 0)
-	tr := n.AddDeterministic("T", 1)
-	n.AddInput(p, tr, 1)
-	n.AddOutput(tr, q, 1)
-	back := n.AddExponential("B", 1)
-	n.AddInput(q, back, 1)
-	n.AddOutput(back, p, 1)
-	if _, err := SolveCTMC(n); err == nil {
-		t.Fatal("expected rejection of deterministic transitions")
 	}
 }
 
@@ -207,7 +193,7 @@ func TestCTMCImmediateVanishingElimination(t *testing.T) {
 	n.AddInput(pb, backB, 1)
 	n.AddOutput(backB, p1, 1)
 
-	res, err := SolveCTMC(n)
+	res, err := SolveDSPN(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,73 +243,12 @@ func TestCTMCPriorityBeatsWeight(t *testing.T) {
 	n.AddInput(pb, backB, 1)
 	n.AddOutput(backB, p1, 1)
 
-	res, err := SolveCTMC(n)
+	res, err := SolveDSPN(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Probability(func(m Marking) bool { return m.Count(pb) == 1 }); got != 0 {
 		t.Fatalf("low-priority branch has probability %v, want 0", got)
-	}
-}
-
-func TestSimulateCycleMatchesCTMC(t *testing.T) {
-	n, places := buildCycle(2, 3, 5)
-	res, err := Simulate(n, SimConfig{Horizon: 50_000, Warmup: 500}, nil, xrand.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.2, 0.3, 0.5}
-	for i, p := range places {
-		got := res.Probability(func(m Marking) bool { return m.Count(p) == 1 })
-		if math.Abs(got-want[i]) > 0.01 {
-			t.Errorf("simulated occupancy %v, want %v", got, want[i])
-		}
-	}
-}
-
-func TestSimulateRewardCI(t *testing.T) {
-	n, places := buildCycle(1, 1, 2)
-	reward := func(m Marking) float64 {
-		if m.Count(places[2]) == 1 {
-			return 1
-		}
-		return 0
-	}
-	res, err := Simulate(n, SimConfig{Horizon: 20_000, Warmup: 100}, reward, xrand.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Reward-0.5) > 0.02 {
-		t.Fatalf("reward %v, want ≈0.5", res.Reward)
-	}
-	if !res.RewardCI.Contains(res.Reward) {
-		t.Fatalf("CI %v does not contain the point estimate %v", res.RewardCI, res.Reward)
-	}
-	if res.RewardCI.Hi-res.RewardCI.Lo > 0.1 {
-		t.Fatalf("CI %v too wide", res.RewardCI)
-	}
-}
-
-func TestSimulateDeterministicDutyCycle(t *testing.T) {
-	// P1 --det(8)--> P2 --exp(2)--> P1: long-run fraction of time in P1 is
-	// 8/(8+2) = 0.8.
-	n := NewNet("duty")
-	p1 := n.AddPlace("P1", 1)
-	p2 := n.AddPlace("P2", 0)
-	on := n.AddDeterministic("on", 8)
-	n.AddInput(p1, on, 1)
-	n.AddOutput(on, p2, 1)
-	off := n.AddExponential("off", 2)
-	n.AddInput(p2, off, 1)
-	n.AddOutput(off, p1, 1)
-
-	res, err := Simulate(n, SimConfig{Horizon: 40_000, Warmup: 100}, nil, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Probability(func(m Marking) bool { return m.Count(p1) == 1 })
-	if math.Abs(got-0.8) > 0.01 {
-		t.Fatalf("duty cycle %v, want 0.8", got)
 	}
 }
 
@@ -342,7 +267,7 @@ func TestErlangApproximationMatchesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveCTMC(approx)
+	res, err := SolveDSPN(approx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,24 +315,8 @@ func TestErlangApproximationStageCount(t *testing.T) {
 	}
 }
 
-func TestSimulateAbsorbingMarking(t *testing.T) {
-	n := NewNet("absorbing")
-	p := n.AddPlace("P", 1)
-	q := n.AddPlace("Q", 0)
-	tr := n.AddExponential("T", 1)
-	n.AddInput(p, tr, 1)
-	n.AddOutput(tr, q, 1)
-
-	res, err := Simulate(n, SimConfig{Horizon: 1000, Warmup: 0}, nil, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Probability(func(m Marking) bool { return m.Count(q) == 1 })
-	if got < 0.99 {
-		t.Fatalf("absorbing state occupancy %v, want ≈1", got)
-	}
-}
-
+// TestSimulateImmediateLivelockDetected: a cycle of immediate transitions
+// is an error in the replications and in the exact solver, not a hang.
 func TestSimulateImmediateLivelockDetected(t *testing.T) {
 	n := NewNet("livelock")
 	p := n.AddPlace("P", 1)
@@ -419,55 +328,193 @@ func TestSimulateImmediateLivelockDetected(t *testing.T) {
 	n.AddInput(q, ba, 1)
 	n.AddOutput(ba, p, 1)
 
-	if _, err := Simulate(n, SimConfig{Horizon: 10}, nil, xrand.New(1)); err == nil {
-		t.Fatal("expected livelock detection")
+	if _, err := TransientRewards(n, TransientConfig{Times: []float64{1}}, func(Marking) float64 { return 0 }, xrand.New(1)); err == nil {
+		t.Fatal("expected livelock detection in the replications")
 	}
-	if _, err := SolveCTMC(n); err == nil {
-		t.Fatal("expected livelock detection in CTMC solver")
-	}
-}
-
-func TestSimulateConfigValidation(t *testing.T) {
-	n, _ := buildCycle(1, 1, 1)
-	if _, err := Simulate(n, SimConfig{Horizon: -1}, nil, xrand.New(1)); err == nil {
-		t.Fatal("expected error for negative horizon")
-	}
-	if _, err := Simulate(n, SimConfig{Horizon: 10}, nil, nil); err == nil {
-		t.Fatal("expected error for nil rng")
+	if _, err := SolveDSPN(n); err == nil {
+		t.Fatal("expected livelock detection in the exact solver")
 	}
 }
 
-func TestSimulateDeterministicEnablingMemory(t *testing.T) {
-	// A deterministic transition with delay 10 races an exponential with
-	// mean 1 that does NOT disable it (separate token). With enabling
-	// memory, the deterministic transition still fires every 10 time
-	// units despite the frequent exponential events. The cycle P1->P2->P1
-	// with det(10) and exp(0.5) back gives occupancy ≈ 10/10.5.
-	n := NewNet("memory")
-	p1 := n.AddPlace("P1", 1)
-	p2 := n.AddPlace("P2", 0)
-	noise := n.AddPlace("N", 1)
-
-	det := n.AddDeterministic("det", 10)
-	n.AddInput(p1, det, 1)
-	n.AddOutput(det, p2, 1)
-	back := n.AddExponential("back", 0.5)
-	n.AddInput(p2, back, 1)
-	n.AddOutput(back, p1, 1)
-	// Self-loop exponential generating many events while det counts down.
+// clockResetNet is the proactive-rejuvenation pattern at its smallest: a
+// module H is compromised (C) after an exponential time of the given mean,
+// and a deterministic clock of period tau restores it. A token toggling
+// N1 <-> N2 (mean 1 each way) adds events that must not reset the clock.
+func clockResetNet(mean, tau float64) (n *Net, h, n1 *Place) {
+	n = NewNet("clock-reset")
+	h = n.AddPlace("H", 1)
+	c := n.AddPlace("C", 0)
+	rc := n.AddPlace("Prc", 1)
+	tr := n.AddPlace("Ptr", 0)
+	n1 = n.AddPlace("N1", 1)
+	n2 := n.AddPlace("N2", 0)
+	tc := n.AddExponential("Tc", mean)
+	n.AddInput(h, tc, 1)
+	n.AddOutput(tc, c, 1)
+	clock := n.AddDeterministic("Trc", tau)
+	n.AddInput(rc, clock, 1)
+	n.AddOutput(clock, tr, 1)
+	reset := n.AddImmediate("reset")
+	n.AddInput(tr, reset, 1)
+	n.AddInput(c, reset, 1)
+	n.AddOutput(reset, rc, 1)
+	n.AddOutput(reset, h, 1)
+	idle := n.AddImmediate("idle")
+	n.AddInput(tr, idle, 1)
+	n.AddInhibitor(c, idle, 1)
+	n.AddOutput(idle, rc, 1)
 	tick := n.AddExponential("tick", 1)
-	n.AddInput(noise, tick, 1)
-	n.AddOutput(tick, noise, 1)
+	n.AddInput(n1, tick, 1)
+	n.AddOutput(tick, n2, 1)
+	tock := n.AddExponential("tock", 1)
+	n.AddInput(n2, tock, 1)
+	n.AddOutput(tock, n1, 1)
+	return n, h, n1
+}
 
-	res, err := Simulate(n, SimConfig{Horizon: 30_000, Warmup: 100}, nil, xrand.New(9))
+// TestSolveDSPNClockResetMatchesAnalytic: within each period the module
+// stays healthy with probability e^{-λs}, so the steady-state share of H is
+// (1 - e^{-λτ})/(λτ), and the transient at t = kτ + s is e^{-λs}, with s = τ
+// (the left limit) at multiples of τ. The toggling token's marginal is the
+// two-state chain's 1/2 + e^{-2t}/2, whatever the clock does.
+func TestSolveDSPNClockResetMatchesAnalytic(t *testing.T) {
+	const lambda, tau = 0.25, 3.0
+	n, h, n1 := clockResetNet(1/lambda, tau)
+	res, err := SolveDSPN(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Probability(func(m Marking) bool { return m.Count(p1) == 1 })
-	want := 10.0 / 10.5
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("occupancy %v, want %v: deterministic clock was reset by unrelated events", got, want)
+	if len(res.States) != 4 {
+		t.Fatalf("%d tangible states, want 4", len(res.States))
 	}
+	healthy := func(m Marking) bool { return m.Count(h) == 1 }
+	want := (1 - math.Exp(-lambda*tau)) / (lambda * tau)
+	if got := res.Probability(healthy); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("steady-state P(H) = %.12f, want %.12f", got, want)
+	}
+	if got := res.Probability(func(m Marking) bool { return m.Count(n1) == 1 }); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("steady-state P(N1) = %.12f, want 0.5", got)
+	}
+	for _, c := range []struct{ t, s float64 }{{0, 0}, {1.5, 1.5}, {3, 3}, {4.5, 1.5}, {6, 3}, {7, 1}} {
+		p, err := res.Transient(c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotH, gotN1 float64
+		for i, m := range res.States {
+			if healthy(m) {
+				gotH += p[i]
+			}
+			if m.Count(n1) == 1 {
+				gotN1 += p[i]
+			}
+		}
+		if want := math.Exp(-lambda * c.s); math.Abs(gotH-want) > 1e-9 {
+			t.Errorf("P(H at t=%v) = %.12f, want %.12f", c.t, gotH, want)
+		}
+		if want := 0.5 + 0.5*math.Exp(-2*c.t); math.Abs(gotN1-want) > 1e-9 {
+			t.Errorf("P(N1 at t=%v) = %.12f, want %.12f", c.t, gotN1, want)
+		}
+	}
+	if _, err := res.Transient(-1); err == nil {
+		t.Fatal("expected an error for a negative time")
+	}
+}
+
+// TestSolveDSPNRejectsDisabledDeterministic: the regenerative solution
+// needs the one deterministic transition enabled in every tangible marking;
+// a net whose clock can be disabled, or one with two clocks, is an error
+// that names the marking or the transitions.
+func TestSolveDSPNRejectsDisabledDeterministic(t *testing.T) {
+	// P1 --det(8)--> P2 --exp(2)--> P1: the clock is disabled in P2.
+	duty := NewNet("duty")
+	p1 := duty.AddPlace("P1", 1)
+	p2 := duty.AddPlace("P2", 0)
+	on := duty.AddDeterministic("on", 8)
+	duty.AddInput(p1, on, 1)
+	duty.AddOutput(on, p2, 1)
+	off := duty.AddExponential("off", 2)
+	duty.AddInput(p2, off, 1)
+	duty.AddOutput(off, p1, 1)
+	if _, err := SolveDSPN(duty); err == nil || !strings.Contains(err.Error(), "disabled in tangible marking 0,1") {
+		t.Fatalf("duty cycle: got %v, want the marking that disables the clock", err)
+	}
+
+	twice, _, _ := clockResetNet(4, 3)
+	extra := twice.AddDeterministic("Trc2", 5)
+	twice.AddInput(twice.Places()[0], extra, 1)
+	twice.AddOutput(extra, twice.Places()[0], 1)
+	if _, err := SolveDSPN(twice); err == nil || !strings.Contains(err.Error(), `"Trc" and "Trc2"`) {
+		t.Fatalf("two clocks: got %v, want both named", err)
+	}
+}
+
+// within999 reports whether every replication estimate's 99.9% CI contains
+// the matching exact value.
+func within999(t *testing.T, n *Net, times []float64, reward func(Marking) float64, exact func(t float64) float64, seed uint64) {
+	t.Helper()
+	points, err := TransientRewards(n, TransientConfig{Times: times, Replications: 2000, Level: 0.999}, reward, xrand.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range points {
+		if want := exact(pt.Time); !pt.Reward.Contains(want) {
+			t.Errorf("t=%v: exact %.6f outside the replications' CI %v", pt.Time, want, pt.Reward)
+		}
+	}
+}
+
+// TestSimulateCycleMatchesCTMC: replications of the 3-state cycle contain
+// its exact transient, from the start to the steady state.
+func TestSimulateCycleMatchesCTMC(t *testing.T) {
+	n, places := buildCycle(2, 3, 5)
+	res, err := SolveDSPN(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inP3 := func(m Marking) float64 { return float64(m.Count(places[2])) }
+	within999(t, n, []float64{1, 4, 10, 100}, inP3, func(at float64) float64 {
+		p, err := res.Transient(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v float64
+		for i, m := range res.States {
+			v += p[i] * inP3(m)
+		}
+		return v
+	}, 42)
+}
+
+// TestSimulateDeterministicEnablingMemory: in the replications a
+// deterministic clock keeps counting through unrelated firings (the
+// toggling token of clockResetNet fires about once a time unit), so the
+// module is healthy at t = kτ + s with probability e^{-λs}, as the exact
+// solution has it.
+func TestSimulateDeterministicEnablingMemory(t *testing.T) {
+	const lambda, tau = 0.25, 3.0
+	n, h, _ := clockResetNet(1/lambda, tau)
+	healthy := func(m Marking) float64 { return float64(m.Count(h)) }
+	within999(t, n, []float64{1.5, 3, 4.5, 7}, healthy, func(at float64) float64 {
+		return math.Exp(-lambda * (at - (math.Ceil(at/tau)-1)*tau))
+	}, 9)
+}
+
+// TestSimulateDeterministicDutyCycle: P1 --det(8)--> P2 --exp(2)--> P1
+// spends 8/(8+2) = 0.8 of the long run in P1. The exact solver rejects this
+// net (the clock is disabled in P2), so the replications are its solver.
+func TestSimulateDeterministicDutyCycle(t *testing.T) {
+	n := NewNet("duty")
+	p1 := n.AddPlace("P1", 1)
+	p2 := n.AddPlace("P2", 0)
+	on := n.AddDeterministic("on", 8)
+	n.AddInput(p1, on, 1)
+	n.AddOutput(on, p2, 1)
+	off := n.AddExponential("off", 2)
+	n.AddInput(p2, off, 1)
+	n.AddOutput(off, p1, 1)
+	within999(t, n, []float64{400}, func(m Marking) float64 { return float64(m.Count(p1)) },
+		func(float64) float64 { return 0.8 }, 3)
 }
 
 func TestKindString(t *testing.T) {
@@ -476,19 +523,10 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func BenchmarkSimulateCycle(b *testing.B) {
+func BenchmarkSolveDSPNCycle(b *testing.B) {
 	n, _ := buildCycle(1, 2, 3)
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(n, SimConfig{Horizon: 1000, Warmup: 10}, nil, xrand.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveCTMCCycle(b *testing.B) {
-	n, _ := buildCycle(1, 2, 3)
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveCTMC(n); err != nil {
+		if _, err := SolveDSPN(n); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,8 +18,6 @@ type TransientConfig struct {
 	Replications int
 	// Level is the CI confidence level (default 0.95).
 	Level float64
-	// MaxEvents bounds each replication (default 10e6).
-	MaxEvents int
 	// Workers bounds concurrent replications (<= 0 = GOMAXPROCS). Each
 	// replication's stream is Split from the caller's rng, so results are
 	// identical for every worker count.
@@ -33,9 +31,6 @@ func (c *TransientConfig) fillDefaults() {
 	if c.Level == 0 {
 		c.Level = 0.95
 	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 10_000_000
-	}
 }
 
 // TransientPoint is the estimated expected reward at one instant.
@@ -44,11 +39,19 @@ type TransientPoint struct {
 	Reward stats.Interval
 }
 
+// maxImmediateChain bounds consecutive zero-time firings to detect
+// immediate-transition livelock; maxEvents bounds the firings of one
+// replication.
+const maxImmediateChain, maxEvents = 100_000, 10_000_000
+
 // TransientRewards estimates E[reward(X(t))] at the requested instants by
-// independent replications from the initial marking — the mission-time
-// complement to the steady-state Simulate. Deterministic transitions are
-// fully supported (each replication uses the same event semantics as
-// Simulate).
+// independent replications from the initial marking: the Monte-Carlo
+// cross-check of Solution.Transient. Immediate transitions fire first
+// (highest priority, then weight-proportional choice); exponential
+// transitions are resampled in every tangible marking; deterministic
+// transitions use enabling memory, their countdown continuing across
+// markings while they remain enabled and resetting when disabled. An
+// instant that coincides with a firing sees the marking before it.
 func TransientRewards(net *Net, cfg TransientConfig, reward func(Marking) float64, rng *xrand.Rand) ([]TransientPoint, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -77,7 +80,7 @@ func TransientRewards(net *Net, cfg TransientConfig, reward func(Marking) float6
 	// reward vectors come back in replication order, so the estimates are
 	// identical for any worker count.
 	runs, err := parallel.Run(rng, "rep", cfg.Replications, parallel.Options{Workers: cfg.Workers}, func(rep int, repRNG *xrand.Rand) ([]float64, error) {
-		return transientRun(net, times, cfg.MaxEvents, reward, repRNG)
+		return transientRun(net, times, reward, repRNG)
 	})
 	if err != nil {
 		return nil, err
@@ -104,14 +107,32 @@ func TransientRewards(net *Net, cfg TransientConfig, reward func(Marking) float6
 
 // transientRun simulates one replication and samples the reward at each
 // observation time.
-func transientRun(net *Net, times []float64, maxEvents int, reward func(Marking) float64, rng *xrand.Rand) ([]float64, error) {
+func transientRun(net *Net, times []float64, reward func(Marking) float64, rng *xrand.Rand) ([]float64, error) {
 	m := net.InitialMarking()
-	detRemaining := make(map[*Transition]float64)
+	// deadline holds the absolute firing time of each running deterministic
+	// transition, so a clock enabled at an instant fires exactly a delay
+	// later however many firings intervene.
+	deadline := make(map[*Transition]float64)
 	vals := make([]float64, 0, len(times))
 	next := 0 // next observation index
 	now := 0.0
 	events := 0
 
+	// fire moves to the marking after t and drops the deadline of every
+	// deterministic transition the firing disabled.
+	fire := func(t *Transition) error {
+		nm, err := net.Fire(m, t)
+		if err != nil {
+			return err
+		}
+		m = nm
+		for dt := range deadline {
+			if !dt.EnabledIn(m) {
+				delete(deadline, dt)
+			}
+		}
+		return nil
+	}
 	// fireImmediates resolves the entire vanishing chain at the current
 	// instant.
 	fireImmediates := func() error {
@@ -127,16 +148,8 @@ func transientRun(net *Net, times []float64, maxEvents int, reward func(Marking)
 			for i, t := range enabled {
 				weights[i] = t.Weight(m)
 			}
-			tr := enabled[rng.Categorical(weights)]
-			nm, err := net.Fire(m, tr)
-			if err != nil {
+			if err := fire(enabled[rng.Categorical(weights)]); err != nil {
 				return err
-			}
-			m = nm
-			for dt := range detRemaining {
-				if !dt.EnabledIn(m) {
-					delete(detRemaining, dt)
-				}
 			}
 		}
 	}
@@ -162,49 +175,36 @@ func transientRun(net *Net, times []float64, maxEvents int, reward func(Marking)
 			break
 		}
 		var winner *Transition
-		minDelay := 0.0
+		nextAt := 0.0
 		for _, t := range timed {
-			var d float64
+			var when float64
 			switch t.Kind {
 			case Exponential:
-				d = rng.Exp(t.Delay(m))
+				when = now + rng.Exp(t.Delay(m))
 			case Deterministic:
-				rem, ok := detRemaining[t]
+				dl, ok := deadline[t]
 				if !ok {
-					rem = t.Delay(m)
-					detRemaining[t] = rem
+					dl = now + t.Delay(m)
+					deadline[t] = dl
 				}
-				d = rem
+				when = dl
 			}
-			if winner == nil || d < minDelay {
-				winner, minDelay = t, d
+			if winner == nil || when < nextAt {
+				winner, nextAt = t, when
 			}
 		}
-		// Observation instants strictly before the next firing see the
+		// Observation instants up to and including the next firing see the
 		// current marking.
-		observeThrough(now + minDelay)
+		observeThrough(nextAt)
 		if next >= len(times) {
 			break
 		}
-		now += minDelay
-		for t, rem := range detRemaining {
-			if t == winner {
-				delete(detRemaining, t)
-				continue
-			}
-			detRemaining[t] = rem - minDelay
-		}
-		nm, err := net.Fire(m, winner)
-		if err != nil {
+		now = nextAt
+		delete(deadline, winner)
+		if err := fire(winner); err != nil {
 			return nil, err
 		}
-		m = nm
 		events++
-		for t := range detRemaining {
-			if !t.EnabledIn(m) {
-				delete(detRemaining, t)
-			}
-		}
 		if err := fireImmediates(); err != nil {
 			return nil, err
 		}

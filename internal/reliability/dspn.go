@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mvml/internal/petri"
-	"mvml/internal/stats"
 	"mvml/internal/xrand"
 )
 
@@ -164,50 +163,42 @@ func (m *Model) Reward() func(petri.Marking) float64 {
 type Result struct {
 	// Expected is E[R_sys] (Eq. 3).
 	Expected float64
-	// CI is the batch-means confidence interval (simulation only;
-	// zero-valued for exact solutions).
-	CI stats.Interval
 	// StateProbs is the steady-state probability of each (i, j, k) state.
 	StateProbs map[State]float64
-	// Method records how the result was produced.
-	Method string
 }
 
-// SolveExact computes the exact steady-state reliability via the embedded
-// CTMC. It only applies to models without proactive rejuvenation (the
-// deterministic clock makes the proactive net a true DSPN); use
-// SolveSimulation or SolveErlang there.
+// SolveExact computes the exact steady-state reliability: Fig. 2 as its
+// CTMC, Fig. 3 as a Markov regenerative process whose regeneration points
+// are the firings of the rejuvenation clock Trc (petri.SolveDSPN).
 func (m *Model) SolveExact() (*Result, error) {
-	sol, err := petri.SolveCTMC(m.Net)
+	sol, err := petri.SolveDSPN(m.Net)
 	if err != nil {
 		return nil, fmt.Errorf("reliability: exact solve of %s: %w", m.Net.Name(), err)
 	}
-	return m.resultFromStateProbs(sol, "ctmc")
+	return m.result(sol.States, sol.Pi)
 }
 
 // SolveErlang approximates the deterministic rejuvenation clock with a
 // k-stage Erlang chain and solves the resulting CTMC exactly. Larger stage
-// counts approach the DSPN solution.
+// counts approach SolveExact from below: the printed cross-check.
 func (m *Model) SolveErlang(stages int) (*Result, error) {
 	approx, err := petri.ErlangApproximation(m.Net, stages)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := petri.SolveCTMC(approx)
+	sol, err := petri.SolveDSPN(approx)
 	if err != nil {
 		return nil, fmt.Errorf("reliability: Erlang solve of %s: %w", m.Net.Name(), err)
 	}
-	res, err := m.resultFromStateProbs(sol, fmt.Sprintf("erlang-%d", stages))
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return m.result(sol.States, sol.Pi)
 }
 
-func (m *Model) resultFromStateProbs(sol *petri.CTMCResult, method string) (*Result, error) {
-	res := &Result{StateProbs: make(map[State]float64), Method: method}
-	for i, mk := range sol.States {
-		res.StateProbs[m.StateOf(mk)] += sol.Pi[i]
+// result maps a distribution over markings to one over (i, j, k) states and
+// its Eq. 3 expectation.
+func (m *Model) result(markings []petri.Marking, probs []float64) (*Result, error) {
+	res := &Result{StateProbs: make(map[State]float64)}
+	for i, mk := range markings {
+		res.StateProbs[m.StateOf(mk)] += probs[i]
 	}
 	expected, err := ExpectedReliability(res.StateProbs, m.Params)
 	if err != nil {
@@ -217,31 +208,36 @@ func (m *Model) resultFromStateProbs(sol *petri.CTMCResult, method string) (*Res
 	return res, nil
 }
 
-// SolveSimulation estimates the steady-state reliability by Monte-Carlo
-// simulation of the DSPN. It handles every model variant, including the
-// deterministic proactive-rejuvenation clock.
-func (m *Model) SolveSimulation(cfg petri.SimConfig, rng *xrand.Rand) (*Result, error) {
-	sim, err := petri.Simulate(m.Net, cfg, m.Reward(), rng)
+// TransientExact returns the exact expected output reliability E[R(t)] at
+// the given mission times, starting from the all-healthy initial state —
+// the mission-time complement to the steady-state Eq. 3 analysis. At a
+// multiple of the rejuvenation interval it is the left limit, before that
+// clock expiry is applied (petri.Solution.Transient).
+func (m *Model) TransientExact(times []float64) ([]float64, error) {
+	sol, err := petri.SolveDSPN(m.Net)
 	if err != nil {
-		return nil, fmt.Errorf("reliability: simulating %s: %w", m.Net.Name(), err)
+		return nil, fmt.Errorf("reliability: exact solve of %s: %w", m.Net.Name(), err)
 	}
-	res := &Result{
-		Expected:   sim.Reward,
-		CI:         sim.RewardCI,
-		StateProbs: make(map[State]float64),
-		Method:     "simulation",
+	out := make([]float64, len(times))
+	for i, t := range times {
+		p, err := sol.Transient(t)
+		if err != nil {
+			return nil, err
+		}
+		res, err := m.result(sol.States, p)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res.Expected
 	}
-	for key, frac := range sim.Occupancy {
-		res.StateProbs[m.StateOf(sim.MarkingOf[key])] += frac
-	}
-	return res, nil
+	return out, nil
 }
 
-// TransientReliability estimates the expected output reliability E[R(t)]
-// at the given mission times, starting from the all-healthy initial state —
-// the mission-time complement to the steady-state Eq. 3 analysis.
-// Replications fan out over `workers` goroutines (<= 0 = GOMAXPROCS); the
-// estimates are identical for every worker count.
+// TransientReliability estimates E[R(t)] at the given mission times by
+// independent replications (petri.TransientRewards), the Monte-Carlo
+// cross-check of TransientExact. Replications fan out over `workers`
+// goroutines (<= 0 = GOMAXPROCS); the estimates are identical for every
+// worker count.
 func (m *Model) TransientReliability(times []float64, replications, workers int, rng *xrand.Rand) ([]petri.TransientPoint, error) {
 	cfg := petri.TransientConfig{Times: times, Replications: replications, Workers: workers}
 	points, err := petri.TransientRewards(m.Net, cfg, m.Reward(), rng)
@@ -249,10 +245,4 @@ func (m *Model) TransientReliability(times []float64, replications, workers int,
 		return nil, fmt.Errorf("reliability: transient analysis of %s: %w", m.Net.Name(), err)
 	}
 	return points, nil
-}
-
-// DefaultSimConfig returns the simulation settings the experiment harness
-// uses: long enough for tight CIs on the paper's parameter magnitudes.
-func DefaultSimConfig() petri.SimConfig {
-	return petri.SimConfig{Horizon: 5e6, Warmup: 5e4}
 }

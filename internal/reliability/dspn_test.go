@@ -38,55 +38,47 @@ func TestTableVWithoutRejuvenationExact(t *testing.T) {
 	}
 }
 
-// TestTableVWithRejuvenationSimulation reproduces the "w/ rej." column of
-// Table V by DSPN simulation: 0.920217 / 0.967152 / 0.952998. The tolerance
-// accommodates Monte-Carlo noise.
-func TestTableVWithRejuvenationSimulation(t *testing.T) {
+// TestTableVWithRejuvenationExact solves Fig. 3 as a Markov regenerative
+// process for the "w/ rej." column of Table V: 0.920171 / 0.969077 /
+// 0.954265, pinned, against the paper's TimeNET values 0.920217 / 0.967152 /
+// 0.952998.
+func TestTableVWithRejuvenationExact(t *testing.T) {
 	pr := DefaultParams()
-	want := map[int]float64{1: 0.920217, 2: 0.967152, 3: 0.952998}
-	rng := xrand.New(1)
+	want := map[int]float64{1: 0.920171, 2: 0.969077, 3: 0.954265}
+	paper := map[int]float64{1: 0.920217, 2: 0.967152, 3: 0.952998}
 	for n := 1; n <= 3; n++ {
 		model, err := NewModel(n, pr, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := model.SolveSimulation(DefaultSimConfig(), rng.Split("tableV", uint64(n)))
+		res, err := model.SolveExact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.Expected-want[n]) > 0.01 {
-			t.Errorf("%d-version w/ rejuvenation: %.6f, want %.6f ± 0.01 (paper Table V)",
-				n, res.Expected, want[n])
+		if math.Abs(res.Expected-want[n]) > 1e-6 {
+			t.Errorf("%d-version w/ rejuvenation: %.7f, want %.6f", n, res.Expected, want[n])
+		}
+		if math.Abs(res.Expected-paper[n]) > 0.002 {
+			t.Errorf("%d-version w/ rejuvenation: %.6f, want %.6f ± 0.002 (paper Table V)", n, res.Expected, paper[n])
+		}
+		var mass float64
+		for _, p := range res.StateProbs {
+			mass += p
+		}
+		if !almostEqual(mass, 1, 1e-9) {
+			t.Errorf("%d-version state probabilities sum to %v", n, mass)
 		}
 	}
 }
 
-// TestErlangCrossValidatesSimulation solves the proactive DSPN both by
-// simulation and by Erlang phase-type approximation; the two independent
-// methods must agree.
+// TestErlangCrossValidatesSimulation checks the exact proactive solution
+// against the independent Erlang phase-type approximation of its clock: for
+// every version count, Erlang(k) approaches the exact value from below as
+// k grows.
 func TestErlangCrossValidatesSimulation(t *testing.T) {
 	pr := DefaultParams()
-	model, err := NewModel(3, pr, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := model.SolveSimulation(DefaultSimConfig(), xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	erl, err := model.SolveErlang(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sim.Expected-erl.Expected) > 0.01 {
-		t.Fatalf("simulation %.6f and Erlang %.6f disagree", sim.Expected, erl.Expected)
-	}
-}
-
-func TestSimulationMatchesExactWithoutProactive(t *testing.T) {
-	pr := DefaultParams()
 	for n := 1; n <= 3; n++ {
-		model, err := NewModel(n, pr, false)
+		model, err := NewModel(n, pr, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +86,42 @@ func TestSimulationMatchesExactWithoutProactive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := model.SolveSimulation(petri.SimConfig{Horizon: 2e6, Warmup: 1e4}, xrand.New(uint64(n)))
+		prev := math.Inf(-1)
+		for _, k := range []int{1, 2, 5, 10, 20, 40, 80} {
+			erl, err := model.SolveErlang(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if erl.Expected >= exact.Expected || erl.Expected <= prev {
+				t.Errorf("%d-version Erlang(%d) = %.6f, want in (%.6f, exact %.6f)", n, k, erl.Expected, prev, exact.Expected)
+			}
+			prev = erl.Expected
+		}
+	}
+}
+
+// TestSimulationMatchesExactWithoutProactive: the Monte-Carlo replications
+// of Fig. 2 contain its exact transient inside their 99.9% CIs.
+func TestSimulationMatchesExactWithoutProactive(t *testing.T) {
+	times := []float64{150, 1523, 6092}
+	for n := 1; n <= 3; n++ {
+		model, err := NewModel(n, DefaultParams(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(exact.Expected-sim.Expected) > 0.01 {
-			t.Errorf("%d-version: exact %.6f vs simulated %.6f", n, exact.Expected, sim.Expected)
+		exact, err := model.TransientExact(times)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := petri.TransientConfig{Times: times, Replications: 1000, Level: 0.999}
+		sim, err := petri.TransientRewards(model.Net, cfg, model.Reward(), xrand.New(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range sim {
+			if !pt.Reward.Contains(exact[i]) {
+				t.Errorf("%d-version at t=%v: exact %.6f outside the replications' CI %v", n, pt.Time, exact[i], pt.Reward)
+			}
 		}
 	}
 }
@@ -108,13 +130,12 @@ func TestProactiveRejuvenationImprovesReliability(t *testing.T) {
 	// The paper's headline: proactive rejuvenation helps every
 	// configuration at the default parameters.
 	pr := DefaultParams()
-	rng := xrand.New(7)
 	for n := 1; n <= 3; n++ {
 		without, err := NewModel(n, pr, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := without.SolveExact()
+		r0, err := without.SolveExact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,13 +143,13 @@ func TestProactiveRejuvenationImprovesReliability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := with.SolveSimulation(DefaultSimConfig(), rng.Split("improve", uint64(n)))
+		r1, err := with.SolveExact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sim.Expected <= exact.Expected {
+		if r1.Expected <= r0.Expected {
 			t.Errorf("%d-version: rejuvenation did not help (%.6f vs %.6f)",
-				n, sim.Expected, exact.Expected)
+				n, r1.Expected, r0.Expected)
 		}
 	}
 }
@@ -173,16 +194,6 @@ func TestNewModelValidation(t *testing.T) {
 	}
 }
 
-func TestSolveExactRejectsProactive(t *testing.T) {
-	model, err := NewModel(3, DefaultParams(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := model.SolveExact(); err == nil {
-		t.Fatal("expected rejection: proactive model has a deterministic transition")
-	}
-}
-
 func TestStateOfCountsRejuvenatingAsNonFunctional(t *testing.T) {
 	model, err := NewModel(3, DefaultParams(), true)
 	if err != nil {
@@ -201,67 +212,56 @@ func TestStateOfCountsRejuvenatingAsNonFunctional(t *testing.T) {
 func TestShorterIntervalIncreasesReliability(t *testing.T) {
 	// Fig. 4(a): more frequent rejuvenation keeps reliability higher.
 	pr := DefaultParams()
-	rng := xrand.New(11)
 	fast := pr
 	fast.RejuvenationInterval = 60
 	slow := pr
 	slow.RejuvenationInterval = 2500
 
-	solve := func(p Params, tag string) float64 {
+	solve := func(p Params) float64 {
 		model, err := NewModel(3, p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := model.SolveSimulation(DefaultSimConfig(), rng.Split(tag, 0))
+		res, err := model.SolveExact()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Expected
 	}
-	rFast := solve(fast, "fast")
-	rSlow := solve(slow, "slow")
+	rFast := solve(fast)
+	rSlow := solve(slow)
 	if rFast <= rSlow {
 		t.Fatalf("interval 60s (%.6f) should beat 2500s (%.6f)", rFast, rSlow)
 	}
 }
 
 func BenchmarkSolveExact3v(b *testing.B) {
-	model, err := NewModel(3, DefaultParams(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := model.SolveExact(); err != nil {
+	for _, proactive := range []bool{false, true} {
+		model, err := NewModel(3, DefaultParams(), proactive)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSimulate3vProactive(b *testing.B) {
-	model, err := NewModel(3, DefaultParams(), true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := petri.SimConfig{Horizon: 1e5, Warmup: 1e3}
-	for i := 0; i < b.N; i++ {
-		if _, err := model.SolveSimulation(cfg, xrand.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(model.Net.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := model.SolveExact(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // TestTransientReliabilityCurve: mission-time reliability starts at
 // R(3,0,0), decays toward the steady state, and the rejuvenated system
-// dominates the non-rejuvenated one at long mission times.
+// dominates the non-rejuvenated one at long mission times. The Monte-Carlo
+// replications at the mission times `mvml dspn -transient` prints contain
+// the exact curve inside their CIs, t = 1/γ included: both read the left
+// limit there, before the clock's expiry.
 func TestTransientReliabilityCurve(t *testing.T) {
 	pr := DefaultParams()
-	times := []float64{1, 1523, 6092}
+	times := []float64{0, 150, 300, 761.5, 1523, 3046, 6092, 1e6}
 
 	with, err := NewModel(3, pr, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withPts, err := with.TransientReliability(times, 1200, 0, xrand.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,11 @@ func TestTransientReliabilityCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutPts, err := without.TransientReliability(times, 1200, 0, xrand.New(22))
+	withR, err := with.TransientExact(times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withoutR, err := without.TransientExact(times)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,29 +282,60 @@ func TestTransientReliabilityCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At t ≈ 0 both systems are all-healthy.
-	if math.Abs(withPts[0].Reward.Mean-r300) > 0.005 {
-		t.Errorf("E[R(1)] = %.4f, want ≈ R(3,0,0) = %.4f", withPts[0].Reward.Mean, r300)
+	if withR[0] != r300 || withoutR[0] != r300 {
+		t.Errorf("E[R(0)] = %.6f / %.6f, want R(3,0,0) = %.6f", withR[0], withoutR[0], r300)
 	}
-	// Curves decay from the all-healthy start.
-	if withPts[2].Reward.Mean >= withPts[0].Reward.Mean {
-		t.Error("with-rejuvenation curve should decay from the healthy start")
+	// Right after t = 1/γ the clock has fired and a proactive
+	// rejuvenation is under way: the right limit differs from the left.
+	if right, err := with.TransientExact([]float64{300 + 1e-9}); err != nil || math.Abs(right[0]-withR[2]) < 1e-3 {
+		t.Errorf("E[R(300+)] = %v (%v), want a jump from the left limit %.6f", right, err, withR[2])
 	}
-	if withoutPts[2].Reward.Mean >= withoutPts[0].Reward.Mean {
-		t.Error("without-rejuvenation curve should decay from the healthy start")
+	last := len(times) - 1
+	if withR[last-1] >= withR[0] || withoutR[last-1] >= withoutR[0] {
+		t.Error("both curves should decay from the healthy start")
 	}
-	// At long mission times, rejuvenation dominates and each curve
-	// approaches its steady state.
-	if withPts[2].Reward.Mean <= withoutPts[2].Reward.Mean {
-		t.Errorf("at t=%v rejuvenation (%.4f) should dominate (%.4f)",
-			times[2], withPts[2].Reward.Mean, withoutPts[2].Reward.Mean)
+	if withR[last-1] <= withoutR[last-1] {
+		t.Errorf("at t=%v rejuvenation (%.6f) should dominate (%.6f)", times[last-1], withR[last-1], withoutR[last-1])
 	}
-	exact, err := without.SolveExact()
+	// Fig. 2's curve settles to its steady state. Fig. 3's settles to a
+	// periodic regime in the clock's phase whose time average over one
+	// period, here by the midpoint rule, is the steady state.
+	steady, err := without.SolveExact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(withoutPts[2].Reward.Mean-exact.Expected) > 0.02 {
-		t.Errorf("long-run transient %.4f should approach the steady state %.4f",
-			withoutPts[2].Reward.Mean, exact.Expected)
+	if math.Abs(withoutR[last]-steady.Expected) > 1e-9 {
+		t.Errorf("w/o: E[R(1e6)] = %.9f, want the steady state %.9f", withoutR[last], steady.Expected)
+	}
+	var phases []float64
+	for i := 0; i < 60; i++ {
+		phases = append(phases, 300*(3000+(float64(i)+0.5)/60))
+	}
+	period, err := with.TransientExact(phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mean float64
+	for _, v := range period {
+		mean += v / float64(len(period))
+	}
+	if steady, err = with.SolveExact(); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(mean-steady.Expected) > 1e-4 {
+		t.Errorf("w/: E[R] averaged over one late period = %.6f, want the steady state %.6f", mean, steady.Expected)
+	}
+
+	// A 99.9% interval per point, so that the six points miss together
+	// with probability under 1%.
+	cfg := petri.TransientConfig{Times: times[1:last], Replications: 2000, Level: 0.999}
+	sim, err := petri.TransientRewards(with.Net, cfg, with.Reward(), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range sim {
+		if !pt.Reward.Contains(withR[i+1]) {
+			t.Errorf("t=%v: exact %.6f outside the replications' CI %v", pt.Time, withR[i+1], pt.Reward)
+		}
 	}
 }

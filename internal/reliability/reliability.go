@@ -50,9 +50,8 @@ func DefaultParams() Params {
 
 // WithAlpha returns a copy of the parameters with the dependency degree
 // replaced — how the health engine's *measured* online α is substituted for
-// the offline fault-injection estimate when projecting reliability
-// (`mvtrace health`'s projection and the ROADMAP's canary lifecycle both use
-// this). Values outside [0,1] are clamped.
+// the offline fault-injection estimate in `mvtrace health`'s reliability
+// projection. Values outside [0,1] are clamped.
 func (pr Params) WithAlpha(alpha float64) Params {
 	if alpha < 0 {
 		alpha = 0

@@ -23,6 +23,13 @@ GOARCH=arm64 go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# A real non-amd64 run: a 386 binary runs natively on an amd64 host, so the
+# -short suite executes the Go fallbacks that no amd64 build compiles
+# (gemm_micro_other.go, asm_other.go, peak_other.go) and every line of the
+# repository with a 32-bit int. A failure here is a portability bug.
+echo "==> GOARCH=386 go test -short ./..."
+GOARCH=386 go test -short ./...
+
 # Telemetry watches the serving runtime only: the paper pipeline (mvml and
 # the experiments behind it) builds without the obs runtime, the health
 # engine and the telemetry flag wiring.
@@ -93,10 +100,11 @@ go test ./internal/experiments -run TestParallelEquivalenceGolden -count=1
 go test ./internal/scenario -run TestFalsifierGolden -count=1
 
 # Gateway demo smoke: the only multi-shard zero-failed-requests check through
-# a compromise and a drain (the demo exits non-zero on any failed request),
-# once with telemetry off, where every shard must still be live at the end,
-# and once with a health engine on every shard, which must print its final
-# verdict.
+# a compromise and a drain held for a sixth of the run (the demo exits
+# non-zero on any failed request, or if no request was rerouted around the
+# drained shard), once with telemetry off, where every shard must still be
+# live at the end, and once with a health engine on every shard, which must
+# print its final verdict.
 echo "==> gateway demo smoke"
 gwtmp=$(mktemp -d)
 go build -o "$gwtmp/mvgateway" ./cmd/mvgateway
