@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"mvml/internal/cli"
@@ -24,6 +25,12 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	transient := fs.Bool("transient", false, "also print the mission-time reliability curve E[R(t)]")
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
+	}
+	switch {
+	case *interval < 0 || math.IsNaN(*interval) || math.IsInf(*interval, 0):
+		return cli.Usagef("-interval %v: pass a positive rejuvenation interval in seconds (0 = Table IV default)", *interval)
+	case *erlang < 0:
+		return cli.Usagef("-erlang %d: pass a positive stage count (0 = skip)", *erlang)
 	}
 
 	params := reliability.DefaultParams()

@@ -206,6 +206,10 @@ func TestUsage(t *testing.T) {
 		{"dspn", "-horizon", "20000"},
 		{"dspn", "-seed", "1"},
 		{"dspn", "-transient", "-workers", "2"},
+		{"dspn", "-interval", "-120"},
+		{"dspn", "-interval", "NaN"},
+		{"dspn", "-interval", "+Inf"},
+		{"dspn", "-erlang", "-3"},
 		{"falsify"},
 		{"falsify", "frobnicate"},
 		{"falsify", "search", "-write"},
@@ -233,6 +237,10 @@ func TestUsage(t *testing.T) {
 		if code != 2 || stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage") {
 			t.Errorf("mvml %v: exit %d, stdout %q, stderr %q; want 2 with usage on stderr", args, code, stdout, stderr)
 		}
+	}
+	// -interval 0 is the Table IV default.
+	if code, stdout, _ := runCLI("dspn", "-n", "1", "-interval", "0"); code != 0 || !strings.Contains(stdout, "1/gamma = 300s") {
+		t.Errorf("mvml dspn -interval 0: exit %d, stdout %q; want the Table IV default 1/gamma = 300s", code, stdout)
 	}
 	for _, args := range [][]string{{"-h"}, {"help"}, {"tables", "-h"}, {"dspn", "-h"}, {"falsify", "-h"}, {"falsify", "search", "-h"}} {
 		code, stdout, stderr := runCLI(args...)

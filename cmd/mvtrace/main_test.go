@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -30,15 +31,23 @@ const (
 
 // buildFixture generates the committed span export: a compromise → divergence
 // → trigger → rejuvenation arc, one slow exemplar inside the incident, and
-// healthy traffic after it. Every span goes through a real SpanSink (its
-// JSONL exporter) with explicit timestamps, in the order the live system
-// publishes them, so the file is byte-stable. It also returns the
-// byte offset at which the slow-exemplar trace starts.
+// healthy traffic after it. Every span is written as the SpanSink's JSONL
+// exporter writes it (one json.Marshal'd obs.SpanRecord per line) with
+// explicit ids and timestamps, in the order the live system publishes them,
+// so the file is byte-stable. It also returns the byte offset at which the
+// slow-exemplar trace starts.
 func buildFixture(t *testing.T) (full []byte, cut int) {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := obs.NewSpanSink(16)
-	sink.SetWriter(&buf)
+	emit := func(recs ...obs.SpanRecord) {
+		for _, rec := range recs {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(append(b, '\n'))
+		}
+	}
 	var nextID uint64
 	id := func() uint64 { nextID++; return nextID }
 	versions := []string{"a", "b", "c"}
@@ -48,17 +57,14 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 		t0 := float64(k) * period
 		switch k {
 		case compromiseAt:
-			sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "compromise",
-				Start: t0 - 0.01, End: t0 - 0.01, Attrs: map[string]any{"version": "a"}}})
+			emit(obs.SpanRecord{Trace: id(), ID: id(), Kind: "compromise",
+				Start: t0 - 0.01, End: t0 - 0.01, Attrs: map[string]any{"version": "a"}})
 		case slowTrace:
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			cut = buf.Len()
 		case rejuvenateAt:
-			sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "rejuvenation",
+			emit(obs.SpanRecord{Trace: id(), ID: id(), Kind: "rejuvenation",
 				Start: t0 - 0.1, End: t0 - 0.05,
-				Attrs: map[string]any{"version": "a", "kind": "reactive", "drain_ms": 50.0}}})
+				Attrs: map[string]any{"version": "a", "kind": "reactive", "drain_ms": 50.0}})
 		}
 		scale := 1.0
 		if k < coldStarts || k == slowTrace {
@@ -93,16 +99,13 @@ func buildFixture(t *testing.T) (full []byte, cut int) {
 		recs = append(recs, batch, child(root, "vote", 0.00002, vote))
 		recs = append(recs, obs.SpanRecord{Trace: trace, ID: root, Kind: "request", Start: t0, End: at,
 			Attrs: map[string]any{"class": k % 43}})
-		sink.EmitBatch(recs)
+		emit(recs...)
 		if k == triggerAt {
 			// The serving pool's reactive trigger, at the vote that filled
 			// a's window to the threshold.
-			sink.EmitBatch([]obs.SpanRecord{{Trace: id(), ID: id(), Kind: "rejuvenation_trigger",
-				Start: at, End: at, Attrs: map[string]any{"version": "a", "rate": 0.5}}})
+			emit(obs.SpanRecord{Trace: id(), ID: id(), Kind: "rejuvenation_trigger",
+				Start: at, End: at, Attrs: map[string]any{"version": "a", "rate": 0.5}})
 		}
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	return buf.Bytes(), cut
 }

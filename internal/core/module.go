@@ -57,11 +57,6 @@ type Module[I, O any] struct {
 	// wasCompromisedAtRejuvenation remembers whether Restore needs to be
 	// called when rejuvenation finishes (the version was degraded).
 	degraded bool
-
-	// Counters.
-	compromises   int
-	crashes       int
-	rejuvenations int
 }
 
 // Name returns the wrapped version's name.
@@ -69,9 +64,3 @@ func (m *Module[I, O]) Name() string { return m.version.Name() }
 
 // State returns the module's current health state.
 func (m *Module[I, O]) State() ModuleState { return m.state }
-
-// Stats returns lifetime counters: compromises suffered, crashes suffered,
-// rejuvenations completed.
-func (m *Module[I, O]) Stats() (compromises, crashes, rejuvenations int) {
-	return m.compromises, m.crashes, m.rejuvenations
-}

@@ -143,7 +143,7 @@ func TestPropertySystemOccupancyIsDistribution(t *testing.T) {
 		}
 		var total float64
 		for st, frac := range sys.Occupancy() {
-			if frac < 0 || st.Total() != 3 {
+			if frac < 0 || st.Healthy+st.Compromised+st.NonFunctional != 3 {
 				return false
 			}
 			total += frac

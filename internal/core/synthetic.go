@@ -134,9 +134,6 @@ func (v *SyntheticVersion) Restore() error {
 	return nil
 }
 
-// Compromised reports the version's current behaviour mode.
-func (v *SyntheticVersion) Compromised() bool { return v.compromised }
-
 // Infer implements Version. The output is deterministic per
 // (input, version, behaviour mode).
 func (v *SyntheticVersion) Infer(in LabeledInput) (int, error) {

@@ -149,9 +149,6 @@ func (s Stats) ratio(n int) float64 {
 // ≈2% for the case study).
 func (s Stats) SkipRatio() float64 { return s.ratio(s.Skips) }
 
-// DecisionRatio is the fraction of rounds that produced an output.
-func (s Stats) DecisionRatio() float64 { return s.ratio(s.Decisions) }
-
 // DivergenceRatio is the fraction of rounds skipped due to module
 // disagreement (excluding rounds with no functional modules).
 func (s Stats) DivergenceRatio() float64 { return s.ratio(s.Divergences) }
@@ -272,9 +269,6 @@ func (s *System[I, O]) sampleCompromise(now float64) float64 {
 	return now + s.rng.Exp(s.cfg.MeanTimeToCompromise)
 }
 
-// Now returns the system's simulated clock.
-func (s *System[I, O]) Now() float64 { return s.now }
-
 // Modules exposes the modules (read-mostly; callers must not mutate state).
 func (s *System[I, O]) Modules() []*Module[I, O] { return s.modules }
 
@@ -369,7 +363,6 @@ func (s *System[I, O]) compromiseModule(i int, t float64) error {
 	m := s.modules[i]
 	m.compromiseAt = math.Inf(1)
 	m.state = Compromised
-	m.compromises++
 	m.degraded = true
 	s.stats.Compromises++
 	if err := m.version.Compromise(); err != nil {
@@ -386,7 +379,6 @@ func (s *System[I, O]) crashModule(i int, t float64) {
 	m := s.modules[i]
 	m.crashAt = math.Inf(1)
 	m.state = NonFunctional
-	m.crashes++
 	s.stats.Crashes++
 }
 
@@ -436,7 +428,6 @@ func (s *System[I, O]) processEventsAt(t float64) error {
 		case m.rejuvDoneAt <= t && m.state == Rejuvenating:
 			m.rejuvDoneAt = math.Inf(1)
 			m.state = Healthy
-			m.rejuvenations++
 			if m.degraded {
 				if err := m.version.Restore(); err != nil {
 					return fmt.Errorf("core: restoring %s: %w", m.Name(), err)

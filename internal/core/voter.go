@@ -205,51 +205,3 @@ func (v *MedianVoter) Vote(proposals []Proposal[float64]) Decision[float64] {
 		Proposals: n,
 	}
 }
-
-// WeightedVoter scores each proposal cluster by the sum of per-module
-// weights (e.g. historical accuracy) and outputs the heaviest cluster if it
-// exceeds half the total weight; otherwise it skips. With all-equal weights
-// it reduces to MajorityVoter.
-type WeightedVoter[O any] struct {
-	Eq Equal[O]
-	// WeightOf returns a module's voting weight (default 1).
-	WeightOf func(module string) float64
-}
-
-var _ Voter[int] = (*WeightedVoter[int])(nil)
-
-// Vote implements Voter.
-func (v *WeightedVoter[O]) Vote(proposals []Proposal[O]) Decision[O] {
-	n := len(proposals)
-	if n == 0 {
-		return Decision[O]{Skipped: true, Reason: "no functional modules"}
-	}
-	weight := func(m string) float64 {
-		if v.WeightOf == nil {
-			return 1
-		}
-		return v.WeightOf(m)
-	}
-	var total float64
-	for _, p := range proposals {
-		total += weight(p.Module)
-	}
-	bestIdx, bestWeight, bestCount := 0, 0.0, 0
-	for i := range proposals {
-		var w float64
-		count := 0
-		for j := range proposals {
-			if v.Eq(proposals[i].Value, proposals[j].Value) {
-				w += weight(proposals[j].Module)
-				count++
-			}
-		}
-		if w > bestWeight {
-			bestIdx, bestWeight, bestCount = i, w, count
-		}
-	}
-	if n == 1 || bestWeight > total/2 {
-		return Decision[O]{Value: proposals[bestIdx].Value, Agreeing: bestCount, Proposals: n}
-	}
-	return Decision[O]{Skipped: true, Reason: "no weighted majority", Proposals: n}
-}

@@ -1,6 +1,6 @@
 package core
 
-// Fuzz coverage for the five voting schemes. Each target decodes an
+// Fuzz coverage for the four voting schemes. Each target decodes an
 // arbitrary byte string into a proposal list and checks the voting rules
 // R.1–R.3 as executable invariants: agreement thresholds, safe-skip
 // conditions, and (for the median voter) containment in the proposal range.
@@ -56,11 +56,10 @@ func FuzzVoter(f *testing.F) {
 		majority := NewEqualityVoter[int]().Vote(props)
 		unanimous := NewUnanimousVoter[int]().Vote(props)
 		plurality := NewPluralityVoter[int]().Vote(props)
-		weighted := (&WeightedVoter[int]{Eq: func(a, b int) bool { return a == b }}).Vote(props)
 
 		for name, d := range map[string]Decision[int]{
 			"majority": majority, "unanimous": unanimous,
-			"plurality": plurality, "weighted": weighted,
+			"plurality": plurality,
 		} {
 			if n == 0 && !d.Skipped {
 				t.Fatalf("%s: empty proposal list must skip", name)
@@ -111,15 +110,6 @@ func FuzzVoter(f *testing.F) {
 		// A plurality voter only skips on an empty list.
 		if n > 0 && plurality.Skipped {
 			t.Fatal("plurality voter must not skip on non-empty proposals")
-		}
-
-		// With unit weights the weighted voter must reduce to the majority
-		// voter exactly (same skip decision, value, and cluster size).
-		if weighted.Skipped != majority.Skipped {
-			t.Fatalf("unit-weight weighted voter diverged from majority: %+v vs %+v", weighted, majority)
-		}
-		if !weighted.Skipped && (weighted.Value != majority.Value || weighted.Agreeing != majority.Agreeing) {
-			t.Fatalf("unit-weight weighted voter chose %+v, majority chose %+v", weighted, majority)
 		}
 	})
 }

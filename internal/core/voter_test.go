@@ -86,31 +86,6 @@ func TestPluralityVoterNeverSkipsWithProposals(t *testing.T) {
 	}
 }
 
-func TestWeightedVoter(t *testing.T) {
-	weights := map[string]float64{"a": 5, "b": 1, "c": 1}
-	v := &WeightedVoter[int]{
-		Eq:       func(x, y int) bool { return x == y },
-		WeightOf: func(m string) float64 { return weights[m] },
-	}
-	// a=9 outweighs b=c=5 (5 > 7/2).
-	if d := v.Vote(props(9, 5, 5)); d.Skipped || d.Value != 9 {
-		t.Fatalf("weighted vote should favour the heavy module: %+v", d)
-	}
-	// Equal weights reduce to majority.
-	v2 := &WeightedVoter[int]{Eq: func(x, y int) bool { return x == y }}
-	if d := v2.Vote(props(9, 5, 5)); d.Skipped || d.Value != 5 {
-		t.Fatalf("equal-weight vote should pick the majority: %+v", d)
-	}
-	// No majority weight -> skip.
-	weights = map[string]float64{"a": 1, "b": 1, "c": 1}
-	if d := v.Vote(props(1, 2, 3)); !d.Skipped {
-		t.Fatalf("divergent equal weights should skip: %+v", d)
-	}
-	if d := v.Vote(nil); !d.Skipped {
-		t.Fatal("no proposals should skip")
-	}
-}
-
 func TestMajorityVoterApproximateEquality(t *testing.T) {
 	// "equal/similar inputs" (§IV): approximate agreement within 0.5.
 	v := &MajorityVoter[float64]{Eq: func(a, b float64) bool {

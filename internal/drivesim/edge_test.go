@@ -102,7 +102,7 @@ func TestScenarioNPCsShortRoutes(t *testing.T) {
 			t.Fatalf("length %v: %d NPCs, want 2", length, len(npcs))
 		}
 		for _, n := range npcs {
-			if s := n.ArcLength(); s < 0 || s > p.Length() {
+			if s := n.s; s < 0 || s > p.Length() {
 				t.Fatalf("length %v: NPC %d spawned at %v outside [0, %v]",
 					length, n.ID, s, p.Length())
 			}

@@ -114,14 +114,6 @@ type Result struct {
 	AvgGPUUtil float64
 }
 
-// CollisionRate is the ratio of collision frames to total frames (%).
-func (r *Result) CollisionRate() float64 {
-	if r.TotalFrames == 0 {
-		return 0
-	}
-	return 100 * float64(r.CollisionFrames) / float64(r.TotalFrames)
-}
-
 // SkipRatio is the fraction of frames the voter skipped.
 func (r *Result) SkipRatio() float64 {
 	if r.TotalFrames == 0 {
@@ -132,15 +124,14 @@ func (r *Result) SkipRatio() float64 {
 
 // Ego dynamics parameters.
 const (
-	egoRadius    = 1.4  // m, collision circle
-	egoMaxAccel  = 3.0  // m/s²
-	egoMaxBrake  = 8.0  // m/s²
-	wheelBase    = 2.8  // m, bicycle model
-	lookahead    = 7.0  // m, pure-pursuit target distance
-	maxSteer     = 0.9  // rad
-	safeGap      = 10.0 // m, desired gap to a lead obstacle
-	hardStopGap  = 6.0  // m, emergency braking threshold
-	corridorHalf = 2.2  // m, lateral half-width considered "in my lane"
+	egoRadius    = 1.4 // m, collision circle
+	egoMaxAccel  = 3.0 // m/s²
+	egoMaxBrake  = 8.0 // m/s²
+	wheelBase    = 2.8 // m, bicycle model
+	lookahead    = 7.0 // m, pure-pursuit target distance
+	maxSteer     = 0.9 // rad
+	hardStopGap  = 6.0 // m, emergency braking threshold
+	corridorHalf = 2.2 // m, lateral half-width considered "in my lane"
 )
 
 // costAccount models the per-frame perception compute cost, reproducing the
@@ -545,20 +536,3 @@ func (PerfectPerception) FunctionalModules() int { return 1 }
 
 // RejuvenatingModules implements PerceptionSystem.
 func (PerfectPerception) RejuvenatingModules() int { return 0 }
-
-// BlindPerception never sees anything — the worst-case baseline showing the
-// scenarios genuinely contain rear-end hazards.
-type BlindPerception struct{}
-
-var _ PerceptionSystem = (*BlindPerception)(nil)
-
-// Perceive implements PerceptionSystem.
-func (BlindPerception) Perceive(float64, Scene) (PerceptionResult, error) {
-	return PerceptionResult{}, nil
-}
-
-// FunctionalModules implements PerceptionSystem.
-func (BlindPerception) FunctionalModules() int { return 1 }
-
-// RejuvenatingModules implements PerceptionSystem.
-func (BlindPerception) RejuvenatingModules() int { return 0 }

@@ -154,9 +154,3 @@ func (n *NPC) Object() Object {
 	st := n.State()
 	return Object{ID: n.ID, Pos: st.Pos, Speed: st.Speed, Heading: st.Heading}
 }
-
-// ArcLength returns the NPC's position along its path.
-func (n *NPC) ArcLength() float64 { return n.s }
-
-// SetSpeed overrides the NPC speed (collision response).
-func (n *NPC) SetSpeed(v float64) { n.speed = v }

@@ -226,6 +226,20 @@ func TestFig4dAlphaHurtsRedundancy(t *testing.T) {
 	}
 }
 
+// crossovers reports the x values at which seriesA overtakes seriesB or falls
+// behind it, in sweep order.
+func crossovers(r *Fig4Result, seriesA, seriesB func(Fig4Point) float64) []float64 {
+	var xs []float64
+	for i := 1; i < len(r.Points); i++ {
+		prev := seriesA(r.Points[i-1]) - seriesB(r.Points[i-1])
+		cur := seriesA(r.Points[i]) - seriesB(r.Points[i])
+		if (prev < 0 && cur >= 0) || (prev > 0 && cur <= 0) {
+			xs = append(xs, r.Points[i].X)
+		}
+	}
+	return xs
+}
+
 // TestFig4eCrossoverExists: a rejuvenated single version beats the
 // non-rejuvenated three-version system for small p and loses for large p,
 // and the non-rejuvenated two-version system overtakes the rejuvenated
@@ -239,10 +253,10 @@ func TestFig4eCrossoverExists(t *testing.T) {
 			t.Errorf("%s crossovers at %v, want one in (%v, %v]", name, xs, lo, hi)
 		}
 	}
-	bracket("1v w/ vs 3v w/o", res.Crossovers(
+	bracket("1v w/ vs 3v w/o", crossovers(res,
 		func(p Fig4Point) float64 { return p.With[1] },
 		func(p Fig4Point) float64 { return p.Without[3] }), 0.065, 0.0925)
-	bracket("2v w/o vs 3v w/", res.Crossovers(
+	bracket("2v w/o vs 3v w/", crossovers(res,
 		func(p Fig4Point) float64 { return p.Without[2] },
 		func(p Fig4Point) float64 { return p.With[3] }), 0.12, 0.1475)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"mvml/internal/reliability"
 )
@@ -228,20 +227,4 @@ func (r *Fig4Result) Render() string {
 			f6(p.Without[3]), f6(p.With[3]))
 	}
 	return t.String()
-}
-
-// Crossovers reports the x values at which one series overtakes another —
-// the paper highlights, e.g., where a rejuvenated single version beats a
-// non-rejuvenated three-version system in Fig. 4(e).
-func (r *Fig4Result) Crossovers(seriesA, seriesB func(Fig4Point) float64) []float64 {
-	var xs []float64
-	for i := 1; i < len(r.Points); i++ {
-		prev := seriesA(r.Points[i-1]) - seriesB(r.Points[i-1])
-		cur := seriesA(r.Points[i]) - seriesB(r.Points[i])
-		if (prev < 0 && cur >= 0) || (prev > 0 && cur <= 0) {
-			xs = append(xs, r.Points[i].X)
-		}
-	}
-	sort.Float64s(xs)
-	return xs
 }

@@ -182,25 +182,6 @@ func RevertAll(injs []Injection) {
 	}
 }
 
-// AdversarialNoise perturbs an input sample with bounded uniform noise,
-// modelling a simple input-space adversarial attack (the faults rejuvenation
-// does NOT defend against; used by ablation experiments). The input is
-// modified in place and clamped to [0, 1].
-func AdversarialNoise(x *tensor.Tensor, epsilon float64, r *xrand.Rand) error {
-	if epsilon < 0 {
-		return fmt.Errorf("faultinject: negative epsilon %v", epsilon)
-	}
-	for i := range x.Data {
-		x.Data[i] += float32(r.Uniform(-epsilon, epsilon))
-		if x.Data[i] < 0 {
-			x.Data[i] = 0
-		} else if x.Data[i] > 1 {
-			x.Data[i] = 1
-		}
-	}
-	return nil
-}
-
 // CalibrationResult describes a compromise calibrated to an accuracy band.
 type CalibrationResult struct {
 	Seed     uint64

@@ -153,35 +153,6 @@ func TestGaussianWeightNoiseRejectsBadSigma(t *testing.T) {
 	}
 }
 
-func TestAdversarialNoiseBoundedAndClamped(t *testing.T) {
-	r := xrand.New(8)
-	x := tensor.New(100)
-	x.Fill(0.5)
-	orig := x.Clone()
-	if err := AdversarialNoise(x, 0.1, r); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x.Data {
-		d := math.Abs(float64(x.Data[i] - orig.Data[i]))
-		if d > 0.1+1e-6 {
-			t.Fatalf("perturbation %v exceeds epsilon", d)
-		}
-	}
-	// Clamping: start at 1.0, noise cannot push above 1.
-	x.Fill(1)
-	if err := AdversarialNoise(x, 0.5, r); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range x.Data {
-		if v > 1 || v < 0 {
-			t.Fatalf("value %v escaped [0,1]", v)
-		}
-	}
-	if err := AdversarialNoise(x, -1, r); err == nil {
-		t.Fatal("expected error for negative epsilon")
-	}
-}
-
 // syntheticEval builds samples a fresh LeNet classifies arbitrarily; we only
 // need a deterministic evaluation set for calibration tests.
 func syntheticEval(n int, r *xrand.Rand) []nn.Sample {

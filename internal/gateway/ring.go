@@ -85,23 +85,6 @@ func (r *Ring) Add(shard string) error {
 	return nil
 }
 
-// Remove deletes a shard's virtual nodes. Its keyspace falls to the
-// clockwise successors; every other key keeps its owner.
-func (r *Ring) Remove(shard string) error {
-	if _, ok := r.shards[shard]; !ok {
-		return fmt.Errorf("gateway: shard %q not on ring", shard)
-	}
-	delete(r.shards, shard)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	return nil
-}
-
 // Size returns the number of shards on the ring.
 func (r *Ring) Size() int { return len(r.shards) }
 

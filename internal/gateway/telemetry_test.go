@@ -44,16 +44,10 @@ type fleetTrace struct {
 	rejuv   []int
 }
 
-// runFleet routes n sequential requests over two real shards, compromising
-// one version of shard-0 at request 0 and one of shard-1 at request n/2.
-// After each reply it waits until every shard reads Healthy again: the vote
-// observes the window before the reply is sent, so a trip is visible by then
-// and its drain has finished (and reset the window) when the wait ends. No
-// request races a drain, and the run is deterministic.
-func runFleet(t *testing.T, rt *obs.Runtime, h *health.Options, n int) fleetTrace {
+// fleetShards builds the fleet's two real shards, shard-0 and shard-1, over
+// tinyNet; the test's cleanup closes them.
+func fleetShards(t *testing.T, rt *obs.Runtime, h *health.Options) []*LocalShard {
 	t.Helper()
-	gw := New(Config{}, rt)
-	defer gw.Close()
 	var shards []*LocalShard
 	for i := 0; i < 2; i++ {
 		cfg := serve.DefaultConfig()
@@ -68,15 +62,32 @@ func runFleet(t *testing.T, rt *obs.Runtime, h *health.Options, n int) fleetTrac
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		t.Cleanup(srv.Close)
 		sh, err := NewLocalShard(srv)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards = append(shards, sh)
+	}
+	return shards
+}
+
+// runFleet routes n sequential requests over two real shards, compromising
+// one version of shard-0 at request 0 and one of shard-1 at request n/2.
+// After each reply it waits until every shard reads Healthy again: the vote
+// observes the window before the reply is sent, so a trip is visible by then
+// and its drain has finished (and reset the window) when the wait ends. No
+// request races a drain, and the run is deterministic.
+func runFleet(t *testing.T, rt *obs.Runtime, h *health.Options, n int) fleetTrace {
+	t.Helper()
+	shards := fleetShards(t, rt, h)
+	gw := New(Config{}, rt)
+	defer gw.Close()
+	for _, sh := range shards {
+		defer sh.Close() // before a second runFleet in the same test starts
 		if err := gw.AddShard(sh); err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, sh)
 	}
 	rejuvenations := func() int {
 		total := 0
@@ -153,5 +164,51 @@ func TestRoutingIndependentOfTelemetry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare.rejuv, tele.rejuv) {
 		t.Fatalf("rejuvenations after requests %v without telemetry, %v with", bare.rejuv, tele.rejuv)
+	}
+}
+
+// staleShard is a real shard as a gateway sees it a moment before its server
+// closes: the plan still reads it Healthy (a closed LocalShard reads Critical
+// at once, so in process only this race reaches a failover).
+type staleShard struct{ *LocalShard }
+
+func (staleShard) Level() health.Level { return health.Healthy }
+
+// TestClosedOwnerFailsOverToSuccessor: runFleet's two real shards, and the
+// owner of a set of keys closes. Each of those requests tries the owner,
+// gets serve.ErrClosed and is answered by the ring successor on a failover;
+// none fails.
+func TestClosedOwnerFailsOverToSuccessor(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	shards := fleetShards(t, rt, nil)
+	gw := New(Config{RetryRatio: 1}, rt) // one failover per request
+	defer gw.Close()
+	for _, sh := range shards {
+		if err := gw.AddShard(staleShard{sh}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var keys []string
+	for i := 0; len(keys) < 8; i++ {
+		if key := fmt.Sprintf("req:%d", i); gw.ring.Lookup(key) == "shard-0" {
+			keys = append(keys, key)
+		}
+	}
+	shards[0].Close()
+	for i, key := range keys {
+		img := signs.Render(i%signs.NumClasses, xrand.New(uint64(i)), signs.DefaultConfig())
+		_, info, err := gw.Classify(key, "gate", img)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if want := []string{"shard-0", "shard-1"}; info.Shard != "shard-1" || !reflect.DeepEqual(info.Attempts, want) {
+			t.Fatalf("%s: answered by %s after %v, want shard-1 after %v", key, info.Shard, info.Attempts, want)
+		}
+	}
+	if got := gw.m.failovers.Value(); got < 1 {
+		t.Fatalf("failover counter %d, want >= 1", got)
+	}
+	if got := gw.m.failed.Value(); got != 0 {
+		t.Fatalf("%d requests failed, want 0", got)
 	}
 }

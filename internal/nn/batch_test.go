@@ -99,8 +99,8 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 						t.Fatalf("sample %d logit %d: batched %v, per-sample %v", i, j, row[j], v)
 					}
 				}
-				if preds[i] != single.ArgMax() {
-					t.Fatalf("sample %d: batched class %d, per-sample %d", i, preds[i], single.ArgMax())
+				if want := argmax(single.Data); preds[i] != want {
+					t.Fatalf("sample %d: batched class %d, per-sample %d", i, preds[i], want)
 				}
 			}
 		})

@@ -1,59 +1,6 @@
 package nn
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
-
-// snapshot is the serialised form of a network's trainable state.
-type snapshot struct {
-	Name   string
-	Shapes [][]int
-	Data   [][]float32
-}
-
-// SaveWeights writes the network's trainable parameters to w (gob encoded).
-// The architecture itself is not stored; reload into a network built by the
-// same constructor.
-func (n *Network) SaveWeights(w io.Writer) error {
-	params := n.Params()
-	snap := snapshot{
-		Name:   n.Name,
-		Shapes: make([][]int, 0, len(params)),
-		Data:   make([][]float32, 0, len(params)),
-	}
-	for _, p := range params {
-		snap.Shapes = append(snap.Shapes, p.Shape)
-		snap.Data = append(snap.Data, p.Data)
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("nn: encoding weights for %s: %w", n.Name, err)
-	}
-	return nil
-}
-
-// LoadWeights restores trainable parameters previously written by
-// SaveWeights. The target network must have the same architecture.
-func (n *Network) LoadWeights(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("nn: decoding weights: %w", err)
-	}
-	params := n.Params()
-	if len(snap.Data) != len(params) {
-		return fmt.Errorf("nn: snapshot has %d tensors, network %s has %d",
-			len(snap.Data), n.Name, len(params))
-	}
-	for i, p := range params {
-		if len(snap.Data[i]) != p.Len() {
-			return fmt.Errorf("nn: tensor %d size %d in snapshot, %d in network",
-				i, len(snap.Data[i]), p.Len())
-		}
-		copy(p.Data, snap.Data[i])
-	}
-	return nil
-}
+import "fmt"
 
 // CloneWeights returns deep copies of the network's parameter values, used
 // by the rejuvenation mechanism as the "safe memory location" a module is

@@ -143,9 +143,6 @@ type GlobalAvgPool struct {
 	name string
 }
 
-// NewGlobalAvgPool returns a global average pooling layer.
-func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{name: name} }
-
 func (l *GlobalAvgPool) Name() string { return l.name }
 
 func (l *GlobalAvgPool) Params() []*tensor.Tensor { return nil }

@@ -100,22 +100,6 @@ func (n *Network) Grads() []*tensor.Tensor {
 	return gs
 }
 
-// ZeroGrads clears all gradient accumulators.
-func (n *Network) ZeroGrads() {
-	for _, g := range n.Grads() {
-		g.Zero()
-	}
-}
-
-// ParamCount returns the total number of trainable scalars.
-func (n *Network) ParamCount() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Len()
-	}
-	return total
-}
-
 // ParamLayer pairs a layer index with its parameter tensors; the fault
 // injector uses this to target "layer k" the way PyTorchFI does.
 type ParamLayer struct {
@@ -139,16 +123,9 @@ func (n *Network) ParamLayers() []ParamLayer {
 	return out
 }
 
-// Softmax converts logits to a probability vector (numerically stabilised).
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(logits.Shape...)
-	softmaxInto(out.Data, logits.Data)
-	return out
-}
-
-// softmaxInto writes Softmax(logits) into out, a slice of the same length:
-// the exponentials and their sum in float64, each stored as float32 and
-// scaled by the float32 reciprocal of the sum.
+// softmaxInto writes the softmax of logits (numerically stabilised) into out,
+// a slice of the same length: the exponentials and their sum in float64, each
+// stored as float32 and scaled by the float32 reciprocal of the sum.
 func softmaxInto(out, logits []float32) {
 	maxv := logits[0]
 	for _, v := range logits[1:] {
@@ -171,19 +148,9 @@ func softmaxInto(out, logits []float32) {
 // ErrBadLabel is returned when a class label is outside the logit range.
 var ErrBadLabel = errors.New("nn: label out of range")
 
-// SoftmaxCrossEntropy returns the cross-entropy loss for one sample and the
-// gradient of the loss w.r.t. the logits.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (float64, *tensor.Tensor, error) {
-	grad := tensor.New(logits.Shape...)
-	loss, err := softmaxCrossEntropyInto(logits, grad, label)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// softmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into
-// grad, a tensor of the logits' length.
+// softmaxCrossEntropyInto returns the cross-entropy loss for one sample and
+// writes the gradient of the loss w.r.t. the logits into grad, a tensor of
+// the logits' length.
 func softmaxCrossEntropyInto(logits, grad *tensor.Tensor, label int) (float64, error) {
 	if label < 0 || label >= logits.Len() {
 		return 0, fmt.Errorf("%w: %d with %d classes", ErrBadLabel, label, logits.Len())

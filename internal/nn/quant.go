@@ -30,14 +30,6 @@ func (q *QuantParams) Scale(l Layer) (tensor.Int8Scale, bool) {
 	return s, ok
 }
 
-// Layers reports how many layers have calibrated scales.
-func (q *QuantParams) Layers() int {
-	if q == nil {
-		return 0
-	}
-	return len(q.scales)
-}
-
 // CalibrateInt8 runs the calibration set through the float32 arena path and
 // records, for every Conv2D and Dense layer, the maximum absolute input
 // activation observed (for convolutions the maximum is taken over the im2col

@@ -81,7 +81,7 @@ func (s *Spec) Predict(x *tensor.Tensor) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return out.ArgMax(), nil
+	return argmax(out.Data), nil
 }
 
 func (s *Spec) forward(l Layer, x *tensor.Tensor, train bool) (*tensor.Tensor, error) {

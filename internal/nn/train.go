@@ -296,7 +296,7 @@ func (l *GlobalAvgPool) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor
 }
 
 // backwardBatch is two GEMMs: dW = Gᵀ·X, whose k runs over the batch — the
-// spec's sample-by-sample dW[o][i] += g·x[i] from the zeros ZeroGrads left —
+// spec's sample-by-sample dW[o][i] += g·x[i] from zeroed gradients —
 // and dX = G·W, each row the spec's ascending-o sum.
 func (d *Dense) backwardBatch(x, g *tensor.Tensor, sc *scratch) (*tensor.Tensor, error) {
 	out, in := d.W.Shape[0], d.W.Shape[1]

@@ -28,7 +28,9 @@ func specStep(net *nn.Network, xs []*tensor.Tensor, opt *nn.SGD,
 	if len(xs) == 0 {
 		return 0, errors.New("empty batch")
 	}
-	net.ZeroGrads()
+	for _, g := range net.Grads() {
+		g.Zero()
+	}
 	spec := nn.NewSpec(net)
 	var total float64
 	for i, x := range xs {

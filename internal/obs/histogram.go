@@ -49,12 +49,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return h
 }
 
-// DefBuckets returns the conventional Prometheus default bounds, suitable
-// for request latencies measured in seconds down to 5 ms.
-func DefBuckets() []float64 {
-	return []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-}
-
 // LatencyBuckets returns exponential bounds from 1 µs to ~2 s, matched to
 // in-process inference and simulation-tick timings.
 func LatencyBuckets() []float64 {
@@ -131,32 +125,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Min returns the smallest observation, or 0 when no finite-comparable
-// value has been observed (empty histogram, nil handle, or NaN-only input).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	v := math.Float64frombits(h.min.Load())
-	if math.IsInf(v, 1) {
-		return 0
-	}
-	return v
-}
-
-// Max returns the largest observation, or 0 when no finite-comparable value
-// has been observed.
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	v := math.Float64frombits(h.max.Load())
-	if math.IsInf(v, -1) {
-		return 0
-	}
-	return v
 }
 
 // Mean returns the average observation, or 0 when empty.

@@ -54,8 +54,8 @@ func FuzzHistogramQuantile(f *testing.F) {
 		if h.Count() != uint64(len(vals)) {
 			t.Fatalf("count %d, want %d", h.Count(), len(vals))
 		}
-		if h.Min() != lo || h.Max() != hi {
-			t.Fatalf("min/max = %v/%v, want %v/%v", h.Min(), h.Max(), lo, hi)
+		if min, max := math.Float64frombits(h.min.Load()), math.Float64frombits(h.max.Load()); min != lo || max != hi {
+			t.Fatalf("min/max = %v/%v, want %v/%v", min, max, lo, hi)
 		}
 
 		// Any quantile estimate must land inside the observed range.

@@ -253,17 +253,6 @@ func (s *SpanSink) Emit(trace, parent uint64, kind string, start, end float64, a
 	return rec.ID
 }
 
-// EmitBatch publishes a batch of already-finished records at once — the
-// whole-trace entry point for components that build complete traces on
-// their own clock (and for replay tooling). The batch flows through the
-// same ring, JSONL and observer path a root span's End uses.
-func (s *SpanSink) EmitBatch(recs []SpanRecord) {
-	if s == nil {
-		return
-	}
-	s.publish(recs)
-}
-
 // publish routes a batch of finished records: ring insertion and JSONL
 // streaming under the ring lock, then every observer with the whole batch.
 // The publish lock spans all three, so concurrent publishers reach the
@@ -327,15 +316,14 @@ func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 // between admission and the batcher provides the happens-before edge), but
 // two goroutines must never touch the same Span concurrently.
 //
-// Child spans buffer their finished records inside the root, so a whole
-// trace costs a single sink-lock acquisition when the root ends — the
+// Intervals buffer their finished records inside the span, so a whole trace
+// costs a single sink-lock acquisition when the span ends — the
 // lock-cheap per-request recorder the serving hot path relies on. A nil
 // *Span is a valid no-op handle.
 type Span struct {
 	sink  *SpanSink
-	root  *Span // self for roots
 	rec   SpanRecord
-	buf   []SpanRecord // root only: finished descendants awaiting publish
+	buf   []SpanRecord // finished intervals awaiting publish
 	ended bool
 }
 
@@ -345,18 +333,8 @@ func (s *SpanSink) StartTrace(kind string) *Span {
 	if s == nil {
 		return nil
 	}
-	sp := &Span{sink: s, rec: SpanRecord{
+	return &Span{sink: s, rec: SpanRecord{
 		Trace: s.NewTraceID(), ID: s.newSpanID(), Kind: kind, Start: s.Now()}}
-	sp.root = sp
-	return sp
-}
-
-// TraceID returns the span's trace id (0 for a nil span).
-func (sp *Span) TraceID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.rec.Trace
 }
 
 // ID returns the span's own id (0 for a nil span).
@@ -378,16 +356,6 @@ func (sp *Span) SetAttr(key string, v any) {
 	sp.rec.Attrs[key] = v
 }
 
-// Child opens a sub-span of the given kind starting now.
-func (sp *Span) Child(kind string) *Span {
-	if sp == nil {
-		return nil
-	}
-	return &Span{sink: sp.sink, root: sp.root, rec: SpanRecord{
-		Trace: sp.rec.Trace, ID: sp.sink.newSpanID(), Parent: sp.rec.ID,
-		Kind: kind, Start: sp.sink.Now()}}
-}
-
 // Interval appends an already-finished child span [start, end] under sp and
 // returns its id, usable as the parent of deeper intervals. This is how the
 // batcher back-fills stages it measured before knowing which requests they
@@ -407,23 +375,16 @@ func (sp *Span) IntervalUnder(parent uint64, kind string, start, end float64, at
 	}
 	rec := SpanRecord{Trace: sp.rec.Trace, ID: sp.sink.newSpanID(), Parent: parent,
 		Kind: kind, Start: start, End: end, Attrs: attrs}
-	sp.root.deposit(rec)
+	if sp.ended {
+		sp.sink.publish([]SpanRecord{rec}) // a late interval: the span has gone out
+	} else {
+		sp.buf = append(sp.buf, rec)
+	}
 	return rec.ID
 }
 
-// deposit buffers one finished record in the root, or publishes directly
-// when the root has already gone out (late child).
-func (root *Span) deposit(rec SpanRecord) {
-	if root.ended {
-		root.sink.publish([]SpanRecord{rec})
-		return
-	}
-	root.buf = append(root.buf, rec)
-}
-
-// End finishes the span now. A child deposits its record into the root; the
-// root publishes every buffered descendant plus itself in one batch.
-// Idempotent: a second End is a no-op.
+// End finishes the span now, publishing every buffered interval plus the span
+// itself in one batch. Idempotent: a second End is a no-op.
 func (sp *Span) End() {
 	if sp == nil {
 		return
@@ -438,10 +399,6 @@ func (sp *Span) EndAt(end float64) {
 	}
 	sp.ended = true
 	sp.rec.End = end
-	if sp.root != sp {
-		sp.root.deposit(sp.rec)
-		return
-	}
 	recs := append(sp.buf, sp.rec)
 	sp.buf = nil
 	sp.sink.publish(recs)

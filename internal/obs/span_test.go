@@ -10,8 +10,7 @@ func TestSpanTraceStructure(t *testing.T) {
 	s := NewSpanSink(64)
 	root := s.StartTrace("request")
 	root.SetAttr("class", 3)
-	child := root.Child("vote")
-	child.End()
+	root.Interval("vote", 0.25, 0.5, nil)
 	id := root.Interval("queue_wait", 0.5, 1.5, nil)
 	if id == 0 {
 		t.Fatal("Interval returned id 0")
@@ -28,8 +27,8 @@ func TestSpanTraceStructure(t *testing.T) {
 	}
 	byKind := map[string]SpanRecord{}
 	for _, r := range recs {
-		if r.Trace != root.TraceID() {
-			t.Fatalf("span %q has trace %d, want %d", r.Kind, r.Trace, root.TraceID())
+		if r.Trace != recs[len(recs)-1].Trace {
+			t.Fatalf("span %q has trace %d, want %d", r.Kind, r.Trace, recs[len(recs)-1].Trace)
 		}
 		byKind[r.Kind] = r
 	}
@@ -92,15 +91,12 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	// Every method of a nil span is a no-op.
 	sp.SetAttr("k", 1)
-	if sp.Child("c") != nil {
-		t.Fatal("nil span produced a child")
-	}
 	if sp.Interval("i", 0, 1, nil) != 0 || sp.IntervalUnder(7, "i", 0, 1, nil) != 0 {
 		t.Fatal("nil span recorded an interval")
 	}
 	sp.End()
 	sp.EndAt(5)
-	if sp.TraceID() != 0 || sp.ID() != 0 {
+	if sp.ID() != 0 {
 		t.Fatal("nil span has ids")
 	}
 }
@@ -127,7 +123,7 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s.SetWriter(&buf)
 	root := s.StartTrace("request")
-	root.Child("vote").End()
+	root.Interval("vote", 0, 0, nil)
 	root.End()
 	s.Emit(9, 0, "rejuvenation", 1, 2, map[string]any{"version": "b"})
 	if err := s.Flush(); err != nil {
@@ -154,14 +150,13 @@ func TestSpanIDsUnique(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 16; i++ {
 		sp := s.StartTrace("request")
-		c := sp.Child("c")
-		for _, id := range []uint64{sp.ID(), c.ID()} {
+		c := sp.Interval("c", 0, 0, nil)
+		for _, id := range []uint64{sp.ID(), c} {
 			if id == 0 || seen[id] {
 				t.Fatalf("duplicate or zero span id %d", id)
 			}
 			seen[id] = true
 		}
-		c.End()
 		sp.End()
 	}
 }

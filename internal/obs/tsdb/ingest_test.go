@@ -56,7 +56,9 @@ func TestLiveEqualsReplay(t *testing.T) {
 	sink.Attach(NewIngester(live, nil))
 
 	for i := 0; i < 120; i++ {
-		sink.EmitBatch(buildTrace(i))
+		for _, r := range buildTrace(i) {
+			sink.Emit(r.Trace, r.Parent, r.Kind, r.Start, r.End, r.Attrs)
+		}
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)

@@ -185,9 +185,6 @@ func (v *DetectorVersion) Restore() error {
 	return nil
 }
 
-// Compromised reports the current behaviour mode.
-func (v *DetectorVersion) Compromised() bool { return v.compromised }
-
 // Infer implements core.Version: it returns the detections for one frame.
 // All randomness is a pure function of (seed, version, frame/window,
 // object), so re-running a scenario is reproducible.
@@ -511,9 +508,4 @@ func (p *Pipeline) RejuvenatingModules() int {
 		}
 	}
 	return count
-}
-
-// System exposes the underlying multi-version system for stats inspection.
-func (p *Pipeline) System() *core.System[drivesim.Scene, []drivesim.Detection] {
-	return p.sys
 }

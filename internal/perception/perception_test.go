@@ -83,7 +83,7 @@ func TestCompromisedMissRates(t *testing.T) {
 	if err := v.Compromise(); err != nil {
 		t.Fatal(err)
 	}
-	if !v.Compromised() {
+	if !v.compromised {
 		t.Fatal("Compromise did not flip the flag")
 	}
 	// Count per-window detection of a near and a far object. A detection
@@ -121,7 +121,7 @@ func TestCompromisedMissRates(t *testing.T) {
 	if err := v.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	if v.Compromised() {
+	if v.compromised {
 		t.Fatal("Restore did not clear the flag")
 	}
 }

@@ -67,10 +67,8 @@ type Place struct {
 	index int
 }
 
-// Index returns the place's position in markings.
-func (p *Place) Index() int { return p.index }
-
-// Marking is the token count per place, indexed by Place.Index.
+// Marking is the token count per place, indexed by the place's position
+// in the net.
 type Marking []int
 
 // Count returns the token count of a place.
@@ -179,12 +177,6 @@ func NewNet(name string) *Net {
 
 // Name returns the net's name.
 func (n *Net) Name() string { return n.name }
-
-// Places returns the net's places in index order.
-func (n *Net) Places() []*Place { return n.places }
-
-// Transitions returns the net's transitions in creation order.
-func (n *Net) Transitions() []*Transition { return n.transitions }
 
 // AddPlace adds a place holding the given initial token count.
 func (n *Net) AddPlace(name string, initial int) *Place {

@@ -8,6 +8,18 @@ import (
 	"mvml/internal/xrand"
 )
 
+// probability sums the steady-state probability of the markings satisfying
+// pred.
+func probability(res *Solution, pred func(Marking) bool) float64 {
+	var total float64
+	for i, m := range res.States {
+		if pred(m) {
+			total += res.Pi[i]
+		}
+	}
+	return total
+}
+
 // buildCycle returns a 3-state cycle net P1 -> P2 -> P3 -> P1 with
 // exponential transitions of the given mean delays.
 func buildCycle(d1, d2, d3 float64) (*Net, [3]*Place) {
@@ -64,7 +76,7 @@ func TestFireMovesTokens(t *testing.T) {
 	if m.Count(places[0]) != 1 || m.Count(places[1]) != 0 {
 		t.Fatalf("unexpected initial marking %v", m)
 	}
-	next, err := n.Fire(m, n.Transitions()[0])
+	next, err := n.Fire(m, n.transitions[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +88,7 @@ func TestFireMovesTokens(t *testing.T) {
 		t.Fatal("Fire mutated the source marking")
 	}
 	// Firing a disabled transition errors.
-	if _, err := n.Fire(next, n.Transitions()[0]); err == nil {
+	if _, err := n.Fire(next, n.transitions[0]); err == nil {
 		t.Fatal("expected error firing disabled transition")
 	}
 }
@@ -103,7 +115,7 @@ func TestInhibitorArcDisables(t *testing.T) {
 		t.Fatal("transition should be inhibited")
 	}
 	m := n.InitialMarking()
-	m[blocker.Index()] = 0
+	m[blocker.index] = 0
 	if !tr.EnabledIn(m) {
 		t.Fatal("transition should be enabled once the inhibitor clears")
 	}
@@ -120,7 +132,7 @@ func TestGuardDisables(t *testing.T) {
 		t.Fatal("guard should disable the transition")
 	}
 	m := n.InitialMarking()
-	m[flag.Index()] = 1
+	m[flag.index] = 1
 	if !tr.EnabledIn(m) {
 		t.Fatal("transition should be enabled when the guard holds")
 	}
@@ -136,28 +148,10 @@ func TestCTMCCycleMatchesAnalytic(t *testing.T) {
 	}
 	want := []float64{0.2, 0.3, 0.5}
 	for i, p := range places {
-		got := res.Probability(func(m Marking) bool { return m.Count(p) == 1 })
+		got := probability(res, func(m Marking) bool { return m.Count(p) == 1 })
 		if math.Abs(got-want[i]) > 1e-9 {
 			t.Errorf("state %d probability %v, want %v", i, got, want[i])
 		}
-	}
-}
-
-func TestCTMCExpectedReward(t *testing.T) {
-	n, places := buildCycle(1, 1, 2)
-	res, err := SolveDSPN(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reward 1 in state 3 (prob 0.5), 0 elsewhere.
-	got := res.ExpectedReward(func(m Marking) float64 {
-		if m.Count(places[2]) == 1 {
-			return 1
-		}
-		return 0
-	})
-	if math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("expected reward %v, want 0.5", got)
 	}
 }
 
@@ -201,9 +195,9 @@ func TestCTMCImmediateVanishingElimination(t *testing.T) {
 	wantP1 := 1.0 / 4.5
 	wantA := 0.25 * 2 / 4.5
 	wantB := 0.75 * 4 / 4.5
-	gotP1 := res.Probability(func(m Marking) bool { return m.Count(p1) == 1 })
-	gotA := res.Probability(func(m Marking) bool { return m.Count(pa) == 1 })
-	gotB := res.Probability(func(m Marking) bool { return m.Count(pb) == 1 })
+	gotP1 := probability(res, func(m Marking) bool { return m.Count(p1) == 1 })
+	gotA := probability(res, func(m Marking) bool { return m.Count(pa) == 1 })
+	gotB := probability(res, func(m Marking) bool { return m.Count(pb) == 1 })
 	if math.Abs(gotP1-wantP1) > 1e-9 || math.Abs(gotA-wantA) > 1e-9 || math.Abs(gotB-wantB) > 1e-9 {
 		t.Fatalf("probabilities (%v, %v, %v), want (%v, %v, %v)", gotP1, gotA, gotB, wantP1, wantA, wantB)
 	}
@@ -247,7 +241,7 @@ func TestCTMCPriorityBeatsWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Probability(func(m Marking) bool { return m.Count(pb) == 1 }); got != 0 {
+	if got := probability(res, func(m Marking) bool { return m.Count(pb) == 1 }); got != 0 {
 		t.Fatalf("low-priority branch has probability %v, want 0", got)
 	}
 }
@@ -275,12 +269,12 @@ func TestErlangApproximationMatchesDeterministic(t *testing.T) {
 	// the OFF state: occupancy of P2 = E[off]/(E[on]+E[off]) = 0.2. For
 	// this cyclic net the mean-value argument is exact for any stage
 	// count. Original place indices survive the transformation.
-	gotOff := res.Probability(func(m Marking) bool { return m[p2.Index()] == 1 })
+	gotOff := probability(res, func(m Marking) bool { return m[p2.index] == 1 })
 	if math.Abs(gotOff-0.2) > 1e-6 {
 		t.Fatalf("Erlang-approximated OFF occupancy %v, want 0.2", gotOff)
 	}
 	// And the ON side (everything not in P2) complements it.
-	gotOn := res.Probability(func(m Marking) bool { return m[p2.Index()] == 0 })
+	gotOn := probability(res, func(m Marking) bool { return m[p2.index] == 0 })
 	if math.Abs(gotOn-0.8) > 1e-6 {
 		t.Fatalf("Erlang-approximated ON occupancy %v, want 0.8", gotOn)
 	}
@@ -303,11 +297,11 @@ func TestErlangApproximationStageCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5 stages -> 5 exponential transitions replacing T, plus B.
-	if got := len(approx.Transitions()); got != 6 {
+	if got := len(approx.transitions); got != 6 {
 		t.Fatalf("%d transitions after transformation, want 6", got)
 	}
 	// 4 intermediate phase places plus the 2 originals.
-	if got := len(approx.Places()); got != 6 {
+	if got := len(approx.places); got != 6 {
 		t.Fatalf("%d places after transformation, want 6", got)
 	}
 	if _, err := ErlangApproximation(n, 0); err == nil {
@@ -389,10 +383,10 @@ func TestSolveDSPNClockResetMatchesAnalytic(t *testing.T) {
 	}
 	healthy := func(m Marking) bool { return m.Count(h) == 1 }
 	want := (1 - math.Exp(-lambda*tau)) / (lambda * tau)
-	if got := res.Probability(healthy); math.Abs(got-want) > 1e-9 {
+	if got := probability(res, healthy); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("steady-state P(H) = %.12f, want %.12f", got, want)
 	}
-	if got := res.Probability(func(m Marking) bool { return m.Count(n1) == 1 }); math.Abs(got-0.5) > 1e-9 {
+	if got := probability(res, func(m Marking) bool { return m.Count(n1) == 1 }); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("steady-state P(N1) = %.12f, want 0.5", got)
 	}
 	for _, c := range []struct{ t, s float64 }{{0, 0}, {1.5, 1.5}, {3, 3}, {4.5, 1.5}, {6, 3}, {7, 1}} {
@@ -442,8 +436,8 @@ func TestSolveDSPNRejectsDisabledDeterministic(t *testing.T) {
 
 	twice, _, _ := clockResetNet(4, 3)
 	extra := twice.AddDeterministic("Trc2", 5)
-	twice.AddInput(twice.Places()[0], extra, 1)
-	twice.AddOutput(extra, twice.Places()[0], 1)
+	twice.AddInput(twice.places[0], extra, 1)
+	twice.AddOutput(extra, twice.places[0], 1)
 	if _, err := SolveDSPN(twice); err == nil || !strings.Contains(err.Error(), `"Trc" and "Trc2"`) {
 		t.Fatalf("two clocks: got %v, want both named", err)
 	}

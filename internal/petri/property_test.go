@@ -182,7 +182,7 @@ func TestPropertyErlangConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := res.Probability(func(m Marking) bool { return m[p2.Index()] == 1 })
+		got := probability(res, func(m Marking) bool { return m[p2.index] == 1 })
 		want := offMean / (onDelay + offMean)
 		return math.Abs(got-want) < 1e-6
 	}

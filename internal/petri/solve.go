@@ -27,27 +27,6 @@ type Solution struct {
 	tau  float64     // the clock's delay
 }
 
-// Probability sums steady-state probability over markings satisfying pred.
-func (r *Solution) Probability(pred func(Marking) bool) float64 {
-	var total float64
-	for i, m := range r.States {
-		if pred(m) {
-			total += r.Pi[i]
-		}
-	}
-	return total
-}
-
-// ExpectedReward computes the steady-state expectation of a reward function,
-// i.e. Eq. 3 of the paper with R(m) as the per-state reward.
-func (r *Solution) ExpectedReward(reward func(Marking) float64) float64 {
-	var total float64
-	for i, m := range r.States {
-		total += r.Pi[i] * reward(m)
-	}
-	return total
-}
-
 // SolveDSPN computes the exact steady-state distribution of a net with at
 // most one deterministic transition. Immediate transitions are allowed;
 // vanishing markings are eliminated on the fly by following weighted

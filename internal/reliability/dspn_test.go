@@ -200,9 +200,14 @@ func TestStateOfCountsRejuvenatingAsNonFunctional(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := model.Net.InitialMarking()
-	mk[model.Pmh.Index()] = 1
-	mk[model.Pmc.Index()] = 1
-	mk[model.Pmr.Index()] = 1
+	for i := range mk {
+		// One token on each of Pmh, Pmc and Pmr, found through Count.
+		probe := make(petri.Marking, len(mk))
+		probe[i] = 1
+		if probe.Count(model.Pmh)+probe.Count(model.Pmc)+probe.Count(model.Pmr) == 1 {
+			mk[i] = 1
+		}
+	}
 	s := model.StateOf(mk)
 	if s != (State{Healthy: 1, Compromised: 1, NonFunctional: 1}) {
 		t.Fatalf("state %v, want (1,1,1)", s)

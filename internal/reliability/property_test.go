@@ -118,7 +118,7 @@ func TestPropertyExactSolverProducesDistribution(t *testing.T) {
 		}
 		var total float64
 		for s, p := range res.StateProbs {
-			if p < -1e-12 || s.Total() != 3 {
+			if p < -1e-12 || s.Healthy+s.Compromised+s.NonFunctional != 3 {
 				return false
 			}
 			total += p

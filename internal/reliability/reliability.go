@@ -135,12 +135,6 @@ func (s State) String() string {
 	return fmt.Sprintf("(%d,%d,%d)", s.Healthy, s.Compromised, s.NonFunctional)
 }
 
-// Total returns the module count n = i + j + k.
-func (s State) Total() int { return s.Healthy + s.Compromised + s.NonFunctional }
-
-// Functional returns the number of modules producing outputs (i + j).
-func (s State) Functional() int { return s.Healthy + s.Compromised }
-
 // StateReliability evaluates the reliability reward R_{i,j,k} for a state,
 // i.e. the entries of the matrices R_f2 (Eq. 4) and R_f3 (Eq. 5) plus the
 // single-version values. The value depends only on (i, j): k non-functional

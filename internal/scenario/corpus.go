@@ -12,10 +12,6 @@ import (
 	"strings"
 )
 
-// CorpusDir is the repository-relative location of the counterexample
-// corpus, replayed by TestCorpusReplay on every `go test ./...`.
-const CorpusDir = "testdata/corpus"
-
 // Entry is one corpus record: a minimized violating scenario plus the exact
 // metrics its evaluation must reproduce.
 type Entry struct {

@@ -27,11 +27,15 @@ import (
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite stored corpus metrics from the current implementation")
 
+// corpusDir is the counterexample corpus, replayed by TestCorpusReplay on
+// every `go test ./...`.
+const corpusDir = "testdata/corpus"
+
 // minCorpusEntries is the floor the corpus must never shrink below.
 const minCorpusEntries = 8
 
 func TestCorpusReplay(t *testing.T) {
-	entries, names, err := LoadCorpus(CorpusDir)
+	entries, names, err := LoadCorpus(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestCorpusReplay(t *testing.T) {
 					t.Logf("refreshing metrics: %s -> %s", DescribeMetrics(e.Metrics), DescribeMetrics(got))
 				}
 				e.Metrics = got
-				if _, err := WriteEntry(CorpusDir, e); err != nil {
+				if _, err := WriteEntry(corpusDir, e); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +75,7 @@ func TestCorpusReplay(t *testing.T) {
 // re-encoding each file must reproduce its bytes exactly, so no tool or
 // editor churn can hide in the corpus diff history.
 func TestCorpusEntryRoundTrip(t *testing.T) {
-	names, err := filepath.Glob(filepath.Join(CorpusDir, "*.json"))
+	names, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

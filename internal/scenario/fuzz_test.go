@@ -9,17 +9,17 @@ import (
 	"mvml/internal/xrand"
 )
 
-// FuzzScenarioRoundTrip: any byte string that decodes into a scenario must
-// re-encode canonically — encode∘decode∘encode is byte-identical — so there
-// is exactly one on-disk form per scenario and corpus diffs are always
-// semantic.
+// FuzzScenarioRoundTrip: any byte string that decodes into a corpus entry
+// must re-encode canonically — encode∘decode∘encode is byte-identical — so
+// there is exactly one on-disk form per entry and corpus diffs are always
+// semantic. The banked corpus files seed it.
 func FuzzScenarioRoundTrip(f *testing.F) {
 	sp := DefaultSpace()
 	for seed := uint64(0); seed < 5; seed++ {
-		f.Add(Sample(sp, xrand.New(seed)).MustEncode())
+		f.Add(mustEncodeEntry(f, Entry{Scenario: Sample(sp, xrand.New(seed))}))
 	}
-	f.Add(sampleScenarioForFuzz().MustEncode())
-	if names, err := filepath.Glob(filepath.Join(CorpusDir, "*.json")); err == nil {
+	f.Add(mustEncodeEntry(f, Entry{Scenario: sampleScenarioForFuzz(), Note: "fuzz seed"}))
+	if names, err := filepath.Glob(filepath.Join(corpusDir, "*.json")); err == nil {
 		for _, name := range names {
 			if data, err := os.ReadFile(name); err == nil {
 				f.Add(data)
@@ -27,19 +27,19 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
+		e, err := DecodeEntry(data)
 		if err != nil {
 			return // invalid inputs only need to be rejected cleanly
 		}
-		b1, err := s.Encode()
+		b1, err := EncodeEntry(e)
 		if err != nil {
-			t.Fatalf("decoded scenario failed to encode: %v", err)
+			t.Fatalf("decoded entry failed to encode: %v", err)
 		}
-		s2, err := Decode(b1)
+		e2, err := DecodeEntry(b1)
 		if err != nil {
 			t.Fatalf("canonical bytes failed to decode: %v\n%s", err, b1)
 		}
-		b2, err := s2.Encode()
+		b2, err := EncodeEntry(e2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,6 +47,15 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 			t.Fatalf("canonical encoding not a fixpoint:\n%s\nvs\n%s", b1, b2)
 		}
 	})
+}
+
+func mustEncodeEntry(tb testing.TB, e Entry) []byte {
+	tb.Helper()
+	data, err := EncodeEntry(e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // sampleScenarioForFuzz is a hand-built every-feature scenario seed.

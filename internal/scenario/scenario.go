@@ -12,7 +12,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -304,24 +303,4 @@ func (s Scenario) MustEncode() []byte {
 		panic(err)
 	}
 	return data
-}
-
-// Decode parses and validates a scenario. Unknown fields are rejected — a
-// corpus file written by a future DSL version fails loudly here instead of
-// being silently reinterpreted.
-func Decode(data []byte) (Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
-		return Scenario{}, fmt.Errorf("scenario: decode: %w", err)
-	}
-	// Trailing garbage after the document is a corrupt file, not a scenario.
-	if dec.More() {
-		return Scenario{}, fmt.Errorf("scenario: trailing data after document")
-	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
 }

@@ -37,16 +37,12 @@ func sampleValid() Scenario {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := sampleValid()
-	b1, err := s.Encode()
+	b1 := mustEncodeEntry(t, Entry{Scenario: sampleValid(), Note: "kitchen sink"})
+	e, err := DecodeEntry(b1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Decode(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := s2.Encode()
+	b2, err := EncodeEntry(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +52,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	valid := sampleValid().MustEncode()
 	cases := []struct {
 		name   string
 		mangle func(Scenario) Scenario
@@ -92,7 +87,7 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.mangle(mustDecode(t, valid))
+			s := tc.mangle(sampleValid())
 			err := s.Validate()
 			if err == nil {
 				t.Fatal("expected validation error")
@@ -102,15 +97,6 @@ func TestDecodeRejects(t *testing.T) {
 			}
 		})
 	}
-}
-
-func mustDecode(t *testing.T, data []byte) Scenario {
-	t.Helper()
-	s, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 // TestValidateRejectsNonFinite: NaN and Inf are unrepresentable in JSON, so
@@ -138,11 +124,13 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownFieldsAndTrailer(t *testing.T) {
-	if _, err := Decode([]byte(`{"version": 1, "turbo": true}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, doc := range []string{`{"scenario": {"version": 1, "turbo": true}}`, `{"scenario": {"version": 1}, "turbo": true}`} {
+		if _, err := DecodeEntry([]byte(doc)); err == nil {
+			t.Fatalf("unknown field accepted: %s", doc)
+		}
 	}
-	trailer := append(sampleValid().MustEncode(), []byte("{}")...)
-	if _, err := Decode(trailer); err == nil {
+	trailer := append(mustEncodeEntry(t, Entry{Scenario: sampleValid()}), []byte("{}")...)
+	if _, err := DecodeEntry(trailer); err == nil {
 		t.Fatal("trailing document accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -277,8 +278,13 @@ func TestBatchClosesOnEmptyQueue(t *testing.T) {
 				t.Fatalf("batches: count %d sum %v, want %d batches over %d requests",
 					h.Count(), h.Sum(), len(tc.wantSize), tc.queued)
 			}
-			if h.Max() != tc.wantSize[0] || h.Min() != tc.wantSize[len(tc.wantSize)-1] {
-				t.Fatalf("batch sizes span [%v, %v], want %v", h.Min(), h.Max(), tc.wantSize)
+			// The bounds are 1, 2, …, 16: bucket i counts the batches of size i+1.
+			want := make([]uint64, len(h.Bounds())+1)
+			for _, size := range tc.wantSize {
+				want[int(size)-1]++
+			}
+			if got := h.BucketCounts(); !slices.Equal(got, want) {
+				t.Fatalf("batch-size buckets %v, want %v (sizes %v)", got, want, tc.wantSize)
 			}
 		})
 	}

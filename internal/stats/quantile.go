@@ -76,7 +76,11 @@ func BucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
 		} else if upper < 0 {
 			lower = upper
 		}
-		return lower + (upper-lower)*(rank-prev)/float64(c)
+		// Rounding can carry the interpolation past the bucket's upper edge
+		// (at rank == cum it lands on lower + (upper-lower), which need not
+		// equal upper), above the next bucket's estimates: clamp it back.
+		est := lower + (upper-lower)*(rank-prev)/float64(c)
+		return math.Max(lower, math.Min(upper, est))
 	}
 	if len(bounds) == 0 {
 		return 0

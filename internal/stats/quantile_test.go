@@ -110,6 +110,13 @@ func TestBucketQuantileExact(t *testing.T) {
 	if got := BucketQuantile(nil, []uint64{5}, 0.5); got != 0 {
 		t.Fatalf("no bounds: %v", got)
 	}
+	// The median is the upper edge of (-531.78571428571433, -100], where
+	// lower + (upper-lower)·1 rounds to -99.99999999999994: the estimate
+	// stays inside the bucket, at or below the overflow's -100.
+	neg := []float64{-2258.9285714285716, -531.78571428571433, -100}
+	if got := BucketQuantile(neg, []uint64{1, 0, 3, 4}, 0.5); got != -100 {
+		t.Fatalf("bucket upper edge by rounding: %v, want -100", got)
+	}
 }
 
 // TestBucketQuantileMonotone checks monotonicity in q and range containment

@@ -1,7 +1,7 @@
 // Package stats provides the small set of statistical estimators the
-// experiment harnesses need: sample moments, Student-t confidence intervals
-// (used for the overhead table), batch-means steady-state estimation (used
-// by the Monte-Carlo DSPN solver), and fixed-width histograms.
+// experiment harnesses and the telemetry need: sample moments, sample and
+// bucketed quantiles, and Student-t confidence intervals (used for the
+// overhead table).
 package stats
 
 import (
@@ -48,34 +48,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns an error for empty
 // input or q outside [0, 1].
@@ -114,13 +86,6 @@ func (ci Interval) String() string {
 // Contains reports whether v lies inside the interval (inclusive).
 func (ci Interval) Contains(v float64) bool {
 	return v >= ci.Lo && v <= ci.Hi
-}
-
-// Overlaps reports whether two intervals intersect. The paper uses CI
-// overlap to argue that rejuvenation adds no significant GPU cost
-// (Table VIII).
-func (ci Interval) Overlaps(other Interval) bool {
-	return ci.Lo <= other.Hi && other.Lo <= ci.Hi
 }
 
 // MeanCI returns the two-sided Student-t confidence interval for the mean of
@@ -238,72 +203,4 @@ func betaCF(a, b, x float64) float64 {
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
-}
-
-// BatchMeans estimates the mean of a (possibly autocorrelated) stationary
-// series by splitting it into nBatches contiguous batches and treating the
-// batch means as independent samples. It is the standard steady-state output
-// analysis used by the Monte-Carlo DSPN solver.
-func BatchMeans(series []float64, nBatches int, level float64) (Interval, error) {
-	if nBatches < 2 {
-		return Interval{}, fmt.Errorf("stats: need at least 2 batches, got %d", nBatches)
-	}
-	if len(series) < 2*nBatches {
-		return Interval{}, ErrInsufficientData
-	}
-	batchLen := len(series) / nBatches
-	means := make([]float64, 0, nBatches)
-	for b := 0; b < nBatches; b++ {
-		means = append(means, Mean(series[b*batchLen:(b+1)*batchLen]))
-	}
-	return MeanCI(means, level)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples >= Hi
-	total  int
-}
-
-// NewHistogram returns a histogram with nBins equal-width bins over [lo, hi).
-// It returns an error for invalid bounds or bin counts.
-func NewHistogram(lo, hi float64, nBins int) (*Histogram, error) {
-	if nBins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bins, got %d", nBins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram bounds [%v, %v) are empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nBins)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		bin := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if bin >= len(h.Counts) {
-			bin = len(h.Counts) - 1
-		}
-		h.Counts[bin]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// Frac returns the fraction of all samples that fell into bin i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -41,16 +42,6 @@ func TestVarianceKnown(t *testing.T) {
 func TestVarianceDegenerate(t *testing.T) {
 	if Variance(nil) != 0 || Variance([]float64{3}) != 0 {
 		t.Fatal("variance of <2 samples should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty Min/Max should be 0")
 	}
 }
 
@@ -141,85 +132,6 @@ func TestMeanCIErrors(t *testing.T) {
 	}
 }
 
-func TestIntervalOverlaps(t *testing.T) {
-	a := Interval{Lo: 1, Hi: 3}
-	b := Interval{Lo: 2.5, Hi: 4}
-	c := Interval{Lo: 3.5, Hi: 5}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("expected a and b to overlap")
-	}
-	if a.Overlaps(c) {
-		t.Fatal("expected a and c to be disjoint")
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	r := xrand.New(5)
-	series := make([]float64, 10000)
-	for i := range series {
-		series[i] = r.Normal(7, 1)
-	}
-	ci, err := BatchMeans(series, 20, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ci.Contains(7) {
-		t.Fatalf("batch-means CI %v does not contain true mean 7", ci)
-	}
-	if ci.Hi-ci.Lo > 0.2 {
-		t.Fatalf("batch-means CI %v too wide for 10k iid samples", ci)
-	}
-}
-
-func TestBatchMeansErrors(t *testing.T) {
-	if _, err := BatchMeans([]float64{1, 2, 3}, 1, 0.95); err == nil {
-		t.Fatal("expected error for 1 batch")
-	}
-	if _, err := BatchMeans([]float64{1, 2, 3}, 5, 0.95); err == nil {
-		t.Fatal("expected error for too-short series")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Fatalf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Fatalf("Over = %d, want 2", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin 4 = %d, want 1", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	if !almostEqual(h.Frac(0), 2.0/7.0, 1e-12) {
-		t.Fatalf("Frac(0) = %v", h.Frac(0))
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("expected error for empty range")
-	}
-}
-
 func TestPropertyMeanBounded(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := xs[:0]
@@ -232,7 +144,7 @@ func TestPropertyMeanBounded(t *testing.T) {
 			return Mean(clean) == 0
 		}
 		m := Mean(clean)
-		return m >= Min(clean)-1e-9 && m <= Max(clean)+1e-9
+		return m >= slices.Min(clean)-1e-9 && m <= slices.Max(clean)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

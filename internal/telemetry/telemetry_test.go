@@ -247,7 +247,7 @@ func TestCLISpansIncidentsAndDebugEndpoints(t *testing.T) {
 	}
 
 	sp := rt.Spans().StartTrace("request")
-	sp.Child("vote").End()
+	sp.Interval("vote", 0, 0, nil)
 	sp.End()
 	now := rt.Spans().Now()
 	rt.Spans().Emit(rt.Spans().NewTraceID(), 0, "compromise", now, now, map[string]any{"version": "a"})

@@ -297,15 +297,3 @@ func gemmInt8MicroGo(c []int32, ldc, i0, j0, mr, nr, kp int, ap, bp []int16) {
 		}
 	}
 }
-
-// DequantInt32 rescales the exact int32 accumulators back to float32:
-// dst[i] = float32(src[i])·scale, elementwise and order-free.
-func DequantInt32(dst []float32, src []int32, scale float32) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = float32(src[i]) * scale
-	}
-}

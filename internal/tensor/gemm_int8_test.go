@@ -215,6 +215,7 @@ func BenchmarkGemmInt8AlexConv3(b *testing.B) {
 	}
 	c := make([]int32, m*n)
 	out := New(m, n)
+	scale := sx.Scale * sy.Scale
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pb.Pack(y, sy.Inv); err != nil { // activations: per call
@@ -223,7 +224,9 @@ func BenchmarkGemmInt8AlexConv3(b *testing.B) {
 		if err := GemmInt8Packed(c, &pa, &pb); err != nil {
 			b.Fatal(err)
 		}
-		DequantInt32(out.Data, c, sx.Scale*sy.Scale)
+		for j, v := range c {
+			out.Data[j] = float32(v) * scale
+		}
 	}
 }
 

@@ -167,24 +167,6 @@ func addTermFirst(v, acc float32) float32 {
 	return v + acc
 }
 
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// AXPY computes t += alpha*x (same length required).
-func (t *Tensor) AXPY(alpha float32, x *Tensor) error {
-	if len(t.Data) != len(x.Data) {
-		return fmt.Errorf("tensor: axpy length mismatch %d vs %d", len(t.Data), len(x.Data))
-	}
-	for i, v := range x.Data {
-		t.Data[i] += alpha * v
-	}
-	return nil
-}
-
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n). It returns an
 // error on rank or inner-dimension mismatch.
 func MatMul(a, b *Tensor) (*Tensor, error) {
@@ -410,15 +392,4 @@ func Col2ImAdd(dst, padded []float32, cols *Tensor, c, h, w, kh, kw, stride, pad
 		}
 	}
 	return nil
-}
-
-// ArgMax returns the index of the largest element (first occurrence).
-func (t *Tensor) ArgMax() int {
-	best, bi := t.Data[0], 0
-	for i, v := range t.Data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
 }
