@@ -29,6 +29,9 @@ func cmdDash(args []string, w, stderr io.Writer) error {
 	if *in == "" {
 		return cli.Usagef("dash: -in is required")
 	}
+	if *topK < 1 {
+		return cli.Usagef("dash: -top must be at least 1")
+	}
 	if *width < 1 {
 		return cli.Usagef("dash: -width must be at least 1")
 	}

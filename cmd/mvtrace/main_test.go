@@ -201,6 +201,8 @@ func TestUsageErrors(t *testing.T) {
 		{"dash", "-metrics-addr", "x"},
 		{"dash", "-in", fixturePath, "-bucket", "1s"},
 		{"dash", "-in", fixturePath, "-width", "0"},
+		{"dash", "-in", fixturePath, "-top", "0"},
+		{"dash", "-in", fixturePath, "-top", "-1"},
 		{"summary", "-in", fixturePath, "-format", "xml"},
 		{"health", "-in", fixturePath, "-format", "xml"},
 		{"top", "-in", fixturePath, "-no-such-flag"},

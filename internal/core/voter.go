@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Decision is the voter's verdict for one inference round.
 type Decision[O any] struct {
@@ -147,61 +144,4 @@ func (v *PluralityVoter[O]) Vote(proposals []Proposal[O]) Decision[O] {
 	mv := MajorityVoter[O]{Eq: v.Eq}
 	value, count := mv.largestCluster(proposals)
 	return Decision[O]{Value: value, Agreeing: count, Proposals: len(proposals)}
-}
-
-// MedianVoter implements approximate agreement for continuous outputs
-// (steering angles, speed set-points — the paper cites Dolev et al. and Wu
-// et al. for these). Rules R.1–R.3 carry over: with three or more proposals
-// it outputs the median provided a majority lies within Epsilon of it; with
-// two proposals both must be within Epsilon (else safe skip); a single
-// proposal is trusted. The median bounds the influence of any single
-// Byzantine version: with a correct majority, the output always lies within
-// the correct proposals' range.
-type MedianVoter struct {
-	// Epsilon is the agreement half-width.
-	Epsilon float64
-}
-
-var _ Voter[float64] = (*MedianVoter)(nil)
-
-// Vote implements Voter.
-func (v *MedianVoter) Vote(proposals []Proposal[float64]) Decision[float64] {
-	n := len(proposals)
-	switch n {
-	case 0:
-		return Decision[float64]{Skipped: true, Reason: "no functional modules"}
-	case 1:
-		return Decision[float64]{Value: proposals[0].Value, Agreeing: 1, Proposals: 1}
-	}
-	values := make([]float64, n)
-	for i, p := range proposals {
-		values[i] = p.Value
-	}
-	sort.Float64s(values)
-	median := values[n/2]
-	if n%2 == 0 {
-		median = (values[n/2-1] + values[n/2]) / 2
-	}
-	agreeing := 0
-	for _, val := range values {
-		d := val - median
-		if d < 0 {
-			d = -d
-		}
-		if d <= v.Epsilon {
-			agreeing++
-		}
-	}
-	need := n/2 + 1
-	if n == 2 {
-		need = 2 // R.2: both must agree
-	}
-	if agreeing >= need {
-		return Decision[float64]{Value: median, Agreeing: agreeing, Proposals: n}
-	}
-	return Decision[float64]{
-		Skipped:   true,
-		Reason:    fmt.Sprintf("no %d-of-%d approximate agreement", need, n),
-		Proposals: n,
-	}
 }

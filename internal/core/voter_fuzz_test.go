@@ -1,16 +1,13 @@
 package core
 
-// Fuzz coverage for the four voting schemes. Each target decodes an
+// Fuzz coverage for the three voting schemes. The target decodes an
 // arbitrary byte string into a proposal list and checks the voting rules
-// R.1–R.3 as executable invariants: agreement thresholds, safe-skip
-// conditions, and (for the median voter) containment in the proposal range.
+// R.1–R.3 as executable invariants: agreement thresholds and safe-skip
+// conditions.
 // The harness itself never panicking is part of the contract — voters sit on
 // the perception hot path and must tolerate any proposal multiset.
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // fuzzProposals decodes bytes into proposals over a small label alphabet so
 // that agreement clusters of every size actually occur.
@@ -110,52 +107,6 @@ func FuzzVoter(f *testing.F) {
 		// A plurality voter only skips on an empty list.
 		if n > 0 && plurality.Skipped {
 			t.Fatal("plurality voter must not skip on non-empty proposals")
-		}
-	})
-}
-
-func FuzzMedianVoter(f *testing.F) {
-	f.Add([]byte{}, 0.5)
-	f.Add([]byte{10, 12, 200}, 2.0)
-	f.Add([]byte{128, 128}, 0.0)
-	f.Fuzz(func(t *testing.T, data []byte, epsilon float64) {
-		if math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
-			t.Skip("degenerate epsilon")
-		}
-		props := make([]Proposal[float64], 0, len(data))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, b := range data {
-			v := (float64(b) - 128) / 16
-			props = append(props, Proposal[float64]{Module: string(rune('A' + i%5)), Value: v})
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-			if len(props) == 64 {
-				break
-			}
-		}
-		d := (&MedianVoter{Epsilon: epsilon}).Vote(props)
-		if len(props) == 0 {
-			if !d.Skipped {
-				t.Fatal("median voter must skip on empty proposals")
-			}
-			return
-		}
-		if d.Proposals != len(props) {
-			t.Fatalf("Proposals = %d, want %d", d.Proposals, len(props))
-		}
-		if !d.Skipped {
-			// The median is always inside the proposal range, bounding the
-			// influence of any single Byzantine version.
-			if d.Value < lo || d.Value > hi {
-				t.Fatalf("median %v outside proposal range [%v, %v]", d.Value, lo, hi)
-			}
-			need := len(props)/2 + 1
-			if len(props) == 2 {
-				need = 2
-			}
-			if len(props) >= 2 && d.Agreeing < need {
-				t.Fatalf("median accepted with %d < %d agreement", d.Agreeing, need)
-			}
 		}
 	})
 }

@@ -104,54 +104,3 @@ func TestMajorityVoterApproximateEquality(t *testing.T) {
 		t.Fatalf("approximate agreement failed: %+v", d)
 	}
 }
-
-func fprops(values ...float64) []Proposal[float64] {
-	out := make([]Proposal[float64], len(values))
-	for i, v := range values {
-		out[i] = Proposal[float64]{Module: string(rune('a' + i)), Value: v}
-	}
-	return out
-}
-
-func TestMedianVoterApproximateAgreement(t *testing.T) {
-	v := &MedianVoter{Epsilon: 0.5}
-	// Three close steering angles: median wins.
-	d := v.Vote(fprops(0.10, 0.12, 0.15))
-	if d.Skipped || d.Value != 0.12 || d.Agreeing != 3 {
-		t.Fatalf("close proposals: %+v", d)
-	}
-	// A Byzantine outlier cannot move the output outside the correct range.
-	d = v.Vote(fprops(0.10, 0.12, 99))
-	if d.Skipped || d.Value != 0.12 {
-		t.Fatalf("outlier shifted the output: %+v", d)
-	}
-	// Full divergence skips.
-	d = v.Vote(fprops(-5, 0, 5))
-	if !d.Skipped {
-		t.Fatalf("divergent proposals should skip: %+v", d)
-	}
-	// R.2 for two proposals: both within epsilon of the midpoint.
-	d = v.Vote(fprops(0.1, 0.4))
-	if d.Skipped || d.Value != 0.25 {
-		t.Fatalf("two close proposals: %+v", d)
-	}
-	d = v.Vote(fprops(0.1, 3.0))
-	if !d.Skipped {
-		t.Fatalf("two divergent proposals should skip: %+v", d)
-	}
-	// R.3 and empty input.
-	if d := v.Vote(fprops(0.7)); d.Skipped || d.Value != 0.7 {
-		t.Fatalf("single proposal: %+v", d)
-	}
-	if d := v.Vote(nil); !d.Skipped {
-		t.Fatal("no proposals should skip")
-	}
-}
-
-func TestMedianVoterEvenCount(t *testing.T) {
-	v := &MedianVoter{Epsilon: 2}
-	d := v.Vote(fprops(1, 2, 3, 4))
-	if d.Skipped || d.Value != 2.5 {
-		t.Fatalf("even-count median: %+v", d)
-	}
-}

@@ -1,21 +1,17 @@
 package nn_test
 
 // Evaluation-equivalence tests: Predict, Accuracy and ErrorSet run on the
-// network's private arena (Predict as a batch of one), the YOLite detector
-// version on an arena of its own, and all must equal the per-sample spec
-// exactly — for every set size around the chunk boundary, and after every
-// way the weights can move under the network without telling it.
+// network's private arena (Predict as a batch of one) and must equal the
+// per-sample spec exactly — for every set size around the chunk boundary,
+// and after every way the weights can move under the network without
+// telling it.
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
-	"mvml/internal/drivesim"
 	"mvml/internal/faultinject"
 	"mvml/internal/nn"
-	"mvml/internal/perception"
-	"mvml/internal/tensor"
 	"mvml/internal/xrand"
 )
 
@@ -152,98 +148,4 @@ func TestEvaluationNeverUsesStaleWeights(t *testing.T) {
 			t.Fatalf("%v: three training steps moved no prediction; the check above proves nothing", name)
 		}
 	}
-	detectorNeverStale(t)
-}
-
-// detectorNeverStale is the stale-weight check for the YOLite detector
-// version, whose Infer runs the network as a batch of one on an arena of the
-// version's own while Compromise and Restore write the weights under it.
-func detectorNeverStale(t *testing.T) {
-	net := nn.NewYOLite(xrand.New(3))
-	v, err := perception.NewNNDetectorVersion("yolite", net, xrand.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Infer's raster noise stream, drawn in step with it at the version's
-	// default noise level (0.02, below).
-	noise := xrand.New(4).Split("noise", 0)
-	r := xrand.New(5)
-	scenes := make([]drivesim.Scene, 6)
-	for i := range scenes {
-		for j := 0; j < 3; j++ {
-			scenes[i].Objects = append(scenes[i].Objects, drivesim.Object{ID: j + 1, Pos: drivesim.Vec2{
-				X: r.Uniform(2, perception.RasterAhead-2),
-				Y: r.Uniform(-perception.RasterHalfWidth+2, perception.RasterHalfWidth-2),
-			}})
-		}
-	}
-	// prev holds the weights of the stage before: Infer answering from
-	// panels packed then gives its detections.
-	prev := nn.NewYOLite(xrand.New(3))
-	// stage requires Infer to equal the spec on every scene, and reports
-	// whether a stale Infer would have answered differently.
-	stage := func(what string) (moved bool) {
-		t.Helper()
-		for i, scene := range scenes {
-			raster := perception.Rasterize(scene, 0.02, noise)
-			got, err := v.Infer(scene)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := specDetections(t, net, raster)
-			if !slices.Equal(got, want) {
-				t.Fatalf("detector %s: scene %d: Infer %v, spec %v", what, i, got, want)
-			}
-			moved = moved || !slices.Equal(specDetections(t, prev, raster), want)
-		}
-		if err := prev.RestoreWeights(net.CloneWeights()); err != nil {
-			t.Fatal(err)
-		}
-		return moved
-	}
-	stage("pristine")
-	for tries := 0; ; tries++ {
-		if tries == 50 {
-			t.Fatal("detector: no fault in 50 Compromise calls moves a detection")
-		}
-		if err := v.Compromise(); err != nil {
-			t.Fatal(err)
-		}
-		if stage("after Compromise") {
-			break
-		}
-		if err := v.Restore(); err != nil {
-			t.Fatal(err)
-		}
-		stage("after Restore")
-	}
-	if err := v.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	if !stage("after Restore") {
-		t.Fatal("detector: Restore moved no detection; the check above proves nothing")
-	}
-}
-
-// specDetections is NNDetectorVersion.Infer on the spec, at the version's
-// default 0.5 objectness threshold, for a raster of a scene whose ego sits at
-// the origin heading along +X, where world and raster axes agree.
-func specDetections(t *testing.T, net *nn.Network, raster *tensor.Tensor) []drivesim.Detection {
-	t.Helper()
-	out, err := nn.NewSpec(net).Forward(raster, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := nn.DecodeYOLite(out, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dets := make([]drivesim.Detection, 0, len(grid))
-	for _, g := range grid {
-		dets = append(dets, drivesim.Detection{Pos: drivesim.Vec2{
-			X: g.X / nn.YOLiteInputSize * perception.RasterAhead,
-			Y: g.Y/nn.YOLiteInputSize*(2*perception.RasterHalfWidth) - perception.RasterHalfWidth,
-		}})
-	}
-	return dets
 }

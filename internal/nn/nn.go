@@ -40,12 +40,12 @@ type Layer interface {
 	// borrowed from the arena instead of allocating. It must never mutate
 	// its input (residual blocks read it again for the skip path) and must
 	// return either the input itself or an arena-owned buffer. Inside a
-	// training step (see trainStep) a Dropout layer also draws its mask into
+	// training step (see TrainBatch) a Dropout layer also draws its mask into
 	// the arena; nothing else differs between training and inference.
 	ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error)
 	// backwardBatch is the backward pass of a training step (train.go):
 	// given the batch-first input x the layer saw (for a ReLU fused into
-	// the layer before it, its output instead, see trainStep) and the
+	// the layer before it, its output instead, see TrainBatch) and the
 	// gradient g w.r.t. its output, it adds the parameter gradients and
 	// returns the gradient w.r.t. x in an arena buffer (or g itself). It
 	// must not mutate g — a residual block hands the same g to both paths.
@@ -215,18 +215,6 @@ func (o *SGD) Step(params, grads []*tensor.Tensor, batchSize int) error {
 type Sample struct {
 	X     *tensor.Tensor
 	Label int
-}
-
-// TrainBatch accumulates gradients over a mini-batch and applies one
-// optimiser step. It returns the mean loss over the batch.
-func (n *Network) TrainBatch(batch []Sample, opt *SGD) (float64, error) {
-	if len(batch) == 0 {
-		return 0, errors.New("nn: empty batch")
-	}
-	return n.trainStep(len(batch), func(i int) *tensor.Tensor { return batch[i].X },
-		func(i int, out, grad *tensor.Tensor) (float64, error) {
-			return softmaxCrossEntropyInto(out, grad, batch[i].Label)
-		}, opt)
 }
 
 // evalChunk is how many samples Accuracy and ErrorSet push through the arena

@@ -23,6 +23,7 @@ package nn
 // Dropout layer needs its own RNG stream to match the spec.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -74,21 +75,22 @@ func (sc *scratch) stack(n int, sample func(i int) *tensor.Tensor) (*tensor.Tens
 	return x, nil
 }
 
-// lossFunc scores sample i's output row: it returns the loss and writes its
-// gradient w.r.t. that row into grad, a row of the same shape.
-type lossFunc func(i int, out, grad *tensor.Tensor) (float64, error)
-
-// trainStep is the one training step: size samples forward, loss per row,
-// backward, one optimiser step. It returns the mean loss.
+// TrainBatch accumulates gradients over a mini-batch and applies one
+// optimiser step. It returns the mean softmax cross-entropy loss over the
+// batch.
 //
 // The forward is forwardBatchLayers on the arena in training mode, where a
 // Dropout layer draws its mask, with sc.record observing every dispatch. A
 // ReLU fused into the layer before it is never dispatched and its input
 // never written, so the observer sees the ReLU's output instead: the mask
 // ReLU.backwardBatch reads off it is the same.
-func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lossFunc, opt *SGD) (float64, error) {
+func (n *Network) TrainBatch(batch []Sample, opt *SGD) (float64, error) {
+	if len(batch) == 0 {
+		return 0, errors.New("nn: empty batch")
+	}
+	size := len(batch)
 	sc := n.scratch()
-	x, err := sc.stack(size, sample)
+	x, err := sc.stack(size, func(i int) *tensor.Tensor { return batch[i].X })
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +116,7 @@ func (n *Network) trainStep(size int, sample func(i int) *tensor.Tensor, loss lo
 	for i := 0; i < size; i++ {
 		row := sc.ar.view(nil, arenaView, out.Data[i*stride:(i+1)*stride], out.Shape[1:]...)
 		grad := sc.ar.view(nil, arenaSampleG, g.Data[i*stride:(i+1)*stride], out.Shape[1:]...)
-		l, err := loss(i, row, grad)
+		l, err := softmaxCrossEntropyInto(row, grad, batch[i].Label)
 		if err != nil {
 			return 0, err
 		}

@@ -21,11 +21,10 @@ import (
 	"mvml/internal/xrand"
 )
 
-// specStep is one optimiser step written against the per-sample spec:
-// gradients accumulate sample by sample in batch order, then one SGD step.
-func specStep(net *nn.Network, xs []*tensor.Tensor, opt *nn.SGD,
-	loss func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error)) (float64, error) {
-	if len(xs) == 0 {
+// specTrainBatch is TrainBatch on the per-sample spec: gradients accumulate
+// sample by sample in batch order, then one SGD step.
+func specTrainBatch(net *nn.Network, batch []nn.Sample, opt *nn.SGD) (float64, error) {
+	if len(batch) == 0 {
 		return 0, errors.New("empty batch")
 	}
 	for _, g := range net.Grads() {
@@ -33,12 +32,12 @@ func specStep(net *nn.Network, xs []*tensor.Tensor, opt *nn.SGD,
 	}
 	spec := nn.NewSpec(net)
 	var total float64
-	for i, x := range xs {
-		out, err := spec.Forward(x, true)
+	for _, s := range batch {
+		out, err := spec.Forward(s.X, true)
 		if err != nil {
 			return 0, err
 		}
-		l, grad, err := loss(i, out)
+		l, grad, err := nn.SoftmaxCrossEntropy(out, s.Label)
 		if err != nil {
 			return 0, err
 		}
@@ -47,21 +46,10 @@ func specStep(net *nn.Network, xs []*tensor.Tensor, opt *nn.SGD,
 			return 0, err
 		}
 	}
-	if err := opt.Step(net.Params(), net.Grads(), len(xs)); err != nil {
+	if err := opt.Step(net.Params(), net.Grads(), len(batch)); err != nil {
 		return 0, err
 	}
-	return total / float64(len(xs)), nil
-}
-
-// specTrainBatch is TrainBatch on the spec loop.
-func specTrainBatch(net *nn.Network, batch []nn.Sample, opt *nn.SGD) (float64, error) {
-	xs := make([]*tensor.Tensor, len(batch))
-	for i, s := range batch {
-		xs[i] = s.X
-	}
-	return specStep(net, xs, opt, func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error) {
-		return nn.SoftmaxCrossEntropy(out, batch[i].Label)
-	})
+	return total / float64(len(batch)), nil
 }
 
 type trainStep func(net *nn.Network, batch []nn.Sample, opt *nn.SGD) (float64, error)
@@ -315,38 +303,6 @@ func serveBetweenSteps(t *testing.T, net *nn.Network, batch []nn.Sample) {
 	}
 	if _, err := net.ForwardBatchArena(x, nn.NewInferenceArena()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The detector trains on the same step with its own loss.
-func TestTrainYOLiteBatchMatchesSpecLoop(t *testing.T) {
-	got, want := nn.NewYOLite(xrand.New(5)), nn.NewYOLite(xrand.New(5))
-	gotOpt, wantOpt := nn.NewSGD(0.01, 0.9), nn.NewSGD(0.01, 0.9)
-	r := xrand.New(6)
-	for step := 0; step < 3; step++ {
-		batch := make([]nn.YOLiteSample, 6)
-		xs := make([]*tensor.Tensor, len(batch))
-		for i := range batch {
-			raster := tensor.New(1, nn.YOLiteInputSize, nn.YOLiteInputSize)
-			raster.RandomizeUniform(r, 0, 1)
-			target := tensor.New(nn.YOLiteChannels, nn.YOLiteGrid, nn.YOLiteGrid)
-			target.RandomizeUniform(r, 0, 1)
-			for c := 0; c < nn.YOLiteGrid*nn.YOLiteGrid; c++ {
-				target.Data[c] = float32(r.Intn(2)) // occupancy is 0 or 1
-			}
-			batch[i], xs[i] = nn.YOLiteSample{Raster: raster, Target: target}, raster
-		}
-		gotLoss, err := nn.TrainYOLiteBatch(got, batch, gotOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLoss, err := specStep(want, xs, wantOpt, func(i int, out *tensor.Tensor) (float64, *tensor.Tensor, error) {
-			return nn.YOLiteLoss(out, batch[i].Target)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameTraining(t, step, got, want, gotLoss, wantLoss)
 	}
 }
 

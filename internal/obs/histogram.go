@@ -50,7 +50,7 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // LatencyBuckets returns exponential bounds from 1 µs to ~2 s, matched to
-// in-process inference and simulation-tick timings.
+// the serving runtime's stage timings, from one vote to a whole request.
 func LatencyBuckets() []float64 {
 	return ExpBuckets(1e-6, 2, 21)
 }

@@ -5,8 +5,8 @@
 // instant is a zero-duration span — and two exposition paths: Prometheus
 // text format over net/http and an end-of-run JSON summary.
 //
-// The package is pure stdlib and designed around two guarantees the
-// simulation stack depends on:
+// The package is pure stdlib and designed around two guarantees the serving
+// runtime (serve, gateway and the binaries that run them) depends on:
 //
 //   - Nil no-op: every handle (*Registry, *Counter, *Gauge, *Histogram,
 //     *SpanSink, *Runtime) treats a nil receiver as "telemetry disabled" and
@@ -15,7 +15,7 @@
 //     pays only a predictable nil check.
 //
 //   - Determinism: no function in this package consumes xrand draws or any
-//     other source of simulation randomness, so attaching telemetry never
+//     other source of the program's randomness, so attaching telemetry never
 //     perturbs a run's decision sequence. (Latency observations read the
 //     wall clock, which affects only the recorded values, never control
 //     flow.)

@@ -25,8 +25,9 @@ type SpanRecord struct {
 	// Kind names the stage this span measures ("request", "forward", ...).
 	Kind string `json:"kind"`
 	// Start and End are seconds on the emitting component's clock: monotonic
-	// wall seconds since the sink's epoch for the serving path, simulated
-	// seconds for the simulation stack.
+	// wall seconds since the sink's epoch (SpanSink.Now) for every span the
+	// serving runtime emits. End is never before Start (ReadSpans rejects a
+	// record where it is).
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
 	// Attrs carries span attributes; stored as given, so emitters must not
@@ -241,8 +242,9 @@ func (s *SpanSink) NewTraceID() uint64 {
 func (s *SpanSink) newSpanID() uint64 { return s.nextSpan.Add(1) }
 
 // Emit publishes one already-finished span directly — the low-level path for
-// components that measure on their own clock (e.g. the simulation stack's
-// simulated seconds). It returns the new span's id (0 on a nil sink).
+// a span that is not a request's stage, such as a lifecycle event or a shed
+// decision, timed by the caller (e.g. an instant at SpanSink.Now). It returns
+// the new span's id (0 on a nil sink).
 func (s *SpanSink) Emit(trace, parent uint64, kind string, start, end float64, attrs map[string]any) uint64 {
 	if s == nil {
 		return 0
@@ -296,16 +298,24 @@ func (s *SpanSink) publish(recs []SpanRecord) {
 }
 
 // ReadSpans parses a JSON Lines span export back into records, the inverse
-// of the sink's streaming writer.
+// of the sink's streaming writer. A record that breaks SpanRecord's
+// invariants (a zero trace or span id, an end before its start) is an error.
 func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 	var out []SpanRecord
 	dec := json.NewDecoder(r)
 	for {
 		var rec SpanRecord
+		line := len(out) + 1
 		if err := dec.Decode(&rec); err == io.EOF {
 			return out, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("obs: decoding span line %d: %w", len(out)+1, err)
+			return nil, fmt.Errorf("obs: decoding span line %d: %w", line, err)
+		}
+		switch {
+		case rec.Trace == 0 || rec.ID == 0:
+			return nil, fmt.Errorf("obs: span line %d: zero trace or span id (trace %d, id %d)", line, rec.Trace, rec.ID)
+		case rec.End < rec.Start:
+			return nil, fmt.Errorf("obs: span line %d: end %v before start %v", line, rec.End, rec.Start)
 		}
 		out = append(out, rec)
 	}

@@ -216,6 +216,19 @@ func TestReadJSONLBadInput(t *testing.T) {
 	if _, err := ReadSpans(strings.NewReader("{not json")); err == nil {
 		t.Fatal("expected decode error")
 	}
+	// Records that break SpanRecord's invariants, each on line 2.
+	ok := `{"trace":1,"id":1,"kind":"request","start":1,"end":2}` + "\n"
+	for _, bad := range []string{
+		`{"trace":1,"id":2,"kind":"request","start":5,"end":1}`,
+		`{"trace":0,"id":2,"kind":"request","start":1,"end":1}`,
+		`{"trace":1,"id":0,"kind":"request","start":1,"end":1}`,
+		`{"kind":"request","start":1,"end":1}`,
+	} {
+		_, err := ReadSpans(strings.NewReader(ok + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ReadSpans(%s): err %v, want an error naming line 2", bad, err)
+		}
+	}
 }
 
 // TestRingOverflowDropCounters overflows the span ring with intervals and

@@ -167,10 +167,19 @@ func (c Config) Validate() error {
 	if c.ProactiveInterval < 0 {
 		return fmt.Errorf("serve: proactive interval %v (0 disables it)", c.ProactiveInterval)
 	}
+	if c.TrainEpochs < 0 {
+		return fmt.Errorf("serve: train epochs %d (0 serves untrained)", c.TrainEpochs)
+	}
+	if c.TrainEpochs > 0 && c.Dataset.TrainPerClass == 0 {
+		return fmt.Errorf("serve: %d train epochs on an empty training split", c.TrainEpochs)
+	}
 	for _, v := range c.Int8Versions {
 		if v < 0 || v >= c.Versions {
 			return fmt.Errorf("serve: int8 version %d outside [0,%d)", v, c.Versions)
 		}
+	}
+	if len(c.Int8Versions) > 0 && c.Dataset.TestPerClass == 0 {
+		return fmt.Errorf("serve: int8 versions %v need a calibration set, but the test split is empty", c.Int8Versions)
 	}
 	if c.DivergenceWindow < 1 {
 		return fmt.Errorf("serve: divergence window %d", c.DivergenceWindow)

@@ -653,6 +653,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DivergenceWindow = 0 },
 		func(c *Config) { c.DivergenceThreshold = 0 },
 		func(c *Config) { c.DivergenceThreshold = 1.5 },
+		func(c *Config) { c.TrainEpochs = -1 },
+		func(c *Config) { c.TrainEpochs, c.Dataset.TrainPerClass = 1, 0 },
+		func(c *Config) { c.Int8Versions, c.Dataset.TestPerClass = []int{0}, 0 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

@@ -75,10 +75,10 @@ go test ./...
 # other architecture executes — and, since training, evaluation and fault
 # campaigns run on those kernels too, so do the trained-weight hashes, the
 # campaigns and the short paper-table goldens, and the per-input answers of
-# core.NNVersion and the YOLite detector version (Predict and Infer run as a
-# batch of one on the same kernels). ci.yml's noasm step runs the same set.
-echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core ./internal/perception, -short ./internal/experiments"
-go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core ./internal/perception
+# core.NNVersion (Predict runs as a batch of one on the same kernels).
+# ci.yml's noasm step runs the same set.
+echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core, -short ./internal/experiments"
+go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core
 go test -tags noasm -short ./internal/experiments
 
 # FMA-contraction pass: at GOAMD64=v3 the compiler may fuse a*b+c into one
@@ -126,7 +126,6 @@ rm -rf "$gwtmp"
 # GEMM panels, forward and transposed, without the cost of a long campaign.
 echo "==> fuzz smoke"
 go test ./internal/core -run '^$' -fuzz '^FuzzVoter$' -fuzztime 5s
-go test ./internal/core -run '^$' -fuzz '^FuzzMedianVoter$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz '^FuzzHistogramQuantile$' -fuzztime 5s
 go test ./internal/xrand -run '^$' -fuzz '^FuzzXrandSplit$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
@@ -149,6 +148,10 @@ for dir in $(find . -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort 
 done
 printf '%6d  total without ./cmd/mvbench\n' \
     "$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/mvbench/*' | xargs cat | wc -l)"
+# What reachAllowlist keeps in internal/ that no binary reaches: the count
+# TestInternalCodeIsReachedFromABinary would fail on with the allowlist empty.
+go test -count=1 -run '^TestInternalCodeIsReachedFromABinary$' -v . |
+    sed -n 's/^.*reach_test.go:[0-9]*: //p'
 # The telemetry set: everything that watches the system rather than runs it.
 printf '%6d  telemetry set (obs + obs/tsdb + health + telemetry + cmd/mvtrace)\n' \
     "$(for dir in internal/obs internal/obs/tsdb internal/health internal/telemetry cmd/mvtrace; do
