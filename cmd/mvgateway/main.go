@@ -78,14 +78,18 @@ func registerFleetFlags(fs *flag.FlagSet) *fleetFlags {
 	return f
 }
 
-// parse parses fs, rejects a fleet without shards before anything starts and
-// labels the build info with the shard count.
+// parse parses fs, rejects a fleet without shards or with a shard config
+// serve.Config.Validate refuses before anything starts, and labels the build
+// info with the shard count.
 func (f *fleetFlags) parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if f.shards < 1 {
 		return cli.Usagef("-shards %d: need at least one shard", f.shards)
+	}
+	if err := f.shard.Validate(); err != nil {
+		return cli.Usagef("%v", err)
 	}
 	f.tele.InfoLabel("shards", fmt.Sprintf("%d", f.shards))
 	return nil

@@ -26,6 +26,10 @@ func TestUsage(t *testing.T) {
 		{[]string{"demo", "-rate", "0"}, 2},
 		{[]string{"demo", "-baseline-rps", "100"}, 2},
 		{[]string{"loadgen", "-duration", "0s"}, 2},
+		// A shard config serve.Config.Validate refuses is a usage error,
+		// caught before any shard starts.
+		{[]string{"demo", "-versions", "0", "-duration", "1s"}, 2},
+		{[]string{"demo", "-batch", "0", "-duration", "1s"}, 2},
 		{[]string{"-h"}, 0},
 		{[]string{"demo", "-h"}, 0},
 	} {

@@ -97,6 +97,9 @@ func cmdServe(args []string, w, stderr io.Writer) (err error) {
 	if err := cli.Parse(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := cfg.Validate(); err != nil {
+		return cli.Usagef("%v", err)
+	}
 	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))
 	rt, err := tele.Start()
@@ -186,6 +189,9 @@ func cmdDemo(args []string, w, stderr io.Writer) (err error) {
 	}
 	if *rate <= 0 || *duration <= 0 {
 		return cli.Usagef("-rate %v and -duration %v must be positive", *rate, *duration)
+	}
+	if err := cfg.Validate(); err != nil {
+		return cli.Usagef("%v", err)
 	}
 	cfg.Health = tele.Options()
 	tele.InfoLabel("workers", fmt.Sprintf("%dx%d", cfg.Versions, cfg.WorkersPerVersion))

@@ -42,6 +42,10 @@ func TestUsage(t *testing.T) {
 		{[]string{"demo", "-duration", "0s"}, 2},
 		{[]string{"demo", "-rate", "0"}, 2},
 		{[]string{"loadgen", "-duration", "0s"}, 2},
+		// A config serve.Config.Validate refuses is a usage error, caught
+		// before telemetry or the server starts.
+		{[]string{"demo", "-train-epochs", "-1", "-duration", "1s"}, 2},
+		{[]string{"serve", "-versions", "0"}, 2},
 		{[]string{"-h"}, 0},
 		{[]string{"demo", "-h"}, 0},
 	} {

@@ -7,10 +7,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mvml/internal/nn"
+	"mvml/internal/signs"
+	"mvml/internal/xrand"
 )
 
 // referenceDecode is what both handlers ran before decodeClassify existed, and
@@ -86,6 +90,13 @@ var decodeSeeds = []string{
 	`1`,
 	``,
 	`{`,
+	// Numbers at the edges of decimal.float32's exact range: all but the
+	// negative zero fall back to strconv.
+	`{"image":[0.5000000298023224]}`,     // the float64 nearest it is a float32 midpoint
+	`{"image":[0.12345678901234567890]}`, // 20 significand digits
+	`{"image":[1e23]}`,
+	`{"image":[1e-23]}`,
+	`{"image":[-0.0e5]}`,
 }
 
 // FuzzDecodeClassify is the differential gate on the one-pass decoder: for any
@@ -171,25 +182,145 @@ func FuzzClassifyHandler(f *testing.F) {
 
 // TestDecodeClassifyFastPath checks that the bodies the benchmark clients and
 // loadgen send — json.Marshal of a raw image — are actually taken by the
-// one-pass parser, not silently handed to the fallback.
+// one-pass parser, not silently handed to the fallback, and that each of their
+// numbers is converted by decimal.float32, not strconv: a fallback would keep
+// every bit-equality gate green and lose the parser's speed.
 func TestDecodeClassifyFastPath(t *testing.T) {
-	img := testImage(3).Data
-	body, err := json.Marshal(ClassifyRequest{Image: img})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := parseImageObject(body)
-	if !ok {
-		t.Fatal("marshalled raw-image body not taken by the one-pass parser")
-	}
-	if !sameRequest(&ClassifyRequest{Image: got}, &ClassifyRequest{Image: img}) {
-		t.Fatal("one-pass parse does not round-trip the image")
+	for class := 0; class < signs.NumClasses; class++ {
+		img := testImage(class).Data
+		body, err := json.Marshal(ClassifyRequest{Image: img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := parseImageObject(body)
+		if !ok {
+			t.Fatalf("class %d: marshalled raw-image body not taken by the one-pass parser", class)
+		}
+		if !sameRequest(&ClassifyRequest{Image: got}, &ClassifyRequest{Image: img}) {
+			t.Fatalf("class %d: one-pass parse does not round-trip the image", class)
+		}
+		for i, k := len(`{"image":[`), 0; ; k++ {
+			d, end := readNumber(body, i)
+			if _, fast := d.float32(); !fast {
+				t.Fatalf("class %d: element %d, %s, converted by strconv", class, k, body[i:end])
+			}
+			if body[end] == ']' {
+				break
+			}
+			i = end + 1
+		}
 	}
 	for _, body := range []string{`{"class":7}`, `{"image":[]}`, `{"image":[1, 2]}`, `{"image":[1],"seed":2}`} {
 		if _, ok := parseImageObject([]byte(body)); ok {
 			t.Errorf("non-canonical body %s taken by the one-pass parser", body)
 		}
 	}
+}
+
+// numberGrammar is RFC 8259's number; Longest makes Find return the longest
+// prefix of its input that is a number, as readNumber must.
+var numberGrammar = func() *regexp.Regexp {
+	re := regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+	re.Longest()
+	return re
+}()
+
+// checkReadNumber holds readNumber(b, 0) to wantEnd, where the grammar ends
+// the number, and, when it reads one and decimal.float32 converts it, to
+// strconv.ParseFloat(·, 32) on its value bit for bit. It reports whether
+// decimal.float32 converted it.
+func checkReadNumber(t testing.TB, b []byte, wantEnd int) bool {
+	d, end := readNumber(b, 0)
+	if end != wantEnd {
+		t.Fatalf("%q: readNumber ends at %d, the grammar at %d", b, end, wantEnd)
+	}
+	f, fast := d.float32()
+	if end == 0 || !fast {
+		return false
+	}
+	want, err := strconv.ParseFloat(string(b[:end]), 32)
+	if err != nil || math.Float32bits(f) != math.Float32bits(float32(want)) {
+		t.Fatalf("%q: decimal.float32 gives %g (%#x), strconv %g (%#x, %v)", b[:end], f, math.Float32bits(f), want, math.Float32bits(float32(want)), err)
+	}
+	return true
+}
+
+// TestReadNumberFallsBack pins the numbers decimal.float32 must refuse, each
+// of which it would get wrong or cannot represent, and that strconv then
+// decodes them: 0.5000000298023224's nearest float64 is the midpoint above
+// 0.5, so converting that float64 gives 0.5 where strconv gives 0.50000006.
+func TestReadNumberFallsBack(t *testing.T) {
+	for _, s := range []string{"0.5000000298023224", "0.12345678901234567890", "1e23", "1e-23", "9007199254740993", "1e00001"} {
+		if checkReadNumber(t, []byte(s), len(s)) {
+			t.Errorf("%s: converted by decimal.float32, want the strconv fallback", s)
+		}
+		body := `{"image":[` + s + `]}`
+		var got, want ClassifyRequest
+		if err := decodeClassify([]byte(body), &got); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if err := referenceDecode([]byte(body), &want); err != nil || !sameRequest(&got, &want) {
+			t.Fatalf("%s: decodeClassify %v, encoding/json %v (%v)", body, got.Image, want.Image, err)
+		}
+	}
+	var req ClassifyRequest
+	if err := decodeClassify([]byte(`{"image":[0.5000000298023224]}`), &req); err != nil || req.Image[0] != math.Nextafter32(0.5, 1) {
+		t.Fatalf("0.5000000298023224 decodes to %v (%v), want 0.50000006", req.Image, err)
+	}
+}
+
+// TestReadNumberMatchesStrconv compares decimal.float32 with strconv on
+// random float32 bit patterns, each written as its shortest 'f' and 'e'
+// forms and as 15, 16 and 17 significant digits of the midpoint above it —
+// the strings nearest the ties decimal.float32 must not break itself. Each
+// is read bare, one byte at a time, and followed by padding, 8 bytes at a
+// time.
+func TestReadNumberMatchesStrconv(t *testing.T) {
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	r := xrand.New(44)
+	fast := 0
+	var buf []byte
+	for k := 0; k < n; k++ {
+		f := math.Float32frombits(uint32(r.Uint64()))
+		if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+			continue
+		}
+		strs := []string{strconv.FormatFloat(float64(f), 'f', -1, 32), strconv.FormatFloat(float64(f), 'e', -1, 32)}
+		if next := math.Nextafter32(f, float32(math.Inf(1))); !math.IsInf(float64(next), 0) {
+			mid := (float64(f) + float64(next)) / 2
+			for _, prec := range []int{14, 15, 16} {
+				strs = append(strs, strconv.FormatFloat(mid, 'e', prec, 64))
+			}
+		}
+		for _, s := range strs {
+			buf = append(append(buf[:0], s...), "]}      "...)
+			if checkReadNumber(t, buf[:len(s)], len(s)) {
+				fast++
+			}
+			checkReadNumber(t, buf, len(s))
+		}
+	}
+	if fast == 0 {
+		t.Fatal("no string took the exact path")
+	}
+	t.Logf("%d bit patterns, %d strings converted exactly without strconv", n, fast)
+}
+
+// FuzzReadNumber is the differential gate on the scanner alone: on any bytes
+// it ends where the RFC 8259 grammar does, and every number decimal.float32
+// converts is bit for bit strconv's.
+func FuzzReadNumber(f *testing.F) {
+	// Pixel forms, the fallback's edges, malformed prefixes, and 8-byte digit
+	// runs cut by each ASCII neighbour of the digits, '/' and ':'.
+	for _, s := range []string{"0.4252376", "0.4252376,0.5]}", "0.1234567/", "0.1234567:", "1234567:89", "1.5e-07", "-0.0e5", "0.5000000298023224", "12345678901234567890", "9007199254740993", "1e22", "1e23", "4e-22", "1e-23", "01", "1.", "1e+", "-", "0x10", "1_000"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkReadNumber(t, b, len(numberGrammar.Find(b)))
+	})
 }
 
 // BenchmarkDecodeClassify times both decoders on the body shard_http sends:

@@ -120,7 +120,8 @@ rm -rf "$gwtmp"
 
 # Fuzz smoke: a few seconds per target catches regressions in the voting
 # rules, quantile estimator, RNG stream derivation, the one-pass request
-# decoder (differential against encoding/json), the shard's and the
+# decoder (differential against encoding/json) and its number scanner
+# (against the RFC 8259 grammar and strconv), the shard's and the
 # gateway's classify-handler status mapping, the SSE2 output epilogue
 # (against its Go spec) and the packers that read the image straight into
 # GEMM panels, forward and transposed, without the cost of a long campaign.
@@ -131,6 +132,7 @@ go test ./internal/xrand -run '^$' -fuzz '^FuzzXrandSplit$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzForwardBatchArena$' -fuzztime 5s
 go test ./internal/nn -run '^$' -fuzz '^FuzzEpilogueRow$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzDecodeClassify$' -fuzztime 5s
+go test ./internal/serve -run '^$' -fuzz '^FuzzReadNumber$' -fuzztime 5s
 go test ./internal/serve -run '^$' -fuzz '^FuzzClassifyHandler$' -fuzztime 5s
 go test ./internal/gateway -run '^$' -fuzz '^FuzzGatewayHandler$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
