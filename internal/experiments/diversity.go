@@ -132,7 +132,7 @@ func runDiversityArm(arm DiversityArm, cfg TableIIConfig, ds *signs.Dataset, rng
 	// Voted accuracy over the real model outputs.
 	var versions []core.Version[*tensor.Tensor, int]
 	for _, net := range nets {
-		v, err := core.NewNNVersion(net, nil)
+		v, err := NewNNVersion(net, nil)
 		if err != nil {
 			return DiversityRow{}, err
 		}

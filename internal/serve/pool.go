@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"mvml/internal/core"
+	"mvml/internal/experiments"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/tensor"
@@ -72,7 +73,7 @@ type pool struct {
 
 	// nv is the version's network: live weights plus the pristine snapshot
 	// rejuvenation reloads. quant is its int8 calibration (nil: float pool).
-	nv    *core.NNVersion
+	nv    *experiments.NNVersion
 	quant *nn.QuantParams
 
 	jobs    chan batchJob
@@ -95,7 +96,7 @@ type pool struct {
 }
 
 // newPool starts cfg.WorkersPerVersion workers on nv.
-func newPool(index int, nv *core.NNVersion, quant *nn.QuantParams, cfg Config, m *metrics) *pool {
+func newPool(index int, nv *experiments.NNVersion, quant *nn.QuantParams, cfg Config, m *metrics) *pool {
 	p := &pool{
 		index:         index,
 		name:          nv.Name(),
@@ -218,7 +219,7 @@ func (p *pool) reopen() {
 // marked stale before a worker can take its next job: the idle workers'
 // last use is ordered before this through p.mu, their next through p.mu and
 // the jobs channel. One spurious repack per worker is the cost of not asking.
-func (p *pool) withQuiesced(fn func(*core.NNVersion) error) error {
+func (p *pool) withQuiesced(fn func(*experiments.NNVersion) error) error {
 	if !p.quiesce(poolDraining) {
 		return ErrClosed
 	}

@@ -375,7 +375,7 @@ func (s *Server) buildPool(v int, root *xrand.Rand, train, calib []nn.Sample) (*
 	}
 	layer, count := s.cfg.InjectLayer, s.cfg.InjectCount
 	faultR := root.Split("fault", uint64(v)<<16)
-	nv, err := core.NewNNVersion(net, func(n *nn.Network) error {
+	nv, err := experiments.NewNNVersion(net, func(n *nn.Network) error {
 		for i := 0; i < count; i++ {
 			if _, err := faultinject.RandomWeightInj(n, layer, -10, 30, faultR); err != nil {
 				return err
@@ -514,7 +514,7 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 	defer s.rejuvMu.Unlock()
 	start := time.Now()
 	t0 := s.m.spans.Now()
-	err = p.withQuiesced((*core.NNVersion).Restore)
+	err = p.withQuiesced((*experiments.NNVersion).Restore)
 	p.resetDivergence()
 	if err != nil {
 		return fmt.Errorf("serve: rejuvenating %s: %w", p.name, err)
@@ -540,7 +540,7 @@ func (s *Server) Compromise(v int) error {
 	}
 	s.rejuvMu.Lock()
 	defer s.rejuvMu.Unlock()
-	err = p.withQuiesced((*core.NNVersion).Compromise)
+	err = p.withQuiesced((*experiments.NNVersion).Compromise)
 	if err != nil {
 		return fmt.Errorf("serve: compromising %s: %w", p.name, err)
 	}

@@ -7,7 +7,8 @@ package tensor
 const haveGemmAsm = true
 
 // gemmArm is GemmPacked's micro-kernel, chosen once at init by a CPUID/XGETBV
-// check: AVX2 where the CPU and OS support it, else the SSE2 baseline.
+// check: AVX-512F or else AVX2 where the CPU and OS support it, else the SSE2
+// baseline.
 var gemmArm = hostGemmArm()
 
 func hostGemmArm() int
@@ -30,6 +31,13 @@ func gemmMicroAsm(c, ap, bp *float32, ldc, kk int)
 //
 //go:noescape
 func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int)
+
+// gemmMicro4AVX512 is gemmMicro2AVX2 over the four B panels at bp +
+// j·bstride, 16-wide with the same per-lane rounding and k order. Requires
+// AVX-512F; kk must be >= 1.
+//
+//go:noescape
+func gemmMicro4AVX512(c, ap, bp *float32, ldc, kk, bstride int)
 
 // packPanelLoadAVX2 writes one k-major PackIm2Col panel whose eight columns
 // are consecutive pixels: for each of the kk rows, the eight floats at

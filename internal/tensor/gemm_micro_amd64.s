@@ -155,6 +155,81 @@ avx2loop:
 	VZEROUPPER
 	RET
 
+// AVX-512 micro-kernel: one 4×32 tile over four adjacent B panels in eight
+// ZMM accumulators (row r: Z(2r) panels 0–1, Z(2r+1) panels 2–3). A 16-lane B
+// row is a VMOVUPS ymm load plus a VINSERTF64X4 of the next panel's row (both
+// AVX-512F), and VMULPS/VADDPS keep the AVX2 kernel's operand order, no FMA.
+
+// func gemmMicro4AVX512(c, ap, bp *float32, ldc, kk, bstride int)
+TEXT ·gemmMicro4AVX512(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DX
+	MOVQ ldc+24(FP), CX
+	MOVQ kk+32(FP), AX
+	MOVQ bstride+40(FP), R8
+	SHLQ $2, R8          // panel stride in bytes
+	LEAQ (DX)(R8*2), R9  // third B panel
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+avx512loop:
+	VMOVUPS      (DX), Y8                // b[k][0:8]
+	VINSERTF64X4 $1, (DX)(R8*1), Z8, Z8  // b[k][8:16]
+	VMOVUPS      (R9), Y9                // b[k][16:24]
+	VINSERTF64X4 $1, (R9)(R8*1), Z9, Z9  // b[k][24:32]
+
+	VBROADCASTSS (SI), Z10
+	VMULPS       Z8, Z10, Z11
+	VMULPS       Z9, Z10, Z12
+	VADDPS       Z11, Z0, Z0
+	VADDPS       Z12, Z1, Z1
+
+	VBROADCASTSS 4(SI), Z13
+	VMULPS       Z8, Z13, Z14
+	VMULPS       Z9, Z13, Z15
+	VADDPS       Z14, Z2, Z2
+	VADDPS       Z15, Z3, Z3
+
+	VBROADCASTSS 8(SI), Z10
+	VMULPS       Z8, Z10, Z11
+	VMULPS       Z9, Z10, Z12
+	VADDPS       Z11, Z4, Z4
+	VADDPS       Z12, Z5, Z5
+
+	VBROADCASTSS 12(SI), Z13
+	VMULPS       Z8, Z13, Z14
+	VMULPS       Z9, Z13, Z15
+	VADDPS       Z14, Z6, Z6
+	VADDPS       Z15, Z7, Z7
+
+	ADDQ $16, SI
+	ADDQ $32, DX
+	ADDQ $32, R9
+	DECQ AX
+	JNE  avx512loop
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	LEAQ    (DI)(CX*4), DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z3, 64(DI)
+	LEAQ    (DI)(CX*4), DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, 64(DI)
+	LEAQ    (DI)(CX*4), DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
+	VZEROUPPER
+	RET
+
 // AVX2 PackIm2Col panel writers: one k-major 8-column panel, one 32-byte row
 // per k. off holds each row's offset (in floats) from src; the load form reads
 // eight consecutive floats there, the gather form the eight lanes at idx from
@@ -207,10 +282,10 @@ gatherloop:
 	VZEROUPPER
 	RET
 
-// hostGemmArm returns armAVX2 when the CPU has AVX2 and the OS saves YMM
-// state — CPUID leaf 7 exists, CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1–2,
-// CPUID.7.0:EBX bit 5 — and armSSE2 otherwise. Hand-written because
-// golang.org/x/sys/cpu is not a dependency of this module.
+// hostGemmArm returns armAVX2 when CPUID leaf 7 exists, CPUID.1:ECX OSXSAVE
+// and AVX, XCR0 bits 1–2 and CPUID.7.0:EBX bit 5 are set; armAVX512 if also
+// CPUID.7.0:EBX bit 16 (AVX-512F) and XCR0 bits 5–7 (opmask and ZMM state);
+// else armSSE2. Hand-written: golang.org/x/sys/cpu is not a dependency.
 
 // func hostGemmArm() int
 TEXT ·hostGemmArm(SB), NOSPLIT, $0-8
@@ -228,6 +303,7 @@ TEXT ·hostGemmArm(SB), NOSPLIT, $0-8
 
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8 // XCR0
 	ANDL $6, AX
 	CMPL AX, $6
 	JNE  noavx2
@@ -237,6 +313,15 @@ TEXT ·hostGemmArm(SB), NOSPLIT, $0-8
 	CPUID
 	BTL  $5, BX
 	JCC  noavx2
+	BTL  $16, BX
+	JCC  noavx512
+	ANDL $0xE6, R8
+	CMPL R8, $0xE6
+	JNE  noavx512
+	MOVQ $const_armAVX512, ret+0(FP)
+	RET
+
+noavx512:
 	MOVQ $const_armAVX2, ret+0(FP)
 	RET
 

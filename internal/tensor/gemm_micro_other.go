@@ -22,6 +22,11 @@ func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int) {
 	panic("tensor: gemmMicro2AVX2 without asm support")
 }
 
+// gemmMicro4AVX512 is never called when gemmArm is armGo.
+func gemmMicro4AVX512(c, ap, bp *float32, ldc, kk, bstride int) {
+	panic("tensor: gemmMicro4AVX512 without asm support")
+}
+
 // packPanelLoadAVX2 is never called when gemmArm is armGo.
 func packPanelLoadAVX2(dst, src *float32, off *int, kk int) {
 	panic("tensor: packPanelLoadAVX2 without asm support")

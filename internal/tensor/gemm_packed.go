@@ -9,10 +9,10 @@
 // accumulator, exactly like MatMul's scalar loop, so GemmPacked results are
 // bitwise identical to MatMul. Every micro-kernel vectorises across *output
 // elements* only, with one IEEE single rounding per multiply and per add and
-// no FMA, so all produce the same bits: on amd64, a 4×16 AVX2 kernel over
-// pairs of adjacent column panels, else the 4×8 SSE2 one (an odd last panel,
-// the column edge, hosts without AVX2); the pure-Go kernel, the executable
-// spec, off amd64 and under the noasm tag.
+// no FMA, so all produce the same bits: on amd64, a 4×32 AVX-512 kernel over
+// four adjacent column panels, a 4×16 AVX2 kernel over two, else the 4×8
+// SSE2 one (the last panels of the column edge, hosts without AVX2); the
+// pure-Go kernel, the executable spec, off amd64 and under the noasm tag.
 // Packing pads partial edge panels with zeros; padded lanes have their own
 // accumulator lanes which are simply never stored, so even a 0·Inf = NaN
 // computed in a dead lane cannot leak into the output.
@@ -238,10 +238,13 @@ func GemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 	m, k, n := pa.M, pa.K, pb.N
 	mPanels := (m + gemmMR - 1) / gemmMR
 	for j0 := 0; j0 < n; {
-		// Two adjacent full column panels make one AVX2 tile; an odd last
-		// panel and the padded edge panel stay on the 4×8 kernel.
+		// Four adjacent full column panels make one AVX-512 tile, two an
+		// AVX2 one; the rest, the padded edge panel included, run 4×8.
 		tw := gemmNR // tile width
-		if gemmArm == armAVX2 && n-j0 >= 2*gemmNR {
+		switch {
+		case gemmArm == armAVX512 && n-j0 >= 4*gemmNR:
+			tw = 4 * gemmNR
+		case gemmArm >= armAVX2 && n-j0 >= 2*gemmNR:
 			tw = 2 * gemmNR
 		}
 		nr := min(tw, n-j0)
@@ -259,7 +262,7 @@ func GemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 				// Edge tile: run the same kernel into a scratch tile,
 				// then keep only the live lanes. The discarded lanes
 				// are exactly the zero-padded panel rows/columns.
-				var scratch [gemmMR * 2 * gemmNR]float32
+				var scratch [gemmMR * 4 * gemmNR]float32
 				microTile(&scratch[0], &ap[0], &bp[0], tw, k, tw)
 				for r := 0; r < mr; r++ {
 					copy(c.Data[(i0+r)*n+j0:(i0+r)*n+j0+nr], scratch[r*tw:])
@@ -271,22 +274,27 @@ func GemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 	return nil
 }
 
-// The micro-kernel arms GemmPacked dispatches on (gemmArm).
+// The micro-kernel arms GemmPacked dispatches on (gemmArm); each runs the
+// narrower ones on the column edge.
 const (
-	armGo   = iota // portable spec: off amd64 and under noasm
-	armSSE2        // 4×8 xmm, the amd64 baseline
-	armAVX2        // 4×16 ymm over column-panel pairs, SSE2 on the edge
+	armGo     = iota // portable spec: off amd64 and under noasm
+	armSSE2          // 4×8 xmm, the amd64 baseline
+	armAVX2          // 4×16 ymm over column-panel pairs
+	armAVX512        // 4×32 zmm over four column panels
 )
 
 // microTile runs one assembly register tile tw columns wide into c: the
-// 4×16 AVX2 kernel over the panel at bp and the next one, or the 4×8 SSE2
-// kernel over bp.
+// 4×32 AVX-512 kernel over the panel at bp and the next three, the 4×16
+// AVX2 kernel over it and the next one, or the 4×8 SSE2 kernel over bp.
 func microTile(c, ap, bp *float32, ldc, k, tw int) {
-	if tw > gemmNR {
+	switch tw {
+	case 4 * gemmNR:
+		gemmMicro4AVX512(c, ap, bp, ldc, k, k*gemmNR)
+	case 2 * gemmNR:
 		gemmMicro2AVX2(c, ap, bp, ldc, k, k*gemmNR)
-		return
+	default:
+		gemmMicroAsm(c, ap, bp, ldc, k)
 	}
-	gemmMicroAsm(c, ap, bp, ldc, k)
 }
 
 // gemmMicroGo is the portable micro-kernel and the executable spec for the

@@ -13,10 +13,11 @@ import (
 
 func isNaN32(v float32) bool { return v != v }
 
-var gemmArmNames = [...]string{armGo: "go", armSSE2: "sse2", armAVX2: "avx2"}
+var gemmArmNames = [...]string{armGo: "go", armSSE2: "sse2", armAVX2: "avx2", armAVX512: "avx512"}
 
 // forEachGemmArm runs f once per micro-kernel arm this host can execute — the
-// Go spec, then SSE2 and AVX2 where present — with GemmPacked forced onto it,
+// Go spec, then SSE2, AVX2 and AVX-512 where present — with GemmPacked forced
+// onto it,
 // and restores the host's arm afterwards.
 func forEachGemmArm(f func(arm int)) {
 	host := gemmArm
@@ -53,8 +54,9 @@ func poisonPadding(pa *PackedA, pb *PackedB) {
 // TestGemmPackedBitwiseMatchesMatMul: every micro-kernel arm must reproduce
 // MatMul bit for bit across ragged shapes — m, n deliberately not multiples
 // of the register block, n not a multiple of the column tile, and every
-// pairing of a row edge with a column edge, odd panel and panel pair — while
-// the padded lanes carry Inf and NaN.
+// pairing of a row edge with a column edge, a lone panel, a panel pair and a
+// four-panel tile, alone and in front of each narrower tail — while the
+// padded lanes carry Inf and NaN.
 func TestGemmPackedBitwiseMatchesMatMul(t *testing.T) {
 	r := xrand.New(11)
 	shapes := [][3]int{
@@ -62,7 +64,7 @@ func TestGemmPackedBitwiseMatchesMatMul(t *testing.T) {
 		{2, 17, 1030}, {32, 288, 513}, {65, 64, 33}, {7, 1, 258},
 	}
 	for _, m := range []int{1, 3, 4, 5, 6} {
-		for _, n := range []int{8, 15, 16, 17, 24, 33} {
+		for _, n := range []int{8, 15, 16, 17, 24, 31, 32, 33, 40, 48, 63, 64, 65, 97} {
 			shapes = append(shapes, [3]int{m, 1, n})
 		}
 	}
@@ -93,9 +95,12 @@ func TestGemmPackedBitwiseMatchesMatMul(t *testing.T) {
 	}
 }
 
-// TestAVX2ArmTaken: a host whose kernel reports avx2 must run the AVX2 arm, so
-// a broken CPUID/XGETBV check fails here instead of silently serving SSE2.
-func TestAVX2ArmTaken(t *testing.T) {
+// TestWidestGemmArmTaken: GemmPacked must run the widest arm the kernel
+// reports — the AVX-512 arm exactly where /proc/cpuinfo lists avx512f, at
+// least the AVX2 arm exactly where it lists avx2 — so a broken CPUID/XGETBV
+// check fails here instead of silently serving a narrower kernel. -v logs
+// the arm, so a green run says which kernel it exercised.
+func TestWidestGemmArmTaken(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" || !haveGemmAsm {
 		t.Skip("needs linux/amd64 with the assembly kernels")
 	}
@@ -103,20 +108,21 @@ func TestAVX2ArmTaken(t *testing.T) {
 	if err != nil {
 		t.Skip(err)
 	}
-	avx2 := false
+	flags := map[string]bool{}
 	for _, line := range strings.Split(string(info), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			for _, f := range strings.Fields(flags) {
-				avx2 = avx2 || f == "avx2"
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
 			}
 			break
 		}
 	}
-	if avx2 && gemmArm != armAVX2 {
-		t.Fatalf("/proc/cpuinfo lists avx2 but GemmPacked runs the %s arm", gemmArmNames[gemmArm])
+	t.Logf("GemmPacked runs the %s arm", gemmArmNames[gemmArm])
+	if flags["avx512f"] != (gemmArm == armAVX512) {
+		t.Fatalf("/proc/cpuinfo avx512f is %v but GemmPacked runs the %s arm", flags["avx512f"], gemmArmNames[gemmArm])
 	}
-	if !avx2 && gemmArm == armAVX2 {
-		t.Fatal("GemmPacked runs the avx2 arm but /proc/cpuinfo does not list avx2")
+	if flags["avx2"] != (gemmArm >= armAVX2) {
+		t.Fatalf("/proc/cpuinfo avx2 is %v but GemmPacked runs the %s arm", flags["avx2"], gemmArmNames[gemmArm])
 	}
 }
 
@@ -339,8 +345,10 @@ func FuzzGemmPackedBitwise(f *testing.F) {
 	})
 }
 
-// BenchmarkGemmPackedAlexConv3 times the alexnet conv3 multiply at batch=32:
-// weights packed once (cached in the arena), activations repacked per call.
+// BenchmarkGemmPackedAlexConv3 times the alexnet conv3 multiply at batch=32,
+// once per arm the host has: weights packed once (cached in the arena),
+// activations repacked per call. With -cpu 1 the /avx512 : /avx2 ratio is
+// the wide tile's kernel gain on this host.
 func BenchmarkGemmPackedAlexConv3(b *testing.B) {
 	r := xrand.New(9)
 	m, k, n := 32, 288, 4608
@@ -351,15 +359,18 @@ func BenchmarkGemmPackedAlexConv3(b *testing.B) {
 	if err := pa.Pack(x); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pb.Pack(y); err != nil {
-			b.Fatal(err)
-		}
-		if err := GemmPacked(c, &pa, &pb); err != nil {
-			b.Fatal(err)
-		}
-	}
+	forEachGemmArm(func(arm int) {
+		b.Run(gemmArmNames[arm], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := pb.Pack(y); err != nil {
+					b.Fatal(err)
+				}
+				if err := GemmPacked(c, &pa, &pb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }
 
 // TestGemmPackedTransposedAMatchesMatMulTransA: PackedA.PackTransposed packs

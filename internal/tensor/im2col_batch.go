@@ -272,7 +272,7 @@ func padImage(dst, in []float32, g *im2colGeom) {
 // strictly increase, so eight live lanes ending at 7 are one contiguous run.
 func packPanel(dst, src []float32, off []int, lane *[gemmNR]int, live int) {
 	switch {
-	case gemmArm != armAVX2 || !gatherFits(lane[live-1]):
+	case gemmArm < armAVX2 || !gatherFits(lane[live-1]):
 		packPanelGo(dst, src, off, lane, live)
 	case live == gemmNR && lane[gemmNR-1] == gemmNR-1:
 		packPanelLoadAVX2(&dst[0], &src[0], &off[0], len(off))

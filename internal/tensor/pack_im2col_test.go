@@ -180,6 +180,45 @@ func TestPackIm2ColGatherSpanGuard(t *testing.T) {
 	}
 }
 
+// TestPackPanelTakesAsmFromAVX2Up: on the AVX2 arm and every wider one the
+// conv packer must run the assembly load and gather panels, not the Go loop.
+// They write the same bits, so only the bounds check tells them apart: the Go
+// packer panics on a src whose capacity ends before the last row's lanes,
+// while the assembly reads the (valid) backing array behind it.
+func TestPackPanelTakesAsmFromAVX2Up(t *testing.T) {
+	backing := make([]float32, 64)
+	for i := range backing {
+		backing[i] = float32(i)
+	}
+	src := backing[:8:8]
+	off := []int{0, 16} // the second row lies past cap(src)
+	load := [gemmNR]int{0, 1, 2, 3, 4, 5, 6, 7}
+	gather := [gemmNR]int{0, 2, 4, 6, 8, 10, 12, 14}
+	forEachGemmArm(func(arm int) {
+		if arm < armAVX2 {
+			return
+		}
+		for _, lane := range []*[gemmNR]int{&load, &gather} {
+			dst := make([]float32, len(off)*gemmNR)
+			func() {
+				defer func() {
+					if recover() != nil {
+						t.Fatalf("%s arm packed lanes %v with the Go packer", gemmArmNames[arm], *lane)
+					}
+				}()
+				packPanel(dst, src, off, lane, gemmNR)
+			}()
+			for kk, o := range off {
+				for c, l := range lane {
+					if got, want := dst[kk*gemmNR+c], backing[o+l]; got != want {
+						t.Fatalf("%s arm, lanes %v: row %d lane %d = %v, want %v", gemmArmNames[arm], *lane, kk, c, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestConvShapeKernelLargerThanPaddedInput: a kernel that does not fit the
 // padded input has no output position. Conv2DShape used to truncate the
 // negative quotient toward zero and report one, so every unroll of it read

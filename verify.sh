@@ -42,11 +42,29 @@ if [ -n "$telemetry_deps" ]; then
     exit 1
 fi
 
-# The AVX2 GEMM kernel is chosen at run time by CPUID, so the assembly must
-# build for the amd64 baseline too, not only for whatever GOAMD64 level the
-# toolchain defaults to.
+# The voting runtime is generic over its versions: core and perception
+# build without the NN kernels (the network adapter, NNVersion, lives in
+# experiments).
+echo "==> dependency gate: ./internal/core ./internal/perception import no nn or tensor"
+kernel_deps=$(go list -deps ./internal/core ./internal/perception |
+    grep -E '^mvml/internal/(nn|tensor)$' || true)
+if [ -n "$kernel_deps" ]; then
+    echo "the voting runtime depends on:" >&2
+    echo "$kernel_deps" >&2
+    exit 1
+fi
+
+# The AVX2 and AVX-512 GEMM kernels are chosen at run time by CPUID, so the
+# assembly must build for the amd64 baseline too, not only for whatever
+# GOAMD64 level the toolchain defaults to.
 echo "==> GOAMD64=v1 go build ./..."
 GOAMD64=v1 go build ./...
+
+# Which GEMM arm this host runs: the test fails unless it is the widest the
+# CPU reports, and -v logs it, so a green log says whether the AVX-512
+# kernel was exercised or the pass fell back to AVX2 (or SSE2).
+echo "==> GEMM arm"
+go test -count=1 ./internal/tensor -run 'WidestGemmArmTaken' -v
 
 # Race pass: -short skips the NN-training marathons, which run 10-40x
 # slower under the race detector and hold no concurrency of their own;
@@ -69,13 +87,13 @@ go test ./...
 # micro-kernels, the int8 packer, the 2x2 max-pool forward and backward
 # (maxPool2x2BackRowGo), the row add behind Col2ImAdd and AddInPlace
 # (addRows) and the output epilogue on an amd64 host (the
-# default pass above already runs the bitwise suites on the SSE2 and AVX2
-# GEMM arms the host has), so
+# default pass above already runs the bitwise suites on the SSE2, AVX2 and
+# AVX-512 GEMM arms the host has), so
 # the bitwise, differential and int8-golden suites run against the code every
 # other architecture executes — and, since training, evaluation and fault
 # campaigns run on those kernels too, so do the trained-weight hashes, the
 # campaigns and the short paper-table goldens, and the per-input answers of
-# core.NNVersion (Predict runs as a batch of one on the same kernels).
+# experiments.NNVersion (Predict runs as a batch of one on the same kernels).
 # ci.yml's noasm step runs the same set.
 echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core, -short ./internal/experiments"
 go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core
