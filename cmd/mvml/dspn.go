@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"mvml/internal/cli"
+	"mvml/internal/core"
 	"mvml/internal/reliability"
 )
 
@@ -96,12 +97,12 @@ func cmdDSPN(args []string, w, stderr io.Writer) error {
 	return nil
 }
 
-func printStates(w io.Writer, probs map[reliability.State]float64) {
-	states := make([]reliability.State, 0, len(probs))
+func printStates(w io.Writer, probs map[core.State]float64) {
+	states := make([]core.State, 0, len(probs))
 	for s := range probs {
 		states = append(states, s)
 	}
-	slices.SortFunc(states, func(a, b reliability.State) int {
+	slices.SortFunc(states, func(a, b core.State) int {
 		return cmp.Or(b.Healthy-a.Healthy, b.Compromised-a.Compromised)
 	})
 	for _, s := range states {

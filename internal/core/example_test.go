@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mvml/internal/core"
-	"mvml/internal/reliability"
 	"mvml/internal/xrand"
 )
 
@@ -84,7 +83,7 @@ func Example_quickstart() {
 		fmt.Printf("  skip ratio: %.4f\n", stats.SkipRatio())
 		fmt.Printf("  time in each (healthy,compromised,down) state:\n")
 		occupancy := sys.Occupancy()
-		states := make([]reliability.State, 0, len(occupancy))
+		states := make([]core.State, 0, len(occupancy))
 		for state := range occupancy {
 			states = append(states, state)
 		}

@@ -43,6 +43,20 @@ func (s ModuleState) Functional() bool {
 	return s == Healthy || s == Compromised
 }
 
+// State identifies a system state by the number of modules that are healthy
+// (i), compromised-but-functional (j) and non-functional (k) — the (i, j, k)
+// triples of Section V-B. Modules undergoing rejuvenation count as
+// non-functional.
+type State struct {
+	Healthy       int
+	Compromised   int
+	NonFunctional int
+}
+
+func (s State) String() string {
+	return fmt.Sprintf("(%d,%d,%d)", s.Healthy, s.Compromised, s.NonFunctional)
+}
+
 // Module pairs a Version with its health state and event timers. Modules are
 // owned and driven by a System.
 type Module[I, O any] struct {

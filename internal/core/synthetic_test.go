@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"mvml/internal/reliability"
 	"mvml/internal/xrand"
 )
 
@@ -34,51 +33,6 @@ func TestSyntheticEnsembleValidation(t *testing.T) {
 	bad.P, bad.PPrime = 0.5, 0.1
 	if _, err := NewSyntheticEnsemble(bad); err == nil {
 		t.Fatal("expected error for p > p'")
-	}
-}
-
-// errorSets runs every version over n inputs and returns the error sets.
-func errorSets(t *testing.T, versions []Version[LabeledInput, int], n int) []map[int]bool {
-	t.Helper()
-	r := xrand.New(123)
-	sets := make([]map[int]bool, len(versions))
-	for i := range sets {
-		sets[i] = make(map[int]bool)
-	}
-	for id := 0; id < n; id++ {
-		truth := r.Intn(43)
-		for vi, v := range versions {
-			out, err := v.Infer(LabeledInput{ID: id, Truth: truth})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out != truth {
-				sets[vi][id] = true
-			}
-		}
-	}
-	return sets
-}
-
-func TestSyntheticEnsembleCalibration(t *testing.T) {
-	versions, err := NewSyntheticEnsemble(ensembleConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40_000
-	sets := errorSets(t, versions, n)
-
-	// Marginal error probability matches p.
-	for i, set := range sets {
-		got := float64(len(set)) / n
-		if math.Abs(got-0.0629) > 0.006 {
-			t.Errorf("version %d healthy error rate %.4f, want ≈0.0629", i, got)
-		}
-	}
-	// Pairwise α matches the target.
-	alpha := reliability.AlphaThreeVersion(sets[0], sets[1], sets[2])
-	if math.Abs(alpha-0.3700) > 0.04 {
-		t.Errorf("measured alpha %.4f, want ≈0.37", alpha)
 	}
 }
 
@@ -217,64 +171,5 @@ func TestMixtureParamsEdgeCases(t *testing.T) {
 	}
 	if both := c + (1-c)*q*q; math.Abs(both-0.4*0.2) > 1e-9 {
 		t.Fatalf("joint %v, want %v", both, 0.4*0.2)
-	}
-}
-
-// TestSyntheticSystemMatchesReliabilityModel runs the full architecture
-// (synthetic ensemble + majority voter, all modules healthy) over many
-// inputs and compares the empirical output reliability against the paper's
-// R_{3,0,0} formula.
-func TestSyntheticSystemMatchesReliabilityModel(t *testing.T) {
-	cfg := ensembleConfig()
-	versions, err := NewSyntheticEnsemble(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem[LabeledInput, int](versions, NewEqualityVoter[int](), noFaultConfig(), xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 30_000
-	r := xrand.New(99)
-	correct := 0
-	for id := 0; id < n; id++ {
-		truth := r.Intn(cfg.Classes)
-		d, _, err := sys.Infer(float64(id), LabeledInput{ID: id, Truth: truth})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.Skipped && d.Value == truth {
-			correct++
-		}
-	}
-	got := float64(correct) / n
-	// Under the calibrated mixture, the voter outputs the truth iff the
-	// input is not common-mode hard and at least 2 of 3 private draws are
-	// correct: (1-c)·((1-q)³ + 3(1-q)²q).
-	c, q, err := mixtureParams(cfg.P, cfg.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (1 - c) * ((1-q)*(1-q)*(1-q) + 3*(1-q)*(1-q)*q)
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("empirical 3-version reliability %.4f vs mixture prediction %.4f", got, want)
-	}
-	// The triple-version system must beat a single version (1-p), the
-	// qualitative claim behind the paper's architecture.
-	if got <= 1-cfg.P {
-		t.Fatalf("3-version reliability %.4f does not beat single version %.4f", got, 1-cfg.P)
-	}
-	// And the paper's closed-form R(3,0,0) is an upper-side model of the
-	// same quantity: it should sit within a few points of the empirical
-	// rate.
-	params := reliability.Params{P: cfg.P, PPrime: cfg.PPrime, Alpha: cfg.Alpha,
-		MeanTimeToCompromise: 1, MeanTimeToFailure: 1,
-		MeanReactiveRejuvenation: 1, MeanProactiveRejuvenation: 1, RejuvenationInterval: 1}
-	model, err := params.StateReliability(reliability.State{Healthy: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-model) > 0.03 {
-		t.Fatalf("empirical %.4f too far from the paper model R(3,0,0) %.4f", got, model)
 	}
 }

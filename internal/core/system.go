@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"mvml/internal/reliability"
 	"mvml/internal/xrand"
 )
 
@@ -172,7 +171,7 @@ type System[I, O any] struct {
 	sysCrashAt      float64
 
 	stats     Stats
-	occupancy map[reliability.State]float64
+	occupancy map[State]float64
 	observed  float64
 }
 
@@ -199,7 +198,7 @@ func NewSystem[I, O any](versions []Version[I, O], voter Voter[O], cfg Config, r
 		cfg:             cfg,
 		rng:             rng,
 		rejuv:           NewRejuvenator(cfg, rng),
-		occupancy:       make(map[reliability.State]float64),
+		occupancy:       make(map[State]float64),
 		nextTick:        math.Inf(1),
 		sysCompromiseAt: math.Inf(1),
 		sysCrashAt:      math.Inf(1),
@@ -277,8 +276,8 @@ func (s *System[I, O]) Stats() Stats { return s.stats }
 
 // State returns the current (i, j, k) system state; modules under any form
 // of rejuvenation count as non-functional.
-func (s *System[I, O]) State() reliability.State {
-	var st reliability.State
+func (s *System[I, O]) State() State {
+	var st State
 	for _, m := range s.modules {
 		switch m.state {
 		case Healthy:
@@ -295,8 +294,8 @@ func (s *System[I, O]) State() reliability.State {
 // Occupancy returns the fraction of simulated time spent in each system
 // state since construction — directly comparable with the DSPN model's
 // steady-state probabilities.
-func (s *System[I, O]) Occupancy() map[reliability.State]float64 {
-	out := make(map[reliability.State]float64, len(s.occupancy))
+func (s *System[I, O]) Occupancy() map[State]float64 {
+	out := make(map[State]float64, len(s.occupancy))
 	if s.observed <= 0 {
 		return out
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
 	"testing"
 
-	"mvml/internal/reliability"
 	"mvml/internal/xrand"
 )
 
@@ -216,100 +214,6 @@ func TestSkipAccounting(t *testing.T) {
 	st := sys.Stats()
 	if st.Skips != 10 || st.SkipRatio() != 1 {
 		t.Fatalf("stats %+v, want all skips", st)
-	}
-}
-
-// TestOccupancyMatchesDSPN is the architecture-to-model cross-validation:
-// the runtime system's empirical (i,j,k) occupancy must match the steady
-// state of the Fig. 2 DSPN under the same parameters.
-func TestOccupancyMatchesDSPN(t *testing.T) {
-	params := reliability.Params{
-		P: 0.06, PPrime: 0.24, Alpha: 0.37,
-		MeanTimeToCompromise:      50,
-		MeanTimeToFailure:         50,
-		MeanReactiveRejuvenation:  0.5,
-		MeanProactiveRejuvenation: 0.5,
-		RejuvenationInterval:      10,
-	}
-	model, err := reliability.NewModel(3, params, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := model.SolveExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := Config{
-		MeanTimeToCompromise:     params.MeanTimeToCompromise,
-		MeanTimeToFailure:        params.MeanTimeToFailure,
-		MeanReactiveRejuvenation: params.MeanReactiveRejuvenation,
-	}
-	sys, err := NewSystem[int, int](testVersions(3), NewEqualityVoter[int](), cfg, xrand.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Advance(200_000); err != nil {
-		t.Fatal(err)
-	}
-	occ := sys.Occupancy()
-	for st, want := range exact.StateProbs {
-		if want < 0.01 {
-			continue // skip states too rare to estimate tightly
-		}
-		got := occ[st]
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("state %v: runtime occupancy %.4f vs DSPN %.4f", st, got, want)
-		}
-	}
-}
-
-// TestOccupancyMatchesProactiveDSPN cross-validates the proactive
-// rejuvenation path against the Fig. 3 DSPN solved exactly. Over seeds 1–20
-// the worst state of a 500,000 s run is off by at most 0.0075; the bound is
-// twice that.
-func TestOccupancyMatchesProactiveDSPN(t *testing.T) {
-	params := reliability.Params{
-		P: 0.06, PPrime: 0.24, Alpha: 0.37,
-		MeanTimeToCompromise:      50,
-		MeanTimeToFailure:         50,
-		MeanReactiveRejuvenation:  0.5,
-		MeanProactiveRejuvenation: 0.5,
-		RejuvenationInterval:      10,
-	}
-	model, err := reliability.NewModel(3, params, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dspn, err := model.SolveExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := Config{
-		MeanTimeToCompromise:      params.MeanTimeToCompromise,
-		MeanTimeToFailure:         params.MeanTimeToFailure,
-		MeanReactiveRejuvenation:  params.MeanReactiveRejuvenation,
-		MeanProactiveRejuvenation: params.MeanProactiveRejuvenation,
-		RejuvenationInterval:      params.RejuvenationInterval,
-		Selection:                 SelectByCount,
-	}
-	sys, err := NewSystem[int, int](testVersions(3), NewEqualityVoter[int](), cfg, xrand.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Advance(500_000); err != nil {
-		t.Fatal(err)
-	}
-	occ := sys.Occupancy()
-	for st, want := range dspn.StateProbs {
-		if want < 0.02 {
-			continue
-		}
-		got := occ[st]
-		if math.Abs(got-want) > 0.015 {
-			t.Errorf("state %v: runtime occupancy %.4f vs DSPN %.4f", st, got, want)
-		}
 	}
 }
 

@@ -105,7 +105,7 @@ func runDiversityArm(arm DiversityArm, cfg TableIIConfig, ds *signs.Dataset, rng
 			third := len(ds.Train) / 3
 			train = ds.Train[i*third : (i+1)*third]
 		}
-		if err := Train(net, train, cfg, rng.Split("train", uint64(i))); err != nil {
+		if err := nn.Train(net, train, cfg.TrainConfig, rng.Split("train", uint64(i))); err != nil {
 			return DiversityRow{}, err
 		}
 		nets = append(nets, net)
@@ -132,11 +132,8 @@ func runDiversityArm(arm DiversityArm, cfg TableIIConfig, ds *signs.Dataset, rng
 	// Voted accuracy over the real model outputs.
 	var versions []core.Version[*tensor.Tensor, int]
 	for _, net := range nets {
-		v, err := NewNNVersion(net, nil)
-		if err != nil {
-			return DiversityRow{}, err
-		}
-		versions = append(versions, v)
+		// Faults are disabled, so a version is only ever asked to infer.
+		versions = append(versions, &core.FuncVersion[*tensor.Tensor, int]{VersionName: net.Name, InferFn: net.Predict})
 	}
 	sys, err := core.NewSystem[*tensor.Tensor, int](
 		versions, core.NewEqualityVoter[int](), core.Config{DisableFaults: true}, rng.Split("sys", 0))

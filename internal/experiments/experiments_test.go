@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mvml/internal/core"
 	"mvml/internal/reliability"
 )
 
@@ -65,7 +66,7 @@ func TestRunTableIIIMatchesPaper(t *testing.T) {
 		t.Fatalf("%d states, want 9", len(res.States))
 	}
 	// First row is (3,0,0) = 0.988626295 in the paper.
-	if res.States[0] != (reliability.State{Healthy: 3}) {
+	if res.States[0] != (core.State{Healthy: 3}) {
 		t.Fatalf("first state %v", res.States[0])
 	}
 	if math.Abs(res.Values[0]-0.988626295) > 2e-5 {

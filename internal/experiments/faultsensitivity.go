@@ -33,7 +33,7 @@ func RunFaultSensitivity(cfg TableIIConfig, trialsPerLayer, workers int) (*Fault
 	}
 	root := xrand.New(cfg.Seed + 7)
 	net := nn.NewLeNetSmall(signs.NumClasses, root.Split("init", 0))
-	if err := Train(net, ds.Train, cfg, root.Split("train", 0)); err != nil {
+	if err := nn.Train(net, ds.Train, cfg.TrainConfig, root.Split("train", 0)); err != nil {
 		return nil, err
 	}
 

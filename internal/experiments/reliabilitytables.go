@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mvml/internal/core"
 	"mvml/internal/reliability"
 )
 
@@ -10,7 +11,7 @@ import (
 // system state (the paper's Table III).
 type TableIIIResult struct {
 	Params reliability.Params
-	States []reliability.State
+	States []core.State
 	Values []float64
 }
 
@@ -22,7 +23,7 @@ func RunTableIII(params reliability.Params) (*TableIIIResult, error) {
 	}
 	res := &TableIIIResult{Params: params}
 	// The paper's Table III lists the states in this order.
-	states := []reliability.State{
+	states := []core.State{
 		{Healthy: 3}, {Healthy: 2, NonFunctional: 1}, {Healthy: 2, Compromised: 1},
 		{Healthy: 1, NonFunctional: 2}, {Healthy: 1, Compromised: 1, NonFunctional: 1},
 		{Healthy: 1, Compromised: 2}, {Compromised: 3}, {Compromised: 2, NonFunctional: 1},

@@ -16,12 +16,8 @@ import (
 type TableIIConfig struct {
 	// Dataset is the synthetic traffic-sign dataset configuration.
 	Dataset signs.Config
-	// Epochs, BatchSize, LearningRate configure training (the paper uses
-	// 20 epochs, batch 128, lr 0.001 on full GTSRB; our synthetic set is
-	// smaller, so fewer epochs suffice).
-	Epochs       int
-	BatchSize    int
-	LearningRate float64
+	// TrainConfig is the training budget (nn.DefaultTrainConfig).
+	nn.TrainConfig
 	// InjectLayer, InjectMin, InjectMax parameterise the PyTorchFI-style
 	// weight injection; the paper uses layer 1 with range (-10, 30).
 	InjectLayer          int
@@ -49,9 +45,7 @@ func DefaultTableIIConfig() TableIIConfig {
 	ds.Jitter = 2
 	return TableIIConfig{
 		Dataset:      ds,
-		Epochs:       20,
-		BatchSize:    32,
-		LearningRate: 0.04,
+		TrainConfig:  nn.DefaultTrainConfig(),
 		InjectLayer:  1,
 		InjectMin:    -10,
 		InjectMax:    30,
@@ -111,7 +105,7 @@ func RunTableII(cfg TableIIConfig) (*TableIIResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := Train(net, ds.Train, cfg, root.Split("train", uint64(name))); err != nil {
+		if err := nn.Train(net, ds.Train, cfg.TrainConfig, root.Split("train", uint64(name))); err != nil {
 			return nil, fmt.Errorf("experiments: training %s: %w", name, err)
 		}
 		healthy, err := net.Accuracy(ds.Test)
@@ -159,33 +153,10 @@ func RunTableII(cfg TableIIConfig) (*TableIIResult, error) {
 	return res, nil
 }
 
-// Train runs mini-batch SGD with momentum and step learning-rate decay over
-// the training set for the configured epochs — the training loop behind
-// Table II, exported for the example programs.
+// Train is nn.Train on cfg's training budget. Only cmd/mvbench's setup calls
+// it; the pipeline calls nn.Train.
 func Train(net *nn.Network, samples []nn.Sample, cfg TableIIConfig, rng *xrand.Rand) error {
-	opt := nn.NewSGD(cfg.LearningRate, 0.9)
-	idx := make([]int, len(samples))
-	for i := range idx {
-		idx[i] = i
-	}
-	batch := make([]nn.Sample, 0, cfg.BatchSize)
-	decayEvery := cfg.Epochs/3 + 1
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if epoch > 0 && epoch%decayEvery == 0 {
-			opt.LR *= 0.4 // step decay stabilises the late epochs
-		}
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start+cfg.BatchSize <= len(idx); start += cfg.BatchSize {
-			batch = batch[:0]
-			for _, k := range idx[start : start+cfg.BatchSize] {
-				batch = append(batch, samples[k])
-			}
-			if _, err := net.TrainBatch(batch, opt); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return nn.Train(net, samples, cfg.TrainConfig, rng)
 }
 
 // Params converts the measured accuracies into a reliability parameter set,

@@ -29,6 +29,7 @@ import (
 	"slices"
 
 	"mvml/internal/tensor"
+	"mvml/internal/xrand"
 )
 
 // scratch is a network's private working memory for Predict, Accuracy,
@@ -129,6 +130,49 @@ func (n *Network) TrainBatch(batch []Sample, opt *SGD) (float64, error) {
 		return 0, err
 	}
 	return total / float64(size), nil
+}
+
+// TrainConfig is the training loop's budget.
+type TrainConfig struct {
+	Epochs       int
+	BatchSize    int
+	LearningRate float64
+}
+
+// DefaultTrainConfig returns Table II's budget: 20 epochs of batch 32 at lr
+// 0.04 (the paper uses 20 epochs, batch 128, lr 0.001 on full GTSRB; the
+// synthetic set is smaller).
+func DefaultTrainConfig() TrainConfig {
+	return TrainConfig{Epochs: 20, BatchSize: 32, LearningRate: 0.04}
+}
+
+// Train runs mini-batch SGD with momentum and step learning-rate decay over
+// the training set for cfg.Epochs: every epoch reshuffles the samples with
+// rng and steps on full batches only.
+func Train(net *Network, samples []Sample, cfg TrainConfig, rng *xrand.Rand) error {
+	opt := NewSGD(cfg.LearningRate, 0.9)
+	idx := make([]int, len(samples))
+	for i := range idx {
+		idx[i] = i
+	}
+	batch := make([]Sample, 0, cfg.BatchSize)
+	decayEvery := cfg.Epochs/3 + 1
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		if epoch > 0 && epoch%decayEvery == 0 {
+			opt.LR *= 0.4 // step decay stabilises the late epochs
+		}
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for start := 0; start+cfg.BatchSize <= len(idx); start += cfg.BatchSize {
+			batch = batch[:0]
+			for _, k := range idx[start : start+cfg.BatchSize] {
+				batch = append(batch, samples[k])
+			}
+			if _, err := net.TrainBatch(batch, opt); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (sc *scratch) backward(layers []Layer, g *tensor.Tensor) (*tensor.Tensor, error) {

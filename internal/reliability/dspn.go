@@ -3,6 +3,7 @@ package reliability
 import (
 	"fmt"
 
+	"mvml/internal/core"
 	"mvml/internal/petri"
 	"mvml/internal/xrand"
 )
@@ -141,10 +142,10 @@ func NewModel(n int, params Params, proactive bool) (*Model, error) {
 // StateOf maps a marking to the (i, j, k) system state. Modules being
 // proactively rejuvenated (Pmr) count as non-functional, as the paper notes
 // that a module cannot process sensor data while rejuvenating.
-func (m *Model) StateOf(mk petri.Marking) State {
+func (m *Model) StateOf(mk petri.Marking) core.State {
 	i := mk.Count(m.Pmh)
 	j := mk.Count(m.Pmc)
-	return State{Healthy: i, Compromised: j, NonFunctional: m.N - i - j}
+	return core.State{Healthy: i, Compromised: j, NonFunctional: m.N - i - j}
 }
 
 // Reward returns the reliability reward function over markings, for use
@@ -164,7 +165,7 @@ type Result struct {
 	// Expected is E[R_sys] (Eq. 3).
 	Expected float64
 	// StateProbs is the steady-state probability of each (i, j, k) state.
-	StateProbs map[State]float64
+	StateProbs map[core.State]float64
 }
 
 // SolveExact computes the exact steady-state reliability: Fig. 2 as its
@@ -196,7 +197,7 @@ func (m *Model) SolveErlang(stages int) (*Result, error) {
 // result maps a distribution over markings to one over (i, j, k) states and
 // its Eq. 3 expectation.
 func (m *Model) result(markings []petri.Marking, probs []float64) (*Result, error) {
-	res := &Result{StateProbs: make(map[State]float64)}
+	res := &Result{StateProbs: make(map[core.State]float64)}
 	for i, mk := range markings {
 		res.StateProbs[m.StateOf(mk)] += probs[i]
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mvml/internal/core"
 	"mvml/internal/petri"
 	"mvml/internal/xrand"
 )
@@ -209,7 +210,7 @@ func TestStateOfCountsRejuvenatingAsNonFunctional(t *testing.T) {
 		}
 	}
 	s := model.StateOf(mk)
-	if s != (State{Healthy: 1, Compromised: 1, NonFunctional: 1}) {
+	if s != (core.State{Healthy: 1, Compromised: 1, NonFunctional: 1}) {
 		t.Fatalf("state %v, want (1,1,1)", s)
 	}
 }
@@ -283,7 +284,7 @@ func TestTransientReliabilityCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r300, err := pr.StateReliability(State{Healthy: 3})
+	r300, err := pr.StateReliability(core.State{Healthy: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package reliability
 import (
 	"testing"
 	"testing/quick"
+
+	"mvml/internal/core"
 )
 
 // fuzzParams maps raw fuzz input into a valid parameter set.
@@ -22,7 +24,7 @@ func TestPropertyStateReliabilityInUnitInterval(t *testing.T) {
 		for i := 0; i <= 3; i++ {
 			for j := 0; i+j <= 3; j++ {
 				for k := 0; i+j+k <= 3; k++ {
-					r, err := pr.StateReliability(State{Healthy: i, Compromised: j, NonFunctional: k})
+					r, err := pr.StateReliability(core.State{Healthy: i, Compromised: j, NonFunctional: k})
 					if err != nil {
 						return false
 					}
@@ -50,11 +52,11 @@ func TestPropertyAllHealthyBeatsAllCompromised(t *testing.T) {
 	f := func(pRaw, ppRaw, aRaw uint16) bool {
 		pr := fuzzParams(pRaw, ppRaw, aRaw)
 		for n := 1; n <= 3; n++ {
-			healthy, err := pr.StateReliability(State{Healthy: n})
+			healthy, err := pr.StateReliability(core.State{Healthy: n})
 			if err != nil {
 				return false
 			}
-			compromised, err := pr.StateReliability(State{Compromised: n})
+			compromised, err := pr.StateReliability(core.State{Compromised: n})
 			if err != nil {
 				return false
 			}
@@ -80,7 +82,7 @@ func TestPropertyReliabilityMonotoneInP(t *testing.T) {
 		if higher.P >= higher.PPrime {
 			return true
 		}
-		for _, s := range []State{{Healthy: 1}, {Healthy: 2}, {Healthy: 3}} {
+		for _, s := range []core.State{{Healthy: 1}, {Healthy: 2}, {Healthy: 3}} {
 			a, err := pr.StateReliability(s)
 			if err != nil {
 				return false

@@ -10,6 +10,8 @@ package reliability
 import (
 	"fmt"
 	"math"
+
+	"mvml/internal/core"
 )
 
 // Params bundles the model parameters of the paper's Table IV.
@@ -121,26 +123,12 @@ func WenMachidaFailureProbability(p1, p2, _ float64, a12, a13, a23 float64) floa
 	return a12*p1 + a13*p1 + a23*p2 - 2*a12*a13*p1
 }
 
-// State identifies a system state by the number of modules that are healthy
-// (i), compromised-but-functional (j) and non-functional (k) — the (i, j, k)
-// triples of Section V-B. Modules undergoing rejuvenation count as
-// non-functional.
-type State struct {
-	Healthy       int
-	Compromised   int
-	NonFunctional int
-}
-
-func (s State) String() string {
-	return fmt.Sprintf("(%d,%d,%d)", s.Healthy, s.Compromised, s.NonFunctional)
-}
-
 // StateReliability evaluates the reliability reward R_{i,j,k} for a state,
 // i.e. the entries of the matrices R_f2 (Eq. 4) and R_f3 (Eq. 5) plus the
 // single-version values. The value depends only on (i, j): k non-functional
 // modules simply degrade the system to an (i + j)-version one. A state with
 // no functional modules has reliability 0.
-func (pr Params) StateReliability(s State) (float64, error) {
+func (pr Params) StateReliability(s core.State) (float64, error) {
 	if s.Healthy < 0 || s.Compromised < 0 || s.NonFunctional < 0 {
 		return 0, fmt.Errorf("reliability: negative module count in state %v", s)
 	}
@@ -161,7 +149,7 @@ func (pr Params) StateReliability(s State) (float64, error) {
 	return r, nil
 }
 
-func (pr Params) stateReliabilityRaw(s State) (float64, error) {
+func (pr Params) stateReliabilityRaw(s core.State) (float64, error) {
 	p, pp, a := pr.P, pr.PPrime, pr.Alpha
 	i, j := s.Healthy, s.Compromised
 	switch i + j {
@@ -200,7 +188,7 @@ func (pr Params) stateReliabilityRaw(s State) (float64, error) {
 
 // ExpectedReliability is Eq. 3: the steady-state expectation of the state
 // reliabilities under a state distribution π.
-func ExpectedReliability(pi map[State]float64, pr Params) (float64, error) {
+func ExpectedReliability(pi map[core.State]float64, pr Params) (float64, error) {
 	var total, mass float64
 	for s, prob := range pi {
 		if prob < 0 {

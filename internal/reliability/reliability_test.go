@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mvml/internal/core"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -14,18 +16,18 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestTableIIIStateReliabilities(t *testing.T) {
 	pr := DefaultParams()
 	cases := []struct {
-		s    State
+		s    core.State
 		want float64
 	}{
-		{State{3, 0, 0}, 0.988626295},
-		{State{2, 0, 1}, 0.976732729},
-		{State{2, 1, 0}, 0.881542506},
-		{State{1, 0, 2}, 0.937107416},
-		{State{1, 1, 1}, 0.943896878},
-		{State{1, 2, 0}, 0.815870804},
-		{State{0, 3, 0}, 0.926682718},
-		{State{0, 2, 1}, 0.911061026},
-		{State{0, 1, 2}, 0.759593560},
+		{core.State{Healthy: 3}, 0.988626295},
+		{core.State{Healthy: 2, NonFunctional: 1}, 0.976732729},
+		{core.State{Healthy: 2, Compromised: 1}, 0.881542506},
+		{core.State{Healthy: 1, NonFunctional: 2}, 0.937107416},
+		{core.State{Healthy: 1, Compromised: 1, NonFunctional: 1}, 0.943896878},
+		{core.State{Healthy: 1, Compromised: 2}, 0.815870804},
+		{core.State{Compromised: 3}, 0.926682718},
+		{core.State{Compromised: 2, NonFunctional: 1}, 0.911061026},
+		{core.State{Compromised: 1, NonFunctional: 2}, 0.759593560},
 	}
 	for _, c := range cases {
 		got, err := pr.StateReliability(c.s)
@@ -40,7 +42,7 @@ func TestTableIIIStateReliabilities(t *testing.T) {
 
 func TestStateReliabilityZeroFunctional(t *testing.T) {
 	pr := DefaultParams()
-	for _, s := range []State{{0, 0, 3}, {0, 0, 1}, {0, 0, 2}} {
+	for _, s := range []core.State{{NonFunctional: 3}, {NonFunctional: 1}, {NonFunctional: 2}} {
 		got, err := pr.StateReliability(s)
 		if err != nil {
 			t.Fatal(err)
@@ -53,10 +55,10 @@ func TestStateReliabilityZeroFunctional(t *testing.T) {
 
 func TestStateReliabilityErrors(t *testing.T) {
 	pr := DefaultParams()
-	if _, err := pr.StateReliability(State{-1, 0, 0}); err == nil {
+	if _, err := pr.StateReliability(core.State{Healthy: -1}); err == nil {
 		t.Fatal("expected error for negative count")
 	}
-	if _, err := pr.StateReliability(State{4, 0, 0}); err == nil {
+	if _, err := pr.StateReliability(core.State{Healthy: 4}); err == nil {
 		t.Fatal("expected error for >3 functional modules")
 	}
 }
@@ -66,14 +68,14 @@ func TestStateReliabilityOrdering(t *testing.T) {
 	// all-healthy 3-version state must beat the all-healthy 2-version
 	// state (full masking).
 	pr := DefaultParams()
-	r300, _ := pr.StateReliability(State{3, 0, 0})
-	r210, _ := pr.StateReliability(State{2, 1, 0})
-	r120, _ := pr.StateReliability(State{1, 2, 0})
-	r030, _ := pr.StateReliability(State{0, 3, 0})
+	r300, _ := pr.StateReliability(core.State{Healthy: 3})
+	r210, _ := pr.StateReliability(core.State{Healthy: 2, Compromised: 1})
+	r120, _ := pr.StateReliability(core.State{Healthy: 1, Compromised: 2})
+	r030, _ := pr.StateReliability(core.State{Compromised: 3})
 	if !(r300 > r210 && r210 > r120) {
 		t.Fatalf("reliability should degrade with compromises: %v %v %v %v", r300, r210, r120, r030)
 	}
-	r200, _ := pr.StateReliability(State{2, 0, 0})
+	r200, _ := pr.StateReliability(core.State{Healthy: 2})
 	if r300 <= r200 {
 		t.Fatalf("3-version all-healthy (%v) should beat 2-version all-healthy (%v)", r300, r200)
 	}
@@ -110,9 +112,9 @@ func TestWenMachidaFailureProbability(t *testing.T) {
 
 func TestExpectedReliability(t *testing.T) {
 	pr := DefaultParams()
-	pi := map[State]float64{
-		{1, 0, 0}: 0.5,
-		{0, 1, 0}: 0.5,
+	pi := map[core.State]float64{
+		{Healthy: 1}:     0.5,
+		{Compromised: 1}: 0.5,
 	}
 	got, err := ExpectedReliability(pi, pr)
 	if err != nil {
@@ -126,10 +128,10 @@ func TestExpectedReliability(t *testing.T) {
 
 func TestExpectedReliabilityRejectsBadDistribution(t *testing.T) {
 	pr := DefaultParams()
-	if _, err := ExpectedReliability(map[State]float64{{1, 0, 0}: 0.4}, pr); err == nil {
+	if _, err := ExpectedReliability(map[core.State]float64{{Healthy: 1}: 0.4}, pr); err == nil {
 		t.Fatal("expected error for non-normalised distribution")
 	}
-	if _, err := ExpectedReliability(map[State]float64{{1, 0, 0}: -1, {0, 1, 0}: 2}, pr); err == nil {
+	if _, err := ExpectedReliability(map[core.State]float64{{Healthy: 1}: -1, {Compromised: 1}: 2}, pr); err == nil {
 		t.Fatal("expected error for negative probability")
 	}
 }

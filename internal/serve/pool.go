@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mvml/internal/core"
-	"mvml/internal/experiments"
 	"mvml/internal/nn"
 	"mvml/internal/obs"
 	"mvml/internal/tensor"
@@ -71,10 +70,14 @@ type pool struct {
 	name  string
 	m     *metrics
 
-	// nv is the version's network: live weights plus the pristine snapshot
-	// rejuvenation reloads. quant is its int8 calibration (nil: float pool).
-	nv    *experiments.NNVersion
-	quant *nn.QuantParams
+	// net is the version's network and pristine the snapshot of its weights
+	// rejuvenation reloads, the "safe memory location" (§IV); compromise
+	// applies the configured fault to net. quant is its int8 calibration
+	// (nil: float pool).
+	net        *nn.Network
+	pristine   [][]float32
+	compromise func() error
+	quant      *nn.QuantParams
 
 	jobs    chan batchJob
 	workers []*worker
@@ -95,18 +98,20 @@ type pool struct {
 	divergedTotal *obs.Counter
 }
 
-// newPool starts cfg.WorkersPerVersion workers on nv.
-func newPool(index int, nv *experiments.NNVersion, quant *nn.QuantParams, cfg Config, m *metrics) *pool {
+// newPool snapshots net's weights and starts cfg.WorkersPerVersion workers.
+func newPool(index int, net *nn.Network, compromise func() error, quant *nn.QuantParams, cfg Config, m *metrics) *pool {
 	p := &pool{
 		index:         index,
-		name:          nv.Name(),
+		name:          net.Name,
 		m:             m,
-		nv:            nv,
+		net:           net,
+		pristine:      net.CloneWeights(),
+		compromise:    compromise,
 		quant:         quant,
 		jobs:          make(chan batchJob, cfg.WorkersPerVersion),
 		ring:          newDivergenceRing(cfg.DivergenceWindow),
 		threshold:     cfg.DivergenceThreshold,
-		divergedTotal: m.divergence(nv.Name()),
+		divergedTotal: m.divergence(net.Name),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < cfg.WorkersPerVersion; w++ {
@@ -149,7 +154,7 @@ func (p *pool) run(w *worker) {
 			if sink != nil {
 				ans.start = sink.Now()
 			}
-			ans.preds, ans.err = p.nv.Network().PredictBatchArena(job.batch, w.arena, nil)
+			ans.preds, ans.err = p.net.PredictBatchArena(job.batch, w.arena, nil)
 			if sink != nil {
 				ans.end = sink.Now()
 			}
@@ -213,17 +218,17 @@ func (p *pool) reopen() {
 	p.mu.Unlock()
 }
 
-// withQuiesced drains the pool, runs fn on the version while no worker reads
-// its weights, and reinstates the pool. fn may have rewritten the weights
-// (restore, fault injection), so every arena's packed weight panels are
-// marked stale before a worker can take its next job: the idle workers'
-// last use is ordered before this through p.mu, their next through p.mu and
-// the jobs channel. One spurious repack per worker is the cost of not asking.
-func (p *pool) withQuiesced(fn func(*experiments.NNVersion) error) error {
+// withQuiesced drains the pool, runs fn while no worker reads the weights,
+// and reinstates the pool. fn may have rewritten the weights (restore, fault
+// injection), so every arena's packed weight panels are marked stale before
+// a worker can take its next job: the idle workers' last use is ordered
+// before this through p.mu, their next through p.mu and the jobs channel.
+// One spurious repack per worker is the cost of not asking.
+func (p *pool) withQuiesced(fn func() error) error {
 	if !p.quiesce(poolDraining) {
 		return ErrClosed
 	}
-	err := fn(p.nv)
+	err := fn()
 	for _, w := range p.workers {
 		w.arena.InvalidateWeights()
 	}

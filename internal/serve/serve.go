@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"mvml/internal/core"
-	"mvml/internal/experiments"
 	"mvml/internal/faultinject"
 	"mvml/internal/health"
 	"mvml/internal/nn"
@@ -361,9 +360,9 @@ func (s *Server) buildPool(v int, root *xrand.Rand, train, calib []nn.Sample) (*
 		return nil, fmt.Errorf("serve: version %d: %w", v, err)
 	}
 	if len(train) > 0 {
-		tcfg := experiments.QuickTableIIConfig()
+		tcfg := nn.DefaultTrainConfig()
 		tcfg.Epochs = s.cfg.TrainEpochs
-		if err := experiments.Train(net, train, tcfg, root.Split("train", uint64(v))); err != nil {
+		if err := nn.Train(net, train, tcfg, root.Split("train", uint64(v))); err != nil {
 			return nil, fmt.Errorf("serve: training version %d: %w", v, err)
 		}
 	}
@@ -375,18 +374,15 @@ func (s *Server) buildPool(v int, root *xrand.Rand, train, calib []nn.Sample) (*
 	}
 	layer, count := s.cfg.InjectLayer, s.cfg.InjectCount
 	faultR := root.Split("fault", uint64(v)<<16)
-	nv, err := experiments.NewNNVersion(net, func(n *nn.Network) error {
+	compromise := func() error {
 		for i := 0; i < count; i++ {
-			if _, err := faultinject.RandomWeightInj(n, layer, -10, 30, faultR); err != nil {
+			if _, err := faultinject.RandomWeightInj(net, layer, -10, 30, faultR); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: version %d: %w", v, err)
 	}
-	return newPool(v, nv, quant, s.cfg, s.m), nil
+	return newPool(v, net, compromise, quant, s.cfg, s.m), nil
 }
 
 // Classify queues one image and blocks until its answer, deadline or
@@ -514,7 +510,7 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 	defer s.rejuvMu.Unlock()
 	start := time.Now()
 	t0 := s.m.spans.Now()
-	err = p.withQuiesced((*experiments.NNVersion).Restore)
+	err = p.withQuiesced(func() error { return p.net.RestoreWeights(p.pristine) })
 	p.resetDivergence()
 	if err != nil {
 		return fmt.Errorf("serve: rejuvenating %s: %w", p.name, err)
@@ -540,7 +536,7 @@ func (s *Server) Compromise(v int) error {
 	}
 	s.rejuvMu.Lock()
 	defer s.rejuvMu.Unlock()
-	err = p.withQuiesced((*experiments.NNVersion).Compromise)
+	err = p.withQuiesced(p.compromise)
 	if err != nil {
 		return fmt.Errorf("serve: compromising %s: %w", p.name, err)
 	}

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -722,5 +726,36 @@ func TestDivergenceRing(t *testing.T) {
 	}
 	if rate, full := r.Rate(); r.cooldown != 0 || !full || rate != 1 {
 		t.Fatalf("after the cooldown: cooldown %d, rate %.2f full %v", r.cooldown, rate, full)
+	}
+}
+
+// trainedWeightHashes pins serve's start-up training of the three real
+// architectures (Seed 38, 2 training images per class, 3 epochs): the
+// per-version train stream, the epoch shuffle, full batches of 32 from lr
+// 0.04 and its step decay at epoch 2 all feed the hash.
+var trainedWeightHashes = []string{
+	"73ebbd66838560a51bd1ba6241908d81142416c4dbf62a04827be912d7f27e4c", // alexnet-small
+	"fa35f8ab8aa56aa593caf5aa148e6de4c603811bd5a842332bf0e1596a840f9a", // resnet-small
+	"518991072b72716aab9d2122adc0c7e061caafeb052a25dec68c0fc4a12496bc", // lenet-small
+}
+
+func TestStartupTrainingWeightHash(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WorkersPerVersion = 1
+	cfg.TrainEpochs = 3
+	cfg.Dataset.TrainPerClass, cfg.Dataset.TestPerClass = 2, 0
+	s := newTestServer(t, cfg, nil)
+	for v, p := range s.pools {
+		h := sha256.New()
+		var word [4]byte
+		for _, w := range p.net.Params() {
+			for _, x := range w.Data {
+				binary.LittleEndian.PutUint32(word[:], math.Float32bits(x))
+				h.Write(word[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != trainedWeightHashes[v] {
+			t.Errorf("version %d (%s): trained weight hash %s, want %s", v, p.name, got, trainedWeightHashes[v])
+		}
 	}
 }

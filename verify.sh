@@ -42,15 +42,30 @@ if [ -n "$telemetry_deps" ]; then
     exit 1
 fi
 
-# The voting runtime is generic over its versions: core and perception
-# build without the NN kernels (the network adapter, NNVersion, lives in
-# experiments).
-echo "==> dependency gate: ./internal/core ./internal/perception import no nn or tensor"
+# The voting runtime is generic over its versions and owns its (i, j, k)
+# state: core and perception build without the NN kernels (a serving pool
+# holds its own network), and core without the reliability model that
+# evaluates it.
+echo "==> dependency gate: ./internal/core ./internal/perception import no nn or tensor, core no reliability or petri"
 kernel_deps=$(go list -deps ./internal/core ./internal/perception |
     grep -E '^mvml/internal/(nn|tensor)$' || true)
-if [ -n "$kernel_deps" ]; then
+model_deps=$(go list -deps ./internal/core |
+    grep -E '^mvml/internal/(reliability|petri)$' || true)
+if [ -n "$kernel_deps$model_deps" ]; then
     echo "the voting runtime depends on:" >&2
-    echo "$kernel_deps" >&2
+    echo "$kernel_deps$model_deps" >&2
+    exit 1
+fi
+
+# The serving runtime runs versions, a voter and rejuvenation; the paper
+# pipeline that evaluates it (the DSPN models, the experiments, the driving
+# simulator, the falsifier) stays out of the serving binaries.
+echo "==> dependency gate: ./cmd/mvserve ./cmd/mvgateway import no paper pipeline"
+pipeline_deps=$(go list -deps ./cmd/mvserve ./cmd/mvgateway |
+    grep -E '^mvml/internal/(experiments|drivesim|perception|scenario|petri|reliability)$' || true)
+if [ -n "$pipeline_deps" ]; then
+    echo "the serving binaries depend on:" >&2
+    echo "$pipeline_deps" >&2
     exit 1
 fi
 
@@ -92,8 +107,8 @@ go test ./...
 # the bitwise, differential and int8-golden suites run against the code every
 # other architecture executes — and, since training, evaluation and fault
 # campaigns run on those kernels too, so do the trained-weight hashes, the
-# campaigns and the short paper-table goldens, and the per-input answers of
-# experiments.NNVersion (Predict runs as a batch of one on the same kernels).
+# campaigns and the short paper-table goldens, and the diversity study's
+# per-input answers (Predict runs as a batch of one on the same kernels).
 # ci.yml's noasm step runs the same set.
 echo "==> go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core, -short ./internal/experiments"
 go test -tags noasm ./internal/tensor ./internal/nn ./internal/faultinject ./internal/core
@@ -168,6 +183,11 @@ for dir in $(find . -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort 
 done
 printf '%6d  total without ./cmd/mvbench\n' \
     "$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/mvbench/*' | xargs cat | wc -l)"
+# The serving binaries' own size: the non-test lines of every mvml package
+# mvserve and mvgateway link.
+printf '%6d  serving binaries (mvml packages in go list -deps ./cmd/mvserve ./cmd/mvgateway)\n' \
+    "$(for dir in $(go list -f '{{if not .Standard}}{{.Dir}}{{end}}' -deps ./cmd/mvserve ./cmd/mvgateway); do
+        find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l)"
 # What reachAllowlist keeps in internal/ that no binary reaches: the count
 # TestInternalCodeIsReachedFromABinary would fail on with the allowlist empty.
 go test -count=1 -run '^TestInternalCodeIsReachedFromABinary$' -v . |
