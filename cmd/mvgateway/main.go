@@ -66,7 +66,7 @@ func registerFleetFlags(fs *flag.FlagSet) *fleetFlags {
 	f := &fleetFlags{shard: serve.DefaultConfig()}
 	fs.IntVar(&f.shards, "shards", 4, "number of serving shards")
 	fs.IntVar(&f.shard.Versions, "versions", f.shard.Versions, "ensemble size per shard")
-	fs.IntVar(&f.shard.WorkersPerVersion, "workers", f.shard.WorkersPerVersion, "workers per version per shard")
+	fs.IntVar(&f.shard.WorkersPerVersion, "workers", f.shard.WorkersPerVersion, "arenas per version per shard: the forwards of one version that may run at once")
 	fs.IntVar(&f.shard.QueueDepth, "queue", f.shard.QueueDepth, "per-shard admission queue depth")
 	fs.IntVar(&f.shard.MaxBatch, "batch", f.shard.MaxBatch, "per-shard micro-batch flush size")
 	fs.DurationVar(&f.shard.RequestTimeout, "timeout", f.shard.RequestTimeout, "per-request deadline")

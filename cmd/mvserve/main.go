@@ -53,7 +53,7 @@ func serveFlags(fs *flag.FlagSet) (*serve.Config, *telemetry.Flags) {
 	cfg, tele := serve.DefaultConfig(), &telemetry.Flags{}
 	tele.RegisterFlags(fs)
 	fs.IntVar(&cfg.Versions, "versions", cfg.Versions, "ensemble size")
-	fs.IntVar(&cfg.WorkersPerVersion, "workers", cfg.WorkersPerVersion, "workers per version (each an arena on the version's one network)")
+	fs.IntVar(&cfg.WorkersPerVersion, "workers", cfg.WorkersPerVersion, "arenas per version: the forwards of the version's one network that may run at once")
 	fs.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission queue depth")
 	fs.IntVar(&cfg.MaxBatch, "batch", cfg.MaxBatch, "micro-batch size bound (a batch closes sooner when the queue is empty)")
 	fs.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request deadline")

@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -167,14 +168,16 @@ func (g *Gateway) plan(key string) ([]ShardClient, string) {
 
 // RouteKey derives the ring key for a classify request: the client-supplied
 // image hash, or the synthetic class index. Keeping the derivation here means
-// the HTTP handler and in-process callers route identically.
+// the HTTP handler and in-process callers route identically. The image hash
+// reads each pixel's bits, so a key is the same on every architecture (a
+// float-to-integer conversion is not, for negative or huge pixels).
 func RouteKey(req *serve.ClassifyRequest) string {
 	if req.Class != nil {
 		return fmt.Sprintf("class:%d:%d", *req.Class, req.Seed)
 	}
 	h := uint64(1469598103934665603) // FNV-1a offset basis, inlined over floats
 	for _, v := range req.Image {
-		h ^= uint64(v * 65536)
+		h ^= uint64(math.Float32bits(v))
 		h *= 1099511628211
 	}
 	return fmt.Sprintf("img:%016x", h)

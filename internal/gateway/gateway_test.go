@@ -313,6 +313,12 @@ func TestRouteKeyStable(t *testing.T) {
 	if img1 == img2 {
 		t.Fatal("distinct images share a key")
 	}
+	// The key of a client image is pinned: the same on every architecture,
+	// negative and out-of-range pixels included.
+	got := RouteKey(&serve.ClassifyRequest{Image: []float32{-1, 0.25, 1e20}})
+	if want := "img:c7fdd607dd656715"; got != want {
+		t.Fatalf("route key %q, want %q", got, want)
+	}
 }
 
 func planIDs(plan []ShardClient) []string {

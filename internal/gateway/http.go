@@ -49,7 +49,7 @@ type errorResponse struct {
 //	POST /admin/rejuvenate — rejuvenate every version of one shard
 //	POST /admin/compromise — fault-inject one version of one shard
 //	POST /admin/drain      — set/clear one shard's drain flag
-//	POST /admin/resize     — set one shard's per-version worker count
+//	POST /admin/resize     — set one shard's per-version arena count
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", g.handleClassify)

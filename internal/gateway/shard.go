@@ -25,9 +25,9 @@ type ShardClient interface {
 	// QueueDepth / QueueCapacity expose the shard's admission backlog.
 	QueueDepth() int
 	QueueCapacity() int
-	// Workers returns the current per-version worker-pool size.
+	// Workers returns the current per-version arena count.
 	Workers() int
-	// Resize sets the per-version worker-pool size.
+	// Resize sets the per-version arena count.
 	Resize(perVersion int) error
 	// SetDraining flips the advisory drain flag.
 	SetDraining(v bool)

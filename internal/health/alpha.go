@@ -57,9 +57,6 @@ func (a *AlphaEstimator) ObserveRound(diverged []string) {
 	}
 }
 
-// Rounds returns how many decided rounds have been observed.
-func (a *AlphaEstimator) Rounds() uint64 { return a.rounds }
-
 // PairAlpha is one version pair's measured dependency.
 type PairAlpha struct {
 	A     string  `json:"a"`

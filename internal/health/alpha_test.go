@@ -31,7 +31,7 @@ func TestAlphaMatchesPairwise(t *testing.T) {
 		}
 	}
 
-	if got, want := est.Rounds(), uint64(len(rounds)); got != want {
+	if got, want := est.rounds, uint64(len(rounds)); got != want {
 		t.Fatalf("Rounds() = %d, want %d", got, want)
 	}
 	pairs := est.Pairs()

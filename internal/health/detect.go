@@ -64,9 +64,6 @@ func (e *EWMA) Observe(x float64) (z float64, anomalous bool) {
 	return z, anomalous
 }
 
-// Mean returns the current EW mean.
-func (e *EWMA) Mean() float64 { return e.mean }
-
 // CUSUM is a two-sided cumulative-sum change-point detector. A baseline
 // mean/σ is frozen from the first Warmup samples; afterwards the
 // standardised deviations accumulate into an upward and a downward sum
@@ -126,9 +123,6 @@ func (c *CUSUM) Observe(x float64) (stat float64, change bool) {
 	}
 	return stat, false
 }
-
-// Baseline returns the frozen baseline mean (0 until warmed up).
-func (c *CUSUM) Baseline() float64 { return c.mu }
 
 // Learning reports whether the detector is still estimating its baseline
 // (initially, or re-learning after a detection). While learning it cannot

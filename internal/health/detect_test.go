@@ -61,7 +61,7 @@ func TestEWMAAdaptsToSustainedShift(t *testing.T) {
 	if !flagged {
 		t.Fatal("onset of a 2x sustained shift not flagged")
 	}
-	if m := det.Mean(); math.Abs(m-2) > 0.1 {
+	if m := det.mean; math.Abs(m-2) > 0.1 {
 		t.Fatalf("EW mean %.3f did not converge to the new regime", m)
 	}
 }
@@ -76,7 +76,7 @@ func TestEWMARejectsNonFinite(t *testing.T) {
 	if _, anom := det.Observe(math.Inf(1)); anom {
 		t.Fatal("Inf observation flagged")
 	}
-	if m := det.Mean(); m != 1 {
+	if m := det.mean; m != 1 {
 		t.Fatalf("non-finite samples perturbed the mean: %v", m)
 	}
 }
@@ -88,7 +88,7 @@ func TestCUSUMDetectsShift(t *testing.T) {
 			t.Fatalf("false change-point on stationary sample %d", i)
 		}
 	}
-	base := det.Baseline()
+	base := det.mu
 	if math.Abs(base-4) > 0.2 {
 		t.Fatalf("baseline %.3f, want ~4", base)
 	}

@@ -12,13 +12,13 @@ import (
 // closes as soon as the queue is empty, so batching comes from backpressure
 // alone — requests that arrive while a batch is in flight form the next one,
 // and a lone request is served at once. Each batch is stacked into one tensor,
-// fanned out to every version's worker pool, gathered until the earliest
+// fanned out to every version's pool, gathered until the earliest
 // request deadline, and voted per sample.
 func (s *Server) batchLoop() {
 	defer s.stopped.Done()
 	// One goroutine, one batch in flight: the request and image slices are
 	// reused across batches. The stacked tensor and job.out are NOT recycled —
-	// a worker that misses the gather deadline may still be reading the one
+	// a forward that misses the gather deadline may still be reading the one
 	// and sending on the other after dispatch has returned.
 	batch := make([]*request, 0, s.cfg.MaxBatch)
 	images := make([]*tensor.Tensor, 0, s.cfg.MaxBatch)
@@ -82,7 +82,7 @@ func (s *Server) dispatch(batch []*request, images []*tensor.Tensor) {
 
 	// Gather until every submitted version answered or the earliest request
 	// deadline passes; late answers land in the buffered channel and are
-	// discarded, so no worker ever blocks.
+	// discarded, so no forward ever blocks.
 	preds := make([][]int, len(s.pools))
 	var fwd []versionAnswer // successful answers with forward timings
 	if sink != nil {

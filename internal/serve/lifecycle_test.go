@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"cmp"
+	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,9 +57,9 @@ func TestResizeWorkers(t *testing.T) {
 	}
 }
 
-// TestResizeKeepsCompromisedVersionUniform: a worker added while its version
-// is compromised serves the version's one (faulted) weight set, not the
-// pristine safe store — a version answers the same whichever worker serves
+// TestResizeKeepsCompromisedVersionUniform: an arena added while its version
+// is compromised packs the version's one (faulted) weight set, not the
+// pristine safe store — a version answers the same whichever arena serves
 // the batch — and rejuvenation still heals it.
 func TestResizeKeepsCompromisedVersionUniform(t *testing.T) {
 	s := newTestServer(t, testConfig(), nil)
@@ -66,7 +69,7 @@ func TestResizeKeepsCompromisedVersionUniform(t *testing.T) {
 	if err := s.ResizeWorkers(4); err != nil {
 		t.Fatal(err)
 	}
-	// With version 0 compromised (on all four workers), every decided
+	// With version 0 compromised (on all four arenas), every decided
 	// request is a clean 2-of-3: the healthy pair always agrees and the voter
 	// never sees intra-version disagreement.
 	for i := 0; i < 16; i++ {
@@ -75,10 +78,10 @@ func TestResizeKeepsCompromisedVersionUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Proposals == 3 && res.Agreeing != 2 && res.Agreeing != 3 {
-			t.Fatalf("request %d: workers disagree within a version? %+v", i, res)
+			t.Fatalf("request %d: arenas disagree within a version? %+v", i, res)
 		}
 	}
-	// Rejuvenation restores the pristine weights for every worker, grown
+	// Rejuvenation restores the pristine weights for every arena, grown
 	// ones included.
 	if err := s.Rejuvenate(0, RejuvManual); err != nil {
 		t.Fatal(err)
@@ -89,8 +92,8 @@ func TestResizeKeepsCompromisedVersionUniform(t *testing.T) {
 }
 
 // TestOneNetworkPerVersion counts network constructions: serve.New builds
-// exactly one per version however many workers serve it, and growing the
-// pools builds none — a worker is an arena, not a copy of the model.
+// exactly one per version however many arenas it has, and growing the
+// pools builds none — a "worker" is an arena, not a copy of the model.
 func TestOneNetworkPerVersion(t *testing.T) {
 	var built atomic.Int64
 	cfg := testConfig()
@@ -107,16 +110,16 @@ func TestOneNetworkPerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := built.Load(); got != int64(cfg.Versions) {
-		t.Fatalf("growing 1 → 3 workers built %d more networks", got-int64(cfg.Versions))
+		t.Fatalf("growing 1 → 3 arenas built %d more networks", got-int64(cfg.Versions))
 	}
 	if res, err := s.Classify(testImage(0)); err != nil || res.Agreeing != 3 {
 		t.Fatalf("grown pools: %+v, %v", res, err)
 	}
 }
 
-// TestTwoWorkersShareOneNetwork runs both workers of a pool at the same
+// TestTwoWorkersShareOneNetwork runs two forwards of a pool at the same
 // time on the real convolutional ensemble: two batches are submitted before
-// either answer is gathered, the first time on cold arenas. Both workers
+// either answer is gathered, the first time on cold arenas. Both forwards
 // must answer alike; a compromise must change both answers the same way and
 // rejuvenation must bring both back to the baseline — one weight set, two
 // arenas, no stale panels in either.
@@ -132,13 +135,13 @@ func TestTwoWorkersShareOneNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// both returns the answer the two workers of p agree on.
+	// both returns the answer the two arenas of p agree on.
 	both := func(p *pool) []int {
 		t.Helper()
 		out := make(chan versionAnswer, 2)
 		for w := 0; w < 2; w++ {
 			if !p.trySubmit(batchJob{batch: batch, out: out}) {
-				t.Fatalf("%s declined job %d with two idle workers", p.name, w)
+				t.Fatalf("%s declined job %d with two idle arenas", p.name, w)
 			}
 		}
 		a, b := <-out, <-out
@@ -146,7 +149,7 @@ func TestTwoWorkersShareOneNetwork(t *testing.T) {
 			t.Fatalf("%s: %v, %v", p.name, a.err, b.err)
 		}
 		if !slices.Equal(a.preds, b.preds) {
-			t.Fatalf("%s: two workers of one version disagree: %v vs %v", p.name, a.preds, b.preds)
+			t.Fatalf("%s: two arenas of one version disagree: %v vs %v", p.name, a.preds, b.preds)
 		}
 		return a.preds
 	}
@@ -300,5 +303,130 @@ func TestCompromiseIsOneEventSpan(t *testing.T) {
 	if len(found) != 1 || found[0].Parent != 0 || found[0].Start != found[0].End ||
 		found[0].AttrString("version") != versions[1].Name {
 		t.Fatalf("compromise spans %+v, want one zero-duration root naming version 1", found)
+	}
+}
+
+// gateLayer is a parameter-free layer whose forward waits for release: it
+// holds a forward, and so its arena, for as long as a test wants.
+type gateLayer struct {
+	nn.Layer
+	release <-chan struct{}
+}
+
+func (g gateLayer) ForwardBatchArena(x *tensor.Tensor, ar *nn.InferenceArena) (*tensor.Tensor, error) {
+	<-g.release
+	return g.Layer.ForwardBatchArena(x, ar)
+}
+
+// TestCloseWaitsForLateForwards: a forward that outlives its batch's deadline
+// still holds an arena, and Close must not return before every such forward
+// has given its arena back — nothing of a closed server may still run.
+func TestCloseWaitsForLateForwards(t *testing.T) {
+	release := make(chan struct{})
+	cfg := testConfig()
+	cfg.RequestTimeout = time.Millisecond // far below a forward held at the gate
+	cfg.NewNetwork = func(v int, r *xrand.Rand) (*nn.Network, error) {
+		net, err := tinyNet(v, r)
+		if err == nil {
+			net.Layers = append([]nn.Layer{gateLayer{nn.NewFlatten("gate"), release}}, net.Layers...)
+		}
+		return net, err
+	}
+	s, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Classify(testImage(0)); !errors.Is(err, ErrNoProposals) {
+		t.Fatalf("every forward held past the deadline: got %v, want ErrNoProposals", err)
+	}
+	versions, _ := s.Status()
+	for _, v := range versions {
+		if v.InFlight != 1 {
+			t.Fatalf("%s: %d forwards in flight after the deadline, want 1", v.Name, v.InFlight)
+		}
+	}
+	// Close has to outwait the release; one that does not returns first.
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	}()
+	s.Close()
+	versions, _ = s.Status()
+	for _, v := range versions {
+		if v.InFlight != 0 {
+			t.Fatalf("%s: Close returned with %d forwards in flight", v.Name, v.InFlight)
+		}
+	}
+}
+
+// TestOneForwardPerVersionClosedLoop measures how many arenas a version
+// uses under a closed loop at the default deadline: dispatch gathers every
+// answer before the batcher takes the next batch, so a second arena would
+// serve only a batch whose forward missed its deadline. No two forward spans
+// of one version may overlap; the peak per version is logged.
+func TestOneForwardPerVersionClosedLoop(t *testing.T) {
+	rt := obs.NewRuntime(0)
+	cfg := testConfig()
+	cfg.RequestTimeout = DefaultConfig().RequestTimeout
+	s := newTestServer(t, cfg, rt)
+	const clients, perClient = 16, 16
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if _, err := s.Classify(testImage(c*perClient + i)); err != nil && !errors.Is(err, ErrQueueFull) {
+					t.Errorf("client %d request %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	s.Close() // the batcher publishes a trace after its reply
+
+	// Every member request of a batch carries a copy of its forward spans.
+	type interval struct{ start, end float64 }
+	forwards := map[string]map[interval]bool{}
+	for _, r := range rt.Spans().Spans() {
+		if r.Kind != "forward" {
+			continue
+		}
+		v := r.AttrString("version")
+		if forwards[v] == nil {
+			forwards[v] = map[interval]bool{}
+		}
+		forwards[v][interval{r.Start, r.End}] = true
+	}
+	if len(forwards) != cfg.Versions {
+		t.Fatalf("forward spans of %d versions, want %d", len(forwards), cfg.Versions)
+	}
+	for v, set := range forwards {
+		// Sweep the interval ends in time order, an end before a start at
+		// the same instant: touching spans do not overlap.
+		type edge struct {
+			t     float64
+			delta int
+		}
+		var edges []edge
+		for iv := range set {
+			edges = append(edges, edge{iv.start, 1}, edge{iv.end, -1})
+		}
+		slices.SortFunc(edges, func(a, b edge) int {
+			if a.t != b.t {
+				return cmp.Compare(a.t, b.t)
+			}
+			return a.delta - b.delta
+		})
+		peak, inUse := 0, 0
+		for _, e := range edges {
+			inUse += e.delta
+			peak = max(peak, inUse)
+		}
+		t.Logf("%s: %d forwards, peak %d of %d arenas in use", v, len(set), peak, cfg.WorkersPerVersion)
+		if peak > 1 {
+			t.Errorf("%s: %d forwards overlapped at the default deadline", v, peak)
+		}
 	}
 }

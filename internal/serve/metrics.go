@@ -79,9 +79,9 @@ func (m *metrics) divergence(version string) *obs.Counter {
 }
 
 // layerProfiler adapts the obs registry to nn.ForwardProfiler for one
-// version. Each worker goroutine gets its own instance (series handles are
-// cached per layer without locking), while the underlying counters and
-// histograms are shared and concurrency-safe.
+// version. Each arena gets its own instance (series handles are cached per
+// layer without locking, and one forward at a time holds an arena), while the
+// underlying counters and histograms are shared and concurrency-safe.
 type layerProfiler struct {
 	m       *metrics
 	version string
@@ -90,7 +90,7 @@ type layerProfiler struct {
 	bytes   map[string]*obs.Counter
 }
 
-// layerProfiler returns a fresh per-worker profiler for the named version,
+// layerProfiler returns a fresh per-arena profiler for the named version,
 // or nil when layer profiling is disabled.
 func (m *metrics) layerProfiler(version string) nn.ForwardProfiler {
 	if m.reg == nil || !m.profile {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 
 	"mvml/internal/core"
@@ -37,7 +38,7 @@ func (st poolState) String() string {
 // batchJob asks one version for its predictions over a stacked batch.
 type batchJob struct {
 	batch *tensor.Tensor
-	// out is buffered for every version, so a worker finishing after the
+	// out is buffered for every version, so a forward finishing after the
 	// batch deadline never blocks on the send.
 	out chan versionAnswer
 }
@@ -53,18 +54,11 @@ type versionAnswer struct {
 	start, end float64
 }
 
-// worker is one serving goroutine's private state: the arena it runs the
-// pool's network through, and a stop signal so the pool can shrink one worker
-// at a time without closing the shared jobs channel. done closes on exit.
-type worker struct {
-	arena      *nn.InferenceArena
-	stop, done chan struct{}
-}
-
-// pool runs one version: one network, one weight set, and a set of workers
-// that share both read-only. The arena forward pass writes nothing to the
-// network, so a worker owns only its arena; the weights are written (fault
-// injection, rejuvenation) only while the pool is quiesced.
+// pool runs one version: one network, one weight set, and the arenas its
+// forwards borrow. The arena forward pass writes nothing to the network, so
+// concurrent forwards share it read-only and each owns only its arena; the
+// weights are written (fault injection, rejuvenation) only while the pool is
+// quiesced, that is while no forward holds an arena.
 type pool struct {
 	index int
 	name  string
@@ -79,14 +73,12 @@ type pool struct {
 	compromise func() error
 	quant      *nn.QuantParams
 
-	jobs    chan batchJob
-	workers []*worker
-	wg      sync.WaitGroup
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	state   poolState
-	pending int // jobs accepted but not yet finished
+	mu    sync.Mutex
+	cond  *sync.Cond // broadcast when the last held arena comes back
+	state poolState
+	// arenas is every arena of the pool, one per forward that may run at
+	// once (Config.WorkersPerVersion); idle holds those no forward holds.
+	arenas, idle []*nn.InferenceArena
 
 	// ring holds the outcome of the last DivergenceWindow decided requests
 	// this version participated in — the reactive-trigger window.
@@ -98,7 +90,8 @@ type pool struct {
 	divergedTotal *obs.Counter
 }
 
-// newPool snapshots net's weights and starts cfg.WorkersPerVersion workers.
+// newPool snapshots net's weights and gives the pool cfg.WorkersPerVersion
+// arenas.
 func newPool(index int, net *nn.Network, compromise func() error, quant *nn.QuantParams, cfg Config, m *metrics) *pool {
 	p := &pool{
 		index:         index,
@@ -108,94 +101,75 @@ func newPool(index int, net *nn.Network, compromise func() error, quant *nn.Quan
 		pristine:      net.CloneWeights(),
 		compromise:    compromise,
 		quant:         quant,
-		jobs:          make(chan batchJob, cfg.WorkersPerVersion),
 		ring:          newDivergenceRing(cfg.DivergenceWindow),
 		threshold:     cfg.DivergenceThreshold,
 		divergedTotal: m.divergence(net.Name),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	for w := 0; w < cfg.WorkersPerVersion; w++ {
-		p.addWorker()
-	}
+	p.setArenas(cfg.WorkersPerVersion)
 	return p
 }
 
-// addWorker starts one more worker on the shared network, with a cold arena
-// that packs whatever weights are live at its first job. Only called while
-// no job can arrive: from newPool, or with the pool quiesced.
-func (p *pool) addWorker() {
-	w := &worker{arena: nn.NewInferenceArena(), stop: make(chan struct{}), done: make(chan struct{})}
-	w.arena.Profiler = p.m.layerProfiler(p.name)
-	w.arena.Quant = p.quant
-	p.mu.Lock()
-	p.workers = append(p.workers, w)
-	p.mu.Unlock()
-	p.wg.Add(1)
-	go p.run(w)
-}
-
-// run is a worker loop: each job is a full-batch inference on the pool's
-// network through this goroutine's arena, so buffers are reused across jobs
-// without synchronisation; the prediction slice crosses the channel to the
-// voter and therefore must be freshly allocated per job (preds = nil).
-func (p *pool) run(w *worker) {
-	defer p.wg.Done()
-	defer close(w.done)
-	sink := p.m.spans
-	for {
-		select {
-		case <-w.stop:
-			return
-		case job, ok := <-p.jobs:
-			if !ok {
-				return
-			}
-			ans := versionAnswer{version: p.index}
-			if sink != nil {
-				ans.start = sink.Now()
-			}
-			ans.preds, ans.err = p.net.PredictBatchArena(job.batch, w.arena, nil)
-			if sink != nil {
-				ans.end = sink.Now()
-			}
-			job.out <- ans
-			p.finishJob()
-		}
+// setArenas keeps the first n arenas, adding cold ones that pack whatever
+// weights are live at their first forward, and marks them all idle. Called
+// with p.mu held (or before the pool is shared) while no forward runs.
+func (p *pool) setArenas(n int) {
+	arenas := make([]*nn.InferenceArena, n)
+	copy(arenas, p.arenas)
+	for i := len(p.arenas); i < n; i++ {
+		ar := nn.NewInferenceArena()
+		ar.Profiler = p.m.layerProfiler(p.name)
+		ar.Quant = p.quant
+		arenas[i] = ar
 	}
+	p.arenas, p.idle = arenas, slices.Clone(arenas)
 }
 
 // trySubmit offers a batch to the pool without ever blocking: it declines
-// when the pool is draining/halted or all workers are busy with a full
-// backlog. A declined version simply contributes no proposal to this batch.
+// when the pool is draining/halted or every arena is held by a forward. A
+// declined version simply contributes no proposal to this batch.
 func (p *pool) trySubmit(job batchJob) bool {
 	p.mu.Lock()
-	if p.state != poolServing {
+	if p.state != poolServing || len(p.idle) == 0 {
 		p.mu.Unlock()
 		return false
 	}
-	p.pending++
+	ar := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
 	p.mu.Unlock()
-	select {
-	case p.jobs <- job:
-		return true
-	default:
-		p.finishJob()
-		return false
-	}
+	go p.forward(ar, job)
+	return true
 }
 
-func (p *pool) finishJob() {
+// forward is one full-batch inference on the pool's network through the
+// borrowed arena. The arena goes back before the answer is sent: a client
+// that has its reply may send the next request at once, and that batch must
+// find the arena idle. Sending last is safe: job.out has room for every
+// version, and the prediction slice is fresh (preds = nil), so nothing reads
+// the arena after it is returned.
+func (p *pool) forward(ar *nn.InferenceArena, job batchJob) {
+	sink := p.m.spans
+	ans := versionAnswer{version: p.index}
+	if sink != nil {
+		ans.start = sink.Now()
+	}
+	ans.preds, ans.err = p.net.PredictBatchArena(job.batch, ar, nil)
+	if sink != nil {
+		ans.end = sink.Now()
+	}
 	p.mu.Lock()
-	p.pending--
-	if p.pending == 0 {
+	p.idle = append(p.idle, ar)
+	if len(p.idle) == len(p.arenas) {
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
+	job.out <- ans
 }
 
 // quiesce moves the pool to state to (draining or halted: no new batches)
-// and waits for the in-flight ones, so that on return every worker is idle
-// and stays idle until reopen. It reports false on a pool already halted.
+// and waits until no forward holds an arena, so that on return the network
+// and every arena stay untouched until reopen. It reports false on a pool
+// already halted.
 func (p *pool) quiesce(to poolState) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -203,7 +177,7 @@ func (p *pool) quiesce(to poolState) bool {
 		return false
 	}
 	p.state = to
-	for p.pending > 0 {
+	for len(p.idle) < len(p.arenas) {
 		p.cond.Wait()
 	}
 	return true
@@ -218,65 +192,44 @@ func (p *pool) reopen() {
 	p.mu.Unlock()
 }
 
-// withQuiesced drains the pool, runs fn while no worker reads the weights,
+// withQuiesced drains the pool, runs fn while no forward reads the weights,
 // and reinstates the pool. fn may have rewritten the weights (restore, fault
 // injection), so every arena's packed weight panels are marked stale before
-// a worker can take its next job: the idle workers' last use is ordered
-// before this through p.mu, their next through p.mu and the jobs channel.
-// One spurious repack per worker is the cost of not asking.
+// a forward can borrow it again: the last forward's use is ordered before
+// this through p.mu, the next one's after it through p.mu too. One spurious
+// repack per arena is the cost of not asking.
 func (p *pool) withQuiesced(fn func() error) error {
 	if !p.quiesce(poolDraining) {
 		return ErrClosed
 	}
 	err := fn()
-	for _, w := range p.workers {
-		w.arena.InvalidateWeights()
+	for _, ar := range p.arenas {
+		ar.InvalidateWeights()
 	}
 	p.reopen()
 	return err
 }
 
-// resize grows or shrinks the pool to n ≥ 1 workers while it is quiesced.
-// The weights are not touched: a new worker reads what the others read, so
-// a compromised version stays compromised until it is rejuvenated. A removed
-// worker is waited for: out of p.workers its arena is no longer invalidated,
-// so it must not win one more job. Caller must serialise resize with
+// resize gives the quiesced pool n ≥ 1 arenas. The weights are not touched:
+// a new arena packs what the others read, so a compromised version stays
+// compromised until it is rejuvenated. Caller must serialise resize with
 // rejuvenation (the server holds rejuvMu).
 func (p *pool) resize(n int) error {
 	if !p.quiesce(poolDraining) {
 		return ErrClosed
 	}
-	// Quiesced, so only this goroutine writes p.workers; the slice header is
-	// still guarded by p.mu for concurrent size() reads.
-	for len(p.workers) > n {
-		w := p.workers[len(p.workers)-1]
-		p.mu.Lock()
-		p.workers = p.workers[:len(p.workers)-1]
-		p.mu.Unlock()
-		close(w.stop)
-		<-w.done
-	}
-	for len(p.workers) < n {
-		p.addWorker()
-	}
+	p.mu.Lock()
+	p.setArenas(n)
+	p.mu.Unlock()
 	p.reopen()
 	return nil
 }
 
-// size reports the current worker count.
+// size reports the current arena count.
 func (p *pool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.workers)
-}
-
-// halt permanently stops the pool and its workers (server shutdown).
-func (p *pool) halt() {
-	if !p.quiesce(poolHalted) {
-		return
-	}
-	close(p.jobs)
-	p.wg.Wait()
+	return len(p.arenas)
 }
 
 // observe records whether this version agreed with the voted output for one
@@ -331,8 +284,8 @@ func (p *pool) status() VersionStatus {
 		Index:         p.index,
 		Name:          p.name,
 		State:         p.state.String(),
-		InFlight:      p.pending,
-		Workers:       len(p.workers),
+		InFlight:      len(p.arenas) - len(p.idle),
+		Workers:       len(p.arenas),
 		Quantized:     p.quant != nil,
 		Divergence:    rate,
 		Rejuvenations: p.rejuvenations,

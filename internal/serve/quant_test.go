@@ -39,7 +39,7 @@ func classifySet(t *testing.T, s *Server, n int) []int {
 }
 
 // TestSwapThenInferDifferential drives the full weight-swap lifecycle through
-// a serving worker's warmed arena, float and int8: baseline answers, then a
+// a serving pool's warmed arena, float and int8: baseline answers, then a
 // compromise must change them (the packed weight panels were invalidated and
 // repacked from the faulty weights — a stale cache would keep the old
 // answers), then rejuvenation must restore the baseline exactly (stale cache
@@ -120,7 +120,7 @@ func TestInt8MixedEnsembleServes(t *testing.T) {
 	}
 }
 
-// TestInt8ResizeWorkers grows an int8 pool: late-started workers share the
+// TestInt8ResizeWorkers grows an int8 pool: arenas added late share the
 // version's one calibration and must answer like their siblings.
 func TestInt8ResizeWorkers(t *testing.T) {
 	cfg := quantConfig()
@@ -134,8 +134,8 @@ func TestInt8ResizeWorkers(t *testing.T) {
 	if got := s.Workers(); got != 3 {
 		t.Fatalf("workers = %d, want 3", got)
 	}
-	// All workers read one weight set and one set of scales, so answers are
-	// identical whichever (possibly new) worker serves the batch.
+	// All arenas read one weight set and one set of scales, so answers are
+	// identical whichever (possibly new) arena serves the batch.
 	for round := 0; round < 3; round++ {
 		got := classifySet(t, s, 8)
 		for i := range baseline {

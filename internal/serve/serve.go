@@ -7,17 +7,20 @@
 //
 //	client → admission queue (bounded; full ⇒ explicit rejection)
 //	       → micro-batcher   (flush on batch size or an empty queue)
-//	       → per-version worker pools (the N versions run concurrently)
+//	       → per-version pools   (one forward per version on a borrowed arena;
+//	                               the N versions run concurrently)
 //	       → majority voter  (rules R.1–R.3; safe skip ⇒ degraded fallback)
 //	       → response
 //
-// A version is one network with one weight set. Its workers share it
-// read-only — the arena forward pass writes no layer state — and each owns
-// only an nn.InferenceArena, so a version answers identically regardless of
-// which worker serves the batch.
+// A version is one network with one weight set and a few arenas
+// (nn.InferenceArena). Each forward runs on a goroutine of its own and
+// borrows an arena for its length; concurrent forwards share the network
+// read-only — the arena forward pass writes no layer state — so a version
+// answers identically whichever arena serves the batch. A server at rest runs
+// only its batcher and its rejuvenation loop.
 //
 // Rejuvenation never stops the service: one version at a time is drained
-// (workers finish in-flight batches, new batches skip the version), its
+// (in-flight forwards finish, new batches skip the version), its
 // network reloads the pristine weights from safe storage, and it is reinstated
 // while the remaining versions keep answering — requests served meanwhile are
 // at most tagged degraded, never failed. The paper's policy (core.Rejuvenator)
@@ -47,8 +50,9 @@ import (
 type Config struct {
 	// Versions is the ensemble size (the paper's n; default 3).
 	Versions int
-	// WorkersPerVersion is how many workers (goroutine + arena) serve each
-	// version's one network concurrently.
+	// WorkersPerVersion is how many arenas each version has: the number of
+	// forwards of its one network that may run at once. A batch that finds
+	// every arena held gets no proposal from the version.
 	WorkersPerVersion int
 	// QueueDepth bounds the admission queue; a full queue rejects instead
 	// of blocking (explicit backpressure).
@@ -83,7 +87,7 @@ type Config struct {
 	InjectLayer int
 	InjectCount int
 	// Int8Versions lists version indices served through the fixed-point int8
-	// inference path: each listed version's workers quantize its weights
+	// inference path: each listed version's arenas quantize its weights
 	// symmetrically and run the quantized GEMM kernels, with activation
 	// scales calibrated once per version on the signs test split (see
 	// nn.CalibrateInt8). Decisions are verified against the float path by the
@@ -250,7 +254,7 @@ type Server struct {
 	stopped sync.WaitGroup
 	closed  atomic.Bool
 
-	// rejuvMu serialises rejuvenation, compromise and worker resizing so at
+	// rejuvMu serialises rejuvenation, compromise and arena resizing so at
 	// most one version is ever out of service at a time (the other n−1 keep
 	// answering).
 	rejuvMu sync.Mutex
@@ -268,8 +272,8 @@ type Server struct {
 	startedAt time.Time
 }
 
-// New builds the ensemble (optionally training it), starts the batcher,
-// worker pools and the rejuvenation loop, and returns a serving
+// New builds the ensemble (optionally training it) and its version pools,
+// starts the batcher and the rejuvenation loop, and returns a serving
 // Server. rt carries the telemetry runtime; nil serves uninstrumented —
 // instrumentation never changes responses.
 func New(cfg Config, rt *obs.Runtime) (*Server, error) {
@@ -353,11 +357,16 @@ func (s *Server) makeNetwork(v int, root *xrand.Rand) (*nn.Network, error) {
 // buildPool builds version v's one network — trained here when a training set
 // is given, calibrated for int8 when a calibration set is — and starts its
 // pool. The fault stream is derived per version, so a compromise perturbs the
-// same weights however many workers serve it.
+// same weights however many arenas the pool has. InjectLayer must name one
+// of the network's parameterised layers, or every Compromise would fail.
 func (s *Server) buildPool(v int, root *xrand.Rand, train, calib []nn.Sample) (*pool, error) {
 	net, err := s.makeNetwork(v, root)
 	if err != nil {
 		return nil, fmt.Errorf("serve: version %d: %w", v, err)
+	}
+	if n := len(net.ParamLayers()); s.cfg.InjectLayer < 0 || s.cfg.InjectLayer >= n {
+		return nil, fmt.Errorf("serve: version %d (%s): inject layer %d outside its %d parameterised layers",
+			v, net.Name, s.cfg.InjectLayer, n)
 	}
 	if len(train) > 0 {
 		tcfg := nn.DefaultTrainConfig()
@@ -527,7 +536,7 @@ func (s *Server) Rejuvenate(v int, kind string) error {
 
 // Compromise injects the configured weight fault into version v — the
 // serving-side analogue of an attack, used by the demo and tests to provoke
-// divergence. The pool is quiesced during injection so no worker reads
+// divergence. The pool is quiesced during injection so no forward reads
 // weights mid-write.
 func (s *Server) Compromise(v int) error {
 	p, err := s.pool(v)
@@ -618,8 +627,9 @@ func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 // QueueCapacity returns the admission queue's bound.
 func (s *Server) QueueCapacity() int { return s.cfg.QueueDepth }
 
-// Workers returns the current per-version worker count (the pools are kept
-// symmetric, so any pool's size is the answer).
+// Workers returns the current per-version arena count, the number of forwards
+// of one version that may run at once (the pools are kept symmetric, so any
+// pool's size is the answer).
 func (s *Server) Workers() int {
 	if len(s.pools) == 0 {
 		return 0
@@ -643,11 +653,11 @@ func (s *Server) SetDraining(v bool) {
 // Draining reports the shard-lifecycle drain flag.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// ResizeWorkers grows or shrinks every version pool to perVersion workers,
-// one pool at a time so at most one version is ever paused — the other n−1
-// keep answering while a pool quiesces (the same zero-downtime contract as
-// rejuvenation). Weights are not touched: a compromised version stays
-// compromised, on every worker, until it is rejuvenated.
+// ResizeWorkers gives every version pool perVersion arenas, one pool at a
+// time so at most one version is ever paused — the other n−1 keep answering
+// while a pool quiesces (the same zero-downtime contract as rejuvenation).
+// Weights are not touched: a compromised version stays compromised, on every
+// arena, until it is rejuvenated.
 func (s *Server) ResizeWorkers(perVersion int) error {
 	if perVersion < 1 {
 		return fmt.Errorf("serve: need at least one worker per version, got %d", perVersion)
@@ -684,8 +694,8 @@ func (s *Server) RejuvenateAll(kind string) error {
 }
 
 // Close stops admission, lets the batcher finish queued work (failing
-// anything unservable with ErrClosed), and waits for all goroutines.
-// Idempotent.
+// anything unservable with ErrClosed), and waits for all goroutines, forwards
+// that outlived their batch's deadline included. Idempotent.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -696,9 +706,10 @@ func (s *Server) Close() {
 	s.failQueued()
 }
 
+// haltPools halts every pool for good, each once its forwards have returned.
 func (s *Server) haltPools() {
 	for _, p := range s.pools {
-		p.halt()
+		p.quiesce(poolHalted)
 	}
 }
 

@@ -673,6 +673,24 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewChecksInjectLayer: a fault layer no version has fails New, naming
+// the version, instead of failing every later Compromise.
+func TestNewChecksInjectLayer(t *testing.T) {
+	for _, layer := range []int{-1, 1, 3} { // the tiny net has one, layer 0
+		cfg := testConfig()
+		cfg.InjectLayer = layer
+		s, err := New(cfg, nil)
+		if err == nil {
+			s.Close()
+			t.Errorf("inject layer %d: New accepted it", layer)
+			continue
+		}
+		if !strings.Contains(err.Error(), "version 0 (tiny-0)") {
+			t.Errorf("inject layer %d: %v does not name the version", layer, err)
+		}
+	}
+}
+
 // TestRealEnsembleServes exercises the default three-architecture ensemble
 // (untrained, so construction is fast) end to end.
 func TestRealEnsembleServes(t *testing.T) {

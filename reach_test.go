@@ -20,7 +20,7 @@ import (
 // reachAllowlist names the internal/ declarations that no binary reaches but
 // that stay on purpose, each with its reason. A key is a qualified name
 // ("pkg.Name", "pkg.Type.Method"), a file ("internal/faultinject/schedule.go") or a
-// package directory ("internal/health/"). An allowlisted declaration is a root
+// package directory ("internal/pkg/"). An allowlisted declaration is a root
 // of its own: what it uses is kept with it.
 var reachAllowlist = map[string]string{
 	"tensor.MatMulTransA": "scalar reference the packed GEMM arms are held to (ROADMAP item 4)",
@@ -37,8 +37,6 @@ var reachAllowlist = map[string]string{
 
 	"faultinject.GaussianWeightNoise": "ROADMAP item 8 builds on it",
 	"faultinject.Schedule":            "ROADMAP item 2 builds on it",
-
-	"internal/health/": "ROADMAP item 18",
 
 	"stats.Interval.Contains": "the CI-coverage tests",
 

@@ -87,10 +87,13 @@ go test -count=1 ./internal/tensor -run 'WidestGemmArmTaken' -v
 # stays covered.
 echo "==> go test -race -short ./..."
 go test -race -short ./...
-# A version's workers share one network, and the batcher closes a batch the
-# moment the queue is empty: schedule their interleavings (and submit racing
-# Close, and the reactive trigger with and without telemetry) on one P and on
-# four, whatever GOMAXPROCS the host gives the pass above.
+# A version's forwards share one network, each on an arena borrowed from its
+# pool, and the batcher closes a batch the moment the queue is empty: schedule
+# their interleavings (and submit racing Close, Close waiting for late
+# forwards, and the reactive trigger with and without telemetry) on one P and
+# on four, whatever GOMAXPROCS the host gives the pass above. serve's TestMain
+# fails the package if a goroutine of serve outlives its tests, in this pass
+# and in every other that runs it.
 echo "==> go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway"
 go test -race -count=1 -cpu 1,4 ./internal/serve ./internal/gateway
 
