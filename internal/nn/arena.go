@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"mvml/internal/tensor"
 )
@@ -164,13 +166,16 @@ func argmaxRows(out *tensor.Tensor, preds []int) []int {
 	return preds
 }
 
-// ForwardBatchArena implements Layer (elementwise shift).
+// ForwardBatchArena implements Layer (elementwise shift) on the epilogue
+// kernel: v − off has the bits of v + (−off), and of v + off for a NaN off,
+// whose sign −off would flip.
 func (l *Center) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	y := ar.tensor(l, arenaOut, x.Shape...)
-	off := l.Offset
-	for i, v := range x.Data {
-		y.Data[i] = v - off
+	a := -l.Offset
+	if a != a {
+		a = l.Offset
 	}
+	addScalarRow(y.Data, x.Data, a, false)
 	return y, nil
 }
 
@@ -217,10 +222,10 @@ func (d *Dense) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (*
 	return y, nil
 }
 
-// ForwardBatchArena implements Layer: row-streamed im2col → panels → GEMM →
-// bias/reorder. The whole batch is convolved with a single GEMM — one kernel
-// dispatch per layer instead of one per sample, with zero steady-state
-// allocations — and its column matrix exists only as packed panels.
+// ForwardBatchArena implements Layer: im2col → GEMM → bias/reorder. The
+// whole batch is convolved with a single GEMM — one kernel dispatch per
+// layer instead of one per sample, with zero steady-state allocations — and
+// its column matrix exists only one packed column tile at a time.
 func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	return c.forwardArena(x, ar, false)
 }
@@ -228,6 +233,16 @@ func (c *Conv2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tenso
 // forwardArena is ForwardBatchArena whose bias/reorder pass also applies the
 // following ReLU when relu is set.
 func (c *Conv2D) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (*tensor.Tensor, error) {
+	return c.forwardPooled(x, ar, relu, nil)
+}
+
+// forwardPooled is forwardArena followed by pool when that is non-nil. The
+// float path then pools the raw GEMM output and runs the bias and the ReLU
+// on the pooled quarter only: both are monotone, so relu(max(v) + b) has the
+// bits of max(relu(v + b)) — but for a ±Inf bias, where one window element
+// can give v + b = NaN while another gives a number, so that forward keeps
+// the unfused order.
+func (c *Conv2D) forwardPooled(x *tensor.Tensor, ar *InferenceArena, relu bool, pool *MaxPool2D) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("conv %s: want (B,C,H,W) input, got %v", c.name, x.Shape)
 	}
@@ -243,34 +258,38 @@ func (c *Conv2D) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool) (
 	}
 	spatial := oh * ow
 
+	var out *tensor.Tensor
 	if xs, ok := ar.Quant.Scale(c); ok {
-		out, err := c.forwardArenaInt8(x, xs, oh, ow, ar, relu)
+		var err error
+		if out, err = c.forwardArenaInt8(x, xs, oh, ow, ar, relu); err != nil {
+			return nil, fmt.Errorf("conv %s: %w", c.name, err)
+		}
+	} else {
+		y := ar.tensor(c, arenaGemm, outC, b*spatial)
+		p, err := ar.convWeightsPacked(c)
 		if err != nil {
 			return nil, fmt.Errorf("conv %s: %w", c.name, err)
 		}
-		return out, nil
-	}
-	y := ar.tensor(c, arenaGemm, outC, b*spatial)
-	p, err := ar.convWeightsPacked(c)
-	if err != nil {
-		return nil, fmt.Errorf("conv %s: %w", c.name, err)
-	}
-	if err := p.actB.PackIm2Col(x, kh, kw, c.Stride, c.Pad); err != nil {
-		return nil, fmt.Errorf("conv %s: %w", c.name, err)
-	}
-	if err := tensor.GemmPacked(y, &p.wA, &p.actB); err != nil {
-		return nil, fmt.Errorf("conv %s: %w", c.name, err)
-	}
-	ar.noteGemm(outC, b*spatial, inC*kh*kw)
-	// Reorder (outC, B·oh·ow) → (B, outC, oh, ow), adding the bias on the
-	// way: per (sample, channel) the run is contiguous on both sides.
-	out := ar.tensor(c, arenaOut, b, outC, oh, ow)
-	for bi := 0; bi < b; bi++ {
-		dst := out.Data[bi*outC*spatial : (bi+1)*outC*spatial]
-		for o := 0; o < outC; o++ {
-			src := y.Data[o*b*spatial+bi*spatial : o*b*spatial+(bi+1)*spatial]
-			addScalarRow(dst[o*spatial:(o+1)*spatial], src, c.Bias.Data[o], relu)
+		if err := tensor.GemmIm2Col(y, &p.wA, &p.actB, x, kh, kw, c.Stride, c.Pad); err != nil {
+			return nil, fmt.Errorf("conv %s: %w", c.name, err)
 		}
+		ar.noteGemm(outC, b*spatial, inC*kh*kw)
+		if pool != nil && !slices.ContainsFunc(c.Bias.Data, func(v float32) bool { return math.IsInf(float64(v), 0) }) {
+			return pool.pool(y.Data, b, outC, oh, ow, c.Bias.Data, ar)
+		}
+		// Reorder (outC, B·oh·ow) → (B, outC, oh, ow), adding the bias on
+		// the way: per (sample, channel) the run is contiguous on both sides.
+		out = ar.tensor(c, arenaOut, b, outC, oh, ow)
+		for bi := 0; bi < b; bi++ {
+			dst := out.Data[bi*outC*spatial : (bi+1)*outC*spatial]
+			for o := 0; o < outC; o++ {
+				src := y.Data[o*b*spatial+bi*spatial : o*b*spatial+(bi+1)*spatial]
+				addScalarRow(dst[o*spatial:(o+1)*spatial], src, c.Bias.Data[o], relu)
+			}
+		}
+	}
+	if pool != nil {
+		return pool.ForwardBatchArena(out, ar)
 	}
 	return out, nil
 }
@@ -284,54 +303,68 @@ func (l *ReLU) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.
 	return y, nil
 }
 
-// ForwardBatchArena implements Layer for (B, C, H, W) inputs. The window
-// loop below is the spec; size-2 windows — the only size the three models
-// use — take the SIMD kernel where there is one. Each window is seeded with
-// its first element: a -Inf seed would never update on an all-NaN window
-// (every compare is false) and so lose the NaN.
+// ForwardBatchArena implements Layer for (B, C, H, W) inputs.
 func (l *MaxPool2D) ForwardBatchArena(x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("maxpool %s: want (B,C,H,W) input, got %v", l.name, x.Shape)
 	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	return l.pool(x.Data, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], nil, ar)
+}
+
+// pool writes the (b, c, h/s, w/s) max-pool of the b·c (h, w) planes of x,
+// one maxPoolPlane each. With a bias, x is a convolution's raw (c, b·h·w)
+// GEMM output, each (channel, sample) plane read in place, and every pooled
+// plane then gets its channel's bias and the ReLU.
+func (l *MaxPool2D) pool(x []float32, b, c, h, w int, bias []float32, ar *InferenceArena) (*tensor.Tensor, error) {
 	s := l.Size
-	oh, ow := h/s, w/s
-	if oh == 0 || ow == 0 {
-		return nil, fmt.Errorf("maxpool %s: input %v smaller than window %d", l.name, x.Shape, s)
+	if h/s == 0 || w/s == 0 {
+		return nil, fmt.Errorf("maxpool %s: input (%d,%d,%d,%d) smaller than window %d", l.name, b, c, h, w, s)
 	}
-	y := ar.tensor(l, arenaOut, b, c, oh, ow)
-	if haveAsm && s == 2 {
-		for p := 0; p < b*c; p++ {
-			for oy := 0; oy < oh; oy++ {
-				rows := x.Data[(p*h+2*oy)*w:][:2*w] // the window's two source rows
-				out := y.Data[(p*oh+oy)*ow:][:ow]
-				maxPool2x2RowAsm(&out[0], &rows[0], &rows[w], ow)
-			}
-		}
-		return y, nil
-	}
-	oi := 0
+	y := ar.tensor(l, arenaOut, b, c, h/s, w/s)
+	in, out := h*w, (h/s)*(w/s)
 	for i := 0; i < b; i++ {
 		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := x.Data[base+(oy*s)*w+ox*s]
-					for dy := 0; dy < s; dy++ {
-						rowBase := base + (oy*s+dy)*w + ox*s
-						for dx := 0; dx < s; dx++ {
-							if v := x.Data[rowBase+dx]; v > best {
-								best = v
-							}
-						}
-					}
-					y.Data[oi] = best
-					oi++
-				}
+			src, dst := i*c+ch, y.Data[(i*c+ch)*out:][:out]
+			if bias != nil {
+				src = ch*b + i
+			}
+			maxPoolPlane(dst, x[src*in:][:in], h, w, s)
+			if bias != nil {
+				addScalarRow(dst, dst, bias[ch], true)
 			}
 		}
 	}
 	return y, nil
+}
+
+// maxPoolPlane writes the s×s, stride-s max-pool of one (h, w) plane into
+// dst. The window loop below is the spec; size-2 windows — the only size the
+// three models use — take the SIMD kernel where there is one. Each window is
+// seeded with its first element: a -Inf seed would never update on an
+// all-NaN window (every compare is false) and so lose the NaN.
+func maxPoolPlane(dst, src []float32, h, w, s int) {
+	oh, ow := h/s, w/s
+	if haveAsm && s == 2 {
+		for oy := 0; oy < oh; oy++ {
+			rows := src[2*oy*w:][:2*w] // the window's two source rows
+			maxPool2x2RowAsm(&dst[oy*ow], &rows[0], &rows[w], ow)
+		}
+		return
+	}
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			best := src[oy*s*w+ox*s]
+			for dy := 0; dy < s; dy++ {
+				row := src[(oy*s+dy)*w+ox*s:][:s]
+				for _, v := range row {
+					if v > best {
+						best = v
+					}
+				}
+			}
+			dst[oy*ow+ox] = best
+		}
+	}
 }
 
 // ForwardBatchArena implements Layer, reducing (B,C,H,W) to (B,C).
@@ -399,7 +432,7 @@ func (l *Residual) forwardArena(x *tensor.Tensor, ar *InferenceArena, relu bool)
 	}
 	skip := x
 	if l.Proj != nil {
-		skip, err = forwardOneBatch(l.Proj, x, ar, nil)
+		skip, err = forwardOneBatch(l.Proj, x, ar, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("residual %s proj: %w", l.name, err)
 		}

@@ -399,6 +399,32 @@ var specialBits = []uint32{
 	0x7f800001, 0x7fa00000, 0x7fbfffff, 0xff800001, 0xffa00000, 0xffbfffff, // signalling NaN, sign clear and set
 }
 
+// TestCenterSpecialValues: Center runs v − off as v + (−off) on the epilogue
+// kernel; on every class of bit pattern, under offsets ±0, ±1, ±Inf and
+// ±NaN, it must write the bits of the spec's v − off.
+func TestCenterSpecialValues(t *testing.T) {
+	x := tensor.New(1, len(specialBits)+7) // a tail past the kernel's eight
+	for i := range x.Data {
+		x.Data[i] = math.Float32frombits(specialBits[i%len(specialBits)])
+	}
+	for _, ob := range epilogueAddends {
+		c := NewCenter("center", math.Float32frombits(ob))
+		want, err := specOf(c).Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ForwardBatchArena(x, NewInferenceArena())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Data {
+			if g := got.Data[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("offset %#08x, v %#08x: got %#08x, spec %#08x", ob, math.Float32bits(x.Data[i]), math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+	}
+}
+
 // TestReLUSpecialValues checks the branch-free ReLU against Forward's rule on
 // every class of bit pattern, class boundaries included.
 func TestReLUSpecialValues(t *testing.T) {

@@ -42,7 +42,8 @@ func stackInto(x *tensor.Tensor, n int, sample func(i int) *tensor.Tensor) error
 // bitwise identical to running the samples one at a time (same per-element
 // accumulation order everywhere). A ReLU right after a Conv2D, Dense or
 // Residual is folded into that layer's output pass and not dispatched on its
-// own.
+// own, and so is a MaxPool2D after a float Conv2D's ReLU when no observer
+// records the ReLU's output (Conv2D.forwardPooled).
 func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*tensor.Tensor, error) {
 	if ar == nil {
 		return nil, errors.New("nn: batched inference needs an InferenceArena, got nil")
@@ -57,12 +58,20 @@ func forwardBatchLayers(layers []Layer, x *tensor.Tensor, ar *InferenceArena) (*
 	for i := 0; i < len(layers); i++ {
 		l := layers[i]
 		var relu *ReLU
+		var pool *MaxPool2D
 		if _, ok := l.(reluFuser); ok && i+1 < len(layers) {
 			if relu, ok = layers[i+1].(*ReLU); ok {
 				i++
 			}
 		}
-		x, err = forwardOneBatch(l, x, ar, relu)
+		if c, ok := l.(*Conv2D); ok && relu != nil && i+1 < len(layers) && ar.observer == nil {
+			if _, quant := ar.Quant.Scale(c); !quant {
+				if pool, ok = layers[i+1].(*MaxPool2D); ok {
+					i++
+				}
+			}
+		}
+		x, err = forwardOneBatch(l, x, ar, relu, pool)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %s: %w", l.Name(), err)
 		}
@@ -77,19 +86,19 @@ type reluFuser interface {
 }
 
 // forwardOneBatch dispatches a single layer through the arena, fused with
-// relu when that is non-nil, feeding the observer and the profiler when they
-// are attached. The observer sees l's input, and then relu's output: a fused
-// ReLU's input is never written.
-func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) (*tensor.Tensor, error) {
+// relu and pool where those are non-nil, feeding the observer and the
+// profiler when they are attached. The observer sees l's input, and then
+// relu's output: a fused ReLU's input is never written.
+func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU, pool *MaxPool2D) (*tensor.Tensor, error) {
 	if ar.observer != nil {
 		ar.observer(l, x)
 	}
 	var y *tensor.Tensor
 	var err error
 	if ar.Profiler != nil {
-		y, err = profiledForward(l, x, ar, relu)
+		y, err = profiledForward(l, x, ar, relu, pool)
 	} else {
-		y, err = dispatch(l, x, ar, relu)
+		y, err = dispatch(l, x, ar, relu, pool)
 	}
 	if err == nil && relu != nil && ar.observer != nil {
 		ar.observer(relu, y)
@@ -97,9 +106,13 @@ func forwardOneBatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) 
 	return y, err
 }
 
-// dispatch runs l alone, or l with the ReLU forwardBatchLayers fused into it.
-func dispatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) (*tensor.Tensor, error) {
-	if relu != nil {
+// dispatch runs l alone, or l with the ReLU and the pool forwardBatchLayers
+// fused into it.
+func dispatch(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU, pool *MaxPool2D) (*tensor.Tensor, error) {
+	switch {
+	case pool != nil:
+		return l.(*Conv2D).forwardPooled(x, ar, true, pool)
+	case relu != nil:
 		return l.(reluFuser).forwardArena(x, ar, true)
 	}
 	return l.ForwardBatchArena(x, ar)

@@ -117,22 +117,27 @@ func TestForwardBatchRejectsScalarShape(t *testing.T) {
 	}
 }
 
+// BenchmarkForwardPerSample times 16 batch-of-one Predict calls per model.
 func BenchmarkForwardPerSample(b *testing.B) {
-	benchForward(b, false)
+	benchForward(b, false, 16)
 }
 
+// BenchmarkForwardBatched times one arena forward per model at batch 8
+// (serve's MaxBatch, what shard_saturate serves) and batch 16.
 func BenchmarkForwardBatched(b *testing.B) {
-	benchForward(b, true)
+	for _, size := range []int{8, 16} {
+		b.Run(fmt.Sprintf("b%d", size), func(b *testing.B) { benchForward(b, true, size) })
+	}
 }
 
-func benchForward(b *testing.B, batched bool) {
+func benchForward(b *testing.B, batched bool, size int) {
 	for _, name := range AllModels() {
 		b.Run(fmt.Sprintf("%v", name), func(b *testing.B) {
 			net, err := NewModel(name, 43, xrand.New(uint64(name)))
 			if err != nil {
 				b.Fatal(err)
 			}
-			xs := randomBatch(16, xrand.New(2))
+			xs := randomBatch(size, xrand.New(2))
 			batch, err := Stack(xs)
 			if err != nil {
 				b.Fatal(err)

@@ -70,6 +70,13 @@ func frankenBatch(b int, seed uint64) []*tensor.Tensor {
 // bitwise difference.
 func checkAllPathsAgree(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 	t.Helper()
+	checkPaths(t, net, xs, false)
+}
+
+// checkPaths is checkAllPathsAgree, where with anyNaN set a NaN matches any
+// NaN: every other element still bit for bit.
+func checkPaths(t *testing.T, net *nn.Network, xs []*tensor.Tensor, anyNaN bool) {
+	t.Helper()
 	batch, err := nn.Stack(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +97,7 @@ func checkAllPathsAgree(t *testing.T, net *nn.Network, xs []*tensor.Tensor) {
 		}
 		for j, v := range single.Data {
 			bw := batched.Data[i*stride+j]
-			if math.Float32bits(bw) != math.Float32bits(v) {
+			if math.Float32bits(bw) != math.Float32bits(v) && !(anyNaN && bw != bw && v != v) {
 				t.Fatalf("sample %d element %d: ForwardBatchArena %v, spec %v", i, j, bw, v)
 			}
 		}
@@ -148,30 +155,104 @@ func TestDifferentialArchitecturesPoisoned(t *testing.T) {
 	}
 }
 
+// TestDifferentialPoolFusionInfBias: the inference forward pools a conv's
+// raw output before adding its bias, which keeps the bits of the layer order
+// for every bias but ±Inf. A window holding +Inf under a −Inf bias reads
+// [0, NaN, 0, 0] after the bias and the ReLU, which the pool folds to 0
+// (a NaN past the seed never wins), while pooling first would give
+// +Inf − Inf = NaN; −Inf seeding a window under a +Inf bias is the reverse.
+// Both faults sit in one channel, where a single stuck-at weight never puts
+// them, so the fused path must fall back to the unfused order.
+func TestDifferentialPoolFusionInfBias(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, tc := range []struct {
+		name   string
+		bias   float32
+		window [4]float32 // the first pooling window, row by row
+		nan    bool       // the layer order's first output
+	}{
+		{"+Inf output, -Inf bias", -inf, [4]float32{1, inf, 1, 1}, false},
+		{"-Inf output, +Inf bias", inf, [4]float32{-inf, 1, 1, 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := xrand.New(5)
+			conv := nn.NewConv2D("conv", 1, 2, 1, 1, 0, r)
+			copy(conv.Kernel.Data, []float32{1, 1})
+			conv.Bias.Data[0] = tc.bias
+			net := &nn.Network{Name: "inf-bias", Layers: []nn.Layer{conv, nn.NewReLU("relu"), nn.NewMaxPool2D("pool", 2)}}
+			xs := frankenBatch(2, 9)
+			for _, x := range xs {
+				x.Data[0], x.Data[1], x.Data[8], x.Data[9] = tc.window[0], tc.window[1], tc.window[2], tc.window[3]
+			}
+			xs = []*tensor.Tensor{
+				{Shape: []int{1, 8, 8}, Data: xs[0].Data[:64]},
+				{Shape: []int{1, 8, 8}, Data: xs[1].Data[:64]},
+			}
+			checkAllPathsAgree(t, net, xs)
+			batch, err := nn.Stack(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := net.ForwardBatchArena(batch, nn.NewInferenceArena())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := y.Data[0]; (v != v) != tc.nan || (!tc.nan && v != 0) {
+				t.Fatalf("first output %v, want NaN %v (0 otherwise)", v, tc.nan)
+			}
+		})
+	}
+}
+
 // FuzzForwardBatchArena fuzzes the equivalence property over seeds, batch
-// sizes and poison values. With train set it fuzzes a training step instead:
+// sizes and poison values, at one fault site or, when poison2 is non-zero,
+// two: a second stuck-at weight can pair an Inf in a conv's output with an
+// opposite Inf in its bias, which no single fault does (the last seed is one
+// such pair, caught at the pool only without the fused path's ±Inf-bias
+// fallback). Two sites can also
+// meet two NaN payloads — the injected one and an Inf − Inf — in one sum or
+// product, and the arena path and the spec do not pin which survives, so
+// there a NaN matches any NaN (every other element still bit for bit). With
+// train set it fuzzes a training step instead, at the first site only:
 // TrainBatch on the fused serving forward — the Dropout layer drawing its
 // mask, the residual block recursing — against the spec loop, gradients and
 // parameters bit for bit.
 func FuzzForwardBatchArena(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(2), false)
-	f.Add(uint64(7), uint8(1), uint8(1), false)
-	f.Add(uint64(42), uint8(3), uint8(4), false)
-	f.Add(uint64(3), uint8(0), uint8(3), true)
-	f.Add(uint64(9), uint8(6), uint8(4), true)
-	f.Fuzz(func(t *testing.T, seed uint64, poison, bsz uint8, train bool) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(2), false)
+	f.Add(uint64(7), uint8(1), uint8(0), uint8(1), false)
+	f.Add(uint64(42), uint8(3), uint8(0), uint8(4), false)
+	f.Add(uint64(3), uint8(0), uint8(0), uint8(3), true)
+	f.Add(uint64(9), uint8(2), uint8(0), uint8(4), true) // fc1 at −Inf
+	f.Add(uint64(11), uint8(1), uint8(3), uint8(2), false)
+	f.Add(uint64(51), uint8(4), uint8(9), uint8(2), false) // conv1: +Inf weight, −Inf bias, one channel
+	f.Fuzz(func(t *testing.T, seed uint64, poison, poison2, bsz uint8, train bool) {
 		b := int(bsz)%4 + 1
 		xs := frankenBatch(b, seed+1)
 		poisoned := func() *nn.Network {
 			net := frankenNet(seed)
-			layer := int(poison) % len(net.ParamLayers())
-			if _, err := faultinject.StuckAt(net, layer, poisonValues[int(poison)%len(poisonValues)], xrand.New(seed+2)); err != nil {
-				t.Fatal(err)
+			sites := []uint8{poison}
+			if poison2 != 0 && !train {
+				sites = append(sites, poison2-1)
+			}
+			for i, p := range sites {
+				// Layer p mod L; the value turns one step per L, so every
+				// layer meets every value.
+				nl := len(net.ParamLayers())
+				v := poisonValues[(int(p)+int(p)/nl)%len(poisonValues)]
+				if _, err := faultinject.StuckAt(net, int(p)%nl, v, xrand.New(seed+2+uint64(i))); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return net
 		}
 		if !train {
-			checkAllPathsAgree(t, poisoned(), xs)
+			// Every prefix of the stack, so that a difference a later
+			// layer would swallow (a NaN spreading through every channel)
+			// still shows where it starts.
+			net := poisoned()
+			for n := 1; n <= len(net.Layers); n++ {
+				checkPaths(t, &nn.Network{Name: net.Name, Layers: net.Layers[:n]}, xs, poison2 != 0)
+			}
 			return
 		}
 		batch := make([]nn.Sample, b)

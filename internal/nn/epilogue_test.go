@@ -147,15 +147,16 @@ func chainReference(t *testing.T, layers []Layer, x *tensor.Tensor, ar *Inferenc
 	return x
 }
 
-// reluBuffers reports, for every ReLU in layers (residual bodies included),
-// whether it wrote an output buffer of its own in ar — false for a fused one.
-func reluBuffers(layers []Layer, ar *InferenceArena, into map[string]bool) {
+// outBuffers reports, for every ReLU and Conv2D in layers (residual bodies
+// included), whether it wrote an output buffer of its own in ar — false for
+// a fused ReLU, and for a conv whose pool ran its epilogue.
+func outBuffers(layers []Layer, ar *InferenceArena, into map[string]bool) {
 	for _, l := range layers {
 		switch l := l.(type) {
-		case *ReLU:
+		case *ReLU, *Conv2D:
 			into[l.Name()] = ar.bufs[arenaKey{l, arenaOut}] != nil
 		case *Residual:
-			reluBuffers(l.Body, ar, into)
+			outBuffers(l.Body, ar, into)
 		}
 	}
 }
@@ -163,41 +164,59 @@ func reluBuffers(layers []Layer, ar *InferenceArena, into map[string]bool) {
 // TestFusedReLUBoundaries pins the edges of the fusion: a ReLU first, last
 // or twice in a row, a fused pair closing a residual body, and a ReLU behind
 // a Dropout (never fused: Dropout has no output pass of its own, and the
-// tensor it passes on is its input). Every net must be bit-equal to the
-// layer-by-layer chain on the float and the int8 arena, must leave its input
-// untouched, and must fuse exactly the ReLUs that follow a Conv2D, Dense or
-// Residual.
+// tensor it passes on is its input); and of the pool fusion: size 2 and 3
+// (the SIMD kernel and the spec loop), an odd plane whose last row and
+// column no window covers, and a pool behind a bare conv or a residual
+// block (never fused). Every net must be bit-equal to the layer-by-layer
+// chain on the float and the int8 arena, must leave its input untouched,
+// must fuse exactly the ReLUs that follow a Conv2D, Dense or Residual, and
+// on the float arena exactly the pools behind a Conv2D and its ReLU.
 func TestFusedReLUBoundaries(t *testing.T) {
 	r := xrand.New(29)
 	conv := func(name string, in, out int) *Conv2D { return NewConv2D(name, in, out, 3, 1, 1, r) }
 	cases := []struct {
 		name   string
 		layers []Layer
-		fused  []string
+		fused  []string // ReLUs folded into their producer
+		pooled []string // convs whose pool runs the epilogue (float only)
 	}{
 		{"relu-first", []Layer{
 			NewReLU("relu0"), conv("conv", 2, 3), NewReLU("relu1"),
 			NewFlatten("flat"), NewDense("fc", 3*36, 4, r),
-		}, []string{"relu1"}},
+		}, []string{"relu1"}, nil},
 		{"relu-last", []Layer{
 			conv("conv", 2, 3), NewFlatten("flat"), NewDense("fc", 3*36, 4, r), NewReLU("relu-out"),
-		}, []string{"relu-out"}},
+		}, []string{"relu-out"}, nil},
 		{"relu-relu", []Layer{
 			conv("conv", 2, 3), NewReLU("relu1"), NewReLU("relu2"),
 			NewFlatten("flat"), NewDense("fc", 3*36, 4, r), NewReLU("relu3"), NewReLU("relu4"),
-		}, []string{"relu1", "relu3"}},
+		}, []string{"relu1", "relu3"}, nil},
 		{"residual-body", []Layer{
 			conv("stem", 2, 3),
 			NewResidual("res1", nil, conv("res1-a", 3, 3), NewReLU("res1-relu-a"), conv("res1-b", 3, 3), NewReLU("res1-relu-b")),
 			NewReLU("relu1"),
 			NewResidual("res2", NewConv2D("res2-proj", 3, 4, 1, 1, 0, r), conv("res2-a", 3, 4), NewReLU("res2-relu")),
 			NewFlatten("flat"), NewDense("fc", 4*36, 4, r),
-		}, []string{"res1-relu-a", "res1-relu-b", "relu1", "res2-relu"}},
+		}, []string{"res1-relu-a", "res1-relu-b", "relu1", "res2-relu"}, nil},
 		{"dropout", []Layer{
 			NewDropout("drop0", 0.5, r), NewReLU("relu0"), conv("conv", 2, 3),
 			NewResidual("res", nil, NewDropout("res-drop", 0.5, r), NewReLU("res-relu"), conv("res-conv", 3, 3)),
 			NewFlatten("flat"), NewDropout("drop1", 0.5, r), NewReLU("relu1"), NewDense("fc", 3*36, 4, r),
-		}, nil},
+		}, nil, nil},
+		{"conv-relu-pool", []Layer{
+			conv("conv1", 2, 3), NewReLU("relu1"), NewMaxPool2D("pool1", 2),
+			conv("conv2", 3, 4), NewReLU("relu2"), NewMaxPool2D("pool2", 3),
+			NewFlatten("flat"), NewDense("fc", 4, 4, r),
+		}, []string{"relu1", "relu2"}, []string{"conv1", "conv2"}},
+		{"odd-plane", []Layer{
+			NewConv2D("conv", 2, 3, 2, 1, 0, r), NewReLU("relu1"), NewMaxPool2D("pool", 2),
+			NewFlatten("flat"), NewDense("fc", 3*4, 4, r),
+		}, []string{"relu1"}, []string{"conv"}},
+		{"pool-unfused", []Layer{
+			conv("conv", 2, 3), NewMaxPool2D("pool1", 2), NewReLU("relu1"),
+			NewResidual("res", nil, conv("res-conv", 3, 3)), NewReLU("relu2"), NewMaxPool2D("pool2", 3),
+			NewFlatten("flat"), NewDense("fc", 3, 4, r),
+		}, []string{"relu2"}, nil},
 	}
 	const b = 3
 	clean := tensor.New(b, 2, 6, 6)
@@ -244,10 +263,13 @@ func TestFusedReLUBoundaries(t *testing.T) {
 					}
 				}
 				wrote := map[string]bool{}
-				reluBuffers(net.Layers, ar, wrote)
+				outBuffers(net.Layers, ar, wrote)
 				fused := map[string]bool{}
 				for _, name := range tc.fused {
 					fused[name] = true
+				}
+				for _, name := range tc.pooled {
+					fused[name] = run.quant == nil
 				}
 				for name, w := range wrote {
 					if w == fused[name] {

@@ -26,17 +26,20 @@ type ForwardProfiler interface {
 // profiledForward wraps one arena layer dispatch with timing and labels the
 // arena so nested GEMM observations attribute to this layer. The label is
 // saved and restored around the call because residual blocks dispatch their
-// body layers recursively through the same arena. A fused ReLU's time is in
-// its producer's; the ReLU is reported with zero seconds, so every layer
-// still shows up.
-func profiledForward(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU) (*tensor.Tensor, error) {
+// body layers recursively through the same arena. A fused ReLU's or pool's
+// time is in its producer's; each is reported with zero seconds, so every
+// layer still shows up.
+func profiledForward(l Layer, x *tensor.Tensor, ar *InferenceArena, relu *ReLU, pool *MaxPool2D) (*tensor.Tensor, error) {
 	prev := ar.profLayer
 	ar.profLayer = l.Name()
 	start := time.Now()
-	y, err := dispatch(l, x, ar, relu)
+	y, err := dispatch(l, x, ar, relu, pool)
 	ar.Profiler.ObserveLayer(ar.profLayer, time.Since(start).Seconds(), x.Shape[0])
 	if relu != nil {
 		ar.Profiler.ObserveLayer(relu.Name(), 0, x.Shape[0])
+	}
+	if pool != nil {
+		ar.Profiler.ObserveLayer(pool.Name(), 0, x.Shape[0])
 	}
 	ar.profLayer = prev
 	return y, err

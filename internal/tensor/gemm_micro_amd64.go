@@ -39,12 +39,20 @@ func gemmMicro2AVX2(c, ap, bp *float32, ldc, kk, bstride int)
 //go:noescape
 func gemmMicro4AVX512(c, ap, bp *float32, ldc, kk, bstride int)
 
-// packPanelLoadAVX2 writes one k-major PackIm2Col panel whose eight columns
+// packPanelLoadAVX2 writes one k-major conv panel whose eight columns
 // are consecutive pixels: for each of the kk rows, the eight floats at
 // src + off[row] (in floats) with one VMOVUPS. Requires AVX2; kk must be >= 1.
 //
 //go:noescape
 func packPanelLoadAVX2(dst, src *float32, off *int, kk int)
+
+// packPanelLoad2AVX2 is packPanelLoadAVX2 for a panel of two consecutive
+// runs, lanes [0, r) and [r, 8): each row loads the eight floats at src +
+// off[row] and at shift floats past them, and blends the second load into
+// the lanes whose mask is set. Requires AVX2; kk must be >= 1.
+//
+//go:noescape
+func packPanelLoad2AVX2(dst, src *float32, off *int, kk, shift int, mask *[gemmNR]int32)
 
 // packPanelGatherAVX2 is packPanelLoadAVX2 for any other panel: lane c of each
 // row is the float at src + off[row] + idx[c], one VGATHERDPS per row, and a

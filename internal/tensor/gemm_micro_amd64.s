@@ -230,10 +230,11 @@ avx512loop:
 	VZEROUPPER
 	RET
 
-// AVX2 PackIm2Col panel writers: one k-major 8-column panel, one 32-byte row
-// per k. off holds each row's offset (in floats) from src; the load form reads
-// eight consecutive floats there, the gather form the eight lanes at idx from
-// it. Both only move bits, so the panel is exactly the Go packer's.
+// AVX2 conv panel writers: one k-major 8-column panel, one 32-byte row per
+// k. off holds each row's offset (in floats) from src; the load form reads
+// eight consecutive floats there, the two-run form two such loads, the
+// gather form the eight lanes at idx from it. All only move bits, so the
+// panel is exactly the Go packer's.
 
 // func packPanelLoadAVX2(dst, src *float32, off *int, kk int)
 TEXT ·packPanelLoadAVX2(SB), NOSPLIT, $0-32
@@ -250,6 +251,35 @@ loadloop:
 	ADDQ    $32, DI
 	DECQ    CX
 	JNE     loadloop
+	VZEROUPPER
+	RET
+
+// The two runs of a panel crossing one output row: lanes [0, r) come from
+// the load at src + off[row], lanes [r, 8) from the load shift floats
+// further on, selected by the mask's sign bits. Both loads end at or before
+// the panel's last lane, so they read nothing the gather would not.
+
+// func packPanelLoad2AVX2(dst, src *float32, off *int, kk, shift int, mask *[gemmNR]int32)
+TEXT ·packPanelLoad2AVX2(SB), NOSPLIT, $0-48
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    off+16(FP), DX
+	MOVQ    kk+24(FP), CX
+	MOVQ    shift+32(FP), BX
+	LEAQ    (SI)(BX*4), BX // src + shift
+	MOVQ    mask+40(FP), AX
+	VMOVDQU (AX), Y3 // lanes of the second run
+
+load2loop:
+	MOVQ      (DX), R8
+	VMOVUPS   (SI)(R8*4), Y0
+	VMOVUPS   (BX)(R8*4), Y1
+	VBLENDVPS Y3, Y1, Y0, Y0 // Y0 = mask ? Y1 : Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $8, DX
+	ADDQ      $32, DI
+	DECQ      CX
+	JNE       load2loop
 	VZEROUPPER
 	RET
 

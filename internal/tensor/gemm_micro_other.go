@@ -32,6 +32,11 @@ func packPanelLoadAVX2(dst, src *float32, off *int, kk int) {
 	panic("tensor: packPanelLoadAVX2 without asm support")
 }
 
+// packPanelLoad2AVX2 is never called when gemmArm is armGo.
+func packPanelLoad2AVX2(dst, src *float32, off *int, kk, shift int, mask *[gemmNR]int32) {
+	panic("tensor: packPanelLoad2AVX2 without asm support")
+}
+
 // packPanelGatherAVX2 is never called when gemmArm is armGo.
 func packPanelGatherAVX2(dst, src *float32, off *int, kk int, idx, mask *[gemmNR]int32) {
 	panic("tensor: packPanelGatherAVX2 without asm support")

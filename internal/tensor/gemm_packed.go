@@ -48,8 +48,8 @@ type PackedA struct {
 type PackedB struct {
 	K, N   int
 	data   []float32
-	padded []float32 // PackIm2Col's zero-padded copy of the image
-	offs   []int     // PackIm2Col's per-row (ch, ky, kx) offsets into it
+	padded []float32 // the im2col packers' zero-padded copy of the image
+	offs   []int     // their per-row (ch, ky, kx) offsets into it
 	bases  []int     // PackIm2ColTransposed's per-column (b, oy, ox) bases
 }
 
@@ -235,43 +235,53 @@ func GemmPacked(c *Tensor, pa *PackedA, pb *PackedB) error {
 	if overlaps(c.Data, pa.data) || overlaps(c.Data, pb.data) {
 		return fmt.Errorf("tensor: GemmPacked output aliases a packed operand")
 	}
-	m, k, n := pa.M, pa.K, pb.N
-	mPanels := (m + gemmMR - 1) / gemmMR
+	k, n := pa.K, pb.N
 	for j0 := 0; j0 < n; {
-		// Four adjacent full column panels make one AVX-512 tile, two an
-		// AVX2 one; the rest, the padded edge panel included, run 4×8.
-		tw := gemmNR // tile width
-		switch {
-		case gemmArm == armAVX512 && n-j0 >= 4*gemmNR:
-			tw = 4 * gemmNR
-		case gemmArm >= armAVX2 && n-j0 >= 2*gemmNR:
-			tw = 2 * gemmNR
-		}
-		nr := min(tw, n-j0)
-		bp := pb.data[j0*k : (j0+tw)*k]
-		for ip := 0; ip < mPanels; ip++ {
-			ap := pa.data[ip*k*gemmMR : (ip+1)*k*gemmMR]
-			i0 := ip * gemmMR
-			mr := min(gemmMR, m-i0)
-			switch {
-			case gemmArm == armGo:
-				gemmMicroGo(c.Data, n, i0, j0, mr, nr, k, ap, bp)
-			case mr == gemmMR && nr == tw:
-				microTile(&c.Data[i0*n+j0], &ap[0], &bp[0], n, k, tw)
-			default:
-				// Edge tile: run the same kernel into a scratch tile,
-				// then keep only the live lanes. The discarded lanes
-				// are exactly the zero-padded panel rows/columns.
-				var scratch [gemmMR * 4 * gemmNR]float32
-				microTile(&scratch[0], &ap[0], &bp[0], tw, k, tw)
-				for r := 0; r < mr; r++ {
-					copy(c.Data[(i0+r)*n+j0:(i0+r)*n+j0+nr], scratch[r*tw:])
-				}
-			}
-		}
+		tw := tileWidth(n - j0)
+		gemmTile(c.Data, pa, pb.data[j0*k:(j0+tw)*k], n, j0, tw)
 		j0 += tw
 	}
 	return nil
+}
+
+// tileWidth is the width of the next column tile when cols columns are
+// left: four adjacent full column panels make one AVX-512 tile, two an AVX2
+// one; the rest, the padded edge panel included, run 4×8.
+func tileWidth(cols int) int {
+	switch {
+	case gemmArm == armAVX512 && cols >= 4*gemmNR:
+		return 4 * gemmNR
+	case gemmArm >= armAVX2 && cols >= 2*gemmNR:
+		return 2 * gemmNR
+	}
+	return gemmNR
+}
+
+// gemmTile runs every A panel over one column tile: the tw columns from j0
+// of the n-column C, whose B panels bp holds, storing only the live lanes.
+func gemmTile(c []float32, pa *PackedA, bp []float32, n, j0, tw int) {
+	m, k := pa.M, pa.K
+	nr := min(tw, n-j0)
+	for ip := 0; ip < (m+gemmMR-1)/gemmMR; ip++ {
+		ap := pa.data[ip*k*gemmMR : (ip+1)*k*gemmMR]
+		i0 := ip * gemmMR
+		mr := min(gemmMR, m-i0)
+		switch {
+		case gemmArm == armGo:
+			gemmMicroGo(c, n, i0, j0, mr, nr, k, ap, bp)
+		case mr == gemmMR && nr == tw:
+			microTile(&c[i0*n+j0], &ap[0], &bp[0], n, k, tw)
+		default:
+			// Edge tile: run the same kernel into a scratch tile,
+			// then keep only the live lanes. The discarded lanes
+			// are exactly the zero-padded panel rows/columns.
+			var scratch [gemmMR * 4 * gemmNR]float32
+			microTile(&scratch[0], &ap[0], &bp[0], tw, k, tw)
+			for r := 0; r < mr; r++ {
+				copy(c[(i0+r)*n+j0:(i0+r)*n+j0+nr], scratch[r*tw:])
+			}
+		}
+	}
 }
 
 // The micro-kernel arms GemmPacked dispatches on (gemmArm); each runs the

@@ -1,12 +1,12 @@
 // Batched im2col: the transform that lets a convolution layer process a whole
 // (B, C, H, W) batch with a single packed GEMM (see gemm_packed.go). The float
 // forward, serving and training alike, packs its GEMM panels straight from
-// the image, one panel at a time (PackedB.PackIm2Col), and the training
-// backward packs the transposed panels of its kernel-gradient GEMM the same
-// way (PackedB.PackIm2ColTransposed). The row unroll im2colRow, which
-// produces a single row of the column matrix, serves only Im2ColBatch (the
-// matrix the tests pack and compare against, and mvbench's im2col probe) and
-// the int8 packer PackedBInt8.PackIm2Col.
+// the image one column tile at a time and multiplies each tile while it is
+// hot (GemmIm2Col), and the training backward packs the transposed panels of
+// its kernel-gradient GEMM the same way (PackedB.PackIm2ColTransposed). The
+// row unroll im2colRow, which produces a single row of the column matrix,
+// serves only Im2ColBatch (the matrix the tests pack and compare against, and
+// mvbench's im2col probe) and the int8 packer PackedBInt8.PackIm2Col.
 package tensor
 
 import (
@@ -125,59 +125,85 @@ func Im2ColBatch(in *Tensor, kh, kw, stride, pad int, out *Tensor) error {
 	return nil
 }
 
-// PackIm2Col packs the column matrix of a (B, C, H, W) batch — what Pack would
-// produce from Im2ColBatch's output — without materialising it, panel by panel
-// straight from the image. Column (b, oy, ox) of row kk = (ch, ky, kx) is the
-// pixel at base(b, oy, ox) + off(ch, ky, kx) of the zero-padded
-// (B, C, h+2·pad, w+2·pad) image; with pad > 0 the input is copied there once,
-// so no read needs a bounds test. Each panel's eight column bases advance
-// incrementally, then its K rows are written in order, each one eight-float
-// load where the eight columns are consecutive pixels and a gather otherwise.
-// Every slot is written, padding and dead lanes as zeros, so p may be dirty.
-func (p *PackedB) PackIm2Col(in *Tensor, kh, kw, stride, pad int) error {
-	g, err := newIm2ColGeom("PackedB.PackIm2Col", in, kh, kw, stride, pad)
+// GemmIm2Col computes C = A·cols for the column matrix cols of a
+// (B, C, H, W) batch, GemmPacked(c, pa, Pack(Im2ColBatch(in))) bit for bit,
+// without building either: for each column tile GemmPacked runs, it packs
+// the tile's panels from the image into pb and multiplies them while they
+// are in L1. Column (b, oy, ox) of row kk = (ch, ky, kx) is the pixel at
+// base(b, oy, ox) + off(ch, ky, kx) of the zero-padded (B, C, h+2·pad,
+// w+2·pad) image, copied there once when pad > 0 so that no read needs a
+// bounds test. pb is scratch (the tile and the padded copy) and may be dirty.
+func GemmIm2Col(c *Tensor, pa *PackedA, pb *PackedB, in *Tensor, kh, kw, stride, pad int) error {
+	g, err := newIm2ColGeom("GemmIm2Col", in, kh, kw, stride, pad)
 	if err != nil {
 		return err
 	}
-	// Panels and the padded copy are rewritten while in is still being read.
-	if p.aliases(in) {
-		return fmt.Errorf("tensor: PackedB.PackIm2Col input aliases the packed operand")
-	}
-	src := p.image(in, &g)
-	wp := g.w + 2*pad
 	k, n := g.rows(), g.cols()
-	panels := (n + gemmNR - 1) / gemmNR
-	p.data = grow(p.data, panels*k*gemmNR)
-	p.K, p.N = k, n
-	// The column walk: the next column's base moves by the stride along an
-	// output row, then by rowStep to the next row and by sampleStep to the
-	// next sample's first row.
-	rowStep := stride*wp - g.ow*stride
-	sampleStep := g.c*(g.h+2*pad)*wp - g.oh*stride*wp
-	base, ox, oy := 0, 0, 0
-	for jp := 0; jp < panels; jp++ {
-		live := min(gemmNR, n-jp*gemmNR)
-		var lane [gemmNR]int // each column's base minus the panel's first
-		b0 := base
-		for c := 0; c < live; c++ {
-			lane[c] = base - b0
-			base += stride
-			if ox++; ox == g.ow {
-				ox, base = 0, base+rowStep
-				if oy++; oy == g.oh {
-					oy, base = 0, base+sampleStep
-				}
-			}
+	if pa.data == nil || pa.K != k {
+		return fmt.Errorf("tensor: GemmIm2Col kernel packed (%d, %d), want %d columns", pa.M, pa.K, k)
+	}
+	if len(c.Shape) != 2 || c.Shape[0] != pa.M || c.Shape[1] != n {
+		return fmt.Errorf("tensor: GemmIm2Col output shape %v, want (%d, %d)", c.Shape, pa.M, n)
+	}
+	// Tiles and the padded copy are rewritten, and C written, while in is
+	// still being read.
+	if pb.aliases(in) || overlaps(c.Data, in.Data) || overlaps(c.Data, pa.data) {
+		return fmt.Errorf("tensor: GemmIm2Col operands alias")
+	}
+	src := pb.image(in, &g)
+	pb.data = grow(pb.data, 4*gemmNR*k)
+	pb.K, pb.N = 0, 0
+	walk := newColWalk(&g)
+	for j0 := 0; j0 < n; {
+		tw := tileWidth(n - j0)
+		for p := 0; p < tw; p += gemmNR {
+			walk.panel(pb.data[p*k:(p+gemmNR)*k], src, pb.offs, min(gemmNR, n-j0-p))
 		}
-		packPanel(p.data[jp*k*gemmNR:(jp+1)*k*gemmNR], src[b0:], p.offs, &lane, live)
+		gemmTile(c.Data, pa, pb.data[:tw*k], n, j0, tw)
+		j0 += tw
 	}
 	return nil
+}
+
+// colWalk steps through the column bases of a batch's padded image in
+// column order: by the stride along an output row, then by rowStep to the
+// next row and by sampleStep to the next sample's first row.
+type colWalk struct {
+	g                   *im2colGeom
+	rowStep, sampleStep int
+	base, ox, oy        int
+}
+
+func newColWalk(g *im2colGeom) colWalk {
+	wp := g.w + 2*g.pad
+	return colWalk{g: g, rowStep: g.stride * (wp - g.ow), sampleStep: (g.c*(g.h+2*g.pad) - g.oh*g.stride) * wp}
+}
+
+// panel packs the next live columns into the k-major panel dst, one row per
+// offset of offs.
+func (w *colWalk) panel(dst, src []float32, offs []int, live int) {
+	var lane [gemmNR]int // each column's base minus the panel's first
+	stride, ow, oh := w.g.stride, w.g.ow, w.g.oh
+	base, ox, oy := w.base, w.ox, w.oy
+	for c := 0; c < live; c++ {
+		lane[c] = base - w.base
+		base += stride
+		if ox++; ox == ow {
+			ox, base = 0, base+w.rowStep
+			if oy++; oy == oh {
+				oy, base = 0, base+w.sampleStep
+			}
+		}
+	}
+	packPanel(dst, src[w.base:], offs, &lane, live)
+	w.base, w.ox, w.oy = base, ox, oy
 }
 
 // PackIm2ColTransposed packs the transpose of the column matrix of a
 // (B, C, H, W) batch — what PackTransposed would produce from Im2ColBatch's
 // output, the right operand of a convolution's dK = G·colsᵀ — without
-// materialising it. It is PackIm2Col with the two offset tables swapped: a
+// materialising it. It is GemmIm2Col's packing with the two offset tables
+// swapped: a
 // panel's eight lanes are eight consecutive rows kk = (ch, ky, kx) of the
 // column matrix, at their (ch, ky, kx) offsets into the zero-padded image,
 // and its K rows are the columns (b, oy, ox), at their bases. The panels go
@@ -269,13 +295,18 @@ func padImage(dst, in []float32, g *im2colGeom) {
 
 // packPanel writes one k-major panel of len(off) rows: lane c of row kk is
 // src[lane[c]+off[kk]], and lanes from live on are zero. The lane bases
-// strictly increase, so eight live lanes ending at 7 are one contiguous run.
+// strictly increase, so eight live lanes ending at 7 are one contiguous run;
+// a panel crossing one output row is two, loaded and blended.
 func packPanel(dst, src []float32, off []int, lane *[gemmNR]int, live int) {
 	switch {
 	case gemmArm < armAVX2 || !gatherFits(lane[live-1]):
 		packPanelGo(dst, src, off, lane, live)
 	case live == gemmNR && lane[gemmNR-1] == gemmNR-1:
 		packPanelLoadAVX2(&dst[0], &src[0], &off[0], len(off))
+	case live == gemmNR && runBreak(lane) > 0:
+		r := runBreak(lane)
+		mask := (*[gemmNR]int32)(secondRun[gemmNR-r:])
+		packPanelLoad2AVX2(&dst[0], &src[0], &off[0], len(off), lane[r]-r, mask)
 	default:
 		var idx, mask [gemmNR]int32
 		for c := 0; c < live; c++ {
@@ -283,6 +314,23 @@ func packPanel(dst, src []float32, off []int, lane *[gemmNR]int, live int) {
 		}
 		packPanelGatherAVX2(&dst[0], &src[0], &off[0], len(off), &idx, &mask)
 	}
+}
+
+// secondRun[8−r:][:8] masks the lanes from r on.
+var secondRun = [2 * gemmNR]int32{8: -1, 9: -1, 10: -1, 11: -1, 12: -1, 13: -1, 14: -1, 15: -1}
+
+// runBreak returns r when the lanes are exactly two consecutive runs,
+// [0, r) and [r, 8), and 0 otherwise.
+func runBreak(lane *[gemmNR]int) (r int) {
+	for c := 1; c < gemmNR; c++ {
+		if lane[c] != lane[c-1]+1 {
+			if r > 0 {
+				return 0
+			}
+			r = c
+		}
+	}
+	return r
 }
 
 // gatherFits reports whether a panel whose last lane base is span floats past
@@ -334,8 +382,8 @@ func packPanelGo(dst, src []float32, off []int, lane *[gemmNR]int, live int) {
 	}
 }
 
-// PackIm2Col is PackedB.PackIm2Col for the quantized operand: Pack of
-// Im2ColBatch's output with the column matrix never built. The packer
+// PackIm2Col is the quantized operand packed straight from the image: Pack
+// of Im2ColBatch's output with the column matrix never built. The packer
 // consumes rows in k-pairs, so the scratch holds two.
 func (p *PackedBInt8) PackIm2Col(in *Tensor, kh, kw, stride, pad int, inv float32) error {
 	g, err := newIm2ColGeom("PackedBInt8.PackIm2Col", in, kh, kw, stride, pad)

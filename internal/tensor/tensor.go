@@ -343,7 +343,7 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
 // overwrites, bit for bit. The terms accumulate from +0 in the zero-padded
 // (c, h+2·pad, w+2·pad) plane padded — the caller's scratch, unused at pad 0
 // — where row kk = (ch, ky, kx) of cols lands at offset (ch, ky, kx) plus
-// each output position's base, the transpose of PackIm2Col's walk: no term
+// each output position's base, the transpose of GemmIm2Col's walk: no term
 // needs a bounds test, so at stride 1 all of row kk is one addRows call, a
 // vector row add per oy. The rows go in ascending kk, so each pixel still
 // receives its terms in Col2Im's order. Then the interior is copied out.

@@ -25,7 +25,7 @@ import (
 var reachAllowlist = map[string]string{
 	"tensor.MatMulTransA": "scalar reference the packed GEMM arms are held to (ROADMAP item 4)",
 	"tensor.MatMulTransB": "scalar reference the packed GEMM arms are held to (ROADMAP item 4)",
-	"tensor.Im2Col":       "scalar reference PackIm2Col is held to (ROADMAP item 4)",
+	"tensor.Im2Col":       "scalar reference GemmIm2Col is held to (ROADMAP item 4)",
 	"tensor.Col2Im":       "scalar reference Col2ImAdd is held to (ROADMAP item 4)",
 
 	"tensor.Tensor.Clone":   "how the tests copy a tensor",

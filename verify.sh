@@ -173,7 +173,7 @@ go test ./internal/serve -run '^$' -fuzz '^FuzzClassifyHandler$' -fuzztime 5s
 go test ./internal/gateway -run '^$' -fuzz '^FuzzGatewayHandler$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmPackedBitwise$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzInt8QuantRoundTrip$' -fuzztime 5s
-go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2Col$' -fuzztime 5s
+go test ./internal/tensor -run '^$' -fuzz '^FuzzGemmIm2Col$' -fuzztime 5s
 go test ./internal/tensor -run '^$' -fuzz '^FuzzPackIm2ColTransposed$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRoundTrip$' -fuzztime 5s
 go test ./internal/scenario -run '^$' -fuzz '^FuzzScenarioRun$' -fuzztime 5s
