@@ -1,4 +1,4 @@
-package serve
+package main
 
 import (
 	"fmt"
@@ -9,14 +9,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mvml/internal/serve"
 )
 
-func TestRunLoadAgainstHealthyServer(t *testing.T) {
-	s := newTestServer(t, testConfig(), nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// newTestShard serves one shard of the fast profile over HTTP for the test.
+func newTestShard(t *testing.T) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	fl := buildTestFleet(t, "-fast-models", "-batch", "4", "-timeout", "2s")
+	ts := httptest.NewServer(fl.handler)
+	t.Cleanup(ts.Close)
+	return fl.shards[0], ts
+}
 
-	rep, err := RunLoad(ts.URL, LoadConfig{
+func TestRunLoadAgainstHealthyServer(t *testing.T) {
+	_, ts := newTestShard(t)
+	rep, err := runLoad(ts.URL, loadConfig{
 		Rate:     200,
 		Duration: 400 * time.Millisecond,
 		Timeout:  5 * time.Second,
@@ -52,11 +60,8 @@ func TestRunLoadAgainstHealthyServer(t *testing.T) {
 // uint64, so a seed at or above 2^63 still asks for a class in range and
 // every request is answered 200.
 func TestRunLoadSeedAboveInt63(t *testing.T) {
-	s := newTestServer(t, testConfig(), nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	rep, err := RunLoad(ts.URL, LoadConfig{
+	_, ts := newTestShard(t)
+	rep, err := runLoad(ts.URL, loadConfig{
 		Rate:     50,
 		Duration: 200 * time.Millisecond,
 		Timeout:  5 * time.Second,
@@ -74,10 +79,7 @@ func TestRunLoadSeedAboveInt63(t *testing.T) {
 // acceptance criterion: a forced compromise plus rejuvenation in the middle
 // of an open-loop run produces zero 5xx responses.
 func TestRunLoadSurvivesRejuvenation(t *testing.T) {
-	s := newTestServer(t, testConfig(), nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+	s, ts := newTestShard(t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -86,11 +88,11 @@ func TestRunLoadSurvivesRejuvenation(t *testing.T) {
 			t.Error(err)
 		}
 		time.Sleep(100 * time.Millisecond)
-		if err := s.Rejuvenate(0, RejuvManual); err != nil {
+		if err := s.Rejuvenate(0, serve.RejuvManual); err != nil {
 			t.Error(err)
 		}
 	}()
-	rep, err := RunLoad(ts.URL, LoadConfig{
+	rep, err := runLoad(ts.URL, loadConfig{
 		Rate:     150,
 		Duration: 500 * time.Millisecond,
 		Timeout:  5 * time.Second,
@@ -107,12 +109,21 @@ func TestRunLoadSurvivesRejuvenation(t *testing.T) {
 	}
 }
 
+// TestRunLoadValidatesConfig: a run owed no request is refused before it
+// sends anything, whether its rate or duration is not positive or their
+// product is below one request.
 func TestRunLoadValidatesConfig(t *testing.T) {
-	if _, err := RunLoad("http://127.0.0.1:0", LoadConfig{Rate: 0, Duration: time.Second}); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := RunLoad("http://127.0.0.1:0", LoadConfig{Rate: 10, Duration: 0}); err == nil {
-		t.Fatal("zero duration accepted")
+	for _, c := range []loadConfig{
+		{Rate: 0, Duration: time.Second},
+		{Rate: 10, Duration: 0},
+		{Rate: 0.5, Duration: time.Second},
+		{Rate: -10, Duration: -time.Second},
+		{Rate: math.NaN(), Duration: time.Second},
+		{Rate: math.Inf(1), Duration: time.Second},
+	} {
+		if _, err := runLoad("http://127.0.0.1:0", c); err == nil {
+			t.Errorf("rate %v over %v accepted", c.Rate, c.Duration)
+		}
 	}
 }
 
@@ -140,7 +151,7 @@ func TestRunLoadStatusCounts(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rep, err := RunLoad(ts.URL, LoadConfig{
+	rep, err := runLoad(ts.URL, loadConfig{
 		Rate: 100, Duration: 300 * time.Millisecond, Timeout: 2 * time.Second, Seed: 1,
 		ClientID: "breakdown",
 	})
@@ -166,12 +177,10 @@ func TestRunLoadStatusCounts(t *testing.T) {
 }
 
 // TestRunLoadCleanReportOmitsBreakdown keeps the all-200 report identical to
-// the pre-breakdown format (StatusCounts nils out when empty).
+// the pre-breakdown format (StatusCounts stays nil until a non-200 arrives).
 func TestRunLoadCleanReportOmitsBreakdown(t *testing.T) {
-	s := newTestServer(t, testConfig(), nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	rep, err := RunLoad(ts.URL, LoadConfig{
+	_, ts := newTestShard(t)
+	rep, err := runLoad(ts.URL, loadConfig{
 		Rate: 50, Duration: 200 * time.Millisecond, Timeout: 2 * time.Second, Seed: 2,
 	})
 	if err != nil {

@@ -180,8 +180,8 @@ func FuzzClassifyHandler(f *testing.F) {
 	})
 }
 
-// TestDecodeClassifyFastPath checks that the bodies the benchmark clients and
-// loadgen send — json.Marshal of a raw image — are actually taken by the
+// TestDecodeClassifyFastPath checks that the bodies the benchmark clients
+// send — json.Marshal of a raw image — are actually taken by the
 // one-pass parser, not silently handed to the fallback, and that each of their
 // numbers is converted by decimal.float32, not strconv: a fallback would keep
 // every bit-equality gate green and lose the parser's speed.

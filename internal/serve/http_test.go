@@ -22,6 +22,8 @@ func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+func ptr[T any](v T) *T { return &v }
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	raw, err := json.Marshal(body)

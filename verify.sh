@@ -59,12 +59,12 @@ fi
 
 # The serving runtime runs versions, a voter and rejuvenation; the paper
 # pipeline that evaluates it (the DSPN models, the experiments, the driving
-# simulator, the falsifier) stays out of the serving binaries.
-echo "==> dependency gate: ./cmd/mvserve ./cmd/mvgateway import no paper pipeline"
-pipeline_deps=$(go list -deps ./cmd/mvserve ./cmd/mvgateway |
+# simulator, the falsifier) stays out of the serving binary.
+echo "==> dependency gate: ./cmd/mvserve imports no paper pipeline"
+pipeline_deps=$(go list -deps ./cmd/mvserve |
     grep -E '^mvml/internal/(experiments|drivesim|perception|scenario|petri|reliability)$' || true)
 if [ -n "$pipeline_deps" ]; then
-    echo "the serving binaries depend on:" >&2
+    echo "the serving binary depends on:" >&2
     echo "$pipeline_deps" >&2
     exit 1
 fi
@@ -143,12 +143,12 @@ go test ./internal/scenario -run TestFalsifierGolden -count=1
 # print its final verdict.
 echo "==> gateway demo smoke"
 gwtmp=$(mktemp -d)
-go build -o "$gwtmp/mvgateway" ./cmd/mvgateway
-"$gwtmp/mvgateway" demo -duration 3s -rate 300 > "$gwtmp/demo.out" ||
+go build -o "$gwtmp/mvserve" ./cmd/mvserve
+"$gwtmp/mvserve" demo -shards 4 -fast-models -duration 3s -rate 300 > "$gwtmp/demo.out" ||
     { cat "$gwtmp/demo.out"; exit 1; }
 cat "$gwtmp/demo.out"
 grep -q 'fleet: 4 shards live' "$gwtmp/demo.out"
-"$gwtmp/mvgateway" demo -duration 3s -rate 300 -health \
+"$gwtmp/mvserve" demo -shards 4 -fast-models -duration 3s -rate 300 -health \
     -telemetry-out "$gwtmp/telemetry.json" 2> "$gwtmp/health.err" ||
     { cat "$gwtmp/health.err"; exit 1; }
 grep 'health: final verdict' "$gwtmp/health.err"
@@ -186,10 +186,10 @@ for dir in $(find . -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort 
 done
 printf '%6d  total without ./cmd/mvbench\n' \
     "$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/mvbench/*' | xargs cat | wc -l)"
-# The serving binaries' own size: the non-test lines of every mvml package
-# mvserve and mvgateway link.
-printf '%6d  serving binaries (mvml packages in go list -deps ./cmd/mvserve ./cmd/mvgateway)\n' \
-    "$(for dir in $(go list -f '{{if not .Standard}}{{.Dir}}{{end}}' -deps ./cmd/mvserve ./cmd/mvgateway); do
+# The serving binary's own size: the non-test lines of every mvml package
+# mvserve links.
+printf '%6d  serving binary (mvml packages in go list -deps ./cmd/mvserve)\n' \
+    "$(for dir in $(go list -f '{{if not .Standard}}{{.Dir}}{{end}}' -deps ./cmd/mvserve); do
         find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l)"
 # What reachAllowlist keeps in internal/ that no binary reaches: the count
 # TestInternalCodeIsReachedFromABinary would fail on with the allowlist empty.
